@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"os/exec"
 	"testing"
 
 	"cqbound/internal/coloring"
@@ -426,23 +428,9 @@ func BenchmarkEngineChainScaledSharded(b *testing.B) {
 		"Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).", benchScaledChainDB())
 }
 
-// Benchmarks of the streamed execution layer (PR 6). Streaming is the
-// Engine default, so the sharded benchmarks above already measure the
-// column-batch pipelines; these mirror them with the materialized
-// executors (WithMaterializedExec) so the pair isolates what streaming
-// costs or saves on wall-clock, and sweep the batch size on the chain.
-// BENCH_stream.json records the cqbench -streambench sweep of the same
-// comparison with peak-resident-bytes accounting.
-
-func BenchmarkEngineStarScaledShardedMaterialized(b *testing.B) {
-	benchEngineWith(b, NewEngine(WithSharding(1024, 16), WithMaterializedExec()),
-		"Q(X,Y,Z,W) <- E(X,Y), E(X,Z), E(X,W).", benchScaledStarDB())
-}
-
-func BenchmarkEngineChainScaledShardedMaterialized(b *testing.B) {
-	benchEngineWith(b, NewEngine(WithSharding(1024, 16), WithMaterializedExec()),
-		"Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).", benchScaledChainDB())
-}
+// The sharded benchmarks above already measure the column-batch
+// pipelines at the default batch size; this one sweeps the batch size on
+// the chain.
 
 func BenchmarkEngineChainScaledStreamedBatchSize(b *testing.B) {
 	db := benchScaledChainDB()
@@ -451,5 +439,24 @@ func BenchmarkEngineChainScaledStreamedBatchSize(b *testing.B) {
 			benchEngineWith(b, NewEngine(WithSharding(1024, 16), WithBatchSize(bs)),
 				"Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).", db)
 		})
+	}
+}
+
+// TestBenchModuleBuilds vets bench/, the repository benchmark: it is a
+// module of its own (BENCHMARK.json runs it from source) compiled against
+// this module's packages, so `go test ./...` here never builds it and an
+// API change could break it unseen.
+func TestBenchModuleBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the go tool")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command("go", "vet", "-C", "bench", "./...")
+	// Build what is checked out here, not what a go.work above it names.
+	cmd.Env = append(os.Environ(), "GOWORK=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet -C bench ./...: %v\n%s", err, out)
 	}
 }

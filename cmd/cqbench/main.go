@@ -28,13 +28,6 @@
 // price and eviction/reload traffic of each cap. The recorded document
 // lives in BENCH_spill.json.
 //
-// With -streambench it compares the materialize-per-operator executors
-// against the streamed column-batch pipelines at batch sizes 64, 1024 and
-// 8192 on the scaled workloads, recording wall-clock and the governor's
-// peak-resident-bytes high-water mark for each (with -membudget, both
-// sides run at that shared forcing budget). The recorded document lives
-// in BENCH_stream.json.
-//
 // With -tracebench it prices the observability layer on the scaled
 // workloads: each runs on a plain engine and on one with WithTracing
 // (full span tree, per-query stats deltas, sink emission per Evaluate)
@@ -58,7 +51,6 @@
 //	cqbench -planbench [-json] [-shards N] [-baseline BENCH_baseline.json [-threshold 3]]
 //	cqbench -shardbench [-json] [-shards N] [-skew F] [-membudget N]
 //	cqbench -spillbench [-json] [-shards N] [-membudget N]
-//	cqbench -streambench [-json] [-shards N] [-membudget N]
 //	cqbench -tracebench [-json] [-shards N] [-tracegate F]
 //	cqbench -ingestbench [-json] [-shards N] [-membudget N]
 package main
@@ -80,7 +72,6 @@ func main() {
 	planbench := flag.Bool("planbench", false, "benchmark planned vs fixed evaluation strategies")
 	shardbench := flag.Bool("shardbench", false, "benchmark sharded vs single-shard execution on scaled workloads")
 	spillbench := flag.Bool("spillbench", false, "sweep memory budgets (unlimited vs 1/2 vs 1/4 of peak resident bytes) over the scaled workloads")
-	streambench := flag.Bool("streambench", false, "compare materialized vs streamed executors at batch sizes 64/1024/8192 on the scaled workloads")
 	tracebench := flag.Bool("tracebench", false, "measure tracing overhead (WithTracing vs plain) on the scaled workloads")
 	tracegate := flag.Float64("tracegate", 0, "with -tracebench, fail when a star/path workload's tracing overhead exceeds this fraction (0 disables)")
 	ingestbench := flag.Bool("ingestbench", false, "measure transactional batch-apply throughput and incremental-vs-rebuild memo refresh on the scaled workloads")
@@ -112,8 +103,6 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "cqbench: tracing overhead within the %.0f%% gate\n", *tracegate*100)
 		}
-	case *streambench:
-		printStreamBench(runStreamBench(*shards, *membudget), *jsonOut)
 	case *spillbench:
 		printSpillBench(runSpillBench(*shards, *membudget), *jsonOut)
 	case *shardbench:

@@ -100,25 +100,24 @@ type Engine struct {
 	spillDir     string
 	dictSpill    bool
 	batchSize    int
-	materialized bool
 }
 
 // Option configures an Engine at construction.
 type Option func(*Engine)
 
-// WithSharding routes evaluation through the exchange-routed
-// partition-parallel operators of internal/shard: any join, semijoin, or
-// duplicate-eliminating projection whose larger input has at least
-// threshold rows is hash-partitioned into the given number of shards
-// (shards <= 0 means GOMAXPROCS) and executed shard by shard on the worker
-// pool. Intermediate results stay partitioned between steps: a join whose
-// key matches the partitioning the previous step left reuses it outright,
-// and a mismatched key is handled by the exchange (repartition the stream
-// shard-to-shard, or broadcast a small side against the partitioned big
-// side). Steps below the threshold — and joins with no shared column to
-// partition on — run single-shard exactly as without the option. Outputs
-// are identical either way; only wall-clock and memory locality change.
-// ShardStats reports what the routing actually did.
+// WithSharding runs evaluation partition-parallel through the routing of
+// internal/shard: any join, semijoin, or duplicate-eliminating projection
+// whose probe-side input has at least threshold rows is hash-partitioned
+// into the given number of shards (shards <= 0 means GOMAXPROCS) and runs
+// as one pipeline per shard on the worker pool. Intermediate results stay
+// partitioned between steps: a join whose key matches the partitioning the
+// previous step left reuses it outright, and a mismatched key either
+// probes a small side whole in every part (broadcast) or scatters the
+// pipeline's batches onto the new key (exchange). Steps below the
+// threshold — and joins with no shared column to partition on — run
+// single-shard exactly as without the option. Outputs are identical either
+// way; only wall-clock and memory locality change. ShardStats reports what
+// the routing actually did.
 func WithSharding(threshold, shards int) Option {
 	return func(e *Engine) {
 		e.shardingOn = true
@@ -150,12 +149,12 @@ func WithSkewSplitting(fraction float64) Option {
 // operator is scanning stay resident — the budget is a target the governor
 // evicts toward, never a hard cap that could wedge a query against its own
 // working set — and outputs are identical with or without a budget.
-// bytes <= 0 means unlimited. Spilling's unit is the shard: under the
-// default streamed execution the governor sees base-relation partitions
-// and pipeline sinks even on a single-shard engine, and WithSharding
-// raises the granularity (more, smaller victims) — pair the two when the
-// budget must track intermediates closely. SpillStats reports what the
-// governor did, and Close releases the spill files.
+// bytes <= 0 means unlimited. Spilling's unit is the shard: the governor
+// sees base-relation partitions and pipeline sinks even on a single-shard
+// engine, and WithSharding raises the granularity (more, smaller victims)
+// — pair the two when the budget must track intermediates closely.
+// SpillStats reports what the governor did, and Close releases the spill
+// files.
 func WithMemoryBudget(bytes int64) Option {
 	return func(e *Engine) {
 		e.memBudget = bytes
@@ -173,30 +172,18 @@ func WithSpillDir(dir string) Option {
 	}
 }
 
-// WithBatchSize sets the row count of the column batches streamed
-// execution moves between pipeline stages (default 1024). Evaluation is
-// streamed by default: the join-project and Yannakakis executors build
-// pull-based per-shard pipelines (scan → semijoin → join probe →
-// projection) that hold one batch per stage instead of materializing every
-// operator output, so peak residency tracks the output and the probe-side
-// bindings rather than the largest intermediate. Larger batches amortize
-// per-batch overhead; smaller ones tighten the residency bound. Outputs
-// are identical at every size. StreamStats reports what the pipelines did;
-// WithMaterializedExec restores the materialize-per-operator executors.
+// WithBatchSize sets the row count of the column batches evaluation moves
+// between pipeline stages (default 1024). Evaluation is streamed: the
+// join-project and Yannakakis executors build pull-based per-shard
+// pipelines (scan → semijoin → join probe → projection) that hold one
+// batch per stage instead of materializing every operator output, so peak
+// residency tracks the output and the probe-side bindings rather than the
+// largest intermediate. Larger batches amortize per-batch overhead;
+// smaller ones tighten the residency bound. Outputs are identical at every
+// size. StreamStats reports what the pipelines did.
 func WithBatchSize(rows int) Option {
 	return func(e *Engine) {
 		e.batchSize = rows
-	}
-}
-
-// WithMaterializedExec disables streamed execution: every operator
-// materializes its full output before the next starts, as before streaming
-// existed. The switch exists so the two executors can be compared honestly
-// (cqbench -streambench does) and as an escape hatch for one release;
-// outputs are identical either way.
-func WithMaterializedExec() Option {
-	return func(e *Engine) {
-		e.materialized = true
 	}
 }
 
@@ -249,18 +236,14 @@ type ShardStats = shard.Stats
 // ShardStats reports the engine's sharded-execution routing counters,
 // accumulated across all evaluations since the engine was built.
 func (e *Engine) ShardStats() ShardStats {
-	if e.sharding == nil {
-		return ShardStats{}
-	}
 	return e.sharding.Metrics.Snapshot()
 }
 
-// StreamStats is a point-in-time copy of the engine's streamed-execution
-// counters: batches and rows emitted by pipeline stages, pipelines that
-// fell back to a buffered relation, and the column bytes that flowed
-// through stages without ever being materialized — the allocation the
-// materialized executors would have paid. All zeros under
-// WithMaterializedExec.
+// StreamStats is a point-in-time copy of the engine's pipeline counters:
+// batches and rows emitted by pipeline stages, pipelines that fell back to
+// a buffered relation, and the column bytes that flowed through stages
+// without ever being materialized — the allocation a
+// materialize-per-operator executor would pay.
 type StreamStats = batch.Stats
 
 // StreamStats reports what the engine's streamed pipelines did across all
@@ -342,21 +325,15 @@ func NewEngine(opts ...Option) *Engine {
 			Spill:        e.spill,
 		}
 	}
-	if !e.materialized {
-		// Streamed execution is the default. It rides on shard.Options (the
-		// pipelines are per-shard), so an engine without WithSharding gets a
-		// single-shard options block: Count()==1 keeps every materialized
-		// operator in its fallback path while the executors stream.
-		if e.batchSize <= 0 {
-			e.batchSize = batch.DefaultSize
-		}
-		e.stream = &batch.Metrics{}
-		if e.sharding == nil {
-			e.sharding = &shard.Options{Shards: 1, Spill: e.spill}
-		}
-		e.sharding.BatchSize = e.batchSize
-		e.sharding.Batch = e.stream
+	// The executors' configuration rides on shard.Options (the pipelines
+	// are per-shard), so an engine without WithSharding gets a single-shard
+	// options block carrying the governor, batch size and counters.
+	e.stream = &batch.Metrics{}
+	if e.sharding == nil {
+		e.sharding = &shard.Options{Shards: 1, Spill: e.spill}
 	}
+	e.sharding.BatchSize = e.batchSize
+	e.sharding.Batch = e.stream
 	return e
 }
 
@@ -377,9 +354,7 @@ func (e *Engine) ResetStats() {
 	e.analyses.ResetStats()
 	e.plans.ResetStats()
 	e.mu.Unlock()
-	if e.sharding != nil {
-		e.sharding.Metrics.Reset()
-	}
+	e.sharding.Metrics.Reset()
 	e.stream.Reset()
 	e.spill.ResetCounters()
 	e.commits.Store(0)
@@ -645,7 +620,7 @@ func epochKeySuffix(epoch uint64) string {
 // memoized base partitions instead of growing per query. Both returns are
 // nil-safe for their consumers.
 func (e *Engine) evalOptions() (*shard.Options, *spill.Scope) {
-	if e.sharding == nil || e.spill == nil {
+	if e.spill == nil {
 		return e.sharding, nil
 	}
 	scope := spill.NewScope()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cqbound/internal/datagen"
+	"cqbound/internal/eval"
 	"cqbound/internal/relation"
 )
 
@@ -329,5 +330,54 @@ func TestEngineCacheStats(t *testing.T) {
 	h, m = eng.CacheStats()
 	if h != 3 || m != 2 {
 		t.Fatalf("stats after Analyze pair = %d/%d, want 3/2", h, m)
+	}
+}
+
+// TestRepeatedHeadVariable runs a head that repeats a variable through
+// every engine configuration — the streamed projection has to give the
+// repeated output column its own name before the sink builds a relation —
+// and compares each strategy against the naive reference.
+func TestRepeatedHeadVariable(t *testing.T) {
+	ctx := context.Background()
+	db := datagen.EdgeDB(rand.New(rand.NewSource(17)), []string{"R", "S"}, 60, 12)
+	engines := []struct {
+		name string
+		opts []Option
+	}{
+		{"default", nil},
+		{"sharded", []Option{WithSharding(0, 4)}},
+		{"budgeted", []Option{WithSharding(0, 4), WithMemoryBudget(256), WithSpillDir(t.TempDir())}},
+	}
+	for _, text := range []string{
+		"Q(X,X,Y) <- R(X,Y).",
+		"Q(X,X,Y) <- R(X,Y), S(Y,Z).",
+	} {
+		q := MustParse(text)
+		want, _, err := eval.NaiveCtx(ctx, q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range engines {
+			eng := NewEngine(e.opts...)
+			runs := map[string]func() (*Relation, EvalStats, error){
+				"planned": func() (*Relation, EvalStats, error) { return eng.Evaluate(ctx, q, db) },
+			}
+			for _, s := range []Strategy{StrategyProjectEarly, StrategyYannakakis, StrategyGenericJoin} {
+				s := s
+				runs[s.String()] = func() (*Relation, EvalStats, error) { return eng.EvaluateStrategy(ctx, s, q, db) }
+			}
+			for name, run := range runs {
+				got, _, err := run()
+				if err != nil {
+					t.Fatalf("%s / %s / %s: %v", text, e.name, name, err)
+				}
+				if got.Arity() != 3 || !relation.Equal(want, got) {
+					t.Errorf("%s / %s / %s: arity %d, %d tuples; naive has %d", text, e.name, name, got.Arity(), got.Size(), want.Size())
+				}
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -265,11 +265,11 @@ func ExampleEngine_ResetStats() {
 }
 
 // ExampleWithBatchSize tunes the streamed executors' batch granularity
-// and reads StreamStats: evaluation is streamed by default — per-shard
-// pull pipelines move fixed-size column batches from scan through probes
-// and projection, materializing only the output — and the batch size
-// trades per-batch overhead against the residency bound. Outputs are
-// identical at every size (and under WithMaterializedExec).
+// and reads StreamStats: evaluation is streamed — per-shard pull pipelines
+// move fixed-size column batches from scan through probes and projection,
+// materializing only the output — and the batch size trades per-batch
+// overhead against the residency bound. Outputs are identical at every
+// size.
 func ExampleWithBatchSize() {
 	q := cqbound.MustParse("Q(A,D) <- R(A,B), S(B,C), T(C,D).")
 	db := cqbound.NewDatabase()

@@ -41,15 +41,15 @@ type Iterator interface {
 	Next(ctx context.Context) (*Batch, error)
 }
 
-// Metrics counts what streamed execution did. All counters are atomic: one
+// Metrics counts what the pipelines did. All counters are atomic: one
 // Metrics may be shared across concurrent evaluations (the Engine does).
 // Methods on a nil *Metrics are no-ops, so operators count unconditionally.
 type Metrics struct {
 	// Batches counts batches emitted by pipeline stages.
 	Batches atomic.Int64
 	// Rows counts rows flowing out of pipeline stages (a row passing
-	// through k stages counts k times — the streamed analogue of the rows
-	// the materialized operators would have copied k times).
+	// through k stages counts k times — the rows an executor that built
+	// every operator's output would have copied).
 	Rows atomic.Int64
 	// BufferedFallbacks counts pipelines that had to be buffered into a
 	// relation after all — probe sides of joins and semijoins, inputs
@@ -74,8 +74,8 @@ type Stats struct {
 	BufferedFallbacks int64
 	// BytesNeverMaterialized is the column bytes that flowed through
 	// stages minus the bytes some stage wrote into a relation — the
-	// allocation the materialized executor would have paid and the
-	// streamed one never did.
+	// allocation an executor that built every operator's output would
+	// have paid and the pipelines never did.
 	BytesNeverMaterialized int64
 }
 

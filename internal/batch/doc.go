@@ -1,7 +1,9 @@
 // Package batch implements pull-based vectorized execution: pipelines of
 // composable iterators moving fixed-size column batches of interned
-// relation.Values, so an operator chain holds one batch per stage instead
-// of one materialized relation per operator.
+// relation.Values, so an operator chain holds one batch per stage and
+// never a whole intermediate relation. It is what every join-project and
+// Yannakakis evaluation runs on; internal/shard decides how many pipelines
+// run side by side and where rows cross between them.
 //
 // # Iterator contract
 //
@@ -34,7 +36,7 @@
 //
 // # Governor registration
 //
-// Streamed execution still creates relations at three points: sealed chunks
+// Pipelines still create relations at three points: sealed chunks
 // of a Buffered tee, sealed chunks of an Exchange's output shards, and
 // Materialize sinks. Each is handed to a govern callback as it is created,
 // so residency registers with the spill.Governor incrementally — chunk by

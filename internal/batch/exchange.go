@@ -273,9 +273,9 @@ func (e *Exchange) cut(q *pendQueue, out *Batch) *Batch {
 	return out
 }
 
-// shardOf mirrors shard.ShardOf: the assignment must match the hash the
-// materialized partitioner uses so streamed and materialized shards of the
-// same value land together. Kept local to avoid an import cycle (the shard
+// shardOf mirrors shard.ShardOf: the assignment must match the hash
+// shard.Partition uses, so an exchanged pipeline part and the partitioned
+// probe-side shard it meets hold the same values. Kept local to avoid an import cycle (the shard
 // package composes batch pipelines).
 func shardOf(v relation.Value, p int) int {
 	h := uint64(uint32(v)) * 0x9E3779B1

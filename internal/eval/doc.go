@@ -18,36 +18,43 @@
 // intermediate result is empty; the plain forms are conveniences with a
 // background context and the body's own atom order.
 //
-// # Sharded execution
+// # Pipelined, sharded execution
 //
-// JoinProjectExec and YannakakisExec take a *shard.Options and, when it
-// enables sharding, route every binary join, semijoin and
-// duplicate-eliminating projection through the exchange-routed operators
-// of internal/shard. The intermediate result flows between steps as a
-// shard.Stream that stays hash-partitioned: a step whose join key matches
-// the partitioning the previous step left reuses it outright, and a
-// mismatched key is repartitioned (or a small side broadcast) by the
-// exchange, so a multi-join plan — a triangle, a cycle, a Yannakakis
+// JoinProjectExec and YannakakisExec are the only implementations of their
+// strategies (the plain and Ctx forms call them with nil options). Each
+// builds pull-based column-batch pipelines (internal/batch) and routes
+// every binary join, semijoin and duplicate-eliminating projection through
+// internal/shard: the running intermediate is a shard.Piped — one pipeline
+// per shard plus the key they are partitioned on — so a step whose join key
+// matches the partitioning the previous step left reuses it outright, and
+// a mismatched key broadcasts a small side or exchanges the pipeline
+// mid-stream. A multi-join plan — a triangle, a cycle, a Yannakakis
 // semijoin chain — keeps every step partition-parallel instead of
-// collapsing to one shard after the first join. Per-step fallback rules
-// (inputs below Options.MinRows, no shared column) are internal/shard's;
-// outputs are identical with or without sharding, which the 220-pair
-// property harness proves against Naive at several shard counts including
-// Zipf-skewed data.
+// collapsing to one shard after the first join, and no intermediate is
+// built as a relation except what must be indexed whole (Yannakakis'
+// reductions and projected subtree results). The routing rules (inputs
+// below Options.MinRows, no shared column, skew) are internal/shard's; nil
+// options mean one part and default batches. Outputs are identical in
+// every configuration, which the 220-pair property matrix
+// (TestPropertyExecutorsAgree) proves against Naive across shard counts,
+// batch sizes and a forced-spill budget, Zipf-skewed data included.
+//
+// Stats.MaxIntermediate is the largest relation an evaluation actually
+// built: for Naive and GenericJoin the largest intermediate or the
+// output, for JoinProjectExec the output (its intermediates stream), for
+// YannakakisExec the largest forced subtree result or the output.
+// Per-stage row counts come from EvaluateTraced.
 //
 // GenericJoin extends one variable at a time and has no binary join to
-// partition, so it ignores the options (see the ROADMAP's sharded generic
-// join item).
+// partition, so it takes the options only for their tracer (see the
+// ROADMAP's sharded generic join item).
 //
-// When Options.Spill carries a memory governor, pinning happens below
-// each operator's exchange — the stream operators pin the aligned views
-// they fan out over, and the relation operators pin the shards they scan
-// — so the governor never parks a shard mid-scan, while a parked
-// intermediate entering a join is still repartitioned one shard at a
-// time rather than reloaded whole. Between steps, anything cold may
-// spill and reloads transparently on its next use. The spilled property
-// harness proves outputs identical to Naive under a budget that forces
-// eviction mid-plan.
+// When Options.Spill carries a memory governor, pipeline stages pin the
+// storage they read one batch at a time and exchanges seal their output
+// into governed chunks as they fill, so the governor never parks a shard
+// mid-read while anything cold may spill between reads and reloads
+// transparently on its next use. The property matrix proves outputs
+// identical to Naive under a budget that forces eviction mid-plan.
 //
 // Binding relations (bindingRelation) are the bridge from atoms to
 // relations: for atoms without repeated variables they are O(arity)

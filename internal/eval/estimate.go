@@ -107,26 +107,8 @@ func estimateSemijoin(l, r shard.Stream) float64 {
 	return est
 }
 
-// estimateProject estimates a duplicate-eliminating projection of rows
-// input rows onto the kept attributes: the input size capped by the
-// product of the kept columns' distinct counts (the size of the kept
-// domain).
-func estimateProject(in shard.Stream, keep []string) float64 {
-	attrs := in.Attrs()
-	domain := 1.0
-	for _, a := range keep {
-		if i := slices.Index(attrs, a); i >= 0 {
-			domain *= math.Max(1, float64(in.DistinctEstimate(i)))
-		}
-		if domain > float64(in.Size()) {
-			return float64(in.Size())
-		}
-	}
-	return math.Min(float64(in.Size()), domain)
-}
-
-// estimator carries the System-R estimate through a streamed plan, where
-// the running intermediate is a pipeline whose actual cardinality is
+// estimator carries the System-R estimate through a join-project plan,
+// where the running intermediate is a pipeline whose actual cardinality is
 // unknown until the sink drains: rows is the running size estimate and v
 // the per-attribute distinct estimates, both advanced join by join the
 // way a cost-based optimizer would before execution.

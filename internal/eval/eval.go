@@ -18,7 +18,10 @@ import (
 
 // Stats records what a strategy did.
 type Stats struct {
-	// MaxIntermediate is the largest intermediate binding relation built.
+	// MaxIntermediate is the largest relation the evaluation actually
+	// built: Naive's largest intermediate, the largest forced subtree
+	// result of Yannakakis, or — since pipelined intermediates stream
+	// without being built — the output itself.
 	MaxIntermediate int
 	// Joins is the number of binary joins (or extension steps) performed.
 	Joins int
@@ -83,23 +86,18 @@ func JoinProjectOrdered(ctx context.Context, q *cq.Query, db *database.Database,
 	return JoinProjectExec(ctx, q, db, order, nil)
 }
 
-// JoinProjectExec is JoinProjectOrdered with exchange-routed sharded
-// execution: when opts enables sharding, every join, interleaved
-// projection, and the head projection run partition-parallel over
-// internal/shard, and the intermediate result flows between steps as a
-// shard.Stream that stays partitioned — each join reuses the partitioning
-// the previous operator left when it aligns with a join column, and the
-// exchange repartitions (or broadcasts against) it otherwise, so a
-// multi-join plan never collapses to one shard after its first join.
-// Steps whose inputs are below opts.MinRows — and joins with no shared
-// column to partition on — fall back to single-shard operators per step.
-// Options carrying a BatchSize run the streamed form instead: the same
-// plan over pull-based column-batch pipelines (internal/batch) that never
-// materialize an intermediate. nil opts is exactly JoinProjectOrdered.
+// JoinProjectExec is JoinProjectOrdered under the evaluation options: the
+// join-project fold runs as pull-based column-batch pipelines
+// (internal/batch) routed by internal/shard — scan, probe and projection
+// stages chain within each shard, every join reuses the partitioning the
+// previous stage left when it aligns with a join column and broadcasts or
+// exchanges otherwise, and rows first become a relation again at the head
+// projection's sink, so no intermediate is ever materialized. Bindings are
+// resolved (and checked for emptiness) up front, since an empty binding
+// empties the output regardless of position. nil opts (what
+// JoinProjectOrdered passes) means one pipeline per stage and default
+// batches.
 func JoinProjectExec(ctx context.Context, q *cq.Query, db *database.Database, order []int, opts *shard.Options) (*relation.Relation, Stats, error) {
-	if opts.Streaming() {
-		return joinProjectStreamed(ctx, q, db, order, opts)
-	}
 	var st Stats
 	if err := validateAtoms(q, db); err != nil {
 		return nil, st, err
@@ -108,6 +106,24 @@ func JoinProjectExec(ctx context.Context, q *cq.Query, db *database.Database, or
 	if err != nil {
 		return nil, st, err
 	}
+	tr := opts.Tracer()
+	bs := stageSpan(opts, trace.KindStage, "bindings")
+	binds := make([]*relation.Relation, len(body))
+	for i, a := range body {
+		if binds[i], err = bindingRelation(a, db); err != nil {
+			bs.End()
+			return nil, st, err
+		}
+		if binds[i].Size() == 0 {
+			bs.End()
+			st.EarlyExit = true
+			return emptyOutput(q), st, nil
+		}
+		if tr != nil {
+			scanSpan(opts, binds[i].Name, binds[i].Size())
+		}
+	}
+	bs.End()
 	needLater := make([]map[cq.Variable]bool, len(body)+1)
 	needLater[len(body)] = map[cq.Variable]bool{}
 	for i := len(body) - 1; i >= 0; i-- {
@@ -122,107 +138,86 @@ func JoinProjectExec(ctx context.Context, q *cq.Query, db *database.Database, or
 	}
 	head := q.HeadVarSet()
 
-	project := func(cur shard.Stream, after int) (shard.Stream, error) {
-		attrs := cur.Attrs()
+	var est *estimator
+	project := func(pd *shard.Piped, after int) (*shard.Piped, error) {
 		var keep []string
-		for _, attr := range attrs {
+		for _, attr := range pd.Attrs() {
 			v := cq.Variable(attr)
 			if head[v] || needLater[after+1][v] {
 				keep = append(keep, attr)
 			}
 		}
-		if len(keep) == len(attrs) {
-			return cur, nil
+		if len(keep) == len(pd.Attrs()) {
+			return pd, nil
 		}
-		return projectNames(ctx, opts, cur, keep)
+		est.projectTo(keep)
+		return projectPipedNames(ctx, opts, pd, keep)
 	}
 
-	tr := opts.Tracer()
-	fold := stageSpan(opts, trace.KindStage, "join-project fold")
-	defer fold.End()
-	first, err := bindingRelation(body[0], db)
+	// The pipeline stage covers construction only; the armed operator
+	// spans under it close as the sink drains their parts.
+	ps := stageSpan(opts, trace.KindStage, "pipeline")
+	if tr != nil {
+		est = estimatorOf(shard.StreamOf(binds[0]))
+	}
+	pd := shard.PipedOf(shard.StreamOf(binds[0]), opts)
+	if pd, err = project(pd, 0); err != nil {
+		ps.End()
+		return nil, st, err
+	}
+	for i := range body[1:] {
+		var jsp *trace.Span
+		if tr != nil {
+			jsp = tr.Op(trace.KindJoin, "⋈ "+binds[i+1].Name)
+			jsp.SetEst(est.joinWith(shard.StreamOf(binds[i+1])))
+		}
+		if pd, err = shard.JoinPipedStream(ctx, opts, pd, binds[i+1], false); err != nil {
+			jsp.End()
+			ps.End()
+			return nil, st, err
+		}
+		shard.TracePiped(pd, jsp)
+		st.Joins++
+		if pd, err = project(pd, i+1); err != nil {
+			ps.End()
+			return nil, st, err
+		}
+	}
+	ps.End()
+	out, err := headProjectionPiped(ctx, opts, q, pd)
 	if err != nil {
 		return nil, st, err
 	}
-	if tr != nil {
-		scanSpan(opts, first.Name, first.Size())
-	}
-	cur := shard.StreamOf(first)
-	if cur, err = project(cur, 0); err != nil {
-		return nil, st, err
-	}
-	st.MaxIntermediate = cur.Size()
-	for i, a := range body[1:] {
-		if err := ctx.Err(); err != nil {
-			return nil, st, err
-		}
-		if cur.Size() == 0 {
-			st.EarlyExit = true
-			return emptyOutput(q), st, nil
-		}
-		next, err := bindingRelation(a, db)
-		if err != nil {
-			return nil, st, err
-		}
-		var jsp *trace.Span
-		if tr != nil {
-			jsp = tr.Op(trace.KindJoin, "⋈ "+next.Name)
-			jsp.AddIn(cur.Size() + next.Size())
-			jsp.SetEst(estimateJoin(cur, shard.StreamOf(next)))
-		}
-		mk := markSpill(opts, tr != nil)
-		// No pin on cur here: pinning happens below the exchange (the
-		// join pins the aligned views it fans out over, the relation
-		// operators pin the shards they scan), so a parked intermediate
-		// can still be repartitioned one shard at a time instead of being
-		// forced whole into memory up front.
-		cur, err = shard.NaturalJoinStream(ctx, opts, cur, shard.StreamOf(next))
-		if err != nil {
-			return nil, st, err
-		}
-		setStreamOut(jsp, cur)
-		mk.annotate(jsp)
-		jsp.End()
-		st.Joins++
-		if cur.Size() > st.MaxIntermediate {
-			st.MaxIntermediate = cur.Size()
-		}
-		if cur, err = project(cur, i+1); err != nil {
-			return nil, st, err
-		}
-	}
-	fold.End()
-	out, err := headProjectionExec(ctx, opts, q, cur)
-	return out, st, err
+	// The fold's intermediates never materialize; the largest relation the
+	// plan built is the output itself.
+	st.MaxIntermediate = out.Size()
+	return out, st, nil
 }
 
-// projectNames is Relation.Project routed through the exchange-routed
-// projection: name resolution happens here once, then shard.ProjectStream
-// decides whether to project shard-by-shard (the stream's partition key is
-// kept), exchange onto a kept column first, or fall back single-shard.
-func projectNames(ctx context.Context, opts *shard.Options, cur shard.Stream, attrs []string) (shard.Stream, error) {
+// projectPipedNames extends the pipelines with the duplicate-eliminating
+// projection onto the named attributes. Under tracing the projection span
+// is armed on the returned pipeline (rows and batches count as the sink
+// drains); no estimate — a pipeline input has no statistics before it
+// runs.
+func projectPipedNames(ctx context.Context, opts *shard.Options, pd *shard.Piped, attrs []string) (*shard.Piped, error) {
 	idx := make([]int, len(attrs))
 	for i, a := range attrs {
-		j := slices.Index(cur.Attrs(), a)
+		j := slices.Index(pd.Attrs(), a)
 		if j < 0 {
-			return shard.Stream{}, fmt.Errorf("eval: unknown attribute %q in projection", a)
+			return nil, fmt.Errorf("eval: unknown attribute %q in projection", a)
 		}
 		idx[i] = j
 	}
 	var psp *trace.Span
 	if tr := opts.Tracer(); tr != nil {
 		psp = tr.Op(trace.KindProject, "π "+strings.Join(attrs, ","))
-		psp.AddIn(cur.Size())
-		psp.SetEst(estimateProject(cur, attrs))
 	}
-	out, err := shard.ProjectStream(ctx, opts, cur, idx)
+	out, err := shard.ProjectPiped(ctx, opts, pd, idx)
 	if err != nil {
 		psp.End()
-		return out, err
+		return nil, err
 	}
-	setStreamOut(psp, out)
-	psp.End()
-	return out, nil
+	return shard.TracePiped(out, psp), nil
 }
 
 // orderedBody returns the body atoms along the given permutation of indices
@@ -372,39 +367,70 @@ func buildRepeatedBinding(a cq.Atom, r *relation.Relation) *relation.Relation {
 	return out
 }
 
-// headProjection builds Q(D) from a binding relation containing (at least)
-// every head variable as an attribute. Head positions may repeat variables;
-// output attributes are named p1..pk and the relation carries the head name.
-func headProjection(q *cq.Query, bind *relation.Relation) (*relation.Relation, error) {
-	return headProjectionExec(context.Background(), nil, q, shard.StreamOf(bind))
-}
-
-// headProjectionExec is headProjection through the exchange-routed
-// projection: the final dedup over Q(D) — often the largest map an
-// evaluation builds — is split across partitions of a head column when
-// opts enables sharding, reusing the partitioning the last join left
-// behind whenever its key is a head variable.
-func headProjectionExec(ctx context.Context, opts *shard.Options, q *cq.Query, bind shard.Stream) (*relation.Relation, error) {
+// headIndexes resolves the head's positions to columns of a binding schema
+// containing (at least) every head variable. Head positions may repeat
+// variables.
+func headIndexes(q *cq.Query, attrs []string) ([]int, error) {
 	idx := make([]int, len(q.Head.Vars))
 	for i, v := range q.Head.Vars {
-		j := slices.Index(bind.Attrs(), string(v))
+		j := slices.Index(attrs, string(v))
 		if j < 0 {
 			return nil, fmt.Errorf("eval: head variable %s missing from bindings", v)
 		}
 		idx[i] = j
 	}
-	hs := stageSpan(opts, trace.KindStage, "head projection")
-	hs.AddIn(bind.Size())
+	return idx, nil
+}
+
+// headProjection builds Q(D) from Naive's final binding relation: output
+// attributes are named p1..pk and the relation carries the head name.
+func headProjection(q *cq.Query, bind *relation.Relation) (*relation.Relation, error) {
+	idx, err := headIndexes(q, bind.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	proj, err := bind.ProjectIdx(idx...)
+	if err != nil {
+		return nil, err
+	}
+	return proj.Rename(q.Head.Relation, headAttrs(q)...)
+}
+
+// headProjectionPiped is the executors' head projection: it extends the
+// pipeline, and its sink is the first — and only — full materialization of
+// the plan; the final dedup over Q(D), often the largest map an evaluation
+// builds, is split across the parts. The output is Q(D): it outlives the
+// evaluation, so it is never registered with the spill governor.
+func headProjectionPiped(ctx context.Context, opts *shard.Options, q *cq.Query, pd *shard.Piped) (*relation.Relation, error) {
+	idx, err := headIndexes(q, pd.Attrs())
+	if err != nil {
+		return nil, err
+	}
+	hs := stageSpan(opts, trace.KindStage, "head projection + sink")
 	mk := markSpill(opts, hs != nil)
-	proj, err := shard.ProjectStream(ctx, opts, bind, idx)
+	proj, err := shard.ProjectPiped(ctx, opts, pd, idx)
 	if err != nil {
 		hs.End()
 		return nil, err
 	}
-	setStreamOut(hs, proj)
+	var ssp *trace.Span
+	if tr := opts.Tracer(); tr != nil {
+		ssp = tr.Op(trace.KindSink, "materialize "+q.Head.Relation)
+	}
+	// MaterializePiped is the drain: all upstream pipeline work happens
+	// inside this call, so the stage's wall time is the plan's execution.
+	sunk, err := shard.MaterializePiped(ctx, opts, proj, q.Head.Relation, false)
+	if err != nil {
+		ssp.End()
+		hs.End()
+		return nil, err
+	}
+	setStreamOut(ssp, sunk)
+	ssp.End()
+	setStreamOut(hs, sunk)
 	mk.annotate(hs)
 	hs.End()
-	return proj.Rel().Rename(q.Head.Relation, headAttrs(q)...)
+	return sunk.Rel().Rename(q.Head.Relation, headAttrs(q)...)
 }
 
 // GenericJoin evaluates q with a worst-case optimal variable-at-a-time

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"cqbound/internal/database"
 	"cqbound/internal/datagen"
 	"cqbound/internal/relation"
+	"cqbound/internal/shard"
 )
 
 // starDB builds Example 2.1's database: R = {<1,1>,...,<1,n>}.
@@ -96,22 +98,50 @@ func TestRepeatedVariableInAtom(t *testing.T) {
 	}
 }
 
+// TestRepeatedHeadVariable: a head may list a variable twice. Every
+// strategy — and the two pipelined executors at several part counts and
+// batch sizes, whose projection has to name the repeated column apart
+// before the sink builds a relation — returns the arity-3 answer Naive does.
 func TestRepeatedHeadVariable(t *testing.T) {
-	q := cq.MustParse("Q(X,X,Y) <- R(X,Y).")
 	r := relation.New("R", "A", "B")
-	r.Add("1", "2")
+	s := relation.New("S", "A", "B")
+	for i := 0; i < 40; i++ {
+		r.Add(fmt.Sprintf("x%d", i%7), fmt.Sprintf("y%d", i%11))
+		s.Add(fmt.Sprintf("y%d", i%5), fmt.Sprintf("z%d", i))
+	}
 	db := database.New()
 	db.MustAdd(r)
-	for _, s := range strategies {
-		out, _, err := s.run(q, db)
+	db.MustAdd(s)
+	ctx := context.Background()
+	runs := append([]strategy{{"yannakakis", Yannakakis}}, strategies...)
+	for _, o := range []*shard.Options{{Shards: 1}, {Shards: 4}, {Shards: 4, BatchSize: 1}} {
+		o := o
+		tag := fmt.Sprintf("P=%d batch=%d", o.Shards, o.BatchSize)
+		runs = append(runs,
+			strategy{"joinproject " + tag, func(q *cq.Query, db *database.Database) (*relation.Relation, Stats, error) {
+				return JoinProjectExec(ctx, q, db, nil, o)
+			}},
+			strategy{"yannakakis " + tag, func(q *cq.Query, db *database.Database) (*relation.Relation, Stats, error) {
+				return YannakakisExec(ctx, q, db, o)
+			}})
+	}
+	for _, text := range []string{"Q(X,X,Y) <- R(X,Y).", "Q(X,X,Y) <- R(X,Y), S(Y,Z)."} {
+		q := cq.MustParse(text)
+		want, _, err := Naive(q, db)
 		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
+			t.Fatal(err)
 		}
-		if out.Size() != 1 || out.Arity() != 3 {
-			t.Fatalf("%s: out = %v", s.name, out)
+		if want.Arity() != 3 || want.Size() == 0 {
+			t.Fatalf("%s: naive answer %v", text, want)
 		}
-		if !out.Has(relation.Tuple{relation.V("1"), relation.V("1"), relation.V("2")}) {
-			t.Errorf("%s: wrong tuple", s.name)
+		for _, st := range runs {
+			out, _, err := st.run(q, db)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", text, st.name, err)
+			}
+			if out.Arity() != 3 || !relation.Equal(want, out) {
+				t.Errorf("%s: %s: arity %d with %d tuples, naive has %d", text, st.name, out.Arity(), out.Size(), want.Size())
+			}
 		}
 	}
 }

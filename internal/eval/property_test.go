@@ -24,7 +24,6 @@ import (
 	"cqbound/internal/datagen"
 	"cqbound/internal/eval"
 	"cqbound/internal/relation"
-	"cqbound/internal/shard"
 )
 
 // propertyIterations is the number of random query/database pairs checked
@@ -64,100 +63,6 @@ func TestPropertyStrategiesAgree(t *testing.T) {
 				i, propertyBaseSeed+int64(i), msg, q, dumpDB(db))
 		}
 	}
-}
-
-// shardCounts are the partition counts the sharded property harness cycles
-// through: P=1 (the degenerate single-shard view), tiny P, P larger than
-// many of the random databases' distinct values (forcing empty shards).
-var shardCounts = []int{1, 2, 3, 5, 16}
-
-// TestPropertyShardedAgrees re-runs the harness's random query/database
-// pairs comparing exchange-routed sharded execution — project-early and
-// (when acyclic) Yannakakis through internal/shard, plus a WithSharding
-// Engine — against unsharded Naive. The threshold is zero so every join,
-// semijoin and projection takes the partitioned path regardless of size,
-// covering empty shards, P=1, and partition reuse/repartition/broadcast
-// routing as the random data produces them; the skew fraction is forced
-// low (0.2) so hot-shard splitting fires on the Zipf-skewed database
-// profiles instead of only on pathological inputs.
-func TestPropertyShardedAgrees(t *testing.T) {
-	iters := propertyIterations
-	if testing.Short() {
-		iters = 60
-	}
-	profiles := []datagen.QueryParams{
-		{MaxVars: 5, MaxAtoms: 4, MaxArity: 3, HeadFraction: 0.7, RepeatRelationProb: 0.3, SimpleFDProb: 0.15},
-		{MaxVars: 3, MaxAtoms: 5, MaxArity: 2, HeadFraction: 0.5, RepeatRelationProb: 0.6},
-		{MaxVars: 6, MaxAtoms: 3, MaxArity: 4, HeadFraction: 0.9, RepeatRelationProb: 0.2, CompoundFDProb: 0.3},
-		{MaxVars: 2, MaxAtoms: 3, MaxArity: 3, HeadFraction: 0.6, RepeatRelationProb: 0.5, SimpleFDProb: 0.3},
-	}
-	dbProfiles := []datagen.DBParams{
-		{Tuples: 12, Universe: 6},
-		{Tuples: 25, Universe: 4},
-		{Tuples: 6, Universe: 12},
-		// Zipf-skewed: one value dominates every column, hashing most rows
-		// into one shard — the skew splitter's beat.
-		{Tuples: 30, Universe: 8, ZipfS: 1.7},
-		{Tuples: 20, Universe: 15, ZipfS: 2.5},
-	}
-	engines := make([]*cqbound.Engine, len(shardCounts))
-	for i, p := range shardCounts {
-		engines[i] = cqbound.NewEngine(cqbound.WithSharding(0, p), cqbound.WithSkewSplitting(propertySkewFraction))
-	}
-	for i := 0; i < iters; i++ {
-		rng := rand.New(rand.NewSource(propertyBaseSeed + int64(i)))
-		q := datagen.RandomQuery(rng, profiles[i%len(profiles)])
-		db := datagen.RandomDatabase(rng, q, dbProfiles[i%len(dbProfiles)])
-		p := shardCounts[i%len(shardCounts)]
-		eng := engines[i%len(shardCounts)]
-		if msg := shardedDisagreement(eng, p, q, db); msg != "" {
-			check := func(q *cq.Query, db *database.Database) string { return shardedDisagreement(eng, p, q, db) }
-			q, db, msg = shrink(check, q, db, msg)
-			t.Fatalf("iteration %d (seed %d, shards %d): sharded execution disagrees after shrinking: %s\n"+
-				"minimal query:\n%s\nminimal database:\n%s",
-				i, propertyBaseSeed+int64(i), p, msg, q, dumpDB(db))
-		}
-	}
-}
-
-// propertySkewFraction forces hot-shard splitting on the harness's tiny
-// relations: any shard holding over a fifth of its side's rows splits.
-const propertySkewFraction = 0.2
-
-// shardedDisagreement compares sharded execution at partition count p
-// against unsharded Naive, returning a description of the first
-// inconsistency ("" when all agree).
-func shardedDisagreement(eng *cqbound.Engine, p int, q *cq.Query, db *database.Database) string {
-	ctx := context.Background()
-	opts := &shard.Options{MinRows: 0, Shards: p, SkewFraction: propertySkewFraction}
-	ref, _, err := eval.NaiveCtx(ctx, q, db)
-	if err != nil {
-		return fmt.Sprintf("naive: %v", err)
-	}
-	check := func(name string, out *relation.Relation, err error) string {
-		if err != nil {
-			return fmt.Sprintf("%s: %v", name, err)
-		}
-		if !relation.Equal(ref, out) {
-			return fmt.Sprintf("%s: %d tuples, naive has %d", name, out.Size(), ref.Size())
-		}
-		return ""
-	}
-	out, _, err := eval.JoinProjectExec(ctx, q, db, nil, opts)
-	if msg := check("sharded join-project", out, err); msg != "" {
-		return msg
-	}
-	if eval.IsAcyclic(q) {
-		out, _, err = eval.YannakakisExec(ctx, q, db, opts)
-		if msg := check("sharded yannakakis", out, err); msg != "" {
-			return msg
-		}
-	}
-	out, _, err = eng.Evaluate(ctx, q, db)
-	if msg := check("sharded engine", out, err); msg != "" {
-		return msg
-	}
-	return ""
 }
 
 // disagreement evaluates q under every strategy and returns a description

@@ -1,21 +1,25 @@
-// Property-based streaming harness: the same random query/database pairs
-// as the sharded harness, evaluated through the column-batch pipeline
-// executors at every partition count AND every batch size — including
-// batch size 1, where each stage hands over single-row batches and any
-// off-by-one in pipeline handoff, exchange scatter, buffered replay or
-// skew splitting surfaces immediately. Each pair runs twice: unlimited,
-// and under the forced-spill 256-byte budget so governed shards are
-// parked and reloaded while the pipelines are still pulling. Outputs must
-// be identical to unsharded Naive in all configurations.
+// The executor property matrix: the harness's random query/database pairs
+// evaluated through the pipelined executors — join-project and (when
+// acyclic) Yannakakis called bare, plus an Engine — in every cell of
+// shard count × batch size × memory budget, with outputs required
+// identical to Naive. Threshold zero makes every join, semijoin and
+// projection take the partitioned path whatever its size (empty shards,
+// P=1, aligned reuse, broadcast and exchange all occur as the random data
+// produces them); batch size 1 hands single-row batches across every stage
+// boundary, so an off-by-one in pipeline handoff, exchange scatter,
+// buffered replay or skew splitting surfaces at once; the 256-byte budget
+// parks and reloads governed shards while the pipelines are still pulling.
 package eval_test
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	cqbound "cqbound"
+	"cqbound/internal/batch"
 	"cqbound/internal/cq"
 	"cqbound/internal/database"
 	"cqbound/internal/datagen"
@@ -25,96 +29,127 @@ import (
 	"cqbound/internal/spill"
 )
 
-// streamBatchSizes are the batch sizes the streaming harness cycles
-// through: 1 (every stage boundary exercised per row), a small prime that
-// never divides the harness relations evenly (partial final batches
-// everywhere), and the production default.
-var streamBatchSizes = []int{1, 7, 1024}
+// shardCounts are the partition counts the property harnesses cycle
+// through: P=1 (the degenerate single-shard view), tiny P, P larger than
+// many of the random databases' distinct values (forcing empty shards).
+var shardCounts = []int{1, 2, 3, 5, 16}
 
-// TestPropertyStreamedAgrees re-runs the harness's random pairs through
-// the streamed executors — join-project and (when acyclic) Yannakakis
-// pipelines, plus default-streaming Engines — across the full cross of
-// shard counts and batch sizes, with and without a forced-spill budget.
-// After the sweep the shared tiny governor must have evicted and
-// reloaded, and the streamed Engines must actually have streamed batches,
-// or the harness was not exercising the paths it exists for.
-func TestPropertyStreamedAgrees(t *testing.T) {
-	iters := propertyIterations
-	if testing.Short() {
-		iters = 60
-	}
-	profiles := []datagen.QueryParams{
-		{MaxVars: 5, MaxAtoms: 4, MaxArity: 3, HeadFraction: 0.7, RepeatRelationProb: 0.3, SimpleFDProb: 0.15},
-		{MaxVars: 3, MaxAtoms: 5, MaxArity: 2, HeadFraction: 0.5, RepeatRelationProb: 0.6},
-		{MaxVars: 6, MaxAtoms: 3, MaxArity: 4, HeadFraction: 0.9, RepeatRelationProb: 0.2, CompoundFDProb: 0.3},
-		{MaxVars: 2, MaxAtoms: 3, MaxArity: 3, HeadFraction: 0.6, RepeatRelationProb: 0.5, SimpleFDProb: 0.3},
-	}
-	dbProfiles := []datagen.DBParams{
-		{Tuples: 12, Universe: 6},
-		{Tuples: 25, Universe: 4},
-		{Tuples: 6, Universe: 12},
-		{Tuples: 30, Universe: 8, ZipfS: 1.7},
-		{Tuples: 20, Universe: 15, ZipfS: 2.5},
-	}
-	gov := spill.NewGovernor(spillBudgetBytes, t.TempDir())
-	defer gov.Close()
-	// Engines are built lazily per (shards, batch size) combination —
-	// shard count and batch size cycle with coprime periods, so every
-	// combination occurs. The streamed path is the Engine default; only
-	// the batch size varies.
-	unlimited := map[[2]int]*cqbound.Engine{}
-	budgeted := map[[2]int]*cqbound.Engine{}
-	engineFor := func(m map[[2]int]*cqbound.Engine, p, bs int, extra ...cqbound.Option) *cqbound.Engine {
-		key := [2]int{p, bs}
-		if eng, ok := m[key]; ok {
-			return eng
-		}
-		opts := append([]cqbound.Option{
-			cqbound.WithSharding(0, p),
-			cqbound.WithSkewSplitting(propertySkewFraction),
-			cqbound.WithBatchSize(bs),
-		}, extra...)
-		eng := cqbound.NewEngine(opts...)
-		t.Cleanup(func() { eng.Close() })
-		m[key] = eng
-		return eng
-	}
-	for i := 0; i < iters; i++ {
-		rng := rand.New(rand.NewSource(propertyBaseSeed + int64(i)))
-		q := datagen.RandomQuery(rng, profiles[i%len(profiles)])
-		db := datagen.RandomDatabase(rng, q, dbProfiles[i%len(dbProfiles)])
-		p := shardCounts[i%len(shardCounts)]
-		bs := streamBatchSizes[i%len(streamBatchSizes)]
-		engU := engineFor(unlimited, p, bs)
-		engB := engineFor(budgeted, p, bs,
-			cqbound.WithMemoryBudget(spillBudgetBytes), cqbound.WithSpillDir(t.TempDir()))
-		if msg := streamedDisagreement(engU, engB, gov, p, bs, q, db); msg != "" {
-			check := func(q *cq.Query, db *database.Database) string {
-				return streamedDisagreement(engU, engB, gov, p, bs, q, db)
-			}
-			q, db, msg = shrink(check, q, db, msg)
-			t.Fatalf("iteration %d (seed %d, shards %d, batch %d): streamed execution disagrees after shrinking: %s\n"+
-				"minimal query:\n%s\nminimal database:\n%s",
-				i, propertyBaseSeed+int64(i), p, bs, msg, q, dumpDB(db))
-		}
-	}
-	if st := gov.Snapshot(); st.Evictions == 0 || st.ReloadedShards == 0 {
-		t.Fatalf("the forced-spill budget never spilled under streaming (evictions=%d reloads=%d)",
-			st.Evictions, st.ReloadedShards)
-	}
-	for _, eng := range unlimited {
-		if st := eng.StreamStats(); st.BatchesProduced == 0 || st.RowsStreamed == 0 {
-			t.Fatalf("a streamed engine never streamed (batches=%d rows=%d): the harness ran materialized",
-				st.BatchesProduced, st.RowsStreamed)
-		}
-	}
+// propertySkewFraction forces hot-shard splitting on the harness's tiny
+// relations: any shard holding over a fifth of its side's rows splits.
+const propertySkewFraction = 0.2
+
+// spillBudgetBytes is deliberately tiny against the harness databases
+// (tens of tuples × up to 4 columns × 4 bytes each): most iterations hold
+// at most one or two shards resident, so eviction fires inside plans, not
+// just between them.
+const spillBudgetBytes = 256
+
+// propertyMatrix is the executor matrix, one row per axis. Pair i takes
+// value i mod len of a cycled axis — the cycled lengths are pairwise
+// coprime, so every combination of them recurs — and every value of a
+// crossed axis. A new axis is one row here plus its use in cellOptions and
+// cellEngine.
+var propertyMatrix = []struct {
+	name    string
+	values  []int
+	crossed bool
+}{
+	{"shards", shardCounts, false},
+	// 1 exercises every stage boundary per row, 7 never divides the harness
+	// relations evenly (partial final batches everywhere), 1024 is the
+	// production default.
+	{"batch", []int{1, 7, 1024}, false},
+	// 0 is unlimited.
+	{"budget", []int{0, spillBudgetBytes}, true},
 }
 
-// streamedDisagreement compares streamed execution at partition count p
-// and batch size bs against unsharded Naive — bare executors unlimited
-// and under the shared tiny governor, then the two Engines — returning a
-// description of the first inconsistency ("" when all agree).
-func streamedDisagreement(engU, engB *cqbound.Engine, gov *spill.Governor, p, bs int, q *cq.Query, db *database.Database) string {
+// propertyCell is one configuration: a value per axis of propertyMatrix.
+type propertyCell map[string]int
+
+func (c propertyCell) String() string {
+	parts := make([]string, len(propertyMatrix))
+	for i, ax := range propertyMatrix {
+		parts[i] = fmt.Sprintf("%s=%d", ax.name, c[ax.name])
+	}
+	return strings.Join(parts, " ")
+}
+
+// cellsFor expands the matrix for pair i.
+func cellsFor(i int) []propertyCell {
+	cells := []propertyCell{{}}
+	for _, ax := range propertyMatrix {
+		values := ax.values
+		if !ax.crossed {
+			values = []int{ax.values[i%len(ax.values)]}
+		}
+		var next []propertyCell
+		for _, c := range cells {
+			for _, v := range values {
+				nc := propertyCell{ax.name: v}
+				for k, old := range c {
+					nc[k] = old
+				}
+				next = append(next, nc)
+			}
+		}
+		cells = next
+	}
+	return cells
+}
+
+// propertyRig holds what outlives one pair: the counters the bare
+// executors share, one governor per budget, and one Engine per cell.
+type propertyRig struct {
+	t       *testing.T
+	shardM  shard.Metrics
+	batchM  batch.Metrics
+	govs    map[int]*spill.Governor
+	engines map[string]*cqbound.Engine
+}
+
+// cellOptions builds the bare executors' options for a cell. One scope per
+// pair, like Engine.Evaluate, so the pairs' intermediate shards don't
+// accumulate in the shared governor.
+func (r *propertyRig) cellOptions(c propertyCell, scope *spill.Scope) *shard.Options {
+	opts := &shard.Options{
+		MinRows: 0, Shards: c["shards"], SkewFraction: propertySkewFraction, BatchSize: c["batch"],
+		Metrics: &r.shardM, Batch: &r.batchM,
+	}
+	if budget := c["budget"]; budget > 0 {
+		gov, ok := r.govs[budget]
+		if !ok {
+			gov = spill.NewGovernor(int64(budget), r.t.TempDir())
+			r.t.Cleanup(func() { gov.Close() })
+			r.govs[budget] = gov
+		}
+		opts.Spill, opts.Scope = gov, scope
+	}
+	return opts
+}
+
+// cellEngine returns the cell's Engine, built on first use.
+func (r *propertyRig) cellEngine(c propertyCell) *cqbound.Engine {
+	if eng, ok := r.engines[c.String()]; ok {
+		return eng
+	}
+	opts := []cqbound.Option{
+		cqbound.WithSharding(0, c["shards"]),
+		cqbound.WithSkewSplitting(propertySkewFraction),
+		cqbound.WithBatchSize(c["batch"]),
+	}
+	if budget := c["budget"]; budget > 0 {
+		opts = append(opts, cqbound.WithMemoryBudget(int64(budget)), cqbound.WithSpillDir(r.t.TempDir()))
+	}
+	eng := cqbound.NewEngine(opts...)
+	r.t.Cleanup(func() { eng.Close() })
+	r.engines[c.String()] = eng
+	return eng
+}
+
+// disagreement compares the cell's bare executors and Engine against
+// Naive, returning a description of the first inconsistency ("" when all
+// agree).
+func (r *propertyRig) disagreement(c propertyCell, q *cq.Query, db *database.Database) string {
 	ctx := context.Background()
 	ref, _, err := eval.NaiveCtx(ctx, q, db)
 	if err != nil {
@@ -129,43 +164,88 @@ func streamedDisagreement(engU, engB *cqbound.Engine, gov *spill.Governor, p, bs
 		}
 		return ""
 	}
-	run := func(tag string, opts *shard.Options) string {
-		out, _, err := eval.JoinProjectExec(ctx, q, db, nil, opts)
-		if msg := check(tag+" join-project", out, err); msg != "" {
-			return msg
-		}
-		if eval.IsAcyclic(q) {
-			out, _, err = eval.YannakakisExec(ctx, q, db, opts)
-			if msg := check(tag+" yannakakis", out, err); msg != "" {
-				return msg
-			}
-		}
-		return ""
-	}
-	if msg := run("streamed", &shard.Options{
-		MinRows: 0, Shards: p, SkewFraction: propertySkewFraction, BatchSize: bs,
-	}); msg != "" {
-		return msg
-	}
-	// One scope per pair, like Engine.Evaluate, so the 220 pairs'
-	// intermediate shards don't accumulate in the shared governor.
 	scope := spill.NewScope()
 	defer scope.Close()
-	if msg := run("streamed+spill", &shard.Options{
-		MinRows: 0, Shards: p, SkewFraction: propertySkewFraction, BatchSize: bs,
-		Spill: gov, Scope: scope,
-	}); msg != "" {
+	opts := r.cellOptions(c, scope)
+	out, _, err := eval.JoinProjectExec(ctx, q, db, nil, opts)
+	if msg := check("join-project", out, err); msg != "" {
 		return msg
 	}
-	out, _, err := engU.Evaluate(ctx, q, db)
-	if msg := check("streamed engine", out, err); msg != "" {
-		return msg
+	if eval.IsAcyclic(q) {
+		out, _, err = eval.YannakakisExec(ctx, q, db, opts)
+		if msg := check("yannakakis", out, err); msg != "" {
+			return msg
+		}
 	}
-	out, _, err = engB.Evaluate(ctx, q, db)
-	if msg := check("streamed budgeted engine", out, err); msg != "" {
-		return msg
+	out, _, err = r.cellEngine(c).Evaluate(ctx, q, db)
+	return check("engine", out, err)
+}
+
+// TestPropertyExecutorsAgree sweeps the matrix over the harness's pairs.
+// After the sweep the counters must show the sweep exercised what it
+// exists for: the routing ladder's every rung fired, batches streamed
+// through every Engine, and the governors — the bare executors' shared one
+// and some budgeted Engine's own — both evicted and reloaded.
+func TestPropertyExecutorsAgree(t *testing.T) {
+	iters := propertyIterations
+	if testing.Short() {
+		iters = 60
 	}
-	return ""
+	profiles := []datagen.QueryParams{
+		{MaxVars: 5, MaxAtoms: 4, MaxArity: 3, HeadFraction: 0.7, RepeatRelationProb: 0.3, SimpleFDProb: 0.15},
+		{MaxVars: 3, MaxAtoms: 5, MaxArity: 2, HeadFraction: 0.5, RepeatRelationProb: 0.6},
+		{MaxVars: 6, MaxAtoms: 3, MaxArity: 4, HeadFraction: 0.9, RepeatRelationProb: 0.2, CompoundFDProb: 0.3},
+		{MaxVars: 2, MaxAtoms: 3, MaxArity: 3, HeadFraction: 0.6, RepeatRelationProb: 0.5, SimpleFDProb: 0.3},
+	}
+	dbProfiles := []datagen.DBParams{
+		{Tuples: 12, Universe: 6},
+		{Tuples: 25, Universe: 4},
+		{Tuples: 6, Universe: 12},
+		// Zipf-skewed: one value dominates every column, hashing most rows
+		// into one shard — the skew splitter's beat.
+		{Tuples: 30, Universe: 8, ZipfS: 1.7},
+		{Tuples: 20, Universe: 15, ZipfS: 2.5},
+	}
+	rig := &propertyRig{t: t, govs: map[int]*spill.Governor{}, engines: map[string]*cqbound.Engine{}}
+	for i := 0; i < iters; i++ {
+		rng := rand.New(rand.NewSource(propertyBaseSeed + int64(i)))
+		q := datagen.RandomQuery(rng, profiles[i%len(profiles)])
+		db := datagen.RandomDatabase(rng, q, dbProfiles[i%len(dbProfiles)])
+		for _, c := range cellsFor(i) {
+			if msg := rig.disagreement(c, q, db); msg != "" {
+				check := func(q *cq.Query, db *database.Database) string { return rig.disagreement(c, q, db) }
+				q, db, msg = shrink(check, q, db, msg)
+				t.Fatalf("iteration %d (seed %d, %s): execution disagrees with naive after shrinking: %s\n"+
+					"minimal query:\n%s\nminimal database:\n%s",
+					i, propertyBaseSeed+int64(i), c, msg, q, dumpDB(db))
+			}
+		}
+	}
+	if m := rig.shardM.Snapshot(); m.ShardedOps == 0 || m.FallbackOps == 0 || m.ReusedRows == 0 ||
+		m.ExchangedRows == 0 || m.BroadcastOps == 0 || m.SkewSplits == 0 {
+		t.Fatalf("a rung of the routing ladder never fired: %+v", m)
+	}
+	if st := rig.batchM.Snapshot(); st.BatchesProduced == 0 || st.RowsStreamed == 0 {
+		t.Fatalf("the bare executors never streamed: %+v", st)
+	}
+	for _, gov := range rig.govs {
+		if st := gov.Snapshot(); st.Evictions == 0 || st.ReloadedShards == 0 {
+			t.Fatalf("the forced-spill budget never spilled (evictions=%d reloads=%d): the sweep is not testing eviction",
+				st.Evictions, st.ReloadedShards)
+		}
+	}
+	spilled := false
+	for cell, eng := range rig.engines {
+		if st := eng.StreamStats(); st.BatchesProduced == 0 || st.RowsStreamed == 0 {
+			t.Fatalf("engine %s never streamed (batches=%d rows=%d)", cell, st.BatchesProduced, st.RowsStreamed)
+		}
+		if st := eng.SpillStats(); st.Evictions > 0 && st.ReloadedShards > 0 {
+			spilled = true
+		}
+	}
+	if !spilled {
+		t.Fatal("no WithMemoryBudget engine reported nonzero spilled/reloaded shards")
+	}
 }
 
 // TestStreamedBatchSizeOneMatchesDefault pins the extreme directly on one
@@ -189,5 +269,36 @@ func TestStreamedBatchSizeOneMatchesDefault(t *testing.T) {
 		if !relation.Equal(ref, out) {
 			t.Fatalf("batch %d: %d tuples, naive has %d", bs, out.Size(), ref.Size())
 		}
+	}
+}
+
+// TestSpillMidPlanEviction pins the mechanism on one deterministic case: a
+// three-join path over relations big enough for several shards, a budget
+// far below one relation, and a check that the governor evicted while the
+// plan was still running (reloads can only happen mid-plan — after the
+// plan, nothing reads).
+func TestSpillMidPlanEviction(t *testing.T) {
+	gov := spill.NewGovernor(512, t.TempDir())
+	defer gov.Close()
+	q := cq.MustParse("Q(A,D) <- R(A,B), S(B,C), T(C,D).")
+	db := datagen.EdgeDB(rand.New(rand.NewSource(5)), []string{"R", "S", "T"}, 400, 60)
+	ref, _, err := eval.NaiveCtx(context.Background(), q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := &shard.Options{MinRows: 0, Shards: 8, Spill: gov}
+	out, _, err := eval.JoinProjectExec(context.Background(), q, db, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !relation.Equal(ref, out) {
+		t.Fatalf("spilled output has %d tuples, naive %d", out.Size(), ref.Size())
+	}
+	st := gov.Snapshot()
+	if st.Evictions == 0 {
+		t.Fatalf("512-byte budget over ~400-row relations never evicted: %+v", st)
+	}
+	if st.ReloadedShards == 0 {
+		t.Fatalf("no shard was reloaded mid-plan: %+v", st)
 	}
 }

@@ -137,25 +137,22 @@ func YannakakisCtx(ctx context.Context, q *cq.Query, db *database.Database) (*re
 	return YannakakisExec(ctx, q, db, nil)
 }
 
-// YannakakisExec is YannakakisCtx with exchange-routed sharded execution:
-// when opts enables sharding, every semijoin of the bottom-up and top-down
-// passes — and every join and projection of the final pass — runs
-// partition-parallel, and each atom's binding flows between passes as a
-// shard.Stream that keeps whatever partitioning the previous pass built.
-// Semijoin outputs are subsets of their left input, so a binding
-// partitioned once stays partitioned through every later semijoin against
-// it (misaligned passes broadcast the other side instead of
-// repartitioning); the final joins then reuse those partitions when they
-// align. Inputs below opts.MinRows, and parent/child pairs sharing no
-// column, fall back to single-shard operators per step. Options carrying a
-// BatchSize run the streamed form instead: semijoin reductions and the
-// final join as pull-based column-batch pipelines, with only the reduced
-// bindings and projected subtree results ever materialized. nil opts is
-// exactly YannakakisCtx.
+// YannakakisExec is YannakakisCtx under the evaluation options. The
+// semijoin passes produce a relation per node — a reducer is probed via
+// its index, so it must exist whole — but each reduction itself runs as a
+// pipeline (scan → semijoin stages → sink) routed by internal/shard, and
+// every materialized reduction is a subset of a base binding. Semijoin
+// outputs are subsets of their left input, so a binding partitioned once
+// stays partitioned through every later pass over it (misaligned passes
+// probe the reducer whole per part instead of re-exchanging). The join
+// pass builds one pipeline per node (scan of the reduced binding → probes
+// of the forced child subtree results → projection); only the projected
+// subtree results — bounded by input + output after full reduction, the
+// Yannakakis guarantee — are forced, and the root's join, the plan's
+// largest intermediate, streams straight into the head projection. nil
+// opts (what YannakakisCtx passes) means one pipeline per stage and
+// default batches.
 func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opts *shard.Options) (*relation.Relation, Stats, error) {
-	if opts.Streaming() {
-		return yannakakisStreamed(ctx, q, db, opts)
-	}
 	var st Stats
 	if err := validateAtoms(q, db); err != nil {
 		return nil, st, err
@@ -164,9 +161,12 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 	if !ok {
 		return nil, st, fmt.Errorf("eval: query is not acyclic; use JoinProject or GenericJoin")
 	}
+	// Each atom's reduction flows between passes as a Stream: a pass that
+	// exchanged the binding leaves it partitioned, and the next pass's
+	// pipeline picks the partitioning up instead of re-exchanging.
 	tr := opts.Tracer()
 	bs := stageSpan(opts, trace.KindStage, "bindings")
-	bindings := make([]shard.Stream, len(q.Body))
+	reduced := make([]shard.Stream, len(q.Body))
 	for i, a := range q.Body {
 		b, err := bindingRelation(a, db)
 		if err != nil {
@@ -181,10 +181,9 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		if tr != nil {
 			scanSpan(opts, b.Name, b.Size())
 		}
-		bindings[i] = shard.StreamOf(b)
+		reduced[i] = shard.StreamOf(b)
 	}
 	bs.End()
-	// Stats are updated from worker goroutines; guard them.
 	var stMu sync.Mutex
 	countJoin := func(size int) {
 		stMu.Lock()
@@ -194,7 +193,34 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		}
 		stMu.Unlock()
 	}
-	// Bottom-up semijoin: parent ⋉ child.
+	// filter pipelines binding i through semijoins against the given
+	// reducer atoms and forces the (strictly smaller) result back into a
+	// relation, transient under the spill governor. A reducer that has been
+	// through a filter of its own is itself transient — its partitionings
+	// must die with the evaluation — while an unreduced base binding's
+	// partitions persist for reuse.
+	filtered := make([]bool, len(q.Body))
+	filter := func(i int, reducers []int) error {
+		pd := shard.PipedOf(reduced[i], opts)
+		for _, ri := range reducers {
+			ssp := semijoinSpan(opts, tr, reduced[i], reduced[ri], q.Body[i].Relation, q.Body[ri].Relation)
+			var err error
+			if pd, err = shard.SemijoinPipedStream(ctx, opts, pd, reduced[ri].Rel(), filtered[ri]); err != nil {
+				ssp.End()
+				return err
+			}
+			shard.TracePiped(pd, ssp)
+			countJoin(0)
+		}
+		sunk, err := shard.MaterializePiped(ctx, opts, pd, q.Body[i].Relation+"_sj", true)
+		if err != nil {
+			return err
+		}
+		reduced[i] = sunk
+		filtered[i] = true
+		return nil
+	}
+	// Bottom-up semijoin: parent ⋉ every child, one pipeline per node.
 	var up func(n *JoinTreeNode) error
 	up = func(n *JoinTreeNode) error {
 		if err := ctx.Err(); err != nil {
@@ -205,30 +231,22 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		}); err != nil {
 			return err
 		}
-		for _, c := range n.Children {
-			ssp := semijoinSpan(opts, tr, bindings[n.AtomIndex], bindings[c.AtomIndex], q.Body[n.AtomIndex].Relation, q.Body[c.AtomIndex].Relation)
-			// Pinning happens inside the semijoin, below its exchange, so
-			// a parked binding reloads shard by shard as the pass touches
-			// it instead of being forced whole into memory here.
-			reduced, err := shard.SemijoinStream(ctx, opts, bindings[n.AtomIndex], bindings[c.AtomIndex])
-			if err != nil {
-				ssp.End()
-				return err
-			}
-			setStreamOut(ssp, reduced)
-			ssp.End()
-			bindings[n.AtomIndex] = reduced
-			countJoin(0)
+		if len(n.Children) == 0 {
+			return nil
 		}
-		return nil
+		reducers := make([]int, len(n.Children))
+		for i, c := range n.Children {
+			reducers[i] = c.AtomIndex
+		}
+		return filter(n.AtomIndex, reducers)
 	}
 	su := stageSpan(opts, trace.KindStage, "semijoin up")
-	mk := markSpill(opts, tr != nil)
+	mkUp := markSpill(opts, tr != nil)
 	if err := up(tree); err != nil {
 		su.End()
 		return nil, st, err
 	}
-	mk.annotate(su)
+	mkUp.annotate(su)
 	su.End()
 	// Top-down semijoin: child ⋉ parent.
 	var down func(n *JoinTreeNode) error
@@ -238,102 +256,87 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		}
 		return pool.Run(ctx, 0, len(n.Children), func(i int) error {
 			c := n.Children[i]
-			ssp := semijoinSpan(opts, tr, bindings[c.AtomIndex], bindings[n.AtomIndex], q.Body[c.AtomIndex].Relation, q.Body[n.AtomIndex].Relation)
-			reduced, err := shard.SemijoinStream(ctx, opts, bindings[c.AtomIndex], bindings[n.AtomIndex])
-			if err != nil {
-				ssp.End()
+			if err := filter(c.AtomIndex, []int{n.AtomIndex}); err != nil {
 				return err
 			}
-			setStreamOut(ssp, reduced)
-			ssp.End()
-			bindings[c.AtomIndex] = reduced
-			countJoin(0)
 			return down(c)
 		})
 	}
 	sd := stageSpan(opts, trace.KindStage, "semijoin down")
-	mk = markSpill(opts, tr != nil)
+	mkDown := markSpill(opts, tr != nil)
 	if err := down(tree); err != nil {
 		sd.End()
 		return nil, st, err
 	}
-	mk.annotate(sd)
+	mkDown.annotate(sd)
 	sd.End()
-	// Bottom-up join, keeping head variables plus connecting variables.
-	// Sibling subtrees join in parallel; the fold into the parent is
-	// sequential in child order, keeping results deterministic.
+	// Bottom-up join: each node's pipeline probes its children's forced
+	// subtree results; only the root's pipeline escapes unforced, into the
+	// head projection.
 	head := q.HeadVarSet()
-	var join func(n *JoinTreeNode) (shard.Stream, error)
-	join = func(n *JoinTreeNode) (shard.Stream, error) {
+	var join func(n *JoinTreeNode) (*shard.Piped, error)
+	join = func(n *JoinTreeNode) (*shard.Piped, error) {
 		if err := ctx.Err(); err != nil {
-			return shard.Stream{}, err
+			return nil, err
 		}
-		subs := make([]shard.Stream, len(n.Children))
+		subs := make([]*relation.Relation, len(n.Children))
 		if err := pool.Run(ctx, 0, len(n.Children), func(i int) error {
-			sub, err := join(n.Children[i])
-			if err == nil {
-				subs[i] = sub
+			pd, err := join(n.Children[i])
+			if err != nil {
+				return err
 			}
-			return err
+			sunk, err := shard.MaterializePiped(ctx, opts, pd, "sub", true)
+			if err != nil {
+				return err
+			}
+			subs[i] = sunk.Rel()
+			stMu.Lock()
+			if subs[i].Size() > st.MaxIntermediate {
+				st.MaxIntermediate = subs[i].Size()
+			}
+			stMu.Unlock()
+			return nil
 		}); err != nil {
-			return shard.Stream{}, err
+			return nil, err
 		}
-		cur := bindings[n.AtomIndex]
+		cur := shard.PipedOf(reduced[n.AtomIndex], opts)
 		for _, sub := range subs {
 			var jsp *trace.Span
 			if tr != nil {
 				jsp = tr.Op(trace.KindJoin, "⋈ under "+q.Body[n.AtomIndex].Relation)
-				jsp.AddIn(cur.Size() + sub.Size())
-				jsp.SetEst(estimateJoin(cur, sub))
+				jsp.SetEst(estimateJoin(reduced[n.AtomIndex], shard.StreamOf(sub)))
 			}
 			var err error
-			cur, err = shard.NaturalJoinStream(ctx, opts, cur, sub)
-			if err != nil {
+			if cur, err = shard.JoinPipedStream(ctx, opts, cur, sub, true); err != nil {
 				jsp.End()
-				return shard.Stream{}, err
+				return nil, err
 			}
-			setStreamOut(jsp, cur)
-			jsp.End()
-			countJoin(cur.Size())
+			shard.TracePiped(cur, jsp)
+			countJoin(0)
 		}
-		// Project to head variables plus this subtree's connection to its
-		// parent (handled by the caller keeping the parent's attributes):
-		// keep head vars and any attribute also present in the parent atom.
-		attrs := cur.Attrs()
-		ownAttrs := bindings[n.AtomIndex].Attrs()
+		ownAttrs := reduced[n.AtomIndex].Attrs()
 		var keep []string
-		for _, attr := range attrs {
-			if head[cq.Variable(attr)] {
-				keep = append(keep, attr)
-				continue
-			}
-			// Needed by an ancestor? Conservatively keep attributes of this
-			// node's own atom (the parent joins only on those).
-			if slices.Contains(ownAttrs, attr) {
+		for _, attr := range cur.Attrs() {
+			if head[cq.Variable(attr)] || slices.Contains(ownAttrs, attr) {
 				keep = append(keep, attr)
 			}
 		}
 		if len(keep) == 0 {
-			// Unreachable: cur always retains this node's own atom
-			// attributes, and atoms have at least one variable.
-			return shard.Stream{}, fmt.Errorf("eval: internal: empty projection in Yannakakis")
+			return nil, fmt.Errorf("eval: internal: empty projection in Yannakakis")
 		}
-		if len(keep) == len(attrs) {
+		if len(keep) == len(cur.Attrs()) {
 			return cur, nil
 		}
-		return projectNames(ctx, opts, cur, keep)
+		return projectPipedNames(ctx, opts, cur, keep)
 	}
 	sj := stageSpan(opts, trace.KindStage, "join pass")
-	mk = markSpill(opts, tr != nil)
 	full, err := join(tree)
 	if err != nil {
 		sj.End()
 		return nil, st, err
 	}
-	setStreamOut(sj, full)
-	mk.annotate(sj)
 	sj.End()
-	out, err := headProjectionExec(ctx, opts, q, full)
+	out, err := headProjectionPiped(ctx, opts, q, full)
 	if err != nil {
 		return nil, st, err
 	}

@@ -7,7 +7,9 @@ package pool
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -22,6 +24,13 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // context cancellation does the same and returns ctx.Err(). f must be safe
 // for concurrent invocation; Run itself may be called from inside a task
 // (nested fan-out oversubscribes CPUs modestly rather than deadlocking).
+//
+// A panic in f is never swallowed and never takes the process down from a
+// goroutine nobody can recover on: Run stops remaining tasks as for an
+// error, waits for the running ones, and panics again on the calling
+// goroutine — where a caller's recover (net/http's per-connection one, a
+// test's) sees it — with a value that prints the original value and the
+// worker's stack.
 func Run(ctx context.Context, workers, n int, f func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -50,6 +59,7 @@ func Run(ctx context.Context, workers, n int, f func(i int) error) error {
 		wg    sync.WaitGroup
 		mu    sync.Mutex
 		first error
+		crash *workerPanic
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -63,6 +73,23 @@ func Run(ctx context.Context, workers, n int, f func(i int) error) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				v := recover()
+				if v == nil {
+					return
+				}
+				// A nested Run already captured the innermost stack.
+				wp, ok := v.(*workerPanic)
+				if !ok {
+					wp = &workerPanic{value: v, stack: debug.Stack()}
+				}
+				mu.Lock()
+				if crash == nil {
+					crash = wp
+				}
+				mu.Unlock()
+				cancel()
+			}()
 			for {
 				if cctx.Err() != nil {
 					return
@@ -79,8 +106,23 @@ func Run(ctx context.Context, workers, n int, f func(i int) error) error {
 		}()
 	}
 	wg.Wait()
+	if crash != nil {
+		panic(crash)
+	}
 	if first != nil {
 		return first
 	}
 	return ctx.Err()
+}
+
+// workerPanic is what Run panics with on the calling goroutine after f
+// panicked on a worker: the original value, plus the worker's stack, which
+// the re-panic would otherwise lose.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("%v\n\npool worker stack:\n%s", p.value, p.stack)
 }

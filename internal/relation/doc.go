@@ -75,7 +75,7 @@
 // holds a spill.Buffer whose columns may be parked in a file-backed
 // segment between uses. All reads flow through one internal accessor that
 // reloads parked columns on demand; Pin/Unpin hold them resident across
-// an operator (Gather, GatherMulti, Concat, index builds, HashJoin and
+// an operator (Gather, Concat, index builds, HashJoin and
 // semijoin probes pin their inputs). Clone/Rename views borrow the buffer
 // itself rather than its arrays, so views never force a parked parent
 // resident; the first mutation copies the columns out and releases the
@@ -88,6 +88,6 @@
 // using the relation. Mutating a relation concurrently with readers of it
 // — or of views sharing its storage — is a data race. Operators whose
 // outputs are distinct by construction (joins of set-semantics inputs,
-// Gather/GatherMulti/Concat of disjoint parts) skip the dedup map
+// Gather/Concat of disjoint parts) skip the dedup map
 // entirely and build it lazily only if Insert or Has later needs it.
 package relation

@@ -292,59 +292,3 @@ func SemijoinOn(r, s *Relation, rCols, sCols []int) (*Relation, error) {
 	rows := ix.MatchingRows(r, rCols, nil)
 	return r.Gather(r.Name+"_sj", rows), nil
 }
-
-// SemijoinOnParts is SemijoinOn with the s side given as a union of parts —
-// the shards of a partitioned view — without concatenating them first: a
-// row of r survives when it matches in ANY part, so each part's memoized
-// index is probed in turn and the match sets merge into one row mask. Row
-// order (ascending over r) and output schema are exactly SemijoinOn's over
-// the flattened union. Empty column lists degrade like SemijoinOn: r itself
-// unless every part is empty.
-func SemijoinOnParts(r *Relation, parts []*Relation, rCols, sCols []int) (*Relation, error) {
-	live := parts[:0:0]
-	for _, p := range parts {
-		if p.Size() > 0 {
-			live = append(live, p)
-		}
-	}
-	switch len(live) {
-	case 0:
-		if len(rCols) != len(sCols) {
-			return nil, fmt.Errorf("relation: semijoin on %d vs %d columns", len(rCols), len(sCols))
-		}
-		return New(r.Name+"_sj", r.Attrs...), nil
-	case 1:
-		return SemijoinOn(r, live[0], rCols, sCols)
-	}
-	if len(rCols) != len(sCols) {
-		return nil, fmt.Errorf("relation: semijoin on %d vs %d columns", len(rCols), len(sCols))
-	}
-	for k := range rCols {
-		if rCols[k] < 0 || rCols[k] >= r.Arity() {
-			return nil, fmt.Errorf("relation: semijoin position %d out of range", rCols[k])
-		}
-	}
-	if len(rCols) == 0 {
-		return r, nil // some part is nonempty
-	}
-	matched := make([]bool, r.Size())
-	var probe []int32
-	for _, p := range live {
-		for _, c := range sCols {
-			if c < 0 || c >= p.Arity() {
-				return nil, fmt.Errorf("relation: semijoin position %d out of range", c)
-			}
-		}
-		probe = p.Index(sCols...).MatchingRows(r, rCols, probe[:0])
-		for _, i := range probe {
-			matched[i] = true
-		}
-	}
-	rows := make([]int32, 0, len(matched))
-	for i, ok := range matched {
-		if ok {
-			rows = append(rows, int32(i))
-		}
-	}
-	return r.Gather(r.Name+"_sj", rows), nil
-}

@@ -190,8 +190,7 @@ func (r *Relation) Frozen() bool { return r.frozen }
 // have equal length (nil columns mean an empty relation). The caller hands
 // over ownership of the arrays and guarantees the rows are pairwise
 // distinct — it is the columnar counterpart of Gather for builders that
-// assemble output columns directly (the spill-aware streaming repartition
-// does).
+// assemble output columns directly (the batch pipelines' sinks do).
 func NewFromColumns(name string, attrs []string, cols [][]Value) *Relation {
 	if len(cols) != len(attrs) {
 		panic(fmt.Sprintf("relation: %d columns for %d attributes in %s", len(cols), len(attrs), name))
@@ -262,7 +261,7 @@ func (r *Relation) Buffer() ColumnBuffer {
 // Pin makes r's columns resident and holds them so until the matching
 // Unpin: the spill governor will not evict them mid-operator. Pins nest;
 // both are no-ops for ungoverned relations. Operators that scan a relation
-// (Gather, GatherMulti, Concat, Index builds, HashJoin, SemijoinOn) pin
+// (Gather, Concat, Index builds, HashJoin, SemijoinOn) pin
 // their inputs for their duration.
 func (r *Relation) Pin() {
 	if r.buf != nil {
@@ -552,22 +551,35 @@ func (r *Relation) Select(pred func(Tuple) bool) *Relation {
 	return out
 }
 
+// ProjectedAttrs names the output columns of a projection of attrs onto the
+// positions idx: a position that repeats keeps its name the first time and
+// gets the suffixes _1, _2, … after that, so the names stay unique — the
+// schema every projection (ProjectIdx here, the batch pipelines' sinks)
+// must agree on.
+func ProjectedAttrs(attrs []string, idx []int) ([]string, error) {
+	out := make([]string, len(idx))
+	used := make(map[string]int)
+	for i, j := range idx {
+		if j < 0 || j >= len(attrs) {
+			return nil, fmt.Errorf("project position %d out of range", j)
+		}
+		name := attrs[j]
+		if n := used[name]; n > 0 {
+			name = fmt.Sprintf("%s_%d", name, n)
+		}
+		used[attrs[j]]++
+		out[i] = name
+	}
+	return out, nil
+}
+
 // ProjectIdx projects onto the given positions (0-based); duplicates in the
 // result are eliminated. Positions may repeat, in which case attribute names
 // are suffixed to stay unique.
 func (r *Relation) ProjectIdx(idx ...int) (*Relation, error) {
-	attrs := make([]string, len(idx))
-	used := make(map[string]int)
-	for i, j := range idx {
-		if j < 0 || j >= len(r.Attrs) {
-			return nil, fmt.Errorf("relation %s: project position %d out of range", r.Name, j)
-		}
-		name := r.Attrs[j]
-		if n := used[name]; n > 0 {
-			name = fmt.Sprintf("%s_%d", name, n)
-		}
-		used[r.Attrs[j]]++
-		attrs[i] = name
+	attrs, err := ProjectedAttrs(r.Attrs, idx)
+	if err != nil {
+		return nil, fmt.Errorf("relation %s: %w", r.Name, err)
 	}
 	out := New(r.Name+"_proj", attrs...)
 	out.dict = r.dict
@@ -625,52 +637,6 @@ func (r *Relation) Gather(name string, rows []int32) *Relation {
 		out.cols[c] = col
 	}
 	return out
-}
-
-// GatherMulti materializes selected rows drawn from several equal-arity
-// source relations as one owned relation: rows[i] lists the row indices
-// taken from srcs[i], in order. It is Gather generalized across sources —
-// the exchange repartitioning primitive: rebucketing a partitioned view
-// onto a new key copies each surviving row exactly once, without first
-// concatenating the old shards into a flat relation. Like Gather, the
-// result carries no dedup map: callers guarantee the selected rows are
-// pairwise distinct (rows of disjoint partition shards are).
-func GatherMulti(name string, attrs []string, srcs []*Relation, rows [][]int32) (*Relation, error) {
-	if len(srcs) != len(rows) {
-		return nil, fmt.Errorf("relation: gather from %d sources with %d row lists", len(srcs), len(rows))
-	}
-	out := New(name, attrs...)
-	total := 0
-	for i, src := range srcs {
-		if src.Arity() != len(attrs) {
-			return nil, fmt.Errorf("relation: gather source %s has arity %d, want %d", src.Name, src.Arity(), len(attrs))
-		}
-		if out.dict == nil {
-			out.dict = src.dict
-		}
-		total += len(rows[i])
-	}
-	// Pin every source across the whole column sweep: each source is read
-	// once per output column, and an eviction between columns would force
-	// arity-many reloads.
-	data := make([][][]Value, len(srcs))
-	for i, src := range srcs {
-		src.Pin()
-		defer src.Unpin()
-		data[i] = src.data()
-	}
-	for c := range out.cols {
-		col := make([]Value, 0, total)
-		for i := range srcs {
-			sc := data[i][c]
-			for _, row := range rows[i] {
-				col = append(col, sc[row])
-			}
-		}
-		out.cols[c] = col
-	}
-	out.n = total
-	return out, nil
 }
 
 // Concat concatenates parts of equal arity into one owned relation without a

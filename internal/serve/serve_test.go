@@ -24,6 +24,8 @@ import (
 
 	cqbound "cqbound"
 	"cqbound/internal/datagen"
+	"cqbound/internal/eval"
+	"cqbound/internal/relation"
 )
 
 // testSrv bundles one engine behind one live HTTP server. Cleanup closes
@@ -242,6 +244,50 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if _, code := s.query(t, path, "99", false); code != http.StatusNotFound {
 		t.Fatalf("unknown epoch status = %d, want 404", code)
+	}
+}
+
+// TestQueryRepeatedHeadVariable: a head that lists a variable twice is a
+// valid query, and /query answers it — arity 3, the tuples Naive computes —
+// on a sharded engine, where the projection's sink runs on pool workers
+// and a panic there used to end the process rather than the request.
+func TestQueryRepeatedHeadVariable(t *testing.T) {
+	s := newTestSrv(t, []cqbound.Option{cqbound.WithSharding(0, 4)}, nil)
+	var rRows, sRows [][]string
+	for i := 0; i < 40; i++ {
+		rRows = append(rRows, []string{fmt.Sprintf("x%d", i%7), fmt.Sprintf("y%d", i%11)})
+		sRows = append(sRows, []string{fmt.Sprintf("y%d", i%5), fmt.Sprintf("z%d", i)})
+	}
+	s.commit(t, []op{
+		{Op: "create", Rel: "R", Attrs: []string{"a", "b"}},
+		{Op: "create", Rel: "S", Attrs: []string{"a", "b"}},
+		{Op: "append", Rel: "R", Rows: rRows},
+		{Op: "append", Rel: "S", Rows: sRows},
+	})
+	snap := s.eng.Snapshot()
+	defer snap.Close()
+	for _, text := range []string{"Q(X,X,Y) <- R(X,Y).", "Q(X,X,Y) <- R(X,Y), S(Y,Z)."} {
+		naive, _, err := eval.NaiveCtx(context.Background(), cqbound.MustParse(text), snap.DB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]string
+		naive.Each(func(tp relation.Tuple) bool {
+			want = append(want, tp.StringsIn(naive.Dict()))
+			return true
+		})
+		res, code := s.query(t, text, "", false)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", text, code)
+		}
+		if len(res.Attrs) != 3 || len(want) == 0 || !sameTuples(res.Tuples, want) {
+			t.Fatalf("%s: attrs %v with %d tuples, naive has %d", text, res.Attrs, len(res.Tuples), len(want))
+		}
+		for _, tp := range res.Tuples {
+			if len(tp) != 3 || tp[0] != tp[1] {
+				t.Fatalf("%s: tuple %v does not repeat its first column", text, tp)
+			}
+		}
 	}
 }
 

@@ -2,9 +2,10 @@
 // store: relations are hash-partitioned by a key column into P shards —
 // each a normal *relation.Relation, so the memoized statistics, hash
 // indexes and tries of the relation package keep working unchanged per
-// shard — and the package's operators run joins, semijoins, scans and
-// duplicate-eliminating projections shard by shard over internal/pool with
-// context cancellation.
+// shard — and the package's operators run joins, semijoins and
+// duplicate-eliminating projections as one column-batch pipeline
+// (internal/batch) per shard, drained over internal/pool with context
+// cancellation.
 //
 // The paper's bounds govern how large outputs and intermediates can get
 // (AGM/ρ*, Corollary 4.8, Yannakakis for acyclic queries); partitioning is
@@ -18,34 +19,44 @@
 //
 // # When does a join run sharded?
 //
-// Every routing operator (NaturalJoinStream, SemijoinStream,
-// ProjectStream, and their flat NaturalJoin/Semijoin/ProjectIdx wrappers)
-// decides per call, in this order:
+// The running intermediate of an evaluation is a Piped: per-shard
+// pipelines plus the key they are partitioned on. Every operator
+// (JoinPipedStream, SemijoinPipedStream, ProjectPiped) extends the
+// pipelines by one stage and decides per call where that stage's probes
+// happen, in this order:
 //
-//  1. Fallback. If opts is nil, P < 2, the larger input is below
-//     Options.MinRows, or the sides share no attribute to partition on,
-//     the single-shard relation-package operator runs and the fallback is
-//     counted in Options.Metrics. Callers thread one code path regardless
-//     of configuration, and outputs are identical either way.
-//  2. Reuse. If either input arrives as a Stream partitioned on one of
-//     the join columns at the right P, that partitioning is reused as is
-//     and only the other side is exchanged to match. This is the
-//     zero-cost case end-to-end sharding exists for: a co-partitioned
-//     join's shard-k output carries its key value, so it IS shard k of
-//     the output, and the result stream stays partitioned without ever
-//     being concatenated (Sharded.Rel materializes lazily).
-//  3. Broadcast. If one side is partitioned on a non-join column
-//     (misaligned) and the other side is no larger than about one shard
-//     of it, the big side keeps its partitioning and every shard probes
-//     the small side whole. Semijoins broadcast whenever their left side
-//     is misaligned — a semijoin output is a subset of its left input, so
-//     any existing partitioning survives and repartitioning is never
-//     needed on that side.
-//  4. Exchange. Otherwise both sides are aligned to the shared column
-//     pair with the most distinct values (balanced hash partitions):
-//     flat relations partition through the per-(key, P) memo; partitioned
-//     streams repartition shard-to-shard with one bucket pass and a
-//     single-copy multi-gather, never materializing a flat intermediate.
+//  1. Aligned reuse. If the pipeline is partitioned on one of the join
+//     columns at the options' P, the other side is partitioned to match
+//     (through its memo) and each part probes only its co-shard. This is
+//     the zero-cost case end-to-end sharding exists for: a co-partitioned
+//     join's part-k output carries its key value, so it IS part k of the
+//     result, and the rows that flow are counted as reused.
+//  2. One part. If opts is nil, P < 2, or a flat (single-part) pipeline
+//     meets a probe side below Options.MinRows, the other side is probed
+//     whole in the single part and the fallback is counted in
+//     Options.Metrics. Callers thread one code path regardless of
+//     configuration, and outputs are identical either way.
+//  3. Broadcast. If the pipeline is partitioned on a non-join column
+//     (misaligned) and the other side is small (streamBroadcastRows, or
+//     below MinRows), the pipeline keeps its partitioning and every part
+//     probes the other side whole. Semijoins broadcast whenever the
+//     pipeline is misaligned — a filter's output is a subset of its
+//     input, so any existing partitioning survives and an exchange is
+//     never needed.
+//  4. Exchange. Otherwise the pipeline's batches are scattered mid-stream
+//     (batch.Exchange) onto the shared column where the other side has the
+//     most distinct values (balanced hash partitions), and the other side
+//     is partitioned on it through the per-(key, P) memo.
+//
+// Joins with no shared column probe the whole other side from every part
+// (a product). A projection keeps the pipeline's key when the key column
+// is kept and exchanges onto its first kept column otherwise, so all
+// duplicates of a projected tuple meet in one part's dedup set.
+// MaterializePiped drains the parts in parallel into a Stream — one
+// relation per part, assembled as a partitioned view without
+// concatenation — which PipedOf opens again shard by shard, so what had
+// to be built whole (a Yannakakis reduction) re-enters the next pipeline
+// still partitioned.
 //
 // # Partition-memoization contract
 //
@@ -62,7 +73,7 @@
 //   - Shards are read-only. They may be served concurrently to many
 //     evaluations; nothing may insert into a shard.
 //
-// Exchange-built views (FromParts, exchangeParts) are NOT memoized: they
+// Views assembled from pipeline sinks (FromParts) are NOT memoized: they
 // partition operator outputs that live only inside one evaluation.
 //
 // Large builds run block-parallel (bucket counts per block, a prefix over
@@ -73,40 +84,38 @@
 //
 // Hash partitioning balances shards only as well as the key's value
 // distribution: one dominant value (a Zipf hub) hashes every matching row
-// into a single shard and serializes the join again. When a shard of an
-// operator's probe side exceeds Options.SkewFraction of that side's rows,
-// it is split into contiguous row blocks (relation.Slice views, no
-// copying) that each join against the pointer-replicated, read-only
-// co-shard; per-shard outputs concatenate the block results. Semijoins
-// split only their left side — a surviving row may match anywhere in the
-// right side, so the right side stays whole.
+// into a single shard and serializes the join again. When a shard of a
+// join's probe side exceeds Options.SkewFraction of that side's rows, it
+// is split into contiguous row blocks (relation.Slice views, no copying):
+// the part's stream is buffered once and replayed into one probe chain
+// per block, merged by batch.Fan. An exchange output part that turns hot
+// while the exchange is still scattering grows a second probe chain
+// (batch.Grow). Only stateless stages split — a projection's dedup set is
+// per part.
 //
 // Partitioning is statistics-light by design (janus-datalog's "greedy
 // beats optimal" production lesson): the partition key is the shared join
 // column with the most distinct values, P defaults to GOMAXPROCS, and
-// there is no cost model beyond the reuse/broadcast/exchange ladder above.
+// there is no cost model beyond the ladder above.
 //
 // # Empty shards
 //
 // Sparse partitionings (P far above a key's distinct values) leave many
 // shards empty, and empty shards pay nothing: Partition points empty
 // buckets at one canonical empty relation instead of allocating columns,
-// an Exchange of an empty stream returns a canonical empty view without a
-// bucket pass, repartitioning skips zero-length source shards before
-// bucketing, and the join/semijoin task loops skip shards where a side is
-// empty (their outputs share one empty part).
+// and a scan of an empty shard ends its part's pipeline at the first pull.
 //
 // # Spill
 //
 // Options.Spill threads a memory governor (internal/spill) through every
-// path that builds shards: memoized base partitions, repartitioned and
-// assembled operator outputs all register their column bytes, and the
-// governor parks the coldest unpinned shards in file-backed segments when
-// its budget is exceeded. Operators Pin the views they fan out over for
-// their duration, and exchanging a governed view streams one source shard
-// at a time (pin, bucket, scatter, unpin) so repartitioning never needs
-// the whole view resident. Reads of parked shards reload transparently;
-// outputs are identical with or without a budget.
+// path that builds shards: memoized base partitions, the sealed chunks of
+// a mid-stream exchange or a skew-split buffer, and transient sinks all
+// register their column bytes, and the governor parks the coldest
+// unpinned ones in file-backed segments when its budget is exceeded.
+// Pipeline stages pin what they read one batch at a time, so a parked
+// shard reloads when its scan reaches it and an exchange never needs the
+// whole repartitioned intermediate resident. Reads of parked shards
+// reload transparently; outputs are identical with or without a budget.
 //
 // # Partition versioning
 //

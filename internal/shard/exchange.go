@@ -1,21 +1,14 @@
 package shard
 
-// The shard-local exchange: routing that keeps multi-join plans partitioned
-// end to end. A Stream couples a relation flowing through the executor with
-// its current partitioning; Exchange aligns a stream to the key a join
-// needs — reusing the partitioning it already has, repartitioning it
-// shard-by-shard otherwise — and the stream operators (NaturalJoinStream,
-// SemijoinStream, ProjectStream) decide per call between co-partitioned
-// execution, broadcasting a small side against an already-partitioned big
-// side, and single-shard fallback. Hot shards (one dominant key value) are
-// split into row blocks joined against a pointer-replicated co-shard.
+// What the piped operators share: the routing counters (Metrics), the
+// Stream carrier that couples a relation with the hash partitioning it
+// already has — so a pipeline opened over it starts partitioned — and the
+// hot-shard arithmetic of the skew split.
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
-	"cqbound/internal/pool"
 	"cqbound/internal/relation"
 	"cqbound/internal/trace"
 )
@@ -140,13 +133,14 @@ func (m *Metrics) addSkewSplit() {
 	}
 }
 
-// Stream is the currency of exchange-routed evaluation: a relation flowing
-// through the executor together with its current hash partitioning, when it
-// has one. Operators that run partition-parallel return streams whose
-// partitioning is known by construction (a co-partitioned join's shard-k
-// output is shard k of the result), so the next operator can reuse it; the
-// flat relation is materialized only when something actually needs it. A
-// zero Stream is empty; build one with StreamOf or ShardedStream.
+// Stream is a relation together with its current hash partitioning, when
+// it has one: what the executors hold between pipelines. MaterializePiped
+// returns the per-part relations of a multi-part pipeline as a partitioned
+// Stream, and PipedOf opens one scan per shard over it, so a reduced
+// binding that was exchanged once stays partitioned for the next pass; the
+// flat relation is built only when something needs it whole (a probe side
+// is indexed). A zero Stream is empty; build one with StreamOf or
+// ShardedStream.
 type Stream struct {
 	rel *relation.Relation
 	sh  *Sharded
@@ -173,35 +167,6 @@ func (st Stream) Rel() *relation.Relation {
 // Sharded returns the stream's current partitioned view, or nil.
 func (st Stream) Sharded() *Sharded { return st.sh }
 
-// Pin holds the stream's storage — every shard of a partitioned view, or
-// the flat relation — resident until Unpin: the spill governor will not
-// park it mid-operator. The stream operators pin below their exchange
-// (the aligned views they fan out over), so a parked stream can still be
-// repartitioned one shard at a time; callers composing their own scans
-// over a stream's shards pin here. Pinning a parked stream reloads it
-// whole — exactly what the budget exists to avoid — so hold pins only
-// across immediate reads.
-func (st Stream) Pin() {
-	if st.sh != nil {
-		st.sh.Pin()
-		return
-	}
-	if st.rel != nil {
-		st.rel.Pin()
-	}
-}
-
-// Unpin releases a Pin.
-func (st Stream) Unpin() {
-	if st.sh != nil {
-		st.sh.Unpin()
-		return
-	}
-	if st.rel != nil {
-		st.rel.Unpin()
-	}
-}
-
 // Size returns the row count without materializing a flat relation.
 func (st Stream) Size() int {
 	if st.rel != nil {
@@ -224,37 +189,13 @@ func (st Stream) Attrs() []string {
 	return nil
 }
 
-// distinct estimates the number of distinct values in column col. Flat
-// relations answer from memoized statistics; partitioned views sum their
-// shards' counts, which is exact on the partition key and an overestimate
-// elsewhere — fine for the greedy key choice it feeds.
-func (st Stream) distinct(col int) int {
-	if st.rel != nil {
-		return st.rel.DistinctCount(col)
-	}
-	n := 0
-	for _, sh := range st.sh.sh {
-		n += sh.DistinctCount(col)
-	}
-	return n
-}
-
-// Distinct is the exported exact form of distinct. Prefer
-// DistinctEstimate in per-evaluation paths: exact counts on a fresh
-// intermediate cost a full column scan.
-func (st Stream) Distinct(col int) int {
-	if st.rel == nil && st.sh == nil {
-		return 0
-	}
-	return st.distinct(col)
-}
-
-// DistinctEstimate is Distinct's cheap form, feeding the executor's
-// per-join size estimator (the System-R chain the trace layer renders
-// next to actual row counts). Memoized counts are served exactly; large
-// unmemoized intermediates are sampled (relation.DistinctEstimate)
-// instead of scanned, keeping traced evaluation within a few percent of
-// untraced.
+// DistinctEstimate estimates the number of distinct values in column col,
+// feeding the executors' per-join size estimator (the System-R chain the
+// trace layer renders next to actual row counts). Memoized counts are
+// served exactly; large unmemoized intermediates are sampled
+// (relation.DistinctEstimate) instead of scanned, keeping traced
+// evaluation within a few percent of untraced. A partitioned view sums its
+// shards' counts: exact on the partition key, an overestimate elsewhere.
 func (st Stream) DistinctEstimate(col int) int {
 	if st.rel != nil {
 		return st.rel.DistinctEstimate(col)
@@ -269,46 +210,6 @@ func (st Stream) DistinctEstimate(col int) int {
 	return n
 }
 
-// Exchange aligns st to partition key `key` at count p. A stream already
-// partitioned on (key, p) is reused as is — the zero-cost case end-to-end
-// sharding exists for. An empty stream short-circuits to a view whose
-// shards all share one canonical empty relation: no bucket pass, no
-// per-shard column allocation, and no rows counted as exchanged. A stream
-// partitioned on a different key is repartitioned directly shard-to-shard
-// (one bucket pass and a single-copy multi-gather, never materializing the
-// flat relation); when the options carry a spill governor the repartition
-// instead streams one source shard at a time — pin, bucket, scatter,
-// unpin — so a view of parked shards never needs them all resident at
-// once. A flat stream is partitioned through the per-(key, P) memo on its
-// relation.
-func Exchange(ctx context.Context, st Stream, key, p int, opts *Options) (*Sharded, error) {
-	m := opts.metrics()
-	if sh := st.sh; sh != nil && sh.key == key && sh.P() == p {
-		m.addReused(sh.Size())
-		return sh, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if st.Size() == 0 {
-		return emptyView(streamName(st), st.Attrs(), key, p)
-	}
-	if st.rel == nil && st.sh != nil {
-		m.addExchanged(st.sh.Size())
-		sp := exchangeSpan(opts, st, key, p, st.sh.Size())
-		defer sp.End()
-		if opts.spill() != nil {
-			return streamRepartition(st.sh, key, p, opts)
-		}
-		return exchangeParts(st.sh, key, p)
-	}
-	r := st.Rel()
-	m.addExchanged(r.Size())
-	sp := exchangeSpan(opts, st, key, p, r.Size())
-	defer sp.End()
-	return partition(r, key, p, opts.spill()), nil
-}
-
 // noteSkew records a hot-shard split: the shared routing counter always,
 // plus — under tracing — a zero-duration skew event span attached to the
 // current stage.
@@ -319,219 +220,6 @@ func noteSkew(opts *Options, name string, blocks int) {
 		sp.SetNote(fmt.Sprintf("%d blocks", blocks))
 		sp.End()
 	}
-}
-
-// exchangeSpan opens an operator span for a repartition of rows onto
-// (key, p), attached to the current stage (nil when tracing is off).
-func exchangeSpan(opts *Options, st Stream, key, p, rows int) *trace.Span {
-	tr := opts.Tracer()
-	if tr == nil {
-		return nil
-	}
-	attrs := st.Attrs()
-	name := "exchange " + streamName(st)
-	if key >= 0 && key < len(attrs) {
-		name += " on " + attrs[key]
-	}
-	sp := tr.Op(trace.KindExchange, name)
-	sp.AddIn(rows)
-	sp.AddOut(rows)
-	sp.SetShards(p)
-	return sp
-}
-
-// emptyPart returns — allocating on first call through cur — the single
-// canonical empty relation shared by every empty shard slot of one
-// operator output, so sparse partitionings pay one allocation per
-// operator instead of one per empty shard.
-func emptyPart(cur **relation.Relation, name string, attrs []string) *relation.Relation {
-	if *cur == nil {
-		*cur = relation.New(name, attrs...)
-	}
-	return *cur
-}
-
-// emptyView builds a p-shard view of zero rows: every shard is the same
-// canonical empty relation, so sparse plans pay one allocation instead of
-// p per empty exchange.
-func emptyView(name string, attrs []string, key, p int) (*Sharded, error) {
-	if key < 0 || key >= len(attrs) {
-		return nil, fmt.Errorf("shard: exchange key %d out of range for %s", key, name)
-	}
-	if p < 1 {
-		p = 1
-	}
-	empty := relation.New(name, attrs...)
-	parts := make([]*relation.Relation, p)
-	for k := range parts {
-		parts[k] = empty
-	}
-	return FromParts(name, attrs, key, parts), nil
-}
-
-// exchangeParts repartitions an assembled view onto a new key without
-// flattening it: each old shard is bucketed by the new key in parallel,
-// then each new shard gathers its rows from every old shard in one copy
-// (relation.GatherMulti). Zero-length source shards are skipped before
-// either pass — a sparse partitioning routes only the shards that hold
-// rows.
-func exchangeParts(sh *Sharded, key, p int) (*Sharded, error) {
-	if key < 0 || key >= len(sh.attrs) {
-		return nil, fmt.Errorf("shard: exchange key %d out of range for %s", key, sh.name)
-	}
-	parts := make([]*relation.Relation, 0, len(sh.sh))
-	for _, part := range sh.sh {
-		if part.Size() > 0 {
-			parts = append(parts, part)
-		}
-	}
-	buckets := make([][][]int32, len(parts)) // buckets[i][k]: rows of part i for new shard k
-	_ = pool.Run(context.Background(), 0, len(parts), func(i int) error {
-		buckets[i] = partitionRows(parts[i].Column(key), p)
-		return nil
-	})
-	out := make([]*relation.Relation, p)
-	if err := pool.Run(context.Background(), 0, p, func(k int) error {
-		rows := make([][]int32, len(parts))
-		for i := range parts {
-			rows[i] = buckets[i][k]
-		}
-		g, err := relation.GatherMulti(sh.name, sh.attrs, parts, rows)
-		if err != nil {
-			return err
-		}
-		out[k] = g
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return FromParts(sh.name, sh.attrs, key, out), nil
-}
-
-// streamRepartition is the spill-aware exchangeParts: instead of bucketing
-// every source shard in parallel and gathering from all of them at once —
-// which needs the whole view resident — it walks the source shards one at
-// a time, pinning each only while its rows are bucketed and scattered into
-// the output columns. Peak residency is one source shard plus the output;
-// row order per new shard (source-major, row order within a source) matches
-// exchangeParts exactly. The new shards register with the governor as
-// transients of the current evaluation.
-func streamRepartition(sh *Sharded, key, p int, opts *Options) (*Sharded, error) {
-	if key < 0 || key >= len(sh.attrs) {
-		return nil, fmt.Errorf("shard: exchange key %d out of range for %s", key, sh.name)
-	}
-	arity := len(sh.attrs)
-	outCols := make([][][]relation.Value, p) // outCols[k][c]
-	for k := range outCols {
-		outCols[k] = make([][]relation.Value, arity)
-	}
-	for _, part := range sh.sh {
-		if part.Size() == 0 {
-			continue
-		}
-		part.Pin()
-		buckets := partitionRows(part.Column(key), p)
-		for c := 0; c < arity; c++ {
-			col := part.Column(c)
-			for k, rows := range buckets {
-				if len(rows) == 0 {
-					continue
-				}
-				dst := outCols[k][c]
-				if dst == nil {
-					dst = make([]relation.Value, 0, len(rows))
-				}
-				for _, i := range rows {
-					dst = append(dst, col[i])
-				}
-				outCols[k][c] = dst
-			}
-		}
-		part.Unpin()
-	}
-	parts := make([]*relation.Relation, p)
-	var empty *relation.Relation
-	for k := range parts {
-		if arity > 0 && outCols[k][0] == nil {
-			parts[k] = emptyPart(&empty, sh.name, sh.attrs)
-			continue
-		}
-		parts[k] = relation.NewFromColumns(sh.name, sh.attrs, outCols[k])
-		opts.governTransient(parts[k])
-	}
-	return FromParts(sh.name, sh.attrs, key, parts), nil
-}
-
-// alignedPair returns the index into cols of the stream's current partition
-// key at count p, or -1 when the stream is flat, differently sized, or
-// partitioned on a non-join column.
-func alignedPair(st Stream, cols []int, p int) int {
-	if st.sh == nil || st.sh.P() != p {
-		return -1
-	}
-	for i, c := range cols {
-		if c == st.sh.key {
-			return i
-		}
-	}
-	return -1
-}
-
-// bestPair picks which shared column pair to partition on when no existing
-// partitioning can be reused: the pair whose sides have the most distinct
-// values (maximizing the smaller side's count), so hash partitions stay
-// balanced. Greedy and statistics-light — V(R,c) is already memoized for
-// the planner.
-func bestPair(l, r Stream, lCols, rCols []int) int {
-	best, bestScore := 0, -1
-	for i := range lCols {
-		score := l.distinct(lCols[i])
-		if d := r.distinct(rCols[i]); d < score {
-			score = d
-		}
-		if score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
-// task is one partition-parallel unit of work: shard k's slice of the left
-// and right inputs. Skew splitting turns one hot shard into several tasks
-// whose blocks cover the hot side and whose other side is the same
-// (read-only, pointer-replicated) relation.
-type task struct {
-	shard int
-	left  *relation.Relation
-	right *relation.Relation
-}
-
-// splitHot appends tasks for shard k, splitting whichever side is hot —
-// holding more than frac of its side's total rows — into row blocks of
-// roughly one average shard each. splitRight controls whether the right
-// side may be split (hash joins may split either side; semijoins must keep
-// the right side whole, since a row surviving r ⋉ s may match anywhere in
-// s).
-func splitHot(tasks []task, k int, l, r *relation.Relation, lTotal, rTotal int, frac float64, splitRight bool, opts *Options) []task {
-	if frac > 0 {
-		if blocks := hotBlocks(l.Size(), lTotal, frac); blocks > 1 {
-			noteSkew(opts, l.Name, blocks)
-			for _, b := range sliceBlocks(l, blocks) {
-				tasks = append(tasks, task{shard: k, left: b, right: r})
-			}
-			return tasks
-		}
-		if splitRight {
-			if blocks := hotBlocks(r.Size(), rTotal, frac); blocks > 1 {
-				noteSkew(opts, r.Name, blocks)
-				for _, b := range sliceBlocks(r, blocks) {
-					tasks = append(tasks, task{shard: k, left: l, right: b})
-				}
-				return tasks
-			}
-		}
-	}
-	return append(tasks, task{shard: k, left: l, right: r})
 }
 
 // hotBlocks returns how many blocks a shard of the given size should split
@@ -569,221 +257,8 @@ func sliceBlocks(r *relation.Relation, blocks int) []*relation.Relation {
 	return out
 }
 
-// runJoinTasks executes raw hash joins for every task on the pool and
-// assembles one raw (all left columns, then all right columns) relation per
-// shard; shards with several tasks concatenate their disjoint block
-// outputs. Shards without tasks — both sides empty under a sparse
-// partitioning, skipped before task generation — stay nil; the caller's
-// projection substitutes one shared empty part.
-func runJoinTasks(ctx context.Context, tasks []task, pairs [][2]int, p int) ([]*relation.Relation, error) {
-	outs := make([]*relation.Relation, len(tasks))
-	if err := pool.Run(ctx, 0, len(tasks), func(i int) error {
-		out, err := relation.HashJoin(tasks[i].left, tasks[i].right, pairs)
-		if err == nil {
-			outs[i] = out
-		}
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	perShard := make([][]*relation.Relation, p)
-	for i, t := range tasks {
-		perShard[t.shard] = append(perShard[t.shard], outs[i])
-	}
-	raw := make([]*relation.Relation, p)
-	for k, parts := range perShard {
-		if len(parts) == 0 {
-			continue
-		}
-		if len(parts) == 1 {
-			raw[k] = parts[0]
-			continue
-		}
-		flat, err := relation.Concat(parts[0].Name, parts[0].Attrs, parts...)
-		if err != nil {
-			return nil, err
-		}
-		raw[k] = flat
-	}
-	return raw, nil
-}
-
-// broadcastRows is the size bound for broadcasting: a misaligned
-// partitioned stream is NOT repartitioned when the other side is no larger
-// than about one shard of it — probing the whole small side per shard costs
-// what a co-partitioned probe would, and the exchange's repartition passes
-// over the big side are saved entirely.
-func broadcastable(big Stream, small Stream, p int) bool {
-	return big.Sharded() != nil && small.Size() <= big.Size()/p+1
-}
-
-// NaturalJoinStream is the exchange-routed natural join: l and r join on
-// all attribute names they share, partition-parallel when the options and
-// schemas allow, and the result stream stays partitioned on the join key
-// (or, for broadcasts, on the big side's existing key). Falls back to
-// relation.NaturalJoin — counting the fallback — when sharding is disabled,
-// the inputs are below Options.MinRows, or the sides share no attribute.
-func NaturalJoinStream(ctx context.Context, opts *Options, l, r Stream) (Stream, error) {
-	lCols, rCols := relation.SharedColsNames(l.Attrs(), r.Attrs())
-	m := opts.metrics()
-	if len(lCols) == 0 || !opts.active(max(l.Size(), r.Size())) {
-		m.addFallback()
-		out, err := relation.NaturalJoin(l.Rel(), r.Rel())
-		return StreamOf(out), err
-	}
-	if err := ctx.Err(); err != nil {
-		return Stream{}, err
-	}
-	p := opts.Count()
-	pairs := make([][2]int, len(lCols))
-	for i := range lCols {
-		pairs[i] = [2]int{lCols[i], rCols[i]}
-	}
-	attrs, keep := relation.NaturalJoinSchema(l.Attrs(), r.Attrs(), rCols)
-	name := joinName(l, r)
-
-	// Reuse an aligned partitioning outright when either side has one.
-	pick := alignedPair(l, lCols, p)
-	if pick < 0 {
-		pick = alignedPair(r, rCols, p)
-	}
-	if pick < 0 {
-		// No alignment. Broadcast instead of repartitioning when one side
-		// is partitioned and the other is small enough to probe whole.
-		if broadcastable(l, r, p) {
-			return broadcastJoin(ctx, opts, l, r, true, pairs, attrs, keep, name)
-		}
-		if broadcastable(r, l, p) {
-			return broadcastJoin(ctx, opts, l, r, false, pairs, attrs, keep, name)
-		}
-		pick = bestPair(l, r, lCols, rCols)
-	}
-	lSh, err := Exchange(ctx, l, lCols[pick], p, opts)
-	if err != nil {
-		return Stream{}, err
-	}
-	rSh, err := Exchange(ctx, r, rCols[pick], p, opts)
-	if err != nil {
-		return Stream{}, err
-	}
-	m.addSharded()
-	// Pin both views across task generation and execution: the spill
-	// governor must not park a shard between the skew scan and its join.
-	lSh.Pin()
-	defer lSh.Unpin()
-	rSh.Pin()
-	defer rSh.Unpin()
-	frac := opts.skewFraction()
-	lTotal, rTotal := lSh.Size(), rSh.Size()
-	var tasks []task
-	for k := 0; k < p; k++ {
-		lsh, rsh := lSh.Shard(k), rSh.Shard(k)
-		if lsh.Size() == 0 || rsh.Size() == 0 {
-			continue // empty-shard fast path: the join output is empty
-		}
-		tasks = splitHot(tasks, k, lsh, rsh, lTotal, rTotal, frac, true, opts)
-	}
-	raw, err := runJoinTasks(ctx, tasks, pairs, p)
-	if err != nil {
-		return Stream{}, err
-	}
-	parts, err := projectRawShards(raw, name, attrs, keep, opts)
-	if err != nil {
-		return Stream{}, err
-	}
-	// The join key survives as l's copy at its l-side position.
-	return ShardedStream(FromParts(name, attrs, lCols[pick], parts)), nil
-}
-
-// broadcastJoin joins a partitioned big side against a small side probed
-// whole in every shard: the big side keeps its (misaligned, non-join-key)
-// partitioning, which survives into the output because broadcast only
-// fires when the key is not a join column — join columns are the only
-// columns the natural join drops from the right operand, and left columns
-// all survive. bigIsLeft says which natural-join operand (l or r) is the
-// partitioned big side; the raw all-l-then-all-r column layout is kept
-// either way.
-func broadcastJoin(ctx context.Context, opts *Options, l, r Stream, bigIsLeft bool, pairs [][2]int, attrs []string, keep []int, name string) (Stream, error) {
-	m := opts.metrics()
-	m.addSharded()
-	m.addBroadcast()
-	big, small := l, r
-	if !bigIsLeft {
-		big, small = r, l
-	}
-	sh := big.Sharded()
-	m.addReused(sh.Size())
-	p := sh.P()
-	// The small side is probed whole in every shard, but "whole" does not
-	// require flat: a lazily assembled small view joins part by part (the
-	// join distributes over the union of its disjoint parts), so sizing and
-	// probing never force the Rel() concatenation the stream avoided.
-	smallParts := sideParts(small)
-	sh.Pin()
-	defer sh.Unpin()
-	for _, sp := range smallParts {
-		sp.Pin()
-		defer sp.Unpin()
-	}
-	frac := opts.skewFraction()
-	bigTotal := sh.Size()
-	var tasks []task
-	for k := 0; k < p; k++ {
-		if sh.Shard(k).Size() == 0 {
-			continue // empty-shard fast path
-		}
-		for _, sp := range smallParts {
-			if bigIsLeft {
-				tasks = splitHot(tasks, k, sh.Shard(k), sp, bigTotal, 0, frac, false, opts)
-			} else {
-				tasks = splitHot(tasks, k, sp, sh.Shard(k), 0, bigTotal, frac, true, opts)
-			}
-		}
-	}
-	raw, err := runJoinTasks(ctx, tasks, pairs, p)
-	if err != nil {
-		return Stream{}, err
-	}
-	parts, err := projectRawShards(raw, name, attrs, keep, opts)
-	if err != nil {
-		return Stream{}, err
-	}
-	// The big side's partition key in the output schema: left columns keep
-	// their positions; right columns sit at lArity+c in the raw layout.
-	rawKey := sh.key
-	if !bigIsLeft {
-		rawKey += len(l.Attrs())
-	}
-	outKey := indexOfKept(keep, rawKey)
-	if outKey < 0 {
-		return Stream{}, fmt.Errorf("shard: broadcast key column of %s dropped by the join projection", name)
-	}
-	return ShardedStream(FromParts(name, attrs, outKey, parts)), nil
-}
-
-// sideParts returns a stream's rows as a list of disjoint nonempty
-// relations without materializing anything: the flat relation when one
-// already exists (including a lazy view whose concatenation was already
-// forced), the nonempty shards of an assembled view otherwise.
-func sideParts(st Stream) []*relation.Relation {
-	sh := st.Sharded()
-	if sh == nil || sh.Materialized() {
-		if r := st.Rel(); r != nil && r.Size() > 0 {
-			return []*relation.Relation{r}
-		}
-		return nil
-	}
-	var parts []*relation.Relation
-	for k := 0; k < sh.P(); k++ {
-		if s := sh.Shard(k); s.Size() > 0 {
-			parts = append(parts, s)
-		}
-	}
-	return parts
-}
-
-// indexOfKept returns the output position of raw-join column c, or -1 when
-// the natural-join projection dropped it.
+// indexOfKept returns the output position of input column c under the
+// projection keep, or -1 when the projection dropped it.
 func indexOfKept(keep []int, c int) int {
 	for i, k := range keep {
 		if k == c {
@@ -791,278 +266,4 @@ func indexOfKept(keep []int, c int) int {
 		}
 	}
 	return -1
-}
-
-// projectRawShards applies the natural-join projection (an O(arity)
-// copy-on-write view per shard) to raw per-shard join outputs, registering
-// each nonempty part with the spill governor as a transient of the
-// current evaluation. Shards the join skipped (nil: both sides empty)
-// share one canonical empty part.
-func projectRawShards(raw []*relation.Relation, name string, attrs []string, keep []int, opts *Options) ([]*relation.Relation, error) {
-	parts := make([]*relation.Relation, len(raw))
-	var empty *relation.Relation
-	for k, rel := range raw {
-		if rel == nil {
-			parts[k] = emptyPart(&empty, name, attrs)
-			continue
-		}
-		v, err := rel.ProjectView(name, attrs, keep...)
-		if err != nil {
-			return nil, err
-		}
-		opts.governTransient(v)
-		parts[k] = v
-	}
-	return parts, nil
-}
-
-// joinName names a join output stream.
-func joinName(l, r Stream) string {
-	return streamName(l) + "_nj_" + streamName(r)
-}
-
-func streamName(st Stream) string {
-	if st.rel != nil {
-		return st.rel.Name
-	}
-	if st.sh != nil {
-		return st.sh.name
-	}
-	return "nil"
-}
-
-// SemijoinStream is the exchange-routed l ⋉ r on shared attribute names.
-// Because a semijoin's output is a subset of l, ANY existing partitioning
-// of l survives: an aligned l co-partitions with an exchanged r, a
-// misaligned l probes r whole per shard (a broadcast — no repartition is
-// ever needed on the l side), and a flat l is partitioned on the best
-// shared pair. Falls back to relation.Semijoin under the usual rules.
-func SemijoinStream(ctx context.Context, opts *Options, l, r Stream) (Stream, error) {
-	lCols, rCols := relation.SharedColsNames(l.Attrs(), r.Attrs())
-	m := opts.metrics()
-	if len(lCols) == 0 || !opts.active(max(l.Size(), r.Size())) {
-		m.addFallback()
-		out, err := relation.Semijoin(l.Rel(), r.Rel())
-		return StreamOf(out), err
-	}
-	if err := ctx.Err(); err != nil {
-		return Stream{}, err
-	}
-	p := opts.Count()
-	frac := opts.skewFraction()
-
-	if pick := alignedPair(l, lCols, p); pick >= 0 {
-		// Co-partitioned: l's shards semijoin r's matching shards.
-		lSh := l.Sharded()
-		m.addReused(lSh.Size())
-		rSh, err := Exchange(ctx, r, rCols[pick], p, opts)
-		if err != nil {
-			return Stream{}, err
-		}
-		m.addSharded()
-		return semijoinTasks(ctx, opts, lSh, func(k int) []*relation.Relation { return []*relation.Relation{rSh.Shard(k)} }, lCols, rCols, frac, m)
-	}
-	if l.Sharded() != nil {
-		// Misaligned l: probe the whole of r from every shard. l's
-		// partitioning survives (the output is a subset of l), so the
-		// exchange the next operator would need is still saved. A lazily
-		// assembled r is probed part by part (a row survives when it matches
-		// in ANY part), never forcing its Rel() concatenation.
-		m.addSharded()
-		m.addBroadcast()
-		m.addReused(l.Size())
-		rParts := sideParts(r)
-		return semijoinTasks(ctx, opts, l.Sharded(), func(int) []*relation.Relation { return rParts }, lCols, rCols, frac, m)
-	}
-	// Flat l: partition both sides on the highest-cardinality shared pair.
-	pick := bestPair(l, r, lCols, rCols)
-	lSh, err := Exchange(ctx, l, lCols[pick], p, opts)
-	if err != nil {
-		return Stream{}, err
-	}
-	rSh, err := Exchange(ctx, r, rCols[pick], p, opts)
-	if err != nil {
-		return Stream{}, err
-	}
-	m.addSharded()
-	return semijoinTasks(ctx, opts, lSh, func(k int) []*relation.Relation { return []*relation.Relation{rSh.Shard(k)} }, lCols, rCols, frac, m)
-}
-
-// sjTask is one partition-parallel semijoin unit: shard k's slice of the
-// left side probing a list of disjoint right parts (one co-partitioned
-// shard, or every part of a broadcast side).
-type sjTask struct {
-	shard  int
-	left   *relation.Relation
-	rights []*relation.Relation
-}
-
-// semijoinTasks runs the per-shard semijoins of lSh against the parts
-// rAt(k) returns, splitting hot l shards into blocks (the r side is never
-// split — a surviving row may match anywhere in r, which is also why the
-// rights travel as a list probed via SemijoinOnParts rather than being
-// concatenated). The output keeps lSh's key. Shards whose l side or r side
-// is empty skip task generation — the result is empty either way (the
-// routing layer only reaches here with at least one shared column) — and
-// share one canonical empty part. Both sides stay pinned for the duration;
-// nonempty outputs register with the options' spill governor.
-func semijoinTasks(ctx context.Context, opts *Options, lSh *Sharded, rAt func(int) []*relation.Relation, lCols, rCols []int, frac float64, m *Metrics) (Stream, error) {
-	p := lSh.P()
-	lTotal := lSh.Size()
-	lSh.Pin()
-	defer lSh.Unpin()
-	pinned := map[*relation.Relation]bool{}
-	var tasks []sjTask
-	for k := 0; k < p; k++ {
-		l, rights := lSh.Shard(k), rAt(k)
-		rTotal := 0
-		for _, r := range rights {
-			rTotal += r.Size()
-		}
-		if l.Size() == 0 || rTotal == 0 {
-			continue // empty-shard fast path: l ⋉ r is empty
-		}
-		for _, r := range rights {
-			if !pinned[r] {
-				pinned[r] = true
-				r.Pin()
-				defer r.Unpin()
-			}
-		}
-		if blocks := hotBlocks(l.Size(), lTotal, frac); frac > 0 && blocks > 1 {
-			noteSkew(opts, l.Name, blocks)
-			for _, b := range sliceBlocks(l, blocks) {
-				tasks = append(tasks, sjTask{shard: k, left: b, rights: rights})
-			}
-		} else {
-			tasks = append(tasks, sjTask{shard: k, left: l, rights: rights})
-		}
-	}
-	outs := make([]*relation.Relation, len(tasks))
-	if err := pool.Run(ctx, 0, len(tasks), func(i int) error {
-		out, err := relation.SemijoinOnParts(tasks[i].left, tasks[i].rights, lCols, rCols)
-		if err == nil {
-			outs[i] = out
-		}
-		return err
-	}); err != nil {
-		return Stream{}, err
-	}
-	perShard := make([][]*relation.Relation, p)
-	for i, t := range tasks {
-		perShard[t.shard] = append(perShard[t.shard], outs[i])
-	}
-	parts := make([]*relation.Relation, p)
-	var empty *relation.Relation
-	for k, ps := range perShard {
-		switch len(ps) {
-		case 0:
-			parts[k] = emptyPart(&empty, lSh.name+"_sj", lSh.attrs)
-			continue
-		case 1:
-			parts[k] = ps[0]
-		default:
-			flat, err := relation.Concat(ps[0].Name, lSh.attrs, ps...)
-			if err != nil {
-				return Stream{}, err
-			}
-			parts[k] = flat
-		}
-		opts.governTransient(parts[k])
-	}
-	return ShardedStream(FromParts(lSh.name+"_sj", lSh.attrs, lSh.key, parts)), nil
-}
-
-// ProjectStream is the exchange-routed duplicate-eliminating projection of
-// st onto the given positions (repeats allowed, as in relation.ProjectIdx).
-// A stream whose partition key is among the kept columns projects each
-// shard independently — all duplicates of a projected tuple agree on every
-// kept column, including the key, so they share a shard — and stays
-// partitioned. Otherwise the stream is exchanged onto the kept column with
-// the most distinct values first. Falls back to relation.ProjectIdx below
-// Options.MinRows.
-func ProjectStream(ctx context.Context, opts *Options, st Stream, idx []int) (Stream, error) {
-	m := opts.metrics()
-	if len(idx) == 0 || !opts.active(st.Size()) {
-		m.addFallback()
-		out, err := st.Rel().ProjectIdx(idx...)
-		return StreamOf(out), err
-	}
-	if err := ctx.Err(); err != nil {
-		return Stream{}, err
-	}
-	arity := len(st.Attrs())
-	for _, c := range idx {
-		if c < 0 || c >= arity {
-			m.addFallback()
-			out, err := st.Rel().ProjectIdx(idx...) // surface the range error unsharded
-			return StreamOf(out), err
-		}
-	}
-	p := opts.Count()
-	key := -1
-	if sh := st.Sharded(); sh != nil && sh.P() == p {
-		for _, c := range idx {
-			if c == sh.key {
-				key = c
-				break
-			}
-		}
-	}
-	if key < 0 {
-		// Exchange onto the kept column with the most distinct values, so
-		// hash partitions of the projected output stay balanced.
-		bestScore := -1
-		for _, c := range idx {
-			if d := st.distinct(c); d > bestScore {
-				key, bestScore = c, d
-			}
-		}
-	}
-	sh, err := Exchange(ctx, st, key, p, opts)
-	if err != nil {
-		return Stream{}, err
-	}
-	m.addSharded()
-	sh.Pin()
-	defer sh.Unpin()
-	// Empty shards share one projected empty part instead of each paying a
-	// ProjectIdx allocation (computed eagerly so the parallel pass below
-	// can assign it without synchronization).
-	var emptyProj *relation.Relation
-	for k := 0; k < p; k++ {
-		if sh.Shard(k).Size() == 0 {
-			ep, err := relation.New(sh.name, sh.attrs...).ProjectIdx(idx...)
-			if err != nil {
-				return Stream{}, err
-			}
-			emptyProj = ep
-			break
-		}
-	}
-	parts := make([]*relation.Relation, p)
-	if err := pool.Run(ctx, 0, p, func(k int) error {
-		if sh.Shard(k).Size() == 0 {
-			parts[k] = emptyProj
-			return nil
-		}
-		out, err := sh.Shard(k).ProjectIdx(idx...)
-		if err == nil {
-			opts.governTransient(out)
-			parts[k] = out
-		}
-		return err
-	}); err != nil {
-		return Stream{}, err
-	}
-	// The key's position in the projected schema: its first occurrence in
-	// idx.
-	outKey := 0
-	for i, c := range idx {
-		if c == key {
-			outKey = i
-			break
-		}
-	}
-	return ShardedStream(FromParts(sh.name+"_proj", parts[0].Attrs, outKey, parts)), nil
 }

@@ -1,10 +1,11 @@
 package shard
 
-// The streamed counterpart of Stream and the exchange-routed operators: a
-// Piped carries per-shard column-batch pipelines (internal/batch) instead
-// of materialized shards, and the Piped operators extend those pipelines
-// stage by stage — scan, semijoin, join probe, projection — so an
-// intermediate result's peak residency is one batch per stage per shard.
+// The operators: a Piped carries per-shard column-batch pipelines
+// (internal/batch), and the Piped operators extend those pipelines stage
+// by stage — scan, semijoin, join probe, projection — routing each stage
+// down the ladder of doc.go (aligned reuse, broadcast, exchange, skew
+// split), so an intermediate result's peak residency is one batch per
+// stage per shard.
 // The right-hand operands of joins and semijoins remain relations (they
 // are probed via memoized hash indexes, which need the whole operand), so
 // pipelines always flow on the left: exactly the shape of the executors,
@@ -19,17 +20,16 @@ import (
 	"cqbound/internal/relation"
 )
 
-// streamBroadcastRows is the size bound for broadcasting in streamed joins:
-// a pipeline whose partitioning is misaligned with the join key is NOT
+// streamBroadcastRows is the size bound for broadcasting in joins: a
+// pipeline whose partitioning is misaligned with the join key is NOT
 // exchanged when the other side is at most this many rows — probing the
 // small side whole per part costs about what a co-partitioned probe would,
-// and the exchange's scatter copy over the (unknown-cardinality) pipeline
-// is saved entirely. The materialized router compares against one shard of
-// the big side; a pipeline's cardinality is unknown before it runs, so the
-// streamed router uses an absolute bound of about four default batches.
+// and the exchange's scatter copy over the pipeline is saved entirely. A
+// pipeline's cardinality is unknown before it runs, so the bound is
+// absolute: about four default batches.
 const streamBroadcastRows = 4096
 
-// Piped is the currency of streamed evaluation: per-shard batch pipelines
+// Piped is the currency of evaluation: per-shard batch pipelines
 // plus the partition key they are keyed on (-1 when the single pipeline has
 // no known partitioning). Multi-part pipeds are always keyed. A Piped is
 // consumed by extending or draining it exactly once — pipelines are not
@@ -63,9 +63,9 @@ func PipedOf(st Stream, opts *Options) *Piped {
 }
 
 // tapIter counts rows flowing through a pipeline stage without touching
-// them — the streamed form of the ReusedRows accounting: rows that reach a
-// sharded probe already partitioned on the key never pass an exchange, so
-// they are counted as they flow instead of when a partition is reused.
+// them — the ReusedRows accounting: rows that reach a sharded probe
+// already partitioned on the key never pass an exchange, so they are
+// counted as they flow.
 type tapIter struct {
 	src batch.Iterator
 	f   func(int)
@@ -81,16 +81,15 @@ func (t *tapIter) Next(ctx context.Context) (*batch.Batch, error) {
 	return b, err
 }
 
-// splitProbe is the streamed form of the materialized router's hot-shard
-// block split, for skew on the probe side: when one shard of the probe
-// relation holds more than the skew fraction of its total, the part's
-// stream is buffered into governed chunks while its first block chain
-// consumes it, the shard is sliced into row blocks of about frac·total
-// rows, and every further block gets its own chain over a replay of the
-// buffer — batch.Fan merges them, so a serialized probe against the hot
-// shard becomes len(blocks) parallel probes. Only usable for stages that
-// are stateless per row (the join probe); a projection's dedup set would
-// leak duplicates across blocks.
+// splitProbe is the hot-shard block split, for skew on the probe side:
+// when one shard of the probe relation holds more than the skew fraction
+// of its total, the part's stream is buffered into governed chunks while
+// its first block chain consumes it, the shard is sliced into row blocks
+// of about frac·total rows, and every further block gets its own chain
+// over a replay of the buffer — batch.Fan merges them, so a serialized
+// probe against the hot shard becomes len(blocks) parallel probes. Only
+// usable for stages that are stateless per row (the join probe); a
+// projection's dedup set would leak duplicates across blocks.
 func splitProbe(src batch.Iterator, rsh *relation.Relation, blocks int, attrs []string, chain func(batch.Iterator, *relation.Relation) batch.Iterator, opts *Options) batch.Iterator {
 	buf := batch.NewBuffered(src, rsh.Name+"_skew", opts.batchSize(), opts.governTransient, opts.batchMetrics())
 	mks := make([]func() batch.Iterator, 0, blocks)
@@ -105,13 +104,12 @@ func splitProbe(src batch.Iterator, rsh *relation.Relation, blocks int, attrs []
 	return batch.Fan(mks, attrs)
 }
 
-// partitionSide partitions a probe-side relation for the streamed
-// operators. Shards register with the governor either way; a transient
-// operand's shards are additionally tracked in the evaluation scope, so a
-// fresh intermediate's partitioning is discarded with the intermediate when
-// the query finishes, while a base relation's memoized shards persist for
-// reuse across evaluations. (Double-tracking a memoized shard is safe:
-// buffer discard is idempotent.)
+// partitionSide partitions a probe-side relation. Shards register with the
+// governor either way; a transient operand's shards are additionally
+// tracked in the evaluation scope, so a fresh intermediate's partitioning
+// is discarded with the intermediate when the query finishes, while a base
+// relation's memoized shards persist for reuse across evaluations.
+// (Double-tracking a memoized shard is safe: buffer discard is idempotent.)
 func partitionSide(r *relation.Relation, key, p int, transient bool, opts *Options) *Sharded {
 	sh := partition(r, key, p, opts.spill())
 	if transient && opts != nil && opts.Scope != nil && opts.spill() != nil {
@@ -138,17 +136,17 @@ func probeChain(src batch.Iterator, rsh *relation.Relation, total int, attrs []s
 }
 
 // JoinPipedStream extends every pipeline of pd with a hash-join probe
-// against next, the streamed NaturalJoinStream: attributes shared by name
-// join, the output keeps all left columns (so pd's key survives unless the
-// routing replaces it) plus next's non-join columns. Routing mirrors the
-// materialized ladder — reuse an aligned partitioning (counting the rows
-// that flow as reused), probe a small next whole per part, otherwise
-// exchange the pipeline onto a shared column (batch.Exchange: incremental
-// governor registration). Skew handling is two-sided: a hot shard of the
-// partitioned next splits into row blocks probed by parallel chains, and a
-// hot exchange output part grows a second probe chain via batch.Grow while
-// the exchange still scatters. next is partitioned through its memoized
-// Partition, so repeated evaluations share the build.
+// against next, the natural join: attributes shared by name join, the
+// output keeps all left columns (so pd's key survives unless the routing
+// replaces it) plus next's non-join columns. Routing is the ladder — reuse
+// an aligned partitioning (counting the rows that flow as reused), probe a
+// small next whole per part, otherwise exchange the pipeline onto a shared
+// column (batch.Exchange: incremental governor registration). Skew handling
+// is two-sided: a hot shard of the partitioned next splits into row blocks
+// probed by parallel chains, and a hot exchange output part grows a second
+// probe chain via batch.Grow while the exchange still scatters. next is
+// partitioned through its memoized Partition, so repeated evaluations share
+// the build.
 func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relation.Relation, transient bool) (*Piped, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -213,11 +211,11 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 		return &Piped{attrs: attrs, key: pd.key, parts: parts}, nil
 	}
 	// Exchange the pipeline onto the shared column where next has the most
-	// distinct values (the balanced choice the materialized router makes;
-	// the pipeline side has no statistics before it runs). Output shards
-	// seal into governed chunks as they fill. Skew: a hot shard of next
-	// splits into block chains up front; otherwise a part of the exchange
-	// flagged hot mid-stream grows a second probe chain.
+	// distinct values (the balanced choice; the pipeline side has no
+	// statistics before it runs). Output shards seal into governed chunks
+	// as they fill. Skew: a hot shard of next splits into block chains up
+	// front; otherwise a part of the exchange flagged hot mid-stream grows
+	// a second probe chain.
 	pick := 0
 	bestScore := -1
 	for i := range rCols {
@@ -249,14 +247,15 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 }
 
 // SemijoinPipedStream extends every pipeline with a semijoin filter against
-// next, the streamed SemijoinStream. A filter never changes pd's schema, so
-// the routing only decides where the probes happen: an aligned multi-part
-// pipeline probes next's matching shards (counting its rows as reused), a
-// misaligned one probes next whole per part (the index is memoized on next,
-// so the broadcast builds it once), and a flat pipeline meeting an
-// above-MinRows next is exchanged onto a shared column first so the filter
-// — and every stage after it — runs partition-parallel. next empty with
-// shared columns makes every part end without pulling its upstream.
+// next on the attributes shared by name. A filter never changes pd's
+// schema, so the routing only decides where the probes happen: an aligned
+// multi-part pipeline probes next's matching shards (counting its rows as
+// reused), a misaligned one probes next whole per part (the index is
+// memoized on next, so the broadcast builds it once), and a flat pipeline
+// meeting an above-MinRows next is exchanged onto a shared column first so
+// the filter — and every stage after it — runs partition-parallel. next
+// empty with shared columns makes every part end without pulling its
+// upstream.
 func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relation.Relation, transient bool) (*Piped, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -319,22 +318,22 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 }
 
 // ProjectPiped extends the pipelines with the duplicate-eliminating
-// projection onto idx, the streamed ProjectStream. A multi-part piped whose
-// key survives projects part by part (duplicates agree on every kept column
-// including the key, so they share a part); otherwise the pipeline is first
-// exchanged onto the first kept column, which makes per-part dedup exact.
+// projection onto idx (positions may repeat, as in relation.ProjectIdx). A
+// multi-part piped whose key survives projects part by part (duplicates
+// agree on every kept column including the key, so they share a part);
+// otherwise the pipeline is first exchanged onto the first kept column,
+// which makes per-part dedup exact.
 func ProjectPiped(ctx context.Context, opts *Options, pd *Piped, idx []int) (*Piped, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	m := opts.metrics()
 	size, bm := opts.batchSize(), opts.batchMetrics()
-	attrs := make([]string, len(idx))
-	for i, c := range idx {
-		if c < 0 || c >= len(pd.attrs) {
-			return nil, fmt.Errorf("shard: projection column %d out of range for %v", c, pd.attrs)
-		}
-		attrs[i] = pd.attrs[c]
+	// Repeated positions get distinct names: the sink builds a relation,
+	// and a relation's attributes must be unique.
+	attrs, err := relation.ProjectedAttrs(pd.attrs, idx)
+	if err != nil {
+		return nil, fmt.Errorf("shard: projecting %v: %w", pd.attrs, err)
 	}
 	if len(pd.parts) == 1 {
 		it := batch.Project(pd.parts[0], idx, attrs, size, bm)
@@ -364,10 +363,10 @@ func ProjectPiped(ctx context.Context, opts *Options, pd *Piped, idx []int) (*Pi
 
 // MaterializePiped drains the pipelines into a Stream: a single-part piped
 // becomes a flat relation, a multi-part piped one relation per shard (built
-// in parallel) assembled as a partitioned view on the piped's key — the
-// hand-off point back to the materialized operators. transient registers
-// the built relations with the spill governor as intermediates of the
-// current evaluation; final outputs pass false and stay unmanaged.
+// in parallel) assembled as a partitioned view on the piped's key, which
+// PipedOf picks up again. transient registers the built relations with the
+// spill governor as intermediates of the current evaluation; final outputs
+// pass false and stay unmanaged.
 func MaterializePiped(ctx context.Context, opts *Options, pd *Piped, name string, transient bool) (Stream, error) {
 	bm := opts.batchMetrics()
 	var govern func(*relation.Relation)
@@ -408,8 +407,8 @@ func pipedAligned(pd *Piped, cols []int, p int) int {
 	return -1
 }
 
-// countOp counts a streamed operator as sharded or single-shard fallback by
-// its part count, keeping ShardStats meaningful for streamed plans.
+// countOp counts an operator as sharded or single-shard fallback by its
+// part count.
 func countOp(m *Metrics, parts int) {
 	if parts > 1 {
 		m.addSharded()

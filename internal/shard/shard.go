@@ -1,8 +1,8 @@
 package shard
 
-// Partitioned views and their construction. Package documentation lives in
-// doc.go; the exchange router that moves views between partition keys is in
-// exchange.go, the partition-parallel operators in ops.go.
+// Options, partitioned views and their construction. Package documentation
+// lives in doc.go; the operators that route pipelines over these views are
+// in piped.go.
 
 import (
 	"context"
@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"cqbound/internal/batch"
 	"cqbound/internal/pool"
@@ -19,11 +18,11 @@ import (
 	"cqbound/internal/trace"
 )
 
-// Options controls when and how the sharded operators engage. A nil
-// *Options disables sharding entirely: every operator falls back to its
-// single-shard relation-package form. A non-nil zero value means "shard
-// everything": threshold 0 with GOMAXPROCS shards and default skew
-// handling.
+// Options controls when and how the piped operators partition. A nil
+// *Options disables sharding entirely: every pipeline has one part and
+// batches of batch.DefaultSize rows. A non-nil zero value means "shard
+// everything": threshold 0 with GOMAXPROCS shards, default skew handling
+// and default batches.
 type Options struct {
 	// MinRows is the row threshold: an operator runs partition-parallel
 	// only when its larger input has at least MinRows rows. Small inputs
@@ -44,29 +43,27 @@ type Options struct {
 	// every operator run under these options.
 	Metrics *Metrics
 	// Spill, when non-nil, registers every shard built under these options
-	// — memoized base partitions and assembled operator outputs alike —
-	// with the memory governor, which parks cold shards in file-backed
-	// segments when its byte budget is exceeded. Operators pin the shards
-	// they touch for their duration; repartitioning governed views streams
-	// one source shard at a time instead of holding them all resident. nil
-	// keeps everything in memory.
+	// — memoized base partitions and pipeline sinks alike — with the
+	// memory governor, which parks cold shards in file-backed segments
+	// when its byte budget is exceeded. Pipeline stages pin the storage
+	// they read one batch at a time, and a mid-stream exchange seals its
+	// output into governed chunks as they fill. nil keeps everything in
+	// memory.
 	Spill *spill.Governor
 	// Scope, when non-nil alongside Spill, collects the buffers of
-	// TRANSIENT shards — assembled operator outputs, repartitioned views —
-	// so the caller can discard them in bulk once the evaluation's result
-	// has been materialized (Engine.Evaluate closes one scope per call).
-	// Memoized base partitions are never scoped: they outlive evaluations
-	// by design. nil retains intermediates in the governor until its
-	// Close.
+	// TRANSIENT shards — pipeline sinks, exchange chunks, partitions of
+	// intermediates — so the caller can discard them in bulk once the
+	// evaluation's result has been materialized (Engine.Evaluate closes
+	// one scope per call). Memoized base partitions are never scoped: they
+	// outlive evaluations by design. nil retains intermediates in the
+	// governor until its Close.
 	Scope *spill.Scope
-	// BatchSize, when positive, turns on streamed execution: the executors
-	// build pull-based column-batch pipelines (internal/batch) of this many
-	// rows per batch through the Piped operators instead of materializing
-	// every operator output. 0 keeps the materialized operators.
+	// BatchSize is the row count of the column batches (internal/batch)
+	// the pipelines move between stages; <= 0 means batch.DefaultSize.
 	BatchSize int
-	// Batch, when non-nil alongside BatchSize, counts what the streamed
-	// pipelines did (batches, rows, buffered fallbacks, bytes never
-	// materialized). Shared across concurrent evaluations like Metrics.
+	// Batch, when non-nil, counts what the pipelines did (batches, rows,
+	// buffered fallbacks, bytes never materialized). Shared across
+	// concurrent evaluations like Metrics.
 	Batch *batch.Metrics
 	// Trace, when non-nil, is the per-evaluation tracer: executors open
 	// stage and operator spans on it, and the exchange/skew machinery in
@@ -75,10 +72,6 @@ type Options struct {
 	// fresh Tracer through each traced evaluation's private Options copy.
 	Trace *trace.Tracer
 }
-
-// Streaming reports whether these options select streamed (column-batch
-// pipeline) execution (nil-safe).
-func (o *Options) Streaming() bool { return o != nil && o.BatchSize > 0 }
 
 // Tracer returns the per-evaluation tracer (nil-safe; nil disables
 // tracing). Executors in eval/plan open their spans through it.
@@ -98,8 +91,8 @@ func (o *Options) batchSize() int {
 	return o.BatchSize
 }
 
-// batchMetrics returns the streamed-execution counters (nil-safe; nil
-// disables counting).
+// batchMetrics returns the pipeline counters (nil-safe; nil disables
+// counting).
 func (o *Options) batchMetrics() *batch.Metrics {
 	if o == nil {
 		return nil
@@ -113,9 +106,13 @@ func (o *Options) batchMetrics() *batch.Metrics {
 // splitting starts to pay.
 const defaultSkewFraction = 0.25
 
-// Count returns the partition count P the options select (nil-safe).
+// Count returns the partition count P the options select: 1 for nil
+// options, GOMAXPROCS when Shards is unset.
 func (o *Options) Count() int {
-	if o == nil || o.Shards <= 0 {
+	if o == nil {
+		return 1
+	}
+	if o.Shards <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Shards
@@ -124,7 +121,7 @@ func (o *Options) Count() int {
 // active reports whether an operator whose larger input has n rows should
 // run partition-parallel under these options.
 func (o *Options) active(n int) bool {
-	return o != nil && o.Count() > 1 && n >= o.MinRows
+	return o.Count() > 1 && n >= o.MinRows
 }
 
 // skewFraction returns the effective hot-shard trigger: the configured
@@ -202,11 +199,8 @@ type Sharded struct {
 	// lazy is the flat form of an assembled (FromParts) view, built on
 	// first Rel call; it is only written inside baseOnce.Do and only read
 	// after the Do returns, which is the sync.Once happens-before edge.
-	// lazyBuilt flips (inside the Do) once lazy exists, so Materialized can
-	// answer without forcing the build.
-	baseOnce  sync.Once
-	lazy      *relation.Relation
-	lazyBuilt atomic.Bool
+	baseOnce sync.Once
+	lazy     *relation.Relation
 }
 
 // Key returns the partition column (a position into Attrs()).
@@ -222,22 +216,6 @@ func (s *Sharded) Attrs() []string { return s.attrs }
 // Shard returns shard k. The relation is the view's storage: treat it as
 // read-only (it may be memoized and shared with concurrent evaluations).
 func (s *Sharded) Shard(k int) *relation.Relation { return s.sh[k] }
-
-// Pin holds every shard of the view resident until Unpin: the spill
-// governor will not park any of them mid-operator. No-op for ungoverned
-// shards. Operators pin the views they fan out over for their duration.
-func (s *Sharded) Pin() {
-	for _, sh := range s.sh {
-		sh.Pin()
-	}
-}
-
-// Unpin releases a Pin.
-func (s *Sharded) Unpin() {
-	for _, sh := range s.sh {
-		sh.Unpin()
-	}
-}
 
 // Size returns the total row count across shards without materializing the
 // flat relation. It never touches the lazily-built flat form, so it is
@@ -267,25 +245,16 @@ func (s *Sharded) Rel() *relation.Relation {
 			panic(fmt.Sprintf("shard: materializing %s: %v", s.name, err))
 		}
 		s.lazy = flat
-		s.lazyBuilt.Store(true)
 	})
 	return s.lazy
 }
 
-// Materialized reports whether the view already has a flat relation — the
-// original for a Partition view, a built lazy concat for an assembled one —
-// so callers can choose between the flat form and the per-shard parts
-// without forcing the concatenation they are trying to avoid.
-func (s *Sharded) Materialized() bool {
-	return s.eager != nil || s.lazyBuilt.Load()
-}
-
 // FromParts assembles a Sharded view from per-shard relations that are
 // already partitioned on column key: part k must hold only rows whose key
-// value hashes to shard k of len(parts). This is how operator outputs stay
-// sharded end to end — a co-partitioned join's shard-k output carries its
-// key value, so it IS shard k of the output — without paying a
-// concatenation the next operator may never need.
+// value hashes to shard k of len(parts). This is how a multi-part
+// pipeline's sink stays sharded — part k's rows carry a key value that
+// hashes to k, so the relation it builds IS shard k of the result —
+// without paying a concatenation the next pipeline may never need.
 func FromParts(name string, attrs []string, key int, parts []*relation.Relation) *Sharded {
 	if key < 0 || key >= len(attrs) {
 		panic(fmt.Sprintf("shard: FromParts key %d out of range for %v", key, attrs))

@@ -1,9 +1,9 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"cqbound/internal/relation"
@@ -22,9 +22,6 @@ func randomRel(rng *rand.Rand, name string, attrs []string, n, universe int) *re
 	}
 	return r
 }
-
-// forceShard makes every operator partition regardless of input size.
-func forceShard(p int) *Options { return &Options{MinRows: 0, Shards: p} }
 
 func TestPartitionInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -104,7 +101,6 @@ func TestPartitionRenamedViewGetsOwnAttrs(t *testing.T) {
 }
 
 func TestPartitionEdgeCases(t *testing.T) {
-	ctx := context.Background()
 	// Empty relation: every shard empty.
 	empty := relation.New("E", "a", "b")
 	sh := Partition(empty, 0, 4)
@@ -112,10 +108,6 @@ func TestPartitionEdgeCases(t *testing.T) {
 		if sh.Shard(k).Size() != 0 {
 			t.Fatal("shard of empty relation not empty")
 		}
-	}
-	out, err := sh.Select(ctx, func(relation.Tuple) bool { return true })
-	if err != nil || out.Size() != 0 {
-		t.Fatalf("select over empty shards: %v, %d rows", err, out.Size())
 	}
 
 	// All rows share one key value: one shard holds everything, the rest
@@ -151,174 +143,34 @@ func TestPartitionEdgeCases(t *testing.T) {
 	}
 }
 
-func TestShardedSelect(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	r := randomRel(rng, "R", []string{"a", "b"}, 400, 30)
-	pred := func(t relation.Tuple) bool { return ShardOf(t[1], 2) == 0 }
-	want := r.Select(pred)
-	got, err := Partition(r, 0, 5).Select(context.Background(), pred)
-	if err != nil {
-		t.Fatal(err)
+func TestParallelPartitionMatchesSequential(t *testing.T) {
+	// Force a multi-worker pool so the block-parallel build path runs even
+	// on single-core machines.
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	n := parallelPartitionMinRows + 1234
+	col := make([]relation.Value, n)
+	rng := rand.New(rand.NewSource(30))
+	for i := range col {
+		col[i] = relation.Value(rng.Intn(5000))
 	}
-	if !relation.Equal(want, got) {
-		t.Fatalf("sharded select = %d rows, unsharded = %d", got.Size(), want.Size())
-	}
-}
-
-func TestCoPartitionedHashJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	r := randomRel(rng, "R", []string{"a", "b"}, 300, 25)
-	s := randomRel(rng, "S", []string{"c", "d"}, 350, 25)
-	pairs := [][2]int{{1, 0}} // R.b = S.c
-	want, err := relation.HashJoin(r, s, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 4, 9} {
-		got, err := HashJoin(context.Background(), Partition(r, 1, p), Partition(s, 0, p), pairs)
-		if err != nil {
-			t.Fatal(err)
+	for _, p := range []int{2, 7, 16} {
+		got := partitionRows(col, p)
+		// Sequential reference.
+		want := make([][]int32, p)
+		for i, v := range col {
+			k := ShardOf(v, p)
+			want[k] = append(want[k], int32(i))
 		}
-		if !relation.Equal(want, got) {
-			t.Fatalf("p=%d: sharded join = %d rows, unsharded = %d", p, got.Size(), want.Size())
-		}
-	}
-}
-
-func TestHashJoinRejectsMisalignedPartitions(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	r := randomRel(rng, "R", []string{"a", "b"}, 50, 10)
-	s := randomRel(rng, "S", []string{"c", "d"}, 50, 10)
-	ctx := context.Background()
-	// Different P.
-	if _, err := HashJoin(ctx, Partition(r, 1, 2), Partition(s, 0, 3), [][2]int{{1, 0}}); err == nil {
-		t.Fatal("join across different shard counts did not error")
-	}
-	// Partition keys not a join pair.
-	if _, err := HashJoin(ctx, Partition(r, 0, 2), Partition(s, 1, 2), [][2]int{{1, 0}}); err == nil {
-		t.Fatal("join with misaligned partition keys did not error")
-	}
-}
-
-func TestShardedSemijoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	r := randomRel(rng, "R", []string{"a", "b"}, 400, 30)
-	s := randomRel(rng, "S", []string{"b", "c"}, 100, 30) // shares "b"
-	want, err := relation.Semijoin(r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{2, 3, 8} {
-		got, err := Semijoin(context.Background(), forceShard(p), r, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !relation.Equal(want, got) {
-			t.Fatalf("p=%d: sharded semijoin = %d rows, unsharded = %d", p, got.Size(), want.Size())
-		}
-	}
-}
-
-func TestShardedNaturalJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	r := randomRel(rng, "R", []string{"a", "b"}, 300, 20)
-	s := randomRel(rng, "S", []string{"b", "c"}, 250, 20)
-	want, err := relation.NaturalJoin(r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{2, 5} {
-		got, err := NaturalJoin(context.Background(), forceShard(p), r, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Arity() != want.Arity() {
-			t.Fatalf("p=%d: arity %d, want %d", p, got.Arity(), want.Arity())
-		}
-		for i, a := range want.Attrs {
-			if got.Attrs[i] != a {
-				t.Fatalf("p=%d: attrs %v, want %v", p, got.Attrs, want.Attrs)
+		for k := 0; k < p; k++ {
+			if len(got[k]) != len(want[k]) {
+				t.Fatalf("p=%d shard %d: %d rows, want %d", p, k, len(got[k]), len(want[k]))
+			}
+			for i := range got[k] {
+				if got[k][i] != want[k][i] {
+					t.Fatalf("p=%d shard %d row %d: parallel build reordered rows", p, k, i)
+				}
 			}
 		}
-		if !relation.Equal(want, got) {
-			t.Fatalf("p=%d: sharded natural join = %d rows, unsharded = %d", p, got.Size(), want.Size())
-		}
-	}
-}
-
-func TestNaturalJoinFallsBackWithoutSharedColumn(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	r := randomRel(rng, "R", []string{"a", "b"}, 20, 5)
-	s := randomRel(rng, "S", []string{"c", "d"}, 20, 5)
-	want, err := relation.NaturalJoin(r, s) // degenerates to a product
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NaturalJoin(context.Background(), forceShard(4), r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relation.Equal(want, got) {
-		t.Fatal("fallback product differs from relation.NaturalJoin")
-	}
-}
-
-func TestShardedProjectIdx(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	r := randomRel(rng, "R", []string{"a", "b", "c"}, 500, 8)
-	cases := [][]int{{0}, {1, 2}, {2, 0}, {0, 0, 1}} // incl. repeated positions
-	for _, idx := range cases {
-		want, err := r.ProjectIdx(idx...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ProjectIdx(context.Background(), forceShard(4), r, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !relation.Equal(want, got) {
-			t.Fatalf("idx=%v: sharded projection = %d rows, unsharded = %d", idx, got.Size(), want.Size())
-		}
-	}
-}
-
-func TestOptionsRouting(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	r := randomRel(rng, "R", []string{"a", "b"}, 100, 10)
-	s := randomRel(rng, "S", []string{"b", "c"}, 100, 10)
-	ctx := context.Background()
-
-	// nil options: identical to the relation-package operator.
-	want, _ := relation.Semijoin(r, s)
-	got, err := Semijoin(ctx, nil, r, s)
-	if err != nil || !relation.Equal(want, got) {
-		t.Fatalf("nil-options semijoin diverged: %v", err)
-	}
-
-	// Below the row threshold: also falls back (still must be correct).
-	got, err = Semijoin(ctx, &Options{MinRows: 10_000, Shards: 4}, r, s)
-	if err != nil || !relation.Equal(want, got) {
-		t.Fatalf("below-threshold semijoin diverged: %v", err)
-	}
-
-	if (&Options{MinRows: 0, Shards: 4}).Count() != 4 {
-		t.Fatal("Count ignored explicit shard count")
-	}
-	if o := (*Options)(nil); o.active(1_000_000) {
-		t.Fatal("nil options reported active")
-	}
-}
-
-func TestContextCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	r := randomRel(rng, "R", []string{"a", "b"}, 200, 10)
-	s := randomRel(rng, "S", []string{"b", "c"}, 200, 10)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := NaturalJoin(ctx, forceShard(4), r, s); err == nil {
-		t.Fatal("canceled context did not abort the sharded join")
-	}
-	if _, err := Semijoin(ctx, forceShard(4), r, s); err == nil {
-		t.Fatal("canceled context did not abort the sharded semijoin")
 	}
 }

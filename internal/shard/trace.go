@@ -1,6 +1,6 @@
 package shard
 
-// Tracing hooks for the streamed operators. Pipelines are lazy — the work
+// Tracing hooks for the piped operators. Pipelines are lazy — the work
 // a JoinPipedStream sets up happens while the final sink drains — so their
 // operator spans can't be timed by the constructor. Instead the executor
 // attaches a span to the Piped it gets back (TracePiped): every part is

@@ -21,9 +21,9 @@
 //
 // Buffer.Pin is Cols plus a residency hold: until the matching Unpin the
 // governor will not evict the buffer. Operators pin their inputs for their
-// duration (relation.Gather/GatherMulti/Index/HashJoin/SemijoinOn pin the
-// relations they scan; internal/shard pins every shard of a view it fans
-// out over) so a shard is never written out and read back mid-operator.
+// duration (relation.Gather/Index/HashJoin/SemijoinOn pin the relations
+// they scan; internal/batch stages pin what they read one batch at a time)
+// so a shard is never written out and read back mid-read.
 // Pins nest and are cheap (one atomic add); they are a thrash guard and an
 // LRU recency signal, not a correctness requirement.
 //

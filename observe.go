@@ -160,19 +160,10 @@ type tracedPrivate struct {
 // evaluation, swapping in private metrics, a fresh spill scope, and the
 // tracer. The clone is never shared between evaluations.
 func (e *Engine) tracedOptions(tr *trace.Tracer) (*shard.Options, *tracedPrivate) {
-	var o shard.Options
-	if e.sharding != nil {
-		o = *e.sharding
-	} else {
-		o.Shards = 1
-	}
-	pv := &tracedPrivate{shardM: &shard.Metrics{}}
+	o := *e.sharding
+	pv := &tracedPrivate{shardM: &shard.Metrics{}, batchM: &batch.Metrics{}}
 	o.Metrics = pv.shardM
-	if e.stream != nil {
-		pv.batchM = &batch.Metrics{}
-		o.Batch = pv.batchM
-	}
-	o.Spill = e.spill
+	o.Batch = pv.batchM
 	if e.spill != nil {
 		pv.scope = spill.NewScope()
 		o.Scope = pv.scope
@@ -191,9 +182,7 @@ func (pv *tracedPrivate) close() {
 // ShardStats and StreamStats see traced evaluations exactly like
 // untraced ones.
 func (pv *tracedPrivate) mergeInto(e *Engine) {
-	if e.sharding != nil {
-		pv.shardM.AddTo(e.sharding.Metrics)
-	}
+	pv.shardM.AddTo(e.sharding.Metrics)
 	pv.batchM.AddTo(e.stream)
 }
 
