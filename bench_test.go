@@ -269,8 +269,8 @@ func BenchmarkAnalyze(b *testing.B) {
 
 // Benchmarks of the interned columnar substrate (PR 2): canonical join
 // shapes end to end through the Engine, plus the parallel batch API. The
-// recorded before/after planbench figures live in BENCH_pre_interning.json
-// and BENCH_baseline.json.
+// repository benchmark (bench/) records the same shapes end to end as
+// op_p50_ms and the eval.*_ms per-strategy figures.
 
 func benchDB(relNames []string, edges, universe int) *Database {
 	db := NewDatabase()
@@ -387,8 +387,8 @@ func BenchmarkSemijoinIndexed(b *testing.B) {
 // workloads through a plain Engine and a WithSharding Engine. On a
 // single-core runner the sharded gain is cache locality (P small hash and
 // dedup maps instead of one large one); with more cores the per-shard work
-// additionally fans out over the pool. BENCH_sharded.json records the
-// cqbench -shardbench sweep of the same comparison.
+// additionally fans out over the pool. The repository benchmark (bench/)
+// records the same comparison as shard.speedup_vs_p1 on scaled-joins.
 
 func benchScaledStarDB() *Database {
 	return datagen.EdgeDB(rand.New(rand.NewSource(12)), []string{"E"}, 2000, 130)

@@ -1,8 +1,10 @@
 // Command cqload replays a mixed query workload against the cqserve HTTP
-// front-end at configurable concurrency and records the serving
-// trajectory: throughput, P50/P99 tail latency, admission rejects, and
-// peak RSS per concurrency level. The recorded document lives in
-// BENCH_serve.json — the baseline every later serving PR moves.
+// front-end at configurable concurrency and prints the serving trajectory:
+// throughput, P50/P99 tail latency, admission rejects, and peak RSS per
+// concurrency level. It is the overload sweep (c well above the core
+// count) and the observability-overhead gate; the repository benchmark
+// (bench/, workload serve-mix) measures the same mix closed-loop at a few
+// clients.
 //
 // The mix models a read-heavy graph service: key-anchored point lookups
 // (40%), star and path joins (30%), the cyclic triangle whose AGM bound
@@ -17,20 +19,18 @@
 //
 // -obsbench additionally measures observability overhead: a second
 // in-process server over the same engine with the layer disabled, driven
-// through alternating rounds, medians compared (the obs_overhead row in
-// BENCH_serve.json). -obsgate fails the run when the overhead fraction
-// exceeds it — the CI regression gate.
+// through alternating rounds, medians compared. -obsgate fails the run
+// when the overhead fraction exceeds it — the CI regression gate.
 //
 // Usage:
 //
 //	cqload [-requests N] [-concurrency 1,8,64] [-edges N] [-universe N]
 //	       [-shards N] [-membudget BYTES] [-admission BYTES] [-queue N]
-//	       [-cache N] [-seed N] [-addr host:port] [-json]
+//	       [-cache N] [-seed N] [-addr host:port]
 //	       [-obsbench] [-obsgate FRAC]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -46,32 +46,29 @@ import (
 
 // LoadLevelResult is one concurrency level's measurement.
 type LoadLevelResult struct {
-	Concurrency int `json:"concurrency"`
-	// Requests were issued; Succeeded returned 200, Rejected 429 (admission
-	// shedding), Errors anything else.
-	Requests  int `json:"requests"`
-	Succeeded int `json:"succeeded"`
-	Rejected  int `json:"rejected"`
-	Errors    int `json:"errors"`
-	// WallNs is the level's wall clock; Throughput counts succeeded
-	// requests per second against it.
-	WallNs     int64   `json:"wall_ns"`
-	Throughput float64 `json:"throughput_rps"`
+	Concurrency int
+	// Succeeded requests returned 200, Rejected 429 (admission shedding),
+	// Errors anything else.
+	Succeeded int
+	Rejected  int
+	Errors    int
+	// Throughput counts succeeded requests per second of the level's wall
+	// clock.
+	Throughput float64
 	// P50Ns / P99Ns are client-side latency quantiles over succeeded
 	// requests (exact, from the sorted sample).
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
+	P50Ns int64
+	P99Ns int64
 	// PeakRSSBytes is the process high-water mark after the level —
 	// monotone across levels, so each reading is "peak so far". Always
 	// bytes: sourced from VmHWM (kibibytes, shifted) on Linux and from
 	// getrusage ru_maxrss elsewhere, whose native unit differs per OS
 	// (KiB on Linux, bytes on Darwin) and is normalized before recording.
-	PeakRSSBytes int64 `json:"peak_rss_bytes"`
+	PeakRSSBytes int64
 	// CacheHits counts responses served from the (query, epoch) result
 	// cache; Commits counts ingest requests that advanced the epoch.
-	CacheHits int            `json:"cache_hits"`
-	Commits   int            `json:"commits"`
-	ByKind    map[string]int `json:"by_kind"`
+	CacheHits int
+	Commits   int
 }
 
 // ObsOverheadResult compares the serving path with and without the
@@ -81,25 +78,10 @@ type LoadLevelResult struct {
 // of throughput the observed server gives up ((off − on) / off; negative
 // means noise favored the observed side).
 type ObsOverheadResult struct {
-	Concurrency   int     `json:"concurrency"`
-	Requests      int     `json:"requests_per_round"`
-	Rounds        int     `json:"rounds"`
-	OnThroughput  float64 `json:"obs_on_rps"`
-	OffThroughput float64 `json:"obs_off_rps"`
-	Overhead      float64 `json:"overhead_frac"`
-}
-
-// LoadReport is the top-level JSON document (BENCH_serve.json).
-type LoadReport struct {
-	Addr        string             `json:"addr"`
-	GOMAXPROCS  int                `json:"gomaxprocs"`
-	Shards      int                `json:"shards"`
-	BudgetBytes int64              `json:"budget_bytes"`
-	Admission   int64              `json:"admission_bytes"`
-	Edges       int                `json:"edges"`
-	Universe    int                `json:"universe"`
-	Levels      []LoadLevelResult  `json:"levels"`
-	ObsOverhead *ObsOverheadResult `json:"obs_overhead,omitempty"`
+	Concurrency   int
+	OnThroughput  float64
+	OffThroughput float64
+	Overhead      float64
 }
 
 func main() {
@@ -114,7 +96,6 @@ func main() {
 	cache := flag.Int("cache", 256, "result cache entries (0 disables)")
 	seed := flag.Int64("seed", 20260807, "workload RNG seed")
 	addr := flag.String("addr", "", "target an external cqserve at host:port instead of in-process")
-	asJSON := flag.Bool("json", false, "emit the report as JSON (the BENCH_serve.json document)")
 	obsBench := flag.Bool("obsbench", false, "measure observability overhead (obs-on vs obs-off servers over one engine)")
 	obsGate := flag.Float64("obsgate", 0, "fail (exit 1) when observability overhead exceeds this fraction (0 disables)")
 	flag.Parse()
@@ -172,25 +153,20 @@ func main() {
 		}
 	}
 
-	report := &LoadReport{
-		Addr:        base,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Shards:      *shards,
-		BudgetBytes: *membudget,
-		Admission:   *admission,
-		Edges:       *edges,
-		Universe:    *universe,
-	}
+	fmt.Printf("addr=%s gomaxprocs=%d budget=%d admission=%d edges=%d\n",
+		base, runtime.GOMAXPROCS(0), *membudget, *admission, *edges)
 	h := newHarness("http://"+base, *seed, *edges, *universe)
 	if err := h.load(); err != nil {
 		fatal(err)
 	}
 	for _, c := range levels {
-		res, err := h.run(c, *requests)
+		l, err := h.run(c, *requests)
 		if err != nil {
 			fatal(err)
 		}
-		report.Levels = append(report.Levels, *res)
+		fmt.Printf("  c=%-3d %6.0f req/s  p50=%-10s p99=%-10s ok=%d rejected=%d errors=%d hits=%d commits=%d rss=%dMiB\n",
+			l.Concurrency, l.Throughput, fmtNs(l.P50Ns), fmtNs(l.P99Ns),
+			l.Succeeded, l.Rejected, l.Errors, l.CacheHits, l.Commits, l.PeakRSSBytes>>20)
 	}
 
 	if *obsBench {
@@ -201,33 +177,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		report.ObsOverhead = ob
-	}
-
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fatal(err)
+		fmt.Printf("  obs overhead c=%-3d on=%.0f req/s off=%.0f req/s overhead=%+.1f%%\n",
+			ob.Concurrency, ob.OnThroughput, ob.OffThroughput, 100*ob.Overhead)
+		if *obsGate > 0 && ob.Overhead > *obsGate {
+			fmt.Fprintf(os.Stderr, "cqload: observability overhead %.1f%% exceeds gate %.1f%%\n",
+				100*ob.Overhead, 100**obsGate)
+			os.Exit(1)
 		}
-	} else {
-		fmt.Printf("addr=%s gomaxprocs=%d budget=%d admission=%d edges=%d\n",
-			report.Addr, report.GOMAXPROCS, report.BudgetBytes, report.Admission, report.Edges)
-		for _, l := range report.Levels {
-			fmt.Printf("  c=%-3d %6.0f req/s  p50=%-10s p99=%-10s ok=%d rejected=%d errors=%d hits=%d commits=%d rss=%dMiB\n",
-				l.Concurrency, l.Throughput, fmtNs(l.P50Ns), fmtNs(l.P99Ns),
-				l.Succeeded, l.Rejected, l.Errors, l.CacheHits, l.Commits, l.PeakRSSBytes>>20)
-		}
-		if ob := report.ObsOverhead; ob != nil {
-			fmt.Printf("  obs overhead c=%-3d on=%.0f req/s off=%.0f req/s overhead=%+.1f%%\n",
-				ob.Concurrency, ob.OnThroughput, ob.OffThroughput, 100*ob.Overhead)
-		}
-	}
-
-	if ob := report.ObsOverhead; ob != nil && *obsGate > 0 && ob.Overhead > *obsGate {
-		fmt.Fprintf(os.Stderr, "cqload: observability overhead %.1f%% exceeds gate %.1f%%\n",
-			100*ob.Overhead, 100**obsGate)
-		os.Exit(1)
 	}
 }
 
@@ -258,8 +214,6 @@ func runObsBench(on, off *harness, concurrency, requests int) (*ObsOverheadResul
 	}
 	res := &ObsOverheadResult{
 		Concurrency:   concurrency,
-		Requests:      requests,
-		Rounds:        rounds,
 		OnThroughput:  median(onT),
 		OffThroughput: median(offT),
 	}

@@ -175,15 +175,9 @@ func (h *harness) run(concurrency, requests int) (*LoadLevelResult, error) {
 		return nil, firstErr
 	}
 
-	res := &LoadLevelResult{
-		Concurrency: concurrency,
-		Requests:    len(outcomes),
-		WallNs:      wall.Nanoseconds(),
-		ByKind:      map[string]int{},
-	}
+	res := &LoadLevelResult{Concurrency: concurrency}
 	var lat []time.Duration
 	for _, o := range outcomes {
-		res.ByKind[o.kind]++
 		switch {
 		case o.status == http.StatusOK:
 			res.Succeeded++

@@ -567,8 +567,14 @@ func (e *Engine) BoundRows(q *Query, db *Database) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return boundOrInputRows(p, q, db), nil
+}
+
+// boundOrInputRows is plan.BoundRows, falling back to the total input rows
+// Σ|Rᵢ| when the bound's inputs are unavailable.
+func boundOrInputRows(p *Plan, q *Query, db *Database) float64 {
 	if rows, _, ok := plan.BoundRows(p, q, db); ok {
-		return rows, nil
+		return rows
 	}
 	in := 0
 	for _, a := range q.Body {
@@ -576,7 +582,7 @@ func (e *Engine) BoundRows(q *Query, db *Database) (float64, error) {
 			in += r.Size()
 		}
 	}
-	return float64(in), nil
+	return float64(in)
 }
 
 // PlanInfo returns, in one call against the cached plan, what the serving
@@ -591,18 +597,7 @@ func (e *Engine) PlanInfo(q *Query, db *Database) (strategy string, bound, estim
 	if err != nil {
 		return "", 0, 0, err
 	}
-	if rows, _, ok := plan.BoundRows(p, q, db); ok {
-		bound = rows
-	} else {
-		in := 0
-		for _, a := range q.Body {
-			if r := db.Relation(a.Relation); r != nil {
-				in += r.Size()
-			}
-		}
-		bound = float64(in)
-	}
-	return p.Strategy.String(), bound, eval.EstimateOutput(q, db), nil
+	return p.Strategy.String(), boundOrInputRows(p, q, db), eval.EstimateOutput(q, db), nil
 }
 
 // epochKeySuffix is appended to a query's text to form its per-epoch plan

@@ -233,8 +233,8 @@ func ExampleWithMemoryBudget() {
 }
 
 // ExampleEngine_ResetStats scopes the engine's counters to a window: reset
-// before a query, snapshot after it — the pattern cqbench uses to report
-// per-query routing and spill numbers instead of run-long sums.
+// before a query, snapshot after it — per-query routing and spill numbers
+// instead of run-long sums.
 func ExampleEngine_ResetStats() {
 	q := cqbound.MustParse("Q(X,Z) <- R(X,Y), S(Y,Z).")
 	db := cqbound.NewDatabase()

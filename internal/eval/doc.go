@@ -6,22 +6,22 @@
 //   - JoinProject: the project-early plan in the spirit of Corollary 4.8 and
 //     Theorem 15 of Atserias–Grohe–Marx: after each join, variables that are
 //     neither head variables nor needed by later atoms are projected away.
-//     JoinProjectOrdered additionally accepts a planner-chosen atom order.
+//     JoinProjectExec additionally accepts a planner-chosen atom order.
 //   - GenericJoin: a variable-at-a-time worst-case optimal join (the modern
 //     algorithm family the AGM bound gave rise to).
 //   - Yannakakis (yannakakis.go): the linear-time algorithm for α-acyclic
 //     queries.
 //
 // All strategies return exactly Q(D) and are cross-checked in tests. Each
-// has a context-aware form (NaiveCtx, JoinProjectOrdered, GenericJoinCtx,
-// YannakakisCtx) that honors cancellation and stops early when an
+// has a context-aware form (NaiveCtx, JoinProjectExec, GenericJoinExec,
+// YannakakisExec) that honors cancellation and stops early when an
 // intermediate result is empty; the plain forms are conveniences with a
-// background context and the body's own atom order.
+// background context, nil options and the body's own atom order.
 //
 // # Pipelined, sharded execution
 //
 // JoinProjectExec and YannakakisExec are the only implementations of their
-// strategies (the plain and Ctx forms call them with nil options). Each
+// strategies (the plain forms call them with nil options). Each
 // builds pull-based column-batch pipelines (internal/batch) and routes
 // every binary join, semijoin and duplicate-eliminating projection through
 // internal/shard: the running intermediate is a shard.Piped — one pipeline

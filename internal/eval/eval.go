@@ -75,28 +75,21 @@ func NaiveCtx(ctx context.Context, q *cq.Query, db *database.Database) (*relatio
 // JoinProject evaluates q like Naive but projects each intermediate onto the
 // variables still needed: head variables plus variables of later atoms.
 func JoinProject(q *cq.Query, db *database.Database) (*relation.Relation, Stats, error) {
-	return JoinProjectOrdered(context.Background(), q, db, nil)
+	return JoinProjectExec(context.Background(), q, db, nil, nil)
 }
 
-// JoinProjectOrdered is the project-early plan evaluated along a chosen atom
-// order: order is a permutation of body-atom indices (nil keeps the body's
-// own order). Joining the most selective atoms first keeps intermediates
-// small; an empty intermediate ends evaluation immediately.
-func JoinProjectOrdered(ctx context.Context, q *cq.Query, db *database.Database, order []int) (*relation.Relation, Stats, error) {
-	return JoinProjectExec(ctx, q, db, order, nil)
-}
-
-// JoinProjectExec is JoinProjectOrdered under the evaluation options: the
+// JoinProjectExec evaluates q with the project-early plan along a chosen
+// atom order, honoring cancellation: order is a permutation of body-atom
+// indices (nil keeps the body's own order). Joining the most selective
+// atoms first keeps intermediates small; an empty binding ends evaluation
+// immediately, since it empties the output regardless of position. The
 // join-project fold runs as pull-based column-batch pipelines
 // (internal/batch) routed by internal/shard — scan, probe and projection
 // stages chain within each shard, every join reuses the partitioning the
 // previous stage left when it aligns with a join column and broadcasts or
 // exchanges otherwise, and rows first become a relation again at the head
-// projection's sink, so no intermediate is ever materialized. Bindings are
-// resolved (and checked for emptiness) up front, since an empty binding
-// empties the output regardless of position. nil opts (what
-// JoinProjectOrdered passes) means one pipeline per stage and default
-// batches.
+// projection's sink, so no intermediate is ever materialized. nil opts
+// means one pipeline per stage and default batches.
 func JoinProjectExec(ctx context.Context, q *cq.Query, db *database.Database, order []int, opts *shard.Options) (*relation.Relation, Stats, error) {
 	var st Stats
 	if err := validateAtoms(q, db); err != nil {
@@ -436,22 +429,17 @@ func headProjectionPiped(ctx context.Context, opts *shard.Options, q *cq.Query, 
 // GenericJoin evaluates q with a worst-case optimal variable-at-a-time
 // backtracking join.
 func GenericJoin(q *cq.Query, db *database.Database) (*relation.Relation, Stats, error) {
-	return GenericJoinCtx(context.Background(), q, db)
+	return GenericJoinExec(context.Background(), q, db, nil)
 }
 
-// GenericJoinCtx evaluates q with a worst-case optimal variable-at-a-time
+// GenericJoinExec evaluates q with a worst-case optimal variable-at-a-time
 // backtracking join: variables are ordered by descending atom frequency, a
 // per-atom trie indexes each binding relation along that order, and each
 // variable is extended by intersecting the candidate sets of all atoms
 // containing it, iterating over the smallest. Cancellation is checked at
-// every extension step.
-func GenericJoinCtx(ctx context.Context, q *cq.Query, db *database.Database) (*relation.Relation, Stats, error) {
-	return GenericJoinExec(ctx, q, db, nil)
-}
-
-// GenericJoinExec is GenericJoinCtx taking the evaluation options. The
-// search tree is single-shard by design (ROADMAP keeps sharding it as an
-// open item), so the options carry only the tracer: under tracing each
+// every extension step. The search tree is single-shard by design (ROADMAP
+// keeps sharding it as an open item), so opts (nil allowed) carry only the
+// tracer: under tracing each
 // atom's trie build becomes a scan span and each variable of the global
 // order an extension span counting the partial assignments that survived
 // that level — the worst-case-optimal analogue of per-join intermediate

@@ -30,7 +30,7 @@ func TestJoinProjectOrderedPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swapped, _, err := JoinProjectOrdered(context.Background(), q, db, []int{1, 0})
+	swapped, _, err := JoinProjectExec(context.Background(), q, db, []int{1, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +38,10 @@ func TestJoinProjectOrderedPermutation(t *testing.T) {
 		t.Errorf("reordered evaluation differs: %v vs %v", base, swapped)
 	}
 	// Bad orders must be rejected.
-	if _, _, err := JoinProjectOrdered(context.Background(), q, db, []int{0, 0}); err == nil {
+	if _, _, err := JoinProjectExec(context.Background(), q, db, []int{0, 0}, nil); err == nil {
 		t.Error("duplicate order accepted")
 	}
-	if _, _, err := JoinProjectOrdered(context.Background(), q, db, []int{0}); err == nil {
+	if _, _, err := JoinProjectExec(context.Background(), q, db, []int{0}, nil); err == nil {
 		t.Error("short order accepted")
 	}
 }
@@ -54,21 +54,21 @@ func TestEmptyIntermediateEarlyExit(t *testing.T) {
 	s.Add("y", "z")
 	db.MustAdd(s)
 
-	out, st, err := JoinProjectOrdered(context.Background(), q, db, nil)
+	out, st, err := JoinProjectExec(context.Background(), q, db, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Size() != 0 || !st.EarlyExit {
 		t.Errorf("join-project: size=%d earlyExit=%v", out.Size(), st.EarlyExit)
 	}
-	out, st, err = YannakakisCtx(context.Background(), q, db)
+	out, st, err = YannakakisExec(context.Background(), q, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Size() != 0 || !st.EarlyExit {
 		t.Errorf("yannakakis: size=%d earlyExit=%v", out.Size(), st.EarlyExit)
 	}
-	out, st, err = GenericJoinCtx(context.Background(), q, db)
+	out, st, err = GenericJoinExec(context.Background(), q, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +88,13 @@ func TestEarlyExitDoesNotMaskSchemaErrors(t *testing.T) {
 	if _, _, err := NaiveCtx(ctx, q, db); err == nil {
 		t.Error("naive: missing relation masked by empty intermediate")
 	}
-	if _, _, err := JoinProjectOrdered(ctx, q, db, nil); err == nil {
+	if _, _, err := JoinProjectExec(ctx, q, db, nil, nil); err == nil {
 		t.Error("join-project: missing relation masked by empty intermediate")
 	}
-	if _, _, err := GenericJoinCtx(ctx, q, db); err == nil {
+	if _, _, err := GenericJoinExec(ctx, q, db, nil); err == nil {
 		t.Error("generic join: missing relation masked by empty intermediate")
 	}
-	if _, _, err := YannakakisCtx(ctx, q, db); err == nil {
+	if _, _, err := YannakakisExec(ctx, q, db, nil); err == nil {
 		t.Error("yannakakis: missing relation masked by empty intermediate")
 	}
 }
@@ -104,13 +104,13 @@ func TestCancellation(t *testing.T) {
 	db := chainDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := JoinProjectOrdered(ctx, q, db, nil); err == nil {
+	if _, _, err := JoinProjectExec(ctx, q, db, nil, nil); err == nil {
 		t.Error("join-project ignored cancellation")
 	}
-	if _, _, err := GenericJoinCtx(ctx, q, db); err == nil {
+	if _, _, err := GenericJoinExec(ctx, q, db, nil); err == nil {
 		t.Error("generic join ignored cancellation")
 	}
-	if _, _, err := YannakakisCtx(ctx, q, db); err == nil {
+	if _, _, err := YannakakisExec(ctx, q, db, nil); err == nil {
 		t.Error("yannakakis ignored cancellation")
 	}
 	if _, _, err := NaiveCtx(ctx, q, db); err == nil {

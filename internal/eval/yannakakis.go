@@ -121,24 +121,21 @@ func IsAcyclic(q *cq.Query) bool {
 // plus ancestors' needs) produces the output. Returns an error for cyclic
 // queries.
 func Yannakakis(q *cq.Query, db *database.Database) (*relation.Relation, Stats, error) {
-	return YannakakisCtx(context.Background(), q, db)
+	return YannakakisExec(context.Background(), q, db, nil)
 }
 
-// YannakakisCtx is Yannakakis with cancellation (checked between semijoin
-// and join steps) and an early exit as soon as any binding relation is
-// empty: every atom participates in the final join, so the output is empty.
+// YannakakisExec evaluates an α-acyclic q with Yannakakis' algorithm, with
+// cancellation (checked between semijoin and join steps) and an early exit
+// as soon as any binding relation is empty: every atom participates in the
+// final join, so the output is empty.
 //
 // Sibling subtrees of the join tree are independent in every pass, so the
 // bottom-up and top-down semijoin sweeps and the final join recurse over a
 // node's children in parallel on a bounded worker pool; only the fold into
 // the parent is sequential. Semijoins probe the child's memoized hash index
 // (relation.Semijoin) instead of rescanning it per pass.
-func YannakakisCtx(ctx context.Context, q *cq.Query, db *database.Database) (*relation.Relation, Stats, error) {
-	return YannakakisExec(ctx, q, db, nil)
-}
-
-// YannakakisExec is YannakakisCtx under the evaluation options. The
-// semijoin passes produce a relation per node — a reducer is probed via
+//
+// The semijoin passes produce a relation per node — a reducer is probed via
 // its index, so it must exist whole — but each reduction itself runs as a
 // pipeline (scan → semijoin stages → sink) routed by internal/shard, and
 // every materialized reduction is a subset of a base binding. Semijoin
@@ -150,8 +147,7 @@ func YannakakisCtx(ctx context.Context, q *cq.Query, db *database.Database) (*re
 // subtree results — bounded by input + output after full reduction, the
 // Yannakakis guarantee — are forced, and the root's join, the plan's
 // largest intermediate, streams straight into the head projection. nil
-// opts (what YannakakisCtx passes) means one pipeline per stage and
-// default batches.
+// opts means one pipeline per stage and default batches.
 func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opts *shard.Options) (*relation.Relation, Stats, error) {
 	var st Stats
 	if err := validateAtoms(q, db); err != nil {

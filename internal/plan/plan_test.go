@@ -93,7 +93,7 @@ func TestOrderAtomsMostSelectiveFirst(t *testing.T) {
 		t.Fatalf("order = %v, want S (index 1) first", order)
 	}
 	// Every order must be a permutation usable by the evaluator.
-	out, _, err := eval.JoinProjectOrdered(context.Background(), q, db, order)
+	out, _, err := eval.JoinProjectExec(context.Background(), q, db, order, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestStrategiesAgreeOnRandomDatabases(t *testing.T) {
 			t.Errorf("query %d (%s): planned %v disagrees with naive: %d vs %d tuples",
 				i, q, p.Strategy, got.Size(), want.Size())
 		}
-		jp, _, err := eval.JoinProjectOrdered(context.Background(), q, db, OrderAtoms(q, db))
+		jp, _, err := eval.JoinProjectExec(context.Background(), q, db, OrderAtoms(q, db), nil)
 		if err != nil {
 			t.Fatalf("query %d: join-project: %v", i, err)
 		}

@@ -40,8 +40,9 @@ type Stats struct {
 	// budget: the budget is a target the governor evicts toward, never a
 	// hard cap that could deadlock pinned operators.
 	ResidentBytes int64
-	// PeakResidentBytes is the high-water mark of ResidentBytes — the
-	// figure the cqbench budget sweep derives its 1/2 and 1/4 budgets from.
+	// PeakResidentBytes is the high-water mark of ResidentBytes — the figure
+	// bench/ reports as spill.peak_resident_bytes and, over the budget, as
+	// spill.resident_over_budget.
 	PeakResidentBytes int64
 	// AuxReleases counts calls to the auxiliary victim (the Dict's string
 	// table) made because evicting every unpinned buffer still left the

@@ -55,7 +55,7 @@ func NewSlowQueryLog(w io.Writer, threshold time.Duration) *SlowQueryLog {
 // histograms, and emits the trace to the engine's sinks. The trace itself
 // is returned only by EvaluateTraced — plain Evaluate discards it after
 // the sinks have seen it. Overhead is a few percent of wall time at the
-// default batch size (cqbench -tracebench measures it); without this
+// default batch size (bench/ reports it as trace.overhead_frac); without this
 // option (and outside EvaluateTraced calls) evaluation pays only nil
 // checks on the instrumentation points.
 func WithTracing() Option {
