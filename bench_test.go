@@ -129,7 +129,11 @@ func BenchmarkAblationJoinStrategy(b *testing.B) {
 
 // BenchmarkAblationAcyclicStrategy compares Yannakakis with the binary
 // plans on a chain query full of dangling tuples — the workload where the
-// semijoin passes pay off.
+// semijoin passes pay off — and, under path-4-projected, with project-early
+// on a Zipf-skewed path Q(A,E) whose hub values reach each (A,C) pair
+// through many Bs: the workload where projecting each forced subtree onto
+// its parent's variables plus the head keeps Yannakakis level with
+// project-early.
 func BenchmarkAblationAcyclicStrategy(b *testing.B) {
 	q := cq.MustParse("Q(X,W) <- R(X,Y), S(Y,Z), T(Z,W).")
 	r := relation.New("R", "a", "b")
@@ -165,6 +169,24 @@ func BenchmarkAblationAcyclicStrategy(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("path-4-projected", func(b *testing.B) {
+		q := cq.MustParse("Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).")
+		db := datagen.ZipfEdgeDB(rand.New(rand.NewSource(17)), []string{"R", "S", "T", "U"}, 3000, 600, 1.4)
+		b.Run("yannakakis", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := eval.Yannakakis(q, db); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("joinproject", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := eval.JoinProject(q, db); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	})
 }
 

@@ -220,7 +220,9 @@ func EvaluateGenericJoin(q *Query, db *Database) (*Relation, EvalStats, error) {
 func IsAcyclic(q *Query) bool { return eval.IsAcyclic(q) }
 
 // EvaluateYannakakis computes Q(D) for α-acyclic queries with Yannakakis'
-// algorithm: semijoin reduction keeps intermediates at O(input + output).
+// algorithm: after semijoin reduction each forced intermediate is a subtree
+// join projected onto its parent interface plus the head, so evaluation is
+// O(input + output) when the head keeps every variable.
 func EvaluateYannakakis(q *Query, db *Database) (*Relation, EvalStats, error) {
 	return eval.Yannakakis(q, db)
 }

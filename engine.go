@@ -31,7 +31,9 @@ type (
 // Re-exported strategies.
 const (
 	// StrategyYannakakis evaluates α-acyclic queries by semijoin reduction
-	// in O(input + output).
+	// and a join pass that projects each subtree result onto its parent
+	// interface plus the head: O(input + output) when the head keeps every
+	// variable.
 	StrategyYannakakis = plan.StrategyYannakakis
 	// StrategyProjectEarly is the Corollary 4.8 join-project plan along a
 	// planner-chosen atom order.

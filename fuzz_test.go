@@ -19,8 +19,10 @@ import (
 // one projection, sharing no operator with the pipelines the engine runs),
 // and that the output respects the AGM bound rmax^ρ*(Q) — the paper's
 // Corollary 4.8 family made executable. The corpus is seeded with the five
-// example queries shipped in examples/ and two heads that repeat a
-// variable.
+// example queries shipped in examples/, two heads that repeat a variable,
+// and three shapes of Yannakakis' join pass: a path whose forced subtrees
+// project onto their parent's variables, and two bodies with a Boolean
+// guard atom that shares no variable with the head's atoms.
 func FuzzParseEvaluate(f *testing.F) {
 	// One seed per example program (quickstart, treewidth, optimizer,
 	// dataexchange, secretshare).
@@ -32,6 +34,9 @@ func FuzzParseEvaluate(f *testing.F) {
 		"R0(X1_1,X2_1) <- R1(X1_1,X2_1), T1(X1_1), T2(X2_1).",
 		"Q(X,X,Y) <- R(X,Y).",
 		"Q(X,X,Y) <- R(X,Y), S(Y,Z).",
+		"Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).",
+		"Q(X) <- R(X), S(Y).",
+		"Q(V1) <- R1(V2), R1(V2), R1(V1).",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -226,6 +226,7 @@ type joinIter struct {
 	started bool
 	done    bool
 	ix      *relation.Index // nil for cross products
+	all     []int32         // every right row: a cross product's matches
 	rcols   [][]relation.Value
 
 	cur     *Batch  // current left batch
@@ -240,7 +241,8 @@ type joinIter struct {
 func (j *joinIter) Attrs() []string { return j.attrs }
 
 // start builds the probe state on first pull: the memoized index over the
-// right side's join columns and a column snapshot to copy matches from.
+// right side's join columns (or, for a cross product, the one match list
+// every left row shares) and a column snapshot to copy matches from.
 func (j *joinIter) start() {
 	j.started = true
 	if j.right.Size() == 0 {
@@ -253,6 +255,8 @@ func (j *joinIter) start() {
 			cols[i] = p[1]
 		}
 		j.ix = j.right.Index(cols...)
+	} else {
+		j.all = allRows(j.right.Size())
 	}
 	j.right.Pin()
 	j.rcols = make([][]relation.Value, j.right.Arity())
@@ -313,7 +317,7 @@ func (j *joinIter) Next(ctx context.Context) (*Batch, error) {
 		}
 		if j.ix == nil {
 			// Cross product: every right row matches.
-			j.matches = allRows(j.right.Size())
+			j.matches = j.all
 			j.mpos = 0
 			j.row++
 			continue

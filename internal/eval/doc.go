@@ -9,8 +9,10 @@
 //     JoinProjectExec additionally accepts a planner-chosen atom order.
 //   - GenericJoin: a variable-at-a-time worst-case optimal join (the modern
 //     algorithm family the AGM bound gave rise to).
-//   - Yannakakis (yannakakis.go): the linear-time algorithm for α-acyclic
-//     queries.
+//   - Yannakakis (yannakakis.go): semijoin reduction over the GYO join tree
+//     of an α-acyclic query, then a join pass that projects each subtree
+//     result onto the variables its parent shares plus the head —
+//     O(input + output) when the head keeps every variable.
 //
 // All strategies return exactly Q(D) and are cross-checked in tests. Each
 // has a context-aware form (NaiveCtx, JoinProjectExec, GenericJoinExec,
@@ -42,7 +44,8 @@
 // Stats.MaxIntermediate is the largest relation an evaluation actually
 // built: for Naive and GenericJoin the largest intermediate or the
 // output, for JoinProjectExec the output (its intermediates stream), for
-// YannakakisExec the largest forced subtree result or the output.
+// YannakakisExec the largest forced subtree result — a subtree's join
+// projected onto its parent interface plus the head — or the output.
 // Per-stage row counts come from EvaluateTraced.
 //
 // GenericJoin extends one variable at a time and has no binary join to

@@ -16,10 +16,12 @@ import (
 
 // This file adds the classical complement to the paper's worst-case bounds:
 // α-acyclicity detection via the GYO reduction and Yannakakis' algorithm,
-// which evaluates acyclic conjunctive queries with intermediate results
-// bounded by input + output. (Acyclic queries are exactly those of
-// hypertree-width 1; the treewidth material of Section 5 concerns the same
-// structural-sparsity theme on the data side.)
+// which evaluates acyclic conjunctive queries in O(input + output) when the
+// head keeps every variable; with projections, each intermediate it builds
+// is a subtree's join projected onto the variables its parent shares plus
+// the head. (Acyclic queries are exactly those of hypertree-width 1; the
+// treewidth material of Section 5 concerns the same structural-sparsity
+// theme on the data side.)
 
 // JoinTreeNode is a node of a join tree: one body atom plus its children.
 type JoinTreeNode struct {
@@ -117,9 +119,9 @@ func IsAcyclic(q *cq.Query) bool {
 
 // Yannakakis evaluates an α-acyclic query with Yannakakis' algorithm:
 // a bottom-up semijoin pass removes dangling tuples, then a top-down pass
-// filters against parents, and a final bottom-up join (projecting to head
-// plus ancestors' needs) produces the output. Returns an error for cyclic
-// queries.
+// filters against parents, and a final bottom-up join (projecting each
+// subtree result onto the variables its parent shares plus the head)
+// produces the output. Returns an error for cyclic queries.
 func Yannakakis(q *cq.Query, db *database.Database) (*relation.Relation, Stats, error) {
 	return YannakakisExec(context.Background(), q, db, nil)
 }
@@ -143,10 +145,16 @@ func Yannakakis(q *cq.Query, db *database.Database) (*relation.Relation, Stats, 
 // stays partitioned through every later pass over it (misaligned passes
 // probe the reducer whole per part instead of re-exchanging). The join
 // pass builds one pipeline per node (scan of the reduced binding → probes
-// of the forced child subtree results → projection); only the projected
-// subtree results — bounded by input + output after full reduction, the
-// Yannakakis guarantee — are forced, and the root's join, the plan's
-// largest intermediate, streams straight into the head projection. nil
+// of the forced child subtree results); each child's result is projected
+// onto the variables the node's atom shares with it plus the head before it
+// is forced, and the root's join, the plan's largest intermediate, streams
+// straight into the head projection. After full reduction every forced
+// result is the projection of its subtree's join — at most the output's
+// size when the head keeps every variable, and otherwise at most (distinct
+// parent-interface values) × (distinct head projections of the output).
+// Components of the join tree that share no variable with the rest and
+// hold no head variable only guard non-emptiness, which the full reducer
+// already settled, so the join pass skips them (see withoutGuards). nil
 // opts means one pipeline per stage and default batches.
 func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opts *shard.Options) (*relation.Relation, Stats, error) {
 	var st Stats
@@ -266,20 +274,38 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 	}
 	mkDown.annotate(sd)
 	sd.End()
-	// Bottom-up join: each node's pipeline probes its children's forced
-	// subtree results; only the root's pipeline escapes unforced, into the
-	// head projection.
+	// Bottom-up join over the guard-free tree: each node's pipeline probes
+	// its children's forced subtree results, each projected onto the
+	// variables it shares with the node plus the head — by the running
+	// intersection property no variable above the node is needed from
+	// below it otherwise. Only the root's pipeline escapes unforced, into
+	// the head projection.
 	head := q.HeadVarSet()
 	var join func(n *JoinTreeNode) (*shard.Piped, error)
 	join = func(n *JoinTreeNode) (*shard.Piped, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		parentVars := q.Body[n.AtomIndex].VarSet()
 		subs := make([]*relation.Relation, len(n.Children))
 		if err := pool.Run(ctx, 0, len(n.Children), func(i int) error {
 			pd, err := join(n.Children[i])
 			if err != nil {
 				return err
+			}
+			var keep []string
+			for _, attr := range pd.Attrs() {
+				if v := cq.Variable(attr); head[v] || parentVars[v] {
+					keep = append(keep, attr)
+				}
+			}
+			if len(keep) == 0 {
+				return fmt.Errorf("eval: internal: empty projection in Yannakakis")
+			}
+			if len(keep) < len(pd.Attrs()) {
+				if pd, err = projectPipedNames(ctx, opts, pd, keep); err != nil {
+					return err
+				}
 			}
 			sunk, err := shard.MaterializePiped(ctx, opts, pd, "sub", true)
 			if err != nil {
@@ -310,23 +336,10 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 			shard.TracePiped(cur, jsp)
 			countJoin(0)
 		}
-		ownAttrs := reduced[n.AtomIndex].Attrs()
-		var keep []string
-		for _, attr := range cur.Attrs() {
-			if head[cq.Variable(attr)] || slices.Contains(ownAttrs, attr) {
-				keep = append(keep, attr)
-			}
-		}
-		if len(keep) == 0 {
-			return nil, fmt.Errorf("eval: internal: empty projection in Yannakakis")
-		}
-		if len(keep) == len(cur.Attrs()) {
-			return cur, nil
-		}
-		return projectPipedNames(ctx, opts, cur, keep)
+		return cur, nil
 	}
 	sj := stageSpan(opts, trace.KindStage, "join pass")
-	full, err := join(tree)
+	full, err := join(withoutGuards(q, tree))
 	if err != nil {
 		sj.End()
 		return nil, st, err
@@ -340,4 +353,44 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		st.MaxIntermediate = out.Size()
 	}
 	return out, st, nil
+}
+
+// withoutGuards returns the join tree the join pass runs over. Cutting
+// every tree edge whose atoms share no variable splits the tree into
+// components that share no variable with one another, so the output is the
+// cross product of the components' head projections. After the full
+// reducer every reduced relation is non-empty exactly when the output is,
+// so a component holding no head variable — a guard — contributes nothing
+// further and is dropped instead of cross-producted. The kept components
+// hang under the first one (the cross products the output needs); a query
+// whose head variables all lie outside the root's component is re-rooted
+// there, and a Boolean query keeps the root's component alone.
+func withoutGuards(q *cq.Query, tree *JoinTreeNode) *JoinTreeNode {
+	head := q.HeadVarSet()
+	var kept []*JoinTreeNode
+	// component copies n's component and reports whether it holds a head
+	// variable; kept collects the headed components cut off below it.
+	var component func(n *JoinTreeNode) (*JoinTreeNode, bool)
+	component = func(n *JoinTreeNode) (*JoinTreeNode, bool) {
+		a := q.Body[n.AtomIndex]
+		own := a.VarSet()
+		out := &JoinTreeNode{AtomIndex: n.AtomIndex}
+		headed := slices.ContainsFunc(a.Vars, func(v cq.Variable) bool { return head[v] })
+		for _, c := range n.Children {
+			sub, subHeaded := component(c)
+			if slices.ContainsFunc(q.Body[c.AtomIndex].Vars, func(v cq.Variable) bool { return own[v] }) {
+				out.Children = append(out.Children, sub)
+				headed = headed || subHeaded
+			} else if subHeaded {
+				kept = append(kept, sub)
+			}
+		}
+		return out, headed
+	}
+	root, headed := component(tree)
+	if !headed && len(kept) > 0 {
+		root, kept = kept[0], kept[1:]
+	}
+	root.Children = append(root.Children, kept...)
+	return root
 }

@@ -1,13 +1,17 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"cqbound/internal/batch"
 	"cqbound/internal/cq"
 	"cqbound/internal/database"
 	"cqbound/internal/datagen"
 	"cqbound/internal/relation"
+	"cqbound/internal/shard"
+	"cqbound/internal/spill"
 )
 
 func TestIsAcyclicKnownQueries(t *testing.T) {
@@ -144,6 +148,126 @@ func TestYannakakisDisconnectedQuery(t *testing.T) {
 	}
 	if out.Size() != 2 {
 		t.Fatalf("|Q(D)| = %d, want 2", out.Size())
+	}
+}
+
+// yannakakisOptions are the executor configurations the deterministic
+// Yannakakis tests run under: nil, partition-parallel at P=4 on any input,
+// single-row batches, and a 256-byte spill budget.
+func yannakakisOptions(t *testing.T) map[string]*shard.Options {
+	gov := spill.NewGovernor(256, t.TempDir())
+	t.Cleanup(func() { gov.Close() })
+	return map[string]*shard.Options{
+		"nil":        nil,
+		"shards=4":   {MinRows: 0, Shards: 4},
+		"batch=1":    {BatchSize: 1},
+		"budget=256": {Spill: gov},
+	}
+}
+
+// TestYannakakisProjectsToParentInterface pins the join pass's projection
+// rule: a forced subtree result keeps only the variables its parent atom
+// shares plus the head. On the path Q(A,E), every (A,C) pair is reached
+// through all four Bs, so the subtree under S forces π_{A,C}(R⋈S) — not
+// R⋈S, which keeping S's own B would force. When the head keeps every
+// variable there is nothing to project, and the largest relation built is
+// the output.
+func TestYannakakisProjectsToParentInterface(t *testing.T) {
+	path := func() *database.Database {
+		r := relation.New("R", "a", "b")
+		s := relation.New("S", "b", "c")
+		tt := relation.New("T", "c", "d")
+		u := relation.New("U", "d", "e")
+		for b := 0; b < 4; b++ {
+			for a := 0; a < 8; a++ {
+				r.Add("a"+itoa(a), "b"+itoa(b))
+			}
+			for c := 0; c < 8; c++ {
+				s.Add("b"+itoa(b), "c"+itoa(c))
+			}
+		}
+		for c := 0; c < 8; c++ {
+			tt.Add("c"+itoa(c), "d0")
+		}
+		for e := 0; e < 4; e++ {
+			u.Add("d0", "e"+itoa(e))
+		}
+		return dbWith(r, s, tt, u)
+	}
+	star := func() *database.Database {
+		r := relation.New("R", "x", "a")
+		s := relation.New("S", "x", "b")
+		tt := relation.New("T", "x", "c")
+		for x := 0; x < 2; x++ {
+			for i := 0; i < 3; i++ {
+				r.Add("x"+itoa(x), "a"+itoa(i))
+			}
+			for i := 0; i < 2; i++ {
+				s.Add("x"+itoa(x), "b"+itoa(i))
+				tt.Add("x"+itoa(x), "c"+itoa(i))
+			}
+		}
+		return dbWith(r, s, tt)
+	}
+	cases := []struct {
+		name, src string
+		db        func() *database.Database
+		// maxIntermediate is the largest relation the join pass builds.
+		maxIntermediate int
+	}{
+		// |R| = 32, |π_{A,C}(R⋈S)| = 8·8 = 64 (|R⋈S| = 256),
+		// |π_{A,D}(R⋈S⋈T)| = 8, |Q(D)| = 8·4 = 32.
+		{"path-4", "Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).", path, 64},
+		// |R| = 6, |R⋈S| = 12, |Q(D)| = 2·3·2·2 = 24.
+		{"star-full-head", "Q(X,A,B,C) <- R(X,A), S(X,B), T(X,C).", star, 24},
+	}
+	for _, c := range cases {
+		q := cq.MustParse(c.src)
+		db := c.db()
+		want, _, err := NaiveCtx(context.Background(), q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, opts := range yannakakisOptions(t) {
+			got, st, err := YannakakisExec(context.Background(), q, db, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, name, err)
+			}
+			if !relation.Equal(want, got) {
+				t.Fatalf("%s %s: %d tuples, naive has %d", c.name, name, got.Size(), want.Size())
+			}
+			if st.MaxIntermediate != c.maxIntermediate {
+				t.Errorf("%s %s: max intermediate %d, want %d", c.name, name, st.MaxIntermediate, c.maxIntermediate)
+			}
+		}
+	}
+}
+
+// TestYannakakisSkipsBooleanGuards pins that a component sharing no
+// variable with the rest of the query and holding no head variable only
+// guards non-emptiness: Q(X) <- R(X), S(Y) over 1 000 rows each must stream
+// a few passes over the inputs, not the 10⁶-row cross product.
+func TestYannakakisSkipsBooleanGuards(t *testing.T) {
+	r := relation.New("R", "a")
+	s := relation.New("S", "a")
+	for i := 0; i < 1000; i++ {
+		r.Add("r" + itoa(i))
+		s.Add("s" + itoa(i))
+	}
+	db := dbWith(r, s)
+	for _, src := range []string{"Q(X) <- R(X), S(Y).", "Q(Y) <- R(X), S(Y)."} {
+		q := cq.MustParse(src)
+		var m batch.Metrics
+		out, _, err := YannakakisExec(context.Background(), q, db, &shard.Options{Batch: &m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Size() != 1000 {
+			t.Fatalf("%s: |Q(D)| = %d, want 1000", src, out.Size())
+		}
+		if rows := m.Rows.Load(); rows >= 10*2000 {
+			t.Fatalf("%s: %d rows streamed for 1 000 output rows: the guard was cross-producted", src, rows)
+		}
 	}
 }
 

@@ -4,7 +4,9 @@
 // each strategy:
 //
 //   - α-acyclic queries (GYO reduction succeeds) run under Yannakakis'
-//     algorithm, whose intermediates stay within O(input + output);
+//     algorithm, whose forced intermediates are subtree joins projected
+//     onto their parent interface plus the head — O(input + output) when
+//     the head keeps every variable;
 //   - cyclic queries whose color number C(chase(Q)) is small and tight run
 //     the project-early plan of Corollary 4.8, whose cost is polynomial with
 //     exponent C + 1;

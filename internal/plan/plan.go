@@ -102,7 +102,8 @@ func Choose(q *cq.Query) (*Plan, error) {
 	if p.Acyclic {
 		p.Strategy = StrategyYannakakis
 		p.Rationale = "α-acyclic (GYO reduction succeeds): Yannakakis' semijoin " +
-			"algorithm runs in O(|D| + |Q(D)|) with intermediates bounded by input + output"
+			"algorithm projects each subtree result onto its parent interface plus the head, " +
+			"O(|D| + |Q(D)|) when the head keeps every variable"
 		return p, nil
 	}
 	ci, err := core.ColorNumberStage(st, false)
