@@ -18,7 +18,9 @@ import (
 	"cqbound/internal/experiments"
 	"cqbound/internal/graph"
 	"cqbound/internal/hornsat"
+	"cqbound/internal/plan"
 	"cqbound/internal/relation"
+	"cqbound/internal/shard"
 	"cqbound/internal/treewidth"
 )
 
@@ -451,15 +453,26 @@ func BenchmarkEngineChainScaledSharded(b *testing.B) {
 }
 
 // The sharded benchmarks above already measure the column-batch
-// pipelines at the default batch size; this one sweeps the batch size on
-// the chain.
+// pipelines at the Engine's batch size (batch.DefaultSize); this one
+// sweeps the executors' batch size on the chain, running the planned
+// strategy directly with the same sharding the Engine benchmarks use.
 
 func BenchmarkEngineChainScaledStreamedBatchSize(b *testing.B) {
 	db := benchScaledChainDB()
+	q := MustParse("Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).")
+	p, err := plan.ChooseForDB(q, db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
 	for _, bs := range []int{64, 1024, 8192} {
 		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
-			benchEngineWith(b, NewEngine(WithSharding(1024, 16), WithBatchSize(bs)),
-				"Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).", db)
+			opts := &shard.Options{MinRows: 1024, Shards: 16, BatchSize: bs}
+			for i := 0; i < b.N; i++ {
+				if _, _, err := plan.ExecuteOpts(ctx, p, q, db, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

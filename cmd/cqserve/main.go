@@ -64,7 +64,7 @@ func main() {
 		opts = append(opts, cqbound.WithSpillDir(*spilldir))
 	}
 	if *slow > 0 {
-		opts = append(opts, cqbound.WithTracing(), cqbound.WithSlowQueryThreshold(*slow))
+		opts = append(opts, cqbound.WithTracing(), cqbound.WithTraceSink(cqbound.NewSlowQueryLog(os.Stderr, *slow)))
 	} else if *traceAll {
 		opts = append(opts, cqbound.WithTracing())
 	}

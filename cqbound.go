@@ -33,8 +33,7 @@
 //	p, _ := eng.Explain(q)                    // strategy + paper-derived rationale
 //	out, stats, _ := eng.Evaluate(ctx, q, db) // planned execution
 //
-// The fixed-strategy helpers (Evaluate, EvaluateGenericJoin,
-// EvaluateYannakakis) remain for callers that want a specific algorithm.
+// Engine.EvaluateStrategy forces a specific algorithm instead.
 package cqbound
 
 import (
@@ -203,29 +202,9 @@ func NewDatabase() *Database { return database.New() }
 // given dictionary.
 func NewDatabaseIn(d *Dict) *Database { return database.NewIn(d) }
 
-// Evaluate computes Q(D) with the project-early plan of Corollary 4.8.
-func Evaluate(q *Query, db *Database) (*Relation, error) {
-	out, _, err := eval.JoinProject(q, db)
-	return out, err
-}
-
-// EvaluateGenericJoin computes Q(D) with the worst-case optimal
-// variable-at-a-time join.
-func EvaluateGenericJoin(q *Query, db *Database) (*Relation, EvalStats, error) {
-	return eval.GenericJoin(q, db)
-}
-
 // IsAcyclic reports whether the query's body hypergraph is α-acyclic
 // (GYO reduction).
 func IsAcyclic(q *Query) bool { return eval.IsAcyclic(q) }
-
-// EvaluateYannakakis computes Q(D) for α-acyclic queries with Yannakakis'
-// algorithm: after semijoin reduction each forced intermediate is a subtree
-// join projected onto its parent interface plus the head, so evaluation is
-// O(input + output) when the head keeps every variable.
-func EvaluateYannakakis(q *Query, db *Database) (*Relation, EvalStats, error) {
-	return eval.Yannakakis(q, db)
-}
 
 // WitnessDatabase builds the Proposition 4.5 worst-case database for a
 // (chased) query and a valid coloring: |Q(D)| = M^|colors(head)|.

@@ -1,6 +1,7 @@
 package cqbound
 
 import (
+	"context"
 	"math/big"
 	"testing"
 )
@@ -53,14 +54,16 @@ func TestPublicAPIEvaluation(t *testing.T) {
 	s.Add("y", "z")
 	db.MustAdd(r)
 	db.MustAdd(s)
-	out, err := Evaluate(q, db)
+	eng := NewEngine()
+	ctx := context.Background()
+	out, _, err := eng.Evaluate(ctx, q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Size() != 1 {
 		t.Fatalf("|Q(D)| = %d", out.Size())
 	}
-	gj, _, err := EvaluateGenericJoin(q, db)
+	gj, _, err := eng.EvaluateStrategy(ctx, StrategyGenericJoin, q, db)
 	if err != nil || gj.Size() != 1 {
 		t.Fatalf("generic join: %v %v", gj, err)
 	}
@@ -80,7 +83,7 @@ func TestPublicAPIWitnessAndChase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Evaluate(q, db)
+	out, _, err := NewEngine().Evaluate(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,17 +66,16 @@ type Engine struct {
 	// Transactional store (txn.go). txMu serializes commits and compactions;
 	// epochMu guards the epoch list, the live pointer, the byDB lookup and
 	// reader pin transitions. dict is the engine's private dictionary —
-	// swapped only by Compact, hence the atomic pointer (the spill governor's
-	// aux hook reads it without a lock). dedup holds the writer-owned
-	// tuple→row maps per relation chain, touched only under txMu.
-	txMu      sync.Mutex
-	epochMu   sync.Mutex
-	dict      atomic.Pointer[relation.Dict]
-	dedup     map[string]relation.Dedup
-	live      *epochState
-	epochs    []*epochState
-	byDB      map[*database.Database]*epochState
-	retention int
+	// swapped only by Compact, hence the atomic pointer (staging and stats
+	// read it without a lock). dedup holds the writer-owned tuple→row maps
+	// per relation chain, touched only under txMu.
+	txMu    sync.Mutex
+	epochMu sync.Mutex
+	dict    atomic.Pointer[relation.Dict]
+	dedup   map[string]relation.Dedup
+	live    *epochState
+	epochs  []*epochState
+	byDB    map[*database.Database]*epochState
 
 	// Epoch lifecycle counters (EpochStats).
 	commits     atomic.Int64
@@ -97,11 +96,8 @@ type Engine struct {
 	shardingOn   bool
 	shardMinRows int
 	shardCount   int
-	skewFraction float64
 	memBudget    int64
 	spillDir     string
-	dictSpill    bool
-	batchSize    int
 }
 
 // Option configures an Engine at construction.
@@ -125,20 +121,6 @@ func WithSharding(threshold, shards int) Option {
 		e.shardingOn = true
 		e.shardMinRows = threshold
 		e.shardCount = shards
-	}
-}
-
-// WithSkewSplitting tunes the hot-shard trigger of the sharded operators:
-// when one shard of an operator's probe side holds more than the given
-// fraction of that side's rows — one dominant key value hashes all its
-// rows into a single shard — the shard is split into row blocks that each
-// join against the (read-only, pointer-replicated) co-shard, keeping
-// per-worker cost balanced even under Zipf-distributed keys. The default
-// without this option is 0.25; a negative fraction disables splitting.
-// The option only takes effect alongside WithSharding.
-func WithSkewSplitting(fraction float64) Option {
-	return func(e *Engine) {
-		e.skewFraction = fraction
 	}
 }
 
@@ -174,38 +156,12 @@ func WithSpillDir(dir string) Option {
 	}
 }
 
-// WithBatchSize sets the row count of the column batches evaluation moves
-// between pipeline stages (default 1024). Evaluation is streamed: the
-// join-project and Yannakakis executors build pull-based per-shard
-// pipelines (scan → semijoin → join probe → projection) that hold one
-// batch per stage instead of materializing every operator output, so peak
-// residency tracks the output and the probe-side bindings rather than the
-// largest intermediate. Larger batches amortize per-batch overhead;
-// smaller ones tighten the residency bound. Outputs are identical at every
-// size. StreamStats reports what the pipelines did.
-func WithBatchSize(rows int) Option {
-	return func(e *Engine) {
-		e.batchSize = rows
-	}
-}
-
-// WithDictSpill additionally lets the governor park the process-wide
-// dictionary's string table (needed only at the parse/print boundary; it
-// reloads lazily on the next parse or print) as the last-resort victim
-// when evicting every unpinned shard still leaves the engine over budget.
-// Off by default because the dictionary is process-wide state shared by
-// every engine. Only meaningful together with WithMemoryBudget.
-func WithDictSpill() Option {
-	return func(e *Engine) {
-		e.dictSpill = true
-	}
-}
-
 // SpillStats is a point-in-time copy of the engine's memory-governor
 // counters: shards currently parked on disk and cumulative reloads,
 // eviction counts, bytes in spill files, pins that had to wait for a
-// segment load, and the resident-bytes gauge with its high-water mark.
-// All zeros when the engine was built without WithMemoryBudget.
+// segment load, the resident-bytes gauge with its high-water mark, the
+// registered buffers, and the bytes a serving front-end reserved. All
+// zeros when the engine was built without WithMemoryBudget.
 type SpillStats = spill.Stats
 
 // SpillStats reports what the engine's memory governor has done across all
@@ -215,16 +171,12 @@ func (e *Engine) SpillStats() SpillStats {
 	return e.spill.Snapshot()
 }
 
-// Close releases the engine's spill state: parked shards — and, under
-// WithDictSpill, a parked dictionary — are loaded back into memory
-// (relations stay fully usable afterwards) and the engine's spill
-// directory is removed. A nil spill configuration makes Close a no-op.
-// The engine itself remains usable, but a long-lived budgeted engine
-// should be Closed when retired so no segment files leak.
+// Close releases the engine's spill state: parked shards are loaded back
+// into memory (relations stay fully usable afterwards) and the engine's
+// spill directory is removed. A nil spill configuration makes Close a
+// no-op. The engine itself remains usable, but a long-lived budgeted
+// engine should be Closed when retired so no segment files leak.
 func (e *Engine) Close() error {
-	// The governor quiesces and restores its aux victim (the parked
-	// dictionary, under WithDictSpill) itself before removing the
-	// directory.
 	return e.spill.Close()
 }
 
@@ -284,57 +236,33 @@ func NewEngine(opts ...Option) *Engine {
 	// Every engine owns a private dictionary and an initial empty epoch:
 	// values ingested through transactions intern here, never in the
 	// process-wide default, so concurrent engines cannot cross-contaminate
-	// IDs (and one engine parking its dictionary cannot race another's
-	// lookups). Free-standing databases handed to Evaluate keep resolving
+	// IDs. Free-standing databases handed to Evaluate keep resolving
 	// through the default dictionary as before.
 	e.dict.Store(relation.NewDict())
-	if e.retention < 1 {
-		e.retention = 1
-	}
 	live := &epochState{epoch: 1, db: database.NewIn(e.dict.Load()).Next(1, nil)}
 	e.live = live
 	e.epochs = []*epochState{live}
 	e.byDB = map[*database.Database]*epochState{live.db: live}
 	if e.memBudget > 0 {
 		e.spill = spill.NewGovernor(e.memBudget, e.spillDir)
-		if e.dictSpill {
-			gov := e.spill
-			gov.SetAux(func() int64 {
-				path, err := gov.SpillPath("dict.park")
-				if err != nil {
-					return 0
-				}
-				freed, err := e.parkableDict().Park(path)
-				if err != nil {
-					return 0
-				}
-				return freed
-			}, func() {
-				// Unpark both candidates: the parkable choice may have
-				// changed between eviction and restore (ingest filled the
-				// engine dictionary). Unpark is a no-op when resident.
-				e.dict.Load().Unpark()
-				relation.DefaultDict().Unpark()
-			})
-		}
 	}
 	if e.shardingOn {
 		e.sharding = &shard.Options{
-			MinRows:      e.shardMinRows,
-			Shards:       e.shardCount,
-			SkewFraction: e.skewFraction,
-			Metrics:      &shard.Metrics{},
-			Spill:        e.spill,
+			MinRows: e.shardMinRows,
+			Shards:  e.shardCount,
+			Metrics: &shard.Metrics{},
+			Spill:   e.spill,
 		}
 	}
 	// The executors' configuration rides on shard.Options (the pipelines
 	// are per-shard), so an engine without WithSharding gets a single-shard
-	// options block carrying the governor, batch size and counters.
+	// options block carrying the governor and counters. Batch size and the
+	// skew-split trigger stay at the executors' defaults (batch.DefaultSize
+	// rows; a shard over 0.25 of its side's rows splits).
 	e.stream = &batch.Metrics{}
 	if e.sharding == nil {
 		e.sharding = &shard.Options{Shards: 1, Spill: e.spill}
 	}
-	e.sharding.BatchSize = e.batchSize
 	e.sharding.Batch = e.stream
 	return e
 }
@@ -678,19 +606,4 @@ func (e *Engine) EvaluateStrategy(ctx context.Context, s Strategy, q *Query, db 
 	opts, scope := e.evalOptions()
 	defer scope.Close()
 	return plan.ExecuteOpts(ctx, forced, q, db, opts)
-}
-
-// ChoosePlan exposes the planner directly for callers that manage their own
-// execution: the structural plan plus, when db is non-nil, a
-// cardinality-aware atom order.
-func ChoosePlan(q *Query, db *Database) (*Plan, error) {
-	if db == nil {
-		return plan.Choose(q)
-	}
-	return plan.ChooseForDB(q, db)
-}
-
-// ExecutePlan runs a previously chosen plan.
-func ExecutePlan(ctx context.Context, p *Plan, q *Query, db *Database) (*Relation, EvalStats, error) {
-	return plan.Execute(ctx, p, q, db)
 }

@@ -64,7 +64,7 @@ func TestEngineIgnoresStaleSpillFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Garbage with plausible segment names, as a crashed run would leave.
-	for _, name := range []string{"seg-1.seg", "seg-2.seg", "dict.park"} {
+	for _, name := range []string{"seg-1.seg", "seg-2.seg"} {
 		if err := os.WriteFile(filepath.Join(stale, name), []byte("not a segment"), 0o600); err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestEngineIgnoresStaleSpillFiles(t *testing.T) {
 	if eng.SpillStats().Evictions == 0 {
 		t.Fatal("budget never forced a spill — the stale-file check proved nothing")
 	}
-	for _, name := range []string{"seg-1.seg", "seg-2.seg", "dict.park"} {
+	for _, name := range []string{"seg-1.seg", "seg-2.seg"} {
 		raw, err := os.ReadFile(filepath.Join(stale, name))
 		if err != nil || string(raw) != "not a segment" {
 			t.Fatalf("stale file %s was touched (err %v)", name, err)
@@ -173,37 +173,6 @@ func TestEngineResetStatsNoSpillNoSharding(t *testing.T) {
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatalf("plain Close: %v", err)
-	}
-}
-
-// TestEngineDictSpill exercises the last-resort victim: with every shard
-// pinned implicitly tiny and the budget microscopic, the governor parks
-// the dictionary's string table, and parsing/printing afterwards still
-// works because the table reloads lazily.
-func TestEngineDictSpill(t *testing.T) {
-	q, db := spillTestWorkload()
-	eng := NewEngine(WithSharding(0, 4), WithMemoryBudget(1), WithSpillDir(t.TempDir()), WithDictSpill())
-	defer eng.Close()
-	out, _, err := eng.Evaluate(context.Background(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.SpillStats().AuxReleases == 0 {
-		t.Skip("aux victim did not fire on this run (all buffers evictable); mechanism covered in internal/spill")
-	}
-	// The dictionary reloads transparently: rendering output tuples needs
-	// the parked strings back.
-	if out.Size() > 0 {
-		s := out.Row(0).Strings()
-		if len(s) == 0 || s[0] == "" {
-			t.Fatal("dict strings lost after park")
-		}
-	}
-	if v := relation.V("fresh-after-park"); v == 0 {
-		t.Fatal("interning after dict park broken")
-	}
-	if out.String() == "" {
-		t.Fatal("rendering after dict park broken")
 	}
 }
 

@@ -35,8 +35,9 @@ func ExampleChase() {
 	// R0(W,W,W,Z)
 }
 
-// ExampleEvaluate runs a small composition query.
-func ExampleEvaluate() {
+// ExampleEngine_EvaluateStrategy forces one algorithm — here the
+// Corollary 4.8 project-early plan — instead of the planner's choice.
+func ExampleEngine_EvaluateStrategy() {
 	q := cqbound.MustParse("Q(X,Z) <- R(X,Y), S(Y,Z).")
 	db := cqbound.NewDatabase()
 	r := cqbound.NewRelation("R", "a", "b")
@@ -46,7 +47,8 @@ func ExampleEvaluate() {
 	s.Add("bob", "dan")
 	db.MustAdd(r)
 	db.MustAdd(s)
-	out, err := cqbound.Evaluate(q, db)
+	eng := cqbound.NewEngine()
+	out, _, err := eng.EvaluateStrategy(context.Background(), cqbound.StrategyProjectEarly, q, db)
 	if err != nil {
 		panic(err)
 	}
@@ -114,11 +116,11 @@ func ExampleWithSharding() {
 	// sharded: 50 tuples; identical: true
 }
 
-// ExampleWithSkewSplitting tunes the hot-shard trigger: here every row of
+// ExampleWithSharding_skew shows the hot-shard trigger: here every row of
 // R carries the same join value, so hash partitioning would serialize the
-// whole join into one shard — the skew handler splits that shard into row
-// blocks instead, and ShardStats records it.
-func ExampleWithSkewSplitting() {
+// whole join into one shard. A shard holding over a quarter of its side's
+// rows is split into row blocks instead, and ShardStats records it.
+func ExampleWithSharding_skew() {
 	q := cqbound.MustParse("Q(X,Z) <- R(X,Y), S(Y,Z).")
 	db := cqbound.NewDatabase()
 	r := cqbound.NewRelation("R", "a", "b")
@@ -130,7 +132,7 @@ func ExampleWithSkewSplitting() {
 	db.MustAdd(r)
 	db.MustAdd(s)
 
-	eng := cqbound.NewEngine(cqbound.WithSharding(0, 4), cqbound.WithSkewSplitting(0.2))
+	eng := cqbound.NewEngine(cqbound.WithSharding(0, 4))
 	out, _, err := eng.Evaluate(context.Background(), q, db)
 	if err != nil {
 		panic(err)
@@ -262,43 +264,6 @@ func ExampleEngine_ResetStats() {
 	// Output:
 	// window cache hits: 1 misses: 0
 	// window sharded ops: true
-}
-
-// ExampleWithBatchSize tunes the streamed executors' batch granularity
-// and reads StreamStats: evaluation is streamed — per-shard pull pipelines
-// move fixed-size column batches from scan through probes and projection,
-// materializing only the output — and the batch size trades per-batch
-// overhead against the residency bound. Outputs are identical at every
-// size.
-func ExampleWithBatchSize() {
-	q := cqbound.MustParse("Q(A,D) <- R(A,B), S(B,C), T(C,D).")
-	db := cqbound.NewDatabase()
-	for _, name := range []string{"R", "S", "T"} {
-		rel := cqbound.NewRelation(name, "a", "b")
-		for i := 0; i < 200; i++ {
-			rel.Add(fmt.Sprintf("u%d", (i*7)%40), fmt.Sprintf("u%d", (i*13)%40))
-		}
-		db.MustAdd(rel)
-	}
-	small := cqbound.NewEngine(cqbound.WithSharding(0, 4), cqbound.WithBatchSize(8))
-	deflt := cqbound.NewEngine(cqbound.WithSharding(0, 4)) // batch size 1024
-	ctx := context.Background()
-	a, _, err := small.Evaluate(ctx, q, db)
-	if err != nil {
-		panic(err)
-	}
-	b, _, err := deflt.Evaluate(ctx, q, db)
-	if err != nil {
-		panic(err)
-	}
-	st := small.StreamStats()
-	fmt.Println("identical:", cqbound.RelationsEqual(a, b))
-	fmt.Println("streamed batches:", st.BatchesProduced > 0)
-	fmt.Println("bytes never materialized:", st.BytesNeverMaterialized > 0)
-	// Output:
-	// identical: true
-	// streamed batches: true
-	// bytes never materialized: true
 }
 
 // ExampleEngine_Begin ingests through a transaction, evaluates against a

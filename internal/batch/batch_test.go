@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -414,6 +415,72 @@ func TestFanMergesChains(t *testing.T) {
 	}
 	if !relation.Equal(got, want) {
 		t.Fatalf("fan merged %d rows, want %d", got.Size(), want.Size())
+	}
+}
+
+// panicAt serves its source's batches and panics on pull number at.
+type panicAt struct {
+	src   batch.Iterator
+	at    int
+	pulls int
+}
+
+func (p *panicAt) Attrs() []string { return p.src.Attrs() }
+func (p *panicAt) Next(ctx context.Context) (*batch.Batch, error) {
+	p.pulls++
+	if p.pulls == p.at {
+		panic("chain exploded")
+	}
+	return p.src.Next(ctx)
+}
+
+// endless serves the same batch until its context is canceled.
+type endless struct{ b batch.Batch }
+
+func (e *endless) Attrs() []string { return []string{"a"} }
+func (e *endless) Next(ctx context.Context) (*batch.Batch, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return &e.b, nil
+}
+
+// TestFanRepanicsOnConsumer: a panic in one of Fan's chains surfaces on
+// the goroutine calling Next, with the original value and the chain's
+// stack, instead of killing the process from a bare goroutine. The other
+// chain never ends on its own, so the panic surfacing at all shows the
+// siblings were stopped.
+func TestFanRepanicsOnConsumer(t *testing.T) {
+	r := randomRel(rand.New(rand.NewSource(14)), "R", []string{"a"}, 100, 10_000)
+	mks := []func() batch.Iterator{
+		func() batch.Iterator { return &panicAt{src: batch.Scan(r, 8, nil), at: 3} },
+		func() batch.Iterator {
+			return &endless{b: batch.Batch{Cols: [][]relation.Value{{relation.V("x")}}, N: 1}}
+		},
+	}
+	it := batch.Fan(mks, r.Attrs)
+	var got any
+	pulled := 0
+	func() {
+		defer func() { got = recover() }()
+		for {
+			b, err := it.Next(context.Background())
+			if err != nil || b == nil {
+				t.Errorf("Fan ended without the panic: %v", err)
+				return
+			}
+			pulled++
+		}
+	}()
+	if got == nil {
+		t.Fatal("chain panic was swallowed")
+	}
+	msg := fmt.Sprint(got)
+	if !strings.Contains(msg, "chain exploded") || !strings.Contains(msg, "batch_test.go") {
+		t.Fatalf("re-panic lost the original value or the chain's stack:\n%s", msg)
+	}
+	if pulled == 0 {
+		t.Fatal("consumer saw no batch before the panic")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"sync"
 
+	"cqbound/internal/pool"
 	"cqbound/internal/relation"
 )
 
@@ -293,7 +294,9 @@ func shardOf(v relation.Value, p int) int {
 // unspecified (downstream stages are order-insensitive).
 //
 // The context of the first Next call drives the producer goroutines;
-// streamed plans pull a pipeline under one context for its lifetime.
+// streamed plans pull a pipeline under one context for its lifetime. A
+// panic in one chain stops the others, and Next raises it again on the
+// consumer's goroutine with the chain's stack (as pool.Run does).
 func Grow(mk func() Iterator, attrs []string, hot func() bool, onSplit func()) Iterator {
 	return &growIter{mks: []func() Iterator{mk}, mk: mk, attrs: attrs, hot: hot, onSplit: onSplit}
 }
@@ -301,9 +304,10 @@ func Grow(mk func() Iterator, attrs []string, hot func() bool, onSplit func()) I
 // Fan merges several independently produced chains into one iterator: every
 // maker's chain runs in its own goroutine from the first pull, batches are
 // deep-copied into a shared channel, and the merged stream ends when all
-// chains do. Row order across chains is unspecified. Used to split a hot
-// probe relation into row blocks, each probed by its own chain over a
-// replayable copy of the shared input.
+// chains do. Row order across chains is unspecified, and a chain's panic
+// surfaces from Next as for Grow. Used to split a hot probe relation into
+// row blocks, each probed by its own chain over a replayable copy of the
+// shared input.
 func Fan(mks []func() Iterator, attrs []string) Iterator {
 	return &growIter{mks: mks, attrs: attrs}
 }
@@ -315,39 +319,65 @@ type growIter struct {
 	hot     func() bool
 	onSplit func()
 
-	once  sync.Once
-	ch    chan *Batch
-	wg    sync.WaitGroup
-	split bool
-	mu    sync.Mutex
-	err   error
+	once   sync.Once
+	ch     chan *Batch
+	wg     sync.WaitGroup
+	cancel context.CancelFunc
+	split  bool
+	mu     sync.Mutex
+	err    error
+	crash  error // a chain's panic, raised again by Next
 }
 
 func (g *growIter) Attrs() []string { return g.attrs }
 
 func (g *growIter) start(ctx context.Context) {
+	ctx, g.cancel = context.WithCancel(ctx)
+	// Two slots: each chain of the usual two-way split can park one
+	// deep-copied batch while the consumer works on the previous one.
 	g.ch = make(chan *Batch, 2)
 	g.wg.Add(len(g.mks))
 	for _, mk := range g.mks {
-		mk := mk
-		go func() { g.run(ctx, mk()) }()
+		go g.run(ctx, mk)
 	}
 	go func() {
 		g.wg.Wait()
+		g.cancel()
 		close(g.ch)
 	}()
 }
 
-func (g *growIter) run(ctx context.Context, it Iterator) {
+// fail records a chain's error; the first one wins.
+func (g *growIter) fail(err error) {
+	g.mu.Lock()
+	if g.err == nil {
+		g.err = err
+	}
+	g.mu.Unlock()
+}
+
+// run builds one chain with mk and drains it into the channel. A panic in
+// the chain would kill the process from this bare goroutine, so it is
+// recovered, the sibling chains are stopped, and Next raises it again on
+// the consumer's goroutine with the chain's stack.
+func (g *growIter) run(ctx context.Context, mk func() Iterator) {
 	defer g.wg.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			crash := pool.Recovered(v)
+			g.mu.Lock()
+			if g.crash == nil {
+				g.crash = crash
+			}
+			g.mu.Unlock()
+			g.cancel()
+		}
+	}()
+	it := mk()
 	for {
 		b, err := it.Next(ctx)
 		if err != nil {
-			g.mu.Lock()
-			if g.err == nil {
-				g.err = err
-			}
-			g.mu.Unlock()
+			g.fail(err)
 			return
 		}
 		if b == nil {
@@ -356,11 +386,7 @@ func (g *growIter) run(ctx context.Context, it Iterator) {
 		select {
 		case g.ch <- b.clone():
 		case <-ctx.Done():
-			g.mu.Lock()
-			if g.err == nil {
-				g.err = ctx.Err()
-			}
-			g.mu.Unlock()
+			g.fail(ctx.Err())
 			return
 		}
 		g.mu.Lock()
@@ -374,7 +400,7 @@ func (g *growIter) run(ctx context.Context, it Iterator) {
 				g.onSplit()
 			}
 			g.wg.Add(1)
-			go g.run(ctx, g.mk())
+			go g.run(ctx, g.mk)
 		}
 	}
 }
@@ -387,5 +413,8 @@ func (g *growIter) Next(ctx context.Context) (*Batch, error) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.crash != nil {
+		panic(g.crash)
+	}
 	return nil, g.err
 }

@@ -69,7 +69,6 @@ func TestPropertyIngestSnapshotsAgree(t *testing.T) {
 func ingestDisagreement(t *testing.T, rng *rand.Rand, p int, spillDir string, q *cqbound.Query, db *cqbound.Database) string {
 	eng := cqbound.NewEngine(
 		cqbound.WithSharding(0, p),
-		cqbound.WithSkewSplitting(propertySkewFraction),
 		cqbound.WithMemoryBudget(spillBudgetBytes),
 		cqbound.WithSpillDir(spillDir),
 	)

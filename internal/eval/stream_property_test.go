@@ -9,6 +9,9 @@
 // boundary, so an off-by-one in pipeline handoff, exchange scatter,
 // buffered replay or skew splitting surfaces at once; the 256-byte budget
 // parks and reloads governed shards while the pipelines are still pulling.
+// The Engine has options for the shard and budget axes only; it runs at the
+// executors' default batch size and skew trigger, which the bare executors
+// cover at every batch size with splitting forced.
 package eval_test
 
 import (
@@ -47,8 +50,8 @@ const spillBudgetBytes = 256
 // propertyMatrix is the executor matrix, one row per axis. Pair i takes
 // value i mod len of a cycled axis — the cycled lengths are pairwise
 // coprime, so every combination of them recurs — and every value of a
-// crossed axis. A new axis is one row here plus its use in cellOptions and
-// cellEngine.
+// crossed axis. A new axis is one row here plus its use in cellOptions, and
+// in cellEngine when an Engine option sets it.
 var propertyMatrix = []struct {
 	name    string
 	values  []int
@@ -127,22 +130,20 @@ func (r *propertyRig) cellOptions(c propertyCell, scope *spill.Scope) *shard.Opt
 	return opts
 }
 
-// cellEngine returns the cell's Engine, built on first use.
+// cellEngine returns the Engine for the cell's shard and budget values,
+// built on first use.
 func (r *propertyRig) cellEngine(c propertyCell) *cqbound.Engine {
-	if eng, ok := r.engines[c.String()]; ok {
+	key := fmt.Sprintf("shards=%d budget=%d", c["shards"], c["budget"])
+	if eng, ok := r.engines[key]; ok {
 		return eng
 	}
-	opts := []cqbound.Option{
-		cqbound.WithSharding(0, c["shards"]),
-		cqbound.WithSkewSplitting(propertySkewFraction),
-		cqbound.WithBatchSize(c["batch"]),
-	}
+	opts := []cqbound.Option{cqbound.WithSharding(0, c["shards"])}
 	if budget := c["budget"]; budget > 0 {
 		opts = append(opts, cqbound.WithMemoryBudget(int64(budget)), cqbound.WithSpillDir(r.t.TempDir()))
 	}
 	eng := cqbound.NewEngine(opts...)
 	r.t.Cleanup(func() { eng.Close() })
-	r.engines[c.String()] = eng
+	r.engines[key] = eng
 	return eng
 }
 

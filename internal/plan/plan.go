@@ -153,14 +153,9 @@ func ChooseForDB(q *cq.Query, db *database.Database) (*Plan, error) {
 	return p, nil
 }
 
-// Execute runs the plan on db. The query must be the one the plan was
-// chosen for.
-func Execute(ctx context.Context, p *Plan, q *cq.Query, db *database.Database) (*relation.Relation, eval.Stats, error) {
-	return ExecuteOpts(ctx, p, q, db, nil)
-}
-
-// ExecuteOpts is Execute with sharded execution. When opts enables
-// sharding, the Yannakakis and project-early strategies route their joins,
+// ExecuteOpts runs the plan on db; the query must be the one the plan was
+// chosen for, and nil opts runs single-shard. When opts enables sharding,
+// the Yannakakis and project-early strategies route their joins,
 // semijoins and projections through internal/shard: the planner's atom
 // order determines which relations meet at each join, and the partition key
 // is chosen per join among the columns that order makes shared (falling

@@ -143,7 +143,7 @@ func TestStrategiesAgreeOnRandomDatabases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d (%s): choose: %v", i, q, err)
 		}
-		got, _, err := Execute(context.Background(), p, q, db)
+		got, _, err := ExecuteOpts(context.Background(), p, q, db, nil)
 		if err != nil {
 			t.Fatalf("query %d (%s): planned %v: %v", i, q, p.Strategy, err)
 		}

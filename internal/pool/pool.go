@@ -59,7 +59,7 @@ func Run(ctx context.Context, workers, n int, f func(i int) error) error {
 		wg    sync.WaitGroup
 		mu    sync.Mutex
 		first error
-		crash *workerPanic
+		crash error
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -78,11 +78,7 @@ func Run(ctx context.Context, workers, n int, f func(i int) error) error {
 				if v == nil {
 					return
 				}
-				// A nested Run already captured the innermost stack.
-				wp, ok := v.(*workerPanic)
-				if !ok {
-					wp = &workerPanic{value: v, stack: debug.Stack()}
-				}
+				wp := Recovered(v)
 				mu.Lock()
 				if crash == nil {
 					crash = wp
@@ -115,9 +111,21 @@ func Run(ctx context.Context, workers, n int, f func(i int) error) error {
 	return ctx.Err()
 }
 
-// workerPanic is what Run panics with on the calling goroutine after f
-// panicked on a worker: the original value, plus the worker's stack, which
-// the re-panic would otherwise lose.
+// Recovered wraps a value recovered on a worker goroutine for panicking
+// again on the goroutine that consumes the worker's results: the re-panic
+// prints the original value plus the worker's stack, which it would
+// otherwise lose. Call it in the deferred function that recovered, while
+// the panicking stack is still live. A value that already carries a worker
+// stack (a nested re-panic) passes through, keeping the innermost stack.
+func Recovered(v any) error {
+	if wp, ok := v.(*workerPanic); ok {
+		return wp
+	}
+	return &workerPanic{value: v, stack: debug.Stack()}
+}
+
+// workerPanic is what Run, and the Next of batch.Fan and batch.Grow, panic
+// with after a worker panicked: the original value plus the worker's stack.
 type workerPanic struct {
 	value any
 	stack []byte

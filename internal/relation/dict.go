@@ -1,10 +1,7 @@
 package relation
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"os"
 	"sync"
 )
 
@@ -19,131 +16,14 @@ import (
 // same Database. The package therefore keeps one process-wide default
 // dictionary; database.Database exposes it via its Dict method. A Dict grows
 // monotonically (interned strings are never released), which matches the
-// append-only relations it serves.
+// append-only relations it serves; CompactInto copies the strings still in
+// use into a fresh one.
 //
 // A Dict is safe for concurrent use.
-//
-// The string table is needed only at the parse/print boundary — every
-// operator compares bare IDs — so under memory pressure it can be parked
-// on disk (Park) and is reloaded transparently by the next Intern, Lookup
-// or String call. The Engine's spill governor uses this as its last-resort
-// victim.
 type Dict struct {
 	mu   sync.RWMutex
 	strs []string
 	ids  map[string]Value
-
-	// parkPath is the file holding the serialized table while strs/ids are
-	// released; "" when the table is resident. parkedLen remembers the
-	// entry count so Len answers without a reload.
-	parkPath  string
-	parkedLen int
-}
-
-// Park serializes the dictionary's string table to path and releases the
-// in-memory tables (both directions: the string slice and the id map),
-// returning an estimate of the bytes freed. The next Intern, Lookup or
-// String call reloads the table transparently; Len answers while parked.
-// IDs are stable across park/unpark — they are positions in the serialized
-// order — so every stored relation remains valid. Parking an already
-// parked or empty dictionary is a no-op.
-func (d *Dict) Park(path string) (int64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.parkPath != "" || len(d.strs) == 0 {
-		return 0, nil
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return 0, err
-	}
-	// Stream through a buffered writer: parking fires under memory
-	// pressure, so serialization must not build a second copy of the
-	// table in memory.
-	w := bufio.NewWriterSize(f, 1<<16)
-	var freed int64
-	var lenBuf []byte
-	fail := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	lenBuf = binary.AppendUvarint(lenBuf[:0], uint64(len(d.strs)))
-	if _, err := w.Write(lenBuf); err != nil {
-		return fail(err)
-	}
-	for _, s := range d.strs {
-		lenBuf = binary.AppendUvarint(lenBuf[:0], uint64(len(s)))
-		if _, err := w.Write(lenBuf); err != nil {
-			return fail(err)
-		}
-		if _, err := w.WriteString(s); err != nil {
-			return fail(err)
-		}
-		// The string bytes back both the slice entry and the map key; the
-		// map adds roughly a header-plus-value word per entry.
-		freed += int64(len(s)) + 24
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	d.parkPath = path
-	d.parkedLen = len(d.strs)
-	d.strs = nil
-	d.ids = nil
-	return freed, nil
-}
-
-// Unpark forces a parked table back into memory (no-op when resident).
-// Engine.Close calls it before removing the spill directory that holds
-// the park file.
-func (d *Dict) Unpark() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.unparkLocked()
-}
-
-// unparkLocked reloads a parked table; the caller holds the write lock.
-// A read failure panics: the park file lives in the governor's private
-// spill directory and its loss is unrecoverable storage loss.
-func (d *Dict) unparkLocked() {
-	if d.parkPath == "" {
-		return
-	}
-	raw, err := os.ReadFile(d.parkPath)
-	if err != nil {
-		panic(fmt.Sprintf("relation: parked dictionary %s unreadable: %v", d.parkPath, err))
-	}
-	n, off := binary.Uvarint(raw)
-	if off <= 0 {
-		panic(fmt.Sprintf("relation: parked dictionary %s corrupt", d.parkPath))
-	}
-	strs := make([]string, 0, n)
-	ids := make(map[string]Value, n)
-	for len(strs) < int(n) {
-		l, w := binary.Uvarint(raw[off:])
-		if w <= 0 || off+w+int(l) > len(raw) {
-			panic(fmt.Sprintf("relation: parked dictionary %s corrupt", d.parkPath))
-		}
-		off += w
-		s := string(raw[off : off+int(l)])
-		off += int(l)
-		ids[s] = Value(len(strs))
-		strs = append(strs, s)
-	}
-	d.strs = strs
-	d.ids = ids
-	d.parkPath = ""
-	d.parkedLen = 0
 }
 
 // NewDict returns an empty dictionary.
@@ -168,9 +48,6 @@ func (d *Dict) Intern(s string) Value {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Unconditionally: the table may have been parked between the read
-	// lock and here (a no-op when resident).
-	d.unparkLocked()
 	if id, ok := d.ids[s]; ok {
 		return id
 	}
@@ -185,69 +62,39 @@ func (d *Dict) Intern(s string) Value {
 // missing from the dictionary cannot match any stored tuple.
 func (d *Dict) Lookup(s string) (Value, bool) {
 	d.mu.RLock()
-	if d.parkPath == "" {
-		id, ok := d.ids[s]
-		d.mu.RUnlock()
-		return id, ok
-	}
-	d.mu.RUnlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.unparkLocked()
 	id, ok := d.ids[s]
+	d.mu.RUnlock()
 	return id, ok
 }
 
 // String resolves an ID back to its string. Unknown IDs render as "#<id>".
 func (d *Dict) String(v Value) string {
 	d.mu.RLock()
-	if d.parkPath == "" {
-		s, ok := d.resolveLocked(v)
-		d.mu.RUnlock()
-		if ok {
-			return s
-		}
-		return fmt.Sprintf("#%d", uint32(v))
-	}
-	d.mu.RUnlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.unparkLocked()
-	if s, ok := d.resolveLocked(v); ok {
-		return s
+	defer d.mu.RUnlock()
+	if int(v) < len(d.strs) {
+		return d.strs[v]
 	}
 	return fmt.Sprintf("#%d", uint32(v))
 }
 
-func (d *Dict) resolveLocked(v Value) (string, bool) {
-	if int(v) < len(d.strs) {
-		return d.strs[v], true
-	}
-	return "", false
-}
-
-// Len reports how many distinct strings have been interned. It answers
-// from the parked file's header without reloading the table.
+// Len reports how many distinct strings have been interned.
 func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.strs) + d.parkedLen
+	return len(d.strs)
 }
 
 // CompactInto builds a new dictionary holding only the strings whose IDs
 // are marked in used (indexed by ID), assigning fresh dense IDs in the old
 // insertion order, and returns it with the old→new ID remapping (indexed by
 // old ID; entries for unused IDs are meaningless). The receiver is left
-// intact — live snapshots that interned against it keep resolving — and is
-// unparked first if it was parked, so a compaction never reads through a
-// stale park file afterwards. Engine.Compact is the caller: it rewrites the
-// live epoch's columns through the remapping and publishes them with the
-// new dictionary, so a long-lived server's string table stops growing
-// monotonically.
+// intact — live snapshots that interned against it keep resolving.
+// Engine.Compact is the caller: it rewrites the live epoch's columns
+// through the remapping and publishes them with the new dictionary, so a
+// long-lived server's string table stops growing monotonically.
 func (d *Dict) CompactInto(used []bool) (*Dict, []Value) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.unparkLocked()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	nd := NewDict()
 	remap := make([]Value, len(d.strs))
 	for id, s := range d.strs {

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"cqbound/internal/spill"
@@ -168,47 +167,5 @@ func TestGovernedPinBlocksEviction(t *testing.T) {
 	}
 	if r.At(0, 0) != V("v0") {
 		t.Fatal("pinned relation unreadable")
-	}
-}
-
-func TestDictParkRoundtrip(t *testing.T) {
-	d := NewDict()
-	ids := make([]Value, 100)
-	for i := range ids {
-		ids[i] = d.Intern(fmt.Sprintf("word-%d", i))
-	}
-	path := filepath.Join(t.TempDir(), "dict.park")
-	freed, err := d.Park(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if freed == 0 {
-		t.Fatal("Park freed nothing")
-	}
-	if d.Len() != 100 {
-		t.Fatalf("parked Len = %d, want 100", d.Len())
-	}
-	// String on a parked dict reloads transparently.
-	if got := d.String(ids[42]); got != "word-42" {
-		t.Fatalf("String after park = %q", got)
-	}
-	// IDs must be stable across the roundtrip.
-	for i, id := range ids {
-		if got, ok := d.Lookup(fmt.Sprintf("word-%d", i)); !ok || got != id {
-			t.Fatalf("id of word-%d changed: %d -> %d", i, id, got)
-		}
-	}
-	if d.Intern("word-7") != ids[7] {
-		t.Fatal("Intern after unpark re-assigned an ID")
-	}
-	if d.Intern("fresh") != Value(100) {
-		t.Fatal("next free ID wrong after roundtrip")
-	}
-	// Parking again after unpark works.
-	if _, err := d.Park(path); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := d.Lookup("fresh"); !ok || got != Value(100) {
-		t.Fatalf("Lookup on re-parked dict = %d, %v", got, ok)
 	}
 }

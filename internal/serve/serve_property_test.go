@@ -33,7 +33,6 @@ const (
 	servePropertyIterations = 220
 	servePropertyBaseSeed   = 20260729
 	serveSpillBudgetBytes   = 256
-	serveSkewFraction       = 0.2
 	// serveWriterBatches is how many delta commits race the readers.
 	serveWriterBatches = 2
 )
@@ -85,7 +84,6 @@ func serveDisagreement(t *testing.T, rng *rand.Rand, p int, spillDir string, q *
 	s := newTestSrv(t,
 		[]cqbound.Option{
 			cqbound.WithSharding(0, p),
-			cqbound.WithSkewSplitting(serveSkewFraction),
 			cqbound.WithMemoryBudget(serveSpillBudgetBytes),
 			cqbound.WithSpillDir(spillDir),
 		}, nil)

@@ -36,9 +36,7 @@
 // outlives reloads — re-evicting an unchanged buffer is a free pointer
 // drop — and is deleted only when the buffer is released (its relation is
 // mutated, or the governor closed). If parking every unpinned buffer is
-// not enough, a last-resort auxiliary victim runs once per pass: the
-// Engine registers the Dict's string table, which is only needed at the
-// parse/print boundary and reloads itself lazily.
+// not enough, the pass simply ends over budget.
 //
 // The budget is a target, never a hard cap: pinned buffers stay resident
 // even over budget, so enforcement cannot deadlock an operator against its

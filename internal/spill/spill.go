@@ -44,10 +44,6 @@ type Stats struct {
 	// bench/ reports as spill.peak_resident_bytes and, over the budget, as
 	// spill.resident_over_budget.
 	PeakResidentBytes int64
-	// AuxReleases counts calls to the auxiliary victim (the Dict's string
-	// table) made because evicting every unpinned buffer still left the
-	// governor over budget.
-	AuxReleases int64
 	// RegisteredBuffers is the number of buffers the governor currently
 	// tracks, resident or parked (a gauge). On a long-lived engine it
 	// should plateau at the memoized base partitions: per-evaluation
@@ -74,10 +70,9 @@ type Governor struct {
 	budget int64 // <= 0 means unlimited (never evict)
 	base   string
 
-	// mu guards the recency cache, the id sequence, the lazily created
-	// spill directory, and the aux fields. It is never held across file
-	// IO or while taking a buffer's lock: the lock order is buffer.mu
-	// before Governor.mu.
+	// mu guards the recency cache, the id sequence, and the lazily created
+	// spill directory. It is never held across file IO or while taking a
+	// buffer's lock: the lock order is buffer.mu before Governor.mu.
 	mu  sync.Mutex
 	dir string // "" until first spill; reset by Close
 
@@ -89,21 +84,6 @@ type Governor struct {
 	all map[string]evictable
 	seq int
 
-	// auxMu serializes invocations of the aux victim and fences them
-	// against Close: Close acquires it, so an in-flight aux call (which
-	// may park the dictionary) completes before Close restores and
-	// removes the spill directory. Lock order: auxMu before mu.
-	auxMu      sync.Mutex
-	aux        func() int64
-	auxRestore func()
-	// auxSpentGen is the activity generation at which the last aux call
-	// freed nothing; while the generation is unchanged further calls are
-	// skipped (the victim is exhausted and re-parking cannot help until
-	// buffer traffic changes the picture). activity ticks on every
-	// successful eviction and reload.
-	auxSpentGen int64
-	activity    atomic.Int64
-
 	resident     atomic.Int64
 	peak         atomic.Int64
 	spilled      atomic.Int64
@@ -111,7 +91,6 @@ type Governor struct {
 	onDisk       atomic.Int64
 	evicted      atomic.Int64
 	pinWaits     atomic.Int64
-	auxRuns      atomic.Int64
 	reserved     atomic.Int64
 	peakReserved atomic.Int64
 }
@@ -144,8 +123,6 @@ func NewGovernor(budget int64, dir string) *Governor {
 		base:   dir,
 		res:    lru.New[evictable](governorCapacity),
 		all:    make(map[string]evictable),
-		// -1: no generation has had a fruitless aux attempt yet.
-		auxSpentGen: -1,
 	}
 }
 
@@ -155,24 +132,6 @@ func (g *Governor) Budget() int64 {
 		return 0
 	}
 	return g.budget
-}
-
-// SetAux installs the last-resort victim: a release hook (returning bytes
-// freed) called at most once per enforcement pass when evicting every
-// unpinned buffer still leaves the governor over budget, plus a restore
-// hook Close runs — after quiescing in-flight releases and before
-// removing the spill directory — to undo whatever release parked there.
-// The Engine parks the Dict's string table through the pair. Either
-// function may be nil.
-func (g *Governor) SetAux(release func() int64, restore func()) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.aux = release
-	g.auxRestore = restore
-	g.auxSpentGen = -1 // fresh victim: nothing exhausted yet
-	g.mu.Unlock()
 }
 
 // Snapshot copies the governor's counters (nil-safe: all zeros).
@@ -191,7 +150,6 @@ func (g *Governor) Snapshot() Stats {
 		PinWaits:          g.pinWaits.Load(),
 		ResidentBytes:     g.resident.Load(),
 		PeakResidentBytes: g.peak.Load(),
-		AuxReleases:       g.auxRuns.Load(),
 		RegisteredBuffers: registered,
 		ReservedBytes:     g.reserved.Load(),
 		PeakReservedBytes: g.peakReserved.Load(),
@@ -248,8 +206,8 @@ func (g *Governor) EventCounts() (evictions, reloads int64) {
 }
 
 // ResetCounters zeroes the cumulative counters (reloads, evictions, pin
-// waits, aux releases) while leaving the gauges — resident bytes, bytes on
-// disk, spilled shards — alone: those describe present state, not history.
+// waits) while leaving the gauges — resident bytes, bytes on disk,
+// spilled shards — alone: those describe present state, not history.
 // The peak-resident high-water mark restarts from the current residency.
 func (g *Governor) ResetCounters() {
 	if g == nil {
@@ -258,7 +216,6 @@ func (g *Governor) ResetCounters() {
 	g.reloaded.Store(0)
 	g.evicted.Store(0)
 	g.pinWaits.Store(0)
-	g.auxRuns.Store(0)
 	g.peak.Store(g.resident.Load())
 	g.peakReserved.Store(g.reserved.Load())
 }
@@ -281,17 +238,6 @@ func (g *Governor) spillDir() (string, error) {
 	return dir, nil
 }
 
-// SpillPath returns a path for an auxiliary spill file inside the
-// governor's private directory — where the Engine parks the Dict's string
-// table. The directory is created on first use.
-func (g *Governor) SpillPath(name string) (string, error) {
-	dir, err := g.spillDir()
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, name), nil
-}
-
 // Close discards every registered buffer — reloading parked ones so their
 // relations stay readable as plain resident storage — and removes the spill
 // directory. The governor remains usable (a later Manage re-creates a
@@ -301,18 +247,12 @@ func (g *Governor) Close() error {
 	if g == nil {
 		return nil
 	}
-	// Quiesce the aux victim: wait out any in-flight release, disable
-	// further ones, and undo its parking before the directory goes away.
-	g.auxMu.Lock()
-	g.mu.Lock()
-	restore := g.auxRestore
-	g.aux = nil
-	g.auxRestore = nil
 	// Snapshot the full registry (resident and parked buffers) and retire
 	// the directory in the same critical section: an eviction racing
 	// Close either targets a snapshotted buffer (detached below, its
 	// old-directory segment read back before removal) or spills into a
 	// fresh directory.
+	g.mu.Lock()
 	bufs := make([]evictable, 0, len(g.all))
 	for _, b := range g.all {
 		bufs = append(bufs, b)
@@ -320,10 +260,6 @@ func (g *Governor) Close() error {
 	dir := g.dir
 	g.dir = "" // a later spill re-creates a fresh directory
 	g.mu.Unlock()
-	if restore != nil {
-		restore()
-	}
-	g.auxMu.Unlock()
 	var firstErr error
 	for _, b := range bufs {
 		if d, ok := b.(interface{ detach() error }); ok {
@@ -398,8 +334,7 @@ func (g *Governor) nextID() string {
 
 // enforce evicts cold unpinned buffers, oldest first, until residency is
 // within budget or nothing more can move. It never blocks on pinned
-// buffers — the budget is a target, not a hard cap — and calls the
-// auxiliary victim at most once when buffer eviction alone is not enough.
+// buffers — the budget is a target, not a hard cap.
 //
 // Candidates are collected in small chunks from the cold end of the
 // recency list (lru.Backward), not as one full-registry scan: a governor
@@ -435,30 +370,6 @@ func (g *Governor) enforce() {
 			b.tryEvict()
 		}
 	}
-	if g.resident.Load() <= g.budget {
-		return
-	}
-	// Last resort, serialized and fenced against Close: park the aux
-	// victim (the Dict's string table) once per pass — but not when the
-	// last attempt freed nothing and no buffer has moved since (the
-	// victim is exhausted; hammering its global lock on every pass of a
-	// pinned-over-budget run buys nothing).
-	gen := g.activity.Load()
-	g.auxMu.Lock()
-	g.mu.Lock()
-	aux := g.aux
-	spent := g.auxSpentGen == gen
-	g.mu.Unlock()
-	if aux != nil && !spent {
-		if freed := aux(); freed > 0 {
-			g.auxRuns.Add(1)
-		} else {
-			g.mu.Lock()
-			g.auxSpentGen = gen
-			g.mu.Unlock()
-		}
-	}
-	g.auxMu.Unlock()
 }
 
 // Buffer is one spillable unit — the columns of one shard — either resident
@@ -611,7 +522,6 @@ func (b *Buffer[V]) loadLocked(g *Governor) [][]V {
 	g.spilled.Add(-1)
 	g.reloaded.Add(1)
 	b.scope.Load().noteReload()
-	g.activity.Add(1)
 	g.addResident(b.bytes)
 	g.touch(b.id, b)
 	return cols
@@ -656,7 +566,6 @@ func (b *Buffer[V]) tryEvict() int64 {
 	g.spilled.Add(1)
 	g.evicted.Add(1)
 	b.scope.Load().noteEvict(b.bytes)
-	g.activity.Add(1)
 	// Leave the recency list: a parked buffer is no candidate until a
 	// reload re-inserts it, keeping enforcement scans O(resident).
 	g.parked(b.id)

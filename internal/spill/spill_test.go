@@ -56,7 +56,6 @@ func TestNilGovernorIsInert(t *testing.T) {
 		t.Fatalf("nil governor snapshot = %+v, want zeros", s)
 	}
 	g.ResetCounters()
-	g.SetAux(nil, nil)
 	if err := g.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
 	}
@@ -226,32 +225,6 @@ func TestStaleSpillFilesIgnored(t *testing.T) {
 	}
 	if raw, err := os.ReadFile(filepath.Join(stale, "seg-1.seg")); err != nil || string(raw) != "garbage" {
 		t.Fatal("governor touched a stale directory it does not own")
-	}
-}
-
-func TestAuxVictimRunsWhenBuffersPinned(t *testing.T) {
-	g := NewGovernor(50, t.TempDir())
-	defer g.Close()
-	b := Manage(g, cols(2, 10, 1), 10)
-	b.Pin()
-	defer b.Unpin()
-	freed := int64(0)
-	restored := false
-	g.SetAux(func() int64 { freed += 64; return 64 }, func() { restored = true })
-	Manage(g, cols(2, 10, 2), 10).Pin() // both pinned: only aux can help
-	if freed == 0 {
-		t.Fatal("aux victim never ran")
-	}
-	if st := g.Snapshot(); st.AuxReleases == 0 {
-		t.Fatalf("aux releases uncounted: %+v", st)
-	}
-	// Close quiesces the victim and runs the restore hook before removing
-	// the spill directory.
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !restored {
-		t.Fatal("Close never ran the aux restore hook")
 	}
 }
 

@@ -31,6 +31,6 @@
 // five counter families (cache, shard, stream, spill, epoch), captured by
 // the engine's snapshot/diff mechanism so concurrent queries do not
 // contaminate each other. Sink receives finished traces; SlowQueryLog is
-// the structured slow-query log implementation behind the engine's
-// WithSlowQueryThreshold option.
+// the structured slow-query log sink (cqserve -slow registers one on
+// stderr through the engine's WithTraceSink option).
 package trace

@@ -22,8 +22,8 @@ type SinkFunc func(*Trace)
 func (f SinkFunc) Emit(t *Trace) { f(t) }
 
 // SlowQueryLog is a Sink that writes one structured JSON line per trace
-// whose wall time meets or exceeds a threshold — the implementation
-// behind the engine's WithSlowQueryThreshold option.
+// whose wall time meets or exceeds a threshold; the engine registers one
+// through WithTraceSink.
 type SlowQueryLog struct {
 	mu        sync.Mutex
 	w         io.Writer

@@ -8,7 +8,6 @@ package cqbound
 import (
 	"context"
 	"io"
-	"os"
 	"time"
 
 	"cqbound/internal/batch"
@@ -73,18 +72,6 @@ func WithTraceSink(s TraceSink) Option {
 		if s != nil {
 			e.sinks = append(e.sinks, s)
 		}
-	}
-}
-
-// WithSlowQueryThreshold registers a slow-query log on standard error:
-// any traced evaluation at or above d writes one structured JSON line
-// (query, strategy, duration, slowest stage, nonzero stats deltas). Use
-// WithTraceSink(NewSlowQueryLog(w, d)) to log elsewhere. Only traced
-// evaluations are candidates — combine with WithTracing to watch every
-// query.
-func WithSlowQueryThreshold(d time.Duration) Option {
-	return func(e *Engine) {
-		e.sinks = append(e.sinks, trace.NewSlowQueryLog(os.Stderr, d))
 	}
 }
 
@@ -312,7 +299,6 @@ func (e *Engine) metricsState() *metricsState {
 	reg.Gauge("spill_pin_waits", func() int64 { return e.SpillStats().PinWaits })
 	reg.Gauge("spill_resident_bytes", func() int64 { return e.SpillStats().ResidentBytes })
 	reg.Gauge("spill_peak_resident_bytes", func() int64 { return e.SpillStats().PeakResidentBytes })
-	reg.Gauge("spill_aux_releases", func() int64 { return e.SpillStats().AuxReleases })
 	reg.Gauge("epoch_live", func() int64 { return int64(e.EpochStats().LiveEpoch) })
 	reg.Gauge("epoch_active", func() int64 { return int64(e.EpochStats().ActiveEpochs) })
 	reg.Gauge("epoch_pinned_readers", func() int64 { return e.EpochStats().PinnedReaders })

@@ -338,11 +338,11 @@ func TestMetricsRegistryAndHistograms(t *testing.T) {
 	}
 }
 
-func TestWithSlowQueryThresholdOption(t *testing.T) {
-	// The stderr-bound option must register a sink; behavior is covered by
-	// the writer-parameterized NewSlowQueryLog tests — here only that a
-	// high threshold drops fast queries (nothing observable fails).
-	eng := NewEngine(WithTracing(), WithSlowQueryThreshold(time.Hour))
+// TestSlowQueryLogSink: a slow-query log registered through WithTraceSink
+// is the engine's one sink, and a high threshold drops fast queries.
+func TestSlowQueryLogSink(t *testing.T) {
+	var buf bytes.Buffer
+	eng := NewEngine(WithTracing(), WithTraceSink(NewSlowQueryLog(&buf, time.Hour)))
 	q := MustParse("Q(X,Z) <- R(X,Y), S(Y,Z).")
 	db := pathDB(10)
 	if _, _, err := eng.Evaluate(context.Background(), q, db); err != nil {
@@ -350,5 +350,8 @@ func TestWithSlowQueryThresholdOption(t *testing.T) {
 	}
 	if len(eng.sinks) != 1 {
 		t.Fatalf("sinks = %d, want 1", len(eng.sinks))
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a fast query reached the slow-query log: %s", buf.String())
 	}
 }

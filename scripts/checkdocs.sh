@@ -10,6 +10,9 @@
 # inertness contract), metrics (the wait-free observation contract) —
 # enforced rather than aspirational. New packages are picked up
 # automatically via go list.
+#
+# It also caps CHANGES.md: every entry from PR 26 on (a line starting
+# "PR <n>:" plus any lines up to the next entry) must fit in 1500 bytes.
 set -e
 fail=0
 # The execution-stack packages must keep a dedicated doc.go: their package
@@ -31,4 +34,17 @@ if [ "$fail" -ne 0 ]; then
     echo "checkdocs: add a '// Package <name> ...' doc comment (see doc.go files for examples)" >&2
     exit 1
 fi
-echo "checkdocs: every package has a doc comment"
+if ! LC_ALL=C awk '
+    function check() {
+        if (pr >= 26 && size > 1500) {
+            printf "checkdocs: CHANGES.md entry for PR %d (line %d) is %d bytes; the cap is 1500\n", pr, line, size > "/dev/stderr"
+            bad = 1
+        }
+    }
+    /^PR [0-9]+:/ { check(); pr = $2 + 0; line = NR; size = length($0); next }
+    { size += 1 + length($0) }
+    END { check(); exit bad }
+' CHANGES.md; then
+    exit 1
+fi
+echo "checkdocs: every package has a doc comment; CHANGES.md entries fit the cap"

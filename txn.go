@@ -13,9 +13,8 @@ package cqbound
 // the base's plus the delta (ExtendMemos, shard.ExtendPartitions) instead
 // of invalidate-and-rebuild.
 //
-// When an epoch falls out of the retention window (WithEpochRetention) and
-// its last reader unpins, the retirement sweep reclaims everything only
-// that epoch could reach: governed memo shards leave the spill governor's
+// When a commit supersedes an epoch and its last reader unpins, the
+// retirement sweep reclaims everything only that epoch could reach: governed memo shards leave the spill governor's
 // registry (and their segment files leave the disk), and per-epoch plan
 // cache entries are pruned. Dict compaction (Engine.Compact) is the
 // analogous reclamation for the string table: it rewrites surviving IDs
@@ -31,20 +30,9 @@ import (
 	"cqbound/internal/shard"
 )
 
-// WithEpochRetention keeps the n most recent committed epochs alive even
-// when unpinned (default and minimum 1: only the live epoch survives
-// unpinned). Retention above 1 lets readers that resolve a Snapshot
-// slightly after a burst of commits still find their epoch's buffers warm;
-// everything older retires as soon as its last reader unpins.
-func WithEpochRetention(n int) Option {
-	return func(e *Engine) {
-		e.retention = n
-	}
-}
-
 // epochState tracks one published epoch: its immutable database snapshot,
-// the reader pin count, and whether the epoch has fallen out of the
-// retention window (retired epochs are reclaimed once their pins drain).
+// the reader pin count, and whether a later commit has superseded it
+// (retired epochs are reclaimed once their pins drain).
 // retired is guarded by Engine.epochMu; pins is atomic because unpinning
 // must not take the lock on the hot path.
 type epochState struct {
@@ -60,19 +48,8 @@ type epochState struct {
 // epoch snapshot (Relation.String and Tuple.StringsIn do it for you).
 func (e *Engine) Dict() *relation.Dict { return e.dict.Load() }
 
-// parkableDict is the spill governor's last-resort victim under
-// WithDictSpill: the engine's own dictionary once ingest has populated it,
-// else the process-wide default (an engine evaluating only free-standing
-// databases stores its strings there).
-func (e *Engine) parkableDict() *relation.Dict {
-	if d := e.dict.Load(); d.Len() > 0 {
-		return d
-	}
-	return relation.DefaultDict()
-}
-
 // Snapshot is a pinned reference to one epoch's database: the epoch's
-// buffers outlive the retention window until Close. The zero value is not
+// buffers outlive later commits until Close. The zero value is not
 // meaningful; obtain one from Engine.Snapshot.
 type Snapshot struct {
 	e    *Engine
@@ -275,9 +252,8 @@ var errTxnDone = fmt.Errorf("cqbound: transaction already committed or aborted")
 // it atomically as the next epoch, returning the new epoch number. The
 // whole batch lands or none of it: validation (unknown relations,
 // duplicate creations, arity mismatches) happens before any state
-// changes. Readers holding an older epoch are untouched; epochs that fall
-// out of the retention window retire, and their unreachable buffers are
-// reclaimed once unpinned. An empty (or fully deduplicated) batch
+// changes. Readers holding an older epoch are untouched; the superseded
+// epoch retires, and its unreachable buffers are reclaimed once unpinned. An empty (or fully deduplicated) batch
 // publishes nothing and returns the current epoch.
 func (t *Txn) Commit() (uint64, error) {
 	if t.done {
@@ -403,15 +379,15 @@ func dedupAdds(m relation.Dedup, nextRow int, adds []Tuple) []Tuple {
 	return out
 }
 
-// publish installs db as the live epoch, retires epochs beyond the
-// retention window, and sweeps. Caller holds txMu.
+// publish installs db as the live epoch, retires every older one, and
+// sweeps. Caller holds txMu.
 func (e *Engine) publish(epoch uint64, db *database.Database) {
 	st := &epochState{epoch: epoch, db: db}
 	e.epochMu.Lock()
 	e.epochs = append(e.epochs, st)
 	e.live = st
 	e.byDB[db] = st
-	for i := 0; i < len(e.epochs)-e.retention; i++ {
+	for i := 0; i < len(e.epochs)-1; i++ {
 		e.epochs[i].retired = true
 	}
 	e.epochMu.Unlock()
@@ -574,7 +550,7 @@ func (e *Engine) Compact() (uint64, error) {
 // state and lifecycle counters.
 type EpochStats struct {
 	// LiveEpoch is the most recently committed epoch number; ActiveEpochs
-	// counts epochs not yet reclaimed (live, retained, or still pinned),
+	// counts epochs not yet reclaimed (the live one, plus any still pinned),
 	// and PinnedReaders sums their pins.
 	LiveEpoch     uint64
 	ActiveEpochs  int

@@ -494,8 +494,10 @@ func TestCompactShrinksDict(t *testing.T) {
 	}
 }
 
-func TestEpochRetentionKeepsUnpinnedEpochs(t *testing.T) {
-	eng := NewEngine(WithEpochRetention(3))
+// TestUnpinnedEpochRetiresAtNextCommit: only the live epoch survives
+// unpinned, so every commit reclaims the epoch it supersedes.
+func TestUnpinnedEpochRetiresAtNextCommit(t *testing.T) {
+	eng := NewEngine()
 	for i := 0; i < 5; i++ {
 		txn := eng.Begin()
 		if i == 0 {
@@ -505,12 +507,12 @@ func TestEpochRetentionKeepsUnpinnedEpochs(t *testing.T) {
 		if _, err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
+		st := eng.EpochStats()
+		if st.ActiveEpochs != 1 || st.RetiredEpochs != int64(i+1) {
+			t.Fatalf("after commit %d: %d epochs active, %d retired; want 1, %d", i+1, st.ActiveEpochs, st.RetiredEpochs, i+1)
+		}
 	}
-	st := eng.EpochStats()
-	if st.ActiveEpochs != 3 {
-		t.Fatalf("%d epochs active under retention 3, want 3", st.ActiveEpochs)
-	}
-	if st.LiveEpoch != 6 {
-		t.Fatalf("live epoch %d, want 6", st.LiveEpoch)
+	if got := eng.LiveEpoch(); got != 6 {
+		t.Fatalf("live epoch %d, want 6", got)
 	}
 }
