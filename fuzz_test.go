@@ -20,9 +20,11 @@ import (
 // and that the output respects the AGM bound rmax^ρ*(Q) — the paper's
 // Corollary 4.8 family made executable. The corpus is seeded with the five
 // example queries shipped in examples/, two heads that repeat a variable,
-// and three shapes of Yannakakis' join pass: a path whose forced subtrees
+// three shapes of Yannakakis' join pass (a path whose forced subtrees
 // project onto their parent's variables, and two bodies with a Boolean
-// guard atom that shares no variable with the head's atoms.
+// guard atom that shares no variable with the head's atoms), and two heads
+// that keep every body variable in another order, whose projection skips
+// dedup.
 func FuzzParseEvaluate(f *testing.F) {
 	// One seed per example program (quickstart, treewidth, optimizer,
 	// dataexchange, secretshare).
@@ -37,6 +39,8 @@ func FuzzParseEvaluate(f *testing.F) {
 		"Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).",
 		"Q(X) <- R(X), S(Y).",
 		"Q(V1) <- R1(V2), R1(V2), R1(V1).",
+		"Q(X,Y,Z,W) <- E(X,Y), E(X,Z), E(X,W).",
+		"Q(Y,X) <- R(X,Y).",
 	}
 	for _, s := range seeds {
 		f.Add(s)

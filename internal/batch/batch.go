@@ -442,7 +442,8 @@ func (s *semiIter) Next(ctx context.Context) (*Batch, error) {
 // Keep is the stateless column projection: each output batch reslices the
 // input batch's columns at the kept positions (repeats allowed), renamed to
 // attrs. Zero copy and duplicate-preserving — the natural-join schema step
-// after a raw JoinProbe, not a relational projection (Project dedups).
+// after a raw JoinProbe, and what Project becomes when it keeps every input
+// column.
 func Keep(in Iterator, keep []int, attrs []string) Iterator {
 	return &keepIter{in: in, keep: keep, attrs: attrs}
 }
@@ -451,6 +452,7 @@ type keepIter struct {
 	in    Iterator
 	keep  []int
 	attrs []string
+	m     *Metrics // set only when the Keep stands in for Project
 	out   Batch
 }
 
@@ -468,17 +470,80 @@ func (k *keepIter) Next(ctx context.Context) (*Batch, error) {
 		k.out.Cols[i] = b.Cols[c][:b.N]
 	}
 	k.out.N = b.N
+	k.m.emitted(b.N, len(k.keep))
 	return &k.out, nil
 }
 
 // Project is the streaming duplicate-eliminating projection onto idx
 // (repeats allowed): the first occurrence of each projected row passes,
-// later duplicates are dropped. The dedup set grows with the number of
-// distinct output rows — the one stateful stage of a pipeline, which is why
-// the routing layer partitions before projecting; within one shard it is
-// exactly the state relation.ProjectIdx would build.
+// later duplicates are dropped. A projection that keeps every input column
+// cannot create duplicates — pipeline rows are distinct, and such a
+// projection is injective — so it is the stateless Keep, still counted in
+// m as a stage. Otherwise the dedup set grows with the number of distinct
+// output rows — the one stateful stage of a pipeline, which is why the
+// routing layer partitions before projecting; within one shard it holds
+// exactly the rows relation.ProjectIdx would.
 func Project(in Iterator, idx []int, attrs []string, size int, m *Metrics) Iterator {
-	return &projIter{in: in, idx: idx, attrs: attrs, size: sizeOr(size), seen: make(map[string]struct{}), m: m}
+	if covers(idx, len(in.Attrs())) {
+		return &keepIter{in: in, keep: idx, attrs: attrs, m: m}
+	}
+	return &projIter{in: in, idx: idx, attrs: attrs, size: sizeOr(size), seen: newRowSet(len(idx)), m: m}
+}
+
+// covers reports whether idx names every position in [0, width).
+func covers(idx []int, width int) bool {
+	kept := make([]bool, width)
+	n := 0
+	for _, c := range idx {
+		if !kept[c] {
+			kept[c] = true
+			n++
+		}
+	}
+	return n == width
+}
+
+// rowSet is Project's dedup set. Rows of one or two columns — every row
+// the benchmark's workloads dedup — pack into one uint64 and allocate
+// nothing; wider rows use the byte-string packing of relation.KeyFor.
+type rowSet struct {
+	packed map[uint64]struct{}
+	bytes  map[string]struct{}
+	buf    []byte
+}
+
+func newRowSet(width int) *rowSet {
+	if width <= 2 {
+		return &rowSet{packed: make(map[uint64]struct{})}
+	}
+	return &rowSet{bytes: make(map[string]struct{})}
+}
+
+// add inserts the row of cols at the idx positions and reports whether it
+// was new.
+func (s *rowSet) add(cols [][]relation.Value, idx []int, row int) bool {
+	if s.packed != nil {
+		// A packed key costs one hash either way: insert, and compare the
+		// set's size.
+		var k uint64
+		for i, c := range idx {
+			k |= uint64(cols[c][row]) << (32 * i)
+		}
+		n := len(s.packed)
+		s.packed[k] = struct{}{}
+		return len(s.packed) > n
+	}
+	// A string key is looked up first, so that only a new row pays for
+	// allocating it.
+	s.buf = s.buf[:0]
+	for _, c := range idx {
+		s.buf = appendValue(s.buf, cols[c][row])
+	}
+	if _, dup := s.bytes[string(s.buf)]; dup {
+		return false
+	}
+	s.bytes[string(s.buf)] = struct{}{}
+	return true
 }
 
 type projIter struct {
@@ -486,13 +551,12 @@ type projIter struct {
 	idx   []int
 	attrs []string
 	size  int
-	seen  map[string]struct{}
+	seen  *rowSet
 	m     *Metrics
 	done  bool
 	cur   *Batch // partially consumed input batch
 	row   int
 	out   Batch
-	keys  []byte
 }
 
 func (p *projIter) Attrs() []string { return p.attrs }
@@ -531,14 +595,9 @@ func (p *projIter) Next(ctx context.Context) (*Batch, error) {
 			p.cur, p.row = b, 0
 		}
 		for ; p.row < p.cur.N && n < p.size; p.row++ {
-			p.keys = p.keys[:0]
-			for _, c := range p.idx {
-				p.keys = appendValue(p.keys, p.cur.Cols[c][p.row])
-			}
-			if _, dup := p.seen[string(p.keys)]; dup {
+			if !p.seen.add(p.cur.Cols, p.idx, p.row) {
 				continue
 			}
-			p.seen[string(p.keys)] = struct{}{}
 			for j, c := range p.idx {
 				p.out.Cols[j] = append(p.out.Cols[j], p.cur.Cols[c][p.row])
 			}

@@ -3,6 +3,7 @@ package batch_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -164,6 +165,218 @@ func TestProjectDeduplicates(t *testing.T) {
 			t.Fatalf("size %d: projection %d rows, want %d", size, got.Size(), want.Size())
 		}
 	}
+}
+
+// valueRel builds an arity-column relation of up to n distinct rows drawn
+// from universe.
+func valueRel(t *testing.T, rng *rand.Rand, arity, n int, universe []relation.Value) *relation.Relation {
+	attrs := make([]string, arity)
+	for c := range attrs {
+		attrs[c] = fmt.Sprintf("c%d", c)
+	}
+	r := relation.New("R", attrs...)
+	for i := 0; i < n; i++ {
+		row := make(relation.Tuple, arity)
+		for c := range row {
+			row[c] = universe[rng.Intn(len(universe))]
+		}
+		if _, err := r.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// TestProjectMatchesProjectIdx checks both dedup keys — one packed uint64
+// (1–2 columns) and the byte string (3+) — and the covering projections
+// that skip dedup against relation.ProjectIdx on the same rows.
+func TestProjectMatchesProjectIdx(t *testing.T) {
+	const top = math.MaxUint32
+	// Small IDs next to IDs near the top of the range: a packing that
+	// truncated, sign-extended or overlapped halves would merge rows here.
+	edge := []relation.Value{0, 1, 2, top - 2, top - 1, top}
+	// swapped holds (x,y,k) and (y,x,k) for every k: projecting onto (0,1)
+	// or (1,0) must keep both orders apart.
+	swapped := relation.New("R", "c0", "c1", "c2")
+	for k := relation.Value(0); k < 10; k++ {
+		for _, row := range []relation.Tuple{{1, top, k}, {top, 1, k}, {0, 1, k}, {1, 0, k}} {
+			if _, err := swapped.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(15))
+	cases := []struct {
+		name string
+		in   *relation.Relation
+		idx  []int
+	}{
+		{"w1 dups", valueRel(t, rng, 3, 500, edge), []int{1}},
+		{"w1 distinct", seqRel(2, 500, true), []int{0}},
+		{"w2 repeated", valueRel(t, rng, 2, 300, edge), []int{0, 0}},
+		{"w2 swapped", swapped, []int{0, 1}},
+		{"w2 swapped reversed", swapped, []int{1, 0}},
+		{"w2 dups", valueRel(t, rng, 3, 800, edge), []int{2, 0}},
+		{"w3 repeated", valueRel(t, rng, 3, 300, edge), []int{1, 0, 1}},
+		{"w3 dups", valueRel(t, rng, 4, 2000, edge), []int{3, 1, 0}},
+		{"w3 swapped", swapped, []int{1, 0, 1}},
+		{"w4 dups", valueRel(t, rng, 5, 3000, edge), []int{0, 1, 2, 3}},
+		{"w4 distinct", seqRel(5, 800, true), []int{4, 3, 2, 1}},
+		{"w5 dups", valueRel(t, rng, 6, 3000, edge[:3]), []int{0, 1, 2, 3, 4}},
+		{"w6 dups", valueRel(t, rng, 7, 3000, edge[:2]), []int{6, 5, 4, 3, 2, 1}},
+		{"w6 distinct", seqRel(7, 800, true), []int{0, 1, 2, 3, 4, 5}},
+		// Covering projections: every input column kept, so no dedup runs.
+		{"w2 covering swap", valueRel(t, rng, 2, 30, edge), []int{1, 0}},
+		{"w3 covering repeated", valueRel(t, rng, 2, 30, edge), []int{1, 0, 1}},
+		{"w4 covering", valueRel(t, rng, 4, 500, edge), []int{0, 3, 2, 1}},
+		{"w6 covering repeated", valueRel(t, rng, 3, 200, edge), []int{0, 1, 2, 2, 1, 0}},
+	}
+	for _, tc := range cases {
+		want, err := tc.in.ProjectIdx(tc.idx...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attrs, err := relation.ProjectedAttrs(tc.in.Attrs, tc.idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{1, 1024} {
+			got := mustMaterialize(t, batch.Project(batch.Scan(tc.in, size, nil), tc.idx, attrs, size, nil), "out")
+			if !relation.Equal(got, want) {
+				t.Errorf("%s, size %d: projection %v of %d rows gave %d rows, ProjectIdx %d",
+					tc.name, size, tc.idx, tc.in.Size(), got.Size(), want.Size())
+			}
+		}
+	}
+}
+
+// seqRel builds the relation of rows (i, i+1, ..., i+arity-1) for i < n,
+// every row distinct in every column; with down set, each value v is
+// counted down from the top of the ID range instead (MaxUint32 - v).
+func seqRel(arity, n int, down bool) *relation.Relation {
+	attrs := make([]string, arity)
+	cols := make([][]relation.Value, arity)
+	for c := range cols {
+		attrs[c] = fmt.Sprintf("c%d", c)
+		cols[c] = make([]relation.Value, n)
+		for i := range cols[c] {
+			cols[c][i] = relation.Value(i + c)
+			if down {
+				cols[c][i] = math.MaxUint32 - cols[c][i]
+			}
+		}
+	}
+	return relation.NewFromColumns("R", attrs, cols)
+}
+
+// drain pulls it to end of stream.
+func drain(tb testing.TB, it batch.Iterator) {
+	for {
+		b, err := it.Next(context.Background())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if b == nil {
+			return
+		}
+	}
+}
+
+// TestProjectAllocsIndependentOfRows pins the dedup set as allocation-free
+// per row: projecting 1 000 and 16 000 distinct rows onto two columns may
+// differ only by the set's map growth (about 125 allocations with Go 1.24's
+// maps), where a key boxed into a string costs one allocation for each of
+// the 15 000 extra rows. A covering projection keeps no set and allocates
+// equally at both sizes.
+func TestProjectAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(arity, rows int, idx []int) float64 {
+		r := seqRel(arity, rows, false)
+		attrs, err := relation.ProjectedAttrs(r.Attrs, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			drain(t, batch.Project(batch.Scan(r, 0, nil), idx, attrs, 0, nil))
+		})
+	}
+	const growth = 256
+	if small, large := allocs(3, 1000, []int{2, 0}), allocs(3, 16000, []int{2, 0}); large-small > growth {
+		t.Fatalf("dedup allocates %v times over 1 000 rows and %v over 16 000: more than %d of map growth", small, large, growth)
+	}
+	if small, large := allocs(2, 1000, []int{1, 0}), allocs(2, 16000, []int{1, 0}); small != large {
+		t.Fatalf("covering projection allocates %v times over 1 000 rows and %v over 16 000", small, large)
+	}
+}
+
+// TestCoveringProjectCountsRows pins that a covering projection, run as a
+// Keep, still counts as a pipeline stage in Metrics, as a deduplicating one
+// does.
+func TestCoveringProjectCountsRows(t *testing.T) {
+	r := seqRel(3, 5000, false)
+	for _, idx := range [][]int{{2, 0, 1}, {2, 0}} {
+		attrs, err := relation.ProjectedAttrs(r.Attrs, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m batch.Metrics
+		drain(t, batch.Project(batch.Scan(r, 0, nil), idx, attrs, 0, &m))
+		if st := m.Snapshot(); st.RowsStreamed != int64(r.Size()) || st.BatchesProduced == 0 {
+			t.Errorf("projection %v of %d distinct rows: %d rows streamed in %d batches", idx, r.Size(), st.RowsStreamed, st.BatchesProduced)
+		}
+	}
+}
+
+// BenchmarkProject drains a projection of 64 Ki distinct input rows onto
+// 2, 4 and 6 columns, with no and with half the projected rows duplicated,
+// and the covering projection that skips dedup.
+func BenchmarkProject(b *testing.B) {
+	const rows = 1 << 16
+	// dupRel has width+1 columns; with dup set, rows 2i and 2i+1 agree on
+	// the first width columns and differ in the last.
+	dupRel := func(width int, dup bool) *relation.Relation {
+		attrs := make([]string, width+1)
+		cols := make([][]relation.Value, width+1)
+		for c := range cols {
+			attrs[c] = fmt.Sprintf("c%d", c)
+			cols[c] = make([]relation.Value, rows)
+			for i := range cols[c] {
+				switch {
+				case c == width:
+					cols[c][i] = relation.Value(i % 2)
+				case dup:
+					cols[c][i] = relation.Value(i/2 + c)
+				default:
+					cols[c][i] = relation.Value(i + c)
+				}
+			}
+		}
+		return relation.NewFromColumns("R", attrs, cols)
+	}
+	run := func(b *testing.B, r *relation.Relation, idx []int) {
+		attrs, err := relation.ProjectedAttrs(r.Attrs, idx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			drain(b, batch.Project(batch.Scan(r, 0, nil), idx, attrs, 0, nil))
+		}
+	}
+	for _, width := range []int{2, 4, 6} {
+		idx := make([]int, width)
+		for c := range idx {
+			idx[c] = c
+		}
+		for _, dup := range []bool{false, true} {
+			r := dupRel(width, dup)
+			pct := 0
+			if dup {
+				pct = 50
+			}
+			b.Run(fmt.Sprintf("width=%d/dup=%d%%", width, pct), func(b *testing.B) { run(b, r, idx) })
+		}
+	}
+	b.Run("width=4/covering", func(b *testing.B) { run(b, seqRel(4, rows, false), []int{3, 2, 1, 0}) })
 }
 
 func TestBufferedTeeAndReplay(t *testing.T) {

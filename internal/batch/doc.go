@@ -19,6 +19,13 @@
 // again once the hold is spent — which is how Project and JoinProbe resume
 // mid-batch when their output fills.
 //
+// Every stage preserves set semantics: a pipeline over distinct rows emits
+// distinct rows. Project is the one stage that keeps state across batches,
+// a dedup set of the rows it has emitted, and only when it drops a column;
+// a projection that keeps every column (reordered or repeated) is
+// injective, so it runs as Keep. The set keys rows of one or two columns
+// by a packed uint64 and wider rows by byte strings.
+//
 // Batches are views: columns may alias a relation's storage (Scan, replay)
 // or an upstream batch (Keep, Semijoin pass-through). N may be short; only
 // Cols[c][:N] is meaningful. Iterators are single-consumer unless

@@ -273,6 +273,47 @@ func TestStreamedBatchSizeOneMatchesDefault(t *testing.T) {
 	}
 }
 
+// TestCoveringHeadProjections pins the heads whose projection keeps every
+// column of the pipeline — a permuted full head, a repeated head variable
+// (whose copy must still be named apart), a swapped pair — which the
+// streamed projection passes through without a dedup set. Each runs on a
+// default Engine and in every cell of shards {1, 4} × batch {1, 1024} ×
+// budget {none, 256 B}, against Naive.
+func TestCoveringHeadProjections(t *testing.T) {
+	db := datagen.EdgeDB(rand.New(rand.NewSource(21)), []string{"E", "R"}, 120, 15)
+	rig := &propertyRig{t: t, govs: map[int]*spill.Governor{}, engines: map[string]*cqbound.Engine{}}
+	plain := cqbound.NewEngine()
+	defer plain.Close()
+	for _, text := range []string{
+		"Q(X,Y,Z,W) <- E(X,Y), E(X,Z), E(X,W).",
+		"Q(X,X,Y) <- R(X,Y).",
+		"Q(Y,X) <- R(X,Y).",
+	} {
+		q := cq.MustParse(text)
+		ref, _, err := eval.NaiveCtx(context.Background(), q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := plain.Evaluate(context.Background(), q, db)
+		if err != nil {
+			t.Fatalf("%s: default engine: %v", text, err)
+		}
+		if !relation.Equal(ref, out) {
+			t.Fatalf("%s: default engine: %d tuples, naive has %d", text, out.Size(), ref.Size())
+		}
+		for _, shards := range []int{1, 4} {
+			for _, bs := range []int{1, 1024} {
+				for _, budget := range []int{0, spillBudgetBytes} {
+					c := propertyCell{"shards": shards, "batch": bs, "budget": budget}
+					if msg := rig.disagreement(c, q, db); msg != "" {
+						t.Fatalf("%s (%s): %s", text, c, msg)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSpillMidPlanEviction pins the mechanism on one deterministic case: a
 // three-join path over relations big enough for several shards, a budget
 // far below one relation, and a check that the governor evicted while the

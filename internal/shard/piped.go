@@ -319,10 +319,11 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 
 // ProjectPiped extends the pipelines with the duplicate-eliminating
 // projection onto idx (positions may repeat, as in relation.ProjectIdx). A
-// multi-part piped whose key survives projects part by part (duplicates
-// agree on every kept column including the key, so they share a part);
-// otherwise the pipeline is first exchanged onto the first kept column,
-// which makes per-part dedup exact.
+// projection that keeps every column dedups nothing (batch.Project runs it
+// as a stateless Keep) and always keeps the key. A multi-part piped whose
+// key survives projects part by part (duplicates agree on every kept column
+// including the key, so they share a part); otherwise the pipeline is first
+// exchanged onto the first kept column, which makes per-part dedup exact.
 func ProjectPiped(ctx context.Context, opts *Options, pd *Piped, idx []int) (*Piped, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
