@@ -175,7 +175,7 @@ func (e *Engine) SpillStats() SpillStats {
 // into memory (relations stay fully usable afterwards) and the engine's
 // spill directory is removed. A nil spill configuration makes Close a
 // no-op. The engine itself remains usable, but a long-lived budgeted
-// engine should be Closed when retired so no segment files leak.
+// engine should be Closed when retired so no spill files leak.
 func (e *Engine) Close() error {
 	return e.spill.Close()
 }
@@ -541,7 +541,7 @@ func epochKeySuffix(epoch uint64) string {
 // memory budget each evaluation gets its own spill scope: the governor
 // buffers of intermediate shards — garbage once the evaluation's output
 // is materialized — are discarded when the scope closes, so a long-lived
-// engine's resident bytes, registry and segment files plateau at the
+// engine's resident bytes, registry and spilled segments plateau at the
 // memoized base partitions instead of growing per query. Both returns are
 // nil-safe for their consumers.
 func (e *Engine) evalOptions() (*shard.Options, *spill.Scope) {

@@ -195,10 +195,10 @@ func ExampleEngine_ShardStats() {
 
 // ExampleWithMemoryBudget builds an engine whose resident shard bytes are
 // capped: when partition shards and partitioned intermediates exceed the
-// budget, the coldest unpinned shards are parked in file-backed segments
+// budget, the coldest unpinned shards are parked as segments in a file
 // under the spill directory and reloaded transparently on next use.
 // Outputs are identical to an unbudgeted engine's; SpillStats shows the
-// governor at work, and Close releases the segment files.
+// governor at work, and Close removes the spill file.
 func ExampleWithMemoryBudget() {
 	q := cqbound.MustParse("Q(A,D) <- R(A,B), S(B,C), T(C,D).")
 	db := cqbound.NewDatabase()

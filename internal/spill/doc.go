@@ -6,10 +6,13 @@
 //
 // The spillable unit is one Buffer — in practice the columns of one
 // partition shard (internal/shard registers every shard it builds when the
-// engine has a budget). Columns are flat uint32 arrays, so a segment file
-// is simply each column's values in order, fixed-width little-endian: the
+// engine has a budget). Columns are flat uint32 arrays, so a segment is
+// simply each column's values in order, fixed-width little-endian: the
 // storage format is the file format, and a reload is one read plus a
-// widening loop, no decoding.
+// widening loop, no decoding. A governor keeps every segment in one spill
+// file, in power-of-two slots that are reused once freed: parking a buffer
+// is one positioned write, not a file created, renamed and later deleted,
+// which on ext4 cost a metadata update whose latency varied run to run.
 //
 // # The pin/unpin contract
 //
@@ -32,11 +35,11 @@
 // Registration and reloads account resident bytes; when the total exceeds
 // the budget the governor walks registered buffers least-recently-used
 // first (recency list reusing internal/lru) and parks every unpinned one
-// until residency is back under budget. A segment file, once written,
-// outlives reloads — re-evicting an unchanged buffer is a free pointer
-// drop — and is deleted only when the buffer is released (its relation is
-// mutated, or the governor closed). If parking every unpinned buffer is
-// not enough, the pass simply ends over budget.
+// until residency is back under budget. A segment, once written, outlives
+// reloads — re-evicting an unchanged buffer is a free pointer drop — and
+// its slot is freed only when the buffer is released (its relation is
+// mutated, or the governor closed) or discarded. If parking every
+// unpinned buffer is not enough, the pass simply ends over budget.
 //
 // The budget is a target, never a hard cap: pinned buffers stay resident
 // even over budget, so enforcement cannot deadlock an operator against its
@@ -48,10 +51,10 @@
 // Memoized base partitions register once and live until their relation is
 // mutated (Release restores plain storage) or the governor is Closed. A
 // query's intermediate shards would otherwise accumulate forever, so they
-// are tracked in a per-evaluation Scope and bulk-Discarded — segment file
-// deleted, accounting dropped, no reload — once the evaluation's output
-// has been materialized; a long-lived engine's registry, resident bytes
-// and spill directory therefore plateau at the base partitions
+// are tracked in a per-evaluation Scope and bulk-Discarded — slot freed,
+// accounting dropped, no reload — once the evaluation's output has been
+// materialized; a long-lived engine's registry, resident bytes and spill
+// file therefore plateau at the base partitions
 // (Stats.RegisteredBuffers makes this observable).
 //
 // Under the engine's epoch store, base partitions retire with their

@@ -23,9 +23,9 @@ type Stats struct {
 	// ReloadedShards counts reloads of parked buffers back into memory
 	// since the governor was built (or ResetCounters).
 	ReloadedShards int64
-	// BytesOnDisk is the total size of live spill files (a gauge; a file
+	// BytesOnDisk is the total size of live segments (a gauge; a segment
 	// persists after reload so re-evicting its buffer is a free pointer
-	// drop, and is deleted only when the buffer is discarded).
+	// drop, and is freed only when the buffer is released or discarded).
 	BytesOnDisk int64
 	// Evictions counts buffers moved out of memory since the governor was
 	// built (or ResetCounters), including re-evictions of already-written
@@ -63,18 +63,21 @@ type Stats struct {
 
 // Governor tracks the resident bytes of every registered buffer and, when a
 // byte budget is exceeded, evicts the least recently used unpinned buffers
-// to file-backed segments in a private spill directory. A nil *Governor is
+// to segments in a spill file in a private directory. A nil *Governor is
 // inert: Manage returns an always-resident buffer, so callers thread one
 // pointer instead of branching. A Governor is safe for concurrent use.
 type Governor struct {
 	budget int64 // <= 0 means unlimited (never evict)
 	base   string
 
-	// mu guards the recency cache, the id sequence, and the lazily created
-	// spill directory. It is never held across file IO or while taking a
-	// buffer's lock: the lock order is buffer.mu before Governor.mu.
+	// mu guards the recency cache, the id sequence, the lazily created
+	// spill directory and the spill file's slot table. It is held across
+	// file IO only to create or remove that directory or file, and never
+	// while taking a buffer's lock: the lock order is buffer.mu before
+	// Governor.mu.
 	mu  sync.Mutex
-	dir string // "" until first spill; reset by Close
+	dir string   // "" until first spill; reset by Close
+	seg *segFile // nil until first spill and whenever no slot is in use
 
 	// res is the recency list of RESIDENT buffers only — eviction removes
 	// an entry, reload re-inserts it — so an enforcement pass scans live
@@ -220,22 +223,80 @@ func (g *Governor) ResetCounters() {
 	g.peakReserved.Store(g.reserved.Load())
 }
 
-// spillDir lazily creates the governor's private spill directory. Close
-// resets it, so a governor that outlives a Close lazily creates a fresh
-// directory on its next spill instead of writing into a removed path. A
-// failed MkdirTemp is not cached: the next caller retries.
-func (g *Governor) spillDir() (string, error) {
+// segFile is a governor's spill file. Segments live in slots of it —
+// power-of-two sizes from minSlot up, each reused once freed — so parking
+// a buffer is one positioned write and reloading it one positioned read:
+// no file is created, renamed or deleted per eviction, and the file stops
+// growing once the working set has been spilled once. Its fields are
+// guarded by Governor.mu; the file itself is read and written concurrently
+// at disjoint slots.
+type segFile struct {
+	f    *os.File
+	end  int64             // bytes of the file handed out as slots so far
+	free map[int64][]int64 // slot size → offsets of freed slots
+	live int               // slots handed out and not yet freed
+}
+
+// minSlot is the smallest slot: one page, so that slots never share one.
+const minSlot = 4 << 10
+
+// slotSize is the slot a segment of the given bytes occupies.
+func slotSize(bytes int64) int64 {
+	s := int64(minSlot)
+	for s < bytes {
+		s <<= 1
+	}
+	return s
+}
+
+// slot hands out a slot for a segment of the given bytes, creating the
+// private spill directory and the spill file on first use. Close resets
+// both, so a governor that outlives a Close spills into a fresh directory
+// instead of a removed path. A failed create is not cached: the next
+// eviction retries.
+func (g *Governor) slot(bytes int64) (s *segFile, off, size int64, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.dir != "" {
-		return g.dir, nil
+	if g.dir == "" {
+		dir, err := os.MkdirTemp(g.base, "cqspill-")
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		g.dir = dir
 	}
-	dir, err := os.MkdirTemp(g.base, "cqspill-")
-	if err != nil {
-		return "", err
+	if g.seg == nil {
+		f, err := os.OpenFile(filepath.Join(g.dir, "segments.seg"), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		g.seg = &segFile{f: f, free: make(map[int64][]int64)}
 	}
-	g.dir = dir
-	return dir, nil
+	s, size = g.seg, slotSize(bytes)
+	if free := s.free[size]; len(free) > 0 {
+		off, s.free[size] = free[len(free)-1], free[:len(free)-1]
+	} else {
+		off, s.end = s.end, s.end+size
+	}
+	s.live++
+	return s, off, size, nil
+}
+
+// freeSlot returns a slot to its file. The file is closed and removed
+// with its last slot, so no spill file outlives the segments in it; the
+// next eviction creates a fresh one.
+func (g *Governor) freeSlot(s *segFile, off, size int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	s.free[size] = append(s.free[size], off)
+	s.live--
+	if s.live > 0 {
+		return
+	}
+	s.f.Close()
+	os.Remove(s.f.Name())
+	if g.seg == s {
+		g.seg = nil
+	}
 }
 
 // Close discards every registered buffer — reloading parked ones so their
@@ -248,9 +309,9 @@ func (g *Governor) Close() error {
 		return nil
 	}
 	// Snapshot the full registry (resident and parked buffers) and retire
-	// the directory in the same critical section: an eviction racing
-	// Close either targets a snapshotted buffer (detached below, its
-	// old-directory segment read back before removal) or spills into a
+	// the directory and its file in the same critical section: an eviction
+	// racing Close either targets a snapshotted buffer (detached below, its
+	// segment read back from the old file before removal) or spills into a
 	// fresh directory.
 	g.mu.Lock()
 	bufs := make([]evictable, 0, len(g.all))
@@ -258,7 +319,7 @@ func (g *Governor) Close() error {
 		bufs = append(bufs, b)
 	}
 	dir := g.dir
-	g.dir = "" // a later spill re-creates a fresh directory
+	g.dir, g.seg = "", nil // a later spill re-creates a fresh directory
 	g.mu.Unlock()
 	var firstErr error
 	for _, b := range bufs {
@@ -373,7 +434,8 @@ func (g *Governor) enforce() {
 }
 
 // Buffer is one spillable unit — the columns of one shard — either resident
-// as [][]V arrays or parked in a fixed-width little-endian segment file.
+// as [][]V arrays or parked as a fixed-width little-endian segment in a
+// slot of the governor's spill file.
 // The arrays are immutable once managed: eviction drops the buffer's
 // reference and reload reads a fresh copy, so a reader that fetched the
 // arrays before an eviction keeps a valid snapshot (the happens-before edge
@@ -400,10 +462,11 @@ type Buffer[V ~uint32] struct {
 
 	// mu serializes park/load transitions and file IO. Lock order:
 	// Buffer.mu before Governor.mu.
-	mu     sync.Mutex
-	path   string
-	onDisk bool
-	arity  int
+	mu    sync.Mutex
+	seg   *segFile // the file holding the segment; nil while none is written
+	off   int64    // where the segment's slot starts in seg
+	slot  int64    // the slot's size
+	arity int
 }
 
 // Manage registers cols (rows valid rows per column) with the governor and
@@ -500,13 +563,13 @@ func (b *Buffer[V]) loadLocked(g *Governor) [][]V {
 	if p := b.data.Load(); p != nil {
 		return *p
 	}
-	raw, err := os.ReadFile(b.path)
-	if err != nil || len(raw) != int(b.bytes) {
+	raw := make([]byte, b.bytes)
+	if n, err := b.seg.f.ReadAt(raw, b.off); err != nil {
 		// A missing or truncated segment is unrecoverable storage loss;
 		// every caller of Cols is a read of relation storage that cannot
 		// fail. This cannot happen short of outside interference with the
 		// governor's private directory.
-		panic(fmt.Sprintf("spill: segment %s corrupt: read %d bytes of %d (err %v)", b.path, len(raw), b.bytes, err))
+		panic(fmt.Sprintf("spill: segment at %d of %s corrupt: read %d bytes of %d (err %v)", b.off, b.seg.f.Name(), n, b.bytes, err))
 	}
 	cols := make([][]V, b.arity)
 	off := 0
@@ -527,7 +590,7 @@ func (b *Buffer[V]) loadLocked(g *Governor) [][]V {
 	return cols
 }
 
-// tryEvict implements evictable: park the columns in the segment file and
+// tryEvict implements evictable: park the columns in the spill file and
 // drop the in-memory arrays, unless the buffer is pinned, already parked,
 // or busy. TryLock (rather than Lock) keeps enforcement deadlock-free: a
 // buffer mid-load holds its own lock while enforcing, and two concurrent
@@ -545,11 +608,10 @@ func (b *Buffer[V]) tryEvict() int64 {
 	if p == nil {
 		return 0
 	}
-	if !b.onDisk {
+	if b.seg == nil {
 		if err := b.write(*p, g); err != nil {
 			return 0 // best effort: keep the data resident
 		}
-		b.onDisk = true
 		g.onDisk.Add(b.bytes)
 	}
 	b.data.Store(nil)
@@ -577,58 +639,47 @@ func (b *Buffer[V]) tryEvict() int64 {
 // allocate the shard's own footprint a second time.
 const writeBlockBytes = 64 << 10
 
-// write serializes the columns into the segment file: each column in
-// order, each value a fixed-width little-endian uint32, streamed through
-// a fixed-size block buffer. The write goes to a temp name and is renamed
-// into place so a half-written segment is never read.
+// write serializes the columns into a slot of the governor's spill file:
+// each column in order, each value a fixed-width little-endian uint32,
+// streamed through a block buffer of at most writeBlockBytes. The buffer
+// records the slot only once the write succeeded, so a half-written
+// segment is never read.
 func (b *Buffer[V]) write(cols [][]V, g *Governor) error {
-	dir, err := g.spillDir()
+	s, off, size, err := g.slot(b.bytes)
 	if err != nil {
 		return err
 	}
-	if b.path == "" {
-		b.path = filepath.Join(dir, b.id+".seg")
-	}
-	tmp := b.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
+	buf := make([]byte, 0, min(writeBlockBytes, b.bytes))
+	pos := off
+	flush := func() error {
+		_, err := s.f.WriteAt(buf, pos)
+		pos += int64(len(buf))
+		buf = buf[:0]
 		return err
 	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	buf := make([]byte, 0, writeBlockBytes)
 	for _, col := range cols {
 		for _, v := range col[:b.rows] {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 			if len(buf) == cap(buf) {
-				if _, err := f.Write(buf); err != nil {
-					return fail(err)
+				if err := flush(); err != nil {
+					g.freeSlot(s, off, size)
+					return err
 				}
-				buf = buf[:0]
 			}
 		}
 	}
 	if len(buf) > 0 {
-		if _, err := f.Write(buf); err != nil {
-			return fail(err)
+		if err := flush(); err != nil {
+			g.freeSlot(s, off, size)
+			return err
 		}
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, b.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
+	b.seg, b.off, b.slot = s, off, size
 	return nil
 }
 
 // Release detaches the buffer from its governor: the columns are made
-// resident (reloading if parked), the segment file is deleted, and the
+// resident (reloading if parked), the segment's slot is freed, and the
 // governor stops tracking the buffer. Called when a managed relation is
 // about to be mutated — the storage contract reverts to plain slices.
 func (b *Buffer[V]) Release() {
@@ -636,7 +687,7 @@ func (b *Buffer[V]) Release() {
 }
 
 // Discard drops the buffer's spill state WITHOUT restoring residency: the
-// segment file is deleted, the governor's accounting and registry forget
+// segment's slot is freed, the governor's accounting and registry forget
 // the buffer, and parked contents are simply gone. Only for buffers whose
 // relation is garbage — one evaluation's intermediates after the
 // evaluation returned (Scope batches these). Resident columns stay
@@ -650,10 +701,10 @@ func (b *Buffer[V]) Discard() {
 		return
 	}
 	resident := b.data.Load() != nil
-	if b.onDisk {
-		b.onDisk = false
+	if b.seg != nil {
 		g.onDisk.Add(-b.bytes)
-		_ = os.Remove(b.path)
+		g.freeSlot(b.seg, b.off, b.slot)
+		b.seg = nil
 	}
 	b.gov.Store(nil)
 	b.mu.Unlock()
@@ -668,7 +719,7 @@ func (b *Buffer[V]) Discard() {
 // Scope batches the transient buffers of one evaluation — intermediates
 // that are garbage once the evaluation returns — for bulk Discard, so a
 // long-lived engine's governor does not accumulate resident bytes,
-// registry entries, and segment files per query. Track is safe for
+// registry entries, and spilled segments per query. Track is safe for
 // concurrent use (operators govern outputs from pool workers); Close is
 // called once, after the last read of the tracked relations.
 type Scope struct {
@@ -776,10 +827,10 @@ func (b *Buffer[V]) detach() error {
 	if b.data.Load() == nil {
 		b.loadLocked(g) // restore residency so the owner keeps readable storage
 	}
-	if b.onDisk {
-		b.onDisk = false
+	if b.seg != nil {
 		g.onDisk.Add(-b.bytes)
-		_ = os.Remove(b.path)
+		g.freeSlot(b.seg, b.off, b.slot)
+		b.seg = nil
 	}
 	b.gov.Store(nil)
 	b.mu.Unlock()

@@ -185,6 +185,56 @@ func TestReleaseRestoresAndDeletesSegment(t *testing.T) {
 	b.Release() // idempotent
 }
 
+// TestDiscardedSlotsAreReused pins the spill file's slot reuse: a buffer
+// parked after another was discarded takes the freed slot, so the file
+// does not grow with the number of evictions, and the file goes with its
+// last segment.
+func TestDiscardedSlotsAreReused(t *testing.T) {
+	dir := t.TempDir()
+	g := NewGovernor(50, dir) // every 80-byte buffer is parked at once
+	defer g.Close()
+	spillFiles := func() []string {
+		segs, _ := filepath.Glob(filepath.Join(dir, "cqspill-*", "*.seg"))
+		return segs
+	}
+	fileSize := func() int64 {
+		segs := spillFiles()
+		if len(segs) != 1 {
+			t.Fatalf("want one spill file, have %v", segs)
+		}
+		fi, err := os.Stat(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	keep := Manage(g, cols(2, 10, 1), 10)
+	var size int64
+	for i := 0; i < 50; i++ {
+		b := Manage(g, cols(2, 10, 100*(i+2)), 10)
+		if b.Resident() {
+			t.Fatal("over-budget buffer not parked")
+		}
+		if i == 0 {
+			size = fileSize()
+		}
+		b.Discard()
+	}
+	if got := fileSize(); got != size {
+		t.Fatalf("spill file grew from %d to %d bytes over 50 evictions of same-sized buffers", size, got)
+	}
+	if st := g.Snapshot(); st.Evictions != 51 || st.BytesOnDisk != 80 {
+		t.Fatalf("after discards: %+v", st)
+	}
+	if !equalCols(keep.Cols(), cols(2, 10, 1)) {
+		t.Fatal("segment overwritten by a reused slot")
+	}
+	keep.Release()
+	if segs := spillFiles(); len(segs) != 0 {
+		t.Fatalf("spill file survives its last segment: %v", segs)
+	}
+}
+
 func TestCloseRestoresBuffersAndRemovesDir(t *testing.T) {
 	dir := t.TempDir()
 	g := NewGovernor(50, dir)

@@ -15,7 +15,7 @@ package cqbound
 //
 // When a commit supersedes an epoch and its last reader unpins, the
 // retirement sweep reclaims everything only that epoch could reach: governed memo shards leave the spill governor's
-// registry (and their segment files leave the disk), and per-epoch plan
+// registry (and their segments leave the disk), and per-epoch plan
 // cache entries are pruned. Dict compaction (Engine.Compact) is the
 // analogous reclamation for the string table: it rewrites surviving IDs
 // against a fresh dictionary and publishes the result as a new epoch.
@@ -399,7 +399,7 @@ func (e *Engine) publish(epoch uint64, db *database.Database) {
 // leaves the lookup table, its per-epoch plan cache entries are pruned,
 // and every governed buffer reachable ONLY from swept epochs — orphaned
 // memo shards included, stale ones especially — is discarded from the
-// spill governor, deleting its segment file if parked. Buffers shared
+// spill governor, freeing its spilled segment if parked. Buffers shared
 // with a surviving epoch (untouched shards carried over by pointer) are
 // left alone. Sweeps run at publish time and when a reader's last pin
 // drains; both entry points are cheap when nothing retired.
