@@ -1,9 +1,15 @@
 package cqbound
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"math/big"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,15 +60,8 @@ func FuzzParseEvaluate(f *testing.F) {
 		if err := q.Validate(); err != nil {
 			t.Fatalf("Parse accepted a query Validate rejects: %v\nquery: %s", err, q)
 		}
-		// Keep evaluation tractable: fuzzing explores the parser's full
-		// grammar, but evaluation cost is exponential in query size.
-		if len(q.Body) > 4 || len(q.Variables()) > 6 {
+		if !tractable(q) {
 			return
-		}
-		for _, a := range q.Body {
-			if a.Arity() > 3 {
-				return
-			}
 		}
 		db := fuzzDatabase(q)
 		out, _, err := eng.Evaluate(context.Background(), q, db)
@@ -97,28 +96,151 @@ func FuzzParseEvaluate(f *testing.F) {
 	})
 }
 
+// FuzzServeQuery drives /query end to end with a fuzzed query over
+// fuzzed byte-string values: every relation the query names holds every
+// tuple over those values, stored through the Go API, so they reach the
+// body encoder unvalidated (quotes, HTML, control bytes, invalid UTF-8).
+// A miss must decode to exactly the tuples of the naive reference
+// (eval.NaiveCtx), each rendered the way encoding/json renders a string,
+// and an immediate hit must repeat the miss's bytes with "cached" true.
+func FuzzServeQuery(f *testing.F) {
+	seeds := []struct {
+		query   string
+		a, b, c string
+	}{
+		{"Q(X,Y) <- R(X,Y).", `say "hi"\`, "<&>", "\x00\x1f\u2028"},
+		{"Q(X,X,Y) <- R(X,Y).", "naïve", "naïve", ""},
+		{"Q(X,Y,Z) <- R(X,Y), R(Y,Z), R(X,Z).", "bad\xff", "\xfe", "ok"},
+		{"Q(X,Z) <- E(X,Y), E(Y,Z). % <script>", "a", "b", "c"},
+		{"Q(X) <- R(X), S(Y).", "\t\n", "\u2029", "\U0001F600"},
+	}
+	for _, s := range seeds {
+		f.Add(s.query, []byte(s.a), []byte(s.b), []byte(s.c))
+	}
+	f.Fuzz(func(t *testing.T, src string, a, b, c []byte) {
+		q, err := cq.Parse(src)
+		if err != nil || q.Validate() != nil || !tractable(q) {
+			return
+		}
+		var universe []string
+		for _, v := range []string{string(a), string(b), string(c)} {
+			if !slices.Contains(universe, v) {
+				universe = append(universe, v)
+			}
+		}
+		eng := NewEngine()
+		defer eng.Close()
+		srv := NewServer(eng)
+		defer srv.Close()
+		tx := eng.Begin()
+		for rel, arity := range q.RelationArities() {
+			if err := tx.Create(rel, attrNamesFor(arity)...); err != nil {
+				t.Fatal(err)
+			}
+			eachRow(arity, universe, func(row ...string) {
+				if err := tx.Add(rel, row...); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		get := func() []byte {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?q="+url.QueryEscape(src), nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("/query answered %d: %s\nquery: %s", rec.Code, rec.Body, q)
+			}
+			return rec.Body.Bytes()
+		}
+		miss, hit := get(), get()
+
+		var resp struct {
+			Rows   int        `json:"rows"`
+			Tuples [][]string `json:"tuples"`
+			Cached bool       `json:"cached"`
+		}
+		if err := json.Unmarshal(miss, &resp); err != nil {
+			t.Fatalf("miss body does not decode: %v\n%q", err, miss)
+		}
+		if resp.Cached || resp.Rows != len(resp.Tuples) {
+			t.Fatalf("miss says cached=%v rows=%d with %d tuples", resp.Cached, resp.Rows, len(resp.Tuples))
+		}
+		snap := eng.Snapshot()
+		defer snap.Close()
+		naive, _, err := eval.NaiveCtx(context.Background(), q, snap.DB())
+		if err != nil {
+			t.Fatalf("reference evaluation failed: %v\nquery: %s", err, q)
+		}
+		var want [][]string
+		naive.Each(func(tu Tuple) bool {
+			want = append(want, tu.StringsIn(snap.DB().Dict()))
+			return true
+		})
+		enc, _ := json.Marshal(want)
+		want = nil
+		if err := json.Unmarshal(enc, &want); err != nil {
+			t.Fatal(err)
+		}
+		got := resp.Tuples
+		for _, ts := range [][][]string{got, want} {
+			slices.SortFunc(ts, func(x, y []string) int { return slices.Compare(x, y) })
+		}
+		if !slices.EqualFunc(got, want, slices.Equal[[]string]) {
+			t.Fatalf("served %d tuples, reference %d\nquery: %s\nserved: %q\nwant:   %q", len(got), len(want), q, got, want)
+		}
+
+		const missTail, hitTail = `,"cached":false}` + "\n", `,"cached":true}` + "\n"
+		if !bytes.HasSuffix(miss, []byte(missTail)) {
+			t.Fatalf("miss body does not end in %q: %q", missTail, miss)
+		}
+		if wantHit := append(bytes.TrimSuffix(miss, []byte(missTail)), hitTail...); !bytes.Equal(hit, wantHit) {
+			t.Fatalf("hit body differs from the miss beyond \"cached\":\n got %q\nwant %q", hit, wantHit)
+		}
+	})
+}
+
+// tractable keeps fuzzed evaluation cheap: fuzzing explores the parser's
+// full grammar, but evaluation cost is exponential in query size.
+func tractable(q *cq.Query) bool {
+	if len(q.Body) > 4 || len(q.Variables()) > 6 {
+		return false
+	}
+	for _, a := range q.Body {
+		if a.Arity() > 3 {
+			return false
+		}
+	}
+	return true
+}
+
+// eachRow calls add with every arity-wide row over universe.
+func eachRow(arity int, universe []string, add func(row ...string)) {
+	row := make([]string, arity)
+	var fill func(p int)
+	fill = func(p int) {
+		if p == arity {
+			add(row...)
+			return
+		}
+		for _, u := range universe {
+			row[p] = u
+			fill(p + 1)
+		}
+	}
+	fill(0)
+}
+
 // fuzzDatabase builds a small deterministic instance for q's body schema:
 // every relation gets the same dense tuple set over a three-value universe,
 // so any parsed query can be evaluated without coordination with the
 // fuzzer.
 func fuzzDatabase(q *cq.Query) *Database {
 	db := NewDatabase()
-	universe := []string{"a", "b", "c"}
 	for rel, arity := range q.RelationArities() {
 		r := NewRelation(rel, attrNamesFor(arity)...)
-		row := make([]string, arity)
-		var fill func(p int)
-		fill = func(p int) {
-			if p == arity {
-				r.Add(row...)
-				return
-			}
-			for _, u := range universe {
-				row[p] = u
-				fill(p + 1)
-			}
-		}
-		fill(0)
+		eachRow(arity, []string{"a", "b", "c"}, func(row ...string) { r.Add(row...) })
 		db.MustAdd(r)
 	}
 	return db

@@ -30,4 +30,10 @@
 // periodic sweep drops entries whose epoch is no longer live or pinned by a
 // held snapshot. A reader holding an old Snapshot keeps hitting its own
 // epoch's entries, which is exactly the isolation Commit promises.
+//
+// An entry is the encoded answer, not its rows: cqserve writes the JSON of
+// "rows", "attrs" and "tuples" once, straight from the result relation's
+// columns, and every reply — miss or hit — writes those bytes unchanged
+// between the per-request members. A hit therefore costs the same few
+// allocations whatever the answer's size.
 package serve

@@ -255,22 +255,13 @@ func (s *Server) registerMetrics() {
 	reg.Gauge("serve_errors", s.errors.Load)
 }
 
-// cachedResult is one materialized query answer: everything a response
-// needs except the per-request trace.
+// cachedResult is one query answer, encoded once: its row count (for the
+// calibration telemetry) and the "rows", "attrs" and "tuples" members of
+// the /query body, which every reply of the answer — miss or hit — writes
+// unchanged between the per-request members (see replyResult).
 type cachedResult struct {
-	Attrs  []string
-	Tuples [][]string
-}
-
-// queryResponse is the /query JSON body.
-type queryResponse struct {
-	Query  string     `json:"query"`
-	Epoch  uint64     `json:"epoch"`
-	Rows   int        `json:"rows"`
-	Attrs  []string   `json:"attrs"`
-	Tuples [][]string `json:"tuples"`
-	Cached bool       `json:"cached"`
-	Trace  string     `json:"trace,omitempty"`
+	rows int
+	body []byte
 }
 
 // handleQuery is the request lifecycle of ARCHITECTURE §11: resolve and
@@ -316,7 +307,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	rs.SetEpoch(epoch)
 
-	// Cache hits skip admission: a materialized answer costs no evaluation
+	// Cache hits skip admission: a cached answer costs no evaluation
 	// memory. Traced requests bypass the cache so their trace is real.
 	if s.cacheOn && !traced {
 		res, ok := s.cache.Get(qtext, epoch)
@@ -330,10 +321,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if ok {
 			rs.MarkCached()
 			rs.SetOutcome("cached")
-			s.reply(w, http.StatusOK, &queryResponse{
-				Query: qtext, Epoch: epoch, Rows: len(res.Tuples),
-				Attrs: res.Attrs, Tuples: res.Tuples, Cached: true,
-			})
+			s.replyResult(w, qtext, epoch, res, true, "")
 			return
 		}
 	}
@@ -402,21 +390,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	res := materialize(out, db.Dict())
-	s.recordCalibration(strategy, shapeOf(q), bound, estimate, len(res.Tuples))
+	res := encodeResult(out, db.Dict())
+	s.recordCalibration(strategy, shapeOf(q), bound, estimate, res.rows)
 	if s.cacheOn && !traced {
 		s.cache.Put(qtext, epoch, res)
 	}
 	rs.SetState("done", 0)
 	rs.SetOutcome("ok")
-	resp := &queryResponse{
-		Query: qtext, Epoch: epoch, Rows: len(res.Tuples),
-		Attrs: res.Attrs, Tuples: res.Tuples,
-	}
+	var trace string
 	if tr != nil {
-		resp.Trace = tr.Render()
+		trace = tr.Render()
 	}
-	s.reply(w, http.StatusOK, resp)
+	s.replyResult(w, qtext, epoch, res, false, trace)
 }
 
 // estBytes converts a planner row bound to an admission reservation: one
@@ -434,17 +419,60 @@ func estBytes(rows float64, q *Query) int64 {
 	return int64(b)
 }
 
-// materialize renders a result relation into the strings a response and
-// the cache carry, resolving values through the evaluated snapshot's
-// dictionary (the output relation does not adopt one); the relation itself
-// is not retained.
-func materialize(out *Relation, d *Dict) *cachedResult {
-	res := &cachedResult{Attrs: append([]string(nil), out.Attrs...), Tuples: [][]string{}}
-	out.Each(func(t Tuple) bool {
-		res.Tuples = append(res.Tuples, t.StringsIn(d))
-		return true
-	})
-	return res
+// encodeResult encodes a result relation as the "rows", "attrs" and
+// "tuples" members of a /query body, walking its columns and resolving
+// values through the evaluated snapshot's dictionary (the output relation
+// does not adopt one); the relation itself is not retained. Each distinct
+// value is resolved and quoted once per answer, by encoding/json, so the
+// bytes are exactly what encoding/json writes for the same []string rows.
+func encodeResult(out *Relation, d *Dict) *cachedResult {
+	rows := out.Size()
+	cols := make([][]Value, out.Arity())
+	for c := range cols {
+		cols[c] = out.Column(c)
+	}
+	// Sized for short values — a quoted value and its comma in about 8
+	// bytes, a row's brackets in 2; longer values grow the slice.
+	b := append(make([]byte, 0, 64+rows*(2+8*len(cols))), `"rows":`...)
+	b = strconv.AppendInt(b, int64(rows), 10)
+	b = append(b, `,"attrs":[`...)
+	for i, a := range out.Attrs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, jsonString(a)...)
+	}
+	b = append(b, `],"tuples":[`...)
+	quoted := make(map[Value][]byte)
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for c, col := range cols {
+			if c > 0 {
+				b = append(b, ',')
+			}
+			v := col[i]
+			q, ok := quoted[v]
+			if !ok {
+				q = jsonString(d.String(v))
+				quoted[v] = q
+			}
+			b = append(b, q...)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, ']')
+	return &cachedResult{rows: rows, body: b}
+}
+
+// jsonString is encoding/json's rendering of s: quoted, with HTML
+// characters, U+2028/U+2029 and control bytes escaped and invalid UTF-8
+// replaced.
+func jsonString(s string) []byte {
+	b, _ := json.Marshal(s) // a string always marshals
+	return b
 }
 
 // commitRequest is the /commit JSON body: a transaction as an ordered op
@@ -636,6 +664,42 @@ func (s *Server) sweepCache() {
 	}
 	s.snapMu.Unlock()
 	s.cache.Sweep(func(e uint64) bool { return e == live || pinned[e] })
+}
+
+// replyResult writes a /query answer: the per-request members (query,
+// epoch, cached, trace) around the answer's encoded body, in the field
+// order of the JSON object it is — {"query","epoch","rows","attrs",
+// "tuples","cached"[,"trace"]} plus a trailing newline. Hits and misses
+// take this one path. The body is written as it sits in the cache, never
+// copied, so a hit allocates the same few bytes whatever the answer's size.
+func (s *Server) replyResult(w http.ResponseWriter, query string, epoch uint64, res *cachedResult, cached bool, trace string) {
+	// meta holds the members before the body, then those after it.
+	meta := append([]byte(`{"query":`), jsonString(query)...)
+	meta = append(meta, `,"epoch":`...)
+	meta = strconv.AppendUint(meta, epoch, 10)
+	meta = append(meta, ',')
+	split := len(meta)
+	meta = append(meta, `,"cached":`...)
+	meta = strconv.AppendBool(meta, cached)
+	if trace != "" {
+		meta = append(meta, `,"trace":`...)
+		meta = append(meta, jsonString(trace)...)
+	}
+	meta = append(meta, "}\n"...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(meta)+len(res.body)))
+	w.WriteHeader(http.StatusOK)
+	_, err := w.Write(meta[:split])
+	if err == nil {
+		_, err = w.Write(res.body)
+	}
+	if err == nil {
+		_, err = w.Write(meta[split:])
+	}
+	if err != nil {
+		s.errors.Add(1)
+	}
 }
 
 // reply writes v as a JSON response.
