@@ -47,6 +47,10 @@ func FuzzParseEvaluate(f *testing.F) {
 		"Q(V1) <- R1(V2), R1(V2), R1(V1).",
 		"Q(X,Y,Z,W) <- E(X,Y), E(X,Z), E(X,W).",
 		"Q(Y,X) <- R(X,Y).",
+		// A projection that dedups 3-wide rows, and joins keyed on all
+		// three columns of R and S: key tables of every width run.
+		"Q(X,Y,Z) <- R(X,Y,W), S(W,Z).",
+		"Q(W) <- R(X,Y,Z), S(X,Y,Z), T(Z,W).",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -226,6 +226,7 @@ type joinIter struct {
 	started bool
 	done    bool
 	ix      *relation.Index // nil for cross products
+	lpos    []int           // left key positions, one per pair
 	all     []int32         // every right row: a cross product's matches
 	rcols   [][]relation.Value
 
@@ -234,8 +235,7 @@ type joinIter struct {
 	matches []int32 // right rows matching cur[row-1] not yet emitted
 	mpos    int
 
-	out  Batch
-	keys []byte
+	out Batch
 }
 
 func (j *joinIter) Attrs() []string { return j.attrs }
@@ -251,8 +251,9 @@ func (j *joinIter) start() {
 	}
 	if len(j.pairs) > 0 {
 		cols := make([]int, len(j.pairs))
+		j.lpos = make([]int, len(j.pairs))
 		for i, p := range j.pairs {
-			cols[i] = p[1]
+			j.lpos[i], cols[i] = p[0], p[1]
 		}
 		j.ix = j.right.Index(cols...)
 	} else {
@@ -322,11 +323,7 @@ func (j *joinIter) Next(ctx context.Context) (*Batch, error) {
 			j.row++
 			continue
 		}
-		j.keys = j.keys[:0]
-		for _, p := range j.pairs {
-			j.keys = appendValue(j.keys, j.cur.Cols[p[0]][j.row])
-		}
-		j.matches = j.ix.Rows(j.keys)
+		j.matches = j.ix.Rows(j.cur.Cols, j.lpos, j.row)
 		j.mpos = 0
 		j.row++
 	}
@@ -345,13 +342,6 @@ func allRows(n int) []int32 {
 		rows[i] = int32(i)
 	}
 	return rows
-}
-
-// appendValue packs v like relation.KeyFor does, so probe keys match the
-// index's fixed-width packing.
-func appendValue(buf []byte, v relation.Value) []byte {
-	u := uint32(v)
-	return append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
 }
 
 // Semijoin streams left ⋉ right: left rows with at least one match in
@@ -374,8 +364,7 @@ type semiIter struct {
 	done    bool
 	ix      *relation.Index
 
-	out  Batch
-	keys []byte
+	out Batch
 }
 
 func (s *semiIter) Attrs() []string { return s.left.Attrs() }
@@ -418,11 +407,7 @@ func (s *semiIter) Next(ctx context.Context) (*Batch, error) {
 		}
 		n := 0
 		for i := 0; i < b.N; i++ {
-			s.keys = s.keys[:0]
-			for _, c := range s.lCols {
-				s.keys = appendValue(s.keys, b.Cols[c][i])
-			}
-			if !s.ix.Has(s.keys) {
+			if !s.ix.Has(b.Cols, s.lCols, i) {
 				continue
 			}
 			for c := range b.Cols {
@@ -487,7 +472,7 @@ func Project(in Iterator, idx []int, attrs []string, size int, m *Metrics) Itera
 	if covers(idx, len(in.Attrs())) {
 		return &keepIter{in: in, keep: idx, attrs: attrs, m: m}
 	}
-	return &projIter{in: in, idx: idx, attrs: attrs, size: sizeOr(size), seen: newRowSet(len(idx)), m: m}
+	return &projIter{in: in, idx: idx, attrs: attrs, size: sizeOr(size), seen: relation.NewKeyTable(len(idx), sizeOr(size)), m: m}
 }
 
 // covers reports whether idx names every position in [0, width).
@@ -503,55 +488,12 @@ func covers(idx []int, width int) bool {
 	return n == width
 }
 
-// rowSet is Project's dedup set. Rows of one or two columns — every row
-// the benchmark's workloads dedup — pack into one uint64 and allocate
-// nothing; wider rows use the byte-string packing of relation.KeyFor.
-type rowSet struct {
-	packed map[uint64]struct{}
-	bytes  map[string]struct{}
-	buf    []byte
-}
-
-func newRowSet(width int) *rowSet {
-	if width <= 2 {
-		return &rowSet{packed: make(map[uint64]struct{})}
-	}
-	return &rowSet{bytes: make(map[string]struct{})}
-}
-
-// add inserts the row of cols at the idx positions and reports whether it
-// was new.
-func (s *rowSet) add(cols [][]relation.Value, idx []int, row int) bool {
-	if s.packed != nil {
-		// A packed key costs one hash either way: insert, and compare the
-		// set's size.
-		var k uint64
-		for i, c := range idx {
-			k |= uint64(cols[c][row]) << (32 * i)
-		}
-		n := len(s.packed)
-		s.packed[k] = struct{}{}
-		return len(s.packed) > n
-	}
-	// A string key is looked up first, so that only a new row pays for
-	// allocating it.
-	s.buf = s.buf[:0]
-	for _, c := range idx {
-		s.buf = appendValue(s.buf, cols[c][row])
-	}
-	if _, dup := s.bytes[string(s.buf)]; dup {
-		return false
-	}
-	s.bytes[string(s.buf)] = struct{}{}
-	return true
-}
-
 type projIter struct {
 	in    Iterator
 	idx   []int
 	attrs []string
 	size  int
-	seen  *rowSet
+	seen  *relation.KeyTable
 	m     *Metrics
 	done  bool
 	cur   *Batch // partially consumed input batch
@@ -595,7 +537,7 @@ func (p *projIter) Next(ctx context.Context) (*Batch, error) {
 			p.cur, p.row = b, 0
 		}
 		for ; p.row < p.cur.N && n < p.size; p.row++ {
-			if !p.seen.add(p.cur.Cols, p.idx, p.row) {
+			if _, added := p.seen.Insert(p.cur.Cols, p.idx, p.row); !added {
 				continue
 			}
 			for j, c := range p.idx {

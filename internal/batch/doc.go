@@ -23,8 +23,8 @@
 // distinct rows. Project is the one stage that keeps state across batches,
 // a dedup set of the rows it has emitted, and only when it drops a column;
 // a projection that keeps every column (reordered or repeated) is
-// injective, so it runs as Keep. The set keys rows of one or two columns
-// by a packed uint64 and wider rows by byte strings.
+// injective, so it runs as Keep. The set is a relation.KeyTable, which
+// stores every row inline in one arena whatever its width.
 //
 // Batches are views: columns may alias a relation's storage (Scan, replay)
 // or an upstream batch (Keep, Semijoin pass-through). N may be short; only

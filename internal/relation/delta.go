@@ -162,29 +162,22 @@ func (r *Relation) ExtendMemos(next *Relation) int {
 	return count
 }
 
-// extendIndex clones ix's posting map and appends the delta rows' indices.
-// Posting lists touched by the delta are re-clipped before the first
-// append so the clone never grows into the base index's backing arrays —
-// readers of the retired epoch may still be probing them.
+// extendIndex derives next's index from ix, built over next's first oldN
+// rows, by inserting the delta rows' keys into a copy of ix's key table
+// and laying the posting lists out afresh. ix itself is never written:
+// readers of the retired epoch may still be probing it.
 func extendIndex(ix *Index, next *Relation, oldN int) *Index {
-	rows := maps.Clone(ix.rows)
-	if rows == nil {
-		rows = make(map[string][]int32)
-	}
 	next.Pin()
 	defer next.Unpin()
-	touched := make(map[string]bool)
-	var buf []byte
-	for i := oldN; i < next.n; i++ {
-		buf = next.keyAt(buf[:0], i, ix.cols)
-		k := string(buf)
-		if !touched[k] {
-			touched[k] = true
-			rows[k] = slices.Clip(rows[k])
+	keyOf := make([]int32, next.n)
+	for k := int32(0); k < int32(ix.Len()); k++ {
+		for _, i := range ix.postings(k) {
+			keyOf[i] = k
 		}
-		rows[k] = append(rows[k], int32(i))
 	}
-	return &Index{cols: ix.cols, rows: rows}
+	out := &Index{cols: ix.cols, keys: ix.keys.clone()}
+	out.addRows(next, keyOf, oldN)
+	return out
 }
 
 // extendStats unions the delta rows' values into clones of the base's

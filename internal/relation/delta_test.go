@@ -117,18 +117,15 @@ func TestExtendMemosMatchRebuild(t *testing.T) {
 		}
 	}
 	freshIx := next.Index(0) // served from the installed memo
-	var buf []byte
 	fresh.Each(func(tp Tuple) bool {
-		buf = KeyFor(buf[:0], tp, []int{0})
-		if len(freshIx.Rows(buf)) == 0 {
+		if len(freshIx.Rows(probeKey(tp[0]))) == 0 {
 			t.Fatalf("extended index misses key %v", tp.Strings())
 		}
 		return true
 	})
 	// The extension must not have grown the BASE index's posting lists:
 	// epoch readers of the base are still probing them.
-	buf = KeyFor(buf[:0], tupleOf("x1", ""), []int{0})
-	baseRows := baseIx.Rows(buf)
+	baseRows := baseIx.Rows(probeKey(V("x1")))
 	for _, row := range baseRows {
 		if int(row) >= base.Size() {
 			t.Fatalf("base index now lists row %d past base size %d", row, base.Size())

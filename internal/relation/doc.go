@@ -8,13 +8,15 @@
 //
 // Storage is interned and columnar: every field value is a fixed-width
 // Value (an ID into a Dict, see dict.go) and each attribute is stored as a
-// contiguous []Value column. Tuple keys — the currency of dedup, joins and
-// semijoins — are fixed-width byte packings of IDs. Renaming and cloning
-// share column storage copy-on-write, so deriving a differently-named view
-// of a base relation (the hot path of query evaluation) is O(arity), not
-// O(n·arity). Slice extends the same idea to row ranges: a contiguous
-// block of rows is an O(arity) view, which is how the sharding layer cuts
-// a hot shard into blocks without copying.
+// contiguous []Value column. The distinct keys of a hash index live in a
+// KeyTable (keytable.go), a flat open-addressing table of fixed-width rows
+// of IDs that probes read straight from columns; the set-semantics dedup
+// map keys a tuple by the fixed-width byte packing of its IDs. Renaming
+// and cloning share column storage copy-on-write, so deriving a
+// differently-named view of a base relation (the hot path of query
+// evaluation) is O(arity), not O(n·arity). Slice extends the same idea to
+// row ranges: a contiguous block of rows is an O(arity) view, which is how
+// the sharding layer cuts a hot shard into blocks without copying.
 //
 // # The memo table
 //
@@ -54,13 +56,13 @@
 // arrays so sibling versions never fork each other's spare capacity.
 //
 // Memoized structures move across versions incrementally: ExtendMemos
-// derives the successor's hash indexes (cloned posting maps, touched keys
-// clipped so the base's lists never grow under a reader) and per-column
-// distinct statistics (set union with the delta) from the base's instead
-// of rebuilding, InstallMemo lets internal/shard install incrementally
-// extended partitions, and EachMemo exposes every entry — stale ones
-// included — so the epoch sweep can reclaim governed buffers that
-// invalidation orphaned. NewDedup/Dedup is the writer-owned tuple→row map
+// derives the successor's hash indexes (a copy of the base's key table
+// plus the delta's keys, posting lists laid out afresh, the base index
+// never written) and per-column distinct statistics (set union with the
+// delta) from the base's instead of rebuilding, InstallMemo lets
+// internal/shard install incrementally extended partitions, and EachMemo
+// exposes every entry — stale ones included — so the epoch sweep can
+// reclaim governed buffers that invalidation orphaned. NewDedup/Dedup is the writer-owned tuple→row map
 // that keeps set semantics O(delta) per committed batch.
 //
 // Every relation can also carry a private Dict (NewIn, AdoptDict, Dict):

@@ -99,28 +99,41 @@ func (r *Relation) peekMemo(key string) (any, bool) {
 	return nil, false
 }
 
-// Index is a hash index over a column list: the fixed-width packing of a
-// row's values in those columns maps to every matching row.
+// Index is a hash index over a column list: a KeyTable of the distinct
+// keys the rows hold in those columns, and every key's posting list — the
+// ascending row ids holding it — as one segment of a single row-id array.
 type Index struct {
-	cols []int
-	rows map[string][]int32
+	cols  []int
+	keys  *KeyTable
+	start []int32 // key id k's rows are rows[start[k]:start[k+1]]
+	rows  []int32
 }
 
 // Cols returns the indexed column positions.
 func (ix *Index) Cols() []int { return ix.cols }
 
 // Len returns the number of distinct keys.
-func (ix *Index) Len() int { return len(ix.rows) }
+func (ix *Index) Len() int { return ix.keys.Len() }
 
-// Rows returns the rows whose indexed columns pack to key (as built by
-// Relation.KeyFor or Tuple.Key over the same columns). The slice is the
-// index's storage; treat it as read-only.
-func (ix *Index) Rows(key []byte) []int32 { return ix.rows[string(key)] }
+// Rows returns the rows whose indexed columns hold the key at (cols, pos,
+// row) — the probe row's values in its columns pos, one per indexed
+// column. The slice is the index's storage; treat it as read-only.
+func (ix *Index) Rows(cols [][]Value, pos []int, row int) []int32 {
+	k := ix.keys.Find(cols, pos, row)
+	if k < 0 {
+		return nil
+	}
+	return ix.postings(k)
+}
 
-// Has reports whether any row matches the key.
-func (ix *Index) Has(key []byte) bool {
-	_, ok := ix.rows[string(key)]
-	return ok
+// postings returns key id k's posting list.
+func (ix *Index) postings(k int32) []int32 {
+	return ix.rows[ix.start[k]:ix.start[k+1]]
+}
+
+// Has reports whether any row matches the key at (cols, pos, row).
+func (ix *Index) Has(cols [][]Value, pos []int, row int) bool {
+	return ix.keys.Find(cols, pos, row) >= 0
 }
 
 // Index returns the hash index over the given columns, built lazily and
@@ -139,14 +152,42 @@ func (r *Relation) Index(cols ...int) *Index {
 		// not race the spill governor parking the columns row by row.
 		r.Pin()
 		defer r.Unpin()
-		ix := &Index{cols: cs, rows: make(map[string][]int32, r.n)}
-		var buf []byte
-		for i := 0; i < r.n; i++ {
-			buf = r.keyAt(buf[:0], i, cs)
-			ix.rows[string(buf)] = append(ix.rows[string(buf)], int32(i))
-		}
+		ix := &Index{cols: cs, keys: NewKeyTable(len(cs), r.n)}
+		ix.addRows(r, make([]int32, r.n), 0)
 		return ix
 	}).(*Index)
+}
+
+// addRows inserts the keys of r's rows from..r.Size() into ix's table and
+// lays out every posting list afresh. keyOf has one entry per row of r;
+// entries below from already hold their rows' key ids. The table is
+// fitted to its keys afterwards, so the hint an index is built with does
+// not outlive the build.
+func (ix *Index) addRows(r *Relation, keyOf []int32, from int) {
+	d := r.data()
+	for i := from; i < r.n; i++ {
+		keyOf[i], _ = ix.keys.Insert(d, ix.cols, i)
+	}
+	ix.keys.fit()
+	// A counting sort of the rows by key id: start[k+1] counts key k's
+	// rows and, summed, marks the end of key k's list; filling from the
+	// last row steps each mark back to its list's first slot, so the lists
+	// come out ascending and a shift by one leaves start[k] at key k's.
+	ix.start = make([]int32, ix.keys.Len()+1)
+	for _, k := range keyOf {
+		ix.start[k+1]++
+	}
+	for k := 1; k < len(ix.start); k++ {
+		ix.start[k] += ix.start[k-1]
+	}
+	ix.rows = make([]int32, len(keyOf))
+	for i := len(keyOf) - 1; i >= 0; i-- {
+		k := keyOf[i] + 1
+		ix.start[k]--
+		ix.rows[ix.start[k]] = int32(i)
+	}
+	copy(ix.start, ix.start[1:])
+	ix.start[len(ix.start)-1] = int32(len(keyOf))
 }
 
 // appendColsKey appends a packing of column positions to buf (memo keys).
@@ -157,56 +198,27 @@ func appendColsKey(buf []byte, cols []int) []byte {
 	return buf
 }
 
-// probeBlock is the number of probe-side rows whose keys MatchingRows packs
-// into one contiguous buffer before probing: the key-build loop and the map
-// probe loop each stay tight, amortizing the per-row buffer bookkeeping of
-// the row-at-a-time probe it replaces.
-const probeBlock = 512
-
-// MatchingRows probes the index with rows of r keyed on cols (one probe key
-// per row, same packing as the index side) and appends to dst the row
-// indices with at least one match. Probing is batched: keys for a block of
-// rows are packed into one buffer, then the block is probed in a second
-// tight loop. cols must have the index's column count.
+// MatchingRows probes the index with the rows of r keyed on cols and
+// appends to dst the row indices with at least one match. cols must have
+// the index's column count.
 func (ix *Index) MatchingRows(r *Relation, cols []int, dst []int32) []int32 {
 	if len(cols) != len(ix.cols) {
 		panic(fmt.Sprintf("relation %s: probing %d columns against a %d-column index", r.Name, len(cols), len(ix.cols)))
 	}
 	r.Pin()
 	defer r.Unpin()
-	w := 4 * len(cols) // bytes per packed key
-	buf := make([]byte, 0, probeBlock*w)
-	for lo := 0; lo < r.n; lo += probeBlock {
-		hi := lo + probeBlock
-		if hi > r.n {
-			hi = r.n
-		}
-		buf = buf[:0]
-		for i := lo; i < hi; i++ {
-			buf = r.keyAt(buf, i, cols)
-		}
-		for i := lo; i < hi; i++ {
-			off := (i - lo) * w
-			if _, ok := ix.rows[string(buf[off:off+w])]; ok {
-				dst = append(dst, int32(i))
-			}
+	d := r.data()
+	for i := 0; i < r.n; i++ {
+		if ix.Has(d, cols, i) {
+			dst = append(dst, int32(i))
 		}
 	}
 	return dst
 }
 
-// KeyFor appends the packing of t's values in the given columns to buf —
-// the probe-side counterpart of Index.
-func KeyFor(buf []byte, t Tuple, cols []int) []byte {
-	for _, c := range cols {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(t[c]))
-	}
-	return buf
-}
-
 // HashJoin joins r and s on the given position pairs (r position, s
 // position), keeping all columns of both relations. The smaller side's
-// memoized hash index is probed with fixed-width keys; the output needs no
+// memoized hash index is probed row by row in place; the output needs no
 // dedup pass because distinct row pairs concatenate to distinct rows.
 func HashJoin(r, s *Relation, pairs [][2]int) (*Relation, error) {
 	for _, p := range pairs {
@@ -238,10 +250,9 @@ func HashJoin(r, s *Relation, pairs [][2]int) (*Relation, error) {
 	out := New(r.Name+"_j_"+s.Name, concatAttrs(r, s)...)
 	out.dict = r.dict
 	nt := make(Tuple, 0, r.Arity()+s.Arity())
-	var buf []byte
+	pd := probe.data()
 	for j := 0; j < probe.n; j++ {
-		buf = probe.keyAt(buf[:0], j, probeCols)
-		for _, i := range ix.Rows(buf) {
+		for _, i := range ix.Rows(pd, probeCols, j) {
 			ri, sj := int(i), j
 			if buildSide == 1 {
 				ri, sj = j, int(i)

@@ -175,11 +175,10 @@ func TestIndexLookup(t *testing.T) {
 	if ix.Len() != 2 {
 		t.Fatalf("index keys = %d, want 2", ix.Len())
 	}
-	key := KeyFor(nil, Tuple{V("x")}, []int{0})
-	if got := len(ix.Rows(key)); got != 2 {
+	if got := len(ix.Rows(probeKey(V("x")))); got != 2 {
 		t.Fatalf("rows under x = %d, want 2", got)
 	}
-	if ix.Has(KeyFor(nil, Tuple{V("z")}, []int{0})) {
+	if ix.Has(probeKey(V("z"))) {
 		t.Fatal("index matched absent key")
 	}
 }
@@ -196,7 +195,7 @@ func TestIndexMemoizedAndInvalidated(t *testing.T) {
 	if ix3 == ix1 {
 		t.Fatal("index not rebuilt after insert")
 	}
-	if !ix3.Has(KeyFor(nil, Tuple{V("y")}, []int{0})) {
+	if !ix3.Has(probeKey(V("y"))) {
 		t.Fatal("rebuilt index missing new row")
 	}
 }

@@ -337,15 +337,6 @@ func (r *Relation) Each(f func(Tuple) bool) {
 	}
 }
 
-// keyAt appends the packing of row i's values in the given columns to buf.
-func (r *Relation) keyAt(buf []byte, i int, cols []int) []byte {
-	d := r.data()
-	for _, c := range cols {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(d[c][i]))
-	}
-	return buf
-}
-
 // rowKey appends the packing of the full row i to buf.
 func (r *Relation) rowKey(buf []byte, i int) []byte {
 	for _, col := range r.data() {
@@ -871,22 +862,19 @@ func NaturalJoinSchema(rAttrs, sAttrs []string, sCols []int) (attrs []string, ke
 }
 
 // CheckFD reports whether the instance satisfies the functional dependency
-// from (0-based positions) -> to.
+// from (0-based positions) -> to: every posting list of the memoized index
+// on from holds a single to value.
 func (r *Relation) CheckFD(from []int, to int) bool {
+	ix := r.Index(from...)
 	r.Pin()
 	defer r.Unpin()
 	toCol := r.data()[to]
-	seen := make(map[string]Value, r.n)
-	var buf []byte
-	for i := 0; i < r.n; i++ {
-		buf = r.keyAt(buf[:0], i, from)
-		v := toCol[i]
-		if prev, ok := seen[string(buf)]; ok {
-			if prev != v {
+	for k := int32(0); k < int32(ix.Len()); k++ {
+		rows := ix.postings(k)
+		for _, i := range rows[1:] {
+			if toCol[i] != toCol[rows[0]] {
 				return false
 			}
-		} else {
-			seen[string(buf)] = v
 		}
 	}
 	return true

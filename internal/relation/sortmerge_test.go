@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -61,5 +62,29 @@ func TestSortMergeEmptyInputs(t *testing.T) {
 	}
 	if j.Size() != 0 {
 		t.Fatalf("size = %d", j.Size())
+	}
+}
+
+func TestSortMergeKeepsDict(t *testing.T) {
+	d := NewDict()
+	d.Intern("padding") // so the engine's ids differ from the default dictionary's
+	r := NewIn("R", d, "a", "b")
+	r.Add("x", "k")
+	s := NewIn("S", d, "c", "d")
+	s.Add("k", "y")
+	j, err := EquiJoinSortMerge(r, s, [][2]int{{1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Dict() != d {
+		t.Fatal("sort-merge join output does not resolve through its inputs' dictionary")
+	}
+	var got []string
+	j.Each(func(tp Tuple) bool {
+		got = tp.StringsIn(j.Dict())
+		return true
+	})
+	if want := []string{"x", "k", "k", "y"}; !slices.Equal(got, want) {
+		t.Fatalf("joined row = %v, want %v", got, want)
 	}
 }
