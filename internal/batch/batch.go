@@ -51,14 +51,14 @@ type Metrics struct {
 	// through k stages counts k times — the rows an executor that built
 	// every operator's output would have copied).
 	Rows atomic.Int64
-	// BufferedFallbacks counts pipelines that had to be buffered into a
-	// relation after all — probe sides of joins and semijoins, inputs
-	// that are re-iterated.
+	// BufferedFallbacks counts pipelines that had to be flattened into
+	// one relation after all. No stage in this package does so; the
+	// counter stays zero and feeds the stream_buffered_fallbacks gauge.
 	BufferedFallbacks atomic.Int64
 	// BytesStreamed is the column bytes emitted by pipeline stages.
 	BytesStreamed atomic.Int64
 	// BytesMaterialized is the column bytes pipelines wrote into relations
-	// (exchange chunks, buffered fallbacks, final sinks).
+	// (exchange chunks, buffered chunks, final sinks).
 	BytesMaterialized atomic.Int64
 }
 
@@ -69,8 +69,8 @@ type Stats struct {
 	// RowsStreamed is the number of rows that flowed out of pipeline
 	// stages, counted once per stage passed.
 	RowsStreamed int64
-	// BufferedFallbacks counts pipelines forced into a materialized
-	// relation (probe sides, re-iterated inputs).
+	// BufferedFallbacks counts pipelines flattened into one relation
+	// (always zero; see Metrics.BufferedFallbacks).
 	BufferedFallbacks int64
 	// BytesNeverMaterialized is the column bytes that flowed through
 	// stages minus the bytes some stage wrote into a relation — the
@@ -140,19 +140,59 @@ func (m *Metrics) materialized(rows, cols int) {
 	m.BytesMaterialized.Add(int64(rows) * int64(cols) * 4)
 }
 
-// fallback records one pipeline buffered into a relation.
-func (m *Metrics) fallback() {
-	if m != nil {
-		m.BufferedFallbacks.Add(1)
-	}
-}
-
 // sizeOr returns size, or DefaultSize when size is unset.
 func sizeOr(size int) int {
 	if size <= 0 {
 		return DefaultSize
 	}
 	return size
+}
+
+// columns allocates arity columns of rows values each, carved from one
+// pointer-free slab: one allocation whatever the arity, written by index
+// with no write barrier. Each column's capacity ends where the next one
+// begins, so an append to it reallocates instead of overwriting.
+func columns(arity, rows int) [][]relation.Value {
+	slab := make([]relation.Value, arity*rows)
+	cols := make([][]relation.Value, arity)
+	for c := range cols {
+		cols[c] = slab[c*rows : (c+1)*rows : (c+1)*rows]
+	}
+	return cols
+}
+
+// window returns rows [lo, hi) of every column as new column headers, each
+// capped at hi: a relation built on the window may append to its columns
+// without reaching rows outside it.
+func window(cols [][]relation.Value, lo, hi int) [][]relation.Value {
+	out := make([][]relation.Value, len(cols))
+	for c := range cols {
+		out[c] = cols[c][lo:hi:hi]
+	}
+	return out
+}
+
+// block is a fixed-capacity run of rows in columns from columns, filled
+// from the front.
+type block struct {
+	cols [][]relation.Value
+	cap  int // rows the columns hold
+	n    int // rows written
+}
+
+func newBlock(arity, rows int) block {
+	return block{cols: columns(arity, rows), cap: rows}
+}
+
+// put copies b's rows from row from on into the free tail, as many as fit,
+// and returns how many it copied.
+func (k *block) put(b *Batch, from int) int {
+	n := min(b.N-from, k.cap-k.n)
+	for c, col := range k.cols {
+		copy(col[k.n:k.n+n], b.Cols[c][from:from+n])
+	}
+	k.n += n
+	return n
 }
 
 // Scan streams a relation as batches of up to size rows. Batches alias the
@@ -235,6 +275,7 @@ type joinIter struct {
 	matches []int32 // right rows matching cur[row-1] not yet emitted
 	mpos    int
 
+	dst [][]relation.Value // output columns at full batch size
 	out Batch
 }
 
@@ -265,10 +306,8 @@ func (j *joinIter) start() {
 		j.rcols[c] = j.right.Column(c)
 	}
 	j.right.Unpin()
+	j.dst = columns(len(j.attrs), j.size)
 	j.out.Cols = make([][]relation.Value, len(j.attrs))
-	for c := range j.out.Cols {
-		j.out.Cols[c] = make([]relation.Value, 0, j.size)
-	}
 }
 
 func (j *joinIter) Next(ctx context.Context) (*Batch, error) {
@@ -282,9 +321,7 @@ func (j *joinIter) Next(ctx context.Context) (*Batch, error) {
 		return nil, err
 	}
 	lar := len(j.attrs) - len(j.rcols)
-	for c := range j.out.Cols {
-		j.out.Cols[c] = j.out.Cols[c][:0]
-	}
+	dst := j.dst
 	n := 0
 	for n < j.size {
 		// Drain pending matches of the current left row.
@@ -293,10 +330,10 @@ func (j *joinIter) Next(ctx context.Context) (*Batch, error) {
 			j.mpos++
 			lrow := j.row - 1
 			for c := 0; c < lar; c++ {
-				j.out.Cols[c] = append(j.out.Cols[c], j.cur.Cols[c][lrow])
+				dst[c][n] = j.cur.Cols[c][lrow]
 			}
 			for c, col := range j.rcols {
-				j.out.Cols[lar+c] = append(j.out.Cols[lar+c], col[ri])
+				dst[lar+c][n] = col[ri]
 			}
 			n++
 		}
@@ -329,6 +366,9 @@ func (j *joinIter) Next(ctx context.Context) (*Batch, error) {
 	}
 	if n == 0 {
 		return nil, nil
+	}
+	for c := range dst {
+		j.out.Cols[c] = dst[c][:n]
 	}
 	j.out.N = n
 	j.m.emitted(n, len(j.attrs))
@@ -364,6 +404,7 @@ type semiIter struct {
 	done    bool
 	ix      *relation.Index
 
+	dst block // output columns, as long as the longest input batch
 	out Batch
 }
 
@@ -399,24 +440,26 @@ func (s *semiIter) Next(ctx context.Context) (*Batch, error) {
 			s.m.emitted(b.N, len(b.Cols))
 			return b, nil
 		}
-		if s.out.Cols == nil {
+		if s.dst.cols == nil || s.dst.cap < b.N {
+			s.dst = newBlock(len(b.Cols), b.N)
 			s.out.Cols = make([][]relation.Value, len(b.Cols))
 		}
-		for c := range s.out.Cols {
-			s.out.Cols[c] = s.out.Cols[c][:0]
-		}
+		dst := s.dst.cols
 		n := 0
 		for i := 0; i < b.N; i++ {
 			if !s.ix.Has(b.Cols, s.lCols, i) {
 				continue
 			}
-			for c := range b.Cols {
-				s.out.Cols[c] = append(s.out.Cols[c], b.Cols[c][i])
+			for c, col := range b.Cols {
+				dst[c][n] = col[i]
 			}
 			n++
 		}
 		if n == 0 {
 			continue // whole batch filtered; pull the next one
+		}
+		for c := range dst {
+			s.out.Cols[c] = dst[c][:n]
 		}
 		s.out.N = n
 		s.m.emitted(n, len(b.Cols))
@@ -498,6 +541,7 @@ type projIter struct {
 	done  bool
 	cur   *Batch // partially consumed input batch
 	row   int
+	dst   [][]relation.Value // output columns at full batch size
 	out   Batch
 }
 
@@ -507,14 +551,9 @@ func (p *projIter) Next(ctx context.Context) (*Batch, error) {
 	if p.done && p.cur == nil {
 		return nil, nil
 	}
-	if p.out.Cols == nil {
+	if p.dst == nil {
+		p.dst = columns(len(p.idx), p.size)
 		p.out.Cols = make([][]relation.Value, len(p.idx))
-		for c := range p.out.Cols {
-			p.out.Cols[c] = make([]relation.Value, 0, p.size)
-		}
-	}
-	for c := range p.out.Cols {
-		p.out.Cols[c] = p.out.Cols[c][:0]
 	}
 	n := 0
 	for n < p.size {
@@ -541,13 +580,16 @@ func (p *projIter) Next(ctx context.Context) (*Batch, error) {
 				continue
 			}
 			for j, c := range p.idx {
-				p.out.Cols[j] = append(p.out.Cols[j], p.cur.Cols[c][p.row])
+				p.dst[j][n] = p.cur.Cols[c][p.row]
 			}
 			n++
 		}
 	}
 	if n == 0 {
 		return nil, nil
+	}
+	for j := range p.dst {
+		p.out.Cols[j] = p.dst[j][:n]
 	}
 	p.out.N = n
 	p.m.emitted(n, len(p.idx))
@@ -562,14 +604,27 @@ type emptyIter struct{ attrs []string }
 func (e emptyIter) Attrs() []string                      { return e.attrs }
 func (e emptyIter) Next(context.Context) (*Batch, error) { return nil, nil }
 
+// sinkMaxBlock caps a Materialize block, in rows. Below it each block
+// holds as many rows as all earlier ones together, so a small output pays
+// for few blocks; above it the blocks' unused tail is at most one block.
+const sinkMaxBlock = 1 << 16
+
 // Materialize drains a pipeline into a relation named name. The source must
 // produce globally distinct rows (every stage in this package preserves set
-// semantics), so the sink appends columns without a dedup pass. govern, when
+// semantics), so the sink copies rows without a dedup pass. govern, when
 // non-nil, is applied to the built relation before it is returned —
 // registration with a spill governor and evaluation scope.
+//
+// Rows are copied into blocks: the first as large as the first batch, each
+// later one as large as all before it, up to sinkMaxBlock rows. An output
+// that fits in one block is built on that block; a longer one is copied
+// once more into an exact slab at end of stream. The blocks never hold
+// more than twice the rows, so the sink allocates at most three times the
+// output's column bytes: twice when the blocks come out full, once for a
+// single batch.
 func Materialize(ctx context.Context, it Iterator, name string, govern func(*relation.Relation), m *Metrics) (*relation.Relation, error) {
 	attrs := it.Attrs()
-	cols := make([][]relation.Value, len(attrs))
+	var blocks []block
 	rows := 0
 	for {
 		b, err := it.Next(ctx)
@@ -579,13 +634,33 @@ func Materialize(ctx context.Context, it Iterator, name string, govern func(*rel
 		if b == nil {
 			break
 		}
-		for c := range cols {
-			cols[c] = append(cols[c], b.Cols[c][:b.N]...)
+		for i := 0; i < b.N; {
+			if len(blocks) == 0 || blocks[len(blocks)-1].n == blocks[len(blocks)-1].cap {
+				next := b.N
+				if len(blocks) > 0 {
+					next = min(rows+i, sinkMaxBlock)
+				}
+				blocks = append(blocks, newBlock(len(attrs), next))
+			}
+			i += blocks[len(blocks)-1].put(b, i)
 		}
 		rows += b.N
 	}
 	if rows == 0 {
 		return relation.New(name, attrs...), nil
+	}
+	var cols [][]relation.Value
+	if len(blocks) == 1 {
+		cols = window(blocks[0].cols, 0, rows)
+	} else {
+		cols = columns(len(attrs), rows)
+		at := 0
+		for _, k := range blocks {
+			for c, col := range k.cols {
+				copy(cols[c][at:], col[:k.n])
+			}
+			at += k.n
+		}
 	}
 	out := relation.NewFromColumns(name, attrs, cols)
 	m.materialized(rows, len(attrs))
@@ -600,7 +675,7 @@ func Materialize(ctx context.Context, it Iterator, name string, govern func(*rel
 // chunkRows rows, each sealed chunk registering with the spill governor (via
 // the govern callback) as it fills — a rewindable input pays its residency
 // incrementally instead of on first replay. After the source is exhausted,
-// Rewind replays the recorded rows and Rel returns them as one relation.
+// Rewind replays the recorded rows.
 type Buffered struct {
 	src    Iterator
 	name   string
@@ -610,8 +685,7 @@ type Buffered struct {
 	m      *Metrics
 
 	chunks  []*relation.Relation
-	open    [][]relation.Value
-	openN   int
+	open    block // the chunk being filled, chunk rows long
 	done    bool
 	drained chan struct{}
 }
@@ -645,31 +719,31 @@ func (b *Buffered) Next(ctx context.Context) (*Batch, error) {
 		b.finish()
 		return nil, nil
 	}
-	if b.open == nil {
-		b.open = make([][]relation.Value, len(bt.Cols))
-	}
-	for c := range b.open {
-		b.open[c] = append(b.open[c], bt.Cols[c][:bt.N]...)
-	}
-	b.openN += bt.N
-	if b.openN >= b.chunk {
-		b.seal()
+	for i := 0; i < bt.N; {
+		if b.open.cols == nil {
+			b.open = newBlock(len(bt.Cols), b.chunk)
+		}
+		i += b.open.put(bt, i)
+		if b.open.n == b.chunk {
+			b.seal()
+		}
 	}
 	return bt, nil
 }
 
-// seal converts the open columns into a governed chunk relation.
+// seal converts the open chunk's rows into a governed chunk relation.
 func (b *Buffered) seal() {
-	if b.openN == 0 {
+	n := b.open.n
+	if n == 0 {
 		return
 	}
-	r := relation.NewFromColumns(b.name, b.src.Attrs(), b.open)
-	b.m.materialized(b.openN, len(b.open))
+	r := relation.NewFromColumns(b.name, b.src.Attrs(), window(b.open.cols, 0, n))
+	b.m.materialized(n, len(b.open.cols))
 	if b.govern != nil {
 		b.govern(r)
 	}
 	b.chunks = append(b.chunks, r)
-	b.open, b.openN = nil, 0
+	b.open = block{}
 }
 
 // finish seals the trailing partial chunk at end of stream and releases
@@ -701,31 +775,6 @@ func (b *Buffered) Drain(ctx context.Context) error {
 // independent replay; replays of one Buffered may run concurrently.
 func (b *Buffered) Rewind() Iterator {
 	return &replayIter{b: b, size: b.size}
-}
-
-// Rel drains any remainder of the source and returns the recorded rows as
-// one relation (governed via the same callback as the chunks), counting a
-// buffered fallback: the pipeline had to become a relation after all.
-func (b *Buffered) Rel(ctx context.Context) (*relation.Relation, error) {
-	if err := b.Drain(ctx); err != nil {
-		return nil, err
-	}
-	b.m.fallback()
-	switch len(b.chunks) {
-	case 0:
-		return relation.New(b.name, b.src.Attrs()...), nil
-	case 1:
-		return b.chunks[0], nil
-	}
-	flat, err := relation.Concat(b.name, b.src.Attrs(), b.chunks...)
-	if err != nil {
-		return nil, err
-	}
-	b.m.materialized(flat.Size(), flat.Arity())
-	if b.govern != nil {
-		b.govern(flat)
-	}
-	return flat, nil
 }
 
 type replayIter struct {
@@ -769,14 +818,4 @@ func (r *replayIter) Next(ctx context.Context) (*Batch, error) {
 		return &r.out, nil
 	}
 	return nil, nil
-}
-
-// clone deep-copies a batch — the escape hatch for consumers that must hand
-// a batch across a goroutine boundary while the producer keeps pulling.
-func (b *Batch) clone() *Batch {
-	out := &Batch{Cols: make([][]relation.Value, len(b.Cols)), N: b.N}
-	for c := range b.Cols {
-		out.Cols[c] = append([]relation.Value(nil), b.Cols[c][:b.N]...)
-	}
-	return out
 }

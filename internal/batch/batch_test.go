@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -379,6 +380,77 @@ func BenchmarkProject(b *testing.B) {
 	b.Run("width=4/covering", func(b *testing.B) { run(b, seqRel(4, rows, false), []int{3, 2, 1, 0}) })
 }
 
+// allocBytes returns the bytes f allocates per call, averaged over runs
+// after one warm-up call, with one P so no other goroutine's allocations
+// are counted (as testing.AllocsPerRun does).
+func allocBytes(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// headerSlack covers what a sink or an exchange allocates besides column
+// values: block and column headers, the relation, the iterators.
+const headerSlack = 16 << 10
+
+// TestMaterializeAllocsProportionalToRows pins the sink at a bounded
+// multiple of its output: 64 Ki rows streamed in 1 024-row batches fill the
+// doubling blocks exactly, so blocks plus the final slab cost twice the
+// output's column bytes; one more batch starts a block as large as all the
+// others, the worst case, three times; a single batch is kept as its own
+// block, once.
+func TestMaterializeAllocsProportionalToRows(t *testing.T) {
+	cases := []struct {
+		name  string
+		rows  int
+		times float64
+	}{
+		{"64Ki rows", 1 << 16, 2},
+		{"64Ki rows and one batch", 1<<16 + batch.DefaultSize, 3},
+		{"one batch", 1000, 1},
+	}
+	for _, width := range []int{2, 4} {
+		for _, tc := range cases {
+			r := seqRel(width, tc.rows, false)
+			got := allocBytes(5, func() { mustMaterialize(t, batch.Scan(r, 0, nil), "out") })
+			out := float64(tc.rows * width * 4)
+			if limit := tc.times*out + headerSlack; got > limit {
+				t.Errorf("width %d, %s: sink allocated %.0f bytes for %.0f bytes of columns, over %.0f (%v× + %d)",
+					width, tc.name, got, out, limit, tc.times, headerSlack)
+			}
+		}
+	}
+}
+
+// TestExchangeAllocsProportionalToRows pins the scatter path at the same
+// bound: every output shard writes rows into chunk slabs that become the
+// sealed relations without a copy, so draining the parts of a 64 Ki-row
+// exchange allocates the rows once, plus at most one partly filled chunk
+// per shard.
+func TestExchangeAllocsProportionalToRows(t *testing.T) {
+	const rows, p = 1 << 16, 4
+	for _, width := range []int{2, 4} {
+		r := seqRel(width, rows, false)
+		got := allocBytes(5, func() {
+			ex := batch.NewExchange([]batch.Iterator{batch.Scan(r, 0, nil)}, r.Attrs, 0, p, 0, 0, nil, nil, nil)
+			for k := 0; k < p; k++ {
+				drain(t, ex.Part(k))
+			}
+		})
+		out := float64(rows * width * 4)
+		openChunks := float64(p * batch.DefaultSize * width * 4)
+		if limit := 2*out + openChunks + headerSlack; got > limit {
+			t.Errorf("width %d: exchange allocated %.0f bytes for %.0f bytes of columns, over %.0f", width, got, out, limit)
+		}
+	}
+}
+
 func TestBufferedTeeAndReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := randomRel(rng, "R", []string{"a", "b"}, 3000, 500)
@@ -409,10 +481,13 @@ func TestBufferedTeeAndReplay(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		// Rel hands the recorded rows back as one relation.
-		flat, err := buf.Rel(context.Background())
-		if err != nil || !relation.Equal(flat, r) {
-			t.Fatalf("size %d: Rel diverged (err %v)", size, err)
+		// Draining an already drained tee is a no-op, and a replay started
+		// after it still sees every row.
+		if err := buf.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if replay := mustMaterialize(t, buf.Rewind(), "replay"); !relation.Equal(replay, r) {
+			t.Fatalf("size %d: replay after the drain saw %d rows, want %d", size, replay.Size(), r.Size())
 		}
 	}
 }
@@ -631,6 +706,73 @@ func TestFanMergesChains(t *testing.T) {
 	}
 }
 
+// TestGrowRecyclesOnlyReleasedBatches pins when Grow and Fan reuse the
+// copies they hand across goroutines: only once the consumer's next Next
+// has released one. The consumer checksums each batch on receipt and again
+// after yielding to the chains, which meanwhile copy further batches into
+// every released copy; a copy refilled while still held fails the
+// checksum, and under -race, the race detector.
+func TestGrowRecyclesOnlyReleasedBatches(t *testing.T) {
+	r := seqRel(2, 20_000, false)
+	checksum := func(b *batch.Batch) uint64 {
+		var s uint64
+		for _, col := range b.Cols {
+			for _, v := range col[:b.N] {
+				s = s*1_000_003 + uint64(v)
+			}
+		}
+		return s
+	}
+	var want uint64
+	for c := 0; c < r.Arity(); c++ {
+		for _, v := range r.Column(c) {
+			want += uint64(v)
+		}
+	}
+	check := func(t *testing.T, it batch.Iterator) {
+		rows, total := 0, uint64(0)
+		for {
+			b, err := it.Next(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			before := checksum(b)
+			for i := 0; i < 4; i++ {
+				runtime.Gosched()
+			}
+			if after := checksum(b); after != before {
+				t.Fatalf("batch of %d rows changed while the consumer held it", b.N)
+			}
+			for _, col := range b.Cols {
+				for _, v := range col[:b.N] {
+					total += uint64(v)
+				}
+			}
+			rows += b.N
+		}
+		if rows != r.Size() || total != want {
+			t.Fatalf("merged %d rows (value sum %d), want %d (%d)", rows, total, r.Size(), want)
+		}
+	}
+	t.Run("Grow", func(t *testing.T) {
+		shared := &safeIter{src: batch.Scan(r, 64, nil)}
+		check(t, batch.Grow(func() batch.Iterator { return shared }, r.Attrs, func() bool { return true }, nil))
+	})
+	t.Run("Fan", func(t *testing.T) {
+		const chains = 3
+		mks := make([]func() batch.Iterator, chains)
+		for i := range mks {
+			lo, hi := i*r.Size()/chains, (i+1)*r.Size()/chains
+			block := relation.NewFromColumns("R", r.Attrs, [][]relation.Value{r.Column(0)[lo:hi], r.Column(1)[lo:hi]})
+			mks[i] = func() batch.Iterator { return batch.Scan(block, 64, nil) }
+		}
+		check(t, batch.Fan(mks, r.Attrs))
+	})
+}
+
 // panicAt serves its source's batches and panics on pull number at.
 type panicAt struct {
 	src   batch.Iterator
@@ -694,6 +836,41 @@ func TestFanRepanicsOnConsumer(t *testing.T) {
 	}
 	if pulled == 0 {
 		t.Fatal("consumer saw no batch before the panic")
+	}
+}
+
+// BenchmarkMaterialize sinks 64 Ki rows of width 2 and 4 streamed in
+// default-size batches.
+func BenchmarkMaterialize(b *testing.B) {
+	for _, width := range []int{2, 4} {
+		r := seqRel(width, 1<<16, false)
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := batch.Materialize(context.Background(), batch.Scan(r, 0, nil), "out", nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExchange repartitions 64 Ki rows of width 2 and 4 onto four
+// shards and drains the parts one after another, so most rows park in
+// sealed chunks before they are read.
+func BenchmarkExchange(b *testing.B) {
+	const p = 4
+	for _, width := range []int{2, 4} {
+		r := seqRel(width, 1<<16, false)
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				ex := batch.NewExchange([]batch.Iterator{batch.Scan(r, 0, nil)}, r.Attrs, 0, p, 0, 0, nil, nil, nil)
+				for k := 0; k < p; k++ {
+					drain(b, ex.Part(k))
+				}
+			}
+		})
 	}
 }
 

@@ -13,11 +13,14 @@
 // ITERATOR and valid only until the following Next call on that iterator —
 // stages reuse their output buffers, and scans alias relation storage. A
 // consumer that retains rows across pulls must copy them out (Batch columns
-// are plain slices, so an append-based copy is one line; clone exists for
-// the goroutine-handoff case). Holding a partially consumed input batch
-// between an operator's own Next calls is legal — the input is only pulled
-// again once the hold is spent — which is how Project and JoinProbe resume
-// mid-batch when their output fills.
+// are plain slices, so a copy is one line per column). Grow and Fan, which
+// hand batches across goroutines, rely on the same rule: each batch they
+// return is a deep copy that goes back on a small free list, to be refilled
+// by a producer, only when the consumer's next Next call releases it.
+// Holding a partially consumed input batch between an operator's own Next
+// calls is legal — the input is only pulled again once the hold is spent —
+// which is how Project and JoinProbe resume mid-batch when their output
+// fills.
 //
 // Every stage preserves set semantics: a pipeline over distinct rows emits
 // distinct rows. Project is the one stage that keeps state across batches,
@@ -36,16 +39,17 @@
 //
 // Some inputs must be iterated more than once (probe sides, semijoin
 // filters, down-pass parents). Buffered tees a pipeline into chunk
-// relations as it is pulled; once the source is drained — and only then —
-// Rewind replays the recorded rows and Rel flattens them into one relation
-// (counted as a buffered fallback in Metrics). Rewind before end of stream
-// panics rather than silently replaying a prefix.
+// relations as it is pulled, and Rewind replays the recorded rows. A
+// replay may be created before end of stream: its first Next blocks until
+// the tee is drained, rather than silently replaying a prefix.
 //
 // # Governor registration
 //
 // Pipelines still create relations at three points: sealed chunks
 // of a Buffered tee, sealed chunks of an Exchange's output shards, and
-// Materialize sinks. Each is handed to a govern callback as it is created,
+// Materialize sinks. Each allocates its rows once: a chunk is one slab of
+// chunk rows × arity written by index, sealed without a copy, and a sink
+// copies into doubling blocks and then once into an exact slab. Each is handed to a govern callback as it is created,
 // so residency registers with the spill.Governor incrementally — chunk by
 // chunk while the stream flows — and the governor can evict cold chunks
 // while the pipeline is still running. Replays Pin each chunk only for the

@@ -60,19 +60,19 @@ type Exchange struct {
 }
 
 // pendQueue is one output shard's FIFO of scattered rows: sealed governed
-// chunk relations awaiting read, then an open chunk still being appended.
+// chunk relations awaiting read, then an open chunk still being written.
 type pendQueue struct {
 	sealed    []*relation.Relation
-	read      int // consumed rows of sealed[0]
-	open      [][]relation.Value
-	openN     int
+	read      int   // consumed rows of sealed[0]
+	open      block // chunk rows long; rows before openRead are consumed
+	openRead  int
 	scattered int // rows ever routed here, consumed or not (hot accounting)
 	hot       bool
 }
 
 // avail returns the rows queued and not yet consumed.
 func (q *pendQueue) avail() int {
-	n := q.openN
+	n := q.open.n - q.openRead
 	for i, c := range q.sealed {
 		n += c.Size()
 		if i == 0 {
@@ -186,17 +186,16 @@ func (e *Exchange) claim() int {
 func (e *Exchange) scatter(b *Batch) {
 	keyCol := b.Cols[e.key]
 	for i := 0; i < b.N; i++ {
-		k := shardOf(keyCol[i], e.p)
-		q := e.pend[k]
-		if q.open == nil {
-			q.open = make([][]relation.Value, len(e.attrs))
+		q := e.pend[shardOf(keyCol[i], e.p)]
+		if q.open.cols == nil {
+			q.open = newBlock(len(e.attrs), e.chunk)
 		}
-		for c := range e.attrs {
-			q.open[c] = append(q.open[c], b.Cols[c][i])
+		for c, col := range q.open.cols {
+			col[q.open.n] = b.Cols[c][i]
 		}
-		q.openN++
+		q.open.n++
 		q.scattered++
-		if q.openN >= e.chunk {
+		if q.open.n == e.chunk {
 			e.seal(q)
 		}
 	}
@@ -213,24 +212,24 @@ func (e *Exchange) scatter(b *Batch) {
 	}
 }
 
-// seal converts q's open columns into a governed chunk relation.
+// seal converts the unconsumed rows of q's full open chunk into a governed
+// chunk relation, built on the chunk's columns without a copy.
 func (e *Exchange) seal(q *pendQueue) {
-	if q.openN == 0 {
-		return
+	if n := q.open.n - q.openRead; n > 0 {
+		r := relation.NewFromColumns("exchange", e.attrs, window(q.open.cols, q.openRead, q.open.n))
+		e.m.materialized(n, len(e.attrs))
+		if e.govern != nil {
+			e.govern(r)
+		}
+		q.sealed = append(q.sealed, r)
 	}
-	r := relation.NewFromColumns("exchange", e.attrs, q.open)
-	e.m.materialized(q.openN, len(e.attrs))
-	if e.govern != nil {
-		e.govern(r)
-	}
-	q.sealed = append(q.sealed, r)
-	q.open, q.openN = nil, 0
+	q.open, q.openRead = block{}, 0
 }
 
 // cut emits up to size rows from the head of q into out. Called with the
 // lock held. Reading a sealed chunk reslices its column snapshots (zero
-// copy); reading the open tail reslices the live append arrays, which is
-// safe because appends never write into already-emitted prefixes.
+// copy); reading the open chunk reslices it past the consumed rows, which
+// is safe because scatter only writes rows after the ones already emitted.
 func (e *Exchange) cut(q *pendQueue, out *Batch) *Batch {
 	if out.Cols == nil {
 		out.Cols = make([][]relation.Value, len(e.attrs))
@@ -255,20 +254,11 @@ func (e *Exchange) cut(q *pendQueue, out *Batch) *Batch {
 		e.m.emitted(n, len(e.attrs))
 		return out
 	}
-	n := q.openN
-	if n > e.size {
-		n = e.size
+	n := min(q.open.n-q.openRead, e.size)
+	for i, col := range q.open.cols {
+		out.Cols[i] = col[q.openRead : q.openRead+n : q.openRead+n]
 	}
-	for i := range out.Cols {
-		out.Cols[i] = q.open[i][:n]
-	}
-	// Copy the unconsumed tail into fresh arrays: the emitted batch keeps
-	// the old backing, so later appends cannot overwrite what the consumer
-	// is still reading.
-	for c := range q.open {
-		q.open[c] = append([]relation.Value(nil), q.open[c][n:]...)
-	}
-	q.openN -= n
+	q.openRead += n
 	out.N = n
 	e.m.emitted(n, len(e.attrs))
 	return out
@@ -290,7 +280,8 @@ func shardOf(v relation.Value, p int) int {
 // chains drain into a small channel, so a skewed shard's probe work splits
 // across two workers while the exchange is still scattering, instead of
 // materializing the hot shard whole and slicing it afterwards. Batches are
-// deep-copied across the goroutine boundary; row order across a split is
+// deep-copied across the goroutine boundary, into copies the consumer
+// hands back for reuse by calling Next again; row order across a split is
 // unspecified (downstream stages are order-insensitive).
 //
 // The context of the first Next call drives the producer goroutines;
@@ -303,7 +294,8 @@ func Grow(mk func() Iterator, attrs []string, hot func() bool, onSplit func()) I
 
 // Fan merges several independently produced chains into one iterator: every
 // maker's chain runs in its own goroutine from the first pull, batches are
-// deep-copied into a shared channel, and the merged stream ends when all
+// deep-copied (into recycled copies, as for Grow) into a shared channel,
+// and the merged stream ends when all
 // chains do. Row order across chains is unspecified, and a chain's panic
 // surfaces from Next as for Grow. Used to split a hot probe relation into
 // row blocks, each probed by its own chain over a replayable copy of the
@@ -320,7 +312,9 @@ type growIter struct {
 	onSplit func()
 
 	once   sync.Once
-	ch     chan *Batch
+	ch     chan *handoff
+	free   chan *handoff // copies the consumer released, for reuse
+	held   *handoff      // the copy the consumer's last Next returned
 	wg     sync.WaitGroup
 	cancel context.CancelFunc
 	split  bool
@@ -334,8 +328,11 @@ func (g *growIter) Attrs() []string { return g.attrs }
 func (g *growIter) start(ctx context.Context) {
 	ctx, g.cancel = context.WithCancel(ctx)
 	// Two slots: each chain of the usual two-way split can park one
-	// deep-copied batch while the consumer works on the previous one.
-	g.ch = make(chan *Batch, 2)
+	// deep-copied batch while the consumer works on the previous one. The
+	// free list keeps as many released copies, so a chain in steady state
+	// finds one to refill instead of allocating.
+	g.ch = make(chan *handoff, 2)
+	g.free = make(chan *handoff, 2)
 	g.wg.Add(len(g.mks))
 	for _, mk := range g.mks {
 		go g.run(ctx, mk)
@@ -383,8 +380,15 @@ func (g *growIter) run(ctx context.Context, mk func() Iterator) {
 		if b == nil {
 			return
 		}
+		var h *handoff
 		select {
-		case g.ch <- b.clone():
+		case h = <-g.free:
+		default:
+			h = &handoff{}
+		}
+		h.fill(b)
+		select {
+		case g.ch <- h:
 		case <-ctx.Done():
 			g.fail(ctx.Err())
 			return
@@ -405,11 +409,21 @@ func (g *growIter) run(ctx context.Context, mk func() Iterator) {
 	}
 }
 
+// Next releases the copy its last call returned — the iterator contract
+// ends its validity here — and returns the next one.
 func (g *growIter) Next(ctx context.Context) (*Batch, error) {
 	g.once.Do(func() { g.start(ctx) })
-	b, ok := <-g.ch
+	if g.held != nil {
+		select {
+		case g.free <- g.held:
+		default:
+		}
+		g.held = nil
+	}
+	h, ok := <-g.ch
 	if ok {
-		return b, nil
+		g.held = h
+		return &h.Batch, nil
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -417,4 +431,27 @@ func (g *growIter) Next(ctx context.Context) (*Batch, error) {
 		panic(g.crash)
 	}
 	return nil, g.err
+}
+
+// handoff is a deep copy of a chain's batch on its way to the consumer of
+// a Grow or Fan. Its columns come from one slab, which later copies reuse
+// once the consumer has released this one.
+type handoff struct {
+	Batch
+	rows block
+}
+
+// fill copies b's rows into h, reallocating only when b is longer than any
+// batch h held before.
+func (h *handoff) fill(b *Batch) {
+	if h.rows.cols == nil || h.rows.cap < b.N {
+		h.rows = newBlock(len(b.Cols), b.N)
+		h.Cols = make([][]relation.Value, len(b.Cols))
+	}
+	h.rows.n = 0
+	h.rows.put(b, 0)
+	for c, col := range h.rows.cols {
+		h.Cols[c] = col[:b.N]
+	}
+	h.N = b.N
 }
