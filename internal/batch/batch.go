@@ -507,19 +507,30 @@ func (k *keepIter) Next(ctx context.Context) (*Batch, error) {
 // later duplicates are dropped. A projection that keeps every input column
 // cannot create duplicates — pipeline rows are distinct, and such a
 // projection is injective — so it is the stateless Keep, still counted in
-// m as a stage. Otherwise the dedup set grows with the number of distinct
-// output rows — the one stateful stage of a pipeline, which is why the
-// routing layer partitions before projecting; within one shard it holds
-// exactly the rows relation.ProjectIdx would.
+// m as a stage. Otherwise the dedup set, a relation.KeyTable, grows with
+// the number of distinct output rows — the one stateful stage of a
+// pipeline, which is why the routing layer partitions before projecting;
+// within one shard it holds exactly the rows relation.ProjectIdx would.
 func Project(in Iterator, idx []int, attrs []string, size int, m *Metrics) Iterator {
-	if covers(idx, len(in.Attrs())) {
+	if Covers(idx, len(in.Attrs())) {
 		return &keepIter{in: in, keep: idx, attrs: attrs, m: m}
 	}
 	return &projIter{in: in, idx: idx, attrs: attrs, size: sizeOr(size), seen: relation.NewKeyTable(len(idx), sizeOr(size)), m: m}
 }
 
-// covers reports whether idx names every position in [0, width).
-func covers(idx []int, width int) bool {
+// ProjectDense is Project deduplicating in a dense bitmap instead of a
+// hash table: set (from NewDenseSet over the input's column ranges and
+// the same idx, and used by this stage alone) marks every projected row
+// the stage passes. A row holding a value outside the set's ranges ends
+// the stage with an error. Several pipelines whose duplicates may cross
+// between them deduplicate together through ProjectDenseParts.
+func ProjectDense(in Iterator, idx []int, attrs []string, set *DenseSet, size int, m *Metrics) Iterator {
+	return &projIter{in: in, idx: idx, attrs: attrs, size: sizeOr(size), dense: set, m: m}
+}
+
+// Covers reports whether idx names every position in [0, width): a
+// projection onto it keeps every column and deduplicates nothing.
+func Covers(idx []int, width int) bool {
 	kept := make([]bool, width)
 	n := 0
 	for _, c := range idx {
@@ -536,7 +547,8 @@ type projIter struct {
 	idx   []int
 	attrs []string
 	size  int
-	seen  *relation.KeyTable
+	seen  *relation.KeyTable // the hash dedup set, or nil
+	dense *DenseSet          // the dense dedup set, or nil
 	m     *Metrics
 	done  bool
 	cur   *Batch // partially consumed input batch
@@ -576,7 +588,16 @@ func (p *projIter) Next(ctx context.Context) (*Batch, error) {
 			p.cur, p.row = b, 0
 		}
 		for ; p.row < p.cur.N && n < p.size; p.row++ {
-			if _, added := p.seen.Insert(p.cur.Cols, p.idx, p.row); !added {
+			var added bool
+			if p.dense != nil {
+				var err error
+				if added, err = p.dense.insert(p.cur.Cols, p.row); err != nil {
+					return nil, err
+				}
+			} else {
+				_, added = p.seen.Insert(p.cur.Cols, p.idx, p.row)
+			}
+			if !added {
 				continue
 			}
 			for j, c := range p.idx {
@@ -608,6 +629,11 @@ func (e emptyIter) Next(context.Context) (*Batch, error) { return nil, nil }
 // holds as many rows as all earlier ones together, so a small output pays
 // for few blocks; above it the blocks' unused tail is at most one block.
 const sinkMaxBlock = 1 << 16
+
+// denseMaxBits caps a DenseSet, in bits (2 MiB): a projection whose kept
+// columns' value ranges multiply to more combinations deduplicates in a
+// hash table instead.
+const denseMaxBits = 1 << 24
 
 // Materialize drains a pipeline into a relation named name. The source must
 // produce globally distinct rows (every stage in this package preserves set

@@ -329,7 +329,8 @@ func TestCoveringProjectCountsRows(t *testing.T) {
 
 // BenchmarkProject drains a projection of 64 Ki distinct input rows onto
 // 2, 4 and 6 columns, with no and with half the projected rows duplicated,
-// and the covering projection that skips dedup.
+// the covering projection that skips dedup, and projections onto one and
+// two columns of a small domain through the hash and the dense dedup set.
 func BenchmarkProject(b *testing.B) {
 	const rows = 1 << 16
 	// dupRel has width+1 columns; with dup set, rows 2i and 2i+1 agree on
@@ -378,6 +379,37 @@ func BenchmarkProject(b *testing.B) {
 		}
 	}
 	b.Run("width=4/covering", func(b *testing.B) { run(b, seqRel(4, rows, false), []int{3, 2, 1, 0}) })
+	// Small domains: three columns of 1 200 values each (one path-4 edge
+	// relation's node range on the benchmark's scaled-joins), projected
+	// onto one and two of them through both dedup sets.
+	rng := rand.New(rand.NewSource(1200))
+	small := make([][]relation.Value, 3)
+	for c := range small {
+		small[c] = make([]relation.Value, rows)
+		for i := range small[c] {
+			small[c][i] = relation.Value(5000 + rng.Intn(1200))
+		}
+	}
+	small[2] = small[2][:0]
+	for i := 0; i < rows; i++ {
+		small[2] = append(small[2], relation.Value(i)) // keeps the rows distinct
+	}
+	sr := relation.NewFromColumns("R", []string{"c0", "c1", "c2"}, small)
+	for _, idx := range [][]int{{0}, {0, 1}} {
+		attrs, err := relation.ProjectedAttrs(sr.Attrs, idx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ranges := []relation.Range{sr.ValueRange(0), sr.ValueRange(1), sr.ValueRange(2)}
+		b.Run(fmt.Sprintf("domain=1200/width=%d/hash", len(idx)), func(b *testing.B) { run(b, sr, idx) })
+		b.Run(fmt.Sprintf("domain=1200/width=%d/dense", len(idx)), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				set := batch.NewDenseSet(ranges, idx)
+				drain(b, batch.ProjectDense(batch.Scan(sr, 0, nil), idx, attrs, set, 0, nil))
+			}
+		})
+	}
 }
 
 // allocBytes returns the bytes f allocates per call, averaged over runs

@@ -27,7 +27,12 @@
 // a dedup set of the rows it has emitted, and only when it drops a column;
 // a projection that keeps every column (reordered or repeated) is
 // injective, so it runs as Keep. The set is a relation.KeyTable, which
-// stores every row inline in one arena whatever its width.
+// stores every row inline in one arena whatever its width — or, for
+// ProjectDense, a DenseSet: a bitmap with one bit per combination of the
+// kept columns' values, fixed in size before the first row.
+// ProjectDenseParts deduplicates several parts against each other without
+// an exchange: each marks a private bitmap, and the merged bitmap is
+// decoded into the output parts.
 //
 // Batches are views: columns may alias a relation's storage (Scan, replay)
 // or an upstream batch (Keep, Semijoin pass-through). N may be short; only

@@ -201,9 +201,19 @@ func projectPipedNames(ctx context.Context, opts *shard.Options, pd *shard.Piped
 		}
 		idx[i] = j
 	}
+	return projectPipedTraced(ctx, opts, pd, idx)
+}
+
+// projectPipedTraced is shard.ProjectPiped under a π span, armed on the
+// returned pipeline and noted with the dedup set the projection chose.
+func projectPipedTraced(ctx context.Context, opts *shard.Options, pd *shard.Piped, idx []int) (*shard.Piped, error) {
 	var psp *trace.Span
 	if tr := opts.Tracer(); tr != nil {
-		psp = tr.Op(trace.KindProject, "π "+strings.Join(attrs, ","))
+		names := make([]string, len(idx))
+		for i, c := range idx {
+			names[i] = pd.Attrs()[c]
+		}
+		psp = tr.Op(trace.KindProject, "π "+strings.Join(names, ","))
 	}
 	out, err := shard.ProjectPiped(ctx, opts, pd, idx)
 	if err != nil {
@@ -401,7 +411,7 @@ func headProjectionPiped(ctx context.Context, opts *shard.Options, q *cq.Query, 
 	}
 	hs := stageSpan(opts, trace.KindStage, "head projection + sink")
 	mk := markSpill(opts, hs != nil)
-	proj, err := shard.ProjectPiped(ctx, opts, pd, idx)
+	proj, err := projectPipedTraced(ctx, opts, pd, idx)
 	if err != nil {
 		hs.End()
 		return nil, err

@@ -17,6 +17,7 @@ package eval_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -64,6 +65,45 @@ var propertyMatrix = []struct {
 	{"batch", []int{1, 7, 1024}, false},
 	// 0 is unlimited.
 	{"budget", []int{0, spillBudgetBytes}, true},
+	// 1 keeps the generated values, whose small domains put most
+	// projections on the dense bitmap; spreadStride rebuilds every
+	// relation with its values that far apart, so every projection that
+	// keeps two distinct values in a column deduplicates by hash.
+	{"stride", []int{1, spreadStride}, false},
+}
+
+// spreadStride is the gap between adjacent values of the stride axis's
+// databases: any column holding two distinct values then spans more than
+// the dense dedup set's 2^24 bits on its own.
+const spreadStride = 1 << 24
+
+// spreadDB rebuilds db with each relation built by NewFromColumns from
+// Values stride apart: the value of rank i among all of db's values
+// becomes i·stride. The same equalities hold, so the answers are the same
+// up to renaming; a nil result means db holds too many distinct values
+// to spread within 32 bits.
+func spreadDB(db *database.Database, stride int) *database.Database {
+	rank := map[relation.Value]relation.Value{}
+	for _, v := range db.Universe() {
+		if _, ok := rank[v]; !ok {
+			rank[v] = relation.Value(len(rank))
+		}
+	}
+	if len(rank)*stride > math.MaxUint32 {
+		return nil
+	}
+	out := database.New()
+	for _, name := range db.Names() {
+		r := db.Relation(name)
+		cols := make([][]relation.Value, r.Arity())
+		for c := range cols {
+			for _, v := range r.Column(c) {
+				cols[c] = append(cols[c], rank[v]*relation.Value(stride))
+			}
+		}
+		out.MustAdd(relation.NewFromColumns(name, r.Attrs, cols))
+	}
+	return out
 }
 
 // propertyCell is one configuration: a value per axis of propertyMatrix.
@@ -152,6 +192,11 @@ func (r *propertyRig) cellEngine(c propertyCell) *cqbound.Engine {
 // agree).
 func (r *propertyRig) disagreement(c propertyCell, q *cq.Query, db *database.Database) string {
 	ctx := context.Background()
+	if stride := c["stride"]; stride > 1 {
+		if db = spreadDB(db, stride); db == nil {
+			return fmt.Sprintf("stride %d: the database has too many values to spread in 32 bits", stride)
+		}
+	}
 	ref, _, err := eval.NaiveCtx(ctx, q, db)
 	if err != nil {
 		return fmt.Sprintf("naive: %v", err)
@@ -184,7 +229,8 @@ func (r *propertyRig) disagreement(c propertyCell, q *cq.Query, db *database.Dat
 
 // TestPropertyExecutorsAgree sweeps the matrix over the harness's pairs.
 // After the sweep the counters must show the sweep exercised what it
-// exists for: the routing ladder's every rung fired, batches streamed
+// exists for: the routing ladder's every rung fired (a dense-bitmap
+// projection among them), batches streamed
 // through every Engine, and the governors — the bare executors' shared one
 // and some budgeted Engine's own — both evicted and reloaded.
 func TestPropertyExecutorsAgree(t *testing.T) {
@@ -223,7 +269,7 @@ func TestPropertyExecutorsAgree(t *testing.T) {
 		}
 	}
 	if m := rig.shardM.Snapshot(); m.ShardedOps == 0 || m.FallbackOps == 0 || m.ReusedRows == 0 ||
-		m.ExchangedRows == 0 || m.BroadcastOps == 0 || m.SkewSplits == 0 {
+		m.ExchangedRows == 0 || m.BroadcastOps == 0 || m.SkewSplits == 0 || m.DenseProjections == 0 {
 		t.Fatalf("a rung of the routing ladder never fired: %+v", m)
 	}
 	if st := rig.batchM.Snapshot(); st.BatchesProduced == 0 || st.RowsStreamed == 0 {

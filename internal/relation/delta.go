@@ -156,6 +156,12 @@ func (r *Relation) ExtendMemos(next *Relation) int {
 		case *Index:
 			next.InstallMemo(key, extendIndex(val, next, r.n))
 			count++
+		case columnRanges:
+			if len(val) != next.Arity() {
+				return true
+			}
+			next.InstallMemo(key, extendRanges(val, next, r.n))
+			count++
 		}
 		return true
 	})

@@ -21,9 +21,9 @@
 // # The memo table
 //
 // Every derived structure a relation serves — per-column distinct counts
-// (stats.go), hash indexes (index.go), the generic join's tries, and
-// internal/shard's partitions — lives in one mutex-guarded, size-keyed
-// memo table (Relation.Memo):
+// (stats.go), per-column value ranges (ranges.go), hash indexes
+// (index.go), the generic join's tries, and internal/shard's partitions —
+// lives in one mutex-guarded, size-keyed memo table (Relation.Memo):
 //
 //   - Entries record the relation size they were built at, so an insert
 //     invalidates implicitly: the next reader rebuilds.
@@ -58,8 +58,9 @@
 // Memoized structures move across versions incrementally: ExtendMemos
 // derives the successor's hash indexes (a copy of the base's key table
 // plus the delta's keys, posting lists laid out afresh, the base index
-// never written) and per-column distinct statistics (set union with the
-// delta) from the base's instead of rebuilding, InstallMemo lets
+// never written), per-column distinct statistics (set union with the
+// delta) and value ranges (widened by the delta) from the base's instead
+// of rebuilding, InstallMemo lets
 // internal/shard install incrementally extended partitions, and EachMemo
 // exposes every entry — stale ones included — so the epoch sweep can
 // reclaim governed buffers that invalidation orphaned. NewDedup/Dedup is the writer-owned tuple→row map

@@ -1,0 +1,101 @@
+package relation
+
+// Column value ranges: the [min, max] interval of the IDs a column holds.
+// A projection whose kept columns' ranges multiply to a small number of
+// combinations can deduplicate in a bitmap indexed by the combination
+// instead of a hash table (internal/batch.DenseSet). The ranges come from
+// the data, never from a dictionary's size: an Engine may intern into its
+// own Dict, and the process-wide default's length says nothing about the
+// IDs a relation of another dictionary holds.
+
+// Range is the closed interval [Lo, Hi] of Values. Lo > Hi is the empty
+// range (EmptyRange), the range of a column with no rows.
+type Range struct{ Lo, Hi Value }
+
+// EmptyRange contains no value.
+var EmptyRange = Range{Lo: 1, Hi: 0}
+
+// Empty reports whether the range contains no value.
+func (g Range) Empty() bool { return g.Lo > g.Hi }
+
+// Width returns the number of values in the range (0 when empty).
+func (g Range) Width() uint64 {
+	if g.Empty() {
+		return 0
+	}
+	return uint64(g.Hi-g.Lo) + 1
+}
+
+// Intersect returns the values in both ranges: the range of a join column,
+// whose every value occurs on both sides.
+func (g Range) Intersect(h Range) Range {
+	out := Range{Lo: max(g.Lo, h.Lo), Hi: min(g.Hi, h.Hi)}
+	if out.Empty() {
+		return EmptyRange
+	}
+	return out
+}
+
+// Union returns the smallest range containing both: the range of a
+// relation assembled from parts.
+func (g Range) Union(h Range) Range {
+	switch {
+	case g.Empty():
+		return h
+	case h.Empty():
+		return g
+	}
+	return Range{Lo: min(g.Lo, h.Lo), Hi: max(g.Hi, h.Hi)}
+}
+
+// columnRanges is the memoized value behind ValueRange: one Range per
+// column.
+type columnRanges []Range
+
+// ValueRange returns the range of the values column c holds: [min, max]
+// over its rows, EmptyRange for an empty relation or an out-of-range
+// column. The ranges of all columns are computed together in one linear
+// scan and memoized in the size-keyed memo table (so Clone/Rename views
+// share their parent's), and an epoch successor built by Extend derives
+// its ranges from the delta alone (ExtendMemos).
+func (r *Relation) ValueRange(c int) Range {
+	if c < 0 || c >= len(r.Attrs) {
+		return EmptyRange
+	}
+	return r.Memo("ranges", func() any {
+		r.Pin()
+		defer r.Unpin()
+		out := make(columnRanges, len(r.Attrs))
+		for c := range out {
+			out[c] = EmptyRange.extend(r.Column(c))
+		}
+		return out
+	}).(columnRanges)[c]
+}
+
+// extend returns the range widened to cover every value of col.
+func (g Range) extend(col []Value) Range {
+	if len(col) == 0 {
+		return g
+	}
+	lo, hi := col[0], col[0]
+	if !g.Empty() {
+		lo, hi = min(lo, g.Lo), max(hi, g.Hi)
+	}
+	for _, v := range col {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return Range{Lo: lo, Hi: hi}
+}
+
+// extendRanges widens the base's ranges by the delta rows (next's rows
+// from oldN on).
+func extendRanges(g columnRanges, next *Relation, oldN int) columnRanges {
+	next.Pin()
+	defer next.Unpin()
+	out := make(columnRanges, len(g))
+	for c := range out {
+		out[c] = g[c].extend(next.Column(c)[oldN:])
+	}
+	return out
+}

@@ -49,14 +49,34 @@
 //     is partitioned on it through the per-(key, P) memo.
 //
 // Joins with no shared column probe the whole other side from every part
-// (a product). A projection keeps the pipeline's key when the key column
-// is kept and exchanges onto its first kept column otherwise, so all
-// duplicates of a projected tuple meet in one part's dedup set.
+// (a product).
+//
+// # Projections
+//
+// A projection's dedup set is chosen from the data. Every Piped carries a
+// value range per column: PipedOf reads them from relation.ValueRange, a
+// join keeps its left columns' ranges, narrows each join column to the
+// intersection of both sides and takes the other side's ranges for the
+// columns it adds, and a semijoin narrows its join columns. When the kept
+// columns' ranges multiply to at most the batch package's dense limit
+// (2^24 bits), rows dedup in batch.DenseSet bitmaps and nothing is
+// exchanged, whether or not the key column is kept. A projection that
+// keeps the key dedups part by part, each part in a bitmap of its own;
+// one that drops it marks a private bitmap per part, merges them once
+// every part is drained and decodes a slice of the merged bitmap per
+// output part (batch.ProjectDenseParts), leaving an unkeyed multi-part
+// Piped (key -1): parts still run side by side, but no operator treats
+// them as aligned. Wider domains deduplicate in per-part hash sets: the
+// projection keeps the pipeline's key when the key column is kept and
+// exchanges onto its first kept column otherwise, so all duplicates of a
+// projected tuple meet in one part's set. A projection that keeps every
+// column deduplicates nothing and keeps the key.
+//
 // MaterializePiped drains the parts in parallel into a Stream — one
-// relation per part, assembled as a partitioned view without
-// concatenation — which PipedOf opens again shard by shard, so what had
-// to be built whole (a Yannakakis reduction) re-enters the next pipeline
-// still partitioned.
+// relation per part, assembled without concatenation as a partitioned
+// view, or an unkeyed one when the Piped is unkeyed — which PipedOf opens
+// again part by part, so what had to be built whole (a Yannakakis
+// reduction) re-enters the next pipeline still split.
 //
 // # Partition-memoization contract
 //
@@ -90,8 +110,8 @@
 // the part's stream is buffered once and replayed into one probe chain
 // per block, merged by batch.Fan. An exchange output part that turns hot
 // while the exchange is still scattering grows a second probe chain
-// (batch.Grow). Only stateless stages split — a projection's dedup set is
-// per part.
+// (batch.Grow). Only stateless stages split — a hash projection's dedup
+// set is per part.
 //
 // Partitioning is statistics-light by design (janus-datalog's "greedy
 // beats optimal" production lesson): the partition key is the shared join

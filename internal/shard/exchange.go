@@ -41,16 +41,20 @@ type Metrics struct {
 	// SkewSplits counts hot shards split into row blocks by the skew
 	// handler.
 	SkewSplits atomic.Int64
+	// DenseProjections counts projections that deduplicated in a dense
+	// bitmap (batch.DenseSet) rather than hash tables.
+	DenseProjections atomic.Int64
 }
 
 // Stats is a point-in-time copy of Metrics, in declaration order.
 type Stats struct {
-	ShardedOps    int64
-	FallbackOps   int64
-	ReusedRows    int64
-	ExchangedRows int64
-	BroadcastOps  int64
-	SkewSplits    int64
+	ShardedOps       int64
+	FallbackOps      int64
+	ReusedRows       int64
+	ExchangedRows    int64
+	BroadcastOps     int64
+	SkewSplits       int64
+	DenseProjections int64
 }
 
 // Reset zeroes every counter (nil-safe) — the per-query snapshot hook
@@ -65,6 +69,7 @@ func (m *Metrics) Reset() {
 	m.ExchangedRows.Store(0)
 	m.BroadcastOps.Store(0)
 	m.SkewSplits.Store(0)
+	m.DenseProjections.Store(0)
 }
 
 // AddTo merges this Metrics' counts into dst (both nil-safe). The Engine
@@ -80,6 +85,7 @@ func (m *Metrics) AddTo(dst *Metrics) {
 	dst.ExchangedRows.Add(m.ExchangedRows.Load())
 	dst.BroadcastOps.Add(m.BroadcastOps.Load())
 	dst.SkewSplits.Add(m.SkewSplits.Load())
+	dst.DenseProjections.Add(m.DenseProjections.Load())
 }
 
 // Snapshot copies the counters (nil-safe: a nil receiver reads all zeros).
@@ -88,12 +94,13 @@ func (m *Metrics) Snapshot() Stats {
 		return Stats{}
 	}
 	return Stats{
-		ShardedOps:    m.ShardedOps.Load(),
-		FallbackOps:   m.FallbackOps.Load(),
-		ReusedRows:    m.ReusedRows.Load(),
-		ExchangedRows: m.ExchangedRows.Load(),
-		BroadcastOps:  m.BroadcastOps.Load(),
-		SkewSplits:    m.SkewSplits.Load(),
+		ShardedOps:       m.ShardedOps.Load(),
+		FallbackOps:      m.FallbackOps.Load(),
+		ReusedRows:       m.ReusedRows.Load(),
+		ExchangedRows:    m.ExchangedRows.Load(),
+		BroadcastOps:     m.BroadcastOps.Load(),
+		SkewSplits:       m.SkewSplits.Load(),
+		DenseProjections: m.DenseProjections.Load(),
 	}
 }
 
@@ -124,6 +131,12 @@ func (m *Metrics) addExchanged(rows int) {
 func (m *Metrics) addBroadcast() {
 	if m != nil {
 		m.BroadcastOps.Add(1)
+	}
+}
+
+func (m *Metrics) addDense() {
+	if m != nil {
+		m.DenseProjections.Add(1)
 	}
 }
 

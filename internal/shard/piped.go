@@ -14,6 +14,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"cqbound/internal/batch"
 	"cqbound/internal/pool"
@@ -30,14 +31,20 @@ import (
 const streamBroadcastRows = 4096
 
 // Piped is the currency of evaluation: per-shard batch pipelines
-// plus the partition key they are keyed on (-1 when the single pipeline has
-// no known partitioning). Multi-part pipeds are always keyed. A Piped is
-// consumed by extending or draining it exactly once — pipelines are not
-// rewindable; buffer through batch.Buffered or materialize to re-iterate.
+// plus the partition key they are keyed on (-1 when the parts have no
+// known partitioning: a single pipeline, or the parts of a dense
+// projection that dropped the key), and a range per column holding every
+// value the pipelines can emit. A Piped is consumed by extending or
+// draining it exactly once — pipelines are not rewindable; buffer through
+// batch.Buffered or materialize to re-iterate.
 type Piped struct {
-	attrs []string
-	key   int
-	parts []batch.Iterator
+	attrs  []string
+	key    int
+	parts  []batch.Iterator
+	ranges []relation.Range
+	// dedup names a projection's dedup set ("dense <bits>" or "hash") for
+	// the span TracePiped attaches; empty for other operators.
+	dedup string
 }
 
 // Attrs returns the schema every part's batches carry.
@@ -49,17 +56,69 @@ func (pd *Piped) Parts() int { return len(pd.parts) }
 // PipedOf opens a stream as pipelines: one scan per shard when the stream
 // carries a partitioned view at the options' count (keeping its key), one
 // flat scan otherwise. Scans are zero-copy and pin governed storage only
-// across individual batch reads.
+// across individual batch reads. The column ranges are the stream's
+// memoized ValueRanges.
 func PipedOf(st Stream, opts *Options) *Piped {
 	size, bm := opts.batchSize(), opts.batchMetrics()
+	ranges := streamRanges(st)
 	if sh := st.Sharded(); sh != nil && sh.P() == opts.Count() && sh.P() > 1 {
 		parts := make([]batch.Iterator, sh.P())
 		for k := range parts {
 			parts[k] = batch.Scan(sh.Shard(k), size, bm)
 		}
-		return &Piped{attrs: sh.Attrs(), key: sh.Key(), parts: parts}
+		return &Piped{attrs: sh.Attrs(), key: sh.Key(), parts: parts, ranges: ranges}
 	}
-	return &Piped{attrs: st.Attrs(), key: -1, parts: []batch.Iterator{batch.Scan(st.Rel(), size, bm)}}
+	return &Piped{attrs: st.Attrs(), key: -1, parts: []batch.Iterator{batch.Scan(st.Rel(), size, bm)}, ranges: ranges}
+}
+
+// streamRanges returns the value range of every column of st: the flat
+// relation's when it has one at hand, else the union of its shards'.
+func streamRanges(st Stream) []relation.Range {
+	ranges := make([]relation.Range, len(st.Attrs()))
+	sh := st.Sharded()
+	if sh == nil || sh.eager != nil {
+		r := st.Rel()
+		for c := range ranges {
+			ranges[c] = r.ValueRange(c)
+		}
+		return ranges
+	}
+	for c := range ranges {
+		ranges[c] = relation.EmptyRange
+		for k := 0; k < sh.P(); k++ {
+			ranges[c] = ranges[c].Union(sh.Shard(k).ValueRange(c))
+		}
+	}
+	return ranges
+}
+
+// joinRanges returns the column ranges of a raw join probe's output — pd's
+// columns then next's — with each joined pair narrowed to the values both
+// sides hold, kept at the positions keep names (nil keeps all).
+func joinRanges(pd *Piped, next *relation.Relation, pairs [][2]int, keep []int) []relation.Range {
+	raw := make([]relation.Range, 0, len(pd.ranges)+next.Arity())
+	raw = append(raw, pd.ranges...)
+	for c := 0; c < next.Arity(); c++ {
+		raw = append(raw, next.ValueRange(c))
+	}
+	for _, pr := range pairs {
+		l, r := pr[0], len(pd.ranges)+pr[1]
+		raw[l] = raw[l].Intersect(raw[r])
+		raw[r] = raw[l]
+	}
+	if keep == nil {
+		return raw
+	}
+	return keptRanges(raw, keep)
+}
+
+// keptRanges returns ranges at the positions idx names.
+func keptRanges(ranges []relation.Range, idx []int) []relation.Range {
+	out := make([]relation.Range, len(idx))
+	for i, c := range idx {
+		out[i] = ranges[c]
+	}
+	return out
 }
 
 // tapIter counts rows flowing through a pipeline stage without touching
@@ -164,13 +223,14 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 			parts[k] = batch.JoinProbe(pd.parts[k], next, nil, size, bm)
 		}
 		countOp(m, len(parts))
-		return &Piped{attrs: attrs, key: pd.key, parts: parts}, nil
+		return &Piped{attrs: attrs, key: pd.key, parts: parts, ranges: joinRanges(pd, next, nil, nil)}, nil
 	}
 	pairs := make([][2]int, len(lCols))
 	for i := range lCols {
 		pairs[i] = [2]int{lCols[i], rCols[i]}
 	}
 	attrs, keep := relation.NaturalJoinSchema(pd.attrs, next.Attrs, rCols)
+	ranges := joinRanges(pd, next, pairs, keep)
 	p := opts.Count()
 
 	chain := func(src batch.Iterator, rShard *relation.Relation) batch.Iterator {
@@ -188,14 +248,14 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 		}
 		m.addSharded()
 		// Left columns keep their positions through the join projection.
-		return &Piped{attrs: attrs, key: lCols[pick], parts: parts}, nil
+		return &Piped{attrs: attrs, key: lCols[pick], parts: parts, ranges: ranges}, nil
 	}
 	// Sharding off, or a flat pipeline meeting an input below MinRows:
 	// probe next whole in the single part.
 	if p == 1 || (len(pd.parts) == 1 && !opts.active(next.Size())) {
 		it := chain(pd.parts[0], next)
 		countOp(m, 1)
-		return &Piped{attrs: attrs, key: -1, parts: []batch.Iterator{it}}, nil
+		return &Piped{attrs: attrs, key: -1, parts: []batch.Iterator{it}, ranges: ranges}, nil
 	}
 	// Misaligned multi-part pipeline: broadcast a small (or below-MinRows)
 	// next against the existing parts instead of scattering the pipeline.
@@ -208,7 +268,7 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 		}
 		m.addSharded()
 		m.addBroadcast()
-		return &Piped{attrs: attrs, key: pd.key, parts: parts}, nil
+		return &Piped{attrs: attrs, key: pd.key, parts: parts, ranges: ranges}, nil
 	}
 	// Exchange the pipeline onto the shared column where next has the most
 	// distinct values (the balanced choice; the pipeline side has no
@@ -243,7 +303,7 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 		}
 	}
 	m.addSharded()
-	return &Piped{attrs: attrs, key: lCols[pick], parts: parts}, nil
+	return &Piped{attrs: attrs, key: lCols[pick], parts: parts, ranges: ranges}, nil
 }
 
 // SemijoinPipedStream extends every pipeline with a semijoin filter against
@@ -263,6 +323,11 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 	m := opts.metrics()
 	size, bm := opts.batchSize(), opts.batchMetrics()
 	lCols, rCols := relation.SharedColsNames(pd.attrs, next.Attrs)
+	// A surviving row's joined values occur in next too.
+	ranges := slices.Clone(pd.ranges)
+	for i, c := range lCols {
+		ranges[c] = ranges[c].Intersect(next.ValueRange(rCols[i]))
+	}
 	p := opts.Count()
 	// Sharding off, no column to route on, or a flat pipeline meeting an
 	// input below MinRows: filter the parts as they are.
@@ -272,7 +337,7 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 			parts[k] = batch.Semijoin(pd.parts[k], next, lCols, rCols, bm)
 		}
 		countOp(m, len(parts))
-		return &Piped{attrs: pd.attrs, key: pd.key, parts: parts}, nil
+		return &Piped{attrs: pd.attrs, key: pd.key, parts: parts, ranges: ranges}, nil
 	}
 	// Aligned: each part probes only next's matching shard.
 	if pick := pipedAligned(pd, lCols, p); pick >= 0 {
@@ -283,7 +348,7 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 			parts[k] = batch.Semijoin(src, rSh.Shard(k), lCols, rCols, bm)
 		}
 		m.addSharded()
-		return &Piped{attrs: pd.attrs, key: pd.key, parts: parts}, nil
+		return &Piped{attrs: pd.attrs, key: pd.key, parts: parts, ranges: ranges}, nil
 	}
 	// Misaligned multi-part pipeline: probe next whole per part — the
 	// filter keeps pd's partitioning, and next's memoized index is shared.
@@ -295,7 +360,7 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 		}
 		m.addSharded()
 		m.addBroadcast()
-		return &Piped{attrs: pd.attrs, key: pd.key, parts: parts}, nil
+		return &Piped{attrs: pd.attrs, key: pd.key, parts: parts, ranges: ranges}, nil
 	}
 	// Flat pipeline, sharding on: exchange onto the shared column where
 	// next has the most distinct values, then filter shard against shard —
@@ -314,16 +379,28 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 		parts[k] = batch.Semijoin(ex.Part(k), rSh.Shard(k), lCols, rCols, bm)
 	}
 	m.addSharded()
-	return &Piped{attrs: pd.attrs, key: lCols[pick], parts: parts}, nil
+	return &Piped{attrs: pd.attrs, key: lCols[pick], parts: parts, ranges: ranges}, nil
 }
 
 // ProjectPiped extends the pipelines with the duplicate-eliminating
 // projection onto idx (positions may repeat, as in relation.ProjectIdx). A
 // projection that keeps every column dedups nothing (batch.Project runs it
-// as a stateless Keep) and always keeps the key. A multi-part piped whose
-// key survives projects part by part (duplicates agree on every kept column
-// including the key, so they share a part); otherwise the pipeline is first
-// exchanged onto the first kept column, which makes per-part dedup exact.
+// as a stateless Keep) and always keeps the key. Otherwise the dedup set
+// is chosen from the data:
+//
+//   - Dense: when the kept columns' value ranges multiply to at most the
+//     batch package's limit (2^24 combinations), rows dedup in bitmaps
+//     (batch.DenseSet) and no exchange runs. A piped whose key survives
+//     (or a single part) projects part by part, each part into a bitmap
+//     of its own, and keeps the key. Otherwise every part marks a private
+//     bitmap, the bitmaps are merged, and each output part decodes a
+//     slice of the merged one (batch.ProjectDenseParts): the output is
+//     unkeyed, and the same on every run.
+//   - Hash: a multi-part piped whose key survives projects part by part
+//     into per-part hash sets (duplicates agree on every kept column
+//     including the key, so they share a part); otherwise the pipeline is
+//     first exchanged onto the first kept column, which makes per-part
+//     dedup exact.
 func ProjectPiped(ctx context.Context, opts *Options, pd *Piped, idx []int) (*Piped, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -336,43 +413,66 @@ func ProjectPiped(ctx context.Context, opts *Options, pd *Piped, idx []int) (*Pi
 	if err != nil {
 		return nil, fmt.Errorf("shard: projecting %v: %w", pd.attrs, err)
 	}
-	if len(pd.parts) == 1 {
-		it := batch.Project(pd.parts[0], idx, attrs, size, bm)
-		countOp(m, 1)
-		return &Piped{attrs: attrs, key: -1, parts: []batch.Iterator{it}}, nil
-	}
-	if outKey := indexOfKept(idx, pd.key); outKey >= 0 {
-		parts := make([]batch.Iterator, len(pd.parts))
-		for k := range parts {
-			parts[k] = batch.Project(pd.parts[k], idx, attrs, size, bm)
+	out := &Piped{attrs: attrs, key: indexOfKept(idx, pd.key), parts: make([]batch.Iterator, len(pd.parts)), ranges: keptRanges(pd.ranges, idx)}
+	covering := batch.Covers(idx, len(pd.attrs))
+	if !covering {
+		if set := batch.NewDenseSet(pd.ranges, idx); set != nil {
+			if len(pd.parts) == 1 || out.key >= 0 {
+				// Duplicates share a part: each part dedups in a set of its own.
+				for k := range out.parts {
+					if k > 0 {
+						set = batch.NewDenseSet(pd.ranges, idx)
+					}
+					out.parts[k] = batch.ProjectDense(pd.parts[k], idx, attrs, set, size, bm)
+				}
+			} else {
+				out.parts = batch.ProjectDenseParts(pd.parts, idx, attrs, set, size, bm)
+			}
+			out.dedup = fmt.Sprintf("dense %d", set.Bits())
+			m.addDense()
+			countOp(m, len(out.parts))
+			return out, nil
 		}
-		m.addSharded()
-		return &Piped{attrs: attrs, key: outKey, parts: parts}, nil
+		out.dedup = "hash"
+	}
+	if len(pd.parts) == 1 || out.key >= 0 || covering {
+		for k := range out.parts {
+			out.parts[k] = batch.Project(pd.parts[k], idx, attrs, size, bm)
+		}
+		countOp(m, len(out.parts))
+		return out, nil
 	}
 	// Key dropped: route rows by the first kept column so all duplicates of
 	// a projected tuple meet in one part's dedup set. No Grow here — the
 	// projection is stateful (its dedup set), so splitting one part across
 	// two chains would let duplicates slip through.
 	ex := batch.NewExchange(pd.parts, pd.attrs, idx[0], len(pd.parts), size, 0, opts.governTransient, exchangeCount(opts, pd.attrs[idx[0]], len(pd.parts)), bm)
-	parts := make([]batch.Iterator, len(pd.parts))
-	for k := range parts {
-		parts[k] = batch.Project(ex.Part(k), idx, attrs, size, bm)
+	for k := range out.parts {
+		out.parts[k] = batch.Project(ex.Part(k), idx, attrs, size, bm)
 	}
+	out.key = 0
 	m.addSharded()
-	return &Piped{attrs: attrs, key: 0, parts: parts}, nil
+	return out, nil
 }
 
 // MaterializePiped drains the pipelines into a Stream: a single-part piped
-// becomes a flat relation, a multi-part piped one relation per shard (built
-// in parallel) assembled as a partitioned view on the piped's key, which
-// PipedOf picks up again. transient registers the built relations with the
-// spill governor as intermediates of the current evaluation; final outputs
-// pass false and stay unmanaged.
+// becomes a flat relation, a multi-part piped one relation per part (built
+// in parallel) assembled as a view on the piped's key — partitioned when
+// the piped is keyed, unkeyed otherwise — which PipedOf picks up again.
+// transient registers the built relations with the spill governor as
+// intermediates of the current evaluation; final outputs pass false and
+// stay unmanaged.
 func MaterializePiped(ctx context.Context, opts *Options, pd *Piped, name string, transient bool) (Stream, error) {
 	bm := opts.batchMetrics()
 	var govern func(*relation.Relation)
 	if transient {
-		govern = opts.governTransient
+		govern = func(r *relation.Relation) {
+			// A transient output is opened again by PipedOf, which reads
+			// its column ranges: scan them now, while the columns are
+			// resident, rather than reload a parked relation for them.
+			r.ValueRange(0)
+			opts.governTransient(r)
+		}
 	}
 	if len(pd.parts) == 1 {
 		r, err := batch.Materialize(ctx, pd.parts[0], name, govern, bm)

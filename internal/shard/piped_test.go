@@ -8,6 +8,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -122,6 +123,22 @@ func checkKeyed(t *testing.T, st Stream, wantKey, wantParts int) {
 			}
 		}
 	}
+}
+
+// spread rebuilds r with every value multiplied by stride: the same rows
+// up to renaming, over a domain too wide for a dense dedup set.
+func spread(t *testing.T, r *relation.Relation, stride relation.Value) *relation.Relation {
+	t.Helper()
+	cols := make([][]relation.Value, r.Arity())
+	for c := range cols {
+		for _, v := range r.Column(c) {
+			if v > math.MaxUint32/stride {
+				t.Fatalf("value %d overflows when spread by %d", v, stride)
+			}
+			cols[c] = append(cols[c], v*stride)
+		}
+	}
+	return relation.NewFromColumns(r.Name, r.Attrs, cols)
 }
 
 func TestPipedRouting(t *testing.T) {
@@ -327,16 +344,60 @@ func TestPipedRouting(t *testing.T) {
 			},
 		},
 		{
+			// Values spread 2^16 apart: the kept ranges multiply past the
+			// dense limit, so the hash path runs.
 			name: "projection that drops the key exchanges onto its first column",
+			opts: Options{Shards: p},
+			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
+				w := spread(t, wide, 1<<16)
+				return mustProject(t, opts, on(w, 1, opts), 2, 0), mustProjectRel(t, w, 2, 0)
+			},
+			check: func(t *testing.T, m Stats, out Stream) {
+				if m.ExchangedRows != int64(wide.Size()) || m.DenseProjections != 0 {
+					t.Fatalf("exchanged=%d dense=%d, want %d/0", m.ExchangedRows, m.DenseProjections, wide.Size())
+				}
+				checkKeyed(t, out, 0, p)
+			},
+		},
+		{
+			name: "4-part pipeline projected without its key dedups in one bitmap, unkeyed",
 			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustProject(t, opts, on(wide, 1, opts), 2, 0), mustProjectRel(t, wide, 2, 0)
 			},
 			check: func(t *testing.T, m Stats, out Stream) {
-				if m.ExchangedRows != int64(wide.Size()) {
-					t.Fatalf("exchanged=%d, want %d", m.ExchangedRows, wide.Size())
+				if m.ExchangedRows != 0 || m.DenseProjections != 1 {
+					t.Fatalf("exchanged=%d dense=%d, want 0/1", m.ExchangedRows, m.DenseProjections)
 				}
-				checkKeyed(t, out, 0, p)
+				sh := out.Sharded()
+				if sh == nil || sh.Key() != -1 || sh.P() != p {
+					t.Fatalf("output %v, want an unkeyed view of %d parts", sh, p)
+				}
+				// Every row came out of exactly one part.
+				if rows := sh.Size(); rows != mustProjectRel(t, wide, 2, 0).Size() {
+					t.Fatalf("parts hold %d rows, ProjectIdx %d", rows, mustProjectRel(t, wide, 2, 0).Size())
+				}
+			},
+		},
+		{
+			name: "an unkeyed sink reopens as parts and broadcasts into a join",
+			opts: Options{Shards: p},
+			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
+				proj := mustProject(t, opts, on(wide, 1, opts), 2, 0)
+				sunk, err := MaterializePiped(context.Background(), opts, proj, "P", true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reopened := PipedOf(sunk, opts)
+				if reopened.Parts() != p || reopened.key != -1 {
+					t.Fatalf("reopened unkeyed sink as %d parts keyed %d, want %d unkeyed", reopened.Parts(), reopened.key, p)
+				}
+				return mustJoin(t, opts, reopened, u), mustNaturalJoin(t, mustProjectRel(t, wide, 2, 0), u)
+			},
+			check: func(t *testing.T, m Stats, out Stream) {
+				if m.BroadcastOps != 1 || m.ExchangedRows != 0 {
+					t.Fatalf("broadcasts=%d exchanged=%d, want 1/0", m.BroadcastOps, m.ExchangedRows)
+				}
 			},
 		},
 		{

@@ -203,7 +203,8 @@ type Sharded struct {
 	lazy     *relation.Relation
 }
 
-// Key returns the partition column (a position into Attrs()).
+// Key returns the partition column (a position into Attrs()), or -1 for
+// an unkeyed view.
 func (s *Sharded) Key() int { return s.key }
 
 // P returns the partition count.
@@ -254,9 +255,12 @@ func (s *Sharded) Rel() *relation.Relation {
 // value hashes to shard k of len(parts). This is how a multi-part
 // pipeline's sink stays sharded — part k's rows carry a key value that
 // hashes to k, so the relation it builds IS shard k of the result —
-// without paying a concatenation the next pipeline may never need.
+// without paying a concatenation the next pipeline may never need. Key -1
+// assembles an unkeyed view of disjoint parts (a dense projection's sink):
+// it is scanned part by part like a keyed one, but no operator treats it
+// as aligned.
 func FromParts(name string, attrs []string, key int, parts []*relation.Relation) *Sharded {
-	if key < 0 || key >= len(attrs) {
+	if key < -1 || key >= len(attrs) {
 		panic(fmt.Sprintf("shard: FromParts key %d out of range for %v", key, attrs))
 	}
 	return &Sharded{name: name, attrs: attrs, key: key, sh: parts}

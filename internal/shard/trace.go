@@ -15,15 +15,18 @@ import (
 	"cqbound/internal/trace"
 )
 
-// TracePiped attaches sp to pd: the span records the part fan-out, counts
-// every batch and row the pipelines emit, and ends when all parts reach
-// end-of-stream. Returns pd for chaining; with a nil span (tracing off)
-// pd is returned untouched.
+// TracePiped attaches sp to pd: the span records the part fan-out (and a
+// projection's dedup set, as its note), counts every batch and row the
+// pipelines emit, and ends when all parts reach end-of-stream. Returns pd
+// for chaining; with a nil span (tracing off) pd is returned untouched.
 func TracePiped(pd *Piped, sp *trace.Span) *Piped {
 	if sp == nil || pd == nil {
 		return pd
 	}
 	sp.SetShards(len(pd.parts))
+	if pd.dedup != "" {
+		sp.SetNote(pd.dedup)
+	}
 	sp.Arm(len(pd.parts))
 	for k, part := range pd.parts {
 		pd.parts[k] = &traceTap{src: part, sp: sp}

@@ -217,6 +217,7 @@ func tracedDeltas(hit bool, pv *tracedPrivate, before, after epochCounterSnapsho
 			{Name: "exchanged_rows", Value: sh.ExchangedRows},
 			{Name: "broadcast_ops", Value: sh.BroadcastOps},
 			{Name: "skew_splits", Value: sh.SkewSplits},
+			{Name: "dense_projections", Value: sh.DenseProjections},
 		}},
 		{Family: "stream", Counters: []trace.Counter{
 			{Name: "batches", Value: st.BatchesProduced},
@@ -288,6 +289,7 @@ func (e *Engine) metricsState() *metricsState {
 	reg.Gauge("shard_exchanged_rows", func() int64 { return e.ShardStats().ExchangedRows })
 	reg.Gauge("shard_broadcast_ops", func() int64 { return e.ShardStats().BroadcastOps })
 	reg.Gauge("shard_skew_splits", func() int64 { return e.ShardStats().SkewSplits })
+	reg.Gauge("shard_dense_projections", func() int64 { return e.ShardStats().DenseProjections })
 	reg.Gauge("stream_batches", func() int64 { return e.StreamStats().BatchesProduced })
 	reg.Gauge("stream_rows", func() int64 { return e.StreamStats().RowsStreamed })
 	reg.Gauge("stream_buffered_fallbacks", func() int64 { return e.StreamStats().BufferedFallbacks })
