@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 
 	"cqbound/internal/coloring"
@@ -480,7 +481,9 @@ func BenchmarkEngineChainScaledStreamedBatchSize(b *testing.B) {
 // TestBenchModuleBuilds vets bench/, the repository benchmark: it is a
 // module of its own (BENCHMARK.json runs it from source) compiled against
 // this module's packages, so `go test ./...` here never builds it and an
-// API change could break it unseen.
+// API change could break it unseen. It also runs bench/'s two API pins:
+// every registry name the benchmark reads still exists, and it imports
+// only allowed entry points.
 func TestBenchModuleBuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go tool")
@@ -488,10 +491,15 @@ func TestBenchModuleBuilds(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go is not on PATH")
 	}
-	cmd := exec.Command("go", "vet", "-C", "bench", "./...")
-	// Build what is checked out here, not what a go.work above it names.
-	cmd.Env = append(os.Environ(), "GOWORK=off")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -C bench ./...: %v\n%s", err, out)
+	for _, args := range [][]string{
+		{"vet", "-C", "bench", "./..."},
+		{"test", "-C", "bench", "-run", "^(TestGaugesExist|TestImportAllowList)$", "./..."},
+	} {
+		cmd := exec.Command("go", args...)
+		// Build what is checked out here, not what a go.work above it names.
+		cmd.Env = append(os.Environ(), "GOWORK=off")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"cqbound/internal/database"
 	"cqbound/internal/eval"
 	"cqbound/internal/lru"
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/plan"
 	"cqbound/internal/pool"
 	"cqbound/internal/relation"
@@ -61,7 +62,10 @@ type Engine struct {
 	sharding *shard.Options
 	spill    *spill.Governor
 
-	stream *batch.Metrics
+	// Counter sets, registered by Metrics: cache lookups, the epoch
+	// lifecycle (txn.go), and the executors' shard and stream families,
+	// which evaluations count into through sharding.
+	cache, epoch, shard, stream *counter.Set
 
 	// Transactional store (txn.go). txMu serializes commits and compactions;
 	// epochMu guards the epoch list, the live pointer, the byDB lookup and
@@ -76,15 +80,6 @@ type Engine struct {
 	live    *epochState
 	epochs  []*epochState
 	byDB    map[*database.Database]*epochState
-
-	// Epoch lifecycle counters (EpochStats).
-	commits     atomic.Int64
-	retiredEps  atomic.Int64
-	sweptBufs   atomic.Int64
-	sweptBytes  atomic.Int64
-	incMemos    atomic.Int64
-	rebuiltRels atomic.Int64
-	compactions atomic.Int64
 
 	// Observability (observe.go): engine-wide tracing switch, trace
 	// sinks, and the lazily-built metric registry.
@@ -114,8 +109,8 @@ type Option func(*Engine)
 // pipeline's batches onto the new key (exchange). Steps below the
 // threshold — and joins with no shared column to partition on — run
 // single-shard exactly as without the option. Outputs are identical either
-// way; only wall-clock and memory locality change. ShardStats reports what
-// the routing actually did.
+// way; only wall-clock and memory locality change. The shard_* counters
+// of Metrics report what the routing actually did.
 func WithSharding(threshold, shards int) Option {
 	return func(e *Engine) {
 		e.shardingOn = true
@@ -137,8 +132,8 @@ func WithSharding(threshold, shards int) Option {
 // sees base-relation partitions and pipeline sinks even on a single-shard
 // engine, and WithSharding raises the granularity (more, smaller victims)
 // — pair the two when the budget must track intermediates closely.
-// SpillStats reports what the governor did, and Close releases the spill
-// files.
+// The spill_* entries of Metrics report what the governor did, and Close
+// releases the spill files.
 func WithMemoryBudget(bytes int64) Option {
 	return func(e *Engine) {
 		e.memBudget = bytes
@@ -156,21 +151,6 @@ func WithSpillDir(dir string) Option {
 	}
 }
 
-// SpillStats is a point-in-time copy of the engine's memory-governor
-// counters: shards currently parked on disk and cumulative reloads,
-// eviction counts, bytes in spill files, pins that had to wait for a
-// segment load, the resident-bytes gauge with its high-water mark, the
-// registered buffers, and the bytes a serving front-end reserved. All
-// zeros when the engine was built without WithMemoryBudget.
-type SpillStats = spill.Stats
-
-// SpillStats reports what the engine's memory governor has done across all
-// evaluations since the engine was built (counters) and the current
-// resident/on-disk state (gauges).
-func (e *Engine) SpillStats() SpillStats {
-	return e.spill.Snapshot()
-}
-
 // Close releases the engine's spill state: parked shards are loaded back
 // into memory (relations stay fully usable afterwards) and the engine's
 // spill directory is removed. A nil spill configuration makes Close a
@@ -180,30 +160,21 @@ func (e *Engine) Close() error {
 	return e.spill.Close()
 }
 
-// ShardStats is a point-in-time copy of the engine's sharded-execution
-// counters: how many operators ran partition-parallel vs fell back, how
-// many rows arrived at exchanges already partitioned on the needed key vs
-// had to be repartitioned, and how often broadcasts and skew splits fired.
-// All zeros when the engine was built without WithSharding.
-type ShardStats = shard.Stats
+// cacheCounters is the family of analysis- and plan-cache lookups
+// (registry names cache_*).
+var (
+	cacheCounters = counter.NewFamily("cache")
+	cacheHits     = cacheCounters.Counter("hits", "analysis- and plan-cache lookups that hit")
+	cacheMisses   = cacheCounters.Counter("misses", "analysis- and plan-cache lookups that missed")
+)
 
-// ShardStats reports the engine's sharded-execution routing counters,
-// accumulated across all evaluations since the engine was built.
-func (e *Engine) ShardStats() ShardStats {
-	return e.sharding.Metrics.Snapshot()
-}
-
-// StreamStats is a point-in-time copy of the engine's pipeline counters:
-// batches and rows emitted by pipeline stages, pipelines that fell back to
-// a buffered relation, and the column bytes that flowed through stages
-// without ever being materialized — the allocation a
-// materialize-per-operator executor would pay.
-type StreamStats = batch.Stats
-
-// StreamStats reports what the engine's streamed pipelines did across all
-// evaluations since the engine was built (or since ResetStats).
-func (e *Engine) StreamStats() StreamStats {
-	return e.stream.Snapshot()
+// countLookup counts one cache lookup into m.
+func countLookup(m *counter.Set, hit bool) {
+	if hit {
+		m.Add(cacheHits, 1)
+	} else {
+		m.Add(cacheMisses, 1)
+	}
 }
 
 // maxCacheEntries bounds each engine cache so long-lived servers seeing
@@ -229,6 +200,10 @@ func NewEngine(opts ...Option) *Engine {
 		analyses: lru.New[*analysisEntry](maxCacheEntries),
 		plans:    lru.New[*planEntry](maxCacheEntries),
 		dedup:    make(map[string]relation.Dedup),
+		cache:    cacheCounters.NewSet(),
+		epoch:    epochCounters.NewSet(),
+		shard:    shard.Counters.NewSet(),
+		stream:   batch.Counters.NewSet(),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -250,7 +225,7 @@ func NewEngine(opts ...Option) *Engine {
 		e.sharding = &shard.Options{
 			MinRows: e.shardMinRows,
 			Shards:  e.shardCount,
-			Metrics: &shard.Metrics{},
+			Metrics: e.shard,
 			Spill:   e.spill,
 		}
 	}
@@ -258,8 +233,8 @@ func NewEngine(opts ...Option) *Engine {
 	// are per-shard), so an engine without WithSharding gets a single-shard
 	// options block carrying the governor and counters. Batch size and the
 	// skew-split trigger stay at the executors' defaults (batch.DefaultSize
-	// rows; a shard over 0.25 of its side's rows splits).
-	e.stream = &batch.Metrics{}
+	// rows; a shard over 0.25 of its side's rows splits). Such an engine
+	// counts no routing decisions: its shard_* counters stay zero.
 	if e.sharding == nil {
 		e.sharding = &shard.Options{Shards: 1, Spill: e.spill}
 	}
@@ -267,63 +242,14 @@ func NewEngine(opts ...Option) *Engine {
 	return e
 }
 
-// ResetStats zeroes the engine's cumulative counters — the analysis/plan
-// cache hit/miss counts (CacheStats), the exchange-routing counters
-// (ShardStats), the streamed-pipeline counters (StreamStats), the spill
-// governor's eviction/reload/pin-wait counters (SpillStats), and the
-// epoch lifecycle counters (EpochStats: commits, retired epochs, swept
-// buffers and bytes, incremental memos, rebuilt relations, compactions)
-// — so callers can attribute counts to a window, e.g. one query in a
-// benchmark sweep, instead of the engine's lifetime. Gauges that
-// describe present state survive: cached entries, resident and on-disk
-// bytes, currently parked shards, and the EpochStats gauges LiveEpoch,
-// ActiveEpochs, PinnedReaders and DictLen. The peak-resident high-water
-// mark restarts from current residency.
+// ResetStats zeroes every counter in the engine's registry — its own
+// families and the serve families a Server registered on it — so callers
+// can attribute counts to a window, e.g. one query in a benchmark sweep,
+// instead of the engine's lifetime. Gauges describe present state and
+// survive (cached entries, resident and on-disk bytes, parked shards,
+// high-water marks, live epoch, dictionary size), as do histograms.
 func (e *Engine) ResetStats() {
-	e.mu.Lock()
-	e.analyses.ResetStats()
-	e.plans.ResetStats()
-	e.mu.Unlock()
-	e.sharding.Metrics.Reset()
-	e.stream.Reset()
-	e.spill.ResetCounters()
-	e.commits.Store(0)
-	e.retiredEps.Store(0)
-	e.sweptBufs.Store(0)
-	e.sweptBytes.Store(0)
-	e.incMemos.Store(0)
-	e.rebuiltRels.Store(0)
-	e.compactions.Store(0)
-}
-
-// EngineStats is one point-in-time copy of every engine stats family:
-// the cache hit/miss counters plus the four execution families. The
-// embedded structs are the same values the per-family accessors return.
-type EngineStats struct {
-	// CacheHits / CacheMisses are the analysis- and plan-cache lookup
-	// counters of CacheStats; CacheSize is the current entry count.
-	CacheHits   uint64
-	CacheMisses uint64
-	CacheSize   int
-	Shard       ShardStats
-	Stream      StreamStats
-	Spill       SpillStats
-	Epoch       EpochStats
-}
-
-// Stats returns every stats family in one snapshot — the one-call
-// counterpart of CacheStats + ShardStats + StreamStats + SpillStats +
-// EpochStats. Families the engine was not configured for read all zeros.
-func (e *Engine) Stats() EngineStats {
-	s := EngineStats{
-		Shard:  e.ShardStats(),
-		Stream: e.StreamStats(),
-		Spill:  e.SpillStats(),
-		Epoch:  e.EpochStats(),
-	}
-	s.CacheHits, s.CacheMisses = e.CacheStats()
-	s.CacheSize = e.CacheSize()
-	return s
+	e.Metrics().Reset()
 }
 
 // CacheSize reports how many distinct queries the engine currently holds an
@@ -340,17 +266,6 @@ func (e *Engine) CacheSize() int {
 	return n
 }
 
-// CacheStats reports how many cache lookups hit and missed across the
-// analysis and plan caches since the engine was built — the serving-trace
-// counters that justify (or refute) the LRU policy.
-func (e *Engine) CacheStats() (hits, misses uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ah, am := e.analyses.Stats()
-	ph, pm := e.plans.Stats()
-	return ah + ph, am + pm
-}
-
 // Analyze returns the full paper analysis of q, cached by the query's
 // canonical text (so structurally identical Query values share one entry).
 // The returned analysis is shared across callers; it must not be modified.
@@ -359,6 +274,7 @@ func (e *Engine) Analyze(q *Query) (*Analysis, error) {
 	e.mu.Lock()
 	ent, ok := e.analyses.Get(key)
 	e.mu.Unlock()
+	countLookup(e.cache, ok)
 	if ok {
 		return ent.a, ent.err
 	}
@@ -382,6 +298,7 @@ func (e *Engine) Explain(q *Query) (*Plan, error) {
 	e.mu.Lock()
 	ent, ok := e.plans.Get(key)
 	e.mu.Unlock()
+	countLookup(e.cache, ok)
 	if ok {
 		return ent.p, ent.err
 	}
@@ -416,9 +333,9 @@ func (e *Engine) Evaluate(ctx context.Context, q *Query, db *Database) (*Relatio
 	if err != nil {
 		return nil, EvalStats{}, err
 	}
-	opts, scope := e.evalOptions()
-	defer scope.Close()
-	return plan.ExecuteOpts(ctx, p, q, db, opts)
+	r := e.evalOptions(nil)
+	defer r.finish(e)
+	return plan.ExecuteOpts(ctx, p, q, db, r.opts)
 }
 
 // planFor returns the evaluation plan for q over db. Epoch snapshots cache
@@ -428,20 +345,21 @@ func (e *Engine) Evaluate(ctx context.Context, q *Query, db *Database) (*Relatio
 // Free-standing databases keep the pre-epoch behavior: structural plan from
 // the text-keyed cache, atom order re-derived per call.
 func (e *Engine) planFor(q *Query, db *Database) (*plan.Plan, error) {
-	p, _, err := e.planForHit(q, db)
+	p, _, err := e.planForHit(q, db, e.cache)
 	return p, err
 }
 
-// planForHit is planFor, also reporting whether the plan-cache lookup hit
-// — the exact per-query cache delta a traced evaluation records (the
-// Evaluate path makes exactly one plan-cache lookup and none against the
-// analysis cache).
-func (e *Engine) planForHit(q *Query, db *Database) (*plan.Plan, bool, error) {
+// planForHit is planFor, counting its one plan-cache lookup into m and
+// also reporting whether it hit — the exact per-query cache delta a traced
+// evaluation records (the Evaluate path makes exactly one plan-cache
+// lookup and none against the analysis cache).
+func (e *Engine) planForHit(q *Query, db *Database, m *counter.Set) (*plan.Plan, bool, error) {
 	if db == nil || db.Epoch() == 0 {
 		key := q.String()
 		e.mu.Lock()
 		ent, hit := e.plans.Get(key)
 		e.mu.Unlock()
+		countLookup(m, hit)
 		var p *plan.Plan
 		var err error
 		if hit {
@@ -466,6 +384,7 @@ func (e *Engine) planForHit(q *Query, db *Database) (*plan.Plan, bool, error) {
 	e.mu.Lock()
 	ent, ok := e.plans.Get(key)
 	e.mu.Unlock()
+	countLookup(m, ok)
 	if ok {
 		return ent.p, true, ent.err
 	}
@@ -537,21 +456,52 @@ func epochKeySuffix(epoch uint64) string {
 	return "\x00@" + strconv.FormatUint(epoch, 10)
 }
 
-// evalOptions returns the sharding options for one evaluation. Under a
-// memory budget each evaluation gets its own spill scope: the governor
-// buffers of intermediate shards — garbage once the evaluation's output
-// is materialized — are discarded when the scope closes, so a long-lived
-// engine's resident bytes, registry and spilled segments plateau at the
-// memoized base partitions instead of growing per query. Both returns are
-// nil-safe for their consumers.
-func (e *Engine) evalOptions() (*shard.Options, *spill.Scope) {
-	if e.spill == nil {
-		return e.sharding, nil
+// evalRun is one evaluation's options. An untraced run counts straight
+// into the engine's sets; a traced one counts into the private sets held
+// here, so that its trace deltas stay exact under concurrency, and finish
+// merges them into the engine's.
+type evalRun struct {
+	opts                 *shard.Options
+	cache, shard, stream *counter.Set // traced runs only
+}
+
+// evalOptions returns the run of one evaluation, traced when tr is
+// non-nil. Under a memory budget each evaluation gets its own spill scope:
+// the governor buffers of intermediate shards — garbage once the
+// evaluation's output is materialized — are discarded by finish, so a
+// long-lived engine's resident bytes, registry and spilled segments
+// plateau at the memoized base partitions instead of growing per query.
+func (e *Engine) evalOptions(tr *trace.Tracer) evalRun {
+	r := evalRun{opts: e.sharding}
+	if e.spill == nil && tr == nil {
+		return r
 	}
-	scope := spill.NewScope()
 	o := *e.sharding
-	o.Scope = scope
-	return &o, scope
+	r.opts = &o
+	if e.spill != nil {
+		o.Scope = spill.NewScope()
+	}
+	if tr != nil {
+		o.Trace = tr
+		r.cache, r.shard, r.stream = cacheCounters.NewSet(), shard.Counters.NewSet(), batch.Counters.NewSet()
+		if o.Metrics != nil {
+			o.Metrics = r.shard
+		}
+		o.Batch = r.stream
+	}
+	return r
+}
+
+// finish closes the run's spill scope, discarding its intermediate
+// buffers (the scope's counters stay readable), and merges a traced run's
+// private counters into the engine's.
+func (r evalRun) finish(e *Engine) {
+	r.opts.Scope.Close()
+	if r.opts.Trace != nil {
+		r.cache.AddTo(e.cache)
+		r.shard.AddTo(e.shard)
+		r.stream.AddTo(e.stream)
+	}
 }
 
 // BatchResult is one query's outcome from EvaluateBatch.
@@ -603,7 +553,7 @@ func (e *Engine) EvaluateStrategy(ctx context.Context, s Strategy, q *Query, db 
 	if s == StrategyProjectEarly {
 		forced.AtomOrder = plan.OrderAtoms(q, db)
 	}
-	opts, scope := e.evalOptions()
-	defer scope.Close()
-	return plan.ExecuteOpts(ctx, forced, q, db, opts)
+	r := e.evalOptions(nil)
+	defer r.finish(e)
+	return plan.ExecuteOpts(ctx, forced, q, db, r.opts)
 }

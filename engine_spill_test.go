@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cqbound/internal/datagen"
@@ -36,19 +37,18 @@ func TestEngineMemoryBudgetSpillsAndAgrees(t *testing.T) {
 	if !relation.Equal(want, got) {
 		t.Fatalf("budgeted output %d tuples, plain %d", got.Size(), want.Size())
 	}
-	st := budgeted.SpillStats()
-	if st.Evictions == 0 || st.ReloadedShards == 0 {
-		t.Fatalf("1KB budget never spilled: %+v", st)
+	if metric(t, budgeted, "spill_evictions") == 0 || metric(t, budgeted, "spill_reloaded_shards") == 0 {
+		t.Fatal("1KB budget never spilled")
 	}
-	if st.PeakResidentBytes == 0 {
-		t.Fatalf("peak resident gauge missing: %+v", st)
+	if metric(t, budgeted, "spill_peak_resident_bytes") == 0 {
+		t.Fatal("peak resident gauge missing")
 	}
 	// A second evaluation re-reads memoized (now parked) partitions.
-	before := budgeted.SpillStats().ReloadedShards
+	before := metric(t, budgeted, "spill_reloaded_shards")
 	if _, _, err := budgeted.Evaluate(ctx, q, db); err != nil {
 		t.Fatal(err)
 	}
-	if budgeted.SpillStats().ReloadedShards <= before {
+	if metric(t, budgeted, "spill_reloaded_shards") <= before {
 		t.Fatal("re-evaluation never reloaded a parked shard")
 	}
 }
@@ -85,7 +85,7 @@ func TestEngineIgnoresStaleSpillFiles(t *testing.T) {
 	if !relation.Equal(want, got) {
 		t.Fatalf("engine over a dirty spill dir: %d tuples, want %d", got.Size(), want.Size())
 	}
-	if eng.SpillStats().Evictions == 0 {
+	if metric(t, eng, "spill_evictions") == 0 {
 		t.Fatal("budget never forced a spill — the stale-file check proved nothing")
 	}
 	for _, name := range []string{"seg-1.seg", "seg-2.seg"} {
@@ -133,43 +133,41 @@ func TestEngineResetStats(t *testing.T) {
 	if _, _, err := eng.Evaluate(ctx, q, db); err != nil {
 		t.Fatal(err)
 	}
-	if h, m := eng.CacheStats(); h+m == 0 {
+	if metric(t, eng, "cache_hits")+metric(t, eng, "cache_misses") == 0 {
 		t.Fatal("no cache traffic before reset")
 	}
-	if eng.ShardStats().ShardedOps == 0 {
+	if metric(t, eng, "shard_sharded_ops") == 0 {
 		t.Fatal("no sharded ops before reset")
 	}
 	eng.ResetStats()
-	if h, m := eng.CacheStats(); h != 0 || m != 0 {
-		t.Fatalf("cache stats survive reset: %d/%d", h, m)
-	}
-	if st := eng.ShardStats(); st != (ShardStats{}) {
-		t.Fatalf("shard stats survive reset: %+v", st)
-	}
-	sp := eng.SpillStats()
-	if sp.Evictions != 0 || sp.ReloadedShards != 0 || sp.PinWaits != 0 {
-		t.Fatalf("spill counters survive reset: %+v", sp)
+	for _, name := range []string{"cache_hits", "cache_misses", "shard_sharded_ops", "shard_fallback_ops",
+		"spill_evictions", "spill_reloaded_shards", "spill_pin_waits"} {
+		if v := metric(t, eng, name); v != 0 {
+			t.Fatalf("%s = %d survives reset", name, v)
+		}
 	}
 	// Gauges describe present state and must survive.
-	if sp.BytesOnDisk == 0 && sp.ResidentBytes == 0 {
-		t.Fatalf("spill gauges were zeroed by reset: %+v", sp)
+	if metric(t, eng, "spill_bytes_on_disk") == 0 && metric(t, eng, "spill_resident_bytes") == 0 {
+		t.Fatal("spill gauges were zeroed by reset")
 	}
 	// Counters accumulate again after the reset — the per-query window.
 	if _, _, err := eng.Evaluate(ctx, q, db); err != nil {
 		t.Fatal(err)
 	}
-	if h, m := eng.CacheStats(); h == 0 && m == 0 {
+	if metric(t, eng, "cache_hits")+metric(t, eng, "cache_misses") == 0 {
 		t.Fatal("no cache traffic after reset")
 	}
 }
 
 // TestEngineResetStatsNoSpillNoSharding pins nil-safety: ResetStats and
-// SpillStats on a plain engine are no-ops, not panics.
+// the spill entries on a plain engine are no-ops reading zero, not panics.
 func TestEngineResetStatsNoSpillNoSharding(t *testing.T) {
 	eng := NewEngine()
 	eng.ResetStats()
-	if st := eng.SpillStats(); st != (SpillStats{}) {
-		t.Fatalf("plain engine reports spill stats: %+v", st)
+	for name, v := range eng.MetricsSnapshot() {
+		if n, ok := v.(int64); ok && strings.HasPrefix(name, "spill_") && n != 0 {
+			t.Fatalf("plain engine reports %s = %d", name, n)
+		}
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatalf("plain Close: %v", err)
@@ -188,21 +186,16 @@ func TestEngineSpillScopeReleasesIntermediates(t *testing.T) {
 	if _, _, err := eng.Evaluate(ctx, q, db); err != nil {
 		t.Fatal(err)
 	}
-	after1 := eng.SpillStats()
+	after1 := eng.MetricsSnapshot()
 	for i := 0; i < 5; i++ {
 		if _, _, err := eng.Evaluate(ctx, q, db); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after6 := eng.SpillStats()
-	if after6.RegisteredBuffers > after1.RegisteredBuffers {
-		t.Fatalf("governor accumulates buffers per query: %d after 1 eval, %d after 6",
-			after1.RegisteredBuffers, after6.RegisteredBuffers)
-	}
-	if after6.ResidentBytes > after1.ResidentBytes {
-		t.Fatalf("resident bytes grow per query: %d -> %d", after1.ResidentBytes, after6.ResidentBytes)
-	}
-	if after6.BytesOnDisk > after1.BytesOnDisk {
-		t.Fatalf("segment files accumulate per query: %d -> %d bytes", after1.BytesOnDisk, after6.BytesOnDisk)
+	after6 := eng.MetricsSnapshot()
+	for _, name := range []string{"spill_registered_buffers", "spill_resident_bytes", "spill_bytes_on_disk"} {
+		if a1, a6 := after1[name].(int64), after6[name].(int64); a6 > a1 {
+			t.Fatalf("%s grows per query: %d after 1 eval, %d after 6", name, a1, a6)
+		}
 	}
 }

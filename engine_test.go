@@ -297,12 +297,27 @@ func TestEngineWithSharding(t *testing.T) {
 	}
 }
 
-// TestEngineCacheStats pins the LRU hit/miss accounting: the first
+// metric reads one counter or gauge from the engine's registry.
+func metric(t testing.TB, e *Engine, name string) int64 {
+	t.Helper()
+	v, ok := e.MetricsSnapshot()[name].(int64)
+	if !ok {
+		t.Fatalf("registry has no counter or gauge %q", name)
+	}
+	return v
+}
+
+// cacheStats reads the analysis- and plan-cache lookup counters.
+func cacheStats(t testing.TB, e *Engine) (hits, misses int64) {
+	return metric(t, e, "cache_hits"), metric(t, e, "cache_misses")
+}
+
+// TestEngineCacheStats pins the cache hit/miss accounting: the first
 // Explain/Analyze of a query misses, repeats hit.
 func TestEngineCacheStats(t *testing.T) {
 	eng := NewEngine()
 	q := MustParse("Q(X,Z) <- R(X,Y), S(Y,Z).")
-	if h, m := eng.CacheStats(); h != 0 || m != 0 {
+	if h, m := cacheStats(t, eng); h != 0 || m != 0 {
 		t.Fatalf("fresh engine stats = %d/%d, want 0/0", h, m)
 	}
 	if _, err := eng.Explain(q); err != nil {
@@ -314,7 +329,7 @@ func TestEngineCacheStats(t *testing.T) {
 	if _, err := eng.Explain(q); err != nil {
 		t.Fatal(err)
 	}
-	h, m := eng.CacheStats()
+	h, m := cacheStats(t, eng)
 	if m != 1 {
 		t.Fatalf("misses = %d, want 1 (only the first Explain)", m)
 	}
@@ -327,7 +342,7 @@ func TestEngineCacheStats(t *testing.T) {
 	if _, err := eng.Analyze(q); err != nil {
 		t.Fatal(err)
 	}
-	h, m = eng.CacheStats()
+	h, m = cacheStats(t, eng)
 	if h != 3 || m != 2 {
 		t.Fatalf("stats after Analyze pair = %d/%d, want 3/2", h, m)
 	}

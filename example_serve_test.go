@@ -60,9 +60,9 @@ func ExampleNewServer() {
 }
 
 // ExampleNewServer_metrics shows the serving-path observability layer:
-// requests carry correlation IDs end to end, ObsStats counts what the
-// middleware saw, and /metrics?format=prom renders the same families as
-// Prometheus text exposition.
+// requests carry correlation IDs end to end, the serve families of the
+// engine's registry count what the server saw, and /metrics?format=prom
+// renders the same families as Prometheus text exposition.
 func ExampleNewServer_metrics() {
 	eng := cqbound.NewEngine()
 	defer eng.Close()
@@ -100,12 +100,12 @@ func ExampleNewServer_metrics() {
 		}
 	}
 
-	// ObsStats snapshots the middleware counters: the commit plus both
+	// The registry counts what the server saw: the commit plus both
 	// queries passed through, the repeat query hit the result cache, and
 	// the evaluated one recorded a bound-calibration sample.
-	st := srv.ObsStats()
+	snap := eng.MetricsSnapshot()
 	fmt.Printf("requests=%d cache_hits=%d calibration_records=%d\n",
-		st.Requests, st.CacheHits, st.CalibrationRecords)
+		snap["serve_requests"], snap["serve_cache_hits"], snap["calibration_records"])
 
 	// The same families render as Prometheus text exposition.
 	resp, err = http.Get(ts.URL + "/metrics?format=prom")

@@ -119,7 +119,7 @@ func ExampleWithSharding() {
 // ExampleWithSharding_skew shows the hot-shard trigger: here every row of
 // R carries the same join value, so hash partitioning would serialize the
 // whole join into one shard. A shard holding over a quarter of its side's
-// rows is split into row blocks instead, and ShardStats records it.
+// rows is split into row blocks instead, and shard_skew_splits counts it.
 func ExampleWithSharding_skew() {
 	q := cqbound.MustParse("Q(X,Z) <- R(X,Y), S(Y,Z).")
 	db := cqbound.NewDatabase()
@@ -137,41 +137,18 @@ func ExampleWithSharding_skew() {
 	if err != nil {
 		panic(err)
 	}
-	st := eng.ShardStats()
-	fmt.Println(out.Size(), "tuples; hot shards split:", st.SkewSplits > 0)
+	snap := eng.MetricsSnapshot()
+	fmt.Println(out.Size(), "tuples; hot shards split:", snap["shard_skew_splits"].(int64) > 0)
 	// Output:
 	// 200 tuples; hot shards split: true
 }
 
-// ExampleEngine_CacheStats shows the serving-trace counters of the
-// analysis and plan LRU caches: the first evaluation of a query text
-// misses, repeats hit.
-func ExampleEngine_CacheStats() {
-	eng := cqbound.NewEngine()
-	q := cqbound.MustParse("Q(X,Z) <- R(X,Y), S(Y,Z).")
-	db := cqbound.NewDatabase()
-	r := cqbound.NewRelation("R", "a", "b")
-	r.Add("x", "y")
-	s := cqbound.NewRelation("S", "a", "b")
-	s.Add("y", "z")
-	db.MustAdd(r)
-	db.MustAdd(s)
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, _, err := eng.Evaluate(ctx, q, db); err != nil {
-			panic(err)
-		}
-	}
-	hits, misses := eng.CacheStats()
-	fmt.Println("hits:", hits, "misses:", misses)
-	// Output:
-	// hits: 2 misses: 1
-}
-
-// ExampleEngine_ShardStats reads the exchange-routing counters: how many
-// operators ran partition-parallel vs fell back, and how many rows were
-// reused in place vs physically repartitioned.
-func ExampleEngine_ShardStats() {
+// ExampleEngine_MetricsSnapshot reads counters from the registry, the one
+// place every counter lives: the plan cache misses on a query text's first
+// evaluation and hits on repeats, and the exchange-routing counters show
+// operators running partition-parallel with rows reused in place rather
+// than repartitioned.
+func ExampleEngine_MetricsSnapshot() {
 	q := cqbound.MustParse("Q(A,D) <- R(A,B), S(B,C), T(C,D).")
 	db := cqbound.NewDatabase()
 	for _, name := range []string{"R", "S", "T"} {
@@ -182,13 +159,17 @@ func ExampleEngine_ShardStats() {
 		db.MustAdd(rel)
 	}
 	eng := cqbound.NewEngine(cqbound.WithSharding(0, 4))
-	if _, _, err := eng.Evaluate(context.Background(), q, db); err != nil {
-		panic(err)
+	for i := 0; i < 3; i++ {
+		if _, _, err := eng.Evaluate(context.Background(), q, db); err != nil {
+			panic(err)
+		}
 	}
-	st := eng.ShardStats()
-	fmt.Println("ran sharded:", st.ShardedOps > 0 && st.FallbackOps == 0)
-	fmt.Println("rows reused without repartitioning:", st.ReusedRows > 0)
+	snap := eng.MetricsSnapshot()
+	fmt.Println("cache hits:", snap["cache_hits"], "misses:", snap["cache_misses"])
+	fmt.Println("ran sharded:", snap["shard_sharded_ops"].(int64) > 0 && snap["shard_fallback_ops"] == int64(0))
+	fmt.Println("rows reused without repartitioning:", snap["shard_reused_rows"].(int64) > 0)
 	// Output:
+	// cache hits: 2 misses: 1
 	// ran sharded: true
 	// rows reused without repartitioning: true
 }
@@ -197,8 +178,8 @@ func ExampleEngine_ShardStats() {
 // capped: when partition shards and partitioned intermediates exceed the
 // budget, the coldest unpinned shards are parked as segments in a file
 // under the spill directory and reloaded transparently on next use.
-// Outputs are identical to an unbudgeted engine's; SpillStats shows the
-// governor at work, and Close removes the spill file.
+// Outputs are identical to an unbudgeted engine's; the spill_* counters
+// show the governor at work, and Close removes the spill file.
 func ExampleWithMemoryBudget() {
 	q := cqbound.MustParse("Q(A,D) <- R(A,B), S(B,C), T(C,D).")
 	db := cqbound.NewDatabase()
@@ -226,9 +207,9 @@ func ExampleWithMemoryBudget() {
 	if err != nil {
 		panic(err)
 	}
-	st := budgeted.SpillStats()
+	snap := budgeted.MetricsSnapshot()
 	fmt.Println("identical:", cqbound.RelationsEqual(a, b))
-	fmt.Println("spilled:", st.Evictions > 0, "reloaded:", st.ReloadedShards > 0)
+	fmt.Println("spilled:", snap["spill_evictions"].(int64) > 0, "reloaded:", snap["spill_reloaded_shards"].(int64) > 0)
 	// Output:
 	// identical: true
 	// spilled: true reloaded: true
@@ -257,10 +238,9 @@ func ExampleEngine_ResetStats() {
 	if _, _, err := eng.Evaluate(ctx, q, db); err != nil {
 		panic(err)
 	}
-	hits, misses := eng.CacheStats()
-	st := eng.ShardStats()
-	fmt.Println("window cache hits:", hits, "misses:", misses)
-	fmt.Println("window sharded ops:", st.ShardedOps > 0)
+	snap := eng.MetricsSnapshot()
+	fmt.Println("window cache hits:", snap["cache_hits"], "misses:", snap["cache_misses"])
+	fmt.Println("window sharded ops:", snap["shard_sharded_ops"].(int64) > 0)
 	// Output:
 	// window cache hits: 1 misses: 0
 	// window sharded ops: true

@@ -13,12 +13,16 @@ import (
 )
 
 // deletedHarnessRef matches the command-line modes and checked-in records of
-// the timing harness that bench/ replaced, and the Engine options, root
+// the timing harness that bench/ replaced, the Engine options, root
 // evaluation shortcuts and dictionary parking that no command or benchmark
-// workload used.
+// workload used, and the hand-written stats families, getters and helpers
+// the metric registry replaced.
 var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|ingestbench|tracebench)|BENCH_[a-z_]+\.json|` +
 	`\b(WithDictSpill|WithSkewSplitting|WithBatchSize|WithEpochRetention|WithSlowQueryThreshold|` +
-	`EvaluateYannakakis|EvaluateGenericJoin|ChoosePlan|ExecutePlan|Dict\.Park)\b`)
+	`EvaluateYannakakis|EvaluateGenericJoin|ChoosePlan|ExecutePlan|Dict\.Park|` +
+	`ShardStats|StreamStats|SpillStats|EpochStats|EngineStats|CacheStats|AdmissionStats|ResultCacheStats|ObsStats|` +
+	`ResetCounters|epochCounterSnapshot|tracedOptions|tracedPrivate|tracedDeltas|counterSuffixes|promTypeFor|` +
+	`(shard|batch)\.(Metrics|Stats)|spill\.(Stats|Events))\b`)
 
 // TestNoDeletedHarnessReferences keeps code, CI and the user-facing docs from
 // pointing at a cqbench timing mode, a BENCH_*.json record or a deleted

@@ -7,8 +7,8 @@ package batch
 
 import (
 	"context"
-	"sync/atomic"
 
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/relation"
 )
 
@@ -41,103 +41,34 @@ type Iterator interface {
 	Next(ctx context.Context) (*Batch, error)
 }
 
-// Metrics counts what the pipelines did. All counters are atomic: one
-// Metrics may be shared across concurrent evaluations (the Engine does).
-// Methods on a nil *Metrics are no-ops, so operators count unconditionally.
-type Metrics struct {
-	// Batches counts batches emitted by pipeline stages.
-	Batches atomic.Int64
-	// Rows counts rows flowing out of pipeline stages (a row passing
-	// through k stages counts k times — the rows an executor that built
-	// every operator's output would have copied).
-	Rows atomic.Int64
-	// BufferedFallbacks counts pipelines that had to be flattened into
-	// one relation after all. No stage in this package does so; the
-	// counter stays zero and feeds the stream_buffered_fallbacks gauge.
-	BufferedFallbacks atomic.Int64
-	// BytesStreamed is the column bytes emitted by pipeline stages.
-	BytesStreamed atomic.Int64
-	// BytesMaterialized is the column bytes pipelines wrote into relations
-	// (exchange chunks, buffered chunks, final sinks).
-	BytesMaterialized atomic.Int64
-}
-
-// Stats is a point-in-time copy of Metrics.
-type Stats struct {
-	// BatchesProduced is the number of batches pipeline stages emitted.
-	BatchesProduced int64
-	// RowsStreamed is the number of rows that flowed out of pipeline
-	// stages, counted once per stage passed.
-	RowsStreamed int64
-	// BufferedFallbacks counts pipelines flattened into one relation
-	// (always zero; see Metrics.BufferedFallbacks).
-	BufferedFallbacks int64
-	// BytesNeverMaterialized is the column bytes that flowed through
-	// stages minus the bytes some stage wrote into a relation — the
-	// allocation an executor that built every operator's output would
-	// have paid and the pipelines never did.
-	BytesNeverMaterialized int64
-}
-
-// Snapshot copies the counters (nil-safe: a nil receiver reads all zeros).
-func (m *Metrics) Snapshot() Stats {
-	if m == nil {
-		return Stats{}
-	}
-	saved := m.BytesStreamed.Load() - m.BytesMaterialized.Load()
-	if saved < 0 {
-		saved = 0
-	}
-	return Stats{
-		BatchesProduced:        m.Batches.Load(),
-		RowsStreamed:           m.Rows.Load(),
-		BufferedFallbacks:      m.BufferedFallbacks.Load(),
-		BytesNeverMaterialized: saved,
-	}
-}
-
-// AddTo merges this Metrics' counts into dst (both nil-safe). The Engine
-// runs traced evaluations against a private Metrics so the per-query
-// delta is exact, then folds it into the shared engine-wide counters.
-func (m *Metrics) AddTo(dst *Metrics) {
-	if m == nil || dst == nil {
-		return
-	}
-	dst.Batches.Add(m.Batches.Load())
-	dst.Rows.Add(m.Rows.Load())
-	dst.BufferedFallbacks.Add(m.BufferedFallbacks.Load())
-	dst.BytesStreamed.Add(m.BytesStreamed.Load())
-	dst.BytesMaterialized.Add(m.BytesMaterialized.Load())
-}
-
-// Reset zeroes every counter (nil-safe).
-func (m *Metrics) Reset() {
-	if m == nil {
-		return
-	}
-	m.Batches.Store(0)
-	m.Rows.Store(0)
-	m.BufferedFallbacks.Store(0)
-	m.BytesStreamed.Store(0)
-	m.BytesMaterialized.Store(0)
-}
+// Counters is the family of the pipelines' counters (registry names
+// stream_*). Operators take a Set of it, which one Engine shares across
+// concurrent evaluations; a nil Set counts nothing.
+var (
+	Counters = counter.NewFamily("stream")
+	batches  = Counters.Counter("batches", "batches emitted by pipeline stages")
+	rowsOut  = Counters.Counter("rows",
+		"rows emitted by pipeline stages, counted once per stage passed")
+	bufferedFallbacks = Counters.Counter("buffered_fallbacks",
+		"pipelines flattened into one relation after all (no stage does so; always zero)")
+	bytesNeverMaterialized = Counters.Counter("bytes_never_materialized",
+		"column bytes stages emitted minus those written into relations: the allocation pipelining saved")
+)
 
 // emitted records one batch of rows×cols values leaving a stage.
-func (m *Metrics) emitted(rows, cols int) {
+func emitted(m *counter.Set, rows, cols int) {
 	if m == nil || rows == 0 {
 		return
 	}
-	m.Batches.Add(1)
-	m.Rows.Add(int64(rows))
-	m.BytesStreamed.Add(int64(rows) * int64(cols) * 4)
+	m.Add(batches, 1)
+	m.Add(rowsOut, int64(rows))
+	m.Add(bytesNeverMaterialized, int64(rows)*int64(cols)*4)
 }
 
-// materialized records rows×cols values written into a relation.
-func (m *Metrics) materialized(rows, cols int) {
-	if m == nil || rows == 0 {
-		return
-	}
-	m.BytesMaterialized.Add(int64(rows) * int64(cols) * 4)
+// materialized records rows×cols values, emitted by an earlier stage,
+// written into a relation.
+func materialized(m *counter.Set, rows, cols int) {
+	m.Add(bytesNeverMaterialized, -int64(rows)*int64(cols)*4)
 }
 
 // sizeOr returns size, or DefaultSize when size is unset.
@@ -199,7 +130,7 @@ func (k *block) put(b *Batch, from int) int {
 // relation's column storage (zero copy); under a spill governor the source
 // is pinned only across each individual Next, so a parked relation streams
 // out without being held resident whole.
-func Scan(r *relation.Relation, size int, m *Metrics) Iterator {
+func Scan(r *relation.Relation, size int, m *counter.Set) Iterator {
 	return &scanIter{r: r, size: sizeOr(size), m: m}
 }
 
@@ -207,7 +138,7 @@ type scanIter struct {
 	r    *relation.Relation
 	size int
 	pos  int
-	m    *Metrics
+	m    *counter.Set
 	out  Batch
 }
 
@@ -237,7 +168,7 @@ func (s *scanIter) Next(ctx context.Context) (*Batch, error) {
 	s.r.Unpin()
 	s.out.N = n
 	s.pos += n
-	s.m.emitted(n, arity)
+	emitted(s.m, n, arity)
 	return &s.out, nil
 }
 
@@ -248,7 +179,7 @@ func (s *scanIter) Next(ctx context.Context) (*Batch, error) {
 // with Keep. Empty pairs means a cross product. The right side is the
 // buffered operand: it must be a relation because every left row may match
 // anywhere in it.
-func JoinProbe(left Iterator, right *relation.Relation, pairs [][2]int, size int, m *Metrics) Iterator {
+func JoinProbe(left Iterator, right *relation.Relation, pairs [][2]int, size int, m *counter.Set) Iterator {
 	attrs := make([]string, 0, len(left.Attrs())+right.Arity())
 	attrs = append(attrs, left.Attrs()...)
 	attrs = append(attrs, right.Attrs...)
@@ -261,7 +192,7 @@ type joinIter struct {
 	pairs [][2]int
 	attrs []string
 	size  int
-	m     *Metrics
+	m     *counter.Set
 
 	started bool
 	done    bool
@@ -371,7 +302,7 @@ func (j *joinIter) Next(ctx context.Context) (*Batch, error) {
 		j.out.Cols[c] = dst[c][:n]
 	}
 	j.out.N = n
-	j.m.emitted(n, len(j.attrs))
+	emitted(j.m, n, len(j.attrs))
 	return &j.out, nil
 }
 
@@ -390,7 +321,7 @@ func allRows(n int) []int32 {
 // relation.Semijoin: everything passes unless right is empty, in which
 // case the left pipeline is never pulled. Right is the buffered operand
 // (a surviving row may match anywhere in it).
-func Semijoin(left Iterator, right *relation.Relation, lCols, rCols []int, m *Metrics) Iterator {
+func Semijoin(left Iterator, right *relation.Relation, lCols, rCols []int, m *counter.Set) Iterator {
 	return &semiIter{left: left, right: right, lCols: lCols, rCols: rCols, m: m}
 }
 
@@ -398,7 +329,7 @@ type semiIter struct {
 	left         Iterator
 	right        *relation.Relation
 	lCols, rCols []int
-	m            *Metrics
+	m            *counter.Set
 
 	started bool
 	done    bool
@@ -437,7 +368,7 @@ func (s *semiIter) Next(ctx context.Context) (*Batch, error) {
 		}
 		if s.ix == nil {
 			// No shared columns and right nonempty: pass through.
-			s.m.emitted(b.N, len(b.Cols))
+			emitted(s.m, b.N, len(b.Cols))
 			return b, nil
 		}
 		if s.dst.cols == nil || s.dst.cap < b.N {
@@ -462,7 +393,7 @@ func (s *semiIter) Next(ctx context.Context) (*Batch, error) {
 			s.out.Cols[c] = dst[c][:n]
 		}
 		s.out.N = n
-		s.m.emitted(n, len(b.Cols))
+		emitted(s.m, n, len(b.Cols))
 		return &s.out, nil
 	}
 }
@@ -480,7 +411,7 @@ type keepIter struct {
 	in    Iterator
 	keep  []int
 	attrs []string
-	m     *Metrics // set only when the Keep stands in for Project
+	m     *counter.Set // set only when the Keep stands in for Project
 	out   Batch
 }
 
@@ -498,7 +429,7 @@ func (k *keepIter) Next(ctx context.Context) (*Batch, error) {
 		k.out.Cols[i] = b.Cols[c][:b.N]
 	}
 	k.out.N = b.N
-	k.m.emitted(b.N, len(k.keep))
+	emitted(k.m, b.N, len(k.keep))
 	return &k.out, nil
 }
 
@@ -511,7 +442,7 @@ func (k *keepIter) Next(ctx context.Context) (*Batch, error) {
 // the number of distinct output rows — the one stateful stage of a
 // pipeline, which is why the routing layer partitions before projecting;
 // within one shard it holds exactly the rows relation.ProjectIdx would.
-func Project(in Iterator, idx []int, attrs []string, size int, m *Metrics) Iterator {
+func Project(in Iterator, idx []int, attrs []string, size int, m *counter.Set) Iterator {
 	if Covers(idx, len(in.Attrs())) {
 		return &keepIter{in: in, keep: idx, attrs: attrs, m: m}
 	}
@@ -524,7 +455,7 @@ func Project(in Iterator, idx []int, attrs []string, size int, m *Metrics) Itera
 // the stage passes. A row holding a value outside the set's ranges ends
 // the stage with an error. Several pipelines whose duplicates may cross
 // between them deduplicate together through ProjectDenseParts.
-func ProjectDense(in Iterator, idx []int, attrs []string, set *DenseSet, size int, m *Metrics) Iterator {
+func ProjectDense(in Iterator, idx []int, attrs []string, set *DenseSet, size int, m *counter.Set) Iterator {
 	return &projIter{in: in, idx: idx, attrs: attrs, size: sizeOr(size), dense: set, m: m}
 }
 
@@ -549,7 +480,7 @@ type projIter struct {
 	size  int
 	seen  *relation.KeyTable // the hash dedup set, or nil
 	dense *DenseSet          // the dense dedup set, or nil
-	m     *Metrics
+	m     *counter.Set
 	done  bool
 	cur   *Batch // partially consumed input batch
 	row   int
@@ -613,7 +544,7 @@ func (p *projIter) Next(ctx context.Context) (*Batch, error) {
 		p.out.Cols[j] = p.dst[j][:n]
 	}
 	p.out.N = n
-	p.m.emitted(n, len(p.idx))
+	emitted(p.m, n, len(p.idx))
 	return &p.out, nil
 }
 
@@ -648,7 +579,7 @@ const denseMaxBits = 1 << 24
 // more than twice the rows, so the sink allocates at most three times the
 // output's column bytes: twice when the blocks come out full, once for a
 // single batch.
-func Materialize(ctx context.Context, it Iterator, name string, govern func(*relation.Relation), m *Metrics) (*relation.Relation, error) {
+func Materialize(ctx context.Context, it Iterator, name string, govern func(*relation.Relation), m *counter.Set) (*relation.Relation, error) {
 	attrs := it.Attrs()
 	var blocks []block
 	rows := 0
@@ -689,7 +620,7 @@ func Materialize(ctx context.Context, it Iterator, name string, govern func(*rel
 		}
 	}
 	out := relation.NewFromColumns(name, attrs, cols)
-	m.materialized(rows, len(attrs))
+	materialized(m, rows, len(attrs))
 	if govern != nil {
 		govern(out)
 	}
@@ -708,7 +639,7 @@ type Buffered struct {
 	size   int
 	chunk  int
 	govern func(*relation.Relation)
-	m      *Metrics
+	m      *counter.Set
 
 	chunks  []*relation.Relation
 	open    block // the chunk being filled, chunk rows long
@@ -727,7 +658,7 @@ func bufferedChunkRows(size int) int {
 }
 
 // NewBuffered wraps src. govern (nil ok) is applied to every sealed chunk.
-func NewBuffered(src Iterator, name string, size int, govern func(*relation.Relation), m *Metrics) *Buffered {
+func NewBuffered(src Iterator, name string, size int, govern func(*relation.Relation), m *counter.Set) *Buffered {
 	size = sizeOr(size)
 	return &Buffered{src: src, name: name, size: size, chunk: bufferedChunkRows(size), govern: govern, m: m, drained: make(chan struct{})}
 }
@@ -764,7 +695,7 @@ func (b *Buffered) seal() {
 		return
 	}
 	r := relation.NewFromColumns(b.name, b.src.Attrs(), window(b.open.cols, 0, n))
-	b.m.materialized(n, len(b.open.cols))
+	materialized(b.m, n, len(b.open.cols))
 	if b.govern != nil {
 		b.govern(r)
 	}
@@ -840,7 +771,7 @@ func (r *replayIter) Next(ctx context.Context) (*Batch, error) {
 		c.Unpin()
 		r.out.N = n
 		r.pos += n
-		r.b.m.emitted(n, c.Arity())
+		emitted(r.b.m, n, c.Arity())
 		return &r.out, nil
 	}
 	return nil, nil

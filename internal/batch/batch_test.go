@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"cqbound/internal/batch"
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/relation"
 	"cqbound/internal/shard"
 )
@@ -319,10 +320,10 @@ func TestCoveringProjectCountsRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m batch.Metrics
-		drain(t, batch.Project(batch.Scan(r, 0, nil), idx, attrs, 0, &m))
-		if st := m.Snapshot(); st.RowsStreamed != int64(r.Size()) || st.BatchesProduced == 0 {
-			t.Errorf("projection %v of %d distinct rows: %d rows streamed in %d batches", idx, r.Size(), st.RowsStreamed, st.BatchesProduced)
+		m := batch.Counters.NewSet()
+		drain(t, batch.Project(batch.Scan(r, 0, nil), idx, attrs, 0, m))
+		if rows, n := count(m, "rows"), count(m, "batches"); rows != int64(r.Size()) || n == 0 {
+			t.Errorf("projection %v of %d distinct rows: %d rows streamed in %d batches", idx, r.Size(), rows, n)
 		}
 	}
 }
@@ -906,18 +907,33 @@ func BenchmarkExchange(b *testing.B) {
 	}
 }
 
+// count reads the named counter of a Counters set.
+func count(m *counter.Set, name string) (v int64) {
+	m.Each(func(n string, x int64) {
+		if n == name {
+			v = x
+		}
+	})
+	return v
+}
+
 func TestMetricsSnapshot(t *testing.T) {
-	m := &batch.Metrics{}
+	m := batch.Counters.NewSet()
 	r := randomRel(rand.New(rand.NewSource(13)), "R", []string{"a", "b"}, 100, 50)
 	if _, err := batch.Materialize(context.Background(), batch.Scan(r, 16, m), "out", nil, m); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Snapshot()
-	if st.BatchesProduced == 0 || st.RowsStreamed != int64(r.Size()) {
-		t.Fatalf("stats after a scan+materialize: %+v", st)
+	if count(m, "batches") == 0 || count(m, "rows") != int64(r.Size()) {
+		t.Fatalf("counters after a scan+materialize: rows %d in %d batches", count(m, "rows"), count(m, "batches"))
+	}
+	// The sink wrote every byte the scan emitted.
+	if saved := count(m, "bytes_never_materialized"); saved != 0 {
+		t.Fatalf("bytes_never_materialized = %d after scan+materialize, want 0", saved)
 	}
 	m.Reset()
-	if st := m.Snapshot(); st != (batch.Stats{}) {
-		t.Fatalf("reset left counters: %+v", st)
-	}
+	m.Each(func(name string, v int64) {
+		if v != 0 {
+			t.Errorf("reset left %s = %d", name, v)
+		}
+	})
 }

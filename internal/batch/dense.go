@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/pool"
 	"cqbound/internal/relation"
 )
@@ -142,7 +143,7 @@ func (s *DenseSet) decode(bit uint64, vals []relation.Value) {
 // wait for it. Its output is the same on every run — rows in bit order,
 // cut into parts at fixed word boundaries — whatever the timing of the
 // inputs. A row holding a value outside set's ranges fails every part.
-func ProjectDenseParts(ins []Iterator, idx []int, attrs []string, set *DenseSet, size int, m *Metrics) []Iterator {
+func ProjectDenseParts(ins []Iterator, idx []int, attrs []string, set *DenseSet, size int, m *counter.Set) []Iterator {
 	src := &denseSource{ins: ins, set: set}
 	// Output column j holds the value at position at[j] of set.pos.
 	at := make([]int, len(idx))
@@ -192,7 +193,7 @@ type denseDecodeIter struct {
 	at     []int
 	attrs  []string
 	size   int
-	m      *Metrics
+	m      *counter.Set
 	w, end int    // next word to load, and the end of the slice
 	cur    uint64 // bits of word w-1 not yet emitted
 	base   uint64 // bit index of word w-1's bit 0
@@ -236,6 +237,6 @@ func (d *denseDecodeIter) Next(ctx context.Context) (*Batch, error) {
 		d.out.Cols[j] = d.dst[j][:n]
 	}
 	d.out.N = n
-	d.m.emitted(n, len(d.at))
+	emitted(d.m, n, len(d.at))
 	return &d.out, nil
 }

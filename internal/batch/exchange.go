@@ -9,6 +9,7 @@ import (
 	"context"
 	"sync"
 
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/pool"
 	"cqbound/internal/relation"
 )
@@ -46,7 +47,7 @@ type Exchange struct {
 	frac   float64
 	govern func(*relation.Relation)
 	onRows func(int)
-	m      *Metrics
+	m      *counter.Set
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -84,7 +85,7 @@ func (q *pendQueue) avail() int {
 
 // NewExchange builds an exchange over the given sources (all sharing
 // attrs). frac <= 0 disables hot detection; govern and onRows may be nil.
-func NewExchange(srcs []Iterator, attrs []string, key, p, size int, frac float64, govern func(*relation.Relation), onRows func(int), m *Metrics) *Exchange {
+func NewExchange(srcs []Iterator, attrs []string, key, p, size int, frac float64, govern func(*relation.Relation), onRows func(int), m *counter.Set) *Exchange {
 	e := &Exchange{
 		attrs:  attrs,
 		key:    key,
@@ -217,7 +218,7 @@ func (e *Exchange) scatter(b *Batch) {
 func (e *Exchange) seal(q *pendQueue) {
 	if n := q.open.n - q.openRead; n > 0 {
 		r := relation.NewFromColumns("exchange", e.attrs, window(q.open.cols, q.openRead, q.open.n))
-		e.m.materialized(n, len(e.attrs))
+		materialized(e.m, n, len(e.attrs))
 		if e.govern != nil {
 			e.govern(r)
 		}
@@ -251,7 +252,7 @@ func (e *Exchange) cut(q *pendQueue, out *Batch) *Batch {
 			q.read = 0
 		}
 		out.N = n
-		e.m.emitted(n, len(e.attrs))
+		emitted(e.m, n, len(e.attrs))
 		return out
 	}
 	n := min(q.open.n-q.openRead, e.size)
@@ -260,7 +261,7 @@ func (e *Exchange) cut(q *pendQueue, out *Batch) *Batch {
 	}
 	q.openRead += n
 	out.N = n
-	e.m.emitted(n, len(e.attrs))
+	emitted(e.m, n, len(e.attrs))
 	return out
 }
 

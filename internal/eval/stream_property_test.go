@@ -28,6 +28,8 @@ import (
 	"cqbound/internal/database"
 	"cqbound/internal/datagen"
 	"cqbound/internal/eval"
+	"cqbound/internal/metrics"
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/relation"
 	"cqbound/internal/shard"
 	"cqbound/internal/spill"
@@ -144,10 +146,39 @@ func cellsFor(i int) []propertyCell {
 // executors share, one governor per budget, and one Engine per cell.
 type propertyRig struct {
 	t       *testing.T
-	shardM  shard.Metrics
-	batchM  batch.Metrics
+	shardM  *counter.Set
+	batchM  *counter.Set
 	govs    map[int]*spill.Governor
 	engines map[string]*cqbound.Engine
+}
+
+func newPropertyRig(t *testing.T) *propertyRig {
+	return &propertyRig{t: t, shardM: shard.Counters.NewSet(), batchM: batch.Counters.NewSet(),
+		govs: map[int]*spill.Governor{}, engines: map[string]*cqbound.Engine{}}
+}
+
+// count reads the named counter of m.
+func count(m *counter.Set, name string) (v int64) {
+	m.Each(func(n string, x int64) {
+		if n == name {
+			v = x
+		}
+	})
+	return v
+}
+
+// spillCount reads the governor's registry entry spill_<name>.
+func spillCount(g *spill.Governor, name string) int64 {
+	r := metrics.NewRegistry()
+	g.Register(r)
+	v, _ := r.Value("spill_" + name)
+	return v
+}
+
+// engineCount reads an engine's registry entry.
+func engineCount(e *cqbound.Engine, name string) int64 {
+	v, _ := e.MetricsSnapshot()[name].(int64)
+	return v
 }
 
 // cellOptions builds the bare executors' options for a cell. One scope per
@@ -156,7 +187,7 @@ type propertyRig struct {
 func (r *propertyRig) cellOptions(c propertyCell, scope *spill.Scope) *shard.Options {
 	opts := &shard.Options{
 		MinRows: 0, Shards: c["shards"], SkewFraction: propertySkewFraction, BatchSize: c["batch"],
-		Metrics: &r.shardM, Batch: &r.batchM,
+		Metrics: r.shardM, Batch: r.batchM,
 	}
 	if budget := c["budget"]; budget > 0 {
 		gov, ok := r.govs[budget]
@@ -253,7 +284,7 @@ func TestPropertyExecutorsAgree(t *testing.T) {
 		{Tuples: 30, Universe: 8, ZipfS: 1.7},
 		{Tuples: 20, Universe: 15, ZipfS: 2.5},
 	}
-	rig := &propertyRig{t: t, govs: map[int]*spill.Governor{}, engines: map[string]*cqbound.Engine{}}
+	rig := newPropertyRig(t)
 	for i := 0; i < iters; i++ {
 		rng := rand.New(rand.NewSource(propertyBaseSeed + int64(i)))
 		q := datagen.RandomQuery(rng, profiles[i%len(profiles)])
@@ -268,25 +299,25 @@ func TestPropertyExecutorsAgree(t *testing.T) {
 			}
 		}
 	}
-	if m := rig.shardM.Snapshot(); m.ShardedOps == 0 || m.FallbackOps == 0 || m.ReusedRows == 0 ||
-		m.ExchangedRows == 0 || m.BroadcastOps == 0 || m.SkewSplits == 0 || m.DenseProjections == 0 {
-		t.Fatalf("a rung of the routing ladder never fired: %+v", m)
-	}
-	if st := rig.batchM.Snapshot(); st.BatchesProduced == 0 || st.RowsStreamed == 0 {
-		t.Fatalf("the bare executors never streamed: %+v", st)
+	rig.shardM.Each(func(name string, v int64) {
+		if v == 0 {
+			t.Fatalf("a rung of the routing ladder never fired: shard %s = 0", name)
+		}
+	})
+	if count(rig.batchM, "batches") == 0 || count(rig.batchM, "rows") == 0 {
+		t.Fatal("the bare executors never streamed")
 	}
 	for _, gov := range rig.govs {
-		if st := gov.Snapshot(); st.Evictions == 0 || st.ReloadedShards == 0 {
-			t.Fatalf("the forced-spill budget never spilled (evictions=%d reloads=%d): the sweep is not testing eviction",
-				st.Evictions, st.ReloadedShards)
+		if ev, re := spillCount(gov, "evictions"), spillCount(gov, "reloaded_shards"); ev == 0 || re == 0 {
+			t.Fatalf("the forced-spill budget never spilled (evictions=%d reloads=%d): the sweep is not testing eviction", ev, re)
 		}
 	}
 	spilled := false
 	for cell, eng := range rig.engines {
-		if st := eng.StreamStats(); st.BatchesProduced == 0 || st.RowsStreamed == 0 {
-			t.Fatalf("engine %s never streamed (batches=%d rows=%d)", cell, st.BatchesProduced, st.RowsStreamed)
+		if n, rows := engineCount(eng, "stream_batches"), engineCount(eng, "stream_rows"); n == 0 || rows == 0 {
+			t.Fatalf("engine %s never streamed (batches=%d rows=%d)", cell, n, rows)
 		}
-		if st := eng.SpillStats(); st.Evictions > 0 && st.ReloadedShards > 0 {
+		if engineCount(eng, "spill_evictions") > 0 && engineCount(eng, "spill_reloaded_shards") > 0 {
 			spilled = true
 		}
 	}
@@ -327,7 +358,7 @@ func TestStreamedBatchSizeOneMatchesDefault(t *testing.T) {
 // budget {none, 256 B}, against Naive.
 func TestCoveringHeadProjections(t *testing.T) {
 	db := datagen.EdgeDB(rand.New(rand.NewSource(21)), []string{"E", "R"}, 120, 15)
-	rig := &propertyRig{t: t, govs: map[int]*spill.Governor{}, engines: map[string]*cqbound.Engine{}}
+	rig := newPropertyRig(t)
 	plain := cqbound.NewEngine()
 	defer plain.Close()
 	for _, text := range []string{
@@ -382,11 +413,10 @@ func TestSpillMidPlanEviction(t *testing.T) {
 	if !relation.Equal(ref, out) {
 		t.Fatalf("spilled output has %d tuples, naive %d", out.Size(), ref.Size())
 	}
-	st := gov.Snapshot()
-	if st.Evictions == 0 {
-		t.Fatalf("512-byte budget over ~400-row relations never evicted: %+v", st)
+	if spillCount(gov, "evictions") == 0 {
+		t.Fatal("512-byte budget over ~400-row relations never evicted")
 	}
-	if st.ReloadedShards == 0 {
-		t.Fatalf("no shard was reloaded mid-plan: %+v", st)
+	if spillCount(gov, "reloaded_shards") == 0 {
+		t.Fatal("no shard was reloaded mid-plan")
 	}
 }

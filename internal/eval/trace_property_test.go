@@ -67,9 +67,8 @@ func TestPropertyTracedAgrees(t *testing.T) {
 	if spans == 0 {
 		t.Fatal("no traced run produced spans: the instrumentation went inert")
 	}
-	if st := gov.Snapshot(); st.Evictions == 0 || st.ReloadedShards == 0 {
-		t.Fatalf("the forced-spill budget never spilled under tracing (evictions=%d reloads=%d)",
-			st.Evictions, st.ReloadedShards)
+	if ev, re := spillCount(gov, "evictions"), spillCount(gov, "reloaded_shards"); ev == 0 || re == 0 {
+		t.Fatalf("the forced-spill budget never spilled under tracing (evictions=%d reloads=%d)", ev, re)
 	}
 }
 

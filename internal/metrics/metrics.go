@@ -8,73 +8,141 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"cqbound/internal/metrics/counter"
 )
 
-// Registry holds named metrics: gauges (callbacks sampled at read time,
-// backed by the engine's existing counters) and histograms (observation
-// distributions fed per query). A Registry is safe for concurrent use;
-// reads never block writers beyond the registration lock.
+// Kind is what a registry entry measures. Its String is the Prometheus
+// TYPE the entry renders as.
+type Kind uint8
+
+const (
+	// KindGauge is present state, sampled at read time: it may fall as
+	// well as rise, and Reset leaves it alone.
+	KindGauge Kind = iota
+	// KindCounter is a cumulative count since the registry was built or
+	// last Reset.
+	KindCounter
+	// KindHistogram is a distribution of observations.
+	KindHistogram
+)
+
+func (k Kind) String() string {
+	return [...]string{"gauge", "counter", "histogram"}[k]
+}
+
+// Registry holds named metrics: counters (the cells of registered
+// counter.Sets),
+// gauges (callbacks sampled at read time) and histograms (observation
+// distributions). A Registry is safe for concurrent use; reads never block
+// writers beyond the registration lock.
 type Registry struct {
-	mu     sync.Mutex
-	order  []string
-	gauges map[string]func() int64
-	hists  map[string]*Histogram
+	mu      sync.Mutex
+	order   []string
+	entries map[string]*entry
+}
+
+// entry is one registered metric: a counter reads its cell, a gauge its
+// callback, a histogram its buckets.
+type entry struct {
+	kind Kind
+	help string
+	cell *atomic.Int64
+	fn   func() int64
+	hist *Histogram
+}
+
+// value samples a counter or gauge.
+func (e *entry) value() int64 {
+	if e.cell != nil {
+		return e.cell.Load()
+	}
+	return e.fn()
+}
+
+// Entry describes one registered metric.
+type Entry struct {
+	Name string
+	Kind Kind
+	Help string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		gauges: make(map[string]func() int64),
-		hists:  make(map[string]*Histogram),
+	return &Registry{entries: make(map[string]*entry)}
+}
+
+// add registers e under name; re-registering a name replaces the entry in
+// place. The caller holds r.mu.
+func (r *Registry) add(name string, e *entry) {
+	if _, ok := r.entries[name]; !ok {
+		r.order = append(r.order, name)
+	}
+	r.entries[name] = e
+}
+
+// Counters registers every counter of s as "<family>_<counter>".
+func (r *Registry) Counters(s *counter.Set) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range s.Cells() {
+		r.add(s.Family().Name()+"_"+c.Name, &entry{kind: KindCounter, help: c.Help, cell: c.V})
 	}
 }
 
-// Gauge registers fn under name; each Snapshot or HTTP read calls it for
-// the current value. Re-registering a name replaces the callback.
-func (r *Registry) Gauge(name string, fn func() int64) {
+// Gauge registers fn under name; each read calls it for the current value.
+func (r *Registry) Gauge(name, help string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.gauges[name]; !ok {
-		if _, ok := r.hists[name]; !ok {
-			r.order = append(r.order, name)
-		}
-	}
-	r.gauges[name] = fn
+	r.add(name, &entry{kind: KindGauge, help: help, fn: fn})
 }
 
 // NewHistogram registers (or returns the existing) histogram under name.
-func (r *Registry) NewHistogram(name string) *Histogram {
+func (r *Registry) NewHistogram(name, help string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
+	if e, ok := r.entries[name]; ok && e.hist != nil {
+		return e.hist
 	}
 	h := newHistogram()
-	if _, ok := r.gauges[name]; !ok {
-		r.order = append(r.order, name)
-	}
-	r.hists[name] = h
+	r.add(name, &entry{kind: KindHistogram, help: help, hist: h})
 	return h
 }
 
-// Names returns every registered metric name in registration order — the
-// stable iteration order exporters (Prometheus exposition) render in.
-func (r *Registry) Names() []string {
+// Reset zeroes every counter. Gauges and histograms keep their values.
+func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
+	for _, e := range r.entries {
+		if e.cell != nil {
+			e.cell.Store(0)
+		}
+	}
 }
 
-// GaugeValue samples the named gauge (0, false when the name is not a
-// gauge).
-func (r *Registry) GaugeValue(name string) (int64, bool) {
+// Entries lists every registered metric in registration order — the
+// stable order exporters render in.
+func (r *Registry) Entries() []Entry {
 	r.mu.Lock()
-	fn, ok := r.gauges[name]
+	defer r.mu.Unlock()
+	out := make([]Entry, len(r.order))
+	for i, n := range r.order {
+		e := r.entries[n]
+		out[i] = Entry{Name: n, Kind: e.kind, Help: e.help}
+	}
+	return out
+}
+
+// Value samples the named counter or gauge (0, false when the name is
+// neither).
+func (r *Registry) Value(name string) (int64, bool) {
+	r.mu.Lock()
+	e, ok := r.entries[name]
 	r.mu.Unlock()
-	if !ok {
+	if !ok || e.hist != nil {
 		return 0, false
 	}
-	return fn(), true
+	return e.value(), true
 }
 
 // Histogram returns the named histogram, or nil when the name is not a
@@ -83,29 +151,27 @@ func (r *Registry) GaugeValue(name string) (int64, bool) {
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.hists[name]
+	if e, ok := r.entries[name]; ok {
+		return e.hist
+	}
+	return nil
 }
 
-// Snapshot samples every metric: gauges as int64, histograms as
-// HistogramSnapshot. The map is a fresh copy the caller owns.
+// Snapshot samples every metric: counters and gauges as int64, histograms
+// as HistogramSnapshot. The map is a fresh copy the caller owns.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	gauges := make(map[string]func() int64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
+	entries := make(map[string]*entry, len(r.entries))
+	for k, v := range r.entries {
+		entries[k] = v
 	}
 	r.mu.Unlock()
-	out := make(map[string]any, len(names))
-	for _, n := range names {
-		if fn, ok := gauges[n]; ok {
-			out[n] = fn()
-		} else if h, ok := hists[n]; ok {
-			out[n] = h.Snapshot()
+	out := make(map[string]any, len(entries))
+	for n, e := range entries {
+		if e.hist != nil {
+			out[n] = e.hist.Snapshot()
+		} else {
+			out[n] = e.value()
 		}
 	}
 	return out

@@ -3,13 +3,16 @@ package metrics
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
+
+	"cqbound/internal/metrics/counter"
 )
 
 func TestHistogramExactFields(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("h")
+	h := r.NewHistogram("h", "")
 	for _, v := range []int64{1, 2, 4, 100, 1000} {
 		h.Observe(v)
 	}
@@ -63,8 +66,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 func TestRegistryGaugesAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	v := int64(7)
-	r.Gauge("g", func() int64 { return v })
-	h := r.NewHistogram("lat")
+	r.Gauge("g", "", func() int64 { return v })
+	h := r.NewHistogram("lat", "")
 	h.Observe(3)
 	snap := r.Snapshot()
 	if snap["g"] != int64(7) {
@@ -78,15 +81,15 @@ func TestRegistryGaugesAndSnapshot(t *testing.T) {
 	if r.Snapshot()["g"] != int64(9) {
 		t.Fatal("gauge must sample at read time")
 	}
-	if r.NewHistogram("lat") != h {
+	if r.NewHistogram("lat", "") != h {
 		t.Fatal("NewHistogram must be idempotent per name")
 	}
 }
 
 func TestServeHTTPIsExpvarShapedJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("queries", func() int64 { return 42 })
-	r.NewHistogram("latency").Observe(10)
+	r.Gauge("queries", "", func() int64 { return 42 })
+	r.NewHistogram("latency", "").Observe(10)
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
@@ -102,5 +105,36 @@ func TestServeHTTPIsExpvarShapedJSON(t *testing.T) {
 	lat, ok := m["latency"].(map[string]any)
 	if !ok || lat["count"] != float64(1) {
 		t.Fatalf("latency = %v", m["latency"])
+	}
+}
+
+var (
+	testFamily = counter.NewFamily("fam")
+	testOps    = testFamily.Counter("ops", "operations")
+)
+
+// Registering a set names its cells; Reset zeroes counters, not gauges.
+func TestRegistryCounters(t *testing.T) {
+	r := NewRegistry()
+	set := testFamily.NewSet()
+	r.Counters(set)
+	r.Gauge("fam_level", "a gauge", func() int64 { return 5 })
+	want := []Entry{{"fam_ops", KindCounter, "operations"}, {"fam_level", KindGauge, "a gauge"}}
+	if got := r.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("entries = %v, want %v", got, want)
+	}
+	set.Add(testOps, 3)
+	if v, _ := r.Value("fam_ops"); v != 3 {
+		t.Fatalf("fam_ops = %d, want 3", v)
+	}
+	r.Reset()
+	if v, _ := r.Value("fam_ops"); v != 0 || set.Load(testOps) != 0 {
+		t.Fatalf("fam_ops = %d after Reset", v)
+	}
+	if v, _ := r.Value("fam_level"); v != 5 {
+		t.Fatalf("Reset changed a gauge: %d", v)
+	}
+	if KindCounter.String() != "counter" || KindGauge.String() != "gauge" || KindHistogram.String() != "histogram" {
+		t.Fatal("kinds must name their Prometheus types")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cqbound/internal/metrics/counter"
 )
 
 // AccessRecord is one JSON line of the access log. Everything a later
@@ -39,10 +41,17 @@ type AccessLog struct {
 	w     io.Writer
 	every int64
 
-	seq     atomic.Int64
-	logged  atomic.Int64
-	dropped atomic.Int64
+	seq    atomic.Int64
+	counts *counter.Set
 }
+
+// accessCounters is the family of the access log's counters (registry
+// names serve_access_*).
+var (
+	accessCounters = counter.NewFamily("serve_access")
+	logged         = accessCounters.Counter("logged", "access-log lines written")
+	dropped        = accessCounters.Counter("dropped", "successful requests the access log's sampling skipped")
+)
 
 // NewAccessLog logs to w, sampling successful requests one-in-every
 // (every <= 1 logs all of them). Returns nil when w is nil, so callers
@@ -54,7 +63,7 @@ func NewAccessLog(w io.Writer, every int) *AccessLog {
 	if every < 1 {
 		every = 1
 	}
-	return &AccessLog{w: w, every: int64(every)}
+	return &AccessLog{w: w, every: int64(every), counts: accessCounters.NewSet()}
 }
 
 // Log writes rec as one JSON line, subject to sampling.
@@ -64,33 +73,25 @@ func (l *AccessLog) Log(rec *AccessRecord) {
 	}
 	noteworthy := rec.Status != 200 || rec.Clamped
 	if !noteworthy && l.seq.Add(1)%l.every != 0 {
-		l.dropped.Add(1)
+		l.counts.Add(dropped, 1)
 		return
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return
 	}
-	l.logged.Add(1)
+	l.counts.Add(logged, 1)
 	l.mu.Lock()
 	l.w.Write(append(line, '\n'))
 	l.mu.Unlock()
 }
 
-// Logged returns how many lines were written.
-func (l *AccessLog) Logged() int64 {
+// Counters returns the log's counters; a nil log returns an empty set.
+func (l *AccessLog) Counters() *counter.Set {
 	if l == nil {
-		return 0
+		return accessCounters.NewSet()
 	}
-	return l.logged.Load()
-}
-
-// Dropped returns how many successful requests sampling skipped.
-func (l *AccessLog) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped.Load()
+	return l.counts
 }
 
 // Reset zeroes the written/skipped counters (sampling phase restarts).
@@ -99,6 +100,5 @@ func (l *AccessLog) Reset() {
 		return
 	}
 	l.seq.Store(0)
-	l.logged.Store(0)
-	l.dropped.Store(0)
+	l.counts.Reset()
 }

@@ -15,16 +15,16 @@ func TestAccessLogSampling(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.Log(&AccessRecord{RequestID: "ok", Status: 200, Time: time.Unix(0, 0)})
 	}
-	if got := l.Logged(); got != 10 {
+	if got := l.Counters().Load(logged); got != 10 {
 		t.Fatalf("Logged = %d, want 10 (1-in-10 sampling)", got)
 	}
-	if got := l.Dropped(); got != 90 {
+	if got := l.Counters().Load(dropped); got != 90 {
 		t.Fatalf("Dropped = %d, want 90", got)
 	}
 	// Errors and clamps bypass sampling entirely.
 	l.Log(&AccessRecord{RequestID: "shed", Status: 429})
 	l.Log(&AccessRecord{RequestID: "clamp", Status: 200, Clamped: true})
-	if got := l.Logged(); got != 12 {
+	if got := l.Counters().Load(logged); got != 12 {
 		t.Fatalf("Logged after noteworthy = %d, want 12", got)
 	}
 	// Every line is valid JSON with the request ID intact.
@@ -51,7 +51,7 @@ func TestAccessLogSampling(t *testing.T) {
 		t.Fatal("shed line missing")
 	}
 	l.Reset()
-	if l.Logged() != 0 || l.Dropped() != 0 {
+	if l.Counters().Load(logged) != 0 || l.Counters().Load(dropped) != 0 {
 		t.Fatal("Reset must zero counters")
 	}
 }
@@ -62,8 +62,8 @@ func TestAccessLogEveryOneLogsAll(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Log(&AccessRecord{Status: 200})
 	}
-	if l.Logged() != 5 || l.Dropped() != 0 {
-		t.Fatalf("logged/dropped = %d/%d", l.Logged(), l.Dropped())
+	if l.Counters().Load(logged) != 5 || l.Counters().Load(dropped) != 0 {
+		t.Fatalf("logged/dropped = %d/%d", l.Counters().Load(logged), l.Counters().Load(dropped))
 	}
 	if n := strings.Count(buf.String(), "\n"); n != 5 {
 		t.Fatalf("lines = %d", n)
@@ -80,7 +80,7 @@ func TestAccessLogNilSafe(t *testing.T) {
 	}
 	var l *AccessLog
 	l.Log(&AccessRecord{Status: 500})
-	if l.Logged() != 0 || l.Dropped() != 0 {
+	if l.Counters().Load(logged) != 0 || l.Counters().Load(dropped) != 0 {
 		t.Fatal("nil log must read zero")
 	}
 	l.Reset()

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"cqbound/internal/metrics/counter"
 )
 
 // errHalfRange bounds the log₂-ratio error buckets: errors clamp to
@@ -117,15 +119,25 @@ type cell struct {
 // estimate-error history ROADMAP 3c's cost model will calibrate on. A nil
 // *Calibration ignores everything.
 type Calibration struct {
-	mu      sync.Mutex
-	cells   map[CellKey]*cell
-	records int64
+	mu     sync.Mutex
+	cells  map[CellKey]*cell
+	counts *counter.Set
 }
+
+// calibrationCounters is the family of the recorder's counter (registry
+// name calibration_records).
+var (
+	calibrationCounters = counter.NewFamily("calibration")
+	records             = calibrationCounters.Counter("records", "evaluations recorded into the calibration cells")
+)
 
 // NewCalibration returns an empty recorder.
 func NewCalibration() *Calibration {
-	return &Calibration{cells: make(map[CellKey]*cell)}
+	return &Calibration{cells: make(map[CellKey]*cell), counts: calibrationCounters.NewSet()}
 }
+
+// Counters returns the recorder's counters, for registration.
+func (c *Calibration) Counters() *counter.Set { return c.counts }
 
 // Record adds one evaluation's outcome. Predictions and actuals are
 // floored at one row before the ratio so empty outputs stay finite (an
@@ -151,8 +163,8 @@ func (c *Calibration) Record(strategy, shape string, bound, estimate, actual flo
 	cl.count++
 	cl.bound.observe(be)
 	cl.estimate.observe(ee)
-	c.records++
 	c.mu.Unlock()
+	c.counts.Add(records, 1)
 }
 
 // CellSnapshot is one (strategy, shape) cell's point-in-time copy.
@@ -194,9 +206,7 @@ func (c *Calibration) Records() int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.records
+	return c.counts.Load(records)
 }
 
 // Cells returns the current number of (strategy, shape) cells (a gauge).
@@ -216,8 +226,8 @@ func (c *Calibration) Reset() {
 	}
 	c.mu.Lock()
 	c.cells = make(map[CellKey]*cell)
-	c.records = 0
 	c.mu.Unlock()
+	c.counts.Reset()
 }
 
 // PromFamilies renders the calibration state as two Prometheus histogram

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,6 +77,26 @@ func TestGoldenExpositionIsValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	CheckPromText(t, b.String())
+}
+
+// errorsTB records CheckPromText's complaints instead of failing.
+type errorsTB struct{ errs []string }
+
+func (r *errorsTB) Helper() {}
+func (r *errorsTB) Errorf(format string, a ...any) {
+	r.errs = append(r.errs, fmt.Sprintf(format, a...))
+}
+func (r *errorsTB) Fatal(a ...any)                 { r.errs = append(r.errs, fmt.Sprint(a...)) }
+func (r *errorsTB) Fatalf(format string, a ...any) { r.Errorf(format, a...) }
+
+// The text format allows one TYPE line per family: a family rendered
+// twice is a scrape error, not a duplicate sample.
+func TestCheckPromTextRejectsRepeatedType(t *testing.T) {
+	var r errorsTB
+	CheckPromText(&r, "# TYPE up gauge\nup 1\n# TYPE up gauge\nup 1\n")
+	if len(r.errs) != 1 || !strings.Contains(r.errs[0], "up has a second # TYPE line") {
+		t.Fatalf("errors = %q, want one repeated-TYPE complaint", r.errs)
+	}
 }
 
 func TestSanitizeName(t *testing.T) {

@@ -52,10 +52,10 @@ func parsePromLine(t TB, line string) (name string, labels map[string]string, va
 	return name, labels, f
 }
 
-// CheckPromText validates a rendered exposition: every metric and label
-// name matches the Prometheus grammar and every histogram's _bucket
-// series is cumulative (monotonically non-decreasing, +Inf last and
-// equal to _count).
+// CheckPromText validates a rendered exposition: every family has one
+// # TYPE line, every metric and label name matches the Prometheus grammar,
+// and every histogram's _bucket series is cumulative (monotonically
+// non-decreasing, +Inf last and equal to _count).
 func CheckPromText(t TB, body string) {
 	t.Helper()
 	type histState struct {
@@ -66,11 +66,20 @@ func CheckPromText(t TB, body string) {
 	}
 	hists := map[string]*histState{}
 	counts := map[string]float64{}
+	typed := map[string]bool{}
 	sc := bufio.NewScanner(strings.NewReader(body))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lines := 0
 	for sc.Scan() {
 		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			if typed[name] {
+				t.Errorf("family %s has a second # TYPE line", name)
+			}
+			typed[name] = true
+			continue
+		}
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}

@@ -308,7 +308,7 @@ func NewWindows(clock Clock) *Windows {
 	}
 }
 
-// Reset zeroes every series (the ObsStats counters restart from zero).
+// Reset zeroes every series.
 func (w *Windows) Reset() {
 	if w == nil {
 		return

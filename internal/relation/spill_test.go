@@ -4,8 +4,28 @@ import (
 	"fmt"
 	"testing"
 
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/spill"
 )
+
+// spillGauge reads the governor's registry entry spill_<name>.
+func spillGauge(g *spill.Governor, name string) int64 {
+	r := registrar{}
+	g.Register(r)
+	return r["spill_"+name]()
+}
+
+// registrar keeps the read func of every counter and gauge registered
+// with it, by registry name.
+type registrar map[string]func() int64
+
+func (r registrar) Counters(s *counter.Set) {
+	for _, c := range s.Cells() {
+		r[s.Family().Name()+"_"+c.Name] = c.V.Load
+	}
+}
+
+func (r registrar) Gauge(name, _ string, fn func() int64) { r[name] = fn }
 
 // governedPair builds two governed relations under a budget that only fits
 // one, so the first is parked as soon as the second registers.
@@ -29,9 +49,8 @@ func TestGovernEvictReadBack(t *testing.T) {
 	if cold.Governed() != true || hot.Governed() != true {
 		t.Fatal("Govern did not take")
 	}
-	st := g.Snapshot()
-	if st.Evictions == 0 {
-		t.Fatalf("no eviction under a one-relation budget: %+v", st)
+	if spillGauge(g, "evictions") == 0 {
+		t.Fatal("no eviction under a one-relation budget")
 	}
 	// Every read API must still serve the parked relation's exact rows.
 	if cold.Size() != 50 || cold.At(7, 0) != V("c7") {
@@ -48,7 +67,7 @@ func TestGovernEvictReadBack(t *testing.T) {
 	if n != 50 {
 		t.Fatalf("Each saw %d rows, want 50", n)
 	}
-	if g.Snapshot().ReloadedShards == 0 {
+	if spillGauge(g, "reloaded_shards") == 0 {
 		t.Fatal("reads of a parked relation never reloaded")
 	}
 }
@@ -108,7 +127,7 @@ func TestGovernedOperatorsMatchPlain(t *testing.T) {
 
 func TestInsertReleasesGovernedBuffer(t *testing.T) {
 	cold, _, g := governedPair(t, 30)
-	before := g.Snapshot()
+	before := spillGauge(g, "resident_bytes")
 	cold.Add("new", "row")
 	if cold.Governed() {
 		t.Fatal("mutated relation still governed")
@@ -119,9 +138,8 @@ func TestInsertReleasesGovernedBuffer(t *testing.T) {
 	if !cold.Has(Tuple{V("c0"), V("d0")}) {
 		t.Fatal("release lost pre-spill rows")
 	}
-	after := g.Snapshot()
-	if after.ResidentBytes >= before.ResidentBytes+240 {
-		t.Fatalf("released bytes still accounted: %d -> %d", before.ResidentBytes, after.ResidentBytes)
+	if after := spillGauge(g, "resident_bytes"); after >= before+240 {
+		t.Fatalf("released bytes still accounted: %d -> %d", before, after)
 	}
 }
 
@@ -162,8 +180,8 @@ func TestGovernedPinBlocksEviction(t *testing.T) {
 		s.Add(fmt.Sprintf("w%d", i))
 	}
 	s.Govern(g) // would evict r if unpinned
-	if g.Snapshot().SpilledShards != 1 {
-		t.Fatalf("expected exactly the unpinned relation parked: %+v", g.Snapshot())
+	if n := spillGauge(g, "spilled_shards"); n != 1 {
+		t.Fatalf("%d relations parked, want exactly the unpinned one", n)
 	}
 	if r.At(0, 0) != V("v0") {
 		t.Fatal("pinned relation unreadable")

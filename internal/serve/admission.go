@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 
+	"cqbound/internal/metrics"
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/spill"
 )
 
@@ -31,10 +33,7 @@ type Admission struct {
 	committed int64
 	queue     []*waiter // FIFO; head is next to be granted
 
-	admitted      uint64
-	rejected      uint64
-	queued        uint64
-	queueTimeouts uint64
+	counts *counter.Set
 }
 
 type waiter struct {
@@ -43,33 +42,21 @@ type waiter struct {
 	granted bool // guarded by Admission.mu
 }
 
-// AdmissionStats is a point-in-time snapshot of the controller's counters
-// and gauges, exported as the "serve" stats family on /metrics.
-type AdmissionStats struct {
-	// Admitted counts grants, immediate or after queueing.
-	Admitted uint64
-	// Rejected counts ErrOverloaded fast-failures (HTTP 429s).
-	Rejected uint64
-	// Queued counts requests that had to wait before being granted or
-	// timing out.
-	Queued uint64
-	// QueueTimeouts counts queued requests whose context expired before a
-	// grant.
-	QueueTimeouts uint64
-	// Waiting is the current queue length (a gauge).
-	Waiting int
-	// CommittedBytes is the budget currently granted to admitted queries
-	// (a gauge).
-	CommittedBytes int64
-	// Capacity is the configured budget.
-	Capacity int64
-}
+// admissionCounters is the family of the controller's counters (registry
+// names serve_admission_*).
+var (
+	admissionCounters = counter.NewFamily("serve_admission")
+	admitted          = admissionCounters.Counter("admitted", "queries granted budget, immediately or after queueing")
+	rejected          = admissionCounters.Counter("rejected", "queries refused because the wait queue was full (HTTP 429)")
+	queued            = admissionCounters.Counter("queued", "queries that had to wait before a grant or a timeout")
+	queueTimeouts     = admissionCounters.Counter("queue_timeouts", "queued queries whose context expired before a grant")
+)
 
 // NewAdmission returns a controller over a capacity-byte budget with at
 // most maxQueue waiting requests. capacity must be positive; maxQueue may
 // be zero (queue nothing, reject on contention). gov, when non-nil,
-// receives Reserve/Unreserve mirroring every grant so spill.Stats shows
-// committed bytes next to resident bytes.
+// receives Reserve/Unreserve mirroring every grant so the spill gauges
+// show committed bytes next to resident bytes.
 func NewAdmission(capacity int64, maxQueue int, gov *spill.Governor) *Admission {
 	if capacity <= 0 {
 		panic("serve: admission capacity must be positive")
@@ -77,7 +64,7 @@ func NewAdmission(capacity int64, maxQueue int, gov *spill.Governor) *Admission 
 	if maxQueue < 0 {
 		panic("serve: negative admission queue")
 	}
-	return &Admission{capacity: capacity, maxQueue: maxQueue, gov: gov}
+	return &Admission{capacity: capacity, maxQueue: maxQueue, gov: gov, counts: admissionCounters.NewSet()}
 }
 
 // Admit blocks until bytes of budget are granted, the queue overflows
@@ -99,13 +86,13 @@ func (a *Admission) Admit(ctx context.Context, bytes int64) (*Ticket, error) {
 		return &Ticket{a: a, bytes: bytes}, nil
 	}
 	if len(a.queue) >= a.maxQueue {
-		a.rejected++
+		a.counts.Add(rejected, 1)
 		a.mu.Unlock()
 		return nil, ErrOverloaded
 	}
 	w := &waiter{bytes: bytes, ready: make(chan struct{})}
 	a.queue = append(a.queue, w)
-	a.queued++
+	a.counts.Add(queued, 1)
 	a.mu.Unlock()
 
 	select {
@@ -127,7 +114,7 @@ func (a *Admission) Admit(ctx context.Context, bytes int64) (*Ticket, error) {
 				break
 			}
 		}
-		a.queueTimeouts++
+		a.counts.Add(queueTimeouts, 1)
 		a.mu.Unlock()
 		return nil, ctx.Err()
 	}
@@ -136,7 +123,7 @@ func (a *Admission) Admit(ctx context.Context, bytes int64) (*Ticket, error) {
 // grantLocked commits bytes and mirrors the reservation. Callers hold a.mu.
 func (a *Admission) grantLocked(bytes int64) {
 	a.committed += bytes
-	a.admitted++
+	a.counts.Add(admitted, 1)
 	a.gov.Reserve(bytes)
 }
 
@@ -161,19 +148,27 @@ func (a *Admission) release(bytes int64) {
 	a.mu.Unlock()
 }
 
-// Stats snapshots the counters and gauges.
-func (a *Admission) Stats() AdmissionStats {
+// Capacity returns the configured budget.
+func (a *Admission) Capacity() int64 { return a.capacity }
+
+// Waiting returns the current queue length.
+func (a *Admission) Waiting() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return AdmissionStats{
-		Admitted:       a.admitted,
-		Rejected:       a.rejected,
-		Queued:         a.queued,
-		QueueTimeouts:  a.queueTimeouts,
-		Waiting:        len(a.queue),
-		CommittedBytes: a.committed,
-		Capacity:       a.capacity,
-	}
+	return len(a.queue)
+}
+
+// Register adds the controller's counters and gauges to r.
+func (a *Admission) Register(r *metrics.Registry) {
+	r.Counters(a.counts)
+	r.Gauge("serve_admission_waiting", "queries waiting for budget now",
+		func() int64 { return int64(a.Waiting()) })
+	r.Gauge("serve_admission_committed_bytes", "budget granted to admitted queries now", func() int64 {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.committed
+	})
+	r.Gauge("serve_admission_capacity_bytes", "the configured admission budget", a.Capacity)
 }
 
 // Ticket is an admission grant. Release returns the budget; it is

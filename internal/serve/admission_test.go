@@ -7,8 +7,31 @@ import (
 	"testing"
 	"time"
 
+	"cqbound/internal/metrics"
 	"cqbound/internal/spill"
 )
+
+// registered reads every counter and gauge register adds to a registry.
+func registered(register func(*metrics.Registry)) map[string]int64 {
+	r := metrics.NewRegistry()
+	register(r)
+	out := map[string]int64{}
+	for _, e := range r.Entries() {
+		out[e.Name], _ = r.Value(e.Name)
+	}
+	return out
+}
+
+type admissionStats struct {
+	Admitted, Rejected, Queued, QueueTimeouts, Waiting, CommittedBytes, Capacity int64
+}
+
+func stats(a *Admission) admissionStats {
+	m := registered(a.Register)
+	return admissionStats{m["serve_admission_admitted"], m["serve_admission_rejected"], m["serve_admission_queued"],
+		m["serve_admission_queue_timeouts"], m["serve_admission_waiting"], m["serve_admission_committed_bytes"],
+		m["serve_admission_capacity_bytes"]}
+}
 
 func TestAdmitImmediate(t *testing.T) {
 	a := NewAdmission(1000, 4, nil)
@@ -20,14 +43,14 @@ func TestAdmitImmediate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
-	st := a.Stats()
+	st := stats(a)
 	if st.Admitted != 2 || st.CommittedBytes != 1000 || st.Queued != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	t1.Release()
 	t2.Release()
 	t2.Release() // idempotent
-	if got := a.Stats().CommittedBytes; got != 0 {
+	if got := stats(a).CommittedBytes; got != 0 {
 		t.Fatalf("CommittedBytes after release = %d", got)
 	}
 }
@@ -38,7 +61,7 @@ func TestAdmitClampsOversized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oversized estimate should clamp and admit, got %v", err)
 	}
-	if got := a.Stats().CommittedBytes; got != 100 {
+	if got := stats(a).CommittedBytes; got != 100 {
 		t.Fatalf("CommittedBytes = %d, want clamp to capacity 100", got)
 	}
 	tk.Release()
@@ -65,7 +88,7 @@ func TestAdmitQueuesThenGrantsFIFO(t *testing.T) {
 			tk.Release()
 		}(i)
 		// Serialize arrival so FIFO order is observable.
-		for a.Stats().Waiting < i {
+		for a.Waiting() < i {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -74,7 +97,7 @@ func TestAdmitQueuesThenGrantsFIFO(t *testing.T) {
 	if a, b := <-order, <-order; a != 1 || b != 2 {
 		t.Fatalf("grant order = %d,%d; want FIFO 1,2", a, b)
 	}
-	st := a.Stats()
+	st := stats(a)
 	if st.Queued != 2 || st.Admitted != 3 || st.CommittedBytes != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -89,7 +112,7 @@ func TestAdmitRejectsWhenQueueFull(t *testing.T) {
 	if _, err := a.Admit(context.Background(), 1); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("want ErrOverloaded, got %v", err)
 	}
-	if got := a.Stats().Rejected; got != 1 {
+	if got := stats(a).Rejected; got != 1 {
 		t.Fatalf("Rejected = %d", got)
 	}
 	tk.Release()
@@ -106,7 +129,7 @@ func TestAdmitQueueTimeout(t *testing.T) {
 	if _, err := a.Admit(ctx, 50); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
-	st := a.Stats()
+	st := stats(a)
 	if st.QueueTimeouts != 1 || st.Waiting != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -127,11 +150,11 @@ func TestAdmitMirrorsGovernorReservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Snapshot().ReservedBytes; got != 700 {
+	if got := g.ReservedBytes(); got != 700 {
 		t.Fatalf("governor ReservedBytes = %d, want 700", got)
 	}
 	tk.Release()
-	if got := g.Snapshot().ReservedBytes; got != 0 {
+	if got := g.ReservedBytes(); got != 0 {
 		t.Fatalf("governor ReservedBytes after release = %d", got)
 	}
 }
@@ -149,7 +172,7 @@ func TestAdmitConcurrentNeverExceedsCapacity(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				if got := a.Stats().CommittedBytes; got > cap {
+				if got := stats(a).CommittedBytes; got > cap {
 					t.Errorf("CommittedBytes %d exceeds capacity", got)
 				}
 				tk.Release()
@@ -157,7 +180,7 @@ func TestAdmitConcurrentNeverExceedsCapacity(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := a.Stats().CommittedBytes; got != 0 {
+	if got := stats(a).CommittedBytes; got != 0 {
 		t.Fatalf("CommittedBytes drained to %d", got)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 
 	"cqbound/internal/lru"
+	"cqbound/internal/metrics"
+	"cqbound/internal/metrics/counter"
 )
 
 // Cache is a concurrency-safe result cache keyed on (query text, database
@@ -15,26 +17,25 @@ import (
 // keeps hitting its own epoch's entries. Sweep reclaims entries for epochs
 // nothing can read anymore.
 type Cache[V any] struct {
-	mu            sync.Mutex
-	lru           *lru.Cache[V]
-	invalidations uint64
+	mu     sync.Mutex
+	lru    *lru.Cache[V]
+	counts *counter.Set
 }
 
-// CacheStats is a point-in-time snapshot of cache effectiveness.
-type CacheStats struct {
-	// Hits and Misses count Get outcomes.
-	Hits, Misses uint64
-	// Invalidations counts entries dropped by Sweep because their epoch
-	// became unreadable (distinct from LRU capacity evictions).
-	Invalidations uint64
-	// Entries is the current size (a gauge).
-	Entries int
-}
+// cacheCounters is the family of the result cache's counters (registry
+// names serve_cache_*).
+var (
+	cacheCounters = counter.NewFamily("serve_cache")
+	hits          = cacheCounters.Counter("hits", "result-cache lookups that hit")
+	misses        = cacheCounters.Counter("misses", "result-cache lookups that missed")
+	invalidations = cacheCounters.Counter("invalidations",
+		"entries dropped because their epoch became unreadable (not capacity evictions)")
+)
 
 // NewCache returns an empty cache holding at most capacity entries across
 // all epochs. capacity must be positive.
 func NewCache[V any](capacity int) *Cache[V] {
-	return &Cache[V]{lru: lru.New[V](capacity)}
+	return &Cache[V]{lru: lru.New[V](capacity), counts: cacheCounters.NewSet()}
 }
 
 // cacheKey mirrors the engine's per-epoch plan-cache scheme: the query text
@@ -48,8 +49,14 @@ func cacheKey(query string, epoch uint64) string {
 // Get returns the cached result for the query at the given epoch.
 func (c *Cache[V]) Get(query string, epoch uint64) (V, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Get(cacheKey(query, epoch))
+	v, ok := c.lru.Get(cacheKey(query, epoch))
+	c.mu.Unlock()
+	if ok {
+		c.counts.Add(hits, 1)
+	} else {
+		c.counts.Add(misses, 1)
+	}
+	return v, ok
 }
 
 // Put stores the result for the query at the given epoch.
@@ -79,14 +86,16 @@ func (c *Cache[V]) Sweep(readable func(epoch uint64) bool) int {
 	for _, key := range stale {
 		c.lru.Remove(key)
 	}
-	c.invalidations += uint64(len(stale))
+	c.counts.Add(invalidations, int64(len(stale)))
 	return len(stale)
 }
 
-// Stats snapshots hit/miss/invalidation counts and the current size.
-func (c *Cache[V]) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, m := c.lru.Stats()
-	return CacheStats{Hits: h, Misses: m, Invalidations: c.invalidations, Entries: c.lru.Len()}
+// Register adds the cache's counters and its entry gauge to r.
+func (c *Cache[V]) Register(r *metrics.Registry) {
+	r.Counters(c.counts)
+	r.Gauge("serve_cache_entries", "results cached now, across epochs", func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return int64(c.lru.Len())
+	})
 }

@@ -15,8 +15,8 @@ func TestCacheHitPerEpoch(t *testing.T) {
 	if v, ok := c.Get("q", 2); !ok || v != "two" {
 		t.Fatalf("Get(q,2) = %q,%v", v, ok)
 	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 2 {
+	st := registered(c.Register)
+	if st["serve_cache_hits"] != 2 || st["serve_cache_misses"] != 1 || st["serve_cache_entries"] != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -36,8 +36,8 @@ func TestCacheSweepDropsUnreadableEpochs(t *testing.T) {
 	if v, ok := c.Get("a", 2); !ok || v != 20 {
 		t.Fatal("live-epoch entry swept")
 	}
-	if st := c.Stats(); st.Invalidations != 2 {
-		t.Fatalf("Invalidations = %d", st.Invalidations)
+	if n := registered(c.Register)["serve_cache_invalidations"]; n != 2 {
+		t.Fatalf("invalidations = %d", n)
 	}
 }
 

@@ -2,7 +2,7 @@
 // (ARCHITECTURE §12) over real HTTP: request-ID correlation across the
 // access log, slow-query log, rendered trace and error bodies; the
 // introspection endpoints; the Prometheus exposition; the windowed
-// Retry-After hint on 429s; and the ObsStats reset contract.
+// Retry-After hint on 429s.
 package serve_test
 
 import (
@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -252,8 +251,11 @@ func TestWithoutObservability(t *testing.T) {
 			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
-	if st := s.srv.ObsStats(); st != (cqbound.ObsStats{}) {
-		t.Fatalf("obs-off ObsStats not zero: %+v", st)
+	snap := s.eng.MetricsSnapshot()
+	for _, name := range []string{"serve_inflight", "serve_access_logged", "calibration_records"} {
+		if _, ok := snap[name]; ok {
+			t.Errorf("obs-off registry has %s", name)
+		}
 	}
 }
 
@@ -328,75 +330,7 @@ func TestRetryAfterWindowed(t *testing.T) {
 	if rejected == 0 {
 		t.Skip("flood produced no 429s on this machine; hint contract unexercised")
 	}
-	if st := s.srv.ObsStats(); st.Shed == 0 {
-		t.Fatalf("ObsStats.Shed = 0 after %d rejections", rejected)
-	}
-}
-
-// TestObsStatsReset is the reset contract: after traffic every counter
-// family is live, and ResetStats zeroes them all. The walk is by
-// reflection so a counter added to ObsStats later is covered without
-// editing this test; InflightNow is the documented gauge exemption.
-func TestObsStatsReset(t *testing.T) {
-	var accessLog syncBuf
-	s := newTestSrv(t, nil, []cqbound.ServerOption{cqbound.WithAccessLog(&accessLog, 2)})
-	loadTriangle(t, s)
-
-	queries := []string{
-		"Q(X,Y,Z) <- E(X,Y), F(Y,Z), G(Z,X).",
-		"Q(X,Y) <- E(X,Y).",
-		"Q(X,Z) <- E(X,Y), F(Y,Z).",
-		"Q(X,Y) <- E(X,Y).", // repeat: cache hit
-	}
-	for _, q := range queries {
-		if _, code := s.query(t, q, "", false); code != http.StatusOK {
-			t.Fatalf("query %q status %d", q, code)
-		}
-	}
-	st := s.srv.ObsStats()
-	if st.Requests == 0 || st.Grants == 0 || st.CacheHits == 0 || st.CacheMisses == 0 ||
-		st.LatencySamples == 0 || st.CalibrationRecords == 0 || st.AccessLogged == 0 {
-		t.Fatalf("counters flat after traffic: %+v", st)
-	}
-
-	s.srv.ResetStats()
-	st = s.srv.ObsStats()
-	rv := reflect.ValueOf(st)
-	rt := rv.Type()
-	if rt.NumField() < 12 {
-		t.Fatalf("ObsStats shrank to %d fields", rt.NumField())
-	}
-	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		if f.Name == "InflightNow" {
-			continue // gauge: current depth, not a resettable counter
-		}
-		if f.Type.Kind() != reflect.Int64 {
-			t.Errorf("ObsStats.%s is %s; the reset walk expects int64 counters", f.Name, f.Type)
-			continue
-		}
-		if v := rv.Field(i).Int(); v != 0 {
-			t.Errorf("ObsStats.%s = %d after ResetStats, want 0", f.Name, v)
-		}
-	}
-
-	// Windows and calibration really drained, not just the struct view.
-	for _, sn := range s.srv.WindowSnapshots() {
-		if sn.Requests != 0 || sn.LatencyP99Ns != 0 {
-			t.Fatalf("window %s not drained after reset: %+v", sn.Window, sn)
-		}
-	}
-	cj, err := s.srv.CalibrationJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c struct {
-		Records int64 `json:"records"`
-	}
-	if err := json.Unmarshal(cj, &c); err != nil {
-		t.Fatal(err)
-	}
-	if c.Records != 0 {
-		t.Fatalf("calibration not drained after reset: %s", cj)
+	if s.metric(t, "serve_shed") == 0 {
+		t.Fatalf("serve_shed = 0 after %d rejections", rejected)
 	}
 }

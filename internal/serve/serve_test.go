@@ -157,6 +157,16 @@ func (s *testSrv) releaseSnapshot(t testing.TB, epoch uint64) {
 }
 
 // tupleSet canonicalizes response tuples for set comparison.
+// metric reads one counter or gauge from the server engine's registry.
+func (s *testSrv) metric(t testing.TB, name string) int64 {
+	t.Helper()
+	v, ok := s.eng.MetricsSnapshot()[name].(int64)
+	if !ok {
+		t.Fatalf("registry has no counter or gauge %q", name)
+	}
+	return v
+}
+
 func tupleSet(tuples [][]string) map[string]bool {
 	set := make(map[string]bool, len(tuples))
 	for _, tp := range tuples {
@@ -313,8 +323,8 @@ func TestResultCacheLifecycle(t *testing.T) {
 		t.Fatalf("repeat read: cached=%v tuples=%v, want hit with %v",
 			again.Cached, again.Tuples, first.Tuples)
 	}
-	if st := s.srv.ResultCacheStats(); st.Hits < 1 {
-		t.Fatalf("cache stats after repeat: %+v", st)
+	if hits := s.metric(t, "serve_cache_hits"); hits < 1 {
+		t.Fatalf("%d cache hits after repeat", hits)
 	}
 
 	// Pin the current epoch, then advance it.
@@ -348,10 +358,10 @@ func TestResultCacheLifecycle(t *testing.T) {
 	}
 
 	// Releasing the pin makes the old epoch unreadable; the sweep drops it.
-	inv := s.srv.ResultCacheStats().Invalidations
+	inv := s.metric(t, "serve_cache_invalidations")
 	s.releaseSnapshot(t, pinned)
-	if st := s.srv.ResultCacheStats(); st.Invalidations <= inv {
-		t.Fatalf("no invalidations after releasing epoch %d: %+v", pinned, st)
+	if s.metric(t, "serve_cache_invalidations") <= inv {
+		t.Fatalf("no invalidations after releasing epoch %d", pinned)
 	}
 	if _, code := s.query(t, path, strconv.FormatUint(pinned, 10), false); code != http.StatusNotFound {
 		t.Fatalf("released epoch still served: status %d", code)
@@ -393,7 +403,7 @@ func TestCancelReleasesResources(t *testing.T) {
 	if _, code := s.query(t, tri, "", false); code != http.StatusOK {
 		t.Fatalf("warmup status %d", code)
 	}
-	base := s.eng.SpillStats()
+	baseBuffers, baseDisk := s.metric(t, "spill_registered_buffers"), s.metric(t, "spill_bytes_on_disk")
 
 	// Now the same query with deadlines that expire mid-evaluation. The
 	// client walking away cancels the request context; the handler's
@@ -419,20 +429,19 @@ func TestCancelReleasesResources(t *testing.T) {
 	// finish unwinding, scopes discard their intermediates, pins release.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st := s.eng.SpillStats()
-		ep := s.eng.EpochStats()
-		if st.RegisteredBuffers == base.RegisteredBuffers &&
-			st.BytesOnDisk == base.BytesOnDisk && ep.PinnedReaders == 0 {
+		buffers, disk := s.metric(t, "spill_registered_buffers"), s.metric(t, "spill_bytes_on_disk")
+		pinned := s.metric(t, "epoch_pinned_readers")
+		if buffers == baseBuffers && disk == baseDisk && pinned == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("resources not released after cancellations: buffers %d (baseline %d), on-disk %d (baseline %d), pinned readers %d",
-				st.RegisteredBuffers, base.RegisteredBuffers, st.BytesOnDisk, base.BytesOnDisk, ep.PinnedReaders)
+				buffers, baseBuffers, disk, baseDisk, pinned)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if st := s.srv.AdmissionStats(); st.CommittedBytes != 0 {
-		t.Fatalf("admission budget not returned: %+v", st)
+	if committed := s.metric(t, "serve_admission_committed_bytes"); committed != 0 {
+		t.Fatalf("admission budget not returned: %d bytes committed", committed)
 	}
 }
 
@@ -518,14 +527,13 @@ func TestAdmissionSaturation(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("flood produced no 429s: admission did not saturate")
 	}
-	st := s.srv.AdmissionStats()
-	if st.Rejected == 0 || st.Queued == 0 {
-		t.Fatalf("admission stats show no shedding: %+v", st)
+	if rej, q := s.metric(t, "serve_admission_rejected"), s.metric(t, "serve_admission_queued"); rej == 0 || q == 0 {
+		t.Fatalf("admission counters show no shedding: %d rejected, %d queued", rej, q)
 	}
-	if st.CommittedBytes != 0 || st.Waiting != 0 {
-		t.Fatalf("admission did not drain: %+v", st)
+	if c, w := s.metric(t, "serve_admission_committed_bytes"), s.metric(t, "serve_admission_waiting"); c != 0 || w != 0 {
+		t.Fatalf("admission did not drain: %d bytes committed, %d waiting", c, w)
 	}
-	if peak := s.eng.SpillStats().PeakResidentBytes; peak > capBytes {
+	if peak := s.metric(t, "spill_peak_resident_bytes"); peak > capBytes {
 		t.Fatalf("governor peak %d exceeded the %d budget: admission failed to prevent thrash", peak, capBytes)
 	}
 }

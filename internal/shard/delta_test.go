@@ -113,10 +113,10 @@ func TestExtendPartitionsGovernsFreshShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	base := frozenRel(rng, "R", 150, 40)
 	partition(base, 0, 4, g)
-	before := g.Snapshot().RegisteredBuffers
+	before := spillGauge(g, "registered_buffers")
 	next := extendOf(t, base, rng, 30, 60)
 	ExtendPartitions(base, next, g)
-	after := g.Snapshot().RegisteredBuffers
+	after := spillGauge(g, "registered_buffers")
 	if after <= before {
 		t.Fatalf("no fresh shard registered with the governor (%d → %d)", before, after)
 	}

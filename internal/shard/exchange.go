@@ -1,150 +1,38 @@
 package shard
 
-// What the piped operators share: the routing counters (Metrics), the
+// What the piped operators share: the routing counters (Counters), the
 // Stream carrier that couples a relation with the hash partitioning it
 // already has — so a pipeline opened over it starts partitioned — and the
 // hot-shard arithmetic of the skew split.
 
 import (
 	"fmt"
-	"sync/atomic"
 
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/relation"
 	"cqbound/internal/trace"
 )
 
-// Metrics counts the routing decisions of exchange-routed execution. All
-// counters are atomic: one Metrics may be shared across concurrent
-// evaluations (the Engine does). The zero value is ready to use; methods on
-// a nil *Metrics are no-ops, so operators count unconditionally.
-type Metrics struct {
-	// ShardedOps counts joins, semijoins and projections that ran
-	// partition-parallel (including broadcasts).
-	ShardedOps atomic.Int64
-	// FallbackOps counts operator calls that fell back to single-shard
-	// execution: inputs below Options.MinRows, no shared column to
-	// partition on, or P < 2.
-	FallbackOps atomic.Int64
-	// ReusedRows totals the rows that arrived at an exchange already
-	// partitioned on the needed key — the rows end-to-end sharding saved
-	// from repartitioning.
-	ReusedRows atomic.Int64
-	// ExchangedRows totals the rows the exchange had to (re)partition onto
-	// a new key. Flat base relations are memoized per (key, P), so
-	// repeated evaluations may serve these rows from the memo; the counter
-	// records the logical flow.
-	ExchangedRows atomic.Int64
-	// BroadcastOps counts joins and semijoins that kept the big side's
-	// existing (misaligned) partitioning and probed the small side whole
-	// in every shard instead of repartitioning.
-	BroadcastOps atomic.Int64
-	// SkewSplits counts hot shards split into row blocks by the skew
-	// handler.
-	SkewSplits atomic.Int64
-	// DenseProjections counts projections that deduplicated in a dense
-	// bitmap (batch.DenseSet) rather than hash tables.
-	DenseProjections atomic.Int64
-}
-
-// Stats is a point-in-time copy of Metrics, in declaration order.
-type Stats struct {
-	ShardedOps       int64
-	FallbackOps      int64
-	ReusedRows       int64
-	ExchangedRows    int64
-	BroadcastOps     int64
-	SkewSplits       int64
-	DenseProjections int64
-}
-
-// Reset zeroes every counter (nil-safe) — the per-query snapshot hook
-// behind Engine.ResetStats.
-func (m *Metrics) Reset() {
-	if m == nil {
-		return
-	}
-	m.ShardedOps.Store(0)
-	m.FallbackOps.Store(0)
-	m.ReusedRows.Store(0)
-	m.ExchangedRows.Store(0)
-	m.BroadcastOps.Store(0)
-	m.SkewSplits.Store(0)
-	m.DenseProjections.Store(0)
-}
-
-// AddTo merges this Metrics' counts into dst (both nil-safe). The Engine
-// runs traced evaluations against a private Metrics so the per-query
-// delta is exact, then folds it into the shared engine-wide counters.
-func (m *Metrics) AddTo(dst *Metrics) {
-	if m == nil || dst == nil {
-		return
-	}
-	dst.ShardedOps.Add(m.ShardedOps.Load())
-	dst.FallbackOps.Add(m.FallbackOps.Load())
-	dst.ReusedRows.Add(m.ReusedRows.Load())
-	dst.ExchangedRows.Add(m.ExchangedRows.Load())
-	dst.BroadcastOps.Add(m.BroadcastOps.Load())
-	dst.SkewSplits.Add(m.SkewSplits.Load())
-	dst.DenseProjections.Add(m.DenseProjections.Load())
-}
-
-// Snapshot copies the counters (nil-safe: a nil receiver reads all zeros).
-func (m *Metrics) Snapshot() Stats {
-	if m == nil {
-		return Stats{}
-	}
-	return Stats{
-		ShardedOps:       m.ShardedOps.Load(),
-		FallbackOps:      m.FallbackOps.Load(),
-		ReusedRows:       m.ReusedRows.Load(),
-		ExchangedRows:    m.ExchangedRows.Load(),
-		BroadcastOps:     m.BroadcastOps.Load(),
-		SkewSplits:       m.SkewSplits.Load(),
-		DenseProjections: m.DenseProjections.Load(),
-	}
-}
-
-func (m *Metrics) addSharded() {
-	if m != nil {
-		m.ShardedOps.Add(1)
-	}
-}
-
-func (m *Metrics) addFallback() {
-	if m != nil {
-		m.FallbackOps.Add(1)
-	}
-}
-
-func (m *Metrics) addReused(rows int) {
-	if m != nil {
-		m.ReusedRows.Add(int64(rows))
-	}
-}
-
-func (m *Metrics) addExchanged(rows int) {
-	if m != nil {
-		m.ExchangedRows.Add(int64(rows))
-	}
-}
-
-func (m *Metrics) addBroadcast() {
-	if m != nil {
-		m.BroadcastOps.Add(1)
-	}
-}
-
-func (m *Metrics) addDense() {
-	if m != nil {
-		m.DenseProjections.Add(1)
-	}
-}
-
-func (m *Metrics) addSkewSplit() {
-	if m != nil {
-		m.SkewSplits.Add(1)
-	}
-}
+// Counters is the family of exchange-routed execution's routing counters
+// (registry names shard_*). Options.Metrics is a Set of it, which one
+// Engine shares across concurrent evaluations.
+var (
+	Counters   = counter.NewFamily("shard")
+	shardedOps = Counters.Counter("sharded_ops",
+		"joins, semijoins and projections that ran partition-parallel, broadcasts included")
+	fallbackOps = Counters.Counter("fallback_ops",
+		"operators that ran single-shard: inputs below the row threshold, no shared column, or one shard")
+	reusedRows = Counters.Counter("reused_rows",
+		"rows that arrived at an exchange already partitioned on the needed key")
+	exchangedRows = Counters.Counter("exchanged_rows",
+		"rows an exchange repartitioned onto a new key, memoized partitions included")
+	broadcastOps = Counters.Counter("broadcast_ops",
+		"joins and semijoins that probed the small side whole in every shard instead of repartitioning")
+	skewSplits = Counters.Counter("skew_splits",
+		"hot shards split into row blocks")
+	denseProjections = Counters.Counter("dense_projections",
+		"projections that deduplicated in a dense bitmap rather than hash tables")
+)
 
 // Stream is a relation together with its current hash partitioning, when
 // it has one: what the executors hold between pipelines. MaterializePiped
@@ -227,7 +115,7 @@ func (st Stream) DistinctEstimate(col int) int {
 // plus — under tracing — a zero-duration skew event span attached to the
 // current stage.
 func noteSkew(opts *Options, name string, blocks int) {
-	opts.metrics().addSkewSplit()
+	opts.metrics().Add(skewSplits, 1)
 	if tr := opts.Tracer(); tr != nil {
 		sp := tr.Op(trace.KindSkew, "skew split "+name)
 		sp.SetNote(fmt.Sprintf("%d blocks", blocks))

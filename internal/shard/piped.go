@@ -17,6 +17,7 @@ import (
 	"slices"
 
 	"cqbound/internal/batch"
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/pool"
 	"cqbound/internal/relation"
 )
@@ -243,10 +244,10 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 		rSh := partitionSide(next, rCols[pick], p, transient, opts)
 		parts := make([]batch.Iterator, p)
 		for k := range parts {
-			src := batch.Iterator(&tapIter{src: pd.parts[k], f: m.addReused})
+			src := batch.Iterator(&tapIter{src: pd.parts[k], f: adder(m, reusedRows)})
 			parts[k] = probeChain(src, rSh.Shard(k), next.Size(), attrs, chain, opts)
 		}
-		m.addSharded()
+		m.Add(shardedOps, 1)
 		// Left columns keep their positions through the join projection.
 		return &Piped{attrs: attrs, key: lCols[pick], parts: parts, ranges: ranges}, nil
 	}
@@ -263,11 +264,11 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 	if len(pd.parts) > 1 && (next.Size() <= streamBroadcastRows || !opts.active(next.Size())) {
 		parts := make([]batch.Iterator, len(pd.parts))
 		for k := range parts {
-			src := batch.Iterator(&tapIter{src: pd.parts[k], f: m.addReused})
+			src := batch.Iterator(&tapIter{src: pd.parts[k], f: adder(m, reusedRows)})
 			parts[k] = chain(src, next)
 		}
-		m.addSharded()
-		m.addBroadcast()
+		m.Add(shardedOps, 1)
+		m.Add(broadcastOps, 1)
 		return &Piped{attrs: attrs, key: pd.key, parts: parts, ranges: ranges}, nil
 	}
 	// Exchange the pipeline onto the shared column where next has the most
@@ -302,7 +303,7 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 			parts[k] = chain(ex.Part(k), rsh)
 		}
 	}
-	m.addSharded()
+	m.Add(shardedOps, 1)
 	return &Piped{attrs: attrs, key: lCols[pick], parts: parts, ranges: ranges}, nil
 }
 
@@ -344,10 +345,10 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 		rSh := partitionSide(next, rCols[pick], p, transient, opts)
 		parts := make([]batch.Iterator, p)
 		for k := range parts {
-			src := batch.Iterator(&tapIter{src: pd.parts[k], f: m.addReused})
+			src := batch.Iterator(&tapIter{src: pd.parts[k], f: adder(m, reusedRows)})
 			parts[k] = batch.Semijoin(src, rSh.Shard(k), lCols, rCols, bm)
 		}
-		m.addSharded()
+		m.Add(shardedOps, 1)
 		return &Piped{attrs: pd.attrs, key: pd.key, parts: parts, ranges: ranges}, nil
 	}
 	// Misaligned multi-part pipeline: probe next whole per part — the
@@ -355,11 +356,11 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 	if len(pd.parts) > 1 {
 		parts := make([]batch.Iterator, len(pd.parts))
 		for k := range parts {
-			src := batch.Iterator(&tapIter{src: pd.parts[k], f: m.addReused})
+			src := batch.Iterator(&tapIter{src: pd.parts[k], f: adder(m, reusedRows)})
 			parts[k] = batch.Semijoin(src, next, lCols, rCols, bm)
 		}
-		m.addSharded()
-		m.addBroadcast()
+		m.Add(shardedOps, 1)
+		m.Add(broadcastOps, 1)
 		return &Piped{attrs: pd.attrs, key: pd.key, parts: parts, ranges: ranges}, nil
 	}
 	// Flat pipeline, sharding on: exchange onto the shared column where
@@ -378,7 +379,7 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 	for k := range parts {
 		parts[k] = batch.Semijoin(ex.Part(k), rSh.Shard(k), lCols, rCols, bm)
 	}
-	m.addSharded()
+	m.Add(shardedOps, 1)
 	return &Piped{attrs: pd.attrs, key: lCols[pick], parts: parts, ranges: ranges}, nil
 }
 
@@ -429,7 +430,7 @@ func ProjectPiped(ctx context.Context, opts *Options, pd *Piped, idx []int) (*Pi
 				out.parts = batch.ProjectDenseParts(pd.parts, idx, attrs, set, size, bm)
 			}
 			out.dedup = fmt.Sprintf("dense %d", set.Bits())
-			m.addDense()
+			m.Add(denseProjections, 1)
 			countOp(m, len(out.parts))
 			return out, nil
 		}
@@ -451,7 +452,7 @@ func ProjectPiped(ctx context.Context, opts *Options, pd *Piped, idx []int) (*Pi
 		out.parts[k] = batch.Project(ex.Part(k), idx, attrs, size, bm)
 	}
 	out.key = 0
-	m.addSharded()
+	m.Add(shardedOps, 1)
 	return out, nil
 }
 
@@ -510,10 +511,15 @@ func pipedAligned(pd *Piped, cols []int, p int) int {
 
 // countOp counts an operator as sharded or single-shard fallback by its
 // part count.
-func countOp(m *Metrics, parts int) {
+func countOp(m *counter.Set, parts int) {
 	if parts > 1 {
-		m.addSharded()
+		m.Add(shardedOps, 1)
 	} else {
-		m.addFallback()
+		m.Add(fallbackOps, 1)
 	}
+}
+
+// adder returns a row callback that adds to counter c of m.
+func adder(m *counter.Set, c counter.ID) func(int) {
+	return func(n int) { m.Add(c, int64(n)) }
 }

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"testing"
 
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/relation"
 	"cqbound/internal/spill"
 )
@@ -141,6 +142,35 @@ func spread(t *testing.T, r *relation.Relation, stride relation.Value) *relation
 	return relation.NewFromColumns(r.Name, r.Attrs, cols)
 }
 
+// routeCounts is one run's routing counters, read from its Set.
+type routeCounts struct {
+	ShardedOps, FallbackOps, ReusedRows, ExchangedRows, BroadcastOps, SkewSplits, DenseProjections int64
+}
+
+// spillGauge reads the governor's registry entry spill_<name>.
+func spillGauge(g *spill.Governor, name string) int64 {
+	r := registrar{}
+	g.Register(r)
+	return r["spill_"+name]()
+}
+
+// registrar keeps the read func of every counter and gauge registered
+// with it, by registry name.
+type registrar map[string]func() int64
+
+func (r registrar) Counters(s *counter.Set) {
+	for _, c := range s.Cells() {
+		r[s.Family().Name()+"_"+c.Name] = c.V.Load
+	}
+}
+
+func (r registrar) Gauge(name, _ string, fn func() int64) { r[name] = fn }
+
+func readCounts(m *counter.Set) routeCounts {
+	return routeCounts{m.Load(shardedOps), m.Load(fallbackOps), m.Load(reusedRows), m.Load(exchangedRows),
+		m.Load(broadcastOps), m.Load(skewSplits), m.Load(denseProjections)}
+}
+
 func TestPipedRouting(t *testing.T) {
 	const p = 4
 	rng := rand.New(rand.NewSource(20))
@@ -169,7 +199,7 @@ func TestPipedRouting(t *testing.T) {
 		// build assembles the pipelines under test and the expected rows.
 		build func(t *testing.T, opts *Options) (*Piped, *relation.Relation)
 		// check sees the routing counters and the drained output.
-		check func(t *testing.T, m Stats, out Stream)
+		check func(t *testing.T, m routeCounts, out Stream)
 	}{
 		{
 			name: "join on the aligned key reuses the partitioning",
@@ -177,7 +207,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, on(r, 1, opts), s), mustNaturalJoin(t, r, s)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.ReusedRows != int64(r.Size()) || m.ExchangedRows != 0 || m.ShardedOps != 1 {
 					t.Fatalf("reused=%d exchanged=%d sharded=%d, want %d/0/1", m.ReusedRows, m.ExchangedRows, m.ShardedOps, r.Size())
 				}
@@ -190,7 +220,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, mustJoin(t, opts, flat(r, opts), s), ub), mustNaturalJoin(t, r, s, ub)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				first := mustNaturalJoin(t, r, s).Size()
 				if m.ReusedRows != int64(first) || m.ExchangedRows != int64(r.Size()) {
 					t.Fatalf("reused=%d exchanged=%d, want %d (|R⋈S|) and %d (|R|)", m.ReusedRows, m.ExchangedRows, first, r.Size())
@@ -203,7 +233,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, flat(r, opts), s), mustNaturalJoin(t, r, s)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.ExchangedRows != int64(r.Size()) || m.ReusedRows != 0 || m.FallbackOps != 0 {
 					t.Fatalf("exchanged=%d reused=%d fallback=%d, want %d/0/0", m.ExchangedRows, m.ReusedRows, m.FallbackOps, r.Size())
 				}
@@ -216,7 +246,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, on(r, 0, opts), big), mustNaturalJoin(t, r, big)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.ExchangedRows != int64(r.Size()) || m.BroadcastOps != 0 {
 					t.Fatalf("exchanged=%d broadcasts=%d, want %d/0", m.ExchangedRows, m.BroadcastOps, r.Size())
 				}
@@ -229,7 +259,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, on(r, 0, opts), small), mustNaturalJoin(t, r, small)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.BroadcastOps != 1 || m.ExchangedRows != 0 || m.ReusedRows != int64(r.Size()) {
 					t.Fatalf("broadcasts=%d exchanged=%d reused=%d, want 1/0/%d", m.BroadcastOps, m.ExchangedRows, m.ReusedRows, r.Size())
 				}
@@ -242,7 +272,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, mustJoin(t, opts, flat(r, opts), s), u), mustNaturalJoin(t, r, s, u)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.FallbackOps != 0 || m.ShardedOps != 2 {
 					t.Fatalf("fallback=%d sharded=%d, want 0/2", m.FallbackOps, m.ShardedOps)
 				}
@@ -257,7 +287,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, on(r, 0, opts), other), mustNaturalJoin(t, r, other)
 			},
-			check: func(t *testing.T, m Stats, out Stream) { checkKeyed(t, out, 0, p) },
+			check: func(t *testing.T, m routeCounts, out Stream) { checkKeyed(t, out, 0, p) },
 		},
 		{
 			name: "hot probe-side shard is split into block chains",
@@ -265,7 +295,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, flat(hotL, opts), hotR), mustNaturalJoin(t, hotL, hotR)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.SkewSplits == 0 {
 					t.Fatal("a third of the probe side shares one key but no shard was split")
 				}
@@ -278,7 +308,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, flat(hotL, opts), hotR), mustNaturalJoin(t, hotL, hotR)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.SkewSplits != 0 {
 					t.Fatalf("negative SkewFraction still split %d shards", m.SkewSplits)
 				}
@@ -290,7 +320,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustSemijoin(t, opts, flat(hotL, opts), hotR), mustSemijoinRel(t, hotL, hotR)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.ExchangedRows != int64(hotL.Size()) {
 					t.Fatalf("exchanged=%d, want %d", m.ExchangedRows, hotL.Size())
 				}
@@ -303,7 +333,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustSemijoin(t, opts, on(r, 1, opts), s), mustSemijoinRel(t, r, s)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.ReusedRows != int64(r.Size()) || m.ExchangedRows != 0 || m.BroadcastOps != 0 {
 					t.Fatalf("reused=%d exchanged=%d broadcasts=%d, want %d/0/0", m.ReusedRows, m.ExchangedRows, m.BroadcastOps, r.Size())
 				}
@@ -316,7 +346,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustSemijoin(t, opts, on(r, 0, opts), s), mustSemijoinRel(t, r, s)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.BroadcastOps != 1 || m.ExchangedRows != 0 {
 					t.Fatalf("broadcasts=%d exchanged=%d, want 1/0", m.BroadcastOps, m.ExchangedRows)
 				}
@@ -336,7 +366,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustProject(t, opts, on(wide, 1, opts), 1, 2), mustProjectRel(t, wide, 1, 2)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.ExchangedRows != 0 {
 					t.Fatal("projection exchanged although its key was kept")
 				}
@@ -352,7 +382,7 @@ func TestPipedRouting(t *testing.T) {
 				w := spread(t, wide, 1<<16)
 				return mustProject(t, opts, on(w, 1, opts), 2, 0), mustProjectRel(t, w, 2, 0)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.ExchangedRows != int64(wide.Size()) || m.DenseProjections != 0 {
 					t.Fatalf("exchanged=%d dense=%d, want %d/0", m.ExchangedRows, m.DenseProjections, wide.Size())
 				}
@@ -365,7 +395,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustProject(t, opts, on(wide, 1, opts), 2, 0), mustProjectRel(t, wide, 2, 0)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.ExchangedRows != 0 || m.DenseProjections != 1 {
 					t.Fatalf("exchanged=%d dense=%d, want 0/1", m.ExchangedRows, m.DenseProjections)
 				}
@@ -394,7 +424,7 @@ func TestPipedRouting(t *testing.T) {
 				}
 				return mustJoin(t, opts, reopened, u), mustNaturalJoin(t, mustProjectRel(t, wide, 2, 0), u)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.BroadcastOps != 1 || m.ExchangedRows != 0 {
 					t.Fatalf("broadcasts=%d exchanged=%d, want 1/0", m.BroadcastOps, m.ExchangedRows)
 				}
@@ -406,7 +436,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustProject(t, opts, on(wide, 0, opts), 0, 0, 1), mustProjectRel(t, wide, 0, 0, 1)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if want := []string{"a", "a_1", "b"}; !slices.Equal(out.Attrs(), want) {
 					t.Fatalf("attrs %v, want %v", out.Attrs(), want)
 				}
@@ -417,7 +447,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustProject(t, opts, flat(wide, opts), 1, 1), mustProjectRel(t, wide, 1, 1)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if want := []string{"b", "b_1"}; !slices.Equal(out.Attrs(), want) {
 					t.Fatalf("attrs %v, want %v", out.Attrs(), want)
 				}
@@ -429,7 +459,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, flat(hub, opts), spokes), mustNaturalJoin(t, hub, spokes)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				checkKeyed(t, out, 1, 16)
 				empty := 0
 				for k := 0; k < 16; k++ {
@@ -449,7 +479,7 @@ func TestPipedRouting(t *testing.T) {
 				pd := mustProject(t, opts, mustSemijoin(t, opts, mustJoin(t, opts, flat(r, opts), s), u), 0, 2)
 				return pd, mustProjectRel(t, mustSemijoinRel(t, mustNaturalJoin(t, r, s), u), 0, 2)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.FallbackOps != 3 || m.ShardedOps != 0 || out.Sharded() != nil {
 					t.Fatalf("fallback=%d sharded=%d sharded-output=%v, want 3/0/false", m.FallbackOps, m.ShardedOps, out.Sharded() != nil)
 				}
@@ -461,7 +491,7 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, flat(r, opts), s), mustNaturalJoin(t, r, s)
 			},
-			check: func(t *testing.T, m Stats, out Stream) {
+			check: func(t *testing.T, m routeCounts, out Stream) {
 				if m.FallbackOps != 1 || out.Sharded() != nil {
 					t.Fatalf("fallback=%d sharded-output=%v, want 1/false", m.FallbackOps, out.Sharded() != nil)
 				}
@@ -482,7 +512,7 @@ func TestPipedRouting(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			opts := c.opts
-			opts.Metrics = &Metrics{}
+			opts.Metrics = Counters.NewSet()
 			pd, want := c.build(t, &opts)
 			out, err := MaterializePiped(context.Background(), &opts, pd, "out", false)
 			if err != nil {
@@ -492,7 +522,7 @@ func TestPipedRouting(t *testing.T) {
 				t.Fatalf("piped result has %d rows, the relation operators give %d", got.Size(), want.Size())
 			}
 			if c.check != nil {
-				c.check(t, opts.Metrics.Snapshot(), out)
+				c.check(t, readCounts(opts.Metrics), out)
 			}
 		})
 	}
@@ -536,7 +566,7 @@ func TestPipedUnderGovernor(t *testing.T) {
 	defer g.Close()
 	scope := spill.NewScope()
 	defer scope.Close()
-	opts := &Options{Shards: 4, BatchSize: 16, Spill: g, Scope: scope, Metrics: &Metrics{}}
+	opts := &Options{Shards: 4, BatchSize: 16, Spill: g, Scope: scope, Metrics: Counters.NewSet()}
 	out, err := MaterializePiped(context.Background(), opts, mustJoin(t, opts, flat(r, opts), s), "out", true)
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +574,7 @@ func TestPipedUnderGovernor(t *testing.T) {
 	if want := mustNaturalJoin(t, r, s); !relation.Equal(want, out.Rel()) {
 		t.Fatalf("governed join has %d rows, want %d", out.Size(), want.Size())
 	}
-	if g.Snapshot().Evictions == 0 {
+	if spillGauge(g, "evictions") == 0 {
 		t.Fatal("one-byte governor never evicted a pipeline buffer")
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"slices"
 	"sync"
 
-	"cqbound/internal/batch"
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/pool"
 	"cqbound/internal/relation"
 	"cqbound/internal/spill"
@@ -40,8 +40,8 @@ type Options struct {
 	SkewFraction float64
 	// Metrics, when non-nil, counts the routing decisions (sharded vs
 	// fallback, reused vs repartitioned rows, broadcasts, skew splits) of
-	// every operator run under these options.
-	Metrics *Metrics
+	// every operator run under these options: a Set of Counters.
+	Metrics *counter.Set
 	// Spill, when non-nil, registers every shard built under these options
 	// — memoized base partitions and pipeline sinks alike — with the
 	// memory governor, which parks cold shards in file-backed segments
@@ -62,9 +62,9 @@ type Options struct {
 	// the pipelines move between stages; <= 0 means batch.DefaultSize.
 	BatchSize int
 	// Batch, when non-nil, counts what the pipelines did (batches, rows,
-	// buffered fallbacks, bytes never materialized). Shared across
-	// concurrent evaluations like Metrics.
-	Batch *batch.Metrics
+	// buffered fallbacks, bytes never materialized): a Set of
+	// batch.Counters, shared across concurrent evaluations like Metrics.
+	Batch *counter.Set
 	// Trace, when non-nil, is the per-evaluation tracer: executors open
 	// stage and operator spans on it, and the exchange/skew machinery in
 	// this package attaches routing spans to whatever stage is current.
@@ -93,7 +93,7 @@ func (o *Options) batchSize() int {
 
 // batchMetrics returns the pipeline counters (nil-safe; nil disables
 // counting).
-func (o *Options) batchMetrics() *batch.Metrics {
+func (o *Options) batchMetrics() *counter.Set {
 	if o == nil {
 		return nil
 	}
@@ -137,7 +137,7 @@ func (o *Options) skewFraction() float64 {
 }
 
 // metrics returns the options' counters (nil-safe; nil disables counting).
-func (o *Options) metrics() *Metrics {
+func (o *Options) metrics() *counter.Set {
 	if o == nil {
 		return nil
 	}

@@ -59,7 +59,7 @@ func (t *traceTap) Next(ctx context.Context) (*batch.Batch, error) {
 }
 
 // exchangeCount returns the row callback a mid-stream batch exchange
-// feeds: always the shared ExchangedRows counter and, under tracing, an
+// feeds: always the shared exchanged_rows counter and, under tracing, an
 // exchange span as well. The span has no natural close of its own — the
 // scatter is as lazy as the pipeline around it — so Finish closes it with
 // the evaluation.
@@ -67,13 +67,13 @@ func exchangeCount(opts *Options, col string, p int) func(int) {
 	m := opts.metrics()
 	tr := opts.Tracer()
 	if tr == nil {
-		return m.addExchanged
+		return adder(m, exchangedRows)
 	}
 	sp := tr.Op(trace.KindExchange, "exchange pipeline on "+col)
 	sp.SetShards(p)
 	sp.SetNote("mid-stream scatter")
 	return func(n int) {
-		m.addExchanged(n)
+		m.Add(exchangedRows, int64(n))
 		sp.AddOut(n)
 	}
 }

@@ -55,7 +55,7 @@
 // accounting dropped, no reload — once the evaluation's output has been
 // materialized; a long-lived engine's registry, resident bytes and spill
 // file therefore plateau at the base partitions
-// (Stats.RegisteredBuffers makes this observable).
+// (the spill_registered_buffers gauge makes this observable).
 //
 // Under the engine's epoch store, base partitions retire with their
 // epoch: a committed batch installs extended partitions for the new
@@ -72,7 +72,7 @@
 // evicts toward: before a query runs, its planner-derived worst-case size
 // estimate is Reserved out of the budget, and the admission controller
 // (internal/serve) queues or rejects work whose reservation no longer
-// fits. Reservations are pure accounting — Stats.ReservedBytes next to
+// fits. Reservations are pure accounting — the spill_reserved_bytes gauge next to
 // ResidentBytes shows committed versus actual memory — and never gate the
 // governor's own eviction, so an admitted query can still run (and spill)
 // past its estimate rather than wedge. Unreserve returns the slice when

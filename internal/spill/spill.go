@@ -13,53 +13,21 @@ import (
 	"sync/atomic"
 
 	"cqbound/internal/lru"
+	"cqbound/internal/metrics/counter"
 )
 
-// Stats is a point-in-time copy of a governor's counters.
-type Stats struct {
-	// SpilledShards is the number of registered buffers currently parked on
-	// disk and not resident (a gauge).
-	SpilledShards int64
-	// ReloadedShards counts reloads of parked buffers back into memory
-	// since the governor was built (or ResetCounters).
-	ReloadedShards int64
-	// BytesOnDisk is the total size of live segments (a gauge; a segment
-	// persists after reload so re-evicting its buffer is a free pointer
-	// drop, and is freed only when the buffer is released or discarded).
-	BytesOnDisk int64
-	// Evictions counts buffers moved out of memory since the governor was
-	// built (or ResetCounters), including re-evictions of already-written
-	// segments.
-	Evictions int64
-	// PinWaits counts Pin and Cols calls that found their buffer parked and
-	// had to wait for the segment to load (their own read, or a concurrent
-	// caller's).
-	PinWaits int64
-	// ResidentBytes is the column bytes of registered buffers currently in
-	// memory (a gauge). Pinned buffers count even when the governor is over
-	// budget: the budget is a target the governor evicts toward, never a
-	// hard cap that could deadlock pinned operators.
-	ResidentBytes int64
-	// PeakResidentBytes is the high-water mark of ResidentBytes — the figure
-	// bench/ reports as spill.peak_resident_bytes and, over the budget, as
-	// spill.resident_over_budget.
-	PeakResidentBytes int64
-	// RegisteredBuffers is the number of buffers the governor currently
-	// tracks, resident or parked (a gauge). On a long-lived engine it
-	// should plateau at the memoized base partitions: per-evaluation
-	// intermediates are scope-discarded when their evaluation returns.
-	RegisteredBuffers int64
-	// ReservedBytes is the budget currently committed to admitted work via
-	// Reserve (a gauge): the admission controller of a serving front-end
-	// carves a per-query slice of the budget out before the query runs, so
-	// the sum of in-flight worst-case estimates stays visible next to the
-	// actual residency. Reservations are bookkeeping, not enforcement —
-	// the governor still evicts toward its byte budget regardless — and
-	// all zeros when nothing sits in front of the engine.
-	ReservedBytes int64
-	// PeakReservedBytes is the high-water mark of ReservedBytes.
-	PeakReservedBytes int64
-}
+// spillCounters is the family of spill events (registry names spill_*). A
+// Governor counts every event engine-wide and, for a buffer tracked by a
+// Scope, once more in the scope's own Set: the per-evaluation attribution
+// a trace reports.
+var (
+	spillCounters = counter.NewFamily("spill")
+	evictions     = spillCounters.Counter("evictions",
+		"buffers parked to disk, re-evictions of already-written segments included")
+	reloads      = spillCounters.Counter("reloaded_shards", "parked buffers loaded back into memory")
+	pinWaits     = spillCounters.Counter("pin_waits", "reads that found their buffer parked and waited for its segment to load")
+	SpilledBytes = spillCounters.Counter("spilled_bytes", "bytes of the buffers parked to disk")
+)
 
 // Governor tracks the resident bytes of every registered buffer and, when a
 // byte budget is exceeded, evicts the least recently used unpinned buffers
@@ -87,13 +55,11 @@ type Governor struct {
 	all map[string]evictable
 	seq int
 
+	counts       *counter.Set
 	resident     atomic.Int64
 	peak         atomic.Int64
 	spilled      atomic.Int64
-	reloaded     atomic.Int64
 	onDisk       atomic.Int64
-	evicted      atomic.Int64
-	pinWaits     atomic.Int64
 	reserved     atomic.Int64
 	peakReserved atomic.Int64
 }
@@ -124,6 +90,7 @@ func NewGovernor(budget int64, dir string) *Governor {
 	return &Governor{
 		budget: budget,
 		base:   dir,
+		counts: spillCounters.NewSet(),
 		res:    lru.New[evictable](governorCapacity),
 		all:    make(map[string]evictable),
 	}
@@ -137,26 +104,31 @@ func (g *Governor) Budget() int64 {
 	return g.budget
 }
 
-// Snapshot copies the governor's counters (nil-safe: all zeros).
-func (g *Governor) Snapshot() Stats {
+// Registrar is the part of *metrics.Registry that Register uses: spill
+// sits below the registry and does not link its HTTP handler.
+type Registrar interface {
+	Counters(s *counter.Set)
+	Gauge(name, help string, fn func() int64)
+}
+
+// Register adds the governor's counters and gauges to r. A nil governor
+// registers the same names, reading zero.
+func (g *Governor) Register(r Registrar) {
 	if g == nil {
-		return Stats{}
+		g = &Governor{counts: spillCounters.NewSet()}
 	}
-	g.mu.Lock()
-	registered := int64(len(g.all))
-	g.mu.Unlock()
-	return Stats{
-		SpilledShards:     g.spilled.Load(),
-		ReloadedShards:    g.reloaded.Load(),
-		BytesOnDisk:       g.onDisk.Load(),
-		Evictions:         g.evicted.Load(),
-		PinWaits:          g.pinWaits.Load(),
-		ResidentBytes:     g.resident.Load(),
-		PeakResidentBytes: g.peak.Load(),
-		RegisteredBuffers: registered,
-		ReservedBytes:     g.reserved.Load(),
-		PeakReservedBytes: g.peakReserved.Load(),
-	}
+	r.Counters(g.counts)
+	r.Gauge("spill_spilled_shards", "registered buffers parked on disk now", g.spilled.Load)
+	r.Gauge("spill_bytes_on_disk", "bytes of live spill segments", g.onDisk.Load)
+	r.Gauge("spill_resident_bytes", "column bytes of registered buffers in memory, pinned ones included", g.resident.Load)
+	r.Gauge("spill_peak_resident_bytes", "high-water mark of spill_resident_bytes", g.peak.Load)
+	r.Gauge("spill_registered_buffers", "buffers the governor tracks, resident or parked", func() int64 {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return int64(len(g.all))
+	})
+	r.Gauge("spill_reserved_bytes", "budget committed to admitted work through Reserve", g.reserved.Load)
+	r.Gauge("spill_peak_reserved_bytes", "high-water mark of spill_reserved_bytes", g.peakReserved.Load)
 }
 
 // Reserve records bytes of the budget as committed to one admitted unit of
@@ -201,26 +173,19 @@ func (g *Governor) ReservedBytes() int64 {
 // EventCounts returns the cumulative eviction and reload counters with
 // two atomic loads — cheap enough for executors to diff around individual
 // plan stages when annotating trace spans (nil-safe).
-func (g *Governor) EventCounts() (evictions, reloads int64) {
+func (g *Governor) EventCounts() (evicted, reloaded int64) {
 	if g == nil {
 		return 0, 0
 	}
-	return g.evicted.Load(), g.reloaded.Load()
+	return g.counts.Load(evictions), g.counts.Load(reloads)
 }
 
-// ResetCounters zeroes the cumulative counters (reloads, evictions, pin
-// waits) while leaving the gauges — resident bytes, bytes on disk,
-// spilled shards — alone: those describe present state, not history.
-// The peak-resident high-water mark restarts from the current residency.
-func (g *Governor) ResetCounters() {
-	if g == nil {
-		return
+// note counts n of event c engine-wide and against the buffer's scope.
+func (g *Governor) note(s *Scope, c counter.ID, n int64) {
+	g.counts.Add(c, n)
+	if s != nil {
+		s.counts.Add(c, n)
 	}
-	g.reloaded.Store(0)
-	g.evicted.Store(0)
-	g.pinWaits.Store(0)
-	g.peak.Store(g.resident.Load())
-	g.peakReserved.Store(g.reserved.Load())
 }
 
 // segFile is a governor's spill file. Segments live in slots of it —
@@ -546,8 +511,7 @@ func (b *Buffer[V]) load() [][]V {
 		}
 		panic("spill: read of a discarded parked buffer")
 	}
-	g.pinWaits.Add(1)
-	b.scope.Load().notePinWait()
+	g.note(b.scope.Load(), pinWaits, 1)
 	b.mu.Lock()
 	cols := b.loadLocked(g)
 	b.mu.Unlock()
@@ -583,8 +547,7 @@ func (b *Buffer[V]) loadLocked(g *Governor) [][]V {
 	}
 	b.data.Store(&cols)
 	g.spilled.Add(-1)
-	g.reloaded.Add(1)
-	b.scope.Load().noteReload()
+	g.note(b.scope.Load(), reloads, 1)
 	g.addResident(b.bytes)
 	g.touch(b.id, b)
 	return cols
@@ -626,8 +589,8 @@ func (b *Buffer[V]) tryEvict() int64 {
 	}
 	g.resident.Add(-b.bytes)
 	g.spilled.Add(1)
-	g.evicted.Add(1)
-	b.scope.Load().noteEvict(b.bytes)
+	g.note(b.scope.Load(), evictions, 1)
+	g.note(b.scope.Load(), SpilledBytes, b.bytes)
 	// Leave the recency list: a parked buffer is no candidate until a
 	// reload re-inserts it, keeping enforcement scans O(resident).
 	g.parked(b.id)
@@ -726,19 +689,16 @@ type Scope struct {
 	mu   sync.Mutex
 	bufs []interface{ Discard() }
 
-	// Per-scope event counters: governor activity on the buffers tracked
-	// here, i.e. exactly this evaluation's transient intermediates. The
-	// engine's trace layer reads them through Events to attribute spill
-	// traffic to a single query without contamination from concurrent
-	// evaluations (whose transients live in their own scopes).
-	evictions    atomic.Int64
-	reloads      atomic.Int64
-	pinWaits     atomic.Int64
-	spilledBytes atomic.Int64
+	// counts is governor activity on the buffers tracked here, i.e.
+	// exactly this evaluation's transient intermediates: what the engine's
+	// trace layer reports as the query's spill traffic, free of
+	// contamination from concurrent evaluations (whose transients live in
+	// their own scopes).
+	counts *counter.Set
 }
 
 // NewScope returns an empty scope.
-func NewScope() *Scope { return &Scope{} }
+func NewScope() *Scope { return &Scope{counts: spillCounters.NewSet()} }
 
 // Track registers a buffer for discard at Close (nil-safe on both sides).
 // Buffers that support it are also attached to the scope's event counters
@@ -755,51 +715,14 @@ func (s *Scope) Track(b interface{ Discard() }) {
 	s.mu.Unlock()
 }
 
-// Events is a point-in-time copy of a scope's spill-event counters.
-type Events struct {
-	// Evictions counts the scope's buffers parked to disk.
-	Evictions int64
-	// Reloads counts the scope's buffers faulted back from disk.
-	Reloads int64
-	// PinWaits counts reads of the scope's buffers that had to wait on a
-	// segment load.
-	PinWaits int64
-	// SpilledBytes totals the bytes the evictions wrote out — the
-	// per-query spill volume the engine's histograms observe.
-	SpilledBytes int64
-}
-
-// Events returns the scope's counters (nil-safe). Valid after Close too:
-// Close discards buffers but keeps the history.
-func (s *Scope) Events() Events {
+// Counters returns the scope's spill-event counters; a nil scope returns
+// an empty set. Valid after Close too: Close discards buffers but keeps
+// the history.
+func (s *Scope) Counters() *counter.Set {
 	if s == nil {
-		return Events{}
+		return spillCounters.NewSet()
 	}
-	return Events{
-		Evictions:    s.evictions.Load(),
-		Reloads:      s.reloads.Load(),
-		PinWaits:     s.pinWaits.Load(),
-		SpilledBytes: s.spilledBytes.Load(),
-	}
-}
-
-func (s *Scope) noteEvict(bytes int64) {
-	if s != nil {
-		s.evictions.Add(1)
-		s.spilledBytes.Add(bytes)
-	}
-}
-
-func (s *Scope) noteReload() {
-	if s != nil {
-		s.reloads.Add(1)
-	}
-}
-
-func (s *Scope) notePinWait() {
-	if s != nil {
-		s.pinWaits.Add(1)
-	}
+	return s.counts
 }
 
 // Close discards every tracked buffer.

@@ -5,7 +5,36 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"cqbound/internal/metrics/counter"
 )
+
+// stats is a governor's registry entries, by name.
+type stats struct {
+	SpilledShards, ReloadedShards, BytesOnDisk, Evictions, PinWaits, SpilledBytes,
+	ResidentBytes, PeakResidentBytes, RegisteredBuffers, ReservedBytes, PeakReservedBytes int64
+}
+
+func snapshot(g *Governor) stats {
+	r := registrar{}
+	g.Register(r)
+	v := func(name string) int64 { return r["spill_"+name]() }
+	return stats{v("spilled_shards"), v("reloaded_shards"), v("bytes_on_disk"), v("evictions"), v("pin_waits"),
+		v("spilled_bytes"), v("resident_bytes"), v("peak_resident_bytes"), v("registered_buffers"),
+		v("reserved_bytes"), v("peak_reserved_bytes")}
+}
+
+// registrar keeps the read func of every counter and gauge registered
+// with it, by registry name.
+type registrar map[string]func() int64
+
+func (r registrar) Counters(s *counter.Set) {
+	for _, c := range s.Cells() {
+		r[s.Family().Name()+"_"+c.Name] = c.V.Load
+	}
+}
+
+func (r registrar) Gauge(name, _ string, fn func() int64) { r[name] = fn }
 
 // cols builds a deterministic arity×rows column set.
 func cols(arity, rows, salt int) [][]uint32 {
@@ -52,10 +81,9 @@ func TestNilGovernorIsInert(t *testing.T) {
 		t.Fatal("inert Pin lost data")
 	}
 	var g *Governor
-	if s := g.Snapshot(); s != (Stats{}) {
+	if s := snapshot(g); s != (stats{}) {
 		t.Fatalf("nil governor snapshot = %+v, want zeros", s)
 	}
-	g.ResetCounters()
 	if err := g.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
 	}
@@ -78,14 +106,14 @@ func TestEvictReloadRoundtrip(t *testing.T) {
 	if !b2.Resident() {
 		t.Fatal("hot buffer evicted instead of cold one")
 	}
-	st := g.Snapshot()
+	st := snapshot(g)
 	if st.Evictions != 1 || st.SpilledShards != 1 || st.BytesOnDisk != 80 {
 		t.Fatalf("after evict: %+v", st)
 	}
 	if !equalCols(b.Cols(), want) {
 		t.Fatal("reloaded columns differ")
 	}
-	st = g.Snapshot()
+	st = snapshot(g)
 	if st.ReloadedShards != 1 || st.SpilledShards != 1 || st.PinWaits != 1 {
 		// Reloading b (80 bytes) pushed residency to 160 again, so b2 was
 		// parked in turn: SpilledShards stays 1.
@@ -118,7 +146,7 @@ func TestPinBlocksEviction(t *testing.T) {
 	if b.Resident() {
 		t.Fatal("unpinned cold buffer survived enforcement")
 	}
-	if st := g.Snapshot(); st.ResidentBytes > 160 {
+	if st := snapshot(g); st.ResidentBytes > 160 {
 		t.Fatalf("resident %d bytes, want <= 160", st.ResidentBytes)
 	}
 }
@@ -135,7 +163,7 @@ func TestUnlimitedBudgetNeverEvicts(t *testing.T) {
 			t.Fatalf("buffer %d evicted under unlimited budget", i)
 		}
 	}
-	st := g.Snapshot()
+	st := snapshot(g)
 	if st.Evictions != 0 || st.BytesOnDisk != 0 {
 		t.Fatalf("unlimited budget spilled: %+v", st)
 	}
@@ -174,7 +202,7 @@ func TestReleaseRestoresAndDeletesSegment(t *testing.T) {
 	if !b.Resident() || !equalCols(b.Cols(), want) {
 		t.Fatal("released buffer lost its columns")
 	}
-	st := g.Snapshot()
+	st := snapshot(g)
 	if st.BytesOnDisk != 0 || st.ResidentBytes != 0 || st.SpilledShards != 0 {
 		t.Fatalf("release left accounting behind: %+v", st)
 	}
@@ -223,7 +251,7 @@ func TestDiscardedSlotsAreReused(t *testing.T) {
 	if got := fileSize(); got != size {
 		t.Fatalf("spill file grew from %d to %d bytes over 50 evictions of same-sized buffers", size, got)
 	}
-	if st := g.Snapshot(); st.Evictions != 51 || st.BytesOnDisk != 80 {
+	if st := snapshot(g); st.Evictions != 51 || st.BytesOnDisk != 80 {
 		t.Fatalf("after discards: %+v", st)
 	}
 	if !equalCols(keep.Cols(), cols(2, 10, 1)) {
@@ -284,16 +312,15 @@ func TestResetCountersKeepsGauges(t *testing.T) {
 	b := Manage(g, cols(2, 10, 1), 10)
 	Manage(g, cols(2, 10, 2), 10) // evicts b
 	b.Cols()                      // reload
-	g.ResetCounters()
-	st := g.Snapshot()
-	if st.Evictions != 0 || st.ReloadedShards != 0 || st.PinWaits != 0 {
+	before := snapshot(g)
+	g.counts.Reset()
+	st := snapshot(g)
+	if st.Evictions != 0 || st.ReloadedShards != 0 || st.PinWaits != 0 || st.SpilledBytes != 0 {
 		t.Fatalf("counters survive reset: %+v", st)
 	}
-	if st.BytesOnDisk == 0 || st.ResidentBytes == 0 {
-		t.Fatalf("gauges were reset: %+v", st)
-	}
-	if st.PeakResidentBytes != st.ResidentBytes {
-		t.Fatalf("peak should restart at current residency: %+v", st)
+	if st.BytesOnDisk != before.BytesOnDisk || st.ResidentBytes != before.ResidentBytes ||
+		st.PeakResidentBytes != before.PeakResidentBytes || st.BytesOnDisk == 0 {
+		t.Fatalf("gauges changed on reset: %+v, before %+v", st, before)
 	}
 }
 
@@ -326,7 +353,7 @@ func TestConcurrentPinEvictReload(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if st := g.Snapshot(); st.Evictions == 0 || st.ReloadedShards == 0 {
+	if st := snapshot(g); st.Evictions == 0 || st.ReloadedShards == 0 {
 		t.Fatalf("stress run never spilled: %+v", st)
 	}
 }
@@ -340,7 +367,7 @@ func TestGovernorUsableAfterClose(t *testing.T) {
 	g := NewGovernor(100, dir)
 	Manage(g, cols(2, 10, 1), 10)
 	Manage(g, cols(2, 10, 2), 10) // force a first spill
-	if g.Snapshot().Evictions == 0 {
+	if snapshot(g).Evictions == 0 {
 		t.Fatal("setup never spilled")
 	}
 	if err := g.Close(); err != nil {
@@ -365,7 +392,7 @@ func TestGovernorUsableAfterClose(t *testing.T) {
 
 // TestReservationAccounting covers the admission-reservation gauges: Reserve
 // raises ReservedBytes and its peak, Unreserve returns the slice, the peak
-// survives release, ResetCounters restarts the peak from current, and a nil
+// survives release and a registry reset, and a nil
 // governor is inert for all three calls.
 func TestReservationAccounting(t *testing.T) {
 	g := NewGovernor(1<<20, t.TempDir())
@@ -376,13 +403,13 @@ func TestReservationAccounting(t *testing.T) {
 		t.Fatalf("ReservedBytes = %d, want 1500", got)
 	}
 	g.Unreserve(1000)
-	st := g.Snapshot()
+	st := snapshot(g)
 	if st.ReservedBytes != 500 || st.PeakReservedBytes != 1500 {
 		t.Fatalf("after release: reserved=%d peak=%d, want 500/1500", st.ReservedBytes, st.PeakReservedBytes)
 	}
-	g.ResetCounters()
-	if st = g.Snapshot(); st.PeakReservedBytes != 500 {
-		t.Fatalf("peak after ResetCounters = %d, want 500 (current)", st.PeakReservedBytes)
+	g.counts.Reset()
+	if st = snapshot(g); st.PeakReservedBytes != 1500 {
+		t.Fatalf("peak after a registry reset = %d, want 1500", st.PeakReservedBytes)
 	}
 	g.Unreserve(500)
 	if got := g.ReservedBytes(); got != 0 {
@@ -415,7 +442,7 @@ func TestReservationConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st := g.Snapshot()
+	st := snapshot(g)
 	if st.ReservedBytes != 0 {
 		t.Fatalf("ReservedBytes = %d after balanced traffic, want 0", st.ReservedBytes)
 	}

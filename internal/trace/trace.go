@@ -352,22 +352,23 @@ func (t *Tracer) Finish() *Trace {
 	}
 }
 
-// Counter is one named delta in a stats family.
+// Counter is one named delta in a counter family; family and name join
+// with an underscore into the engine's registry name.
 type Counter struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
 }
 
-// FamilyDelta is the per-query delta of one engine stats family
-// (cache, shard, stream, spill, epoch), captured by snapshot/diff so
-// concurrent queries don't contaminate each other.
+// FamilyDelta is the per-query delta of one engine counter family
+// (cache, shard, stream, spill, epoch), counted privately or by
+// snapshot/diff so concurrent queries don't contaminate each other.
 type FamilyDelta struct {
 	Family   string    `json:"family"`
 	Counters []Counter `json:"counters"`
 }
 
 // Trace is a finished evaluation trace: the frozen span tree plus the
-// per-query deltas of the engine's five stats families.
+// per-query deltas of the engine's counter families.
 type Trace struct {
 	Query     string        `json:"query"`
 	Strategy  string        `json:"strategy"`

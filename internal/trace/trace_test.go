@@ -176,7 +176,7 @@ func TestSlowQueryLogThresholdAndSchema(t *testing.T) {
 		st.End()
 		tc := tr.Finish()
 		tc.Deltas = []FamilyDelta{
-			{Family: "stream", Counters: []Counter{{Name: "batches", Value: 3}, {Name: "rows_streamed", Value: 0}}},
+			{Family: "stream", Counters: []Counter{{Name: "batches", Value: 3}, {Name: "rows", Value: 0}}},
 		}
 		return tc
 	}
@@ -204,7 +204,7 @@ func TestSlowQueryLogThresholdAndSchema(t *testing.T) {
 	if deltas["stream.batches"] != float64(3) {
 		t.Fatalf("deltas = %v", deltas)
 	}
-	if _, ok := deltas["stream.rows_streamed"]; ok {
+	if _, ok := deltas["stream.rows"]; ok {
 		t.Fatal("zero deltas must be omitted from the log line")
 	}
 

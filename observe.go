@@ -10,11 +10,10 @@ import (
 	"io"
 	"time"
 
-	"cqbound/internal/batch"
 	"cqbound/internal/metrics"
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/obs"
 	"cqbound/internal/plan"
-	"cqbound/internal/shard"
 	"cqbound/internal/spill"
 	"cqbound/internal/trace"
 )
@@ -22,7 +21,7 @@ import (
 // Tracing types (internal/trace).
 type (
 	// Trace is one finished evaluation's span tree plus the per-query
-	// deltas of the engine's five stats families.
+	// deltas of the engine's counter families.
 	Trace = trace.Trace
 	// TraceSpan is one node of a trace: a plan stage or operator with its
 	// row counts, size estimate, fan-out and wall time.
@@ -35,9 +34,9 @@ type (
 	// SlowQueryLog is a TraceSink writing one JSON line per trace at or
 	// above a wall-time threshold.
 	SlowQueryLog = trace.SlowQueryLog
-	// MetricsRegistry exposes the engine's counters and trace-derived
-	// histograms: Snapshot() for programmatic reads, ServeHTTP for an
-	// expvar-compatible JSON endpoint.
+	// MetricsRegistry exposes the engine's counters, gauges and
+	// trace-derived histograms: Snapshot() for programmatic reads,
+	// ServeHTTP for an expvar-compatible JSON endpoint.
 	MetricsRegistry = metrics.Registry
 	// HistogramSnapshot is a point-in-time copy of one histogram.
 	HistogramSnapshot = metrics.HistogramSnapshot
@@ -79,7 +78,8 @@ func WithTraceSink(s TraceSink) Option {
 // of the planned strategy (per-operator rows in/out, the paper-derived
 // and System-R size estimates next to the actuals, shard fan-out, batch
 // and spill activity, wall times) and the exact per-query deltas of the
-// five engine stats families, isolated from concurrent evaluations by
+// engine's counter families (cache, shard, stream, spill, epoch; counter
+// names as in the registry), isolated from concurrent evaluations by
 // running against private counters. The trace is also emitted to the
 // engine's sinks and feeds the metric histograms. On evaluation error the
 // partial trace is still returned alongside the error.
@@ -89,8 +89,9 @@ func (e *Engine) EvaluateTraced(ctx context.Context, q *Query, db *Database) (*R
 	}
 	tr := trace.NewTracer(q.String())
 	tr.SetRequestID(obs.RequestID(ctx))
+	r := e.evalOptions(tr)
 	ps := tr.Stage(trace.KindPlan, "plan")
-	p, hit, err := e.planForHit(q, db)
+	p, hit, err := e.planForHit(q, db, r.cache)
 	if hit {
 		ps.SetNote("plan cache hit")
 	} else {
@@ -98,19 +99,19 @@ func (e *Engine) EvaluateTraced(ctx context.Context, q *Query, db *Database) (*R
 	}
 	ps.End()
 	if err != nil {
+		r.finish(e)
 		return nil, EvalStats{}, nil, err
 	}
-	epBefore := e.epochCounters()
-	opts, pv := e.tracedOptions(tr)
-	out, st, err := plan.ExecuteOpts(ctx, p, q, db, opts)
-	pv.close()
-	pv.mergeInto(e)
+	epBefore := e.epoch.Clone()
+	out, st, err := plan.ExecuteOpts(ctx, p, q, db, r.opts)
+	r.finish(e)
 	t := tr.Finish()
-	t.Deltas = tracedDeltas(hit, pv, epBefore, e.epochCounters())
+	spilled := r.opts.Scope.Counters()
+	t.Deltas = familyDeltas(r.cache, r.shard, r.stream, spilled, e.epoch.Since(epBefore))
 	if err != nil {
 		return nil, st, t, err
 	}
-	e.observeTrace(t, pv)
+	e.observeTrace(t, spilled)
 	for _, s := range e.sinks {
 		s.Emit(t)
 	}
@@ -134,113 +135,18 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query, db *Database) (st
 	return t.Render() + "rationale: " + p.Rationale + "\n", nil
 }
 
-// tracedPrivate carries one traced evaluation's private counter targets:
-// the evaluation runs against these so its deltas are exact under
-// concurrency, then folds them into the engine-wide counters.
-type tracedPrivate struct {
-	shardM *shard.Metrics
-	batchM *batch.Metrics
-	scope  *spill.Scope
-}
-
-// tracedOptions clones the engine's sharding options for one traced
-// evaluation, swapping in private metrics, a fresh spill scope, and the
-// tracer. The clone is never shared between evaluations.
-func (e *Engine) tracedOptions(tr *trace.Tracer) (*shard.Options, *tracedPrivate) {
-	o := *e.sharding
-	pv := &tracedPrivate{shardM: &shard.Metrics{}, batchM: &batch.Metrics{}}
-	o.Metrics = pv.shardM
-	o.Batch = pv.batchM
-	if e.spill != nil {
-		pv.scope = spill.NewScope()
-		o.Scope = pv.scope
+// familyDeltas lists each set's counters as one trace family. The epoch
+// set is a diff of the engine-wide lifecycle counters, exact unless a
+// commit lands mid-evaluation; the others are the evaluation's own.
+func familyDeltas(sets ...*counter.Set) []trace.FamilyDelta {
+	out := make([]trace.FamilyDelta, len(sets))
+	for i, s := range sets {
+		out[i].Family = s.Family().Name()
+		s.Each(func(name string, v int64) {
+			out[i].Counters = append(out[i].Counters, trace.Counter{Name: name, Value: v})
+		})
 	}
-	o.Trace = tr
-	return &o, pv
-}
-
-// close releases the evaluation's spill scope (discarding governed
-// intermediate buffers); the scope's event counters stay readable.
-func (pv *tracedPrivate) close() {
-	pv.scope.Close()
-}
-
-// mergeInto folds the private counters into the engine-wide ones, so
-// ShardStats and StreamStats see traced evaluations exactly like
-// untraced ones.
-func (pv *tracedPrivate) mergeInto(e *Engine) {
-	pv.shardM.AddTo(e.sharding.Metrics)
-	pv.batchM.AddTo(e.stream)
-}
-
-// epochCounterSnapshot is the cumulative epoch-lifecycle counters at one
-// instant; traced evaluations diff two snapshots for the epoch family.
-type epochCounterSnapshot struct {
-	commits, retired, sweptBufs, sweptBytes, incMemos, rebuilt, compactions int64
-}
-
-func (e *Engine) epochCounters() epochCounterSnapshot {
-	return epochCounterSnapshot{
-		commits:     e.commits.Load(),
-		retired:     e.retiredEps.Load(),
-		sweptBufs:   e.sweptBufs.Load(),
-		sweptBytes:  e.sweptBytes.Load(),
-		incMemos:    e.incMemos.Load(),
-		rebuilt:     e.rebuiltRels.Load(),
-		compactions: e.compactions.Load(),
-	}
-}
-
-// tracedDeltas assembles the per-query deltas of the five stats families.
-// Cache, shard, stream and spill are exact (private counters or scope
-// attribution); epoch is a snapshot diff of the engine-wide lifecycle
-// counters, exact unless a commit lands mid-evaluation.
-func tracedDeltas(hit bool, pv *tracedPrivate, before, after epochCounterSnapshot) []trace.FamilyDelta {
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	sh := pv.shardM.Snapshot()
-	st := pv.batchM.Snapshot()
-	ev := pv.scope.Events()
-	return []trace.FamilyDelta{
-		{Family: "cache", Counters: []trace.Counter{
-			{Name: "hits", Value: b2i(hit)},
-			{Name: "misses", Value: b2i(!hit)},
-		}},
-		{Family: "shard", Counters: []trace.Counter{
-			{Name: "sharded_ops", Value: sh.ShardedOps},
-			{Name: "fallback_ops", Value: sh.FallbackOps},
-			{Name: "reused_rows", Value: sh.ReusedRows},
-			{Name: "exchanged_rows", Value: sh.ExchangedRows},
-			{Name: "broadcast_ops", Value: sh.BroadcastOps},
-			{Name: "skew_splits", Value: sh.SkewSplits},
-			{Name: "dense_projections", Value: sh.DenseProjections},
-		}},
-		{Family: "stream", Counters: []trace.Counter{
-			{Name: "batches", Value: st.BatchesProduced},
-			{Name: "rows_streamed", Value: st.RowsStreamed},
-			{Name: "buffered_fallbacks", Value: st.BufferedFallbacks},
-			{Name: "bytes_never_materialized", Value: st.BytesNeverMaterialized},
-		}},
-		{Family: "spill", Counters: []trace.Counter{
-			{Name: "evictions", Value: ev.Evictions},
-			{Name: "reloads", Value: ev.Reloads},
-			{Name: "pin_waits", Value: ev.PinWaits},
-			{Name: "spilled_bytes", Value: ev.SpilledBytes},
-		}},
-		{Family: "epoch", Counters: []trace.Counter{
-			{Name: "commits", Value: after.commits - before.commits},
-			{Name: "retired_epochs", Value: after.retired - before.retired},
-			{Name: "swept_buffers", Value: after.sweptBufs - before.sweptBufs},
-			{Name: "swept_bytes", Value: after.sweptBytes - before.sweptBytes},
-			{Name: "incremental_memos", Value: after.incMemos - before.incMemos},
-			{Name: "rebuilt_relations", Value: after.rebuilt - before.rebuilt},
-			{Name: "compactions", Value: after.compactions - before.compactions},
-		}},
-	}
+	return out
 }
 
 // metricsState is the lazily-built registry plus the trace-derived
@@ -253,18 +159,19 @@ type metricsState struct {
 }
 
 // Metrics returns the engine's metric registry, building it on first
-// call: a gauge per engine counter (every field of the five stats
-// families plus cache size), and the trace-derived histograms
+// call: every engine counter (families cache, shard, stream, spill,
+// epoch), the gauges of present state, and the trace-derived histograms
 // query_latency_ns, query_peak_rows and query_spill_bytes. Histograms
-// record traced evaluations only (EvaluateTraced, or every Evaluate
-// under WithTracing). The registry implements http.Handler, serving the
+// record traced evaluations only (EvaluateTraced, or every Evaluate under
+// WithTracing). The registry implements http.Handler, serving the
 // snapshot as expvar-compatible JSON.
 func (e *Engine) Metrics() *MetricsRegistry {
 	return e.metricsState().reg
 }
 
-// MetricsSnapshot samples every registered metric: counters as int64,
-// histograms as HistogramSnapshot values.
+// MetricsSnapshot samples every registered metric — the one way to read a
+// counter: counters and gauges as int64, histograms as HistogramSnapshot
+// values.
 func (e *Engine) MetricsSnapshot() map[string]any {
 	return e.Metrics().Snapshot()
 }
@@ -276,42 +183,34 @@ func (e *Engine) metricsState() *metricsState {
 	reg := metrics.NewRegistry()
 	ms := &metricsState{
 		reg:        reg,
-		latency:    reg.NewHistogram("query_latency_ns"),
-		peakRows:   reg.NewHistogram("query_peak_rows"),
-		spillBytes: reg.NewHistogram("query_spill_bytes"),
+		latency:    reg.NewHistogram("query_latency_ns", "wall time of traced evaluations"),
+		peakRows:   reg.NewHistogram("query_peak_rows", "largest per-operator output of traced evaluations"),
+		spillBytes: reg.NewHistogram("query_spill_bytes", "bytes traced evaluations parked to disk"),
 	}
-	reg.Gauge("cache_hits", func() int64 { h, _ := e.CacheStats(); return int64(h) })
-	reg.Gauge("cache_misses", func() int64 { _, m := e.CacheStats(); return int64(m) })
-	reg.Gauge("cache_size", func() int64 { return int64(e.CacheSize()) })
-	reg.Gauge("shard_sharded_ops", func() int64 { return e.ShardStats().ShardedOps })
-	reg.Gauge("shard_fallback_ops", func() int64 { return e.ShardStats().FallbackOps })
-	reg.Gauge("shard_reused_rows", func() int64 { return e.ShardStats().ReusedRows })
-	reg.Gauge("shard_exchanged_rows", func() int64 { return e.ShardStats().ExchangedRows })
-	reg.Gauge("shard_broadcast_ops", func() int64 { return e.ShardStats().BroadcastOps })
-	reg.Gauge("shard_skew_splits", func() int64 { return e.ShardStats().SkewSplits })
-	reg.Gauge("shard_dense_projections", func() int64 { return e.ShardStats().DenseProjections })
-	reg.Gauge("stream_batches", func() int64 { return e.StreamStats().BatchesProduced })
-	reg.Gauge("stream_rows", func() int64 { return e.StreamStats().RowsStreamed })
-	reg.Gauge("stream_buffered_fallbacks", func() int64 { return e.StreamStats().BufferedFallbacks })
-	reg.Gauge("stream_bytes_never_materialized", func() int64 { return e.StreamStats().BytesNeverMaterialized })
-	reg.Gauge("spill_spilled_shards", func() int64 { return e.SpillStats().SpilledShards })
-	reg.Gauge("spill_reloaded_shards", func() int64 { return e.SpillStats().ReloadedShards })
-	reg.Gauge("spill_bytes_on_disk", func() int64 { return e.SpillStats().BytesOnDisk })
-	reg.Gauge("spill_evictions", func() int64 { return e.SpillStats().Evictions })
-	reg.Gauge("spill_pin_waits", func() int64 { return e.SpillStats().PinWaits })
-	reg.Gauge("spill_resident_bytes", func() int64 { return e.SpillStats().ResidentBytes })
-	reg.Gauge("spill_peak_resident_bytes", func() int64 { return e.SpillStats().PeakResidentBytes })
-	reg.Gauge("epoch_live", func() int64 { return int64(e.EpochStats().LiveEpoch) })
-	reg.Gauge("epoch_active", func() int64 { return int64(e.EpochStats().ActiveEpochs) })
-	reg.Gauge("epoch_pinned_readers", func() int64 { return e.EpochStats().PinnedReaders })
-	reg.Gauge("epoch_commits", func() int64 { return e.commits.Load() })
-	reg.Gauge("epoch_retired", func() int64 { return e.retiredEps.Load() })
-	reg.Gauge("epoch_swept_buffers", func() int64 { return e.sweptBufs.Load() })
-	reg.Gauge("epoch_swept_bytes", func() int64 { return e.sweptBytes.Load() })
-	reg.Gauge("epoch_incremental_memos", func() int64 { return e.incMemos.Load() })
-	reg.Gauge("epoch_rebuilt_relations", func() int64 { return e.rebuiltRels.Load() })
-	reg.Gauge("epoch_compactions", func() int64 { return e.compactions.Load() })
-	reg.Gauge("epoch_dict_len", func() int64 { return int64(e.dict.Load().Len()) })
+	reg.Counters(e.cache)
+	reg.Gauge("cache_size", "distinct queries with a cached analysis or plan", func() int64 { return int64(e.CacheSize()) })
+	reg.Counters(e.shard)
+	reg.Counters(e.stream)
+	e.spill.Register(reg)
+	reg.Counters(e.epoch)
+	epochGauge := func(name, help string, read func() int64) {
+		reg.Gauge(name, help, func() int64 {
+			e.epochMu.Lock()
+			defer e.epochMu.Unlock()
+			return read()
+		})
+	}
+	epochGauge("epoch_live", "the most recently committed epoch", func() int64 { return int64(e.live.epoch) })
+	epochGauge("epoch_active", "epochs not yet reclaimed: the live one plus any still pinned",
+		func() int64 { return int64(len(e.epochs)) })
+	epochGauge("epoch_pinned_readers", "pins held on active epochs", func() int64 {
+		var n int64
+		for _, st := range e.epochs {
+			n += st.pins.Load()
+		}
+		return n
+	})
+	reg.Gauge("epoch_dict_len", "entries in the engine's dictionary", func() int64 { return int64(e.dict.Load().Len()) })
 	if e.metrics.CompareAndSwap(nil, ms) {
 		return ms
 	}
@@ -320,14 +219,14 @@ func (e *Engine) metricsState() *metricsState {
 
 // observeTrace feeds the trace-derived histograms; a no-op until Metrics
 // has been called once.
-func (e *Engine) observeTrace(t *Trace, pv *tracedPrivate) {
+func (e *Engine) observeTrace(t *Trace, spilled *counter.Set) {
 	ms := e.metrics.Load()
 	if ms == nil || t == nil {
 		return
 	}
 	ms.latency.Observe(int64(t.Duration))
 	ms.peakRows.Observe(peakRows(t.Root))
-	ms.spillBytes.Observe(pv.scope.Events().SpilledBytes)
+	ms.spillBytes.Observe(spilled.Load(spill.SpilledBytes))
 }
 
 // peakRows is the largest per-span output row count in the tree — the

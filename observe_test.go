@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -101,89 +100,6 @@ func TestExplainAnalyzeTriangle(t *testing.T) {
 	}
 }
 
-// TestResetStatsZeroesAllCounterFamilies walks the unified Stats struct
-// by reflection: after activity in every family and a ResetStats, every
-// counter field must read zero — only the documented present-state
-// gauges may survive.
-func TestResetStatsZeroesAllCounterFamilies(t *testing.T) {
-	eng := NewEngine(WithSharding(1, 4), WithMemoryBudget(512))
-	defer eng.Close()
-	ctx := context.Background()
-	q := MustParse("Q(X,Y,Z) <- E(X,Y), E(Y,Z), E(X,Z).")
-	db := triangleDB(40, 6)
-	for i := 0; i < 3; i++ {
-		if _, _, _, err := eng.EvaluateTraced(ctx, q, db); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Exercise the epoch lifecycle counters too.
-	tx := eng.Begin()
-	if err := tx.Create("W", "1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Add("W", "a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Stats().Epoch.Commits == 0 {
-		t.Fatal("setup failed to bump the epoch counters")
-	}
-	if eng.Stats().Stream.RowsStreamed == 0 || eng.Stats().CacheHits+eng.Stats().CacheMisses == 0 {
-		t.Fatal("setup failed to bump the stream/cache counters")
-	}
-
-	eng.ResetStats()
-	s := eng.Stats()
-
-	// Present-state gauges that survive ResetStats by design.
-	gauges := map[string]bool{
-		"CacheSize":               true,
-		"Shard":                   false, // all counters
-		"Spill.SpilledShards":     true,
-		"Spill.RegisteredBuffers": true,
-		"Spill.BytesOnDisk":       true,
-		"Spill.ResidentBytes":     true,
-		"Spill.PeakResidentBytes": true,
-		"Epoch.LiveEpoch":         true,
-		"Epoch.ActiveEpochs":      true,
-		"Epoch.PinnedReaders":     true,
-		"Epoch.DictLen":           true,
-	}
-	var walk func(prefix string, v reflect.Value)
-	walk = func(prefix string, v reflect.Value) {
-		tp := v.Type()
-		for i := 0; i < tp.NumField(); i++ {
-			name := tp.Field(i).Name
-			if prefix != "" {
-				name = prefix + "." + name
-			}
-			f := v.Field(i)
-			if f.Kind() == reflect.Struct {
-				walk(name, f)
-				continue
-			}
-			if gauges[name] {
-				continue
-			}
-			var n int64
-			switch f.Kind() {
-			case reflect.Int, reflect.Int64:
-				n = f.Int()
-			case reflect.Uint64:
-				n = int64(f.Uint())
-			default:
-				t.Fatalf("unexpected field kind %v at %s", f.Kind(), name)
-			}
-			if n != 0 {
-				t.Errorf("counter %s = %d after ResetStats, want 0", name, n)
-			}
-		}
-	}
-	walk("", reflect.ValueOf(s))
-}
-
 // TestTracedDeltaIsolation runs two traced evaluations concurrently and
 // checks each trace's deltas match a solo baseline: the private-counter
 // snapshot/diff must keep concurrent queries from contaminating each
@@ -202,9 +118,9 @@ func TestTracedDeltaIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRows, ok := base.Delta("stream", "rows_streamed")
+	baseRows, ok := base.Delta("stream", "rows")
 	if !ok || baseRows == 0 {
-		t.Fatalf("baseline rows_streamed = %d/%v", baseRows, ok)
+		t.Fatalf("baseline stream rows = %d/%v", baseRows, ok)
 	}
 
 	// Concurrent: both run the warmed query; each must see exactly the
@@ -229,9 +145,9 @@ func TestTracedDeltaIsolation(t *testing.T) {
 		if tr == nil {
 			t.Fatalf("trace %d missing", i)
 		}
-		rows, _ := tr.Delta("stream", "rows_streamed")
+		rows, _ := tr.Delta("stream", "rows")
 		if rows != baseRows {
-			t.Errorf("trace %d rows_streamed = %d, want the solo %d", i, rows, baseRows)
+			t.Errorf("trace %d stream rows = %d, want the solo %d", i, rows, baseRows)
 		}
 		batches, _ := tr.Delta("stream", "batches")
 		if batches == 0 {
@@ -244,8 +160,8 @@ func TestTracedDeltaIsolation(t *testing.T) {
 		}
 	}
 	// The engine-wide totals still account for every evaluation.
-	if got := eng.Stats().Stream.RowsStreamed; got != baseRows*(workers+2) {
-		t.Errorf("engine rows_streamed = %d, want %d", got, baseRows*(workers+2))
+	if got := metric(t, eng, "stream_rows"); got != baseRows*(workers+2) {
+		t.Errorf("engine stream_rows = %d, want %d", got, baseRows*(workers+2))
 	}
 }
 
@@ -275,30 +191,6 @@ func TestWithTracingFeedsSinks(t *testing.T) {
 	}
 	if rec["strategy"] != "yannakakis" {
 		t.Fatalf("record = %v", rec)
-	}
-}
-
-func TestEngineStatsUnified(t *testing.T) {
-	eng := NewEngine()
-	q := MustParse("Q(X,Z) <- R(X,Y), S(Y,Z).")
-	db := NewDatabase()
-	r := NewRelation("R", "a", "b")
-	r.Add("x", "y")
-	s := NewRelation("S", "a", "b")
-	s.Add("y", "z")
-	db.MustAdd(r)
-	db.MustAdd(s)
-	if _, _, err := eng.Evaluate(context.Background(), q, db); err != nil {
-		t.Fatal(err)
-	}
-	u := eng.Stats()
-	h, m := eng.CacheStats()
-	if u.CacheHits != h || u.CacheMisses != m || u.CacheSize != eng.CacheSize() {
-		t.Fatalf("cache fields diverge: %+v vs %d/%d/%d", u, h, m, eng.CacheSize())
-	}
-	if u.Stream != eng.StreamStats() || u.Shard != eng.ShardStats() ||
-		u.Spill != eng.SpillStats() || u.Epoch != eng.EpochStats() {
-		t.Fatal("unified families diverge from per-family accessors")
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/obs"
 	"cqbound/internal/serve"
 )
@@ -54,14 +54,13 @@ const (
 // governor budget (429 when the queue is full). Server implements
 // http.Handler and is safe for concurrent use.
 type Server struct {
-	e        *Engine
-	admit    *serve.Admission
-	cache    *serve.Cache[*cachedResult]
-	mux      *http.ServeMux
-	timeout  time.Duration
-	cacheOn  bool
-	requests atomic.Int64
-	errors   atomic.Int64
+	e       *Engine
+	admit   *serve.Admission
+	cache   *serve.Cache[*cachedResult]
+	mux     *http.ServeMux
+	timeout time.Duration
+	cacheOn bool
+	counts  *counter.Set
 
 	// obs is the serving-path observability state (serve_obs.go); nil
 	// when the server was built WithoutObservability.
@@ -140,9 +139,9 @@ func WithResultCache(entries int) ServerOption {
 }
 
 // NewServer wraps e in the cqserve HTTP front-end and registers the serve
-// stats family (admission and cache counters) on e.Metrics(). The server
-// holds no goroutines of its own; Close releases any epochs still pinned
-// by snapshot sessions.
+// families (request, admission, result-cache and observability counters
+// and gauges) on e.Metrics(). The server holds no goroutines of its own;
+// Close releases any epochs still pinned by snapshot sessions.
 func NewServer(e *Engine, opts ...ServerOption) *Server {
 	cfg := serverConfig{
 		timeout:   defaultRequestTimeout,
@@ -161,6 +160,7 @@ func NewServer(e *Engine, opts ...ServerOption) *Server {
 		admit:   serve.NewAdmission(cfg.budget, cfg.queue, e.spill),
 		timeout: cfg.timeout,
 		cacheOn: cfg.cacheSize > 0,
+		counts:  serveCounters.NewSet(),
 		snaps:   make(map[uint64]*snapSession),
 	}
 	if s.cacheOn {
@@ -180,13 +180,12 @@ func NewServer(e *Engine, opts ...ServerOption) *Server {
 	s.registerObsRoutes(mux)
 	s.mux = mux
 	s.registerMetrics()
-	s.registerObsMetrics()
 	return s
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
+	s.counts.Add(serveRequests, 1)
 	if s.obs != nil {
 		s.serveObserved(w, r)
 		return
@@ -223,36 +222,24 @@ func (s *Server) Close() {
 	}
 }
 
-// AdmissionStats snapshots the admission controller (also on /metrics as
-// the serve_admission_* gauges).
-func (s *Server) AdmissionStats() serve.AdmissionStats { return s.admit.Stats() }
+// serveCounters is the family of the server's own counters (registry
+// names serve_*).
+var (
+	serveCounters = counter.NewFamily("serve")
+	serveRequests = serveCounters.Counter("requests", "HTTP requests served")
+	serveErrors   = serveCounters.Counter("errors", "requests answered with an error status")
+	serveShed     = serveCounters.Counter("shed", "queries refused with 429 because the admission queue was full")
+	serveClamped  = serveCounters.Counter("clamped", "admission charges clamped to the whole budget")
+	serveGrants   = serveCounters.Counter("grants", "admission grants")
+)
 
-// ResultCacheStats snapshots the result cache (also on /metrics as the
-// serve_cache_* gauges).
-func (s *Server) ResultCacheStats() serve.CacheStats { return s.cache.Stats() }
-
-// registerMetrics adds the serve stats family to the engine's registry.
+// registerMetrics adds the serve families to the engine's registry.
 func (s *Server) registerMetrics() {
 	reg := s.e.Metrics()
-	ag := func(name string, f func(serve.AdmissionStats) int64) {
-		reg.Gauge(name, func() int64 { return f(s.admit.Stats()) })
-	}
-	ag("serve_admission_admitted", func(st serve.AdmissionStats) int64 { return int64(st.Admitted) })
-	ag("serve_admission_rejected", func(st serve.AdmissionStats) int64 { return int64(st.Rejected) })
-	ag("serve_admission_queued", func(st serve.AdmissionStats) int64 { return int64(st.Queued) })
-	ag("serve_admission_queue_timeouts", func(st serve.AdmissionStats) int64 { return int64(st.QueueTimeouts) })
-	ag("serve_admission_waiting", func(st serve.AdmissionStats) int64 { return int64(st.Waiting) })
-	ag("serve_admission_committed_bytes", func(st serve.AdmissionStats) int64 { return st.CommittedBytes })
-	ag("serve_admission_capacity_bytes", func(st serve.AdmissionStats) int64 { return st.Capacity })
-	cg := func(name string, f func(serve.CacheStats) int64) {
-		reg.Gauge(name, func() int64 { return f(s.cache.Stats()) })
-	}
-	cg("serve_cache_hits", func(st serve.CacheStats) int64 { return int64(st.Hits) })
-	cg("serve_cache_misses", func(st serve.CacheStats) int64 { return int64(st.Misses) })
-	cg("serve_cache_invalidations", func(st serve.CacheStats) int64 { return int64(st.Invalidations) })
-	cg("serve_cache_entries", func(st serve.CacheStats) int64 { return int64(st.Entries) })
-	reg.Gauge("serve_requests", s.requests.Load)
-	reg.Gauge("serve_errors", s.errors.Load)
+	reg.Counters(s.counts)
+	s.admit.Register(reg)
+	s.cache.Register(reg)
+	s.registerObsMetrics(reg)
 }
 
 // cachedResult is one query answer, encoded once: its row count (for the
@@ -345,8 +332,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	charge := estBytes(bound, q)
-	rs.SetAdmission(bound, charge, charge > s.admit.Stats().Capacity)
-	rs.SetState("queued", s.admit.Stats().Waiting)
+	clamped := charge > s.admit.Capacity()
+	if clamped {
+		s.counts.Add(serveClamped, 1)
+	}
+	rs.SetAdmission(bound, charge, clamped)
+	rs.SetState("queued", s.admit.Waiting())
 	queuedAt := s.now()
 	ticket, err := s.admit.Admit(ctx, charge)
 	if o := s.obs; o != nil {
@@ -364,6 +355,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer ticket.Release()
+	s.counts.Add(serveGrants, 1)
 	if o := s.obs; o != nil {
 		o.windows.Grants.Add(1)
 	}
@@ -698,7 +690,7 @@ func (s *Server) replyResult(w http.ResponseWriter, query string, epoch uint64, 
 		_, err = w.Write(meta[split:])
 	}
 	if err != nil {
-		s.errors.Add(1)
+		s.counts.Add(serveErrors, 1)
 	}
 }
 
@@ -707,7 +699,7 @@ func (s *Server) reply(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.errors.Add(1)
+		s.counts.Add(serveErrors, 1)
 	}
 }
 
@@ -716,7 +708,10 @@ func (s *Server) reply(w http.ResponseWriter, status int, v any) {
 // 429 or 503 can quote the same ID the access log and traces recorded;
 // the request's access-log outcome is derived from the status.
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	s.errors.Add(1)
+	s.counts.Add(serveErrors, 1)
+	if status == http.StatusTooManyRequests {
+		s.counts.Add(serveShed, 1)
+	}
 	body := map[string]string{"error": fmt.Sprintf(format, args...)}
 	rs := obs.RequestFrom(r.Context())
 	if id := rs.ID(); id != "" {

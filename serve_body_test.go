@@ -214,8 +214,8 @@ func TestQueryHitBytesIndependentOfRows(t *testing.T) {
 			c.serve()
 		}
 		runtime.ReadMemStats(&after)
-		if st := c.srv.ResultCacheStats(); st.Hits != runs {
-			t.Fatalf("|A| = %d: %d cache hits, want %d", n, st.Hits, runs)
+		if hits := metric(t, c.srv.e, "serve_cache_hits"); hits != runs {
+			t.Fatalf("|A| = %d: %d cache hits, want %d", n, hits, runs)
 		}
 		return (after.TotalAlloc - before.TotalAlloc) / runs
 	}

@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 
 	"cqbound/internal/obs"
@@ -131,7 +130,7 @@ func (s *Server) retryAfterSeconds() int {
 		return 1
 	}
 	return obs.RetryAfterSeconds(
-		s.admit.Stats().Waiting+1,
+		s.admit.Waiting()+1,
 		s.obs.windows.Grants.Rate(time.Minute),
 	)
 }
@@ -157,61 +156,6 @@ func (s *Server) recordCalibration(strategy, shape string, bound, estimate float
 		return
 	}
 	s.obs.calib.Record(strategy, shape, bound, estimate, float64(actualRows))
-}
-
-// ObsStats is the serving-path observability counter family, reset by
-// Server.ResetStats. InflightNow is a gauge (current depth, not a
-// counter) — the reset test exempts it.
-type ObsStats struct {
-	Requests           int64 // requests through the middleware
-	Shed               int64 // 429 responses
-	Clamped            int64 // admission charges clamped to capacity
-	Grants             int64 // admission grants (drain-rate numerator)
-	CacheHits          int64 // result-cache hits
-	CacheMisses        int64 // result-cache misses
-	LatencySamples     int64 // latency observations
-	QueueWaitSamples   int64 // queue-wait observations
-	CalibrationRecords int64 // calibration evaluations recorded
-	AccessLogged       int64 // access-log lines written
-	AccessDropped      int64 // access-log lines sampled away
-	InflightNow        int64 // requests in flight right now (gauge)
-}
-
-// ObsStats snapshots the observability counters (zeroes when the server
-// was built WithoutObservability).
-func (s *Server) ObsStats() ObsStats {
-	o := s.obs
-	if o == nil {
-		return ObsStats{}
-	}
-	return ObsStats{
-		Requests:           o.windows.Requests.Total(),
-		Shed:               o.windows.Shed.Total(),
-		Clamped:            o.windows.Clamped.Total(),
-		Grants:             o.windows.Grants.Total(),
-		CacheHits:          o.windows.CacheHits.Total(),
-		CacheMisses:        o.windows.CacheMisses.Total(),
-		LatencySamples:     o.windows.Latency.TotalCount(),
-		QueueWaitSamples:   o.windows.QueueWait.TotalCount(),
-		CalibrationRecords: o.calib.Records(),
-		AccessLogged:       o.access.Logged(),
-		AccessDropped:      o.access.Dropped(),
-		InflightNow:        int64(o.inflight.Len()),
-	}
-}
-
-// ResetStats zeroes the serving-path observability counters: the rolling
-// windows, the calibration cells, and the access-log counters. The
-// engine's own families reset through Engine.ResetStats; the two compose
-// for a clean measurement interval.
-func (s *Server) ResetStats() {
-	o := s.obs
-	if o == nil {
-		return
-	}
-	o.windows.Reset()
-	o.calib.Reset()
-	o.access.Reset()
 }
 
 // registerObsRoutes adds the introspection endpoints. /healthz and
@@ -292,57 +236,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteProm(w, s.promFamilies())
 }
 
-// counterSuffixes classifies registry names for the Prometheus TYPE
-// line: cumulative families (never decreasing between resets) render as
-// counters, point-in-time values as gauges. The registry itself does not
-// distinguish — everything is a sampled callback — so classification is
-// by the naming convention the engine families follow.
-var counterSuffixes = []string{
-	"_hits", "_misses", "_admitted", "_rejected", "_queued", "_timeouts",
-	"_invalidations", "_evictions", "_reloads", "_requests", "_errors",
-	"_splits", "_spills", "_commits", "_aborts", "_retired", "_total",
-}
-
-func promTypeFor(name string) obs.MetricType {
-	for _, suf := range counterSuffixes {
-		if strings.HasSuffix(name, suf) {
-			return obs.TypeCounter
-		}
-	}
-	return obs.TypeGauge
-}
-
 // promWindows is the pair of rolling windows the exposition renders.
 var promWindows = []time.Duration{time.Minute, 5 * time.Minute}
 
 // promFamilies assembles the full Prometheus exposition: every registry
-// gauge and histogram, the rolling-window serve families (labeled by
-// window), the in-flight gauge, and the calibration histograms (labeled
-// by strategy and query shape).
+// entry, typed by its declared kind, the rolling-window serve families
+// (labeled by window), and the calibration histograms (labeled by
+// strategy and query shape).
 func (s *Server) promFamilies() []obs.Family {
 	reg := s.e.Metrics()
 	var fams []obs.Family
-	for _, name := range reg.Names() {
-		if v, ok := reg.GaugeValue(name); ok {
-			fams = append(fams, obs.Family{
-				Name: obs.SanitizeName(name),
-				Help: "engine registry metric " + name,
-				Type: promTypeFor(name),
-				Samples: []obs.Sample{
-					{Value: float64(v)},
-				},
-			})
-			continue
-		}
-		if h := reg.Histogram(name); h != nil {
+	for _, e := range reg.Entries() {
+		f := obs.Family{Name: obs.SanitizeName(e.Name), Help: e.Help, Type: obs.MetricType(e.Kind.String())}
+		if h := reg.Histogram(e.Name); h != nil {
 			buckets, sum, count := h.Buckets()
-			fams = append(fams, obs.Family{
-				Name:    obs.SanitizeName(name),
-				Help:    "engine registry histogram " + name,
-				Type:    obs.TypeHistogram,
-				Samples: []obs.Sample{{Hist: obs.Pow2Hist(buckets, sum, count)}},
-			})
+			f.Samples = []obs.Sample{{Hist: obs.Pow2Hist(buckets, sum, count)}}
+		} else {
+			v, _ := reg.Value(e.Name)
+			f.Samples = []obs.Sample{{Value: float64(v)}}
 		}
+		fams = append(fams, f)
 	}
 	if s.obs == nil {
 		return fams
@@ -388,34 +301,28 @@ func (s *Server) promFamilies() []obs.Family {
 	fams = append(fams,
 		summary("serve_window_latency_ns", "request latency over the rolling window", s.obs.windows.Latency),
 		summary("serve_window_queue_wait_ns", "admission queue wait over the rolling window", s.obs.windows.QueueWait),
-		obs.Family{
-			Name: "serve_inflight", Help: "requests in flight right now", Type: obs.TypeGauge,
-			Samples: []obs.Sample{{Value: float64(s.obs.inflight.Len())}},
-		},
 	)
 	return append(fams, s.obs.calib.PromFamilies()...)
 }
 
 // registerObsMetrics adds the observability families to the engine's
 // registry so the JSON /metrics view and MetricsSnapshot carry them too.
-func (s *Server) registerObsMetrics() {
+func (s *Server) registerObsMetrics(reg *MetricsRegistry) {
 	o := s.obs
 	if o == nil {
 		return
 	}
-	reg := s.e.Metrics()
-	reg.Gauge("serve_inflight", func() int64 { return int64(o.inflight.Len()) })
-	reg.Gauge("serve_shed", o.windows.Shed.Total)
-	reg.Gauge("serve_clamped", o.windows.Clamped.Total)
-	reg.Gauge("serve_grants", o.windows.Grants.Total)
-	reg.Gauge("serve_requests_1m", func() int64 { return o.windows.Requests.Sum(time.Minute) })
-	reg.Gauge("serve_shed_1m", func() int64 { return o.windows.Shed.Sum(time.Minute) })
-	reg.Gauge("serve_latency_p99_ns_1m", func() int64 { return o.windows.Latency.Window(time.Minute).P99 })
-	reg.Gauge("serve_queue_wait_p99_ns_1m", func() int64 { return o.windows.QueueWait.Window(time.Minute).P99 })
-	reg.Gauge("serve_access_logged", o.access.Logged)
-	reg.Gauge("serve_access_dropped", o.access.Dropped)
-	reg.Gauge("calibration_records", o.calib.Records)
-	reg.Gauge("calibration_cells", func() int64 { return int64(o.calib.Cells()) })
+	reg.Gauge("serve_inflight", "requests in flight now", func() int64 { return int64(o.inflight.Len()) })
+	reg.Gauge("serve_requests_1m", "requests over the last minute",
+		func() int64 { return o.windows.Requests.Sum(time.Minute) })
+	reg.Gauge("serve_shed_1m", "429 sheds over the last minute", func() int64 { return o.windows.Shed.Sum(time.Minute) })
+	reg.Gauge("serve_latency_p99_ns_1m", "request latency p99 over the last minute",
+		func() int64 { return o.windows.Latency.Window(time.Minute).P99 })
+	reg.Gauge("serve_queue_wait_p99_ns_1m", "admission queue wait p99 over the last minute",
+		func() int64 { return o.windows.QueueWait.Window(time.Minute).P99 })
+	reg.Counters(o.access.Counters())
+	reg.Counters(o.calib.Counters())
+	reg.Gauge("calibration_cells", "(strategy, shape) calibration cells", func() int64 { return int64(o.calib.Cells()) })
 }
 
 // WindowSnapshots returns the rolling 1m and 5m serving-path snapshots —

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"cqbound/internal/database"
+	"cqbound/internal/metrics/counter"
 	"cqbound/internal/relation"
 	"cqbound/internal/shard"
 )
@@ -336,7 +337,7 @@ func (t *Txn) Commit() (uint64, error) {
 			final, _ := nr.Extend(dedupAdds(m, nr.Size(), t.adds[name]))
 			replace[name] = final
 			e.dedup[name] = m
-			e.rebuiltRels.Add(1)
+			e.epoch.Add(rebuiltRelations, 1)
 			continue
 		}
 		newAdds := dedupAdds(m, br.Size(), t.adds[name])
@@ -350,7 +351,7 @@ func (t *Txn) Commit() (uint64, error) {
 		next, _ := br.Extend(newAdds)
 		inc := br.ExtendMemos(next)
 		inc += shard.ExtendPartitions(br, next, e.spill)
-		e.incMemos.Add(int64(inc))
+		e.epoch.Add(incrementalMemos, int64(inc))
 		replace[name] = next
 		e.dedup[name] = m
 	}
@@ -391,7 +392,7 @@ func (e *Engine) publish(epoch uint64, db *database.Database) {
 		e.epochs[i].retired = true
 	}
 	e.epochMu.Unlock()
-	e.commits.Add(1)
+	e.epoch.Add(commits, 1)
 	e.sweep()
 }
 
@@ -438,11 +439,11 @@ func (e *Engine) sweep() {
 			if reachable[b] {
 				continue
 			}
-			e.sweptBufs.Add(1)
-			e.sweptBytes.Add(b.Bytes())
+			e.epoch.Add(sweptBuffers, 1)
+			e.epoch.Add(sweptBytes, b.Bytes())
 			b.Discard()
 		}
-		e.retiredEps.Add(1)
+		e.epoch.Add(retiredEpochs, 1)
 		e.prunePlans(st.epoch)
 	}
 }
@@ -541,58 +542,20 @@ func (e *Engine) Compact() (uint64, error) {
 	e.dict.Store(nd)
 	// Writer dedup maps key on packed IDs; the rewrite invalidated them.
 	e.dedup = make(map[string]relation.Dedup)
-	e.compactions.Add(1)
+	e.epoch.Add(compactions, 1)
 	e.publish(nextEpoch, fresh.Next(nextEpoch, nil))
 	return nextEpoch, nil
 }
 
-// EpochStats is a point-in-time copy of the engine's transactional-store
-// state and lifecycle counters.
-type EpochStats struct {
-	// LiveEpoch is the most recently committed epoch number; ActiveEpochs
-	// counts epochs not yet reclaimed (the live one, plus any still pinned),
-	// and PinnedReaders sums their pins.
-	LiveEpoch     uint64
-	ActiveEpochs  int
-	PinnedReaders int64
-	// Commits counts published batches (Compact included); RetiredEpochs
-	// counts epochs fully reclaimed by the sweep.
-	Commits       int64
-	RetiredEpochs int64
-	// SweptBuffers / SweptBytes total the governed buffers (and their
-	// bytes) the retirement sweep discarded from the spill governor.
-	SweptBuffers int64
-	SweptBytes   int64
-	// IncrementalMemos counts memoized indexes, statistics and partitions
-	// derived from a base version instead of rebuilt; RebuiltRelations
-	// counts retraction-path chain rebuilds.
-	IncrementalMemos int64
-	RebuiltRelations int64
-	// Compactions counts dictionary compactions; DictLen is the engine
-	// dictionary's current entry count.
-	Compactions int64
-	DictLen     int
-}
-
-// EpochStats reports the transactional store's current state and what the
-// epoch lifecycle has done since the engine was built.
-func (e *Engine) EpochStats() EpochStats {
-	s := EpochStats{
-		Commits:          e.commits.Load(),
-		RetiredEpochs:    e.retiredEps.Load(),
-		SweptBuffers:     e.sweptBufs.Load(),
-		SweptBytes:       e.sweptBytes.Load(),
-		IncrementalMemos: e.incMemos.Load(),
-		RebuiltRelations: e.rebuiltRels.Load(),
-		Compactions:      e.compactions.Load(),
-		DictLen:          e.dict.Load().Len(),
-	}
-	e.epochMu.Lock()
-	s.LiveEpoch = e.live.epoch
-	s.ActiveEpochs = len(e.epochs)
-	for _, st := range e.epochs {
-		s.PinnedReaders += st.pins.Load()
-	}
-	e.epochMu.Unlock()
-	return s
-}
+// epochCounters is the family of the epoch lifecycle's counters
+// (registry names epoch_*).
+var (
+	epochCounters    = counter.NewFamily("epoch")
+	commits          = epochCounters.Counter("commits", "published batches, Compact included")
+	retiredEpochs    = epochCounters.Counter("retired", "epochs fully reclaimed by the retirement sweep")
+	sweptBuffers     = epochCounters.Counter("swept_buffers", "governed buffers the retirement sweep discarded")
+	sweptBytes       = epochCounters.Counter("swept_bytes", "bytes of the buffers the retirement sweep discarded")
+	incrementalMemos = epochCounters.Counter("incremental_memos", "memos derived from a base version instead of rebuilt")
+	rebuiltRelations = epochCounters.Counter("rebuilt_relations", "retraction-path chain rebuilds")
+	compactions      = epochCounters.Counter("compactions", "dictionary compactions")
+)

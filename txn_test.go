@@ -100,12 +100,12 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 
 	// The retired-but-pinned epoch counts as active until its pin drains.
-	if st := eng.EpochStats(); st.ActiveEpochs != 2 || st.PinnedReaders != 2 {
-		t.Fatalf("stats = %d active / %d pinned, want 2/2", st.ActiveEpochs, st.PinnedReaders)
+	if active, pinned := metric(t, eng, "epoch_active"), metric(t, eng, "epoch_pinned_readers"); active != 2 || pinned != 2 {
+		t.Fatalf("stats = %d active / %d pinned, want 2/2", active, pinned)
 	}
 	old.Close()
-	if st := eng.EpochStats(); st.ActiveEpochs != 1 {
-		t.Fatalf("%d epochs active after the old pin drained, want 1", st.ActiveEpochs)
+	if active := metric(t, eng, "epoch_active"); active != 1 {
+		t.Fatalf("%d epochs active after the old pin drained, want 1", active)
 	}
 }
 
@@ -136,8 +136,8 @@ func TestTxnRetract(t *testing.T) {
 	if has("n0", "n1") || !has("n1", "n2") || !has("n2", "n3") {
 		t.Fatalf("wrong surviving rows: %s", r.String())
 	}
-	if st := eng.EpochStats(); st.RebuiltRelations != 1 {
-		t.Fatalf("retraction rebuilt %d relations, want 1", st.RebuiltRelations)
+	if n := metric(t, eng, "epoch_rebuilt_relations"); n != 1 {
+		t.Fatalf("retraction rebuilt %d relations, want 1", n)
 	}
 
 	// Retracting an absent tuple (and a never-interned string) is a no-op
@@ -218,11 +218,11 @@ func TestEpochSweepReclaimsGovernorBuffers(t *testing.T) {
 		t.Fatalf("chain of 64 edges has %d length-2 paths, want 63", got)
 	}
 	snap.Close()
-	st1 := eng.SpillStats()
-	if st1.RegisteredBuffers == 0 {
+	registered1 := metric(t, eng, "spill_registered_buffers")
+	if registered1 == 0 {
 		t.Fatal("no governed partition memos after a sharded evaluation")
 	}
-	if st1.BytesOnDisk == 0 {
+	if metric(t, eng, "spill_bytes_on_disk") == 0 {
 		t.Fatal("a 256-byte budget parked nothing — the disk path is untested")
 	}
 
@@ -241,16 +241,14 @@ func TestEpochSweepReclaimsGovernorBuffers(t *testing.T) {
 		evalSize(t, eng, q, snap.DB())
 		snap.Close()
 	}
-	st2 := eng.SpillStats()
-	if st2.RegisteredBuffers != st1.RegisteredBuffers {
+	if registered2 := metric(t, eng, "spill_registered_buffers"); registered2 != registered1 {
 		t.Fatalf("registry grew across commits: %d buffers, baseline %d — orphaned memo shards leaked",
-			st2.RegisteredBuffers, st1.RegisteredBuffers)
+			registered2, registered1)
 	}
-	es := eng.EpochStats()
-	if es.SweptBuffers == 0 {
+	if metric(t, eng, "epoch_swept_buffers") == 0 {
 		t.Fatal("sweep discarded nothing despite replaced shards")
 	}
-	if es.IncrementalMemos == 0 {
+	if metric(t, eng, "epoch_incremental_memos") == 0 {
 		t.Fatal("appends derived no memos incrementally")
 	}
 
@@ -272,12 +270,11 @@ func TestEpochSweepReclaimsGovernorBuffers(t *testing.T) {
 		t.Fatalf("retract-all left %d result rows", got)
 	}
 	snap.Close()
-	st3 := eng.SpillStats()
-	if st3.RegisteredBuffers != 0 {
-		t.Fatalf("%d buffers still registered after retract-all", st3.RegisteredBuffers)
+	if n := metric(t, eng, "spill_registered_buffers"); n != 0 {
+		t.Fatalf("%d buffers still registered after retract-all", n)
 	}
-	if st3.BytesOnDisk != 0 {
-		t.Fatalf("%d bytes still on disk after retract-all", st3.BytesOnDisk)
+	if n := metric(t, eng, "spill_bytes_on_disk"); n != 0 {
+		t.Fatalf("%d bytes still on disk after retract-all", n)
 	}
 }
 
@@ -434,14 +431,14 @@ func TestCompactShrinksDict(t *testing.T) {
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.EpochStats().DictLen; got != 101 {
+	if got := metric(t, eng, "epoch_dict_len"); got != 101 {
 		t.Fatalf("dict holds %d strings before compaction, want 101", got)
 	}
 
 	if _, err := eng.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.EpochStats().DictLen; got != 1 {
+	if got := metric(t, eng, "epoch_dict_len"); got != 1 {
 		t.Fatalf("dict holds %d strings after compaction, want 1", got)
 	}
 
@@ -489,7 +486,7 @@ func TestCompactShrinksDict(t *testing.T) {
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.EpochStats().DictLen; got != 2 {
+	if got := metric(t, eng, "epoch_dict_len"); got != 2 {
 		t.Fatalf("dict holds %d strings after post-compaction ingest, want 2", got)
 	}
 }
@@ -507,9 +504,9 @@ func TestUnpinnedEpochRetiresAtNextCommit(t *testing.T) {
 		if _, err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		st := eng.EpochStats()
-		if st.ActiveEpochs != 1 || st.RetiredEpochs != int64(i+1) {
-			t.Fatalf("after commit %d: %d epochs active, %d retired; want 1, %d", i+1, st.ActiveEpochs, st.RetiredEpochs, i+1)
+		active, retired := metric(t, eng, "epoch_active"), metric(t, eng, "epoch_retired")
+		if active != 1 || retired != int64(i+1) {
+			t.Fatalf("after commit %d: %d epochs active, %d retired; want 1, %d", i+1, active, retired, i+1)
 		}
 	}
 	if got := eng.LiveEpoch(); got != 6 {
