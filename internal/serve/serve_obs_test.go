@@ -2,7 +2,7 @@
 // (ARCHITECTURE §12) over real HTTP: request-ID correlation across the
 // access log, slow-query log, rendered trace and error bodies; the
 // introspection endpoints; the Prometheus exposition; the windowed
-// Retry-After hint on 429s.
+// Retry-After hint on 429s; and the serve counters' reset contract.
 package serve_test
 
 import (
@@ -21,6 +21,7 @@ import (
 
 	cqbound "cqbound"
 	"cqbound/internal/datagen"
+	"cqbound/internal/metrics"
 	"cqbound/internal/obs"
 )
 
@@ -332,5 +333,70 @@ func TestRetryAfterWindowed(t *testing.T) {
 	}
 	if s.metric(t, "serve_shed") == 0 {
 		t.Fatalf("serve_shed = 0 after %d rejections", rejected)
+	}
+}
+
+// TestObsStatsReset is the serving path's reset contract: after traffic
+// the serve and calibration counters are live, and Engine.ResetStats
+// zeroes every one of them while their gauges (in-flight depth, the
+// rolling-window reads, the calibration cell count) keep their values.
+// The walk is over the registry, so a serve counter added later is
+// covered without editing this test.
+func TestObsStatsReset(t *testing.T) {
+	var accessLog syncBuf
+	s := newTestSrv(t, nil, []cqbound.ServerOption{cqbound.WithAccessLog(&accessLog, 2)})
+	loadTriangle(t, s)
+
+	queries := []string{
+		"Q(X,Y,Z) <- E(X,Y), F(Y,Z), G(Z,X).",
+		"Q(X,Y) <- E(X,Y).",
+		"Q(X,Z) <- E(X,Y), F(Y,Z).",
+		"Q(X,Y) <- E(X,Y).", // repeat: cache hit
+	}
+	for _, q := range queries {
+		if _, code := s.query(t, q, "", false); code != http.StatusOK {
+			t.Fatalf("query %q status %d", q, code)
+		}
+	}
+	// The serve counters a reset has always zeroed; the rolling windows'
+	// sample counts are not registry entries.
+	resettable := []string{
+		"serve_requests", "serve_shed", "serve_clamped", "serve_grants",
+		"serve_cache_hits", "serve_cache_misses", "calibration_records",
+		"serve_access_logged", "serve_access_dropped",
+	}
+	for _, name := range []string{
+		"serve_requests", "serve_grants", "serve_cache_hits", "serve_cache_misses",
+		"calibration_records", "serve_access_logged",
+	} {
+		if s.metric(t, name) == 0 {
+			t.Fatalf("%s = 0 after traffic", name)
+		}
+	}
+
+	before := s.eng.MetricsSnapshot()
+	s.eng.ResetStats()
+	after := s.eng.MetricsSnapshot()
+	kinds := map[string]metrics.Kind{}
+	for _, e := range s.eng.Metrics().Entries() {
+		if !strings.HasPrefix(e.Name, "serve_") && !strings.HasPrefix(e.Name, "calibration_") {
+			continue
+		}
+		kinds[e.Name] = e.Kind
+		switch e.Kind {
+		case metrics.KindCounter:
+			if after[e.Name] != int64(0) {
+				t.Errorf("%s = %v after ResetStats, want 0", e.Name, after[e.Name])
+			}
+		case metrics.KindGauge:
+			if after[e.Name] != before[e.Name] {
+				t.Errorf("gauge %s changed on ResetStats: %v -> %v", e.Name, before[e.Name], after[e.Name])
+			}
+		}
+	}
+	for _, name := range resettable {
+		if k, ok := kinds[name]; !ok || k != metrics.KindCounter {
+			t.Errorf("%s is not a registry counter (kind %v, present %v)", name, k, ok)
+		}
 	}
 }
