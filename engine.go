@@ -231,9 +231,8 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	// The executors' configuration rides on shard.Options (the pipelines
 	// are per-shard), so an engine without WithSharding gets a single-shard
-	// options block carrying the governor and counters. Batch size and the
-	// skew-split trigger stay at the executors' defaults (batch.DefaultSize
-	// rows; a shard over 0.25 of its side's rows splits). Such an engine
+	// options block carrying the governor and counters. Batch size stays
+	// at the executors' default (batch.DefaultSize rows). Such an engine
 	// counts no routing decisions: its shard_* counters stay zero.
 	if e.sharding == nil {
 		e.sharding = &shard.Options{Shards: 1, Spill: e.spill}

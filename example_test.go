@@ -116,33 +116,6 @@ func ExampleWithSharding() {
 	// sharded: 50 tuples; identical: true
 }
 
-// ExampleWithSharding_skew shows the hot-shard trigger: here every row of
-// R carries the same join value, so hash partitioning would serialize the
-// whole join into one shard. A shard holding over a quarter of its side's
-// rows is split into row blocks instead, and shard_skew_splits counts it.
-func ExampleWithSharding_skew() {
-	q := cqbound.MustParse("Q(X,Z) <- R(X,Y), S(Y,Z).")
-	db := cqbound.NewDatabase()
-	r := cqbound.NewRelation("R", "a", "b")
-	s := cqbound.NewRelation("S", "a", "b")
-	for i := 0; i < 200; i++ {
-		r.Add(fmt.Sprintf("x%d", i), "hub") // one dominant join value
-	}
-	s.Add("hub", "z")
-	db.MustAdd(r)
-	db.MustAdd(s)
-
-	eng := cqbound.NewEngine(cqbound.WithSharding(0, 4))
-	out, _, err := eng.Evaluate(context.Background(), q, db)
-	if err != nil {
-		panic(err)
-	}
-	snap := eng.MetricsSnapshot()
-	fmt.Println(out.Size(), "tuples; hot shards split:", snap["shard_skew_splits"].(int64) > 0)
-	// Output:
-	// 200 tuples; hot shards split: true
-}
-
 // ExampleEngine_MetricsSnapshot reads counters from the registry, the one
 // place every counter lives: the plan cache misses on a query text's first
 // evaluation and hits on repeats, and the exchange-routing counters show

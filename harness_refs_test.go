@@ -15,10 +15,13 @@ import (
 // deletedHarnessRef matches the command-line modes and checked-in records of
 // the timing harness that bench/ replaced, the Engine options, root
 // evaluation shortcuts and dictionary parking that no command or benchmark
-// workload used, and the hand-written stats families, getters and helpers
-// the metric registry replaced.
+// workload used, the hand-written stats families, getters and helpers the
+// metric registry replaced, and the hot-shard skew splitting (its trigger,
+// tee, merges, span kind and example) that a part's single probe chain
+// replaced.
 var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|ingestbench|tracebench)|BENCH_[a-z_]+\.json|` +
 	`\b(WithDictSpill|WithSkewSplitting|WithBatchSize|WithEpochRetention|WithSlowQueryThreshold|` +
+	`SkewFraction|NewBuffered|batch\.(Grow|Fan)|KindSkew|ExampleWithSharding_skew|` +
 	`EvaluateYannakakis|EvaluateGenericJoin|ChoosePlan|ExecutePlan|Dict\.Park|` +
 	`ShardStats|StreamStats|SpillStats|EpochStats|EngineStats|CacheStats|AdmissionStats|ResultCacheStats|ObsStats|` +
 	`ResetCounters|epochCounterSnapshot|tracedOptions|tracedPrivate|tracedDeltas|counterSuffixes|promTypeFor|` +
@@ -67,6 +70,45 @@ func TestNoDeletedHarnessReferences(t *testing.T) {
 				t.Errorf("%s:%d: refers to a deleted harness mode or entry point (%s)", path, i+1, m)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGoroutinesStartOnlyInPool keeps goroutine spawning in one
+// supervised place: a go statement in a non-test file outside bench/ is
+// allowed only in internal/pool, whose Run recovers a worker's panic and
+// raises it on the caller, and in the commands under cmd/, which own their
+// servers and load generators. Anything else that needs parallel work
+// calls pool.Run.
+func TestGoroutinesStartOnlyInPool(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch path {
+			case "bench", "cmd", ".git", ".bench_build", filepath.Join("internal", "pool"):
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement outside internal/pool and cmd/: run the work through pool.Run", fset.Position(g.Pos()))
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {

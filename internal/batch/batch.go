@@ -1,9 +1,9 @@
 package batch
 
 // Column batches, the iterator contract, and the single-input pipeline
-// stages (scan, join probe, semijoin, projection, materialize, buffered
-// replay). The multi-input exchange and the skew-growing merge live in
-// exchange.go; package documentation in doc.go.
+// stages (scan, join probe, semijoin, projection, materialize). The
+// multi-input exchange lives in exchange.go; package documentation in
+// doc.go.
 
 import (
 	"context"
@@ -625,154 +625,4 @@ func Materialize(ctx context.Context, it Iterator, name string, govern func(*rel
 		govern(out)
 	}
 	return out, nil
-}
-
-// Buffered tees a pipeline into governed chunk relations as it is pulled:
-// batches pass through unchanged while their rows are copied into chunks of
-// chunkRows rows, each sealed chunk registering with the spill governor (via
-// the govern callback) as it fills — a rewindable input pays its residency
-// incrementally instead of on first replay. After the source is exhausted,
-// Rewind replays the recorded rows.
-type Buffered struct {
-	src    Iterator
-	name   string
-	size   int
-	chunk  int
-	govern func(*relation.Relation)
-	m      *counter.Set
-
-	chunks  []*relation.Relation
-	open    block // the chunk being filled, chunk rows long
-	done    bool
-	drained chan struct{}
-}
-
-// bufferedChunkRows returns the rows per sealed chunk for a batch size:
-// at least one batch, at least 1024 rows, so tiny batch sizes don't pay a
-// governor registration per handful of rows.
-func bufferedChunkRows(size int) int {
-	if size < 1024 {
-		return 1024
-	}
-	return size
-}
-
-// NewBuffered wraps src. govern (nil ok) is applied to every sealed chunk.
-func NewBuffered(src Iterator, name string, size int, govern func(*relation.Relation), m *counter.Set) *Buffered {
-	size = sizeOr(size)
-	return &Buffered{src: src, name: name, size: size, chunk: bufferedChunkRows(size), govern: govern, m: m, drained: make(chan struct{})}
-}
-
-// Attrs returns the source's schema.
-func (b *Buffered) Attrs() []string { return b.src.Attrs() }
-
-// Next pulls from the source, records the batch, and passes it through.
-func (b *Buffered) Next(ctx context.Context) (*Batch, error) {
-	bt, err := b.src.Next(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if bt == nil {
-		b.finish()
-		return nil, nil
-	}
-	for i := 0; i < bt.N; {
-		if b.open.cols == nil {
-			b.open = newBlock(len(bt.Cols), b.chunk)
-		}
-		i += b.open.put(bt, i)
-		if b.open.n == b.chunk {
-			b.seal()
-		}
-	}
-	return bt, nil
-}
-
-// seal converts the open chunk's rows into a governed chunk relation.
-func (b *Buffered) seal() {
-	n := b.open.n
-	if n == 0 {
-		return
-	}
-	r := relation.NewFromColumns(b.name, b.src.Attrs(), window(b.open.cols, 0, n))
-	materialized(b.m, n, len(b.open.cols))
-	if b.govern != nil {
-		b.govern(r)
-	}
-	b.chunks = append(b.chunks, r)
-	b.open = block{}
-}
-
-// finish seals the trailing partial chunk at end of stream and releases
-// any replay iterators waiting on the drain.
-func (b *Buffered) finish() {
-	if !b.done {
-		b.done = true
-		b.seal()
-		close(b.drained)
-	}
-}
-
-// Drain pulls the source to end of stream, recording everything.
-func (b *Buffered) Drain(ctx context.Context) error {
-	for !b.done {
-		if _, err := b.Next(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Rewind returns an iterator replaying the recorded rows from the governed
-// chunks. The replay's first Next blocks until the source has been drained
-// to end of stream (Drain, or Next until nil) — a partial replay would
-// silently drop the source's tail — so replay iterators may be handed to
-// concurrent consumers while another goroutine is still pulling the tee,
-// as long as that goroutine is guaranteed to finish. Each call returns an
-// independent replay; replays of one Buffered may run concurrently.
-func (b *Buffered) Rewind() Iterator {
-	return &replayIter{b: b, size: b.size}
-}
-
-type replayIter struct {
-	b     *Buffered
-	size  int
-	chunk int
-	pos   int
-	out   Batch
-}
-
-func (r *replayIter) Attrs() []string { return r.b.src.Attrs() }
-
-func (r *replayIter) Next(ctx context.Context) (*Batch, error) {
-	select {
-	case <-r.b.drained:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	for r.chunk < len(r.b.chunks) {
-		c := r.b.chunks[r.chunk]
-		n := c.Size() - r.pos
-		if n <= 0 {
-			r.chunk++
-			r.pos = 0
-			continue
-		}
-		if n > r.size {
-			n = r.size
-		}
-		if r.out.Cols == nil {
-			r.out.Cols = make([][]relation.Value, c.Arity())
-		}
-		c.Pin()
-		for i := range r.out.Cols {
-			r.out.Cols[i] = c.Column(i)[r.pos : r.pos+n]
-		}
-		c.Unpin()
-		r.out.N = n
-		r.pos += n
-		emitted(r.b.m, n, c.Arity())
-		return &r.out, nil
-	}
-	return nil, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -471,7 +470,7 @@ func TestExchangeAllocsProportionalToRows(t *testing.T) {
 	for _, width := range []int{2, 4} {
 		r := seqRel(width, rows, false)
 		got := allocBytes(5, func() {
-			ex := batch.NewExchange([]batch.Iterator{batch.Scan(r, 0, nil)}, r.Attrs, 0, p, 0, 0, nil, nil, nil)
+			ex := batch.NewExchange([]batch.Iterator{batch.Scan(r, 0, nil)}, r.Attrs, 0, p, 0, nil, nil, nil)
 			for k := 0; k < p; k++ {
 				drain(t, ex.Part(k))
 			}
@@ -481,69 +480,6 @@ func TestExchangeAllocsProportionalToRows(t *testing.T) {
 		if limit := 2*out + openChunks + headerSlack; got > limit {
 			t.Errorf("width %d: exchange allocated %.0f bytes for %.0f bytes of columns, over %.0f", width, got, out, limit)
 		}
-	}
-}
-
-func TestBufferedTeeAndReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	r := randomRel(rng, "R", []string{"a", "b"}, 3000, 500)
-	for _, size := range testSizes {
-		var governed atomic.Int64
-		buf := batch.NewBuffered(batch.Scan(r, size, nil), "buf", size,
-			func(*relation.Relation) { governed.Add(1) }, nil)
-		// The tee passes the stream through unchanged...
-		through := mustMaterialize(t, buf, "through")
-		if !relation.Equal(through, r) {
-			t.Fatalf("size %d: tee altered the stream", size)
-		}
-		// ...registering chunks with the governor as they seal, not in one
-		// final lump.
-		if governed.Load() < 2 {
-			t.Fatalf("size %d: %d rows sealed into %d governed chunks, want incremental chunks", size, r.Size(), governed.Load())
-		}
-		// Replays are independent and may run concurrently.
-		var wg sync.WaitGroup
-		for i := 0; i < 3; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				replay, err := batch.Materialize(context.Background(), buf.Rewind(), "replay", nil, nil)
-				if err != nil || !relation.Equal(replay, r) {
-					t.Errorf("size %d: replay diverged (err %v)", size, err)
-				}
-			}()
-		}
-		wg.Wait()
-		// Draining an already drained tee is a no-op, and a replay started
-		// after it still sees every row.
-		if err := buf.Drain(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if replay := mustMaterialize(t, buf.Rewind(), "replay"); !relation.Equal(replay, r) {
-			t.Fatalf("size %d: replay after the drain saw %d rows, want %d", size, replay.Size(), r.Size())
-		}
-	}
-}
-
-// TestBufferedReplayWaitsForDrain pins the blocking contract: a replay
-// started before the tee finishes must deliver the full stream, not a
-// prefix.
-func TestBufferedReplayWaitsForDrain(t *testing.T) {
-	r := randomRel(rand.New(rand.NewSource(8)), "R", []string{"a"}, 2048, 10_000)
-	buf := batch.NewBuffered(batch.Scan(r, 64, nil), "buf", 64, nil, nil)
-	done := make(chan *relation.Relation, 1)
-	go func() {
-		replay, err := batch.Materialize(context.Background(), buf.Rewind(), "replay", nil, nil)
-		if err != nil {
-			t.Error(err)
-		}
-		done <- replay
-	}()
-	if err := buf.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if replay := <-done; !relation.Equal(replay, r) {
-		t.Fatalf("early replay saw %d rows, want %d", replay.Size(), r.Size())
 	}
 }
 
@@ -559,7 +495,7 @@ func TestExchangeRepartitions(t *testing.T) {
 				srcs = append(srcs, batch.Scan(parts.Shard(k), size, nil))
 			}
 			var routedRows atomic.Int64
-			ex := batch.NewExchange(srcs, r.Attrs, 0, p, size, 0, nil,
+			ex := batch.NewExchange(srcs, r.Attrs, 0, p, size, nil,
 				func(n int) { routedRows.Add(int64(n)) }, nil)
 			outs := make([]*relation.Relation, p)
 			var wg sync.WaitGroup
@@ -601,7 +537,7 @@ func TestExchangeRepartitions(t *testing.T) {
 	// 1024-row chunks. Concurrent consumers may keep every queue below a
 	// chunk, so the loop above cannot assert this.
 	var governed atomic.Int64
-	ex := batch.NewExchange([]batch.Iterator{batch.Scan(r, 7, nil)}, r.Attrs, 0, 2, 7, 0,
+	ex := batch.NewExchange([]batch.Iterator{batch.Scan(r, 7, nil)}, r.Attrs, 0, 2, 7,
 		func(*relation.Relation) { governed.Add(1) }, nil, nil)
 	first := mustMaterialize(t, ex.Part(0), "part")
 	if governed.Load() == 0 {
@@ -612,12 +548,14 @@ func TestExchangeRepartitions(t *testing.T) {
 	}
 }
 
-func TestExchangeFlagsHotPart(t *testing.T) {
+// TestExchangeRoutesHotKeyToOnePart: a single dominant key value sends
+// every row to one part, whole, and leaves the other parts empty.
+func TestExchangeRoutesHotKeyToOnePart(t *testing.T) {
 	r := relation.New("R", "a", "b")
 	for i := 0; i < 5000; i++ {
 		r.Add("hub", fmt.Sprintf("x%d", i)) // every row routes to one part
 	}
-	ex := batch.NewExchange([]batch.Iterator{batch.Scan(r, 256, nil)}, r.Attrs, 0, 4, 256, 0.2, nil, nil, nil)
+	ex := batch.NewExchange([]batch.Iterator{batch.Scan(r, 256, nil)}, r.Attrs, 0, 4, 256, nil, nil, nil)
 	hot := shard.ShardOf(r.At(0, 0), 4)
 	total := 0
 	for k := 0; k < 4; k++ {
@@ -630,18 +568,9 @@ func TestExchangeFlagsHotPart(t *testing.T) {
 	if total != r.Size() {
 		t.Fatalf("exchange emitted %d rows, want %d", total, r.Size())
 	}
-	if !ex.Hot(hot) {
-		t.Fatal("part holding 100% of the rows was never flagged hot")
-	}
-	for k := 0; k < 4; k++ {
-		if k != hot && ex.Hot(k) {
-			t.Fatalf("empty part %d flagged hot", k)
-		}
-	}
 }
 
-// countingIter counts pulls; safeIter serves a relation batch-by-batch
-// under a mutex so replicated Grow chains can share it.
+// countingIter counts pulls.
 type countingIter struct {
 	src   batch.Iterator
 	calls atomic.Int64
@@ -651,225 +580,6 @@ func (c *countingIter) Attrs() []string { return c.src.Attrs() }
 func (c *countingIter) Next(ctx context.Context) (*batch.Batch, error) {
 	c.calls.Add(1)
 	return c.src.Next(ctx)
-}
-
-type safeIter struct {
-	mu  sync.Mutex
-	src batch.Iterator
-}
-
-func (s *safeIter) Attrs() []string { return s.src.Attrs() }
-func (s *safeIter) Next(ctx context.Context) (*batch.Batch, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, err := s.src.Next(ctx)
-	if b != nil {
-		// Callers on other goroutines outlive our next Next; hand out a copy.
-		cp := relation.NewFromColumns("cp", s.src.Attrs(), func() [][]relation.Value {
-			cols := make([][]relation.Value, len(b.Cols))
-			for i := range cols {
-				cols[i] = append([]relation.Value(nil), b.Cols[i][:b.N]...)
-			}
-			return cols
-		}())
-		return &batch.Batch{Cols: func() [][]relation.Value {
-			cols := make([][]relation.Value, cp.Arity())
-			for i := range cols {
-				cols[i] = cp.Column(i)
-			}
-			return cols
-		}(), N: cp.Size()}, nil
-	}
-	return b, err
-}
-
-func TestGrowSplitsWhenHot(t *testing.T) {
-	r := randomRel(rand.New(rand.NewSource(10)), "R", []string{"a"}, 600, 10_000)
-	shared := &safeIter{src: batch.Scan(r, 16, nil)}
-	var chains, splits atomic.Int64
-	mk := func() batch.Iterator {
-		chains.Add(1)
-		return shared
-	}
-	it := batch.Grow(mk, r.Attrs, func() bool { return true }, func() { splits.Add(1) })
-	got := mustMaterialize(t, it, "out")
-	if !relation.Equal(got, r) {
-		t.Fatalf("grown chains lost rows: %d vs %d", got.Size(), r.Size())
-	}
-	if chains.Load() != 2 || splits.Load() != 1 {
-		t.Fatalf("hot source grew %d chains (%d splits), want 2 (1)", chains.Load(), splits.Load())
-	}
-}
-
-func TestGrowStaysSingleWhenCold(t *testing.T) {
-	r := randomRel(rand.New(rand.NewSource(11)), "R", []string{"a"}, 200, 10_000)
-	var chains atomic.Int64
-	mk := func() batch.Iterator {
-		chains.Add(1)
-		return batch.Scan(r, 32, nil)
-	}
-	it := batch.Grow(mk, r.Attrs, func() bool { return false }, nil)
-	got := mustMaterialize(t, it, "out")
-	if !relation.Equal(got, r) || chains.Load() != 1 {
-		t.Fatalf("cold source: %d rows from %d chains, want %d from 1", got.Size(), chains.Load(), r.Size())
-	}
-}
-
-func TestFanMergesChains(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	halves := []*relation.Relation{
-		randomRel(rng, "A", []string{"a", "b"}, 700, 10_000),
-		randomRel(rng, "B", []string{"a", "b"}, 900, 10_000),
-		randomRel(rng, "C", []string{"a", "b"}, 1, 10_000),
-	}
-	mks := make([]func() batch.Iterator, len(halves))
-	for i, h := range halves {
-		h := h
-		mks[i] = func() batch.Iterator { return batch.Scan(h, 64, nil) }
-	}
-	got := mustMaterialize(t, batch.Fan(mks, halves[0].Attrs), "out")
-	want := relation.New("want", "a", "b")
-	for _, h := range halves {
-		for i := 0; i < h.Size(); i++ {
-			want.Insert(h.Row(i))
-		}
-	}
-	if !relation.Equal(got, want) {
-		t.Fatalf("fan merged %d rows, want %d", got.Size(), want.Size())
-	}
-}
-
-// TestGrowRecyclesOnlyReleasedBatches pins when Grow and Fan reuse the
-// copies they hand across goroutines: only once the consumer's next Next
-// has released one. The consumer checksums each batch on receipt and again
-// after yielding to the chains, which meanwhile copy further batches into
-// every released copy; a copy refilled while still held fails the
-// checksum, and under -race, the race detector.
-func TestGrowRecyclesOnlyReleasedBatches(t *testing.T) {
-	r := seqRel(2, 20_000, false)
-	checksum := func(b *batch.Batch) uint64 {
-		var s uint64
-		for _, col := range b.Cols {
-			for _, v := range col[:b.N] {
-				s = s*1_000_003 + uint64(v)
-			}
-		}
-		return s
-	}
-	var want uint64
-	for c := 0; c < r.Arity(); c++ {
-		for _, v := range r.Column(c) {
-			want += uint64(v)
-		}
-	}
-	check := func(t *testing.T, it batch.Iterator) {
-		rows, total := 0, uint64(0)
-		for {
-			b, err := it.Next(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
-			before := checksum(b)
-			for i := 0; i < 4; i++ {
-				runtime.Gosched()
-			}
-			if after := checksum(b); after != before {
-				t.Fatalf("batch of %d rows changed while the consumer held it", b.N)
-			}
-			for _, col := range b.Cols {
-				for _, v := range col[:b.N] {
-					total += uint64(v)
-				}
-			}
-			rows += b.N
-		}
-		if rows != r.Size() || total != want {
-			t.Fatalf("merged %d rows (value sum %d), want %d (%d)", rows, total, r.Size(), want)
-		}
-	}
-	t.Run("Grow", func(t *testing.T) {
-		shared := &safeIter{src: batch.Scan(r, 64, nil)}
-		check(t, batch.Grow(func() batch.Iterator { return shared }, r.Attrs, func() bool { return true }, nil))
-	})
-	t.Run("Fan", func(t *testing.T) {
-		const chains = 3
-		mks := make([]func() batch.Iterator, chains)
-		for i := range mks {
-			lo, hi := i*r.Size()/chains, (i+1)*r.Size()/chains
-			block := relation.NewFromColumns("R", r.Attrs, [][]relation.Value{r.Column(0)[lo:hi], r.Column(1)[lo:hi]})
-			mks[i] = func() batch.Iterator { return batch.Scan(block, 64, nil) }
-		}
-		check(t, batch.Fan(mks, r.Attrs))
-	})
-}
-
-// panicAt serves its source's batches and panics on pull number at.
-type panicAt struct {
-	src   batch.Iterator
-	at    int
-	pulls int
-}
-
-func (p *panicAt) Attrs() []string { return p.src.Attrs() }
-func (p *panicAt) Next(ctx context.Context) (*batch.Batch, error) {
-	p.pulls++
-	if p.pulls == p.at {
-		panic("chain exploded")
-	}
-	return p.src.Next(ctx)
-}
-
-// endless serves the same batch until its context is canceled.
-type endless struct{ b batch.Batch }
-
-func (e *endless) Attrs() []string { return []string{"a"} }
-func (e *endless) Next(ctx context.Context) (*batch.Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return &e.b, nil
-}
-
-// TestFanRepanicsOnConsumer: a panic in one of Fan's chains surfaces on
-// the goroutine calling Next, with the original value and the chain's
-// stack, instead of killing the process from a bare goroutine. The other
-// chain never ends on its own, so the panic surfacing at all shows the
-// siblings were stopped.
-func TestFanRepanicsOnConsumer(t *testing.T) {
-	r := randomRel(rand.New(rand.NewSource(14)), "R", []string{"a"}, 100, 10_000)
-	mks := []func() batch.Iterator{
-		func() batch.Iterator { return &panicAt{src: batch.Scan(r, 8, nil), at: 3} },
-		func() batch.Iterator {
-			return &endless{b: batch.Batch{Cols: [][]relation.Value{{relation.V("x")}}, N: 1}}
-		},
-	}
-	it := batch.Fan(mks, r.Attrs)
-	var got any
-	pulled := 0
-	func() {
-		defer func() { got = recover() }()
-		for {
-			b, err := it.Next(context.Background())
-			if err != nil || b == nil {
-				t.Errorf("Fan ended without the panic: %v", err)
-				return
-			}
-			pulled++
-		}
-	}()
-	if got == nil {
-		t.Fatal("chain panic was swallowed")
-	}
-	msg := fmt.Sprint(got)
-	if !strings.Contains(msg, "chain exploded") || !strings.Contains(msg, "batch_test.go") {
-		t.Fatalf("re-panic lost the original value or the chain's stack:\n%s", msg)
-	}
-	if pulled == 0 {
-		t.Fatal("consumer saw no batch before the panic")
-	}
 }
 
 // BenchmarkMaterialize sinks 64 Ki rows of width 2 and 4 streamed in
@@ -898,7 +608,7 @@ func BenchmarkExchange(b *testing.B) {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				ex := batch.NewExchange([]batch.Iterator{batch.Scan(r, 0, nil)}, r.Attrs, 0, p, 0, 0, nil, nil, nil)
+				ex := batch.NewExchange([]batch.Iterator{batch.Scan(r, 0, nil)}, r.Attrs, 0, p, 0, nil, nil, nil)
 				for k := 0; k < p; k++ {
 					drain(b, ex.Part(k))
 				}

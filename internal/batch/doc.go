@@ -13,14 +13,10 @@
 // ITERATOR and valid only until the following Next call on that iterator —
 // stages reuse their output buffers, and scans alias relation storage. A
 // consumer that retains rows across pulls must copy them out (Batch columns
-// are plain slices, so a copy is one line per column). Grow and Fan, which
-// hand batches across goroutines, rely on the same rule: each batch they
-// return is a deep copy that goes back on a small free list, to be refilled
-// by a producer, only when the consumer's next Next call releases it.
-// Holding a partially consumed input batch between an operator's own Next
-// calls is legal — the input is only pulled again once the hold is spent —
-// which is how Project and JoinProbe resume mid-batch when their output
-// fills.
+// are plain slices, so a copy is one line per column). Holding a partially
+// consumed input batch between an operator's own Next calls is legal — the
+// input is only pulled again once the hold is spent — which is how Project
+// and JoinProbe resume mid-batch when their output fills.
 //
 // Every stage preserves set semantics: a pipeline over distinct rows emits
 // distinct rows. Project is the one stage that keeps state across batches,
@@ -34,30 +30,28 @@
 // an exchange: each marks a private bitmap, and the merged bitmap is
 // decoded into the output parts.
 //
-// Batches are views: columns may alias a relation's storage (Scan, replay)
-// or an upstream batch (Keep, Semijoin pass-through). N may be short; only
-// Cols[c][:N] is meaningful. Iterators are single-consumer unless
-// documented otherwise — Exchange parts are the concurrent-safe exception,
-// which is what Grow replicates a chain over.
+// Batches are views: columns may alias a relation's storage (Scan, a
+// sealed exchange chunk) or an upstream batch (Keep, Semijoin
+// pass-through). N may be short; only Cols[c][:N] is meaningful. Iterators
+// are single-consumer unless documented otherwise — Exchange parts are the
+// concurrent-safe exception. A pipeline is pulled once: an input needed
+// again (a probe side, a semijoin filter, a down-pass parent) is
+// materialized into a relation first.
 //
-// # Rewind semantics
-//
-// Some inputs must be iterated more than once (probe sides, semijoin
-// filters, down-pass parents). Buffered tees a pipeline into chunk
-// relations as it is pulled, and Rewind replays the recorded rows. A
-// replay may be created before end of stream: its first Next blocks until
-// the tee is drained, rather than silently replaying a prefix.
+// The package starts no goroutine. Pipelines run on the goroutine that
+// pulls them; the parallel drains (the shard layer's per-part sinks,
+// ProjectDenseParts' inputs) go through internal/pool.
 //
 // # Governor registration
 //
-// Pipelines still create relations at three points: sealed chunks
-// of a Buffered tee, sealed chunks of an Exchange's output shards, and
-// Materialize sinks. Each allocates its rows once: a chunk is one slab of
-// chunk rows × arity written by index, sealed without a copy, and a sink
-// copies into doubling blocks and then once into an exact slab. Each is handed to a govern callback as it is created,
-// so residency registers with the spill.Governor incrementally — chunk by
+// Pipelines create relations at two points: sealed chunks of an
+// Exchange's output shards, and Materialize sinks. Each allocates its rows
+// once: a chunk is one slab of chunk rows × arity written by index, sealed
+// without a copy, and a sink copies into doubling blocks and then once into
+// an exact slab. Each is handed to a govern callback as it is created, so
+// residency registers with the spill.Governor incrementally — chunk by
 // chunk while the stream flows — and the governor can evict cold chunks
-// while the pipeline is still running. Replays Pin each chunk only for the
-// duration of a single batch cut, so a parked chunk is reloaded at most
-// once per pass and never held resident whole.
+// while the pipeline is still running. A part cutting a batch from a
+// sealed chunk pins it only for that cut, so a parked chunk is reloaded at
+// most once per batch and never held resident whole.
 package batch

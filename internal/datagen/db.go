@@ -18,9 +18,9 @@ type DBParams struct {
 	Universe int
 	// ZipfS, when > 1, skews every drawn value Zipf-style with exponent s:
 	// value u0 dominates, each later value is polynomially rarer. This is
-	// the hot-key generator behind the skew-handling tests — one value
+	// the hot-key generator behind the skewed-data tests — one value
 	// absorbing a large fraction of a column hashes all its rows into a
-	// single shard, forcing the exchange's hot-shard splitting. 0 (or
+	// single shard, whose part then carries most of a join's probes. 0 (or
 	// anything <= 1) keeps the uniform draw.
 	ZipfS float64
 }
@@ -173,8 +173,7 @@ func EdgeDB(rng *rand.Rand, names []string, edges, universe int) *database.Datab
 // ZipfEdgeDB is EdgeDB with Zipf-distributed endpoints: both columns draw
 // node ids with exponent s (> 1), so a handful of hub nodes carry most of
 // the edges. Joining on a hub column hashes a large fraction of each
-// relation into one shard — the workload that exercises (and justifies)
-// the exchange's skew splitting.
+// relation into one shard, whose part then carries most of the probes.
 func ZipfEdgeDB(rng *rand.Rand, names []string, edges, universe int, s float64) *database.Database {
 	draw := DBParams{Universe: universe, ZipfS: s}.drawer(rng)
 	db := database.New()

@@ -35,7 +35,7 @@
 // collapsing to one shard after the first join, and no intermediate is
 // built as a relation except what must be indexed whole (Yannakakis'
 // reductions and projected subtree results). The routing rules (inputs
-// below Options.MinRows, no shared column, skew) are internal/shard's; nil
+// below Options.MinRows, no shared column) are internal/shard's; nil
 // options mean one part and default batches. Outputs are identical in
 // every configuration, which the 220-pair property matrix
 // (TestPropertyExecutorsAgree) proves against Naive across shard counts,

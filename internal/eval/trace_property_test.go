@@ -111,8 +111,7 @@ func tracedDisagreement(gov *spill.Governor, p int, q *cq.Query, db *database.Da
 	for _, ex := range execs {
 		mk := func(tr *trace.Tracer, scope *spill.Scope) *shard.Options {
 			return &shard.Options{
-				MinRows: 0, Shards: p, SkewFraction: propertySkewFraction,
-				BatchSize: 7, Spill: gov, Scope: scope, Trace: tr,
+				MinRows: 0, Shards: p, BatchSize: 7, Spill: gov, Scope: scope, Trace: tr,
 			}
 		}
 		scope := spill.NewScope()

@@ -1,9 +1,9 @@
-// Package lru is a fixed-capacity string-keyed least-recently-used cache
-// with hit/miss accounting — the eviction policy behind the Engine's
-// per-query analysis and plan caches. It is intentionally minimal: no
-// TTLs, no weights, no locking (callers hold their own mutex; the Engine
-// already serializes cache access), just the recency list that replaces the
-// seed's evict-an-arbitrary-entry behavior.
+// Package lru is a fixed-capacity string-keyed least-recently-used cache —
+// the eviction policy behind the Engine's per-query analysis and plan
+// caches. It is intentionally minimal: no TTLs, no weights, no locking
+// (callers hold their own mutex; the Engine already serializes cache
+// access), just the recency list that replaces the seed's
+// evict-an-arbitrary-entry behavior.
 package lru
 
 import "container/list"
@@ -12,10 +12,9 @@ import "container/list"
 // once capacity is exceeded. Get and Put both count as uses. Not safe for
 // concurrent use.
 type Cache[V any] struct {
-	capacity     int
-	ll           *list.List // front = most recently used
-	items        map[string]*list.Element
-	hits, misses uint64
+	capacity int
+	ll       *list.List // front = most recently used
+	items    map[string]*list.Element
 }
 
 type entry[V any] struct {
@@ -36,21 +35,17 @@ func New[V any](capacity int) *Cache[V] {
 	}
 }
 
-// Get returns the value under key, marking it most recently used and
-// counting a hit or miss.
+// Get returns the value under key, marking it most recently used.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	if el, ok := c.items[key]; ok {
-		c.hits++
 		c.ll.MoveToFront(el)
 		return el.Value.(*entry[V]).v, true
 	}
-	c.misses++
 	var zero V
 	return zero, false
 }
 
-// Peek returns the value under key without touching recency or the
-// hit/miss counters.
+// Peek returns the value under key without touching recency.
 func (c *Cache[V]) Peek(key string) (V, bool) {
 	if el, ok := c.items[key]; ok {
 		return el.Value.(*entry[V]).v, true
@@ -76,9 +71,8 @@ func (c *Cache[V]) Put(key string, v V) {
 }
 
 // Remove deletes the entry under key, reporting whether it was present.
-// Removal touches neither recency of other entries nor the hit/miss
-// counters — it is the explicit-invalidation hook (the spill governor
-// unregisters discarded buffers through it).
+// Removal touches no other entry's recency — it is the explicit-invalidation
+// hook (the spill governor unregisters discarded buffers through it).
 func (c *Cache[V]) Remove(key string) bool {
 	el, ok := c.items[key]
 	if !ok {
@@ -102,10 +96,9 @@ func (c *Cache[V]) Keys() []string {
 }
 
 // Backward walks entries least recently used first, stopping when f
-// returns false. It touches neither recency nor the hit/miss counters —
-// the eviction-scan hook: the spill governor collects cold candidates
-// from the back without materializing every key. f must not mutate the
-// cache.
+// returns false. It does not touch recency — the eviction-scan hook: the
+// spill governor collects cold candidates from the back without
+// materializing every key. f must not mutate the cache.
 func (c *Cache[V]) Backward(f func(key string, v V) bool) {
 	for el := c.ll.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*entry[V])
@@ -114,12 +107,3 @@ func (c *Cache[V]) Backward(f func(key string, v V) bool) {
 		}
 	}
 }
-
-// Stats returns how many Gets hit and missed since creation (or the last
-// ResetStats).
-func (c *Cache[V]) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// ResetStats zeroes the hit/miss counters without touching the cached
-// entries or their recency, so callers can attribute counts to a window
-// (e.g. one benchmark query) instead of the cache's whole lifetime.
-func (c *Cache[V]) ResetStats() { c.hits, c.misses = 0, 0 }

@@ -65,20 +65,6 @@ func TestPeekDoesNotPromoteOrCount(t *testing.T) {
 	if _, ok := c.Peek("a"); ok {
 		t.Fatal("a should have been evicted despite the Peek")
 	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatalf("Stats after Peeks = %d hits, %d misses; want 0, 0", h, m)
-	}
-}
-
-func TestStats(t *testing.T) {
-	c := New[string](2)
-	c.Put("a", "x")
-	c.Get("a")
-	c.Get("a")
-	c.Get("nope")
-	if h, m := c.Stats(); h != 2 || m != 1 {
-		t.Fatalf("Stats = %d hits, %d misses; want 2, 1", h, m)
-	}
 }
 
 func TestKeysMostRecentFirst(t *testing.T) {
@@ -124,32 +110,10 @@ func TestRemove(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
-	// Removal must not count as a hit or miss.
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatalf("Stats after Remove = %d/%d, want 0/0", h, m)
-	}
 	// The freed slot is usable again without evicting b.
 	c.Put("c", 3)
 	c.Put("d", 4)
 	if _, ok := c.Peek("b"); !ok {
 		t.Fatal("b evicted although Remove freed a slot")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	c := New[int](2)
-	c.Put("a", 1)
-	c.Get("a")
-	c.Get("missing")
-	c.ResetStats()
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatalf("Stats after reset = %d/%d", h, m)
-	}
-	if _, ok := c.Peek("a"); !ok {
-		t.Fatal("ResetStats dropped entries")
-	}
-	c.Get("a")
-	if h, _ := c.Stats(); h != 1 {
-		t.Fatalf("hits after reset = %d, want 1", h)
 	}
 }

@@ -93,12 +93,3 @@ func (l *AccessLog) Counters() *counter.Set {
 	}
 	return l.counts
 }
-
-// Reset zeroes the written/skipped counters (sampling phase restarts).
-func (l *AccessLog) Reset() {
-	if l == nil {
-		return
-	}
-	l.seq.Store(0)
-	l.counts.Reset()
-}

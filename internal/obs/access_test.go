@@ -50,10 +50,6 @@ func TestAccessLogSampling(t *testing.T) {
 	if !sawShed {
 		t.Fatal("shed line missing")
 	}
-	l.Reset()
-	if l.Counters().Load(logged) != 0 || l.Counters().Load(dropped) != 0 {
-		t.Fatal("Reset must zero counters")
-	}
 }
 
 func TestAccessLogEveryOneLogsAll(t *testing.T) {
@@ -83,5 +79,4 @@ func TestAccessLogNilSafe(t *testing.T) {
 	if l.Counters().Load(logged) != 0 || l.Counters().Load(dropped) != 0 {
 		t.Fatal("nil log must read zero")
 	}
-	l.Reset()
 }

@@ -219,17 +219,6 @@ func (c *Calibration) Cells() int {
 	return len(c.cells)
 }
 
-// Reset drops every cell and zeroes the record counter.
-func (c *Calibration) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.cells = make(map[CellKey]*cell)
-	c.mu.Unlock()
-	c.counts.Reset()
-}
-
 // PromFamilies renders the calibration state as two Prometheus histogram
 // families — bound and estimate log₂-ratio error — one sample per
 // (strategy, shape) cell. Bucket upper bounds are the integer log₂

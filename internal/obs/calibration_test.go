@@ -60,7 +60,7 @@ func TestCalibrationEdgeCases(t *testing.T) {
 		t.Fatalf("empty-output bound err = %g, want 10", snaps[0].Bound.MeanLog2)
 	}
 	// Extreme errors clamp to the bucket range but keep the exact mean.
-	c.Reset()
+	c = NewCalibration()
 	c.Record("s", "q", math.Ldexp(1, 60), 1, 1)
 	s := c.Snapshot()[0]
 	if s.Bound.MeanLog2 != 60 {
@@ -71,19 +71,12 @@ func TestCalibrationEdgeCases(t *testing.T) {
 	}
 }
 
-func TestCalibrationResetAndNil(t *testing.T) {
-	c := NewCalibration()
-	c.Record("s", "q", 10, 10, 10)
-	c.Reset()
-	if c.Records() != 0 || c.Cells() != 0 || len(c.Snapshot()) != 0 {
-		t.Fatal("Reset must clear everything")
-	}
+func TestCalibrationNilSafe(t *testing.T) {
 	var nilC *Calibration
 	nilC.Record("s", "q", 1, 1, 1)
 	if nilC.Records() != 0 || nilC.Cells() != 0 || nilC.Snapshot() != nil {
 		t.Fatal("nil Calibration must read zero")
 	}
-	nilC.Reset()
 }
 
 func TestCalibrationPromFamilies(t *testing.T) {

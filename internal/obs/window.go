@@ -19,16 +19,14 @@ const (
 	defaultRingBuckets = 61
 )
 
-// Counter is a windowed event counter: a ring of fixed-width time buckets
-// plus a cumulative total. Add is O(1); Sum/Rate merge the buckets that
-// fall inside the asked-for window. A nil *Counter ignores writes and
-// reads zero.
+// Counter is a windowed event counter: a ring of fixed-width time buckets.
+// Add is O(1); Sum/Rate merge the buckets that fall inside the asked-for
+// window. A nil *Counter ignores writes and reads zero.
 type Counter struct {
 	mu    sync.Mutex
 	clock Clock
 	width time.Duration
 	slots []counterSlot
-	total int64
 }
 
 type counterSlot struct {
@@ -62,18 +60,7 @@ func (c *Counter) Add(n int64) {
 		s.idx, s.n = idx, 0
 	}
 	s.n += n
-	c.total += n
 	c.mu.Unlock()
-}
-
-// Total returns the cumulative count since creation or Reset.
-func (c *Counter) Total() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
 }
 
 // Sum returns the events recorded within the trailing window (the current
@@ -114,19 +101,6 @@ func (c *Counter) Rate(window time.Duration) float64 {
 	return float64(c.Sum(window)) / window.Seconds()
 }
 
-// Reset zeroes the ring and the cumulative total.
-func (c *Counter) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	for i := range c.slots {
-		c.slots[i] = counterSlot{}
-	}
-	c.total = 0
-	c.mu.Unlock()
-}
-
 // samplerBuckets is one bucket per bit length of the observed value,
 // matching internal/metrics: bucket 0 holds zeros, bucket i holds values
 // in [2^(i-1), 2^i).
@@ -138,12 +112,10 @@ const samplerBuckets = 65
 // within a factor of two — the same trade internal/metrics makes). A nil
 // *Sampler ignores writes and reads zeros.
 type Sampler struct {
-	mu         sync.Mutex
-	clock      Clock
-	width      time.Duration
-	slots      []samplerSlot
-	totalCount int64
-	totalSum   int64
+	mu    sync.Mutex
+	clock Clock
+	width time.Duration
+	slots []samplerSlot
 }
 
 type samplerSlot struct {
@@ -179,8 +151,6 @@ func (s *Sampler) Observe(v int64) {
 	sl.count++
 	sl.sum += v
 	sl.buckets[bits.Len64(uint64(v))]++
-	s.totalCount++
-	s.totalSum += v
 	s.mu.Unlock()
 }
 
@@ -228,30 +198,6 @@ func (s *Sampler) Window(window time.Duration) Distribution {
 	d.P50 = bucketQuantile(&merged, d.Count, 0.50)
 	d.P99 = bucketQuantile(&merged, d.Count, 0.99)
 	return d
-}
-
-// TotalCount returns the cumulative observation count since creation or
-// Reset.
-func (s *Sampler) TotalCount() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalCount
-}
-
-// Reset zeroes the ring and the cumulative totals.
-func (s *Sampler) Reset() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	for i := range s.slots {
-		s.slots[i] = samplerSlot{}
-	}
-	s.totalCount, s.totalSum = 0, 0
-	s.mu.Unlock()
 }
 
 // bucketQuantile walks cumulative bucket counts to the bucket holding
@@ -306,21 +252,6 @@ func NewWindows(clock Clock) *Windows {
 		Latency:     s(),
 		QueueWait:   s(),
 	}
-}
-
-// Reset zeroes every series.
-func (w *Windows) Reset() {
-	if w == nil {
-		return
-	}
-	w.Requests.Reset()
-	w.Shed.Reset()
-	w.Clamped.Reset()
-	w.Grants.Reset()
-	w.CacheHits.Reset()
-	w.CacheMisses.Reset()
-	w.Latency.Reset()
-	w.QueueWait.Reset()
 }
 
 // WindowSnapshot is one trailing window's merged view of the serving

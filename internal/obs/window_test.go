@@ -22,9 +22,6 @@ func TestCounterWindowedSums(t *testing.T) {
 		clk.advance(time.Second)
 	}
 	// 10 buckets of 2 behind us; the current bucket is empty.
-	if got := c.Total(); got != 20 {
-		t.Fatalf("Total = %d, want 20", got)
-	}
 	if got := c.Sum(5 * time.Second); got != 8 {
 		// Window covers the current (empty) bucket plus the 4 before it.
 		t.Fatalf("Sum(5s) = %d, want 8", got)
@@ -42,22 +39,14 @@ func TestCounterWindowedSums(t *testing.T) {
 	if got := c.Sum(5 * time.Second); got != 0 {
 		t.Fatalf("Sum after idle = %d, want 0", got)
 	}
-	if got := c.Total(); got != 20 {
-		t.Fatalf("Total after idle = %d, want 20 (cumulative)", got)
-	}
-	c.Reset()
-	if c.Total() != 0 || c.Sum(time.Hour) != 0 {
-		t.Fatal("Reset must zero total and ring")
-	}
 }
 
 func TestCounterNilSafe(t *testing.T) {
 	var c *Counter
 	c.Add(1)
-	if c.Total() != 0 || c.Sum(time.Minute) != 0 || c.Rate(time.Minute) != 0 {
+	if c.Sum(time.Minute) != 0 || c.Rate(time.Minute) != 0 {
 		t.Fatal("nil counter must read zero")
 	}
-	c.Reset()
 }
 
 func TestSamplerWindowedQuantiles(t *testing.T) {
@@ -86,13 +75,6 @@ func TestSamplerWindowedQuantiles(t *testing.T) {
 	if d := s.Window(10 * time.Second); d.Count != 0 {
 		t.Fatalf("Count after idle = %d, want 0", d.Count)
 	}
-	if s.TotalCount() != 100 {
-		t.Fatalf("TotalCount = %d, want 100", s.TotalCount())
-	}
-	s.Reset()
-	if s.TotalCount() != 0 {
-		t.Fatal("Reset must zero totals")
-	}
 }
 
 func TestSamplerNilSafe(t *testing.T) {
@@ -101,7 +83,6 @@ func TestSamplerNilSafe(t *testing.T) {
 	if d := s.Window(time.Minute); d.Count != 0 {
 		t.Fatal("nil sampler must read zero")
 	}
-	s.Reset()
 }
 
 func TestWindowsSnapshot(t *testing.T) {
@@ -140,15 +121,10 @@ func TestWindowsSnapshot(t *testing.T) {
 	if five.Window != "5m" || five.Requests != 30 {
 		t.Fatalf("5m snapshot = %+v", five)
 	}
-	w.Reset()
-	if w.Snapshot(time.Minute).Requests != 0 {
-		t.Fatal("Reset must clear windows")
-	}
 	var nilW *Windows
 	if nilW.Snapshot(time.Minute).Requests != 0 {
 		t.Fatal("nil Windows must read zero")
 	}
-	nilW.Reset()
 }
 
 func TestRetryAfterSeconds(t *testing.T) {

@@ -78,7 +78,7 @@ func Run(ctx context.Context, workers, n int, f func(i int) error) error {
 				if v == nil {
 					return
 				}
-				wp := Recovered(v)
+				wp := recovered(v)
 				mu.Lock()
 				if crash == nil {
 					crash = wp
@@ -111,21 +111,21 @@ func Run(ctx context.Context, workers, n int, f func(i int) error) error {
 	return ctx.Err()
 }
 
-// Recovered wraps a value recovered on a worker goroutine for panicking
+// recovered wraps a value recovered on a worker goroutine for panicking
 // again on the goroutine that consumes the worker's results: the re-panic
 // prints the original value plus the worker's stack, which it would
 // otherwise lose. Call it in the deferred function that recovered, while
 // the panicking stack is still live. A value that already carries a worker
 // stack (a nested re-panic) passes through, keeping the innermost stack.
-func Recovered(v any) error {
+func recovered(v any) error {
 	if wp, ok := v.(*workerPanic); ok {
 		return wp
 	}
 	return &workerPanic{value: v, stack: debug.Stack()}
 }
 
-// workerPanic is what Run, and the Next of batch.Fan and batch.Grow, panic
-// with after a worker panicked: the original value plus the worker's stack.
+// workerPanic is what Run panics with after a worker panicked: the
+// original value plus the worker's stack.
 type workerPanic struct {
 	value any
 	stack []byte

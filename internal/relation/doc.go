@@ -14,9 +14,7 @@
 // map keys a tuple by the fixed-width byte packing of its IDs. Renaming
 // and cloning share column storage copy-on-write, so deriving a
 // differently-named view of a base relation (the hot path of query
-// evaluation) is O(arity), not O(n·arity). Slice extends the same idea to
-// row ranges: a contiguous block of rows is an O(arity) view, which is how
-// the sharding layer cuts a hot shard into blocks without copying.
+// evaluation) is O(arity), not O(n·arity).
 //
 // # The memo table
 //

@@ -697,30 +697,6 @@ func (r *Relation) ProjectView(name string, attrs []string, idx ...int) (*Relati
 	return out, nil
 }
 
-// Slice returns rows [lo, hi) of r as an O(arity) copy-on-write view with
-// the given name: column headers are re-sliced, no values are copied, and
-// the first insert into the view copies its rows out. Distinct source rows
-// stay distinct, so the view keeps set semantics without a dedup map. Slice
-// is the skew-splitting primitive of internal/shard: a hot partition shard
-// is cut into row blocks that join independently against a replicated
-// (pointer-shared, read-only) co-shard.
-func (r *Relation) Slice(name string, lo, hi int) (*Relation, error) {
-	if lo < 0 || hi < lo || hi > r.n {
-		return nil, fmt.Errorf("relation %s: slice [%d,%d) out of range for %d rows", r.Name, lo, hi, r.n)
-	}
-	out := New(name, r.Attrs...)
-	out.dict = r.dict
-	out.n = hi - lo
-	d := r.data()
-	for c := range d {
-		out.cols[c] = d[c][lo:hi]
-	}
-	// Shared storage without a memo parent: row indices shifted by lo, so
-	// delegating memoized indexes or statistics would serve wrong rows.
-	out.shared = true
-	return out, nil
-}
-
 // Union returns r ∪ s; schemas must have equal arity (attribute names are
 // taken from r).
 func Union(r, s *Relation) (*Relation, error) {

@@ -304,74 +304,6 @@ func TestDuplicateAttrPanics(t *testing.T) {
 	New("R", "a", "a")
 }
 
-func TestSliceView(t *testing.T) {
-	r := New("R", "a", "b")
-	for i := 0; i < 10; i++ {
-		r.Add(fmt.Sprintf("x%d", i), fmt.Sprintf("y%d", i))
-	}
-	s, err := r.Slice("blk", 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Size() != 4 {
-		t.Fatalf("slice size %d, want 4", s.Size())
-	}
-	for i := 0; i < 4; i++ {
-		if s.At(i, 0) != r.At(i+3, 0) || s.At(i, 1) != r.At(i+3, 1) {
-			t.Fatalf("slice row %d differs from base row %d", i, i+3)
-		}
-	}
-	// The view is copy-on-write: inserting into it must not touch the base.
-	s.Add("new", "row")
-	if r.Size() != 10 || !r.Has(Tuple{V("x3"), V("y3")}) {
-		t.Fatal("insert into slice view mutated the base relation")
-	}
-	if s.Size() != 5 || !s.Has(Tuple{V("new"), V("row")}) {
-		t.Fatal("insert into slice view lost the new row")
-	}
-	// Out-of-range bounds error.
-	if _, err := r.Slice("bad", -1, 3); err == nil {
-		t.Fatal("negative lo accepted")
-	}
-	if _, err := r.Slice("bad", 4, 11); err == nil {
-		t.Fatal("hi past size accepted")
-	}
-	if _, err := r.Slice("bad", 7, 3); err == nil {
-		t.Fatal("hi < lo accepted")
-	}
-	// Empty slice is a valid empty relation.
-	e, err := r.Slice("empty", 5, 5)
-	if err != nil || e.Size() != 0 {
-		t.Fatalf("empty slice: %v, %d rows", err, e.Size())
-	}
-}
-
-func TestSliceCoversBaseDisjointly(t *testing.T) {
-	r := New("R", "a", "b")
-	for i := 0; i < 57; i++ {
-		r.Add(fmt.Sprintf("x%d", i), fmt.Sprintf("y%d", i%7))
-	}
-	var parts []*Relation
-	for lo := 0; lo < r.Size(); lo += 13 {
-		hi := lo + 13
-		if hi > r.Size() {
-			hi = r.Size()
-		}
-		s, err := r.Slice("blk", lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, s)
-	}
-	whole, err := Concat("whole", r.Attrs, parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(whole, r) {
-		t.Fatal("concatenated slices differ from the base relation")
-	}
-}
-
 func TestNaturalJoinSchema(t *testing.T) {
 	attrs, keep := NaturalJoinSchema([]string{"a", "b"}, []string{"b", "c"}, []int{0})
 	wantAttrs := []string{"a", "b", "c"}

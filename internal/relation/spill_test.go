@@ -143,15 +143,8 @@ func TestInsertReleasesGovernedBuffer(t *testing.T) {
 	}
 }
 
-func TestGovernedSliceAndViews(t *testing.T) {
+func TestGovernedViews(t *testing.T) {
 	cold, _, _ := governedPair(t, 20)
-	blk, err := cold.Slice("blk", 5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blk.Size() != 5 || blk.At(0, 0) != V("c5") {
-		t.Fatal("Slice of governed relation is wrong")
-	}
 	cl := cold.Clone("copy")
 	if cl.Size() != 20 || !cl.Has(Tuple{V("c19"), V("d19")}) {
 		t.Fatal("Clone of governed relation is wrong")

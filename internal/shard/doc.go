@@ -48,8 +48,16 @@
 //     most distinct values (balanced hash partitions), and the other side
 //     is partitioned on it through the per-(key, P) memo.
 //
-// Joins with no shared column probe the whole other side from every part
-// (a product).
+// Whichever rung applies, each part is one probe chain over its pipeline
+// and its shard (or the whole other side). A dominant key value (a Zipf
+// hub) hashes every matching row into one part, whose probe then runs on
+// one worker; nothing splits a part. Joins with no shared column probe the
+// whole other side from every part (a product).
+//
+// Partitioning is statistics-light by design (janus-datalog's "greedy
+// beats optimal" production lesson): the partition key is the shared join
+// column with the most distinct values, P defaults to GOMAXPROCS, and
+// there is no cost model beyond the ladder above.
 //
 // # Projections
 //
@@ -100,24 +108,6 @@
 // the block×shard count matrix, then a race-free scatter into disjoint
 // ranges), preserving the sequential build's row order exactly.
 //
-// # Skew
-//
-// Hash partitioning balances shards only as well as the key's value
-// distribution: one dominant value (a Zipf hub) hashes every matching row
-// into a single shard and serializes the join again. When a shard of a
-// join's probe side exceeds Options.SkewFraction of that side's rows, it
-// is split into contiguous row blocks (relation.Slice views, no copying):
-// the part's stream is buffered once and replayed into one probe chain
-// per block, merged by batch.Fan. An exchange output part that turns hot
-// while the exchange is still scattering grows a second probe chain
-// (batch.Grow). Only stateless stages split — a hash projection's dedup
-// set is per part.
-//
-// Partitioning is statistics-light by design (janus-datalog's "greedy
-// beats optimal" production lesson): the partition key is the shared join
-// column with the most distinct values, P defaults to GOMAXPROCS, and
-// there is no cost model beyond the ladder above.
-//
 // # Empty shards
 //
 // Sparse partitionings (P far above a key's distinct values) leave many
@@ -129,9 +119,9 @@
 //
 // Options.Spill threads a memory governor (internal/spill) through every
 // path that builds shards: memoized base partitions, the sealed chunks of
-// a mid-stream exchange or a skew-split buffer, and transient sinks all
-// register their column bytes, and the governor parks the coldest
-// unpinned ones in file-backed segments when its budget is exceeded.
+// a mid-stream exchange, and transient sinks all register their column
+// bytes, and the governor parks the coldest unpinned ones in file-backed
+// segments when its budget is exceeded.
 // Pipeline stages pin what they read one batch at a time, so a parked
 // shard reloads when its scan reaches it and an exchange never needs the
 // whole repartitioned intermediate resident. Reads of parked shards

@@ -2,15 +2,11 @@ package shard
 
 // What the piped operators share: the routing counters (Counters), the
 // Stream carrier that couples a relation with the hash partitioning it
-// already has — so a pipeline opened over it starts partitioned — and the
-// hot-shard arithmetic of the skew split.
+// already has — so a pipeline opened over it starts partitioned.
 
 import (
-	"fmt"
-
 	"cqbound/internal/metrics/counter"
 	"cqbound/internal/relation"
-	"cqbound/internal/trace"
 )
 
 // Counters is the family of exchange-routed execution's routing counters
@@ -29,7 +25,7 @@ var (
 	broadcastOps = Counters.Counter("broadcast_ops",
 		"joins and semijoins that probed the small side whole in every shard instead of repartitioning")
 	skewSplits = Counters.Counter("skew_splits",
-		"hot shards split into row blocks")
+		"hot shards split into row blocks (no operator splits a shard; always zero)")
 	denseProjections = Counters.Counter("dense_projections",
 		"projections that deduplicated in a dense bitmap rather than hash tables")
 )
@@ -109,53 +105,6 @@ func (st Stream) DistinctEstimate(col int) int {
 		n += sh.DistinctEstimate(col)
 	}
 	return n
-}
-
-// noteSkew records a hot-shard split: the shared routing counter always,
-// plus — under tracing — a zero-duration skew event span attached to the
-// current stage.
-func noteSkew(opts *Options, name string, blocks int) {
-	opts.metrics().Add(skewSplits, 1)
-	if tr := opts.Tracer(); tr != nil {
-		sp := tr.Op(trace.KindSkew, "skew split "+name)
-		sp.SetNote(fmt.Sprintf("%d blocks", blocks))
-		sp.End()
-	}
-}
-
-// hotBlocks returns how many blocks a shard of the given size should split
-// into: 1 (no split) unless the shard holds more than frac of its side's
-// total, in which case it splits into blocks of about total*frac rows.
-func hotBlocks(size, total int, frac float64) int {
-	if total <= 0 || float64(size) <= frac*float64(total) {
-		return 1
-	}
-	target := int(frac * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	blocks := (size + target - 1) / target
-	if blocks < 2 {
-		return 1
-	}
-	return blocks
-}
-
-// sliceBlocks cuts r into `blocks` contiguous row-range views (O(arity)
-// each, no copying).
-func sliceBlocks(r *relation.Relation, blocks int) []*relation.Relation {
-	n := r.Size()
-	bs := (n + blocks - 1) / blocks
-	out := make([]*relation.Relation, 0, blocks)
-	for lo := 0; lo < n; lo += bs {
-		hi := min(lo+bs, n)
-		blk, err := r.Slice(r.Name, lo, hi)
-		if err != nil {
-			panic(fmt.Sprintf("shard: slicing %s [%d,%d): %v", r.Name, lo, hi, err))
-		}
-		out = append(out, blk)
-	}
-	return out
 }
 
 // indexOfKept returns the output position of input column c under the

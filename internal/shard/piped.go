@@ -3,9 +3,8 @@ package shard
 // The operators: a Piped carries per-shard column-batch pipelines
 // (internal/batch), and the Piped operators extend those pipelines stage
 // by stage — scan, semijoin, join probe, projection — routing each stage
-// down the ladder of doc.go (aligned reuse, broadcast, exchange, skew
-// split), so an intermediate result's peak residency is one batch per
-// stage per shard.
+// down the ladder of doc.go (aligned reuse, broadcast, exchange), so an
+// intermediate result's peak residency is one batch per stage per shard.
 // The right-hand operands of joins and semijoins remain relations (they
 // are probed via memoized hash indexes, which need the whole operand), so
 // pipelines always flow on the left: exactly the shape of the executors,
@@ -36,8 +35,8 @@ const streamBroadcastRows = 4096
 // known partitioning: a single pipeline, or the parts of a dense
 // projection that dropped the key), and a range per column holding every
 // value the pipelines can emit. A Piped is consumed by extending or
-// draining it exactly once — pipelines are not rewindable; buffer through
-// batch.Buffered or materialize to re-iterate.
+// draining it exactly once — pipelines are not rewindable; materialize to
+// re-iterate.
 type Piped struct {
 	attrs  []string
 	key    int
@@ -141,29 +140,6 @@ func (t *tapIter) Next(ctx context.Context) (*batch.Batch, error) {
 	return b, err
 }
 
-// splitProbe is the hot-shard block split, for skew on the probe side:
-// when one shard of the probe relation holds more than the skew fraction
-// of its total, the part's stream is buffered into governed chunks while
-// its first block chain consumes it, the shard is sliced into row blocks
-// of about frac·total rows, and every further block gets its own chain
-// over a replay of the buffer — batch.Fan merges them, so a serialized
-// probe against the hot shard becomes len(blocks) parallel probes. Only
-// usable for stages that are stateless per row (the join probe); a
-// projection's dedup set would leak duplicates across blocks.
-func splitProbe(src batch.Iterator, rsh *relation.Relation, blocks int, attrs []string, chain func(batch.Iterator, *relation.Relation) batch.Iterator, opts *Options) batch.Iterator {
-	buf := batch.NewBuffered(src, rsh.Name+"_skew", opts.batchSize(), opts.governTransient, opts.batchMetrics())
-	mks := make([]func() batch.Iterator, 0, blocks)
-	for i, b := range sliceBlocks(rsh, blocks) {
-		b := b
-		in := batch.Iterator(buf)
-		if i > 0 {
-			in = buf.Rewind()
-		}
-		mks = append(mks, func() batch.Iterator { return chain(in, b) })
-	}
-	return batch.Fan(mks, attrs)
-}
-
 // partitionSide partitions a probe-side relation. Shards register with the
 // governor either way; a transient operand's shards are additionally
 // tracked in the evaluation scope, so a fresh intermediate's partitioning
@@ -182,31 +158,16 @@ func partitionSide(r *relation.Relation, key, p int, transient bool, opts *Optio
 	return sh
 }
 
-// probeChain builds one part's probe stage against its shard of the probe
-// relation, splitting a hot shard into parallel block chains when the skew
-// fraction says so. total is the probe relation's full size.
-func probeChain(src batch.Iterator, rsh *relation.Relation, total int, attrs []string, chain func(batch.Iterator, *relation.Relation) batch.Iterator, opts *Options) batch.Iterator {
-	if frac := opts.skewFraction(); frac > 0 {
-		if blocks := hotBlocks(rsh.Size(), total, frac); blocks > 1 {
-			noteSkew(opts, rsh.Name, blocks)
-			return splitProbe(src, rsh, blocks, attrs, chain, opts)
-		}
-	}
-	return chain(src, rsh)
-}
-
 // JoinPipedStream extends every pipeline of pd with a hash-join probe
 // against next, the natural join: attributes shared by name join, the
 // output keeps all left columns (so pd's key survives unless the routing
 // replaces it) plus next's non-join columns. Routing is the ladder — reuse
 // an aligned partitioning (counting the rows that flow as reused), probe a
 // small next whole per part, otherwise exchange the pipeline onto a shared
-// column (batch.Exchange: incremental governor registration). Skew handling
-// is two-sided: a hot shard of the partitioned next splits into row blocks
-// probed by parallel chains, and a hot exchange output part grows a second
-// probe chain via batch.Grow while the exchange still scatters. next is
-// partitioned through its memoized Partition, so repeated evaluations share
-// the build.
+// column (batch.Exchange: incremental governor registration). Each part is
+// one probe chain against its shard of next, whatever the shard's size.
+// next is partitioned through its memoized Partition, so repeated
+// evaluations share the build.
 func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relation.Relation, transient bool) (*Piped, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -245,7 +206,7 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 		parts := make([]batch.Iterator, p)
 		for k := range parts {
 			src := batch.Iterator(&tapIter{src: pd.parts[k], f: adder(m, reusedRows)})
-			parts[k] = probeChain(src, rSh.Shard(k), next.Size(), attrs, chain, opts)
+			parts[k] = chain(src, rSh.Shard(k))
 		}
 		m.Add(shardedOps, 1)
 		// Left columns keep their positions through the join projection.
@@ -274,9 +235,7 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 	// Exchange the pipeline onto the shared column where next has the most
 	// distinct values (the balanced choice; the pipeline side has no
 	// statistics before it runs). Output shards seal into governed chunks
-	// as they fill. Skew: a hot shard of next splits into block chains up
-	// front; otherwise a part of the exchange flagged hot mid-stream grows
-	// a second probe chain.
+	// as they fill.
 	pick := 0
 	bestScore := -1
 	for i := range rCols {
@@ -285,23 +244,10 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 		}
 	}
 	rSh := partitionSide(next, rCols[pick], p, transient, opts)
-	frac := opts.skewFraction()
-	ex := batch.NewExchange(pd.parts, pd.attrs, lCols[pick], p, size, frac, opts.governTransient, exchangeCount(opts, pd.attrs[lCols[pick]], p), bm)
+	ex := batch.NewExchange(pd.parts, pd.attrs, lCols[pick], p, size, opts.governTransient, exchangeCount(opts, pd.attrs[lCols[pick]], p), bm)
 	parts := make([]batch.Iterator, p)
 	for k := range parts {
-		k := k
-		rsh := rSh.Shard(k)
-		if blocks := hotBlocks(rsh.Size(), next.Size(), frac); frac > 0 && blocks > 1 {
-			noteSkew(opts, rsh.Name, blocks)
-			parts[k] = splitProbe(ex.Part(k), rsh, blocks, attrs, chain, opts)
-			continue
-		}
-		if frac > 0 {
-			mk := func() batch.Iterator { return chain(ex.Part(k), rsh) }
-			parts[k] = batch.Grow(mk, attrs, func() bool { return ex.Hot(k) }, func() { noteSkew(opts, rsh.Name, 2) })
-		} else {
-			parts[k] = chain(ex.Part(k), rsh)
-		}
+		parts[k] = chain(ex.Part(k), rSh.Shard(k))
 	}
 	m.Add(shardedOps, 1)
 	return &Piped{attrs: attrs, key: lCols[pick], parts: parts, ranges: ranges}, nil
@@ -374,7 +320,7 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 		}
 	}
 	rSh := partitionSide(next, rCols[pick], p, transient, opts)
-	ex := batch.NewExchange(pd.parts, pd.attrs, lCols[pick], p, size, 0, opts.governTransient, exchangeCount(opts, pd.attrs[lCols[pick]], p), bm)
+	ex := batch.NewExchange(pd.parts, pd.attrs, lCols[pick], p, size, opts.governTransient, exchangeCount(opts, pd.attrs[lCols[pick]], p), bm)
 	parts := make([]batch.Iterator, p)
 	for k := range parts {
 		parts[k] = batch.Semijoin(ex.Part(k), rSh.Shard(k), lCols, rCols, bm)
@@ -444,10 +390,8 @@ func ProjectPiped(ctx context.Context, opts *Options, pd *Piped, idx []int) (*Pi
 		return out, nil
 	}
 	// Key dropped: route rows by the first kept column so all duplicates of
-	// a projected tuple meet in one part's dedup set. No Grow here — the
-	// projection is stateful (its dedup set), so splitting one part across
-	// two chains would let duplicates slip through.
-	ex := batch.NewExchange(pd.parts, pd.attrs, idx[0], len(pd.parts), size, 0, opts.governTransient, exchangeCount(opts, pd.attrs[idx[0]], len(pd.parts)), bm)
+	// a projected tuple meet in one part's dedup set.
+	ex := batch.NewExchange(pd.parts, pd.attrs, idx[0], len(pd.parts), size, opts.governTransient, exchangeCount(opts, pd.attrs[idx[0]], len(pd.parts)), bm)
 	for k := range out.parts {
 		out.parts[k] = batch.Project(ex.Part(k), idx, attrs, size, bm)
 	}

@@ -1,7 +1,7 @@
 package shard
 
 // Tests for the piped operators' routing ladder — aligned reuse,
-// broadcast, exchange, skew split, fallback — one table row per decision.
+// broadcast, exchange, fallback — one table row per decision.
 // Every row drains its pipelines and compares against the single-shard
 // relation operators, which are the semantics of record.
 
@@ -144,7 +144,7 @@ func spread(t *testing.T, r *relation.Relation, stride relation.Value) *relation
 
 // routeCounts is one run's routing counters, read from its Set.
 type routeCounts struct {
-	ShardedOps, FallbackOps, ReusedRows, ExchangedRows, BroadcastOps, SkewSplits, DenseProjections int64
+	ShardedOps, FallbackOps, ReusedRows, ExchangedRows, BroadcastOps, DenseProjections int64
 }
 
 // spillGauge reads the governor's registry entry spill_<name>.
@@ -168,7 +168,7 @@ func (r registrar) Gauge(name, _ string, fn func() int64) { r[name] = fn }
 
 func readCounts(m *counter.Set) routeCounts {
 	return routeCounts{m.Load(shardedOps), m.Load(fallbackOps), m.Load(reusedRows), m.Load(exchangedRows),
-		m.Load(broadcastOps), m.Load(skewSplits), m.Load(denseProjections)}
+		m.Load(broadcastOps), m.Load(denseProjections)}
 }
 
 func TestPipedRouting(t *testing.T) {
@@ -290,33 +290,21 @@ func TestPipedRouting(t *testing.T) {
 			check: func(t *testing.T, m routeCounts, out Stream) { checkKeyed(t, out, 0, p) },
 		},
 		{
-			name: "hot probe-side shard is split into block chains",
-			opts: Options{Shards: p, SkewFraction: 0.2},
+			name: "hot probe-side shard joins in one chain per part",
+			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, flat(hotL, opts), hotR), mustNaturalJoin(t, hotL, hotR)
 			},
 			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.SkewSplits == 0 {
-					t.Fatal("a third of the probe side shares one key but no shard was split")
+				if m.ExchangedRows != int64(hotL.Size()) || m.ShardedOps != 1 {
+					t.Fatalf("exchanged=%d sharded=%d, want %d/1", m.ExchangedRows, m.ShardedOps, hotL.Size())
 				}
 				checkKeyed(t, out, 0, p)
 			},
 		},
 		{
-			name: "negative SkewFraction disables splitting",
-			opts: Options{Shards: p, SkewFraction: -1},
-			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
-				return mustJoin(t, opts, flat(hotL, opts), hotR), mustNaturalJoin(t, hotL, hotR)
-			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.SkewSplits != 0 {
-					t.Fatalf("negative SkewFraction still split %d shards", m.SkewSplits)
-				}
-			},
-		},
-		{
 			name: "semijoin over skewed keys keeps the exchanged partitioning",
-			opts: Options{Shards: p, SkewFraction: 0.2},
+			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustSemijoin(t, opts, flat(hotL, opts), hotR), mustSemijoinRel(t, hotL, hotR)
 			},

@@ -21,8 +21,7 @@ import (
 // Options controls when and how the piped operators partition. A nil
 // *Options disables sharding entirely: every pipeline has one part and
 // batches of batch.DefaultSize rows. A non-nil zero value means "shard
-// everything": threshold 0 with GOMAXPROCS shards, default skew handling
-// and default batches.
+// everything": threshold 0 with GOMAXPROCS shards and default batches.
 type Options struct {
 	// MinRows is the row threshold: an operator runs partition-parallel
 	// only when its larger input has at least MinRows rows. Small inputs
@@ -30,16 +29,9 @@ type Options struct {
 	MinRows int
 	// Shards is the partition count P; <= 0 means GOMAXPROCS.
 	Shards int
-	// SkewFraction is the hot-shard trigger: when one shard of an
-	// operator's probe side holds more than this fraction of the side's
-	// rows — one dominant key value hashes every matching row into a
-	// single shard — the shard is split into row blocks that each join
-	// against the (pointer-replicated, read-only) co-shard, restoring
-	// per-worker balance. 0 means the default (0.25); negative disables
-	// splitting.
-	SkewFraction float64
 	// Metrics, when non-nil, counts the routing decisions (sharded vs
-	// fallback, reused vs repartitioned rows, broadcasts, skew splits) of
+	// fallback, reused vs repartitioned rows, broadcasts, dense
+	// projections) of
 	// every operator run under these options: a Set of Counters.
 	Metrics *counter.Set
 	// Spill, when non-nil, registers every shard built under these options
@@ -66,8 +58,8 @@ type Options struct {
 	// batch.Counters, shared across concurrent evaluations like Metrics.
 	Batch *counter.Set
 	// Trace, when non-nil, is the per-evaluation tracer: executors open
-	// stage and operator spans on it, and the exchange/skew machinery in
-	// this package attaches routing spans to whatever stage is current.
+	// stage and operator spans on it, and the exchanges in this package
+	// attach routing spans to whatever stage is current.
 	// Unlike Metrics and Batch it is never shared: the Engine threads a
 	// fresh Tracer through each traced evaluation's private Options copy.
 	Trace *trace.Tracer
@@ -100,12 +92,6 @@ func (o *Options) batchMetrics() *counter.Set {
 	return o.Batch
 }
 
-// defaultSkewFraction is the hot-shard trigger used when Options leaves
-// SkewFraction zero: a shard holding over a quarter of its side's rows
-// serializes at least a quarter of the work on one worker, which is where
-// splitting starts to pay.
-const defaultSkewFraction = 0.25
-
 // Count returns the partition count P the options select: 1 for nil
 // options, GOMAXPROCS when Shards is unset.
 func (o *Options) Count() int {
@@ -122,18 +108,6 @@ func (o *Options) Count() int {
 // run partition-parallel under these options.
 func (o *Options) active(n int) bool {
 	return o.Count() > 1 && n >= o.MinRows
-}
-
-// skewFraction returns the effective hot-shard trigger: the configured
-// fraction, the default when unset, or 0 (disabled) when negative.
-func (o *Options) skewFraction() float64 {
-	if o == nil || o.SkewFraction < 0 {
-		return 0
-	}
-	if o.SkewFraction == 0 {
-		return defaultSkewFraction
-	}
-	return o.SkewFraction
 }
 
 // metrics returns the options' counters (nil-safe; nil disables counting).

@@ -44,7 +44,8 @@
 // The budget is a target, never a hard cap: pinned buffers stay resident
 // even over budget, so enforcement cannot deadlock an operator against its
 // own working set. Eviction is also best-effort — a failed segment write
-// keeps the data resident rather than failing the query.
+// keeps the data resident rather than failing the query, and counts in
+// spill_evict_failures, not spill_evictions.
 //
 // # Buffer lifecycle
 //

@@ -24,6 +24,8 @@ var (
 	spillCounters = counter.NewFamily("spill")
 	evictions     = spillCounters.Counter("evictions",
 		"buffers parked to disk, re-evictions of already-written segments included")
+	evictFailures = spillCounters.Counter("evict_failures",
+		"evictions abandoned because the segment write failed: the buffer stayed resident")
 	reloads      = spillCounters.Counter("reloaded_shards", "parked buffers loaded back into memory")
 	pinWaits     = spillCounters.Counter("pin_waits", "reads that found their buffer parked and waited for its segment to load")
 	SpilledBytes = spillCounters.Counter("spilled_bytes", "bytes of the buffers parked to disk")
@@ -573,7 +575,9 @@ func (b *Buffer[V]) tryEvict() int64 {
 	}
 	if b.seg == nil {
 		if err := b.write(*p, g); err != nil {
-			return 0 // best effort: keep the data resident
+			// Keep the data resident, over budget if need be, and count it.
+			g.note(b.scope.Load(), evictFailures, 1)
+			return 0
 		}
 		g.onDisk.Add(b.bytes)
 	}

@@ -11,7 +11,7 @@ import (
 
 // stats is a governor's registry entries, by name.
 type stats struct {
-	SpilledShards, ReloadedShards, BytesOnDisk, Evictions, PinWaits, SpilledBytes,
+	SpilledShards, ReloadedShards, BytesOnDisk, Evictions, EvictFailures, PinWaits, SpilledBytes,
 	ResidentBytes, PeakResidentBytes, RegisteredBuffers, ReservedBytes, PeakReservedBytes int64
 }
 
@@ -19,7 +19,7 @@ func snapshot(g *Governor) stats {
 	r := registrar{}
 	g.Register(r)
 	v := func(name string) int64 { return r["spill_"+name]() }
-	return stats{v("spilled_shards"), v("reloaded_shards"), v("bytes_on_disk"), v("evictions"), v("pin_waits"),
+	return stats{v("spilled_shards"), v("reloaded_shards"), v("bytes_on_disk"), v("evictions"), v("evict_failures"), v("pin_waits"),
 		v("spilled_bytes"), v("resident_bytes"), v("peak_resident_bytes"), v("registered_buffers"),
 		v("reserved_bytes"), v("peak_reserved_bytes")}
 }
@@ -124,6 +124,45 @@ func TestEvictReloadRoundtrip(t *testing.T) {
 	}
 	if st.PeakResidentBytes != 160 {
 		t.Fatalf("peak = %d, want 160", st.PeakResidentBytes)
+	}
+}
+
+// TestFailedEvictionIsCounted: when the segment write fails, the buffer
+// stays resident and readable, over budget, and the failure is counted in
+// spill_evict_failures instead of spill_evictions.
+func TestFailedEvictionIsCounted(t *testing.T) {
+	g := NewGovernor(100, t.TempDir()) // 100 bytes: one 2×10 buffer is 80
+	defer g.Close()
+	a := Manage(g, cols(2, 10, 3), 10)
+	b := Manage(g, cols(2, 10, 900), 10) // parks a, creating the spill file
+	if a.Resident() {
+		t.Fatal("cold buffer not evicted over budget")
+	}
+	// Swap the spill file for a read-only handle on it: a's segment still
+	// reads, and every further segment write fails.
+	ro, err := os.Open(g.seg.f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.seg.f.Close()
+	g.seg.f = ro
+	before := snapshot(g)
+	c := Manage(g, cols(2, 10, 5), 10) // 160 bytes resident: b and c are tried
+	st := snapshot(g)
+	if got := st.EvictFailures - before.EvictFailures; got != 2 {
+		t.Fatalf("evict_failures moved by %d, want 2 (b and c)", got)
+	}
+	if st.Evictions != before.Evictions || st.BytesOnDisk != before.BytesOnDisk {
+		t.Fatalf("a failed write counted as an eviction: %+v -> %+v", before, st)
+	}
+	if !b.Resident() || !c.Resident() || st.ResidentBytes != 160 {
+		t.Fatalf("failed evictions must leave both buffers resident, over budget: %+v", st)
+	}
+	if !equalCols(b.Cols(), cols(2, 10, 900)) || !equalCols(c.Cols(), cols(2, 10, 5)) {
+		t.Fatal("a buffer whose eviction failed reads wrong columns")
+	}
+	if !equalCols(a.Cols(), cols(2, 10, 3)) {
+		t.Fatal("the segment written before the failure reads wrong columns")
 	}
 }
 

@@ -3,9 +3,9 @@
 // "evaluate" span, one stage span per executor phase (plan, bindings,
 // semijoin passes, join steps, head projection), and operator spans for
 // the work inside a stage (scans, semijoin and join probes, projections,
-// exchanges, skew splits, sinks) — each carrying rows in/out, batches
-// pulled, the planner's estimated intermediate size next to the actual
-// one, shard fan-out, spill/reload events, and wall time.
+// exchanges, sinks) — each carrying rows in/out, batches pulled, the
+// planner's estimated intermediate size next to the actual one, shard
+// fan-out, spill/reload events, and wall time.
 //
 // The contract with the execution stack:
 //

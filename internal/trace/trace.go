@@ -19,7 +19,6 @@ const (
 	KindJoin     Kind = "join"     // natural-join probe (one plan step or tree node)
 	KindProject  Kind = "project"  // duplicate-eliminating projection
 	KindExchange Kind = "exchange" // shard repartition (rows moved between partitions)
-	KindSkew     Kind = "skew"     // hot-shard split event
 	KindSink     Kind = "sink"     // pipeline drain into a materialized relation
 )
 
