@@ -16,15 +16,17 @@ import (
 // the timing harness that bench/ replaced, the Engine options, root
 // evaluation shortcuts and dictionary parking that no command or benchmark
 // workload used, the hand-written stats families, getters and helpers the
-// metric registry replaced, and the hot-shard skew splitting (its trigger,
+// metric registry replaced, the hot-shard skew splitting (its trigger,
 // tee, merges, span kind and example) that a part's single probe chain
-// replaced.
+// replaced, and the commit-time memo carry-over that lazy per-epoch memo
+// builds replaced.
 var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|ingestbench|tracebench)|BENCH_[a-z_]+\.json|` +
 	`\b(WithDictSpill|WithSkewSplitting|WithBatchSize|WithEpochRetention|WithSlowQueryThreshold|` +
 	`SkewFraction|NewBuffered|batch\.(Grow|Fan)|KindSkew|ExampleWithSharding_skew|` +
 	`EvaluateYannakakis|EvaluateGenericJoin|ChoosePlan|ExecutePlan|Dict\.Park|` +
 	`ShardStats|StreamStats|SpillStats|EpochStats|EngineStats|CacheStats|AdmissionStats|ResultCacheStats|ObsStats|` +
 	`ResetCounters|epochCounterSnapshot|tracedOptions|tracedPrivate|tracedDeltas|counterSuffixes|promTypeFor|` +
+	`ExtendMemos|ExtendPartitions|InstallMemo|extendIndex|extendStats|extendRanges|` +
 	`(shard|batch)\.(Metrics|Stats)|spill\.(Stats|Events))\b`)
 
 // TestNoDeletedHarnessReferences keeps code, CI and the user-facing docs from

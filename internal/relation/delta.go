@@ -7,18 +7,12 @@ package relation
 // Old readers are bounded by their own row count, the commit path is
 // serialized by the Engine, and a base that has already grown a successor
 // reallocates instead of forking the shared spare capacity, so the chain
-// of versions stays linear and race-free.
-//
-// The same file holds the incremental memo maintenance: ExtendMemos
-// derives the successor's hash indexes and column statistics from the
-// base's memoized ones plus the delta rows, and InstallMemo / EachMemo are
-// the seams the Engine and internal/shard use to pre-install derived
-// entries at commit time and to enumerate memoized partitions during the
-// epoch-retirement sweep.
+// of versions stays linear and race-free. A successor starts with an
+// empty memo table: each epoch builds its indexes, statistics and
+// partitions lazily, on first read.
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 )
 
@@ -94,20 +88,6 @@ func (d Dedup) Row(t Tuple) (int32, bool) {
 // Put records t at the given row index.
 func (d Dedup) Put(t Tuple, row int32) { d[t.Key()] = row }
 
-// InstallMemo stores v under key as if it had been built against r's
-// current size: the seam for incrementally derived entries — the Engine's
-// commit path extends a base version's indexes, statistics and partitions
-// and installs the results on the successor, so the first reader of the
-// new epoch finds them warm instead of rebuilding from scratch.
-func (r *Relation) InstallMemo(key string, v any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.memos == nil {
-		r.memos = make(map[string]memoEntry)
-	}
-	r.memos[key] = memoEntry{v: v, size: r.n}
-}
-
 // EachMemo calls f for every memoized entry of r — including STALE ones,
 // whose build size no longer matches the relation (valid reports which).
 // Stale entries are exactly what the epoch-retirement sweep must see: a
@@ -132,80 +112,4 @@ func (r *Relation) EachMemo(f func(key string, v any, valid bool) bool) {
 			return
 		}
 	}
-}
-
-// ExtendMemos derives next's memoized hash indexes and column statistics
-// from r's valid ones plus next's delta rows (rows r.Size()..next.Size())
-// and installs them on next, returning how many entries were derived
-// incrementally. Statistics extend only when r retained its per-column
-// value sets (frozen relations do); partition memos are extended by
-// internal/shard.ExtendPartitions, which owns their governor registration.
-func (r *Relation) ExtendMemos(next *Relation) int {
-	count := 0
-	r.EachMemo(func(key string, v any, valid bool) bool {
-		if !valid {
-			return true
-		}
-		switch val := v.(type) {
-		case *stats:
-			if val.sets == nil || len(val.sets) != next.Arity() {
-				return true
-			}
-			next.InstallMemo(key, extendStats(val, next, r.n))
-			count++
-		case *Index:
-			next.InstallMemo(key, extendIndex(val, next, r.n))
-			count++
-		case columnRanges:
-			if len(val) != next.Arity() {
-				return true
-			}
-			next.InstallMemo(key, extendRanges(val, next, r.n))
-			count++
-		}
-		return true
-	})
-	return count
-}
-
-// extendIndex derives next's index from ix, built over next's first oldN
-// rows, by inserting the delta rows' keys into a copy of ix's key table
-// and laying the posting lists out afresh. ix itself is never written:
-// readers of the retired epoch may still be probing it.
-func extendIndex(ix *Index, next *Relation, oldN int) *Index {
-	next.Pin()
-	defer next.Unpin()
-	keyOf := make([]int32, next.n)
-	for k := int32(0); k < int32(ix.Len()); k++ {
-		for _, i := range ix.postings(k) {
-			keyOf[i] = k
-		}
-	}
-	out := &Index{cols: ix.cols, keys: ix.keys.clone()}
-	out.addRows(next, keyOf, oldN)
-	return out
-}
-
-// extendStats unions the delta rows' values into clones of the base's
-// per-column value sets. next is frozen, so the successor keeps its sets
-// too and the chain extends in O(delta) per batch indefinitely.
-func extendStats(s *stats, next *Relation, oldN int) *stats {
-	next.Pin()
-	defer next.Unpin()
-	ns := &stats{
-		distinct: make([]int, next.Arity()),
-		sets:     make([]map[Value]struct{}, next.Arity()),
-	}
-	for c := 0; c < next.Arity(); c++ {
-		set := maps.Clone(s.sets[c])
-		if set == nil {
-			set = make(map[Value]struct{})
-		}
-		for _, v := range next.Column(c)[oldN:] {
-			set[v] = struct{}{}
-		}
-		ns.sets[c] = set
-		ns.distinct[c] = len(set)
-	}
-	return ns
 }

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -84,51 +86,84 @@ func TestFrozenInsertRejected(t *testing.T) {
 	}
 }
 
-func TestExtendMemosMatchRebuild(t *testing.T) {
-	base := New("R", "A", "B")
-	for i := 0; i < 40; i++ {
-		base.Add(fmt.Sprintf("x%d", i%7), fmt.Sprintf("y%d", i))
-	}
+// TestExtendLeavesBaseMemosAlone pins the memo contract across versions: an
+// Extend successor starts with no memos and builds its index, statistics
+// and ranges on first read, equal to those of a freshly built twin, while
+// the base's warm memos keep answering for the base's rows alone.
+func TestExtendLeavesBaseMemosAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	base := randRel(rng, "R", []string{"a", "b", "c"}, 400, 5)
 	base.Freeze()
-	// Warm the memos the extension derives from.
-	baseIx := base.Index(0)
-	_ = base.DistinctCount(0)
-	_ = base.DistinctCount(1)
+	cols := []int{2, 1}
+	baseIx := base.Index(cols...)
+	before := scanPostings(base, cols)
+	baseDistinct := []int{base.DistinctCount(0), base.DistinctCount(1), base.DistinctCount(2)}
+	baseRanges := []Range{base.ValueRange(0), base.ValueRange(1), base.ValueRange(2)}
 
-	delta := []Tuple{tupleOf("x1", "fresh1"), tupleOf("z", "fresh2")}
+	// A delta whose rows repeat existing keys and add new ones; column 0
+	// holds fresh values, so the rows are new and widen its range.
+	var delta []Tuple
+	for i := 0; i < 60; i++ {
+		tp := base.Row(rng.Intn(base.Size()))
+		tp[0] = V(fmt.Sprintf("fresh%d", i))
+		if i%3 == 0 {
+			tp[cols[0]] = V(fmt.Sprintf("newkey%d", i))
+		}
+		delta = append(delta, tp)
+	}
 	next, err := base.Extend(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := base.ExtendMemos(next); got != 2 {
-		t.Fatalf("extended %d memos, want 2 (stats + one index)", got)
-	}
+	next.EachMemo(func(key string, _ any, _ bool) bool {
+		t.Fatalf("successor starts with memo %q: memos are built on first read", key)
+		return true
+	})
 
-	// A from-scratch twin of next: same rows, cold memos.
-	fresh := New("R", "A", "B")
+	// A from-scratch twin of next: same rows in the same order.
+	fresh := New("R", "a", "b", "c")
 	next.Each(func(tp Tuple) bool {
 		fresh.MustInsert(tp.Clone()...)
 		return true
 	})
 	fresh.Freeze()
-	for c := 0; c < 2; c++ {
+	for c := range baseDistinct {
 		if got, want := next.DistinctCount(c), fresh.DistinctCount(c); got != want {
-			t.Fatalf("column %d: extended distinct %d, rebuilt %d", c, got, want)
+			t.Fatalf("column %d: successor distinct %d, twin %d", c, got, want)
+		}
+		if got, want := next.ValueRange(c), fresh.ValueRange(c); got != want {
+			t.Fatalf("column %d: successor range %v, twin %v", c, got, want)
 		}
 	}
-	freshIx := next.Index(0) // served from the installed memo
-	fresh.Each(func(tp Tuple) bool {
-		if len(freshIx.Rows(probeKey(tp[0]))) == 0 {
-			t.Fatalf("extended index misses key %v", tp.Strings())
+	nextIx, freshIx := next.Index(cols...), fresh.Index(cols...)
+	checkIndex(t, "successor", nextIx, next)
+	if nextIx.Len() != freshIx.Len() {
+		t.Fatalf("successor index has %d keys, twin %d", nextIx.Len(), freshIx.Len())
+	}
+	for k := int32(0); k < int32(nextIx.Len()); k++ {
+		if !slices.Equal(nextIx.postings(k), freshIx.postings(k)) {
+			t.Fatalf("key %v: successor postings %v, twin %v", nextIx.keys.key(k), nextIx.postings(k), freshIx.postings(k))
 		}
-		return true
-	})
-	// The extension must not have grown the BASE index's posting lists:
-	// epoch readers of the base are still probing them.
-	baseRows := baseIx.Rows(probeKey(V("x1")))
-	for _, row := range baseRows {
-		if int(row) >= base.Size() {
-			t.Fatalf("base index now lists row %d past base size %d", row, base.Size())
+	}
+
+	// The base's memos are the ones warmed before Extend, unchanged:
+	// readers of the old epoch are still probing them.
+	if base.Index(cols...) != baseIx {
+		t.Fatal("base index was rebuilt after Extend")
+	}
+	checkIndex(t, "base after extend", baseIx, base)
+	for k := int32(0); k < int32(baseIx.Len()); k++ {
+		key := baseIx.keys.key(k)
+		if got := baseIx.postings(k); !slices.Equal(got, before[Tuple(key).Key()]) {
+			t.Fatalf("base postings of %v changed to %v", key, got)
+		}
+	}
+	for c := range baseDistinct {
+		if got := base.DistinctCount(c); got != baseDistinct[c] {
+			t.Fatalf("base column %d: distinct %d after extend, %d before", c, got, baseDistinct[c])
+		}
+		if got := base.ValueRange(c); got != baseRanges[c] {
+			t.Fatalf("base column %d: range %v after extend, %v before", c, got, baseRanges[c])
 		}
 	}
 }

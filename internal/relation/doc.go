@@ -37,9 +37,9 @@
 //     leak governor registrations — duplicates are prevented, not
 //     tolerated.)
 //
-// Views produced by ProjectView and Slice share storage without a memo
-// parent — their column positions or row indices differ from the base, so
-// delegation would serve wrong answers; they build their own memos.
+// Views produced by ProjectView share storage without a memo parent —
+// their column positions differ from the base, so delegation would serve
+// wrong answers; they build their own memos.
 //
 // # Versions: frozen relations and delta extension
 //
@@ -53,16 +53,13 @@
 // base, or one whose base shares or governs its storage, clips to fresh
 // arrays so sibling versions never fork each other's spare capacity.
 //
-// Memoized structures move across versions incrementally: ExtendMemos
-// derives the successor's hash indexes (a copy of the base's key table
-// plus the delta's keys, posting lists laid out afresh, the base index
-// never written), per-column distinct statistics (set union with the
-// delta) and value ranges (widened by the delta) from the base's instead
-// of rebuilding, InstallMemo lets
-// internal/shard install incrementally extended partitions, and EachMemo
-// exposes every entry — stale ones included — so the epoch sweep can
-// reclaim governed buffers that invalidation orphaned. NewDedup/Dedup is the writer-owned tuple→row map
-// that keeps set semantics O(delta) per committed batch.
+// A commit extends rows; each epoch builds its memos lazily on first
+// read. A successor starts with an empty memo table, and the base's memos
+// are never written, so readers of the old epoch keep probing them.
+// EachMemo exposes every entry — stale ones included — so the epoch sweep
+// can reclaim governed buffers that invalidation orphaned. NewDedup/Dedup
+// is the writer-owned tuple→row map that keeps set semantics O(delta) per
+// committed batch.
 //
 // Every relation can also carry a private Dict (NewIn, AdoptDict, Dict):
 // engines intern transactional ingest in their own dictionary, and the

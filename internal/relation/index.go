@@ -153,19 +153,18 @@ func (r *Relation) Index(cols ...int) *Index {
 		r.Pin()
 		defer r.Unpin()
 		ix := &Index{cols: cs, keys: NewKeyTable(len(cs), r.n)}
-		ix.addRows(r, make([]int32, r.n), 0)
+		ix.addRows(r)
 		return ix
 	}).(*Index)
 }
 
-// addRows inserts the keys of r's rows from..r.Size() into ix's table and
-// lays out every posting list afresh. keyOf has one entry per row of r;
-// entries below from already hold their rows' key ids. The table is
-// fitted to its keys afterwards, so the hint an index is built with does
-// not outlive the build.
-func (ix *Index) addRows(r *Relation, keyOf []int32, from int) {
+// addRows inserts the keys of r's rows into ix's empty table and lays out
+// every posting list. The table is fitted to its keys afterwards, so the
+// hint an index is built with does not outlive the build.
+func (ix *Index) addRows(r *Relation) {
 	d := r.data()
-	for i := from; i < r.n; i++ {
+	keyOf := make([]int32, r.n)
+	for i := range keyOf {
 		keyOf[i], _ = ix.keys.Insert(d, ix.cols, i)
 	}
 	ix.keys.fit()

@@ -164,13 +164,3 @@ func (t *KeyTable) fit() {
 		t.resize(size)
 	}
 }
-
-// clone returns an independent copy whose arena and slots share no storage
-// with t.
-func (t *KeyTable) clone() *KeyTable {
-	c := *t
-	c.slots = append([]slot(nil), t.slots...)
-	c.keys = make([]Value, len(t.keys), cap(t.keys))
-	copy(c.keys, t.keys)
-	return &c
-}

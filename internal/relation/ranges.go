@@ -56,8 +56,7 @@ type columnRanges []Range
 // over its rows, EmptyRange for an empty relation or an out-of-range
 // column. The ranges of all columns are computed together in one linear
 // scan and memoized in the size-keyed memo table (so Clone/Rename views
-// share their parent's), and an epoch successor built by Extend derives
-// its ranges from the delta alone (ExtendMemos).
+// share their parent's).
 func (r *Relation) ValueRange(c int) Range {
 	if c < 0 || c >= len(r.Attrs) {
 		return EmptyRange
@@ -67,35 +66,20 @@ func (r *Relation) ValueRange(c int) Range {
 		defer r.Unpin()
 		out := make(columnRanges, len(r.Attrs))
 		for c := range out {
-			out[c] = EmptyRange.extend(r.Column(c))
+			out[c] = rangeOf(r.Column(c))
 		}
 		return out
 	}).(columnRanges)[c]
 }
 
-// extend returns the range widened to cover every value of col.
-func (g Range) extend(col []Value) Range {
+// rangeOf returns the range of the values in col.
+func rangeOf(col []Value) Range {
 	if len(col) == 0 {
-		return g
+		return EmptyRange
 	}
 	lo, hi := col[0], col[0]
-	if !g.Empty() {
-		lo, hi = min(lo, g.Lo), max(hi, g.Hi)
-	}
 	for _, v := range col {
 		lo, hi = min(lo, v), max(hi, v)
 	}
 	return Range{Lo: lo, Hi: hi}
-}
-
-// extendRanges widens the base's ranges by the delta rows (next's rows
-// from oldN on).
-func extendRanges(g columnRanges, next *Relation, oldN int) columnRanges {
-	next.Pin()
-	defer next.Unpin()
-	out := make(columnRanges, len(g))
-	for c := range out {
-		out[c] = g[c].extend(next.Column(c)[oldN:])
-	}
-	return out
 }

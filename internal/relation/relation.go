@@ -121,8 +121,7 @@ type Relation struct {
 	dict *Dict
 
 	// frozen marks a relation published in an epoch snapshot: Insert
-	// rejects mutation, and ensureStats retains per-column distinct-value
-	// sets so a successor version can extend statistics incrementally.
+	// rejects mutation.
 	// extended marks a frozen relation that has already grown a successor
 	// in place (Extend): a second Extend of the same base must reallocate
 	// its columns rather than fork the shared spare capacity.

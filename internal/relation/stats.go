@@ -15,14 +15,9 @@ import (
 // hash indexes — recomputed when the relation grows, shared with renames and
 // clones, safe under concurrent readers.
 
-// stats caches per-column distinct value counts. For frozen (epoch-
-// published) relations the per-column value sets themselves are retained,
-// so a successor version produced by Extend can derive its statistics from
-// the delta alone instead of rescanning every column (extendStats in
-// delta.go); transient operator outputs keep only the counts.
+// stats caches per-column distinct value counts.
 type stats struct {
-	distinct []int                // distinct values per column
-	sets     []map[Value]struct{} // per-column value sets; frozen relations only
+	distinct []int // distinct values per column
 }
 
 // ensureStats computes (or fetches) per-column distinct counts. Columns are
@@ -31,18 +26,6 @@ type stats struct {
 func (r *Relation) ensureStats() *stats {
 	return r.Memo("stats", func() any {
 		s := &stats{distinct: make([]int, len(r.Attrs))}
-		if r.frozen {
-			s.sets = make([]map[Value]struct{}, len(r.Attrs))
-			for c := range r.Attrs {
-				set := make(map[Value]struct{}, r.n)
-				for _, v := range r.Column(c) {
-					set[v] = struct{}{}
-				}
-				s.sets[c] = set
-				s.distinct[c] = len(set)
-			}
-			return s
-		}
 		seen := make(map[Value]struct{}, r.n)
 		for c := range r.Attrs {
 			clear(seen)

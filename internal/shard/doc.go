@@ -126,16 +126,4 @@
 // shard reloads when its scan reaches it and an exchange never needs the
 // whole repartitioned intermediate resident. Reads of parked shards
 // reload transparently; outputs are identical with or without a budget.
-//
-// # Partition versioning
-//
-// ExtendPartitions (delta.go) carries memoized partitions across epoch
-// versions: when a frozen relation is extended by a committed batch, the
-// delta rows are bucketed by the same ShardOf hash, shards the delta
-// missed are carried over to the successor's memo by pointer (keeping
-// their single governor registration), and only the touched shards are
-// rebuilt and freshly governed. The successor thus starts with warm
-// partitions at O(delta + touched shards), while the base's memo — still
-// serving pinned readers of the old epoch — is left untouched until the
-// epoch sweep reclaims it.
 package shard

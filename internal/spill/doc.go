@@ -59,13 +59,12 @@
 // (the spill_registered_buffers gauge makes this observable).
 //
 // Under the engine's epoch store, base partitions retire with their
-// epoch: a committed batch installs extended partitions for the new
-// version (untouched shards keep their registration, replaced ones get a
-// fresh one), and the retirement sweep Discards every buffer reachable
-// only from reclaimed epochs — including partition memos that an earlier
-// design left orphaned in the registry after invalidation. Registered
-// buffers and bytes on disk thus return to the live snapshot's footprint
-// after each epoch drains, which the regression tests assert.
+// epoch: each epoch builds its own partitions on first read (a relation a
+// commit left unchanged keeps its registered ones), and the retirement
+// sweep Discards every buffer reachable only from reclaimed epochs,
+// stale partition memos included. Registered buffers and bytes on disk
+// thus return to the live snapshot's footprint after each epoch drains,
+// which the regression tests assert.
 //
 // # Budget reservations
 //

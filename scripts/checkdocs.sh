@@ -13,6 +13,9 @@
 #
 # It also caps CHANGES.md: every entry from PR 26 on (a line starting
 # "PR <n>:" plus any lines up to the next entry) must fit in 1500 bytes.
+# README.md and ARCHITECTURE.md may not grow past their byte caps below;
+# a change that shrinks either should lower its cap, so the budget only
+# moves down.
 set -e
 fail=0
 # The execution-stack packages must keep a dedicated doc.go: their package
@@ -34,6 +37,18 @@ if [ "$fail" -ne 0 ]; then
     echo "checkdocs: add a '// Package <name> ...' doc comment (see doc.go files for examples)" >&2
     exit 1
 fi
+for cap in README.md:34030 ARCHITECTURE.md:31935; do
+    doc=${cap%:*}
+    max=${cap#*:}
+    size=$(wc -c < "$doc")
+    if [ "$size" -gt "$max" ]; then
+        echo "checkdocs: $doc is $size bytes; the cap is $max" >&2
+        fail=1
+    fi
+done
+if [ "$fail" -ne 0 ]; then
+    exit 1
+fi
 if ! LC_ALL=C awk '
     function check() {
         if (pr >= 26 && size > 1500) {
@@ -47,4 +62,4 @@ if ! LC_ALL=C awk '
 ' CHANGES.md; then
     exit 1
 fi
-echo "checkdocs: every package has a doc comment; CHANGES.md entries fit the cap"
+echo "checkdocs: every package has a doc comment; README.md, ARCHITECTURE.md and CHANGES.md entries fit their caps"

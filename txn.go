@@ -6,19 +6,18 @@ package cqbound
 // atomically at Commit; readers pin an epoch — explicitly with Snapshot,
 // or implicitly for the duration of an Evaluate over an epoch database —
 // and always see a frozen, consistent view. Commits are serialized (txMu),
-// but never block readers: a committed batch EXTENDS the published
-// relations into frozen successor versions (internal/relation.Extend)
-// whose columns reuse the base's backing arrays, and derives the
-// successors' memoized hash indexes, statistics and shard partitions from
-// the base's plus the delta (ExtendMemos, shard.ExtendPartitions) instead
-// of invalidate-and-rebuild.
+// but never block readers: a commit extends rows — each appended relation
+// becomes a frozen successor version (internal/relation.Extend) whose
+// columns reuse the base's backing arrays — and each epoch builds its
+// memos (hash indexes, statistics, shard partitions) lazily on first read.
 //
 // When a commit supersedes an epoch and its last reader unpins, the
-// retirement sweep reclaims everything only that epoch could reach: governed memo shards leave the spill governor's
-// registry (and their segments leave the disk), and per-epoch plan
-// cache entries are pruned. Dict compaction (Engine.Compact) is the
-// analogous reclamation for the string table: it rewrites surviving IDs
-// against a fresh dictionary and publishes the result as a new epoch.
+// retirement sweep reclaims everything only that epoch could reach:
+// governed memo shards leave the spill governor's registry (and their
+// segments leave the disk), and per-epoch plan cache entries are pruned.
+// Dict compaction (Engine.Compact) is the analogous reclamation for the
+// string table: it rewrites surviving IDs against a fresh dictionary and
+// publishes the result as a new epoch.
 
 import (
 	"fmt"
@@ -28,7 +27,6 @@ import (
 	"cqbound/internal/database"
 	"cqbound/internal/metrics/counter"
 	"cqbound/internal/relation"
-	"cqbound/internal/shard"
 )
 
 // epochState tracks one published epoch: its immutable database snapshot,
@@ -346,12 +344,8 @@ func (t *Txn) Commit() (uint64, error) {
 			continue // batch was a no-op for this relation
 		}
 		// Append path: the successor extends the base in place (old readers
-		// are bounded by their own row counts) and inherits its memoized
-		// indexes, statistics and partitions incrementally.
+		// are bounded by their own row counts); its memos build on first read.
 		next, _ := br.Extend(newAdds)
-		inc := br.ExtendMemos(next)
-		inc += shard.ExtendPartitions(br, next, e.spill)
-		e.epoch.Add(incrementalMemos, int64(inc))
 		replace[name] = next
 		e.dedup[name] = m
 	}
@@ -401,9 +395,10 @@ func (e *Engine) publish(epoch uint64, db *database.Database) {
 // and every governed buffer reachable ONLY from swept epochs — orphaned
 // memo shards included, stale ones especially — is discarded from the
 // spill governor, freeing its spilled segment if parked. Buffers shared
-// with a surviving epoch (untouched shards carried over by pointer) are
-// left alone. Sweeps run at publish time and when a reader's last pin
-// drains; both entry points are cheap when nothing retired.
+// with a surviving epoch — a relation a commit left unchanged is the same
+// relation in both, partition memos included — are left alone. Sweeps run
+// at publish time and when a reader's last pin drains; both entry points
+// are cheap when nothing retired.
 func (e *Engine) sweep() {
 	e.epochMu.Lock()
 	var swept []*epochState
@@ -555,7 +550,7 @@ var (
 	retiredEpochs    = epochCounters.Counter("retired", "epochs fully reclaimed by the retirement sweep")
 	sweptBuffers     = epochCounters.Counter("swept_buffers", "governed buffers the retirement sweep discarded")
 	sweptBytes       = epochCounters.Counter("swept_bytes", "bytes of the buffers the retirement sweep discarded")
-	incrementalMemos = epochCounters.Counter("incremental_memos", "memos derived from a base version instead of rebuilt")
+	_                = epochCounters.Counter("incremental_memos", "memos carried over from a base version (each epoch builds its memos on first read; always zero)")
 	rebuiltRelations = epochCounters.Counter("rebuilt_relations", "retraction-path chain rebuilds")
 	compactions      = epochCounters.Counter("compactions", "dictionary compactions")
 )
