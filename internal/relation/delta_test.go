@@ -86,6 +86,54 @@ func TestFrozenInsertRejected(t *testing.T) {
 	}
 }
 
+// TestExtendMemosMatchRebuild pins that a successor's memos, built on
+// first read, equal a from-scratch twin's, and that building them leaves
+// the base index's posting lists alone.
+func TestExtendMemosMatchRebuild(t *testing.T) {
+	base := New("R", "A", "B")
+	for i := 0; i < 40; i++ {
+		base.Add(fmt.Sprintf("x%d", i%7), fmt.Sprintf("y%d", i))
+	}
+	base.Freeze()
+	// Warm the base's memos before the extension.
+	baseIx := base.Index(0)
+	_ = base.DistinctCount(0)
+	_ = base.DistinctCount(1)
+
+	delta := []Tuple{tupleOf("x1", "fresh1"), tupleOf("z", "fresh2")}
+	next, err := base.Extend(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A from-scratch twin of next: same rows, cold memos.
+	fresh := New("R", "A", "B")
+	next.Each(func(tp Tuple) bool {
+		fresh.MustInsert(tp.Clone()...)
+		return true
+	})
+	fresh.Freeze()
+	for c := 0; c < 2; c++ {
+		if got, want := next.DistinctCount(c), fresh.DistinctCount(c); got != want {
+			t.Fatalf("column %d: successor distinct %d, rebuilt %d", c, got, want)
+		}
+	}
+	nextIx := next.Index(0)
+	fresh.Each(func(tp Tuple) bool {
+		if len(nextIx.Rows(probeKey(tp[0]))) == 0 {
+			t.Fatalf("successor index misses key %v", tp.Strings())
+		}
+		return true
+	})
+	// Building the successor's index must not have grown the BASE index's
+	// posting lists: epoch readers of the base are still probing them.
+	for _, row := range baseIx.Rows(probeKey(V("x1"))) {
+		if int(row) >= base.Size() {
+			t.Fatalf("base index now lists row %d past base size %d", row, base.Size())
+		}
+	}
+}
+
 // TestExtendLeavesBaseMemosAlone pins the memo contract across versions: an
 // Extend successor starts with no memos and builds its index, statistics
 // and ranges on first read, equal to those of a freshly built twin, while

@@ -90,3 +90,30 @@ func TestValueRangeDelegatesToParent(t *testing.T) {
 		t.Fatalf("base after the clone grew: range %v, want %v", got, want)
 	}
 }
+
+// TestExtendMemosWidenRanges pins that an epoch successor's ranges cover
+// the delta's values, while the base's warm ranges keep its own rows'.
+func TestExtendMemosWidenRanges(t *testing.T) {
+	base := valuesRel("R", []Value{10, 20}, []Value{5, 6})
+	base.Freeze()
+	_ = base.ValueRange(0)
+	next, err := base.Extend([]Tuple{{3, 6}, {15, 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := next.peekMemo("ranges"); ok {
+		t.Fatal("the successor starts with ranges: they are built on first read")
+	}
+	for c, want := range []Range{{Lo: 3, Hi: 20}, {Lo: 5, Hi: 40}} {
+		if got := next.ValueRange(c); got != want {
+			t.Fatalf("successor column %d: range %v, want %v", c, got, want)
+		}
+		fresh := valuesRel("F", next.Column(0), next.Column(1))
+		if got := fresh.ValueRange(c); got != want {
+			t.Fatalf("rescanned column %d: range %v, want %v", c, got, want)
+		}
+	}
+	if got, want := base.ValueRange(0), (Range{Lo: 10, Hi: 20}); got != want {
+		t.Fatalf("base after extension: range %v, want %v", got, want)
+	}
+}
