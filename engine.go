@@ -71,12 +71,12 @@ type Engine struct {
 	// epochMu guards the epoch list, the live pointer, the byDB lookup and
 	// reader pin transitions. dict is the engine's private dictionary —
 	// swapped only by Compact, hence the atomic pointer (staging and stats
-	// read it without a lock). dedup holds the writer-owned tuple→row maps
-	// per relation chain, touched only under txMu.
+	// read it without a lock). dedup holds the writer's row table of each
+	// relation chain (id = row), touched only under txMu.
 	txMu    sync.Mutex
 	epochMu sync.Mutex
 	dict    atomic.Pointer[relation.Dict]
-	dedup   map[string]relation.Dedup
+	dedup   map[string]*relation.KeyTable
 	live    *epochState
 	epochs  []*epochState
 	byDB    map[*database.Database]*epochState
@@ -199,7 +199,7 @@ func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
 		analyses: lru.New[*analysisEntry](maxCacheEntries),
 		plans:    lru.New[*planEntry](maxCacheEntries),
-		dedup:    make(map[string]relation.Dedup),
+		dedup:    make(map[string]*relation.KeyTable),
 		cache:    cacheCounters.NewSet(),
 		epoch:    epochCounters.NewSet(),
 		shard:    shard.Counters.NewSet(),
@@ -519,7 +519,7 @@ type BatchResult struct {
 // answering many queries over one database. Per-query failures land in the
 // corresponding BatchResult; canceling ctx stops unstarted queries, whose
 // results report the context error. Cached analyses and plans — and the
-// statistics, hash indexes, tries and shard partitions memoized on db's
+// statistics, hash indexes and shard partitions memoized on db's
 // relations — are shared across the batch.
 func (e *Engine) EvaluateBatch(ctx context.Context, queries []*Query, db *Database) []BatchResult {
 	out := make([]BatchResult, len(queries))

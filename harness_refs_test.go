@@ -18,8 +18,9 @@ import (
 // workload used, the hand-written stats families, getters and helpers the
 // metric registry replaced, the hot-shard skew splitting (its trigger,
 // tee, merges, span kind and example) that a part's single probe chain
-// replaced, and the commit-time memo carry-over that lazy per-epoch memo
-// builds replaced.
+// replaced, the commit-time memo carry-over that lazy per-epoch memo
+// builds replaced, and the string-keyed dedup maps and generic join's map
+// tries that KeyTable and the per-prefix indexes replaced.
 var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|ingestbench|tracebench)|BENCH_[a-z_]+\.json|` +
 	`\b(WithDictSpill|WithSkewSplitting|WithBatchSize|WithEpochRetention|WithSlowQueryThreshold|` +
 	`SkewFraction|NewBuffered|batch\.(Grow|Fan)|KindSkew|ExampleWithSharding_skew|` +
@@ -27,6 +28,7 @@ var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|in
 	`ShardStats|StreamStats|SpillStats|EpochStats|EngineStats|CacheStats|AdmissionStats|ResultCacheStats|ObsStats|` +
 	`ResetCounters|epochCounterSnapshot|tracedOptions|tracedPrivate|tracedDeltas|counterSuffixes|promTypeFor|` +
 	`ExtendMemos|ExtendPartitions|InstallMemo|extendIndex|extendStats|extendRanges|` +
+	`trieNode|trieFor|ensureSeen|NewDedup|relation\.Dedup|` +
 	`(shard|batch)\.(Metrics|Stats)|spill\.(Stats|Events))\b`)
 
 // TestNoDeletedHarnessReferences keeps code, CI and the user-facing docs from

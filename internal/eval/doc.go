@@ -62,6 +62,6 @@
 // Binding relations (bindingRelation) are the bridge from atoms to
 // relations: for atoms without repeated variables they are O(arity)
 // copy-on-write renames of the stored relation, so memoized statistics,
-// indexes, tries and shard partitions of the base relation serve every
-// query that touches it.
+// indexes (joins and generic join read the same ones) and shard partitions
+// of the base relation serve every query that touches it.
 package eval

@@ -283,8 +283,8 @@ func emptyOutput(q *cq.Query) *relation.Relation {
 // When the atom has no repeated variables — the common case — the binding
 // relation is the base relation with renamed columns, which the interned
 // columnar store provides as an O(arity) copy-on-write view: no tuples are
-// copied, and statistics, hash indexes and tries memoized on the base
-// relation keep serving the view.
+// copied, and statistics and hash indexes memoized on the base relation
+// keep serving the view.
 func bindingRelation(a cq.Atom, db *database.Database) (*relation.Relation, error) {
 	r := db.Relation(a.Relation)
 	if r == nil {
@@ -443,17 +443,18 @@ func GenericJoin(q *cq.Query, db *database.Database) (*relation.Relation, Stats,
 }
 
 // GenericJoinExec evaluates q with a worst-case optimal variable-at-a-time
-// backtracking join: variables are ordered by descending atom frequency, a
-// per-atom trie indexes each binding relation along that order, and each
-// variable is extended by intersecting the candidate sets of all atoms
-// containing it, iterating over the smallest. Cancellation is checked at
-// every extension step. The search tree is single-shard by design (ROADMAP
-// keeps sharding it as an open item), so opts (nil allowed) carry only the
-// tracer: under tracing each
-// atom's trie build becomes a scan span and each variable of the global
-// order an extension span counting the partial assignments that survived
-// that level — the worst-case-optimal analogue of per-join intermediate
-// sizes.
+// backtracking join: variables are ordered by descending atom frequency,
+// and each atom reads, for every prefix of its variables in that order,
+// the memoized hash index on those columns of its binding relation — the
+// same relation.Index a join on them probes. A variable is extended by
+// taking candidates from the atom with the fewest rows under its bound
+// prefix and probing the other atoms' prefix indexes. Cancellation is
+// checked at every extension step. The search tree is single-shard by
+// design (ROADMAP keeps sharding it as an open item), so opts (nil allowed)
+// carry only the tracer: under tracing each atom's index reads become a
+// scan span and each variable of the global order an extension span
+// counting the partial assignments that survived that level — the
+// worst-case-optimal analogue of per-join intermediate sizes.
 func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, opts *shard.Options) (*relation.Relation, Stats, error) {
 	var st Stats
 	if err := validateAtoms(q, db); err != nil {
@@ -476,15 +477,30 @@ func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, op
 		rank[v] = i
 	}
 
-	// Build a trie per atom over the atom's variables sorted by global rank.
-	// Tries are memoized on the binding relation — which for atoms without
-	// repeated variables is a view of the base relation, so repeated
-	// evaluations (and concurrent batch evaluations) share one trie per
-	// (relation, column order) until the relation grows.
-	type atomIndex struct {
-		vars []cq.Variable // sorted by rank
-		root *trieNode
+	// The assignment, one value per variable in rank order, doubles as a
+	// one-row columnar key: an atom whose first d+1 variables (in rank
+	// order) have ranks pos probes its level-d index at (key, pos, 0).
+	assign := make([]relation.Value, len(order))
+	key := make([][]relation.Value, len(order))
+	for k := range key {
+		key[k] = assign[k : k+1]
 	}
+
+	// Per atom and depth d: the index on the first d+1 variables, the
+	// column of variable d, and rows[d], the posting of the bound prefix of
+	// d variables (all rows at depth 0). The indexes are memoized on the
+	// binding relation — which for atoms without repeated variables is a
+	// view of the base relation, so joins, repeated evaluations and
+	// concurrent batch evaluations share them until the relation grows.
+	type atomIndex struct {
+		pos    []int // ranks of the atom's variables, ascending
+		levels []*relation.Index
+		vals   [][]relation.Value
+		rows   [][]int32
+		n      int
+	}
+	type step struct{ atom, depth int }
+	steps := make([][]step, len(order)) // the atoms each variable extends
 	atoms := make([]*atomIndex, len(q.Body))
 	for i, a := range q.Body {
 		bind, err := bindingRelation(a, db)
@@ -497,23 +513,28 @@ func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, op
 		}
 		av := a.DistinctVars()
 		sort.Slice(av, func(x, y int) bool { return rank[av[x]] < rank[av[y]] })
-		cols := make([]int, len(av))
-		for j, v := range av {
-			cols[j] = bind.AttrIndex(string(v))
-		}
 		var tsp *trace.Span
 		if tr != nil {
-			tsp = tr.Op(trace.KindScan, "trie "+bind.Name)
+			tsp = tr.Op(trace.KindScan, "index "+bind.Name)
 			tsp.AddIn(bind.Size())
 		}
-		atoms[i] = &atomIndex{vars: av, root: trieFor(bind, cols)}
+		bind.Pin()
+		defer bind.Unpin()
+		ai := &atomIndex{rows: make([][]int32, len(av)+1), n: bind.Size()}
+		cols := make([]int, len(av))
+		for d, v := range av {
+			cols[d] = bind.AttrIndex(string(v))
+			ai.pos = append(ai.pos, rank[v])
+			ai.levels = append(ai.levels, bind.Index(cols[:d+1]...))
+			ai.vals = append(ai.vals, bind.Column(cols[d]))
+			steps[rank[v]] = append(steps[rank[v]], step{i, d})
+		}
+		atoms[i] = ai
 		tsp.End()
 	}
 
-	// cursors[i] tracks atom i's current trie node; depth advances when the
-	// global order reaches one of the atom's variables.
-	assignment := make(map[cq.Variable]relation.Value, len(order))
 	out := emptyOutput(q)
+	head := make(relation.Tuple, len(q.Head.Vars))
 
 	// levelCounts[k] counts partial assignments surviving variable k —
 	// the per-level intermediate sizes of the search tree. Counted only
@@ -523,72 +544,71 @@ func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, op
 		levelCounts = make([]int64, len(order))
 	}
 
-	cursors := make([]*trieNode, len(atoms))
-	for i := range atoms {
-		cursors[i] = atoms[i].root
+	// under returns how many rows an atom holds under its bound prefix.
+	under := func(s step) int {
+		if s.depth == 0 {
+			return atoms[s.atom].n
+		}
+		return len(atoms[s.atom].rows[s.depth])
 	}
-
 	var extend func(level int) error
 	extend = func(level int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if level == len(order) {
-			t := make(relation.Tuple, len(q.Head.Vars))
 			for i, v := range q.Head.Vars {
-				t[i] = assignment[v]
+				head[i] = assign[rank[v]]
 			}
-			_, err := out.Insert(t)
+			_, err := out.Insert(head)
 			return err
 		}
-		v := order[level]
-		// Atoms whose next variable is v.
-		var active []int
-		smallest := -1
-		for i, ai := range atoms {
-			d := cursors[i].depth
-			if d < len(ai.vars) && ai.vars[d] == v {
-				active = append(active, i)
-				if smallest < 0 || len(cursors[i].children) < len(cursors[smallest].children) {
-					smallest = i
-				}
-			}
-		}
-		if len(active) == 0 {
-			// Cannot happen for connected use: every variable occurs in some
-			// atom, and trie depth tracks the global order.
-			return fmt.Errorf("eval: variable %s has no active atom", v)
+		if len(steps[level]) == 0 {
+			// Cannot happen for safe queries: every variable occurs in some
+			// atom.
+			return fmt.Errorf("eval: variable %s has no active atom", order[level])
 		}
 		st.Joins++
-		for val, next := range cursors[smallest].children {
-			ok := true
-			saved := make([]*trieNode, 0, len(active))
-			for _, i := range active {
-				saved = append(saved, cursors[i])
+		small := steps[level][0]
+		for _, s := range steps[level][1:] {
+			if under(s) < under(small) {
+				small = s
 			}
-			for _, i := range active {
-				if i == smallest {
-					cursors[i] = next
+		}
+		a, d, n := atoms[small.atom], small.depth, under(small)
+		for k := 0; k < n; k++ {
+			row := int32(k)
+			if d > 0 {
+				row = a.rows[d][k]
+			}
+			assign[level] = a.vals[d][row]
+			// Postings are ascending, so a value counts once: at the first
+			// row of its (prefix, value) posting.
+			ps := a.levels[d].Rows(key, a.pos[:d+1], 0)
+			if ps[0] != row {
+				continue
+			}
+			a.rows[d+1] = ps
+			ok := true
+			for _, s := range steps[level] {
+				if s == small {
 					continue
 				}
-				child, exists := cursors[i].children[val]
-				if !exists {
+				b := atoms[s.atom]
+				b.rows[s.depth+1] = b.levels[s.depth].Rows(key, b.pos[:s.depth+1], 0)
+				if len(b.rows[s.depth+1]) == 0 {
 					ok = false
 					break
 				}
-				cursors[i] = child
 			}
-			if ok {
-				if levelCounts != nil {
-					levelCounts[level]++
-				}
-				assignment[v] = val
-				if err := extend(level + 1); err != nil {
-					return err
-				}
+			if !ok {
+				continue
 			}
-			for k, i := range active {
-				cursors[i] = saved[k]
+			if levelCounts != nil {
+				levelCounts[level]++
+			}
+			if err := extend(level + 1); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -606,44 +626,4 @@ func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, op
 	}
 	st.MaxIntermediate = out.Size()
 	return out, st, nil
-}
-
-type trieNode struct {
-	depth    int
-	children map[relation.Value]*trieNode
-}
-
-func newTrieNode() *trieNode {
-	return &trieNode{children: make(map[relation.Value]*trieNode)}
-}
-
-func (n *trieNode) child(v relation.Value) *trieNode {
-	c, ok := n.children[v]
-	if !ok {
-		c = &trieNode{depth: n.depth + 1, children: make(map[relation.Value]*trieNode)}
-		n.children[v] = c
-	}
-	return c
-}
-
-// trieFor builds (or fetches) the trie over r's rows along the given column
-// order. The trie is cached in r's size-keyed memo table next to its
-// statistics and hash indexes, and is read-only once built, so concurrent
-// evaluations can share it.
-func trieFor(r *relation.Relation, cols []int) *trieNode {
-	key := make([]byte, 0, 5+4*len(cols))
-	key = append(key, "trie:"...)
-	for _, c := range cols {
-		key = append(key, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-	}
-	return r.Memo(string(key), func() any {
-		root := newTrieNode()
-		for i := 0; i < r.Size(); i++ {
-			node := root
-			for _, c := range cols {
-				node = node.child(r.At(i, c))
-			}
-		}
-		return root
-	}).(*trieNode)
 }

@@ -19,7 +19,7 @@ import (
 // Extend returns a frozen successor of r holding r's rows followed by the
 // delta tuples, without copying the base rows when the backing arrays can
 // grow in place. The caller guarantees the delta tuples are distinct from
-// each other and from r's rows (the Engine's writer-owned Dedup does); r
+// each other and from r's rows (the Engine writer's row table of the chain does); r
 // itself is unchanged and is marked so that a second Extend of the same
 // base reallocates. Safe against concurrent readers of r and of every
 // earlier version in the chain: they bound their scans by their own row
@@ -56,37 +56,6 @@ func (r *Relation) Extend(delta []Tuple) (*Relation, error) {
 	out.n = r.n + len(delta)
 	return out, nil
 }
-
-// Dedup is a writer-owned tuple-key → row-index map over a chain of
-// Extend-published relation versions. The published relations themselves
-// carry no dedup map (readers rebuild one lazily if they need it); the
-// Engine keeps one Dedup per relation chain and updates it in place under
-// its commit lock, so append-only commits stay O(delta) instead of paying
-// an O(n) rebuild per batch.
-type Dedup map[string]int32
-
-// NewDedup builds the map from r's current rows — the O(n) cost paid once
-// per relation chain (and again after a retraction rebuilds the chain).
-func (r *Relation) NewDedup() Dedup {
-	r.Pin()
-	defer r.Unpin()
-	m := make(Dedup, r.n)
-	var buf []byte
-	for i := 0; i < r.n; i++ {
-		buf = r.rowKey(buf[:0], i)
-		m[string(buf)] = int32(i)
-	}
-	return m
-}
-
-// Row returns the row index holding t, if present.
-func (d Dedup) Row(t Tuple) (int32, bool) {
-	row, ok := d[t.Key()]
-	return row, ok
-}
-
-// Put records t at the given row index.
-func (d Dedup) Put(t Tuple, row int32) { d[t.Key()] = row }
 
 // EachMemo calls f for every memoized entry of r — including STALE ones,
 // whose build size no longer matches the relation (valid reports which).

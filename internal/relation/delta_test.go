@@ -216,20 +216,31 @@ func TestExtendLeavesBaseMemosAlone(t *testing.T) {
 	}
 }
 
-func TestNewDedupTracksRows(t *testing.T) {
+// TestRowTableTracksRows checks the commit writer's dedup of a version
+// chain: a relation's row table gives row i the id i, and a newly inserted
+// tuple the id of the next row, without touching the relation.
+func TestRowTableTracksRows(t *testing.T) {
 	r := New("R", "A", "B")
 	r.Add("a", "1")
 	r.Add("b", "2")
-	m := r.NewDedup()
-	if len(m) != 2 {
-		t.Fatalf("dedup has %d entries, want 2", len(m))
+	m := r.RowTable()
+	if m.Len() != 2 {
+		t.Fatalf("row table has %d keys, want 2", m.Len())
 	}
-	if row, ok := m.Row(tupleOf("b", "2")); !ok || row != 1 {
-		t.Fatalf("Row(b,2) = %d,%v want 1,true", row, ok)
+	if row := m.FindTuple(tupleOf("b", "2")); row != 1 {
+		t.Fatalf("FindTuple(b,2) = %d, want 1", row)
 	}
-	m.Put(tupleOf("c", "3"), 2)
-	if _, ok := m.Row(tupleOf("c", "3")); !ok {
-		t.Fatal("Put not visible")
+	if row, added := m.InsertTuple(tupleOf("c", "3")); !added || row != 2 {
+		t.Fatalf("InsertTuple(c,3) = %d,%v, want 2,true", row, added)
+	}
+	if row, added := m.InsertTuple(tupleOf("a", "1")); added || row != 0 {
+		t.Fatalf("InsertTuple(a,1) = %d,%v, want 0,false", row, added)
+	}
+	if m.FindTuple(tupleOf("c", "3")) != 2 {
+		t.Fatal("inserted tuple not visible")
+	}
+	if r.Has(tupleOf("c", "3")) {
+		t.Fatal("the writer's table leaked into the relation")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // Dict is a bidirectional string ↔ ID dictionary: the interning layer that
 // turns every field value into a fixed-width Value (a uint32). All relational
-// operators — dedup, joins, semijoins, tries — compare and hash plain
+// operators — dedup, joins, semijoins, generic join — compare and hash plain
 // integers; the original strings are needed only at the parser/printer
 // boundary.
 //

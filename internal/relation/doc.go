@@ -8,20 +8,21 @@
 //
 // Storage is interned and columnar: every field value is a fixed-width
 // Value (an ID into a Dict, see dict.go) and each attribute is stored as a
-// contiguous []Value column. The distinct keys of a hash index live in a
-// KeyTable (keytable.go), a flat open-addressing table of fixed-width rows
-// of IDs that probes read straight from columns; the set-semantics dedup
-// map keys a tuple by the fixed-width byte packing of its IDs. Renaming
-// and cloning share column storage copy-on-write, so deriving a
-// differently-named view of a base relation (the hot path of query
-// evaluation) is O(arity), not O(n·arity).
+// contiguous []Value column. Every hashed tuple set is a KeyTable
+// (keytable.go), a flat open-addressing table of fixed-width rows of IDs
+// that probes read straight from columns: the distinct keys of a hash
+// index, and the set-semantics dedup — the row table keyed on every
+// column, in which row i has id i. Renaming and cloning share column
+// storage copy-on-write, so deriving a differently-named view of a base
+// relation (the hot path of query evaluation) is O(arity), not O(n·arity).
 //
 // # The memo table
 //
 // Every derived structure a relation serves — per-column distinct counts
 // (stats.go), per-column value ranges (ranges.go), hash indexes
-// (index.go), the generic join's tries, and internal/shard's partitions —
-// lives in one mutex-guarded, size-keyed memo table (Relation.Memo):
+// (index.go) — which joins and the generic join's prefix search share —
+// and internal/shard's partitions — lives in one mutex-guarded, size-keyed
+// memo table (Relation.Memo):
 //
 //   - Entries record the relation size they were built at, so an insert
 //     invalidates implicitly: the next reader rebuilds.
@@ -57,9 +58,9 @@
 // read. A successor starts with an empty memo table, and the base's memos
 // are never written, so readers of the old epoch keep probing them.
 // EachMemo exposes every entry — stale ones included — so the epoch sweep
-// can reclaim governed buffers that invalidation orphaned. NewDedup/Dedup
-// is the writer-owned tuple→row map that keeps set semantics O(delta) per
-// committed batch.
+// can reclaim governed buffers that invalidation orphaned. The commit
+// writer keeps a RowTable per version chain, which keeps set semantics
+// O(delta) per committed batch.
 //
 // Every relation can also carry a private Dict (NewIn, AdoptDict, Dict):
 // engines intern transactional ingest in their own dictionary, and the
@@ -86,6 +87,7 @@
 // using the relation. Mutating a relation concurrently with readers of it
 // — or of views sharing its storage — is a data race. Operators whose
 // outputs are distinct by construction (joins of set-semantics inputs,
-// Gather/Concat of disjoint parts) skip the dedup map
-// entirely and build it lazily only if Insert or Has later needs it.
+// Gather/Concat of disjoint parts) skip the row table
+// entirely and build it lazily, under one pin, only if Insert, Has or
+// Equal later needs it.
 package relation

@@ -1,9 +1,9 @@
 package relation
 
 // Hash indexes and the memo table that caches them (together with column
-// statistics and caller-provided structures such as the generic join's
-// tries) per relation. Everything here is keyed by the relation's size, so
-// an insert implicitly invalidates and the next reader rebuilds.
+// statistics and caller-provided structures such as internal/shard's
+// partitions) per relation. Everything here is keyed by the relation's
+// size, so an insert implicitly invalidates and the next reader rebuilds.
 
 import (
 	"encoding/binary"
@@ -17,8 +17,8 @@ type memoEntry struct {
 
 // delegate returns the relation whose storage r still shares — Clone and
 // Rename borrow their parent's columns until first write — so memoized
-// statistics, indexes and tries are built once per stored row set, not once
-// per name. It returns nil when r owns its storage or has diverged.
+// statistics and indexes are built once per stored row set, not once per
+// name. It returns nil when r owns its storage or has diverged.
 func (r *Relation) delegate() *Relation {
 	if p := r.parent; p != nil && r.shared && p.Size() == r.n {
 		return p

@@ -68,7 +68,7 @@ func TestValueStringDefaultDict(t *testing.T) {
 }
 
 // --- Tuples() aliasing (the seed's hazard: callers could mutate the slice
-// returned by Tuples() behind the dedup map) ---
+// returned by Tuples() behind the row table) ---
 
 func TestTuplesCopyOnRead(t *testing.T) {
 	r := New("R", "a", "b")
@@ -89,7 +89,7 @@ func TestTuplesCopyOnRead(t *testing.T) {
 		t.Fatal("mutation leaked into storage")
 	}
 	if ok, _ := r.Insert(Tuple{V("1"), V("2")}); ok {
-		t.Fatal("dedup map corrupted: duplicate accepted after caller mutation")
+		t.Fatal("row table corrupted: duplicate accepted after caller mutation")
 	}
 	if got := r.Tuples(); got[0][0] != V("1") || got[1][1] != V("4") {
 		t.Fatalf("stored values changed: %v", got)
@@ -284,14 +284,19 @@ func TestHashJoinMatchesSortMerge(t *testing.T) {
 	}
 }
 
-// TestConcurrentReaders exercises the lazily built structures (dedup map,
-// stats, indexes, memoized tries-by-proxy) under concurrent readers — run
+// TestConcurrentReaders exercises the lazily built structures (row table,
+// stats, indexes, memos served to a view) under concurrent readers — run
 // with -race.
 func TestConcurrentReaders(t *testing.T) {
 	r := New("R", "a", "b")
 	for i := 0; i < 500; i++ {
 		r.Add(fmt.Sprintf("u%d", i%50), fmt.Sprintf("v%d", i))
 	}
+	all := make([]int32, r.Size())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	lazy := r.Gather("L", all) // no row table until a reader needs one
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -303,7 +308,7 @@ func TestConcurrentReaders(t *testing.T) {
 			case 1:
 				_ = r.DistinctCount(1)
 			case 2:
-				_ = r.Has(Tuple{V("u1"), V("v1")})
+				_ = lazy.Has(Tuple{V("u1"), V("v1")})
 			case 3:
 				s, err := r.Rename("S", "x", "y")
 				if err != nil {

@@ -1,8 +1,8 @@
 package relation
 
-// KeyTable is the one hashed key structure behind relation.Index (the
-// distinct join keys of an index) and batch.Project (the dedup set of a
-// projection).
+// KeyTable is the one hashed tuple structure: the distinct keys of a
+// relation.Index, a relation's row table (its set-semantics dedup), the
+// commit writer's dedup of a version chain, and batch.Project's dedup set.
 
 import "fmt"
 
@@ -95,6 +95,47 @@ func (t *KeyTable) Find(cols [][]Value, pos []int, row int) int32 {
 		}
 	}
 	return -1
+}
+
+// InsertTuple is Insert for the key tp, in a table keyed on whole rows.
+func (t *KeyTable) InsertTuple(tp Tuple) (int32, bool) {
+	var buf [8][]Value
+	return t.Insert(tupleCols(tp, buf[:0]), wholeRow(len(tp)), 0)
+}
+
+// FindTuple is Find for the key tp, in a table keyed on whole rows.
+func (t *KeyTable) FindTuple(tp Tuple) int32 {
+	var buf [8][]Value
+	return t.Find(tupleCols(tp, buf[:0]), wholeRow(len(tp)), 0)
+}
+
+// tupleCols appends tp to buf as one-row columns: the key at (the result,
+// wholeRow(len(tp)), 0) is tp.
+func tupleCols(tp Tuple, buf [][]Value) [][]Value {
+	for i := range tp {
+		buf = append(buf, tp[i:i+1])
+	}
+	return buf
+}
+
+// rowPos holds the positions 0, 1, 2, … that key a table on whole rows.
+var rowPos = func() (p [16]int) {
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}()
+
+// wholeRow returns the positions 0 … n-1, allocating only past len(rowPos).
+func wholeRow(n int) []int {
+	if n <= len(rowPos) {
+		return rowPos[:n:n]
+	}
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
 }
 
 // hash returns the tag of the key at (cols, pos, row): a multiplicative

@@ -48,15 +48,11 @@ func (t Tuple) StringsIn(d *Dict) []string {
 // Key returns an injective encoding of the tuple, usable as a map key: the
 // fixed-width little-endian packing of its IDs.
 func (t Tuple) Key() string {
-	return string(appendKey(make([]byte, 0, 4*len(t)), t...))
-}
-
-// appendKey appends the 4-byte packing of each value to buf.
-func appendKey(buf []byte, vals ...Value) []byte {
-	for _, v := range vals {
+	buf := make([]byte, 0, 4*len(t))
+	for _, v := range t {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	return buf
+	return string(buf)
 }
 
 // ColumnBuffer is the storage seam between a relation and its column data:
@@ -101,16 +97,16 @@ type Relation struct {
 	buf      ColumnBuffer
 	bufOwned bool
 
-	// seen maps tuple keys to row indices. It is built lazily (operators
-	// whose outputs are distinct by construction skip it entirely) and may
-	// reference rows past n when storage is shared — readers must bound row
-	// indices by n.
-	seen map[string]int32
+	// seen is the set-semantics dedup: the KeyTable of the rows keyed on
+	// every column, in which row i has id i. It is built lazily (operators
+	// whose outputs are distinct by construction skip it entirely), and a
+	// Clone/Rename view probes its parent's while both hold the same rows.
+	seen *KeyTable
 
 	// shared marks storage borrowed from parent (Clone/Rename): the column
-	// backing arrays and seen map belong to another relation and must be
-	// copied before the first insert. parent also serves memoized statistics
-	// and indexes while both relations still hold the same rows.
+	// backing arrays belong to another relation and must be copied before
+	// the first insert. parent also serves memoized statistics, indexes and
+	// the row table while both relations still hold the same rows.
 	shared bool
 	parent *Relation
 
@@ -336,24 +332,15 @@ func (r *Relation) Each(f func(Tuple) bool) {
 	}
 }
 
-// rowKey appends the packing of the full row i to buf.
-func (r *Relation) rowKey(buf []byte, i int) []byte {
-	for _, col := range r.data() {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(col[i]))
-	}
-	return buf
-}
-
 // ensureOwned copies shared storage before the first mutation: column
-// backing arrays are duplicated and the dedup map is cloned, scrubbing
-// entries that point past this relation's rows. A governed relation
-// likewise copies its columns back out of the spill buffer and releases
-// it — mutation reverts the storage contract to plain resident slices.
+// backing arrays are duplicated, and a view that probed its parent's row
+// table builds its own on next use. A governed relation likewise copies its
+// columns back out of the spill buffer and releases it — mutation reverts
+// the storage contract to plain resident slices.
 func (r *Relation) ensureOwned() {
 	if r.buf == nil && !r.shared {
 		return
 	}
-	wasShared := r.shared
 	if r.buf != nil {
 		d := r.buf.Pin()
 		r.cols = make([][]Value, len(d))
@@ -371,40 +358,40 @@ func (r *Relation) ensureOwned() {
 			r.cols[c] = append([]Value(nil), r.cols[c][:r.n]...)
 		}
 	}
-	// A borrowed dedup map — shared storage, or a view borrowing a
-	// governed parent's buffer — may reference rows past this relation's
-	// bound; an owned governed relation's map is exact and kept as is.
-	if wasShared && r.seen != nil {
-		m := make(map[string]int32, r.n)
-		for k, row := range r.seen {
-			if int(row) < r.n {
-				m[k] = row
-			}
-		}
-		r.seen = m
-	}
 	r.shared = false
 	r.parent = nil
 }
 
-// ensureSeen builds the dedup map when an operator skipped it (outputs that
-// are distinct by construction defer the cost until Has or Insert needs it)
-// and returns it. The mutex makes the lazy build safe for concurrent
-// readers; the returned map itself is read-only to them by the package's
+// keys returns the row table, building it when an operator skipped it
+// (outputs that are distinct by construction defer the cost until Has or
+// Insert needs it). The mutex makes the lazy build safe for concurrent
+// readers; the table itself is read-only to them by the package's
 // single-writer discipline.
-func (r *Relation) ensureSeen() map[string]int32 {
+func (r *Relation) keys() *KeyTable {
+	if p := r.delegate(); p != nil {
+		return p.keys()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.seen == nil {
-		m := make(map[string]int32, r.n)
-		var buf []byte
-		for i := 0; i < r.n; i++ {
-			buf = r.rowKey(buf[:0], i)
-			m[string(buf)] = int32(i)
-		}
-		r.seen = m
+		r.seen = r.RowTable()
 	}
 	return r.seen
+}
+
+// RowTable returns a new KeyTable of r's rows keyed on every column, in
+// which row i has id i. The build takes one pin, so a governed relation
+// reloads at most once. A writer that keeps the table of a version chain
+// gives each newly inserted tuple the id of the row Extend appends it at.
+func (r *Relation) RowTable() *KeyTable {
+	r.Pin()
+	defer r.Unpin()
+	t := NewKeyTable(r.Arity(), r.n)
+	d, pos := r.data(), wholeRow(r.Arity())
+	for i := 0; i < r.n; i++ {
+		t.Insert(d, pos, i)
+	}
+	return t
 }
 
 // Insert adds a tuple (copied). It reports whether the tuple was new and
@@ -416,13 +403,11 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 	if len(t) != len(r.Attrs) {
 		return false, fmt.Errorf("relation %s: tuple arity %d != %d", r.Name, len(t), len(r.Attrs))
 	}
-	seen := r.ensureSeen()
-	k := t.Key()
-	if row, ok := seen[k]; ok && int(row) < r.n {
+	if r.keys().FindTuple(t) >= 0 {
 		return false, nil
 	}
-	r.ensureOwned() // may replace r.seen with a scrubbed private clone
-	r.seen[k] = int32(r.n)
+	r.ensureOwned() // a view stops probing its parent's table here
+	r.keys().InsertTuple(t)
 	for c := range r.cols {
 		r.cols[c] = append(r.cols[c], t[c])
 	}
@@ -430,10 +415,10 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 	return true, nil
 }
 
-// appendRowUnchecked appends a tuple without consulting the dedup map — for
+// appendRowUnchecked appends a tuple without consulting the row table — for
 // operators whose outputs are distinct by construction (joins and filters of
 // set-semantics inputs). The relation must not be shared and must not have a
-// dedup map yet.
+// row table yet.
 func (r *Relation) appendRowUnchecked(t Tuple) {
 	for c := range r.cols {
 		r.cols[c] = append(r.cols[c], t[c])
@@ -465,11 +450,7 @@ func (r *Relation) Add(vals ...string) {
 
 // Has reports whether the relation contains the tuple.
 func (r *Relation) Has(t Tuple) bool {
-	if len(t) != len(r.Attrs) {
-		return false
-	}
-	row, ok := r.ensureSeen()[t.Key()]
-	return ok && int(row) < r.n
+	return len(t) == len(r.Attrs) && r.keys().FindTuple(t) >= 0
 }
 
 // AttrIndex returns the position of the named attribute, or -1.
@@ -497,12 +478,6 @@ func (r *Relation) share(name string, attrs []string) *Relation {
 	} else {
 		copy(out.cols, r.cols) // column headers; backing arrays stay r's
 	}
-	// Borrow the dedup map only if it exists: building it here would defeat
-	// the lazy-dedup design for views of operator outputs. The mutex makes
-	// the field read safe against a concurrent reader lazily building it.
-	r.mu.Lock()
-	out.seen = r.seen
-	r.mu.Unlock()
 	out.shared = true
 	out.parent = r
 	return out
@@ -565,7 +540,8 @@ func ProjectedAttrs(attrs []string, idx []int) ([]string, error) {
 
 // ProjectIdx projects onto the given positions (0-based); duplicates in the
 // result are eliminated. Positions may repeat, in which case attribute names
-// are suffixed to stay unique.
+// are suffixed to stay unique. The dedup reads each key in place from r's
+// columns into the output's row table, whose ids are the output's rows.
 func (r *Relation) ProjectIdx(idx ...int) (*Relation, error) {
 	attrs, err := ProjectedAttrs(r.Attrs, idx)
 	if err != nil {
@@ -573,23 +549,20 @@ func (r *Relation) ProjectIdx(idx ...int) (*Relation, error) {
 	}
 	out := New(r.Name+"_proj", attrs...)
 	out.dict = r.dict
-	out.seen = make(map[string]int32, r.n)
+	out.seen = NewKeyTable(len(idx), r.n)
 	r.Pin()
 	defer r.Unpin()
 	d := r.data()
-	nt := make(Tuple, len(idx))
-	var buf []byte
 	for row := 0; row < r.n; row++ {
-		for i, j := range idx {
-			nt[i] = d[j][row]
-		}
-		buf = appendKey(buf[:0], nt...)
-		if _, dup := out.seen[string(buf)]; dup {
+		if _, added := out.seen.Insert(d, idx, row); !added {
 			continue
 		}
-		out.seen[string(buf)] = int32(out.n)
-		out.appendRowUnchecked(nt)
+		for i, j := range idx {
+			out.cols[i] = append(out.cols[i], d[j][row])
+		}
+		out.n++
 	}
+	out.seen.fit()
 	return out, nil
 }
 
@@ -927,16 +900,16 @@ func Equal(r, s *Relation) bool {
 	if r.Arity() != s.Arity() || r.Size() != s.Size() {
 		return false
 	}
-	seen := s.ensureSeen()
-	eq := true
-	r.Each(func(t Tuple) bool {
-		if row, ok := seen[t.Key()]; !ok || int(row) >= s.n {
-			eq = false
+	seen := s.keys()
+	r.Pin()
+	defer r.Unpin()
+	d, pos := r.data(), wholeRow(r.Arity())
+	for i := 0; i < r.n; i++ {
+		if seen.Find(d, pos, i) < 0 {
 			return false
 		}
-		return true
-	})
-	return eq
+	}
+	return true
 }
 
 // String renders a small relation for debugging; larger relations are

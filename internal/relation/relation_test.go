@@ -317,3 +317,26 @@ func TestNaturalJoinSchema(t *testing.T) {
 		t.Fatalf("full-overlap schema = %v %v", attrs, keep)
 	}
 }
+
+// TestInsertAllocsAmortized pins the row table's dedup to amortized
+// allocation: inserting a row costs no heap key, only the doubling of the
+// columns and of the table.
+func TestInsertAllocsAmortized(t *testing.T) {
+	const rows = 64 << 10
+	tp := make(Tuple, 2)
+	allocs := testing.AllocsPerRun(1, func() {
+		r := New("R", "A", "B")
+		for i := 0; i < rows; i++ {
+			tp[0], tp[1] = Value(i), Value(i%7)
+			if _, err := r.Insert(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r.Size() != rows {
+			t.Fatalf("%d rows, want %d", r.Size(), rows)
+		}
+	})
+	if per := allocs / rows; per >= 0.05 {
+		t.Fatalf("%.3f allocations per inserted row, want < 0.05", per)
+	}
+}

@@ -180,3 +180,47 @@ func TestGovernedPinBlocksEviction(t *testing.T) {
 		t.Fatal("pinned relation unreadable")
 	}
 }
+
+// TestKeysBuildPinsGovernedRelation checks that building a governed
+// relation's row table pins it: under a budget of half its size, Has and
+// Equal each reload the parked columns at most once, not once per row.
+func TestKeysBuildPinsGovernedRelation(t *testing.T) {
+	const rows = 200
+	governed := func() (*Relation, *spill.Governor) {
+		g := spill.NewGovernor(rows*2*4/2, t.TempDir())
+		t.Cleanup(func() { g.Close() })
+		a, b := make([]Value, rows), make([]Value, rows)
+		for i := range a {
+			a[i], b[i] = Value(i), Value(i+1)
+		}
+		r := NewFromColumns("R", []string{"a", "b"}, [][]Value{a, b})
+		r.Govern(g)
+		return r, g
+	}
+	reloads := func(g *spill.Governor) int64 {
+		_, n := g.EventCounts()
+		return n
+	}
+
+	r, g := governed()
+	before := reloads(g)
+	if !r.Has(Tuple{Value(rows - 1), Value(rows)}) {
+		t.Fatal("Has lost the last row")
+	}
+	if n := reloads(g) - before; n > 1 {
+		t.Fatalf("Has reloaded the governed relation %d times, want at most 1", n)
+	}
+
+	s, g := governed()
+	plain := New("P", "a", "b")
+	for i := 0; i < rows; i++ {
+		plain.MustInsert(Value(i), Value(i+1))
+	}
+	before = reloads(g)
+	if !Equal(plain, s) {
+		t.Fatal("Equal: governed copy differs")
+	}
+	if n := reloads(g) - before; n > 1 {
+		t.Fatalf("Equal reloaded the governed relation %d times, want at most 1", n)
+	}
+}

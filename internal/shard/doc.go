@@ -1,8 +1,7 @@
 // Package shard is the horizontal-scaling layer over the interned columnar
 // store: relations are hash-partitioned by a key column into P shards —
-// each a normal *relation.Relation, so the memoized statistics, hash
-// indexes and tries of the relation package keep working unchanged per
-// shard — and the package's operators run joins, semijoins and
+// each a normal *relation.Relation, so the memoized statistics and hash
+// indexes of the relation package keep working unchanged per shard — and the package's operators run joins, semijoins and
 // duplicate-eliminating projections as one column-batch pipeline
 // (internal/batch) per shard, drained over internal/pool with context
 // cancellation.

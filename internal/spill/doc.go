@@ -80,8 +80,8 @@
 //
 // # What is never spilled
 //
-// Only registered column buffers spill. Hash indexes, dedup maps, column
-// statistics and generic-join tries (the relation memo table), in-flight
+// Only registered column buffers spill. Hash indexes, row tables and
+// column statistics (the relation memo table and its KeyTables), in-flight
 // exchange streams mid-operator, and the flat relations callers hold
 // directly are never parked; a shard's derived structures are rebuilt from
 // the reloaded columns if needed. Spill directories are private per

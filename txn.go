@@ -303,8 +303,8 @@ func (t *Txn) Commit() (uint64, error) {
 	for _, name := range t.order {
 		if attrs, ok := created[name]; ok {
 			nr := relation.NewIn(name, dict, attrs...)
-			m := relation.Dedup{}
-			final, _ := nr.Extend(dedupAdds(m, 0, t.adds[name]))
+			m := relation.NewKeyTable(len(attrs), len(t.adds[name]))
+			final, _ := nr.Extend(dedupAdds(m, t.adds[name]))
 			replace[name] = final
 			e.dedup[name] = m
 			continue
@@ -312,11 +312,11 @@ func (t *Txn) Commit() (uint64, error) {
 		br := base.Relation(name)
 		m := e.dedup[name]
 		if m == nil {
-			m = br.NewDedup()
+			m = br.RowTable()
 		}
 		drop := make(map[int32]bool)
 		for _, tp := range t.rets[name] {
-			if row, ok := m.Row(tp); ok {
+			if row := m.FindTuple(tp); row >= 0 {
 				drop[row] = true
 			}
 		}
@@ -331,14 +331,14 @@ func (t *Txn) Commit() (uint64, error) {
 				}
 			}
 			nr := br.Gather(name, keep)
-			m = nr.NewDedup()
-			final, _ := nr.Extend(dedupAdds(m, nr.Size(), t.adds[name]))
+			m = nr.RowTable()
+			final, _ := nr.Extend(dedupAdds(m, t.adds[name]))
 			replace[name] = final
 			e.dedup[name] = m
 			e.epoch.Add(rebuiltRelations, 1)
 			continue
 		}
-		newAdds := dedupAdds(m, br.Size(), t.adds[name])
+		newAdds := dedupAdds(m, t.adds[name])
 		if len(newAdds) == 0 {
 			e.dedup[name] = m
 			continue // batch was a no-op for this relation
@@ -357,19 +357,16 @@ func (t *Txn) Commit() (uint64, error) {
 	return nextEpoch, nil
 }
 
-// dedupAdds filters staged tuples against the writer-owned dedup map,
-// recording accepted tuples at consecutive rows from nextRow. Set
-// semantics for the whole chain: duplicates of stored rows and duplicates
-// within the batch both drop.
-func dedupAdds(m relation.Dedup, nextRow int, adds []Tuple) []Tuple {
+// dedupAdds filters staged tuples against the writer's row table of the
+// chain, inserting the accepted ones: a new key's id is the next row, which
+// is the row Extend appends it at. Set semantics for the whole chain:
+// duplicates of stored rows and duplicates within the batch both drop.
+func dedupAdds(m *relation.KeyTable, adds []Tuple) []Tuple {
 	out := make([]Tuple, 0, len(adds))
 	for _, tp := range adds {
-		k := tp.Key()
-		if _, dup := m[k]; dup {
-			continue
+		if _, added := m.InsertTuple(tp); added {
+			out = append(out, tp)
 		}
-		m[k] = int32(nextRow + len(out))
-		out = append(out, tp)
 	}
 	return out
 }
@@ -535,8 +532,8 @@ func (e *Engine) Compact() (uint64, error) {
 		fresh.MustAdd(nr)
 	}
 	e.dict.Store(nd)
-	// Writer dedup maps key on packed IDs; the rewrite invalidated them.
-	e.dedup = make(map[string]relation.Dedup)
+	// The writer's row tables key on IDs; the rewrite invalidated them.
+	e.dedup = make(map[string]*relation.KeyTable)
 	e.epoch.Add(compactions, 1)
 	e.publish(nextEpoch, fresh.Next(nextEpoch, nil))
 	return nextEpoch, nil
