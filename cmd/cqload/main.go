@@ -72,9 +72,9 @@ type LoadLevelResult struct {
 }
 
 // ObsOverheadResult compares the serving path with and without the
-// observability layer (correlation middleware, rolling windows,
-// calibration recording): alternating measurement rounds against two
-// servers sharing one engine, medians compared. Overhead is the fraction
+// observability layer (correlation middleware, latency and queue-wait
+// histograms, calibration recording): alternating measurement rounds
+// against two servers sharing one engine, medians compared. Overhead is the fraction
 // of throughput the observed server gives up ((off − on) / off; negative
 // means noise favored the observed side).
 type ObsOverheadResult struct {

@@ -52,7 +52,7 @@ func main() {
 	traceAll := flag.Bool("trace", false, "trace every evaluation (feeds histograms and the slow-query log)")
 	access := flag.Bool("access", false, "write the sampled JSON access log to stderr")
 	accessSample := flag.Int("access-sample", 10, "log one in N successful requests (non-200s always log)")
-	noObs := flag.Bool("no-obs", false, "disable serving-path observability (correlation, windows, /debug, /calibration)")
+	noObs := flag.Bool("no-obs", false, "disable serving-path observability (correlation, latency histograms, /debug, /calibration)")
 	flag.Parse()
 
 	var opts []cqbound.Option

@@ -117,10 +117,13 @@ func ExampleNewServer_metrics() {
 		panic(err)
 	}
 	resp.Body.Close()
-	fmt.Println("prom exposes serve_window_request_rate:",
-		strings.Contains(prom.String(), "# TYPE serve_window_request_rate gauge"))
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if line == "# TYPE serve_latency_ns histogram" {
+			fmt.Println(line)
+		}
+	}
 	// Output:
 	// request id: doc-1
 	// requests=3 cache_hits=1 calibration_records=1
-	// prom exposes serve_window_request_rate: true
+	// # TYPE serve_latency_ns histogram
 }

@@ -19,8 +19,11 @@ import (
 // metric registry replaced, the hot-shard skew splitting (its trigger,
 // tee, merges, span kind and example) that a part's single probe chain
 // replaced, the commit-time memo carry-over that lazy per-epoch memo
-// builds replaced, and the string-keyed dedup maps and generic join's map
-// tries that KeyTable and the per-prefix indexes replaced.
+// builds replaced, the string-keyed dedup maps and generic join's map
+// tries that KeyTable and the per-prefix indexes replaced, the rolling
+// serve windows (their types, gauges, exposition families and clock
+// option) that the registry's serve counters and histograms replaced, and
+// the estimators no caller used.
 var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|ingestbench|tracebench)|BENCH_[a-z_]+\.json|` +
 	`\b(WithDictSpill|WithSkewSplitting|WithBatchSize|WithEpochRetention|WithSlowQueryThreshold|` +
 	`SkewFraction|NewBuffered|batch\.(Grow|Fan)|KindSkew|ExampleWithSharding_skew|` +
@@ -29,6 +32,8 @@ var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|in
 	`ResetCounters|epochCounterSnapshot|tracedOptions|tracedPrivate|tracedDeltas|counterSuffixes|promTypeFor|` +
 	`ExtendMemos|ExtendPartitions|InstallMemo|extendIndex|extendStats|extendRanges|` +
 	`trieNode|trieFor|ensureSeen|NewDedup|relation\.Dedup|` +
+	`NewWindows|obs\.(Windows|Counter|Sampler|Distribution|Clock)|withObsClock|` +
+	`serve_window_[a-z_]+|serve_(requests|shed|latency_p99_ns|queue_wait_p99_ns)_1m|EstimateJoinSize|DistinctCountAttr|` +
 	`(shard|batch)\.(Metrics|Stats)|spill\.(Stats|Events))\b`)
 
 // TestNoDeletedHarnessReferences keeps code, CI and the user-facing docs from

@@ -67,28 +67,45 @@ func IDFromHeaders(h http.Header) string {
 }
 
 // ParseTraceparent extracts the 32-hex-digit trace-id from a W3C
-// traceparent header (version-traceid-parentid-flags). An all-zero
-// trace-id is invalid per the spec and rejected.
+// traceparent header (version-traceid-parentid-flags). As the spec
+// requires, it rejects version ff, an all-zero trace-id or parent-id,
+// fields that are not lowercase hex, and a version-00 header longer than
+// its four fields; a later version may append "-" and more fields.
 func ParseTraceparent(s string) (traceID string, ok bool) {
 	// 2 (version) + 1 + 32 (trace-id) + 1 + 16 (parent-id) + 1 + 2 (flags)
 	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return "", false
 	}
-	tid := s[3:35]
-	zero := true
-	for i := 0; i < len(tid); i++ {
-		c := tid[i]
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			return "", false
-		}
-		if c != '0' {
-			zero = false
-		}
+	version, tid, pid, flags := s[:2], s[3:35], s[36:52], s[53:55]
+	if hex, _ := lowerHex(version); !hex || version == "ff" {
+		return "", false
 	}
-	if zero {
+	if len(s) > 55 && (version == "00" || s[55] != '-') {
+		return "", false
+	}
+	if hex, nonzero := lowerHex(tid); !hex || !nonzero {
+		return "", false
+	}
+	if hex, nonzero := lowerHex(pid); !hex || !nonzero {
+		return "", false
+	}
+	if hex, _ := lowerHex(flags); !hex {
 		return "", false
 	}
 	return tid, true
+}
+
+// lowerHex reports whether s is all lowercase hex digits and whether any
+// of them is not '0'.
+func lowerHex(s string) (hex, nonzero bool) {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+			return false, false
+		}
+		nonzero = nonzero || c != '0'
+	}
+	return true, nonzero
 }
 
 // RequestState is one in-flight request's mutable observability record:
@@ -208,26 +225,6 @@ func (rs *RequestState) MarkCached() {
 	rs.mu.Lock()
 	rs.cached = true
 	rs.mu.Unlock()
-}
-
-// Clamped reports whether admission clamped the request's charge.
-func (rs *RequestState) Clamped() bool {
-	if rs == nil {
-		return false
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.clamped
-}
-
-// Cached reports whether the result came from the result cache.
-func (rs *RequestState) Cached() bool {
-	if rs == nil {
-		return false
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.cached
 }
 
 // ctxKey keys the RequestState in a request context.

@@ -66,8 +66,15 @@ func TestParseTraceparent(t *testing.T) {
 		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", "4bf92f3577b34da6a3ce929d0e0e4736", true},
 		{"", "", false},
 		{"garbage", "", false},
-		{"00-xyz92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", "", false}, // non-hex
-		{"00-4bf92f3577b34da6a3ce929d0e0e4736+00f067aa0ba902b7-01", "", false}, // wrong separator
+		{"00-xyz92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", "", false},       // non-hex
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736+00f067aa0ba902b7-01", "", false},       // wrong separator
+		{"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", "", false},       // version ff is invalid
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", "", false},       // all-zero parent-id
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-zzzzzzzzzzzzzzzz-zz", "", false},       // non-hex parent-id and flags
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", "", false}, // version 00 has exactly four fields
+		{"00-00000000000000000000000000000000-00f067aa0ba902b7-01", "", false},       // all-zero trace-id
+		// A later version may append fields after the flags.
+		{"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", "4bf92f3577b34da6a3ce929d0e0e4736", true},
 	}
 	for _, c := range cases {
 		got, ok := ParseTraceparent(c.in)
@@ -90,9 +97,6 @@ func TestRequestStateLifecycle(t *testing.T) {
 	if rs.ID() != "req-1" || !rs.Start().Equal(start) {
 		t.Fatal("identity fields")
 	}
-	if !rs.Clamped() || !rs.Cached() {
-		t.Fatal("clamped/cached flags")
-	}
 	rec := rs.AccessRecord(200, 64, 12*time.Millisecond)
 	if rec.RequestID != "req-1" || rec.Epoch != 7 || rec.BoundRows != 1024 ||
 		rec.Charge != 8192 || rec.QueueNs != 5_000_000 || !rec.Clamped ||
@@ -110,7 +114,7 @@ func TestRequestStateNilSafe(t *testing.T) {
 	rs.SetQueueWait(1)
 	rs.SetOutcome("ok")
 	rs.MarkCached()
-	if rs.ID() != "" || rs.Clamped() || rs.Cached() || !rs.Start().IsZero() {
+	if rs.ID() != "" || !rs.Start().IsZero() {
 		t.Fatal("nil RequestState must read zero")
 	}
 	if rs.AccessRecord(200, 0, 0) != nil {

@@ -11,18 +11,15 @@
 // RequestState setters are mutex-guarded because the in-flight registry
 // snapshots a request from other goroutines while its handler still runs.
 //
-// Windows. Counter and Sampler are rings of fixed-width buckets over an
-// injectable clock; reads merge the buckets inside the asked-for window,
-// so rates and latency quantiles are live windowed series (1m/5m), not
-// cumulative counters. A bucket older than the ring's span is reused in
-// place — nothing is ever allocated after construction and a reader never
-// blocks an observer for more than a bucket merge.
-//
 // Exposition. WriteProm renders metric families in the Prometheus text
 // format: gauges and counters as single samples, power-of-two histograms
-// as cumulative _bucket/_sum/_count triples, windowed quantiles as
-// summaries. Names and label values go through SanitizeName/ValidName so
-// a scraper never sees an invalid family.
+// as cumulative _bucket/_sum/_count triples. Names and label values go
+// through SanitizeName/ValidName so a scraper never sees an invalid
+// family. Serving rates and latency quantiles are not computed here: the
+// server keeps cumulative registry counters and histograms
+// (serve_requests, serve_latency_ns, serve_queue_wait_ns, ...) and a
+// scraper's rate() turns them into windowed series. RetryAfterSeconds
+// prices a 429's Retry-After from the queue-wait p99.
 //
 // Calibration. Calibration records, per (strategy, query shape), the
 // log₂-ratio error of the paper's worst-case bound and of the System-R

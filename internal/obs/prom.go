@@ -18,7 +18,6 @@ const (
 	TypeGauge     MetricType = "gauge"
 	TypeCounter   MetricType = "counter"
 	TypeHistogram MetricType = "histogram"
-	TypeSummary   MetricType = "summary"
 )
 
 // ValidName is the Prometheus metric- and label-name grammar; every name
@@ -65,22 +64,12 @@ type HistData struct {
 	Count  int64
 }
 
-// Quantile is one pre-computed quantile of a summary sample.
-type Quantile struct {
-	Q     float64
-	Value float64
-}
-
 // Sample is one labeled series of a family: a scalar for gauges and
-// counters, histogram data for histograms, quantiles plus Sum/Count for
-// summaries.
+// counters, histogram data for histograms.
 type Sample struct {
-	Labels    []Label
-	Value     float64
-	Hist      *HistData
-	Quantiles []Quantile
-	Sum       float64
-	Count     int64
+	Labels []Label
+	Value  float64
+	Hist   *HistData
 }
 
 // Family is one Prometheus metric family.
@@ -93,9 +82,9 @@ type Family struct {
 
 // WriteProm renders the families in the Prometheus text exposition format
 // (version 0.0.4): # HELP / # TYPE headers, cumulative _bucket/_sum/
-// _count triples for histograms, quantile-labeled samples plus _sum and
-// _count for summaries. Families render in the given order, samples in
-// the given sample order, so output is deterministic for golden tests.
+// _count triples for histograms. Families render in the given order,
+// samples in the given sample order, so output is deterministic for
+// golden tests.
 func WriteProm(w io.Writer, fams []Family) error {
 	for _, f := range fams {
 		name := SanitizeName(f.Name)
@@ -138,17 +127,6 @@ func writeSample(w io.Writer, name string, t MetricType, s Sample) error {
 			return err
 		}
 		return writeLine(w, name+"_count", s.Labels, float64(s.Hist.Count))
-	case TypeSummary:
-		for _, q := range s.Quantiles {
-			if err := writeLine(w, name, append(append([]Label(nil), s.Labels...),
-				Label{"quantile", formatFloat(q.Q)}), q.Value); err != nil {
-				return err
-			}
-		}
-		if err := writeLine(w, name+"_sum", s.Labels, s.Sum); err != nil {
-			return err
-		}
-		return writeLine(w, name+"_count", s.Labels, float64(s.Count))
 	default:
 		return writeLine(w, name, s.Labels, s.Value)
 	}
@@ -198,9 +176,9 @@ func escapeLabel(s string) string {
 }
 
 // Pow2Hist converts a power-of-two bucket array (bucket 0 holds zeros,
-// bucket i holds values in [2^(i-1), 2^i), as produced by both
-// internal/metrics histograms and the windowed Sampler) into HistData:
-// upper bound 2^i − 1 per bucket, trailing empty buckets trimmed.
+// bucket i holds values in [2^(i-1), 2^i), as internal/metrics
+// histograms produce them) into HistData: upper bound 2^i − 1 per
+// bucket, trailing empty buckets trimmed.
 func Pow2Hist(buckets []int64, sum, count int64) *HistData {
 	hi := -1
 	for i, n := range buckets {

@@ -13,14 +13,14 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // goldenFamilies is a fixed family set covering every rendered shape:
 // labeled and unlabeled gauges, a counter, a power-of-two histogram, a
-// summary, and escaping in help text and label values.
+// labeled histogram, and escaping in help text and label values.
 func goldenFamilies() []Family {
 	return []Family{
 		{Name: "serve_requests", Help: "requests received", Type: TypeCounter,
 			Samples: []Sample{{Value: 1234}}},
 		{Name: "spill_resident_bytes", Help: "bytes resident under the governor", Type: TypeGauge,
 			Samples: []Sample{{Value: 65536}}},
-		{Name: "serve_window_request_rate", Help: `rate with "quotes" and back\slash`, Type: TypeGauge,
+		{Name: "labeled_rate", Help: `rate with "quotes" and back\slash`, Type: TypeGauge,
 			Samples: []Sample{
 				{Labels: []Label{{"window", "1m"}}, Value: 12.5},
 				{Labels: []Label{{"window", "5m"}}, Value: 3.75},
@@ -28,12 +28,6 @@ func goldenFamilies() []Family {
 		{Name: "query_latency_ns", Help: "per-query wall time", Type: TypeHistogram,
 			Samples: []Sample{{
 				Hist: Pow2Hist([]int64{2, 0, 1, 3, 0, 0, 4}, 420, 10),
-			}}},
-		{Name: "serve_window_latency_ns", Help: "windowed latency quantiles", Type: TypeSummary,
-			Samples: []Sample{{
-				Labels:    []Label{{"window", "1m"}},
-				Quantiles: []Quantile{{0.5, 768}, {0.99, 1536}},
-				Sum:       9000, Count: 11,
 			}}},
 		{Name: "calibration_bound_log2_error", Help: "bound tightness", Type: TypeHistogram,
 			Samples: []Sample{{

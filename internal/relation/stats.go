@@ -9,11 +9,10 @@ import (
 // the number of distinct values in column c — is the primitive the greedy
 // join-ordering heuristic (internal/plan.OrderAtoms) consumes: it scores a
 // candidate atom by |R| / Π_v V(R, v) over its already-bound variables.
-// Selectivity and EstimateJoinSize expose the same statistics as the
-// textbook System-R style estimators for other planning callers. Distinct
-// counts are memoized per relation in the same size-keyed memo table as the
-// hash indexes — recomputed when the relation grows, shared with renames and
-// clones, safe under concurrent readers.
+// Selectivity exposes the same statistic as the textbook System-R style
+// ratio V(R,c)/|R|. Distinct counts are memoized per relation in the same
+// size-keyed memo table as the hash indexes — recomputed when the relation
+// grows, shared with renames and clones, safe under concurrent readers.
 
 // stats caches per-column distinct value counts.
 type stats struct {
@@ -101,12 +100,6 @@ func sampleDistinct(col []Value) int {
 	return min(max(est, ds), n)
 }
 
-// DistinctCountAttr is DistinctCount addressed by attribute name; unknown
-// attributes report 0.
-func (r *Relation) DistinctCountAttr(name string) int {
-	return r.DistinctCount(r.AttrIndex(name))
-}
-
 // Selectivity returns V(R,c)/|R| for column c: 1 means the column is a key,
 // values near 0 mean heavy duplication. Empty relations report 0.
 func (r *Relation) Selectivity(c int) float64 {
@@ -114,23 +107,4 @@ func (r *Relation) Selectivity(c int) float64 {
 		return 0
 	}
 	return float64(r.DistinctCount(c)) / float64(r.Size())
-}
-
-// EstimateJoinSize estimates |r ⋈ s| (natural join on shared attribute
-// names) as |r|·|s| / Π_a max(V(r,a), V(s,a)). With no shared attributes the
-// estimate is the product size. The estimate is never negative and is exact
-// for cross products.
-func EstimateJoinSize(r, s *Relation) float64 {
-	est := float64(r.Size()) * float64(s.Size())
-	for j, a := range s.Attrs {
-		i := r.AttrIndex(a)
-		if i < 0 {
-			continue
-		}
-		vr, vs := r.DistinctCount(i), s.DistinctCount(j)
-		if v := max(vr, vs); v > 0 {
-			est /= float64(v)
-		}
-	}
-	return est
 }

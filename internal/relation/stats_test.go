@@ -17,12 +17,6 @@ func TestDistinctCountAndSelectivity(t *testing.T) {
 	if got := r.DistinctCount(1); got != 2 {
 		t.Errorf("DistinctCount(1) = %d, want 2", got)
 	}
-	if got := r.DistinctCountAttr("b"); got != 2 {
-		t.Errorf("DistinctCountAttr(b) = %d, want 2", got)
-	}
-	if got := r.DistinctCountAttr("nope"); got != 0 {
-		t.Errorf("DistinctCountAttr(nope) = %d, want 0", got)
-	}
 	if got := r.Selectivity(0); got != 1 {
 		t.Errorf("Selectivity(0) = %v, want 1", got)
 	}
@@ -33,32 +27,6 @@ func TestDistinctCountAndSelectivity(t *testing.T) {
 	r.Add("4", "z")
 	if got := r.DistinctCount(1); got != 3 {
 		t.Errorf("after insert: DistinctCount(1) = %d, want 3", got)
-	}
-}
-
-func TestEstimateJoinSize(t *testing.T) {
-	r := New("R", "a", "b")
-	s := New("S", "b", "c")
-	for _, v := range []string{"1", "2", "3", "4"} {
-		r.Add(v, "k"+v)
-		s.Add("k"+v, v)
-	}
-	// b is a key on both sides: estimate |R|·|S|/max(V) = 4·4/4 = 4, which
-	// is also the true join size.
-	if got := EstimateJoinSize(r, s); math.Abs(got-4) > 1e-12 {
-		t.Errorf("EstimateJoinSize = %v, want 4", got)
-	}
-	// No shared attributes: cross product estimate.
-	u := New("U", "d")
-	u.Add("q")
-	u.Add("w")
-	if got := EstimateJoinSize(r, u); math.Abs(got-8) > 1e-12 {
-		t.Errorf("cross product estimate = %v, want 8", got)
-	}
-	// Empty side: zero.
-	e := New("E", "a")
-	if got := EstimateJoinSize(r, e); got != 0 {
-		t.Errorf("empty side estimate = %v, want 0", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // End-to-end tests of the serving-path observability layer
 // (ARCHITECTURE §12) over real HTTP: request-ID correlation across the
 // access log, slow-query log, rendered trace and error bodies; the
-// introspection endpoints; the Prometheus exposition; the windowed
+// introspection endpoints; the Prometheus exposition; the queue-wait
 // Retry-After hint on 429s; and the serve counters' reset contract.
 package serve_test
 
@@ -24,6 +24,16 @@ import (
 	"cqbound/internal/metrics"
 	"cqbound/internal/obs"
 )
+
+// histCount reads a registry histogram's observation count.
+func histCount(t *testing.T, s *testSrv, name string) int64 {
+	t.Helper()
+	h, ok := s.eng.MetricsSnapshot()[name].(metrics.HistogramSnapshot)
+	if !ok {
+		t.Fatalf("registry has no histogram %q", name)
+	}
+	return h.Count
+}
 
 // syncBuf is a mutex-guarded buffer: the access log and slow-query log
 // write from request goroutines while the test reads.
@@ -186,7 +196,7 @@ func TestObsEndpointsSmoke(t *testing.T) {
 			}
 			obs.CheckPromText(t, string(body))
 			for _, want := range []string{
-				"serve_window_request_rate", "serve_window_latency_ns",
+				"serve_latency_ns_bucket", "serve_queue_wait_ns_count",
 				"serve_inflight", "calibration_bound_log2_error",
 			} {
 				if !strings.Contains(string(body), want) {
@@ -217,7 +227,8 @@ func TestObsEndpointsSmoke(t *testing.T) {
 }
 
 // TestWithoutObservability checks the off switch: no correlation header,
-// no /debug or /calibration routes, but probes and /metrics still work.
+// no /debug or /calibration routes and no serve latency or queue-wait
+// histograms, but probes and /metrics still work.
 func TestWithoutObservability(t *testing.T) {
 	s := newTestSrv(t, nil, []cqbound.ServerOption{cqbound.WithoutObservability()})
 	loadTriangle(t, s)
@@ -253,17 +264,20 @@ func TestWithoutObservability(t *testing.T) {
 		}
 	}
 	snap := s.eng.MetricsSnapshot()
-	for _, name := range []string{"serve_inflight", "serve_access_logged", "calibration_records"} {
+	for _, name := range []string{
+		"serve_inflight", "serve_access_logged", "calibration_records",
+		"serve_latency_ns", "serve_queue_wait_ns",
+	} {
 		if _, ok := snap[name]; ok {
 			t.Errorf("obs-off registry has %s", name)
 		}
 	}
 }
 
-// TestRetryAfterWindowed floods a tiny admission budget and checks every
-// 429 carries the windowed Retry-After hint in [1, 30] seconds and a
+// TestRetryAfterHint floods a tiny admission budget and checks every 429
+// carries the queue-wait Retry-After hint in [1, 30] seconds and a
 // correlated JSON body.
-func TestRetryAfterWindowed(t *testing.T) {
+func TestRetryAfterHint(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	s := newTestSrv(t,
 		[]cqbound.Option{cqbound.WithSharding(0, 2)},
@@ -337,11 +351,12 @@ func TestRetryAfterWindowed(t *testing.T) {
 }
 
 // TestObsStatsReset is the serving path's reset contract: after traffic
-// the serve and calibration counters are live, and Engine.ResetStats
-// zeroes every one of them while their gauges (in-flight depth, the
-// rolling-window reads, the calibration cell count) keep their values.
-// The walk is over the registry, so a serve counter added later is
-// covered without editing this test.
+// the serve and calibration counters are live, the latency histogram
+// has seen every request and the queue-wait histogram every grant, and
+// Engine.ResetStats zeroes every counter while the gauges (in-flight
+// depth, the calibration cell count) and the histograms keep their
+// values. The walk is over the registry, so a serve counter added later
+// is covered without editing this test.
 func TestObsStatsReset(t *testing.T) {
 	var accessLog syncBuf
 	s := newTestSrv(t, nil, []cqbound.ServerOption{cqbound.WithAccessLog(&accessLog, 2)})
@@ -358,8 +373,7 @@ func TestObsStatsReset(t *testing.T) {
 			t.Fatalf("query %q status %d", q, code)
 		}
 	}
-	// The serve counters a reset has always zeroed; the rolling windows'
-	// sample counts are not registry entries.
+	// The serve counters a reset has always zeroed.
 	resettable := []string{
 		"serve_requests", "serve_shed", "serve_clamped", "serve_grants",
 		"serve_cache_hits", "serve_cache_misses", "calibration_records",
@@ -372,6 +386,18 @@ func TestObsStatsReset(t *testing.T) {
 		if s.metric(t, name) == 0 {
 			t.Fatalf("%s = 0 after traffic", name)
 		}
+	}
+	// The latency is observed after the response is written, so the
+	// client can read its answer before the last observation lands.
+	deadline := time.Now().Add(2 * time.Second)
+	for histCount(t, s, "serve_latency_ns") != s.metric(t, "serve_requests") && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if lat, reqs := histCount(t, s, "serve_latency_ns"), s.metric(t, "serve_requests"); lat != reqs {
+		t.Fatalf("serve_latency_ns.count = %d, serve_requests = %d", lat, reqs)
+	}
+	if qw, grants := histCount(t, s, "serve_queue_wait_ns"), s.metric(t, "serve_grants"); qw != grants {
+		t.Fatalf("serve_queue_wait_ns.count = %d, serve_grants = %d", qw, grants)
 	}
 
 	before := s.eng.MetricsSnapshot()
@@ -388,9 +414,9 @@ func TestObsStatsReset(t *testing.T) {
 			if after[e.Name] != int64(0) {
 				t.Errorf("%s = %v after ResetStats, want 0", e.Name, after[e.Name])
 			}
-		case metrics.KindGauge:
+		case metrics.KindGauge, metrics.KindHistogram:
 			if after[e.Name] != before[e.Name] {
-				t.Errorf("gauge %s changed on ResetStats: %v -> %v", e.Name, before[e.Name], after[e.Name])
+				t.Errorf("%s %s changed on ResetStats: %v -> %v", e.Kind, e.Name, before[e.Name], after[e.Name])
 			}
 		}
 	}

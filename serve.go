@@ -92,7 +92,6 @@ type serverConfig struct {
 	queue       int
 	cacheSize   int
 	noObs       bool
-	obsClock    obs.Clock
 	accessW     io.Writer
 	accessEvery int
 }
@@ -169,7 +168,7 @@ func NewServer(e *Engine, opts ...ServerOption) *Server {
 		s.cache = serve.NewCache[*cachedResult](1)
 	}
 	if !cfg.noObs {
-		s.obs = newServerObs(cfg.obsClock, cfg.accessW, cfg.accessEvery)
+		s.obs = newServerObs(cfg.accessW, cfg.accessEvery)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -191,15 +190,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mux.ServeHTTP(w, r)
-}
-
-// now reads the server's clock: the injectable obs clock when
-// observability is on, the wall clock otherwise.
-func (s *Server) now() time.Time {
-	if s.obs != nil {
-		return s.obs.clock()
-	}
-	return time.Now()
 }
 
 // Close releases every epoch still pinned by a snapshot session. In-flight
@@ -297,15 +287,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Cache hits skip admission: a cached answer costs no evaluation
 	// memory. Traced requests bypass the cache so their trace is real.
 	if s.cacheOn && !traced {
-		res, ok := s.cache.Get(qtext, epoch)
-		if o := s.obs; o != nil {
-			if ok {
-				o.windows.CacheHits.Add(1)
-			} else {
-				o.windows.CacheMisses.Add(1)
-			}
-		}
-		if ok {
+		if res, ok := s.cache.Get(qtext, epoch); ok {
 			rs.MarkCached()
 			rs.SetOutcome("cached")
 			s.replyResult(w, qtext, epoch, res, true, "")
@@ -338,12 +320,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	rs.SetAdmission(bound, charge, clamped)
 	rs.SetState("queued", s.admit.Waiting())
-	queuedAt := s.now()
+	queuedAt := time.Now()
 	ticket, err := s.admit.Admit(ctx, charge)
-	if o := s.obs; o != nil {
-		o.windows.QueueWait.Observe(s.now().Sub(queuedAt).Nanoseconds())
-	}
-	rs.SetQueueWait(s.now().Sub(queuedAt).Nanoseconds())
+	wait := time.Since(queuedAt).Nanoseconds()
+	rs.SetQueueWait(wait)
 	if err != nil {
 		switch {
 		case errors.Is(err, serve.ErrOverloaded):
@@ -357,7 +337,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer ticket.Release()
 	s.counts.Add(serveGrants, 1)
 	if o := s.obs; o != nil {
-		o.windows.Grants.Add(1)
+		o.queueWait.Observe(wait)
 	}
 	rs.SetState("evaluating", 0)
 

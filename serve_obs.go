@@ -1,7 +1,7 @@
 package cqbound
 
 // Serving-path observability (ARCHITECTURE §12): request correlation,
-// rolling-window SLO metrics, Prometheus text exposition, runtime
+// latency and queue-wait histograms, Prometheus text exposition, runtime
 // introspection endpoints, and bound-calibration telemetry. Everything
 // here hangs off Server.obs; a server built WithoutObservability leaves
 // it nil and every call below degrades to a nil check.
@@ -14,29 +14,26 @@ import (
 	"net/http/pprof"
 	"time"
 
+	"cqbound/internal/metrics"
 	"cqbound/internal/obs"
 )
 
-// serverObs is the Server's observability state: the injectable clock,
-// the rolling windows, the in-flight registry, the calibration recorder,
-// and the optional sampled access log.
+// serverObs is the Server's observability state: the latency and
+// queue-wait histograms (registry entries, see registerObsMetrics), the
+// in-flight registry, the calibration recorder, and the optional sampled
+// access log.
 type serverObs struct {
-	clock    obs.Clock
-	windows  *obs.Windows
-	inflight *obs.Inflight
-	calib    *obs.Calibration
-	access   *obs.AccessLog
+	latency   *metrics.Histogram
+	queueWait *metrics.Histogram
+	inflight  *obs.Inflight
+	calib     *obs.Calibration
+	access    *obs.AccessLog
 }
 
-// newServerObs builds the obs state over the given clock (nil = wall
-// clock).
-func newServerObs(clock obs.Clock, accessW io.Writer, accessEvery int) *serverObs {
-	if clock == nil {
-		clock = time.Now
-	}
+// newServerObs builds the obs state but the histograms, which
+// registerObsMetrics takes from the engine's registry.
+func newServerObs(accessW io.Writer, accessEvery int) *serverObs {
 	return &serverObs{
-		clock:    clock,
-		windows:  obs.NewWindows(clock),
 		inflight: obs.NewInflight(),
 		calib:    obs.NewCalibration(),
 		access:   obs.NewAccessLog(accessW, accessEvery),
@@ -52,21 +49,16 @@ func WithAccessLog(w io.Writer, every int) ServerOption {
 }
 
 // WithoutObservability disables the serving-path observability layer:
-// no correlation IDs, windows, calibration, access log or /debug
-// endpoints. /metrics (JSON and Prometheus) still serves the engine
+// no correlation IDs, latency histograms, calibration, access log or
+// /debug endpoints. /metrics (JSON and Prometheus) still serves the engine
 // registry. Exists for overhead measurement (cqload -obsbench) and for
 // embedders that bring their own middleware.
 func WithoutObservability() ServerOption {
 	return func(c *serverConfig) { c.noObs = true }
 }
 
-// withObsClock injects a fake clock for window tests.
-func withObsClock(clock obs.Clock) ServerOption {
-	return func(c *serverConfig) { c.obsClock = clock }
-}
-
 // statusRecorder captures the response status and body size for the
-// windows and the access log.
+// access log.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -92,10 +84,10 @@ func (w *statusRecorder) Write(b []byte) (int, error) {
 // serveObserved is the correlation middleware: resolve or mint the
 // request ID, echo it on the response, register the request in the
 // in-flight table, attach its state to the context, and on the way out
-// feed the windows and the access log.
+// observe the latency and write the access log.
 func (s *Server) serveObserved(w http.ResponseWriter, r *http.Request) {
 	o := s.obs
-	start := o.clock()
+	start := time.Now()
 	id := obs.IDFromHeaders(r.Header)
 	if id == "" {
 		id = obs.NewID()
@@ -105,34 +97,26 @@ func (s *Server) serveObserved(w http.ResponseWriter, r *http.Request) {
 	defer o.inflight.Done(h)
 	w.Header().Set(obs.HeaderRequestID, id)
 	rec := &statusRecorder{ResponseWriter: w}
-	o.windows.Requests.Add(1)
 	s.mux.ServeHTTP(rec, r.WithContext(obs.WithRequest(r.Context(), rs)))
 	if rec.status == 0 {
 		rec.status = http.StatusOK
 	}
-	latency := o.clock().Sub(start)
-	o.windows.Latency.Observe(latency.Nanoseconds())
-	if rec.status == http.StatusTooManyRequests {
-		o.windows.Shed.Add(1)
-	}
-	if rs.Clamped() {
-		o.windows.Clamped.Add(1)
-	}
+	latency := time.Since(start)
+	o.latency.Observe(latency.Nanoseconds())
 	o.access.Log(rs.AccessRecord(rec.status, rec.bytes, latency))
 }
 
-// retryAfterSeconds derives the Retry-After hint for a 429: the time the
-// current admission queue needs to drain at the windowed grant rate. The
-// +1 counts the rejected request itself. Falls back to 1s when
-// observability is off (no drain-rate window to consult).
+// retryAfterSeconds derives the Retry-After hint for a 429 from the p99
+// of serve_queue_wait_ns: a shed client waits about as long as a queued
+// one did. The histogram is cumulative since the server started
+// (registry histograms survive ResetStats), so the hint follows the
+// server's whole history, not the last minute. Falls back to 1s when
+// observability is off (no histogram to consult).
 func (s *Server) retryAfterSeconds() int {
 	if s.obs == nil {
 		return 1
 	}
-	return obs.RetryAfterSeconds(
-		s.admit.Waiting()+1,
-		s.obs.windows.Grants.Rate(time.Minute),
-	)
+	return obs.RetryAfterSeconds(s.obs.queueWait.Snapshot().P99)
 }
 
 // shapeOf coarsely classifies a query for calibration cells: body atom
@@ -201,7 +185,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // lifecycle state, elapsed time, pinned epoch, bound charge, queue
 // position.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
-	views := s.obs.inflight.Snapshot(s.obs.clock())
+	views := s.obs.inflight.Snapshot(time.Now())
 	if views == nil {
 		views = []obs.RequestView{}
 	}
@@ -236,12 +220,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteProm(w, s.promFamilies())
 }
 
-// promWindows is the pair of rolling windows the exposition renders.
-var promWindows = []time.Duration{time.Minute, 5 * time.Minute}
-
 // promFamilies assembles the full Prometheus exposition: every registry
-// entry, typed by its declared kind, the rolling-window serve families
-// (labeled by window), and the calibration histograms (labeled by
+// entry, typed by its declared kind (the serve latency and queue-wait
+// histograms among them), and the calibration histograms (labeled by
 // strategy and query shape).
 func (s *Server) promFamilies() []obs.Family {
 	reg := s.e.Metrics()
@@ -260,48 +241,6 @@ func (s *Server) promFamilies() []obs.Family {
 	if s.obs == nil {
 		return fams
 	}
-	snaps := make([]obs.WindowSnapshot, len(promWindows))
-	for i, d := range promWindows {
-		snaps[i] = s.obs.windows.Snapshot(d)
-	}
-	gauge := func(name, help string, pick func(obs.WindowSnapshot) float64) obs.Family {
-		f := obs.Family{Name: name, Help: help, Type: obs.TypeGauge}
-		for _, sn := range snaps {
-			f.Samples = append(f.Samples, obs.Sample{
-				Labels: []obs.Label{{Name: "window", Value: sn.Window}},
-				Value:  pick(sn),
-			})
-		}
-		return f
-	}
-	fams = append(fams,
-		gauge("serve_window_request_rate", "requests per second over the rolling window",
-			func(sn obs.WindowSnapshot) float64 { return sn.RequestRate }),
-		gauge("serve_window_shed_rate", "429 sheds per second over the rolling window",
-			func(sn obs.WindowSnapshot) float64 { return sn.ShedRate }),
-		gauge("serve_window_cache_hit_ratio", "result-cache hit ratio over the rolling window",
-			func(sn obs.WindowSnapshot) float64 { return sn.CacheHitRatio }),
-	)
-	summary := func(name, help string, sampler *obs.Sampler) obs.Family {
-		f := obs.Family{Name: name, Help: help, Type: obs.TypeSummary}
-		for i, d := range promWindows {
-			dist := sampler.Window(d)
-			f.Samples = append(f.Samples, obs.Sample{
-				Labels: []obs.Label{{Name: "window", Value: snaps[i].Window}},
-				Quantiles: []obs.Quantile{
-					{Q: 0.5, Value: float64(dist.P50)},
-					{Q: 0.99, Value: float64(dist.P99)},
-				},
-				Sum:   float64(dist.Sum),
-				Count: dist.Count,
-			})
-		}
-		return f
-	}
-	fams = append(fams,
-		summary("serve_window_latency_ns", "request latency over the rolling window", s.obs.windows.Latency),
-		summary("serve_window_queue_wait_ns", "admission queue wait over the rolling window", s.obs.windows.QueueWait),
-	)
 	return append(fams, s.obs.calib.PromFamilies()...)
 }
 
@@ -313,30 +252,11 @@ func (s *Server) registerObsMetrics(reg *MetricsRegistry) {
 		return
 	}
 	reg.Gauge("serve_inflight", "requests in flight now", func() int64 { return int64(o.inflight.Len()) })
-	reg.Gauge("serve_requests_1m", "requests over the last minute",
-		func() int64 { return o.windows.Requests.Sum(time.Minute) })
-	reg.Gauge("serve_shed_1m", "429 sheds over the last minute", func() int64 { return o.windows.Shed.Sum(time.Minute) })
-	reg.Gauge("serve_latency_p99_ns_1m", "request latency p99 over the last minute",
-		func() int64 { return o.windows.Latency.Window(time.Minute).P99 })
-	reg.Gauge("serve_queue_wait_p99_ns_1m", "admission queue wait p99 over the last minute",
-		func() int64 { return o.windows.QueueWait.Window(time.Minute).P99 })
+	o.latency = reg.NewHistogram("serve_latency_ns", "wall time of HTTP requests")
+	o.queueWait = reg.NewHistogram("serve_queue_wait_ns", "admission queue wait of granted queries")
 	reg.Counters(o.access.Counters())
 	reg.Counters(o.calib.Counters())
 	reg.Gauge("calibration_cells", "(strategy, shape) calibration cells", func() int64 { return int64(o.calib.Cells()) })
-}
-
-// WindowSnapshots returns the rolling 1m and 5m serving-path snapshots —
-// the programmatic form of the serve_window_* exposition (zeroes when
-// observability is off).
-func (s *Server) WindowSnapshots() []obs.WindowSnapshot {
-	if s.obs == nil {
-		return nil
-	}
-	out := make([]obs.WindowSnapshot, len(promWindows))
-	for i, d := range promWindows {
-		out[i] = s.obs.windows.Snapshot(d)
-	}
-	return out
 }
 
 // CalibrationJSON renders the /calibration payload (tests and embedders).
