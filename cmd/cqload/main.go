@@ -19,8 +19,9 @@
 //
 // -obsbench additionally measures observability overhead: a second
 // in-process server over the same engine with the layer disabled, driven
-// through alternating rounds, medians compared. -obsgate fails the run
-// when the overhead fraction exceeds it — the CI regression gate.
+// through alternating rounds, medians compared; each pair's overhead and
+// their range print next to the median. -obsgate fails the run when the
+// median overhead fraction exceeds it — the CI regression gate.
 //
 // Usage:
 //
@@ -37,6 +38,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,12 +78,15 @@ type LoadLevelResult struct {
 // histograms, calibration recording): alternating measurement rounds
 // against two servers sharing one engine, medians compared. Overhead is the fraction
 // of throughput the observed server gives up ((off − on) / off; negative
-// means noise favored the observed side).
+// means noise favored the observed side). PairOverheads is the same
+// fraction for each measured pair of rounds, in run order: their spread
+// is the noise the median comparison sits in.
 type ObsOverheadResult struct {
 	Concurrency   int
 	OnThroughput  float64
 	OffThroughput float64
 	Overhead      float64
+	PairOverheads []float64
 }
 
 func main() {
@@ -177,8 +182,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("  obs overhead c=%-3d on=%.0f req/s off=%.0f req/s overhead=%+.1f%%\n",
-			ob.Concurrency, ob.OnThroughput, ob.OffThroughput, 100*ob.Overhead)
+		pairs := make([]string, len(ob.PairOverheads))
+		for i, p := range ob.PairOverheads {
+			pairs[i] = fmt.Sprintf("%+.1f%%", 100*p)
+		}
+		fmt.Printf("  obs overhead c=%-3d on=%.0f req/s off=%.0f req/s overhead=%+.1f%% pairs=%s range=%+.1f..%+.1f%%\n",
+			ob.Concurrency, ob.OnThroughput, ob.OffThroughput, 100*ob.Overhead,
+			strings.Join(pairs, ","), 100*slices.Min(ob.PairOverheads), 100*slices.Max(ob.PairOverheads))
 		if *obsGate > 0 && ob.Overhead > *obsGate {
 			fmt.Fprintf(os.Stderr, "cqload: observability overhead %.1f%% exceeds gate %.1f%%\n",
 				100*ob.Overhead, 100**obsGate)
@@ -200,6 +210,7 @@ func runObsBench(on, off *harness, concurrency, requests int) (*ObsOverheadResul
 	if _, err := off.run(concurrency, requests); err != nil {
 		return nil, err
 	}
+	res := &ObsOverheadResult{Concurrency: concurrency}
 	var onT, offT []float64
 	for i := 0; i < rounds; i++ {
 		r, err := on.run(concurrency, requests)
@@ -211,16 +222,20 @@ func runObsBench(on, off *harness, concurrency, requests int) (*ObsOverheadResul
 			return nil, err
 		}
 		offT = append(offT, r.Throughput)
+		res.PairOverheads = append(res.PairOverheads, overhead(onT[i], offT[i]))
 	}
-	res := &ObsOverheadResult{
-		Concurrency:   concurrency,
-		OnThroughput:  median(onT),
-		OffThroughput: median(offT),
-	}
-	if res.OffThroughput > 0 {
-		res.Overhead = (res.OffThroughput - res.OnThroughput) / res.OffThroughput
-	}
+	res.OnThroughput, res.OffThroughput = median(onT), median(offT)
+	res.Overhead = overhead(res.OnThroughput, res.OffThroughput)
 	return res, nil
+}
+
+// overhead is the fraction of the off-side throughput the on side gives
+// up; 0 when the off side served nothing.
+func overhead(on, off float64) float64 {
+	if off <= 0 {
+		return 0
+	}
+	return (off - on) / off
 }
 
 func median(xs []float64) float64 {

@@ -1,9 +1,9 @@
 // Command optimizer demonstrates query admission control (the Section 1
 // motivation): a multi-user DBMS wants
 // to reject queries whose worst-case output could be disruptive before
-// running them. Selectivity estimates set to 1 give the trivial r^k bound;
-// the color number gives the exact worst-case exponent, letting far more
-// queries through. The example also compares evaluation strategies on an
+// running them. Treating every join as a cross product gives the trivial
+// r^k bound; the color number gives the exact worst-case exponent, letting
+// far more queries through. The example also compares evaluation strategies on an
 // admitted query.
 package main
 

@@ -22,8 +22,10 @@ import (
 // builds replaced, the string-keyed dedup maps and generic join's map
 // tries that KeyTable and the per-prefix indexes replaced, the rolling
 // serve windows (their types, gauges, exposition families and clock
-// option) that the registry's serve counters and histograms replaced, and
-// the estimators no caller used.
+// option) that the registry's serve counters and histograms replaced, the
+// per-request view and access-record copies that obs.Request replaced, the
+// per-family trace deltas that registry-named deltas replaced, and the
+// estimators and helpers no caller used.
 var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|ingestbench|tracebench)|BENCH_[a-z_]+\.json|` +
 	`\b(WithDictSpill|WithSkewSplitting|WithBatchSize|WithEpochRetention|WithSlowQueryThreshold|` +
 	`SkewFraction|NewBuffered|batch\.(Grow|Fan)|KindSkew|ExampleWithSharding_skew|` +
@@ -34,6 +36,7 @@ var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|in
 	`trieNode|trieFor|ensureSeen|NewDedup|relation\.Dedup|` +
 	`NewWindows|obs\.(Windows|Counter|Sampler|Distribution|Clock)|withObsClock|` +
 	`serve_window_[a-z_]+|serve_(requests|shed|latency_p99_ns|queue_wait_p99_ns)_1m|EstimateJoinSize|DistinctCountAttr|` +
+	`RequestView|AccessRecord|FamilyDelta|familyDeltas|CalibrationJSON|SortByString|` +
 	`(shard|batch)\.(Metrics|Stats)|spill\.(Stats|Events))\b`)
 
 // TestNoDeletedHarnessReferences keeps code, CI and the user-facing docs from

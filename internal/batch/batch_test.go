@@ -321,7 +321,7 @@ func TestCoveringProjectCountsRows(t *testing.T) {
 		}
 		m := batch.Counters.NewSet()
 		drain(t, batch.Project(batch.Scan(r, 0, nil), idx, attrs, 0, m))
-		if rows, n := count(m, "rows"), count(m, "batches"); rows != int64(r.Size()) || n == 0 {
+		if rows, n := count(m, "stream_rows"), count(m, "stream_batches"); rows != int64(r.Size()) || n == 0 {
 			t.Errorf("projection %v of %d distinct rows: %d rows streamed in %d batches", idx, r.Size(), rows, n)
 		}
 	}
@@ -633,11 +633,11 @@ func TestMetricsSnapshot(t *testing.T) {
 	if _, err := batch.Materialize(context.Background(), batch.Scan(r, 16, m), "out", nil, m); err != nil {
 		t.Fatal(err)
 	}
-	if count(m, "batches") == 0 || count(m, "rows") != int64(r.Size()) {
-		t.Fatalf("counters after a scan+materialize: rows %d in %d batches", count(m, "rows"), count(m, "batches"))
+	if count(m, "stream_batches") == 0 || count(m, "stream_rows") != int64(r.Size()) {
+		t.Fatalf("counters after a scan+materialize: rows %d in %d batches", count(m, "stream_rows"), count(m, "stream_batches"))
 	}
 	// The sink wrote every byte the scan emitted.
-	if saved := count(m, "bytes_never_materialized"); saved != 0 {
+	if saved := count(m, "stream_bytes_never_materialized"); saved != 0 {
 		t.Fatalf("bytes_never_materialized = %d after scan+materialize, want 0", saved)
 	}
 	m.Reset()

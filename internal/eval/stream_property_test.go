@@ -296,11 +296,11 @@ func TestPropertyExecutorsAgree(t *testing.T) {
 	}
 	rig.shardM.Each(func(name string, v int64) {
 		// skew_splits stays registered for its readers but no rung splits.
-		if v == 0 && name != "skew_splits" {
-			t.Fatalf("a rung of the routing ladder never fired: shard %s = 0", name)
+		if v == 0 && name != "shard_skew_splits" {
+			t.Fatalf("a rung of the routing ladder never fired: %s = 0", name)
 		}
 	})
-	if count(rig.batchM, "batches") == 0 || count(rig.batchM, "rows") == 0 {
+	if count(rig.batchM, "stream_batches") == 0 || count(rig.batchM, "stream_rows") == 0 {
 		t.Fatal("the bare executors never streamed")
 	}
 	for _, gov := range rig.govs {

@@ -267,7 +267,7 @@ func TestYannakakisSkipsBooleanGuards(t *testing.T) {
 		}
 		var rows int64
 		m.Each(func(name string, v int64) {
-			if name == "rows" {
+			if name == "stream_rows" {
 				rows = v
 			}
 		})

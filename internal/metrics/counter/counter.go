@@ -1,37 +1,35 @@
 // Package counter declares counters: each layer names its counters once,
 // as a Family, and counts into a Set of atomic cells. The package is a
 // leaf (it imports only sync/atomic) so that every layer can count;
-// internal/metrics registers Sets under "<family>_<counter>" and does
-// everything else with them.
+// internal/metrics registers Sets and does everything else with them. A
+// counter has one name wherever it is read, "<family>_<counter>": the
+// registry, /metrics and trace deltas all take it from here.
 package counter
 
 import "sync/atomic"
 
 // Family declares one layer's counters: a name prefix and, in declaration
-// order, each counter's name and meaning. Declare a family and its
-// counters as package variables; every Set of the family then carries one
-// cell per counter.
+// order, each counter's full name ("<family>_<counter>") and meaning.
+// Declare a family and its counters as package variables; every Set of
+// the family then carries one cell per counter.
 type Family struct {
-	name  string
-	names []string
-	helps []string
+	prefix string
+	names  []string
+	helps  []string
 }
 
 // ID indexes one counter of a Family.
 type ID int
 
 // NewFamily returns a family with no counters yet.
-func NewFamily(name string) *Family { return &Family{name: name} }
+func NewFamily(name string) *Family { return &Family{prefix: name + "_"} }
 
 // Counter declares the next counter of the family.
 func (f *Family) Counter(name, help string) ID {
-	f.names = append(f.names, name)
+	f.names = append(f.names, f.prefix+name)
 	f.helps = append(f.helps, help)
 	return ID(len(f.names) - 1)
 }
-
-// Name returns the family's prefix.
-func (f *Family) Name() string { return f.name }
 
 // NewSet returns a set of the family's counters, all zero.
 func (f *Family) NewSet() *Set {
@@ -60,9 +58,6 @@ func (s *Set) Load(c ID) int64 {
 	}
 	return s.cells[c].Load()
 }
-
-// Family returns the family the set counts for.
-func (s *Set) Family() *Family { return s.fam }
 
 // AddTo adds every counter of s into dst, a set of the same family (both
 // nil-safe): how a private set is merged into a shared one.

@@ -25,11 +25,11 @@ func TestSetMergeDiffList(t *testing.T) {
 	}
 	var listed []string
 	shared.Since(before).Each(func(name string, v int64) { listed = append(listed, fmt.Sprintf("%s=%d", name, v)) })
-	if got := strings.Join(listed, ","); got != "ops=2,rows=30" {
+	if got := strings.Join(listed, ","); got != "fam_ops=2,fam_rows=30" {
 		t.Fatalf("delta = %s", got)
 	}
 	cells := shared.Cells()
-	if len(cells) != 2 || cells[1].Name != "rows" || cells[1].Help != "rows" || cells[1].V.Load() != 30 {
+	if len(cells) != 2 || cells[1].Name != "fam_rows" || cells[1].Help != "rows" || cells[1].V.Load() != 30 {
 		t.Fatalf("cells = %+v", cells)
 	}
 	shared.Reset()
@@ -40,8 +40,5 @@ func TestSetMergeDiffList(t *testing.T) {
 	nilSet.Add(testOps, 1)
 	if nilSet.Load(testOps) != 0 {
 		t.Fatal("a nil set must read zero")
-	}
-	if testFamily.Name() != "fam" || shared.Family() != testFamily {
-		t.Fatal("a set must know its family")
 	}
 }

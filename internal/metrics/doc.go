@@ -16,8 +16,8 @@
 // KindCounter. Everything generic follows from that one declaration:
 // Registry.Reset zeroes every counter, Set.AddTo merges a traced
 // evaluation's private set into the shared one, Set.Each lists a set's
-// counters for the trace's per-family deltas, and the kind picks the
-// Prometheus TYPE line.
+// counters, under the same names, for a trace's deltas, and the kind picks
+// the Prometheus TYPE line.
 //
 // A gauge (KindGauge) is a callback sampled at read time for present
 // state — resident bytes, queue depth, cache entries — that may fall as

@@ -81,12 +81,13 @@ func (r *Registry) add(name string, e *entry) {
 	r.entries[name] = e
 }
 
-// Counters registers every counter of s as "<family>_<counter>".
+// Counters registers every counter of s under its name,
+// "<family>_<counter>".
 func (r *Registry) Counters(s *counter.Set) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, c := range s.Cells() {
-		r.add(s.Family().Name()+"_"+c.Name, &entry{kind: KindCounter, help: c.Help, cell: c.V})
+		r.add(c.Name, &entry{kind: KindCounter, help: c.Help, cell: c.V})
 	}
 }
 

@@ -5,32 +5,9 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cqbound/internal/metrics/counter"
 )
-
-// AccessRecord is one JSON line of the access log. Everything a later
-// join needs is here: the correlation ID ties the line to the trace, the
-// slow-query record and /debug/requests; outcome and status explain what
-// the serving path did with the request.
-type AccessRecord struct {
-	Time      time.Time `json:"time"`
-	RequestID string    `json:"request_id"`
-	Method    string    `json:"method"`
-	Path      string    `json:"path"`
-	Query     string    `json:"query,omitempty"`
-	Status    int       `json:"status"`
-	Outcome   string    `json:"outcome,omitempty"` // ok, cached, shed, timeout, canceled, error
-	Epoch     uint64    `json:"epoch,omitempty"`
-	Cached    bool      `json:"cached,omitempty"`
-	Clamped   bool      `json:"clamped,omitempty"`
-	BoundRows float64   `json:"bound_rows,omitempty"`
-	Charge    int64     `json:"charge_bytes,omitempty"`
-	QueueNs   int64     `json:"queue_ns,omitempty"`
-	LatencyNs int64     `json:"latency_ns"`
-	Bytes     int64     `json:"bytes"`
-}
 
 // AccessLog writes sampled JSON access lines: every non-200 and every
 // clamped request is always logged (sheds, timeouts and clamps must stay
@@ -66,17 +43,20 @@ func NewAccessLog(w io.Writer, every int) *AccessLog {
 	return &AccessLog{w: w, every: int64(every), counts: accessCounters.NewSet()}
 }
 
-// Log writes rec as one JSON line, subject to sampling.
-func (l *AccessLog) Log(rec *AccessRecord) {
-	if l == nil || rec == nil {
+// Log writes r as one JSON line, subject to sampling. The line carries
+// everything a later join needs: the correlation ID ties it to the trace,
+// the slow-query record and /debug/requests; state, outcome and status
+// explain what the serving path did with the request.
+func (l *AccessLog) Log(r Request) {
+	if l == nil {
 		return
 	}
-	noteworthy := rec.Status != 200 || rec.Clamped
+	noteworthy := r.Status != 200 || r.Clamped
 	if !noteworthy && l.seq.Add(1)%l.every != 0 {
 		l.counts.Add(dropped, 1)
 		return
 	}
-	line, err := json.Marshal(rec)
+	line, err := json.Marshal(r)
 	if err != nil {
 		return
 	}

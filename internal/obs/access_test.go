@@ -13,7 +13,7 @@ func TestAccessLogSampling(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewAccessLog(&buf, 10)
 	for i := 0; i < 100; i++ {
-		l.Log(&AccessRecord{RequestID: "ok", Status: 200, Time: time.Unix(0, 0)})
+		l.Log(Request{RequestID: "ok", Status: 200, Time: time.Unix(0, 0)})
 	}
 	if got := l.Counters().Load(logged); got != 10 {
 		t.Fatalf("Logged = %d, want 10 (1-in-10 sampling)", got)
@@ -22,8 +22,8 @@ func TestAccessLogSampling(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 90", got)
 	}
 	// Errors and clamps bypass sampling entirely.
-	l.Log(&AccessRecord{RequestID: "shed", Status: 429})
-	l.Log(&AccessRecord{RequestID: "clamp", Status: 200, Clamped: true})
+	l.Log(Request{RequestID: "shed", Status: 429})
+	l.Log(Request{RequestID: "clamp", Status: 200, Clamped: true})
 	if got := l.Counters().Load(logged); got != 12 {
 		t.Fatalf("Logged after noteworthy = %d, want 12", got)
 	}
@@ -32,7 +32,7 @@ func TestAccessLogSampling(t *testing.T) {
 	lines := 0
 	sawShed := false
 	for sc.Scan() {
-		var rec AccessRecord
+		var rec Request
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("bad JSON line %q: %v", sc.Text(), err)
 		}
@@ -56,7 +56,7 @@ func TestAccessLogEveryOneLogsAll(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewAccessLog(&buf, 1)
 	for i := 0; i < 5; i++ {
-		l.Log(&AccessRecord{Status: 200})
+		l.Log(Request{Status: 200})
 	}
 	if l.Counters().Load(logged) != 5 || l.Counters().Load(dropped) != 0 {
 		t.Fatalf("logged/dropped = %d/%d", l.Counters().Load(logged), l.Counters().Load(dropped))
@@ -75,7 +75,7 @@ func TestAccessLogNilSafe(t *testing.T) {
 		t.Fatal("nil writer must yield a nil log")
 	}
 	var l *AccessLog
-	l.Log(&AccessRecord{Status: 500})
+	l.Log(Request{Status: 500})
 	if l.Counters().Load(logged) != 0 || l.Counters().Load(dropped) != 0 {
 		t.Fatal("nil log must read zero")
 	}

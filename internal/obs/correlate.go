@@ -108,123 +108,75 @@ func lowerHex(s string) (hex, nonzero bool) {
 	return true, nonzero
 }
 
-// RequestState is one in-flight request's mutable observability record:
-// the correlation ID plus everything /debug/requests and the access log
-// report about it. Handlers annotate it as the request progresses;
-// the in-flight registry snapshots it concurrently, hence the mutex. A
-// nil *RequestState ignores every call, so handlers annotate
+// Request is the one record of one HTTP request: /debug/requests lists
+// it while the handler runs and the access log writes it once the
+// response is out, so both carry the same keys. Time, RequestID, Method
+// and Path are fixed when the request arrives; handlers fill in the rest
+// as it progresses. BoundRows is the paper's worst-case output size (Thm
+// 4.4 / AGM) the admission charge was priced from.
+type Request struct {
+	Time      time.Time `json:"time"`
+	RequestID string    `json:"request_id"`
+	Method    string    `json:"method"`
+	Path      string    `json:"path"`
+	Query     string    `json:"query,omitempty"`
+	State     string    `json:"state"` // received → queued → evaluating → done
+	QueuePos  int       `json:"queue_pos,omitempty"`
+	Status    int       `json:"status,omitempty"`
+	Outcome   string    `json:"outcome,omitempty"` // ok, cached, shed, timeout, canceled, error
+	Epoch     uint64    `json:"epoch,omitempty"`
+	Cached    bool      `json:"cached,omitempty"`
+	Clamped   bool      `json:"clamped,omitempty"`
+	BoundRows float64   `json:"bound_rows,omitempty"`
+	Charge    int64     `json:"charge_bytes,omitempty"`
+	QueueNs   int64     `json:"queue_ns,omitempty"`
+	ElapsedNs int64     `json:"elapsed_ns"`
+	Bytes     int64     `json:"bytes,omitempty"`
+}
+
+// RequestState guards one request's Request: its handler updates it while
+// the in-flight registry snapshots it from other goroutines, hence the
+// mutex. A nil *RequestState ignores every call, so handlers annotate
 // unconditionally whether or not observability is on.
 type RequestState struct {
-	id     string
-	method string
-	path   string
-	start  time.Time
-
-	mu          sync.Mutex
-	query       string
-	state       string // received → queued → evaluating → done
-	queuePos    int
-	epoch       uint64
-	boundRows   float64
-	chargeBytes int64
-	queueNs     int64
-	outcome     string
-	cached      bool
-	clamped     bool
+	mu sync.Mutex
+	r  Request
 }
 
-// NewRequestState starts the record for one request.
+// NewRequestState starts the record for one request, in state received.
 func NewRequestState(id, method, path string, start time.Time) *RequestState {
-	return &RequestState{id: id, method: method, path: path, start: start, state: "received"}
+	return &RequestState{r: Request{Time: start, RequestID: id, Method: method, Path: path, State: "received"}}
 }
 
-// ID returns the correlation ID (immutable, safe without the lock).
+// ID returns the correlation ID (fixed at arrival, safe without the lock).
 func (rs *RequestState) ID() string {
 	if rs == nil {
 		return ""
 	}
-	return rs.id
+	return rs.r.RequestID
 }
 
-// Start returns the request's arrival time.
-func (rs *RequestState) Start() time.Time {
-	if rs == nil {
-		return time.Time{}
-	}
-	return rs.start
-}
-
-// SetQuery records the query text the request evaluates.
-func (rs *RequestState) SetQuery(q string) {
+// Update applies fn to the record under the lock. fn must not change the
+// fields fixed at arrival.
+func (rs *RequestState) Update(fn func(*Request)) {
 	if rs == nil {
 		return
 	}
 	rs.mu.Lock()
-	rs.query = q
+	fn(&rs.r)
 	rs.mu.Unlock()
 }
 
-// SetEpoch records the epoch the request pinned.
-func (rs *RequestState) SetEpoch(e uint64) {
+// Snapshot copies the record with ElapsedNs measured up to now.
+func (rs *RequestState) Snapshot(now time.Time) Request {
 	if rs == nil {
-		return
+		return Request{}
 	}
 	rs.mu.Lock()
-	rs.epoch = e
+	r := rs.r
 	rs.mu.Unlock()
-}
-
-// SetAdmission records the planner's row bound, the byte charge derived
-// from it, and whether the charge was clamped to the whole capacity.
-func (rs *RequestState) SetAdmission(boundRows float64, chargeBytes int64, clamped bool) {
-	if rs == nil {
-		return
-	}
-	rs.mu.Lock()
-	rs.boundRows, rs.chargeBytes, rs.clamped = boundRows, chargeBytes, clamped
-	rs.mu.Unlock()
-}
-
-// SetState moves the request through its lifecycle (queued, evaluating,
-// done); pos is the queue position when entering the queued state.
-func (rs *RequestState) SetState(state string, pos int) {
-	if rs == nil {
-		return
-	}
-	rs.mu.Lock()
-	rs.state, rs.queuePos = state, pos
-	rs.mu.Unlock()
-}
-
-// SetQueueWait records how long admission held the request.
-func (rs *RequestState) SetQueueWait(ns int64) {
-	if rs == nil {
-		return
-	}
-	rs.mu.Lock()
-	rs.queueNs = ns
-	rs.mu.Unlock()
-}
-
-// SetOutcome records the request's disposition for the access log:
-// ok, cached, shed, timeout, canceled, error...
-func (rs *RequestState) SetOutcome(o string) {
-	if rs == nil {
-		return
-	}
-	rs.mu.Lock()
-	rs.outcome = o
-	rs.mu.Unlock()
-}
-
-// MarkCached flags a result served from the (query, epoch) cache.
-func (rs *RequestState) MarkCached() {
-	if rs == nil {
-		return
-	}
-	rs.mu.Lock()
-	rs.cached = true
-	rs.mu.Unlock()
+	r.ElapsedNs = now.Sub(r.Time).Nanoseconds()
+	return r
 }
 
 // ctxKey keys the RequestState in a request context.

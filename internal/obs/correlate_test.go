@@ -87,38 +87,32 @@ func TestParseTraceparent(t *testing.T) {
 func TestRequestStateLifecycle(t *testing.T) {
 	start := time.Unix(1_700_000_000, 0)
 	rs := NewRequestState("req-1", "POST", "/query", start)
-	rs.SetQuery("ans(X) :- r(X).")
-	rs.SetState("queued", 3)
-	rs.SetEpoch(7)
-	rs.SetAdmission(1024, 8192, true)
-	rs.SetQueueWait(5_000_000)
-	rs.SetOutcome("ok")
-	rs.MarkCached()
-	if rs.ID() != "req-1" || !rs.Start().Equal(start) {
+	if got := rs.Snapshot(start); got.State != "received" || got.Time != start || got.Method != "POST" || got.Path != "/query" {
+		t.Fatalf("fresh record = %+v", got)
+	}
+	rs.Update(func(r *Request) {
+		r.Query, r.Epoch = "ans(X) :- r(X).", 7
+		r.BoundRows, r.Charge, r.Clamped = 1024, 8192, true
+		r.State, r.QueuePos, r.QueueNs = "queued", 3, 5_000_000
+	})
+	rs.Update(func(r *Request) { r.State, r.Outcome, r.Status, r.Bytes = "done", "ok", 200, 64 })
+	if rs.ID() != "req-1" {
 		t.Fatal("identity fields")
 	}
-	rec := rs.AccessRecord(200, 64, 12*time.Millisecond)
-	if rec.RequestID != "req-1" || rec.Epoch != 7 || rec.BoundRows != 1024 ||
-		rec.Charge != 8192 || rec.QueueNs != 5_000_000 || !rec.Clamped ||
-		!rec.Cached || rec.Outcome != "ok" || rec.LatencyNs != 12_000_000 || rec.Bytes != 64 {
-		t.Fatalf("access record = %+v", rec)
+	got := rs.Snapshot(start.Add(12 * time.Millisecond))
+	want := Request{Time: start, RequestID: "req-1", Method: "POST", Path: "/query",
+		Query: "ans(X) :- r(X).", State: "done", QueuePos: 3, Status: 200, Outcome: "ok", Epoch: 7,
+		Clamped: true, BoundRows: 1024, Charge: 8192, QueueNs: 5_000_000, ElapsedNs: 12_000_000, Bytes: 64}
+	if got != want {
+		t.Fatalf("snapshot = %+v, want %+v", got, want)
 	}
 }
 
 func TestRequestStateNilSafe(t *testing.T) {
 	var rs *RequestState
-	rs.SetQuery("q")
-	rs.SetState("queued", 1)
-	rs.SetEpoch(1)
-	rs.SetAdmission(1, 1, false)
-	rs.SetQueueWait(1)
-	rs.SetOutcome("ok")
-	rs.MarkCached()
-	if rs.ID() != "" || !rs.Start().IsZero() {
+	rs.Update(func(r *Request) { t.Fatal("Update on a nil state must not call fn") })
+	if rs.ID() != "" || rs.Snapshot(time.Now()) != (Request{}) {
 		t.Fatal("nil RequestState must read zero")
-	}
-	if rs.AccessRecord(200, 0, 0) != nil {
-		t.Fatal("nil RequestState AccessRecord must be nil")
 	}
 }
 
@@ -142,31 +136,32 @@ func TestInflightRegistry(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	a := NewRequestState("a", "POST", "/query", base)
 	b := NewRequestState("b", "POST", "/query", base.Add(time.Second))
-	hb := f.Register(b)
-	ha := f.Register(a)
+	f.Register(b)
+	f.Register(a)
 	if f.Len() != 2 {
 		t.Fatalf("Len = %d", f.Len())
 	}
-	b.SetState("evaluating", 0)
-	views := f.Snapshot(base.Add(3 * time.Second))
-	if len(views) != 2 || views[0].RequestID != "a" || views[1].RequestID != "b" {
-		t.Fatalf("snapshot order = %+v", views)
+	b.Update(func(r *Request) { r.State = "evaluating" })
+	reqs := f.Snapshot(base.Add(3 * time.Second))
+	if len(reqs) != 2 || reqs[0].RequestID != "a" || reqs[1].RequestID != "b" {
+		t.Fatalf("snapshot order = %+v", reqs)
 	}
-	if views[0].ElapsedNs != 3*time.Second.Nanoseconds() {
-		t.Fatalf("elapsed = %d", views[0].ElapsedNs)
+	if reqs[0].ElapsedNs != 3*time.Second.Nanoseconds() || !reqs[1].Time.Equal(base.Add(time.Second)) {
+		t.Fatalf("elapsed = %d, time = %v", reqs[0].ElapsedNs, reqs[1].Time)
 	}
-	if views[1].State != "evaluating" {
-		t.Fatalf("state = %q", views[1].State)
+	if reqs[1].State != "evaluating" {
+		t.Fatalf("state = %q", reqs[1].State)
 	}
-	f.Done(ha)
-	f.Done(hb)
+	f.Done(a)
+	f.Done(b)
 	if f.Len() != 0 {
 		t.Fatalf("Len after done = %d", f.Len())
 	}
 
 	var nilF *Inflight
-	if nilF.Register(a) != 0 || nilF.Len() != 0 || nilF.Snapshot(base) != nil {
+	nilF.Register(a)
+	nilF.Done(a)
+	if nilF.Len() != 0 || nilF.Snapshot(base) != nil {
 		t.Fatal("nil Inflight must be inert")
 	}
-	nilF.Done(1)
 }

@@ -8,8 +8,12 @@
 // in the response header, the 429/error JSON bodies, the sampled access
 // log, the slow-query log, the rendered trace and /debug/requests, so any
 // shed, clamp, timeout or slow query is joinable to its full span tree.
-// RequestState setters are mutex-guarded because the in-flight registry
-// snapshots a request from other goroutines while its handler still runs.
+//
+// One record. Request is the only per-request record: /debug/requests
+// (Inflight.Snapshot) lists it while the handler runs and the access log
+// writes its last snapshot, under the same JSON keys. RequestState guards
+// it with a mutex, because the in-flight registry snapshots a request
+// from other goroutines while its handler still runs (Update).
 //
 // Exposition. WriteProm renders metric families in the Prometheus text
 // format: gauges and counters as single samples, power-of-two histograms

@@ -7,39 +7,35 @@ import (
 )
 
 // Inflight is the registry behind /debug/requests: every request in
-// flight, keyed by an opaque handle, snapshottable while the handlers
-// still run. A nil *Inflight ignores everything.
+// flight, snapshottable while the handlers still run. A nil *Inflight
+// ignores everything.
 type Inflight struct {
-	mu  sync.Mutex
-	m   map[uint64]*RequestState
-	seq uint64
+	mu sync.Mutex
+	m  map[*RequestState]struct{}
 }
 
 // NewInflight returns an empty registry.
 func NewInflight() *Inflight {
-	return &Inflight{m: make(map[uint64]*RequestState)}
+	return &Inflight{m: make(map[*RequestState]struct{})}
 }
 
-// Register adds rs and returns the handle to deregister with.
-func (f *Inflight) Register(rs *RequestState) uint64 {
+// Register adds rs.
+func (f *Inflight) Register(rs *RequestState) {
 	if f == nil || rs == nil {
-		return 0
-	}
-	f.mu.Lock()
-	f.seq++
-	h := f.seq
-	f.m[h] = rs
-	f.mu.Unlock()
-	return h
-}
-
-// Done removes a registered request.
-func (f *Inflight) Done(h uint64) {
-	if f == nil || h == 0 {
 		return
 	}
 	f.mu.Lock()
-	delete(f.m, h)
+	f.m[rs] = struct{}{}
+	f.mu.Unlock()
+}
+
+// Done removes a registered request.
+func (f *Inflight) Done(rs *RequestState) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	delete(f.m, rs)
 	f.mu.Unlock()
 }
 
@@ -53,75 +49,21 @@ func (f *Inflight) Len() int {
 	return len(f.m)
 }
 
-// RequestView is one in-flight request as /debug/requests renders it.
-type RequestView struct {
-	RequestID string  `json:"request_id"`
-	Method    string  `json:"method"`
-	Path      string  `json:"path"`
-	Query     string  `json:"query,omitempty"`
-	State     string  `json:"state"`
-	QueuePos  int     `json:"queue_pos,omitempty"`
-	ElapsedNs int64   `json:"elapsed_ns"`
-	Epoch     uint64  `json:"epoch,omitempty"`
-	BoundRows float64 `json:"bound_rows,omitempty"`
-	Charge    int64   `json:"charge_bytes,omitempty"`
-}
-
 // Snapshot copies every in-flight request, oldest first.
-func (f *Inflight) Snapshot(now time.Time) []RequestView {
+func (f *Inflight) Snapshot(now time.Time) []Request {
 	if f == nil {
 		return nil
 	}
 	f.mu.Lock()
 	states := make([]*RequestState, 0, len(f.m))
-	for _, rs := range f.m {
+	for rs := range f.m {
 		states = append(states, rs)
 	}
 	f.mu.Unlock()
-	sort.Slice(states, func(i, j int) bool { return states[i].start.Before(states[j].start) })
-	out := make([]RequestView, 0, len(states))
-	for _, rs := range states {
-		rs.mu.Lock()
-		out = append(out, RequestView{
-			RequestID: rs.id,
-			Method:    rs.method,
-			Path:      rs.path,
-			Query:     rs.query,
-			State:     rs.state,
-			QueuePos:  rs.queuePos,
-			ElapsedNs: now.Sub(rs.start).Nanoseconds(),
-			Epoch:     rs.epoch,
-			BoundRows: rs.boundRows,
-			Charge:    rs.chargeBytes,
-		})
-		rs.mu.Unlock()
+	out := make([]Request, len(states))
+	for i, rs := range states {
+		out[i] = rs.Snapshot(now)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
 	return out
-}
-
-// AccessRecord assembles the request's access-log line from its state
-// plus the response's status, byte count and total latency.
-func (rs *RequestState) AccessRecord(status int, bytes int64, latency time.Duration) *AccessRecord {
-	if rs == nil {
-		return nil
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return &AccessRecord{
-		Time:      rs.start,
-		RequestID: rs.id,
-		Method:    rs.method,
-		Path:      rs.path,
-		Query:     rs.query,
-		Status:    status,
-		Outcome:   rs.outcome,
-		Epoch:     rs.epoch,
-		Cached:    rs.cached,
-		Clamped:   rs.clamped,
-		BoundRows: rs.boundRows,
-		Charge:    rs.chargeBytes,
-		QueueNs:   rs.queueNs,
-		LatencyNs: latency.Nanoseconds(),
-		Bytes:     bytes,
-	}
 }

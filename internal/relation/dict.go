@@ -116,8 +116,3 @@ func V(s string) Value { return defaultDict.Intern(s) }
 
 // String resolves the value through the default dictionary.
 func (v Value) String() string { return defaultDict.String(v) }
-
-// Less orders values by their interned strings, giving the lexicographic
-// order the seed's string-valued relations had. ID order is insertion order
-// and means nothing to a reader.
-func (v Value) Less(w Value) bool { return v.String() < w.String() }

@@ -502,20 +502,6 @@ func (r *Relation) Rename(name string, attrs ...string) (*Relation, error) {
 	return r.share(name, attrs), nil
 }
 
-// Select returns the tuples satisfying pred, as a new relation. The tuple
-// passed to pred is a reused buffer (see Each).
-func (r *Relation) Select(pred func(Tuple) bool) *Relation {
-	out := New(r.Name+"_sel", r.Attrs...)
-	out.dict = r.dict
-	r.Each(func(t Tuple) bool {
-		if pred(t) {
-			out.appendRowUnchecked(t)
-		}
-		return true
-	})
-	return out
-}
-
 // ProjectedAttrs names the output columns of a projection of attrs onto the
 // positions idx: a position that repeats keeps its name the first time and
 // gets the suffixes _1, _2, … after that, so the names stay unique — the
@@ -844,29 +830,6 @@ func (r *Relation) CheckKey(cols []int) bool {
 		}
 	}
 	return true
-}
-
-// Values returns the set of values appearing anywhere in the relation,
-// sorted by their interned strings.
-func (r *Relation) Values() []Value {
-	set := make(map[Value]bool)
-	for c := range r.Attrs {
-		for _, v := range r.Column(c) {
-			set[v] = true
-		}
-	}
-	out := make([]Value, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	SortByStringIn(r.Dict(), out)
-	return out
-}
-
-// SortByString sorts values by their strings in the default dictionary,
-// resolving each string once instead of per comparison.
-func SortByString(vals []Value) {
-	SortByStringIn(defaultDict, vals)
 }
 
 // SortByStringIn sorts values by their interned strings in the given

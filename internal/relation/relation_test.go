@@ -73,16 +73,6 @@ func TestProjectRepeatedColumn(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	r := New("R", "a", "b")
-	r.Add("1", "x")
-	r.Add("2", "y")
-	s := r.Select(func(t Tuple) bool { return t[1] == V("x") })
-	if s.Size() != 1 || s.Tuples()[0][0] != V("1") {
-		t.Fatalf("Select = %v", s)
-	}
-}
-
 func TestEquiJoin(t *testing.T) {
 	r := New("R", "a", "b")
 	r.Add("1", "x")
@@ -210,16 +200,6 @@ func TestCheckFDAndKey(t *testing.T) {
 	}
 	if !r.CheckFD([]int{1, 2}, 0) {
 		t.Fatal("compound FD b,c->a should hold")
-	}
-}
-
-func TestValuesSorted(t *testing.T) {
-	r := New("R", "a", "b")
-	r.Add("b", "a")
-	r.Add("c", "a")
-	vals := r.Values()
-	if len(vals) != 3 || vals[0] != V("a") || vals[1] != V("b") || vals[2] != V("c") {
-		t.Fatalf("Values = %v", vals)
 	}
 }
 

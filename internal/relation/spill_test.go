@@ -21,7 +21,7 @@ type registrar map[string]func() int64
 
 func (r registrar) Counters(s *counter.Set) {
 	for _, c := range s.Cells() {
-		r[s.Family().Name()+"_"+c.Name] = c.V.Load
+		r[c.Name] = c.V.Load
 	}
 }
 

@@ -9,10 +9,9 @@ import (
 // the number of distinct values in column c — is the primitive the greedy
 // join-ordering heuristic (internal/plan.OrderAtoms) consumes: it scores a
 // candidate atom by |R| / Π_v V(R, v) over its already-bound variables.
-// Selectivity exposes the same statistic as the textbook System-R style
-// ratio V(R,c)/|R|. Distinct counts are memoized per relation in the same
-// size-keyed memo table as the hash indexes — recomputed when the relation
-// grows, shared with renames and clones, safe under concurrent readers.
+// Distinct counts are memoized per relation in the same size-keyed memo
+// table as the hash indexes — recomputed when the relation grows, shared
+// with renames and clones, safe under concurrent readers.
 
 // stats caches per-column distinct value counts.
 type stats struct {
@@ -98,13 +97,4 @@ func sampleDistinct(col []Value) int {
 	}
 	est := int(math.Sqrt(float64(n)/float64(s))*float64(f1)) + ds - f1
 	return min(max(est, ds), n)
-}
-
-// Selectivity returns V(R,c)/|R| for column c: 1 means the column is a key,
-// values near 0 mean heavy duplication. Empty relations report 0.
-func (r *Relation) Selectivity(c int) float64 {
-	if r.Size() == 0 {
-		return 0
-	}
-	return float64(r.DistinctCount(c)) / float64(r.Size())
 }

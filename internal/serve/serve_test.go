@@ -255,6 +255,22 @@ func TestServeEndpoints(t *testing.T) {
 	if _, code := s.query(t, path, "99", false); code != http.StatusNotFound {
 		t.Fatalf("unknown epoch status = %d, want 404", code)
 	}
+
+	// A create no query could read (no attributes, no name) is a 400.
+	for _, bad := range []string{
+		`{"ops":[{"op":"create","rel":"R"}]}`,
+		`{"ops":[{"op":"create","rel":"","attrs":["a"]}]}`,
+	} {
+		resp, err := s.c.Post(s.ts.URL+"/commit", "application/json", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST /commit %s: status %d, want 400", bad, resp.StatusCode)
+		}
+	}
 }
 
 // TestQueryRepeatedHeadVariable: a head that lists a variable twice is a

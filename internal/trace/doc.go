@@ -28,9 +28,10 @@
 //
 // Finish freezes the tree into a Trace, which renders as an EXPLAIN
 // ANALYZE text (Render) and carries the per-query deltas of the engine's
-// five counter families (cache, shard, stream, spill, epoch), captured by
-// the engine's snapshot/diff mechanism so concurrent queries do not
-// contaminate each other. Sink receives finished traces; SlowQueryLog is
-// the structured slow-query log sink (cqserve -slow registers one on
-// stderr through the engine's WithTraceSink option).
+// counters (families cache, shard, stream, spill, epoch), keyed by their
+// registry names (stream_rows) and captured from private counter sets so
+// concurrent queries do not contaminate each other. Sink receives
+// finished traces; SlowQueryLog is the structured slow-query log sink
+// (cqserve -slow registers one on stderr through the engine's
+// WithTraceSink option).
 package trace

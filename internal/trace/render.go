@@ -2,14 +2,16 @@ package trace
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 )
 
 // Render formats the trace as an EXPLAIN ANALYZE text: a deterministic
 // "strategy:" header line, the span tree with estimated-vs-actual row
-// counts, and the per-query stats-family deltas. Row counts, fan-out and
-// wall times vary run to run; only the first line is stable output.
+// counts, and the per-query counter deltas, one per line, sorted by
+// registry name. Row counts, fan-out and wall times vary run to run; only
+// the first line is stable output.
 func (t *Trace) Render() string {
 	if t == nil {
 		return ""
@@ -29,12 +31,13 @@ func (t *Trace) Render() string {
 	}
 	if len(t.Deltas) > 0 {
 		b.WriteString("deltas\n")
-		for _, f := range t.Deltas {
-			fmt.Fprintf(&b, "  %-7s", f.Family)
-			for _, c := range f.Counters {
-				fmt.Fprintf(&b, " %s=+%d", c.Name, c.Value)
-			}
-			b.WriteByte('\n')
+		names := make([]string, 0, len(t.Deltas))
+		for name := range t.Deltas {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&b, "  %s=+%d\n", name, t.Deltas[name])
 		}
 	}
 	return b.String()

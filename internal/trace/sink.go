@@ -52,8 +52,8 @@ type slowQueryRecord struct {
 
 // Emit implements Sink: traces shorter than the threshold are dropped,
 // the rest serialize as one JSON line (query, strategy, duration, span
-// count, output rows, the slowest stage, and all nonzero stats deltas as
-// "family.counter" keys).
+// count, output rows, the slowest stage, and the trace's counter deltas
+// under their registry names).
 func (l *SlowQueryLog) Emit(t *Trace) {
 	if t == nil || t.Duration < l.threshold {
 		return
@@ -68,17 +68,7 @@ func (l *SlowQueryLog) Emit(t *Trace) {
 		Spans:      t.SpanCount(),
 		RowsOut:    t.Root.RowsOut(),
 		PeakStage:  slowestStage(t.Root),
-	}
-	for _, f := range t.Deltas {
-		for _, c := range f.Counters {
-			if c.Value == 0 {
-				continue
-			}
-			if rec.Deltas == nil {
-				rec.Deltas = make(map[string]int64)
-			}
-			rec.Deltas[f.Family+"."+c.Name] = c.Value
-		}
+		Deltas:     t.Deltas,
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {

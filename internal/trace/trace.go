@@ -351,31 +351,17 @@ func (t *Tracer) Finish() *Trace {
 	}
 }
 
-// Counter is one named delta in a counter family; family and name join
-// with an underscore into the engine's registry name.
-type Counter struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
-// FamilyDelta is the per-query delta of one engine counter family
-// (cache, shard, stream, spill, epoch), counted privately or by
-// snapshot/diff so concurrent queries don't contaminate each other.
-type FamilyDelta struct {
-	Family   string    `json:"family"`
-	Counters []Counter `json:"counters"`
-}
-
 // Trace is a finished evaluation trace: the frozen span tree plus the
-// per-query deltas of the engine's counter families.
+// per-query deltas of the engine's counters, the nonzero ones, keyed by
+// their registry names (stream_rows, cache_hits, ...).
 type Trace struct {
-	Query     string        `json:"query"`
-	Strategy  string        `json:"strategy"`
-	RequestID string        `json:"request_id,omitempty"`
-	Start     time.Time     `json:"start"`
-	Duration  time.Duration `json:"duration_ns"`
-	Root      *Span         `json:"-"`
-	Deltas    []FamilyDelta `json:"deltas,omitempty"`
+	Query     string           `json:"query"`
+	Strategy  string           `json:"strategy"`
+	RequestID string           `json:"request_id,omitempty"`
+	Start     time.Time        `json:"start"`
+	Duration  time.Duration    `json:"duration_ns"`
+	Root      *Span            `json:"-"`
+	Deltas    map[string]int64 `json:"deltas,omitempty"`
 }
 
 // SpanCount returns the number of spans in the tree (root included).
@@ -392,23 +378,4 @@ func (t *Trace) SpanCount() int {
 		return n
 	}
 	return count(t.Root)
-}
-
-// Delta returns the named counter from the named family delta
-// (0, false when absent) — a convenience for tests and sinks.
-func (t *Trace) Delta(family, name string) (int64, bool) {
-	if t == nil {
-		return 0, false
-	}
-	for _, f := range t.Deltas {
-		if f.Family != family {
-			continue
-		}
-		for _, c := range f.Counters {
-			if c.Name == name {
-				return c.Value, true
-			}
-		}
-	}
-	return 0, false
 }

@@ -149,21 +149,15 @@ func TestRenderShowsEstimatesAndDeltas(t *testing.T) {
 	j.SetEst(62.5)
 	j.End()
 	tc := tr.Finish()
-	tc.Deltas = []FamilyDelta{{Family: "cache", Counters: []Counter{{Name: "hits", Value: 1}}}}
+	tc.Deltas = map[string]int64{"stream_rows": 40, "cache_hits": 1}
 	out := tc.Render()
 	if !strings.HasPrefix(out, "strategy: project-early\n") {
 		t.Fatalf("first line not deterministic: %q", out)
 	}
-	for _, want := range []string{"rows 100→40", "est=62.5", "deltas", "cache   hits=+1", "[join]"} {
+	for _, want := range []string{"rows 100→40", "est=62.5", "[join]", "deltas\n  cache_hits=+1\n  stream_rows=+40\n"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
-	}
-	if v, ok := tc.Delta("cache", "hits"); !ok || v != 1 {
-		t.Fatalf("Delta lookup = %d/%v", v, ok)
-	}
-	if _, ok := tc.Delta("cache", "nope"); ok {
-		t.Fatal("Delta must miss unknown counters")
 	}
 }
 
@@ -175,9 +169,7 @@ func TestSlowQueryLogThresholdAndSchema(t *testing.T) {
 		time.Sleep(d)
 		st.End()
 		tc := tr.Finish()
-		tc.Deltas = []FamilyDelta{
-			{Family: "stream", Counters: []Counter{{Name: "batches", Value: 3}, {Name: "rows", Value: 0}}},
-		}
+		tc.Deltas = map[string]int64{"stream_batches": 3}
 		return tc
 	}
 	var buf bytes.Buffer
@@ -200,12 +192,8 @@ func TestSlowQueryLogThresholdAndSchema(t *testing.T) {
 	if rec["peak_stage"] != "join pass" {
 		t.Fatalf("peak_stage = %v", rec["peak_stage"])
 	}
-	deltas := rec["deltas"].(map[string]any)
-	if deltas["stream.batches"] != float64(3) {
-		t.Fatalf("deltas = %v", deltas)
-	}
-	if _, ok := deltas["stream.rows"]; ok {
-		t.Fatal("zero deltas must be omitted from the log line")
+	if deltas := rec["deltas"].(map[string]any); len(deltas) != 1 || deltas["stream_batches"] != float64(3) {
+		t.Fatalf("deltas = %v, want the trace's under their registry names", deltas)
 	}
 
 	// Zero threshold logs everything; SinkFunc adapts.

@@ -21,7 +21,7 @@ import (
 // Tracing types (internal/trace).
 type (
 	// Trace is one finished evaluation's span tree plus the per-query
-	// deltas of the engine's counter families.
+	// deltas of the engine's counters, keyed by registry name.
 	Trace = trace.Trace
 	// TraceSpan is one node of a trace: a plan stage or operator with its
 	// row counts, size estimate, fan-out and wall time.
@@ -107,7 +107,7 @@ func (e *Engine) EvaluateTraced(ctx context.Context, q *Query, db *Database) (*R
 	r.finish(e)
 	t := tr.Finish()
 	spilled := r.opts.Scope.Counters()
-	t.Deltas = familyDeltas(r.cache, r.shard, r.stream, spilled, e.epoch.Since(epBefore))
+	t.Deltas = counterDeltas(r.cache, r.shard, r.stream, spilled, e.epoch.Since(epBefore))
 	if err != nil {
 		return nil, st, t, err
 	}
@@ -135,18 +135,20 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query, db *Database) (st
 	return t.Render() + "rationale: " + p.Rationale + "\n", nil
 }
 
-// familyDeltas lists each set's counters as one trace family. The epoch
-// set is a diff of the engine-wide lifecycle counters, exact unless a
-// commit lands mid-evaluation; the others are the evaluation's own.
-func familyDeltas(sets ...*counter.Set) []trace.FamilyDelta {
-	out := make([]trace.FamilyDelta, len(sets))
-	for i, s := range sets {
-		out[i].Family = s.Family().Name()
+// counterDeltas maps the registry name of every nonzero counter in sets
+// to its value. The epoch set is a diff of the engine-wide lifecycle
+// counters, exact unless a commit lands mid-evaluation; the others are
+// the evaluation's own.
+func counterDeltas(sets ...*counter.Set) map[string]int64 {
+	d := make(map[string]int64)
+	for _, s := range sets {
 		s.Each(func(name string, v int64) {
-			out[i].Counters = append(out[i].Counters, trace.Counter{Name: name, Value: v})
+			if v != 0 {
+				d[name] = v
+			}
 		})
 	}
-	return out
+	return d
 }
 
 // metricsState is the lazily-built registry plus the trace-derived

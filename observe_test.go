@@ -118,9 +118,20 @@ func TestTracedDeltaIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRows, ok := base.Delta("stream", "rows")
-	if !ok || baseRows == 0 {
-		t.Fatalf("baseline stream rows = %d/%v", baseRows, ok)
+	baseRows := base.Deltas["stream_rows"]
+	if baseRows == 0 {
+		t.Fatalf("baseline deltas = %v, want stream_rows", base.Deltas)
+	}
+	// One name per counter: a delta's key is the counter's registry name,
+	// and only counters that moved are listed.
+	registered := make(map[string]bool)
+	for _, e := range eng.Metrics().Entries() {
+		registered[e.Name] = true
+	}
+	for name, v := range base.Deltas {
+		if !registered[name] || v == 0 {
+			t.Errorf("delta %s=%d: want a nonzero counter under its registry name", name, v)
+		}
 	}
 
 	// Concurrent: both run the warmed query; each must see exactly the
@@ -145,16 +156,13 @@ func TestTracedDeltaIsolation(t *testing.T) {
 		if tr == nil {
 			t.Fatalf("trace %d missing", i)
 		}
-		rows, _ := tr.Delta("stream", "rows")
-		if rows != baseRows {
+		if rows := tr.Deltas["stream_rows"]; rows != baseRows {
 			t.Errorf("trace %d stream rows = %d, want the solo %d", i, rows, baseRows)
 		}
-		batches, _ := tr.Delta("stream", "batches")
-		if batches == 0 {
+		if tr.Deltas["stream_batches"] == 0 {
 			t.Errorf("trace %d streamed no batches", i)
 		}
-		hits, _ := tr.Delta("cache", "hits")
-		misses, _ := tr.Delta("cache", "misses")
+		hits, misses := tr.Deltas["cache_hits"], tr.Deltas["cache_misses"]
 		if hits != 1 || misses != 0 {
 			t.Errorf("trace %d cache delta = %d/%d, want exactly one hit", i, hits, misses)
 		}

@@ -255,7 +255,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, "parse: %v", err)
 		return
 	}
-	rs.SetQuery(qtext)
+	rs.Update(func(r *obs.Request) { r.Query = qtext })
 	traced := r.FormValue("trace") == "1"
 
 	// Pin the epoch the request reads: a held snapshot session when
@@ -282,14 +282,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		db, epoch, release = snap.DB(), snap.Epoch(), snap.Close
 	}
 	defer release()
-	rs.SetEpoch(epoch)
+	rs.Update(func(r *obs.Request) { r.Epoch = epoch })
 
 	// Cache hits skip admission: a cached answer costs no evaluation
 	// memory. Traced requests bypass the cache so their trace is real.
 	if s.cacheOn && !traced {
 		if res, ok := s.cache.Get(qtext, epoch); ok {
-			rs.MarkCached()
-			rs.SetOutcome("cached")
+			rs.Update(func(r *obs.Request) { r.State, r.Outcome, r.Cached = "done", "cached", true })
 			s.replyResult(w, qtext, epoch, res, true, "")
 			return
 		}
@@ -318,12 +317,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if clamped {
 		s.counts.Add(serveClamped, 1)
 	}
-	rs.SetAdmission(bound, charge, clamped)
-	rs.SetState("queued", s.admit.Waiting())
+	rs.Update(func(r *obs.Request) {
+		r.BoundRows, r.Charge, r.Clamped = bound, charge, clamped
+		r.State, r.QueuePos = "queued", s.admit.Waiting()
+	})
 	queuedAt := time.Now()
 	ticket, err := s.admit.Admit(ctx, charge)
 	wait := time.Since(queuedAt).Nanoseconds()
-	rs.SetQueueWait(wait)
+	rs.Update(func(r *obs.Request) {
+		r.QueueNs = wait
+		if err == nil {
+			r.State, r.QueuePos = "evaluating", 0
+		}
+	})
 	if err != nil {
 		switch {
 		case errors.Is(err, serve.ErrOverloaded):
@@ -339,7 +345,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if o := s.obs; o != nil {
 		o.queueWait.Observe(wait)
 	}
-	rs.SetState("evaluating", 0)
 
 	var (
 		out *Relation
@@ -367,8 +372,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.cacheOn && !traced {
 		s.cache.Put(qtext, epoch, res)
 	}
-	rs.SetState("done", 0)
-	rs.SetOutcome("ok")
+	rs.Update(func(r *obs.Request) { r.State, r.Outcome = "done", "ok" })
 	var trace string
 	if tr != nil {
 		trace = tr.Render()
@@ -697,7 +701,7 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, status int, format
 	if id := rs.ID(); id != "" {
 		body["request_id"] = id
 	}
-	rs.SetOutcome(outcomeForStatus(status))
+	rs.Update(func(r *obs.Request) { r.Outcome = outcomeForStatus(status) })
 	s.reply(w, status, body)
 }
 

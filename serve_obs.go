@@ -7,7 +7,6 @@ package cqbound
 // it nil and every call below degrades to a nil check.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -93,17 +92,18 @@ func (s *Server) serveObserved(w http.ResponseWriter, r *http.Request) {
 		id = obs.NewID()
 	}
 	rs := obs.NewRequestState(id, r.Method, r.URL.Path, start)
-	h := o.inflight.Register(rs)
-	defer o.inflight.Done(h)
+	o.inflight.Register(rs)
+	defer o.inflight.Done(rs)
 	w.Header().Set(obs.HeaderRequestID, id)
 	rec := &statusRecorder{ResponseWriter: w}
 	s.mux.ServeHTTP(rec, r.WithContext(obs.WithRequest(r.Context(), rs)))
 	if rec.status == 0 {
 		rec.status = http.StatusOK
 	}
-	latency := time.Since(start)
-	o.latency.Observe(latency.Nanoseconds())
-	o.access.Log(rs.AccessRecord(rec.status, rec.bytes, latency))
+	rs.Update(func(r *obs.Request) { r.Status, r.Bytes = rec.status, rec.bytes })
+	done := rs.Snapshot(time.Now())
+	o.latency.Observe(done.ElapsedNs)
+	o.access.Log(done)
 }
 
 // retryAfterSeconds derives the Retry-After hint for a 429 from the p99
@@ -181,17 +181,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	w.Write([]byte("ready\n"))
 }
 
-// handleDebugRequests lists the requests in flight right now: request ID,
-// lifecycle state, elapsed time, pinned epoch, bound charge, queue
-// position.
+// handleDebugRequests lists the requests in flight right now, oldest
+// first, each as the obs.Request record the access log writes when it
+// ends: request ID, lifecycle state, elapsed time, pinned epoch, bound and
+// charge, queue position.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
-	views := s.obs.inflight.Snapshot(time.Now())
-	if views == nil {
-		views = []obs.RequestView{}
-	}
+	reqs := s.obs.inflight.Snapshot(time.Now())
 	s.reply(w, http.StatusOK, map[string]any{
-		"inflight": len(views),
-		"requests": views,
+		"inflight": len(reqs),
+		"requests": reqs,
 	})
 }
 
@@ -257,15 +255,4 @@ func (s *Server) registerObsMetrics(reg *MetricsRegistry) {
 	reg.Counters(o.access.Counters())
 	reg.Counters(o.calib.Counters())
 	reg.Gauge("calibration_cells", "(strategy, shape) calibration cells", func() int64 { return int64(o.calib.Cells()) })
-}
-
-// CalibrationJSON renders the /calibration payload (tests and embedders).
-func (s *Server) CalibrationJSON() ([]byte, error) {
-	if s.obs == nil {
-		return []byte("{}"), nil
-	}
-	return json.Marshal(map[string]any{
-		"records": s.obs.calib.Records(),
-		"cells":   s.obs.calib.Snapshot(),
-	})
 }

@@ -154,9 +154,14 @@ func (t *Txn) touch(name string) {
 // Create stages a new relation with the given attribute names. The
 // relation exists (empty, plus any tuples staged for it in this Txn) once
 // the transaction commits; committing fails if the name is already taken.
+// A relation needs a name and at least one attribute: no query atom can
+// name or read anything else.
 func (t *Txn) Create(name string, attrs ...string) error {
 	if t.done {
 		return errTxnDone
+	}
+	if name == "" || len(attrs) == 0 {
+		return fmt.Errorf("cqbound: relation %q needs a name and at least one attribute", name)
 	}
 	seen := make(map[string]bool, len(attrs))
 	for _, a := range attrs {

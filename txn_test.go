@@ -193,6 +193,16 @@ func TestTxnValidationIsAtomic(t *testing.T) {
 	if _, err := txn.Commit(); err == nil {
 		t.Fatal("re-creating an existing relation committed")
 	}
+	// A relation without a name or without attributes is unreadable by
+	// any query: Create refuses it.
+	for _, c := range []struct {
+		name  string
+		attrs []string
+	}{{"S", nil}, {"", []string{"a"}}} {
+		if err := eng.Begin().Create(c.name, c.attrs...); err == nil {
+			t.Fatalf("Create(%q, %q) staged a relation no query can read", c.name, c.attrs)
+		}
+	}
 	if eng.LiveEpoch() != before {
 		t.Fatal("failed validation published an epoch")
 	}
