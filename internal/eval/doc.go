@@ -50,7 +50,12 @@
 //
 // GenericJoin extends one variable at a time and has no binary join to
 // partition, so it takes the options only for their tracer (see the
-// ROADMAP's sharded generic join item).
+// ROADMAP's sharded generic join item). Its trace holds an "index R" scan
+// span per atom and an "extend X" span per variable, counting the partial
+// assignments that survived X. Below the deepest head variable the search
+// stops at the first witness, so the last span counts one full assignment
+// per surviving assignment of the variables up to it — exactly |Q(D)|
+// when the head variables lead the order — not every full assignment.
 //
 // When Options.Spill carries a memory governor, pipeline stages pin the
 // storage they read one batch at a time and exchanges seal their output

@@ -442,19 +442,36 @@ func GenericJoin(q *cq.Query, db *database.Database) (*relation.Relation, Stats,
 	return GenericJoinExec(context.Background(), q, db, nil)
 }
 
+// scanLimit is the longest posting generic join extends by scanning it:
+// up to this many rows, an atom's sub-posting for a candidate value is
+// filtered out of its current posting and membership is a linear search;
+// longer postings are probed through their hash index.
+const scanLimit = 32
+
 // GenericJoinExec evaluates q with a worst-case optimal variable-at-a-time
-// backtracking join: variables are ordered by descending atom frequency,
-// and each atom reads, for every prefix of its variables in that order,
-// the memoized hash index on those columns of its binding relation — the
-// same relation.Index a join on them probes. A variable is extended by
-// taking candidates from the atom with the fewest rows under its bound
-// prefix and probing the other atoms' prefix indexes. Cancellation is
-// checked at every extension step. The search tree is single-shard by
-// design (ROADMAP keeps sharding it as an open item), so opts (nil allowed)
-// carry only the tracer: under tracing each atom's index reads become a
-// scan span and each variable of the global order an extension span
-// counting the partial assignments that survived that level — the
-// worst-case-optimal analogue of per-join intermediate sizes.
+// backtracking join. Variables are ordered by descending atom frequency,
+// ties going to head variables, and each atom reads, for every prefix of
+// its variables in that order, the memoized hash index on those columns of
+// its binding relation — the same relation.Index a join on them probes. A
+// variable takes its candidates from the atom with the fewest rows under
+// its bound prefix, and every other atom narrows to the rows holding the
+// candidate: postings of at most scanLimit rows are filtered by a scan
+// into a buffer reused per (atom, depth), longer ones are probed. At an
+// atom's last variable only membership is tested (Index.Has, or a scan
+// that stops at the first match); no posting is recorded. Below the
+// deepest head variable the search stops at the first witness, so a
+// projected head pays for one witness per assignment of the variables up
+// to it, not for every full assignment. When the head variables form a prefix of the order (always
+// for a full head), distinct search paths yield distinct head tuples, so
+// the leaf appends to output columns and the answer is built without a
+// dedup pass; otherwise each head tuple is inserted into a deduplicating
+// relation. Cancellation is checked at every extension step. The search
+// tree is single-shard by design (ROADMAP keeps sharding it as an open
+// item), so opts (nil allowed) carry only the tracer: under tracing each
+// atom's index reads become a scan span and each variable of the global
+// order an extension span counting the partial assignments that survived
+// that level — the worst-case-optimal analogue of per-join intermediate
+// sizes.
 func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, opts *shard.Options) (*relation.Relation, Stats, error) {
 	var st Stats
 	if err := validateAtoms(q, db); err != nil {
@@ -463,18 +480,35 @@ func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, op
 	tr := opts.Tracer()
 	stage := stageSpan(opts, trace.KindStage, "generic join")
 	defer stage.End()
-	vars := q.Variables()
+	headVars := q.HeadVarSet()
 	freq := make(map[cq.Variable]int)
 	for _, a := range q.Body {
 		for _, v := range a.DistinctVars() {
 			freq[v]++
 		}
 	}
-	order := append([]cq.Variable(nil), vars...)
-	sort.SliceStable(order, func(i, j int) bool { return freq[order[i]] > freq[order[j]] })
+	// Head-first ties only: putting every head variable first would
+	// cross-multiply head values that no atom relates.
+	order := q.Variables()
+	sort.SliceStable(order, func(i, j int) bool {
+		if fi, fj := freq[order[i]], freq[order[j]]; fi != fj {
+			return fi > fj
+		}
+		return headVars[order[i]] && !headVars[order[j]]
+	})
 	rank := make(map[cq.Variable]int, len(order))
 	for i, v := range order {
 		rank[v] = i
+	}
+	// lastHead is the level of the deepest head variable (-1 for a boolean
+	// head): levels below it search for one witness only.
+	lastHead := -1
+	for v := range headVars {
+		lastHead = max(lastHead, rank[v])
+	}
+	headRank := make([]int, len(q.Head.Vars))
+	for i, v := range q.Head.Vars {
+		headRank[i] = rank[v]
 	}
 
 	// The assignment, one value per variable in rank order, doubles as a
@@ -488,15 +522,18 @@ func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, op
 
 	// Per atom and depth d: the index on the first d+1 variables, the
 	// column of variable d, and rows[d], the posting of the bound prefix of
-	// d variables (all rows at depth 0). The indexes are memoized on the
-	// binding relation — which for atoms without repeated variables is a
-	// view of the base relation, so joins, repeated evaluations and
-	// concurrent batch evaluations share them until the relation grows.
+	// d variables (at depth 0 all rows: nil unless short enough to scan).
+	// bufs[d] is the storage a short posting is filtered into. The indexes
+	// are memoized on the binding relation — which for atoms without
+	// repeated variables is a view of the base relation, so joins, repeated
+	// evaluations and concurrent batch evaluations share them until the
+	// relation grows.
 	type atomIndex struct {
 		pos    []int // ranks of the atom's variables, ascending
 		levels []*relation.Index
 		vals   [][]relation.Value
 		rows   [][]int32
+		bufs   [][]int32
 		n      int
 	}
 	type step struct{ atom, depth int }
@@ -520,21 +557,63 @@ func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, op
 		}
 		bind.Pin()
 		defer bind.Unpin()
-		ai := &atomIndex{rows: make([][]int32, len(av)+1), n: bind.Size()}
+		ai := &atomIndex{
+			pos:    make([]int, len(av)),
+			levels: make([]*relation.Index, len(av)),
+			vals:   make([][]relation.Value, len(av)),
+			rows:   make([][]int32, len(av)),
+			bufs:   make([][]int32, len(av)),
+			n:      bind.Size(),
+		}
+		if len(av) > 0 && ai.n <= scanLimit {
+			ai.rows[0] = make([]int32, ai.n)
+			for r := range ai.rows[0] {
+				ai.rows[0][r] = int32(r)
+			}
+		}
+		if len(av) > 1 {
+			buf := make([]int32, scanLimit*(len(av)-1))
+			for d := 1; d < len(av); d++ {
+				ai.bufs[d] = buf[(d-1)*scanLimit : (d-1)*scanLimit : d*scanLimit]
+			}
+		}
 		cols := make([]int, len(av))
 		for d, v := range av {
 			cols[d] = bind.AttrIndex(string(v))
-			ai.pos = append(ai.pos, rank[v])
-			ai.levels = append(ai.levels, bind.Index(cols[:d+1]...))
-			ai.vals = append(ai.vals, bind.Column(cols[d]))
+			ai.pos[d] = rank[v]
+			ai.levels[d] = bind.Index(cols[:d+1]...)
+			ai.vals[d] = bind.Column(cols[d])
 			steps[rank[v]] = append(steps[rank[v]], step{i, d})
 		}
 		atoms[i] = ai
 		tsp.End()
 	}
 
-	out := emptyOutput(q)
+	// The head variables form a prefix of the order exactly when the
+	// deepest of them sits at level |head vars| − 1; then the leaf appends
+	// to output columns. A boolean head keeps the deduplicating relation,
+	// which can hold its one empty tuple.
+	var outCols [][]relation.Value
+	var out *relation.Relation
+	if len(headVars) > 0 && lastHead == len(headVars)-1 {
+		outCols = make([][]relation.Value, len(q.Head.Vars))
+	} else {
+		out = emptyOutput(q)
+	}
 	head := make(relation.Tuple, len(q.Head.Vars))
+	emit := func() error {
+		if out == nil {
+			for i, r := range headRank {
+				outCols[i] = append(outCols[i], assign[r])
+			}
+			return nil
+		}
+		for i, r := range headRank {
+			head[i] = assign[r]
+		}
+		_, err := out.Insert(head)
+		return err
+	}
 
 	// levelCounts[k] counts partial assignments surviving variable k —
 	// the per-level intermediate sizes of the search tree. Counted only
@@ -546,27 +625,45 @@ func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, op
 
 	// under returns how many rows an atom holds under its bound prefix.
 	under := func(s step) int {
-		if s.depth == 0 {
-			return atoms[s.atom].n
+		if ps := atoms[s.atom].rows[s.depth]; ps != nil {
+			return len(ps)
 		}
-		return len(atoms[s.atom].rows[s.depth])
+		return atoms[s.atom].n
 	}
-	var extend func(level int) error
-	extend = func(level int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if level == len(order) {
-			for i, v := range q.Head.Vars {
-				head[i] = assign[rank[v]]
+	// narrow restricts atom s to the rows holding v at its depth, reporting
+	// whether any does. At the atom's last depth it only tests membership.
+	narrow := func(s step, v relation.Value) bool {
+		b, e := atoms[s.atom], s.depth
+		ps, col := b.rows[e], b.vals[e]
+		short := ps != nil && len(ps) <= scanLimit
+		if e+1 == len(b.pos) {
+			if !short {
+				return b.levels[e].Has(key, b.pos[:e+1], 0)
 			}
-			_, err := out.Insert(head)
-			return err
+			return holds(col, ps, v)
+		}
+		if !short {
+			b.rows[e+1] = b.levels[e].Rows(key, b.pos[:e+1], 0)
+			return len(b.rows[e+1]) > 0
+		}
+		b.rows[e+1] = filter(b.bufs[e+1][:0], col, ps, v)
+		return len(b.rows[e+1]) > 0
+	}
+	// A non-blocking receive on Done is lock-free; ctx.Err takes a mutex.
+	done := ctx.Done()
+	// extend enumerates the values of variable level and reports whether
+	// any full assignment was reached below them.
+	var extend func(level int) (bool, error)
+	extend = func(level int) (bool, error) {
+		select {
+		case <-done:
+			return false, ctx.Err()
+		default:
 		}
 		if len(steps[level]) == 0 {
 			// Cannot happen for safe queries: every variable occurs in some
 			// atom.
-			return fmt.Errorf("eval: variable %s has no active atom", order[level])
+			return false, fmt.Errorf("eval: variable %s has no active atom", order[level])
 		}
 		st.Joins++
 		small := steps[level][0]
@@ -576,27 +673,35 @@ func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, op
 			}
 		}
 		a, d, n := atoms[small.atom], small.depth, under(small)
+		ps, col := a.rows[d], a.vals[d]
+		short := ps != nil && n <= scanLimit
+		// Under a fully bound prefix a set's rows hold distinct values.
+		atomLast := d+1 == len(a.pos)
+		last, witness := level == len(order)-1, level > lastHead
+		found := false
 		for k := 0; k < n; k++ {
 			row := int32(k)
-			if d > 0 {
-				row = a.rows[d][k]
+			if ps != nil {
+				row = ps[k]
 			}
-			assign[level] = a.vals[d][row]
-			// Postings are ascending, so a value counts once: at the first
-			// row of its (prefix, value) posting.
-			ps := a.levels[d].Rows(key, a.pos[:d+1], 0)
-			if ps[0] != row {
-				continue
-			}
-			a.rows[d+1] = ps
-			ok := true
-			for _, s := range steps[level] {
-				if s == small {
+			v := col[row]
+			assign[level] = v
+			if !atomLast {
+				if !short {
+					// Postings are ascending, so a value counts once: at
+					// the first row of its (prefix, value) posting.
+					sub := a.levels[d].Rows(key, a.pos[:d+1], 0)
+					if sub[0] != row {
+						continue
+					}
+					a.rows[d+1] = sub
+				} else if holds(col, ps[:k], v) {
 					continue
 				}
-				b := atoms[s.atom]
-				b.rows[s.depth+1] = b.levels[s.depth].Rows(key, b.pos[:s.depth+1], 0)
-				if len(b.rows[s.depth+1]) == 0 {
+			}
+			ok := true
+			for _, s := range steps[level] {
+				if s != small && !narrow(s, v) {
 					ok = false
 					break
 				}
@@ -604,17 +709,39 @@ func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, op
 			if !ok {
 				continue
 			}
+			if !atomLast && short {
+				a.rows[d+1] = filter(a.bufs[d+1][:0], col, ps[k:], v)
+			}
 			if levelCounts != nil {
 				levelCounts[level]++
 			}
-			if err := extend(level + 1); err != nil {
-				return err
+			if last {
+				if err := emit(); err != nil {
+					return false, err
+				}
+				found = true
+			} else {
+				f, err := extend(level + 1)
+				if err != nil {
+					return false, err
+				}
+				found = found || f
+			}
+			if found && witness {
+				return true, nil
 			}
 		}
-		return nil
+		return found, nil
 	}
-	if err := extend(0); err != nil {
+	if len(order) == 0 {
+		if err := emit(); err != nil {
+			return nil, st, err
+		}
+	} else if _, err := extend(0); err != nil {
 		return nil, st, err
+	}
+	if out == nil {
+		out = relation.NewFromColumns(q.Head.Relation, headAttrs(q), outCols)
 	}
 	if tr != nil {
 		for level, v := range order {
@@ -626,4 +753,24 @@ func GenericJoinExec(ctx context.Context, q *cq.Query, db *database.Database, op
 	}
 	st.MaxIntermediate = out.Size()
 	return out, st, nil
+}
+
+// holds reports whether any of the rows holds v in col.
+func holds(col []relation.Value, rows []int32, v relation.Value) bool {
+	for _, r := range rows {
+		if col[r] == v {
+			return true
+		}
+	}
+	return false
+}
+
+// filter appends to dst the rows that hold v in col.
+func filter(dst []int32, col []relation.Value, rows []int32, v relation.Value) []int32 {
+	for _, r := range rows {
+		if col[r] == v {
+			dst = append(dst, r)
+		}
+	}
+	return dst
 }

@@ -115,7 +115,7 @@ func Choose(q *cq.Query) (*Plan, error) {
 		p.Strategy = StrategyProjectEarly
 		p.Rationale = fmt.Sprintf("cyclic with small tight color number C(chase(Q)) = %s < 2 "+
 			"(Thm 4.4): the Corollary 4.8 project-early plan costs O(|var(Q)|²·|Q|²·rmax^{%s+1}) "+
-			"and its intermediates never exceed rmax^C",
+			"and its output never exceeds rmax^C",
 			ci.Number.RatString(), ci.Number.RatString())
 		return p, nil
 	}
