@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"cqbound/internal/datagen"
 	"cqbound/internal/eval"
@@ -294,6 +296,54 @@ func TestEngineWithSharding(t *testing.T) {
 	}
 	if !relation.Equal(want, got) {
 		t.Fatalf("forced project-early: sharded %d tuples, unsharded %d", got.Size(), want.Size())
+	}
+}
+
+// TestShardedAnswerAllocatedOnce checks that a warm full-head evaluation
+// allocates little beyond its answer's column bytes, sharded or not: each
+// part's sink stages rows in pooled chunks, and the answer is allocated
+// once and copied into once, with no per-part relations to concatenate.
+// The star's 553 436 answers are most of what the plan builds. One P keeps
+// the staging chunks in one pool; the race detector makes sync.Pool drop
+// Puts at random, so there the bounds are not asserted.
+func TestShardedAnswerAllocatedOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(12))
+	e := NewRelation("E", "a", "b")
+	for e.Size() < 2000 {
+		e.Add(fmt.Sprintf("u%d", rng.Intn(130)), fmt.Sprintf("u%d", rng.Intn(130)))
+	}
+	db := NewDatabase()
+	db.MustAdd(e)
+	q := MustParse("Q(X,A,B,C) <- E(X,A), E(X,B), E(X,C).")
+	ctx := context.Background()
+	for _, c := range []struct {
+		shards int
+		times  float64
+	}{{4, 1.6}, {1, 1.4}} {
+		eng := NewEngine(WithSharding(1024, c.shards))
+		out, _, err := eng.Evaluate(ctx, q, db) // warms plan, indexes, partitions and the pool
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, _, err := eng.Evaluate(ctx, q, db); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		answer := float64(out.Size()*out.Arity()) * float64(unsafe.Sizeof(relation.Value(0)))
+		if perRun > c.times*answer {
+			t.Errorf("P=%d: %.0f B allocated per evaluation, %.2f× the answer's %.0f column bytes, over %v×",
+				c.shards, perRun, perRun/answer, answer, c.times)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package batch
 
 // Column batches, the iterator contract, and the single-input pipeline
-// stages (scan, join probe, semijoin, projection, materialize). The
-// multi-input exchange lives in exchange.go; package documentation in
-// doc.go.
+// stages (scan, join probe, semijoin, projection). The sink lives in
+// sink.go, the multi-input exchange in exchange.go; package documentation
+// in doc.go.
 
 import (
 	"context"
@@ -113,17 +113,6 @@ type block struct {
 
 func newBlock(arity, rows int) block {
 	return block{cols: columns(arity, rows), cap: rows}
-}
-
-// put copies b's rows from row from on into the free tail, as many as fit,
-// and returns how many it copied.
-func (k *block) put(b *Batch, from int) int {
-	n := min(b.N-from, k.cap-k.n)
-	for c, col := range k.cols {
-		copy(col[k.n:k.n+n], b.Cols[c][from:from+n])
-	}
-	k.n += n
-	return n
 }
 
 // Scan streams a relation as batches of up to size rows. Batches alias the
@@ -556,73 +545,7 @@ type emptyIter struct{ attrs []string }
 func (e emptyIter) Attrs() []string                      { return e.attrs }
 func (e emptyIter) Next(context.Context) (*Batch, error) { return nil, nil }
 
-// sinkMaxBlock caps a Materialize block, in rows. Below it each block
-// holds as many rows as all earlier ones together, so a small output pays
-// for few blocks; above it the blocks' unused tail is at most one block.
-const sinkMaxBlock = 1 << 16
-
 // denseMaxBits caps a DenseSet, in bits (2 MiB): a projection whose kept
 // columns' value ranges multiply to more combinations deduplicates in a
 // hash table instead.
 const denseMaxBits = 1 << 24
-
-// Materialize drains a pipeline into a relation named name. The source must
-// produce globally distinct rows (every stage in this package preserves set
-// semantics), so the sink copies rows without a dedup pass. govern, when
-// non-nil, is applied to the built relation before it is returned —
-// registration with a spill governor and evaluation scope.
-//
-// Rows are copied into blocks: the first as large as the first batch, each
-// later one as large as all before it, up to sinkMaxBlock rows. An output
-// that fits in one block is built on that block; a longer one is copied
-// once more into an exact slab at end of stream. The blocks never hold
-// more than twice the rows, so the sink allocates at most three times the
-// output's column bytes: twice when the blocks come out full, once for a
-// single batch.
-func Materialize(ctx context.Context, it Iterator, name string, govern func(*relation.Relation), m *counter.Set) (*relation.Relation, error) {
-	attrs := it.Attrs()
-	var blocks []block
-	rows := 0
-	for {
-		b, err := it.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.N; {
-			if len(blocks) == 0 || blocks[len(blocks)-1].n == blocks[len(blocks)-1].cap {
-				next := b.N
-				if len(blocks) > 0 {
-					next = min(rows+i, sinkMaxBlock)
-				}
-				blocks = append(blocks, newBlock(len(attrs), next))
-			}
-			i += blocks[len(blocks)-1].put(b, i)
-		}
-		rows += b.N
-	}
-	if rows == 0 {
-		return relation.New(name, attrs...), nil
-	}
-	var cols [][]relation.Value
-	if len(blocks) == 1 {
-		cols = window(blocks[0].cols, 0, rows)
-	} else {
-		cols = columns(len(attrs), rows)
-		at := 0
-		for _, k := range blocks {
-			for c, col := range k.cols {
-				copy(cols[c][at:], col[:k.n])
-			}
-			at += k.n
-		}
-	}
-	out := relation.NewFromColumns(name, attrs, cols)
-	materialized(m, rows, len(attrs))
-	if govern != nil {
-		govern(out)
-	}
-	return out, nil
-}

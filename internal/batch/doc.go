@@ -39,19 +39,23 @@
 // materialized into a relation first.
 //
 // The package starts no goroutine. Pipelines run on the goroutine that
-// pulls them; the parallel drains (the shard layer's per-part sinks,
-// ProjectDenseParts' inputs) go through internal/pool.
+// pulls them; the parallel drains (MaterializeParts' parts, the shard
+// layer's per-part sinks, ProjectDenseParts' inputs) go through
+// internal/pool.
 //
 // # Governor registration
 //
 // Pipelines create relations at two points: sealed chunks of an
-// Exchange's output shards, and Materialize sinks. Each allocates its rows
-// once: a chunk is one slab of chunk rows × arity written by index, sealed
-// without a copy, and a sink copies into doubling blocks and then once into
-// an exact slab. Each is handed to a govern callback as it is created, so
-// residency registers with the spill.Governor incrementally — chunk by
-// chunk while the stream flows — and the governor can evict cold chunks
-// while the pipeline is still running. A part cutting a batch from a
-// sealed chunk pins it only for that cut, so a parked chunk is reloaded at
-// most once per batch and never held resident whole.
+// Exchange's output shards, and Materialize/MaterializeParts sinks. Each
+// allocates its rows once: a chunk is one slab of chunk rows × arity
+// written by index, sealed without a copy, and a sink stages rows in
+// chunks lent by a process-wide sync.Pool, then copies them once into one
+// exact slab, every part at its offset. Each is handed to a govern
+// callback as it is created, so residency registers with the
+// spill.Governor incrementally — chunk by chunk while the stream flows —
+// and the governor can evict cold chunks while the pipeline is still
+// running. A part cutting a batch from a sealed chunk pins it only for
+// that cut, so a parked chunk is reloaded at most once per batch and never
+// held resident whole. The staging chunks are not governed: the pool holds
+// about one answer's staging between sinks.
 package batch

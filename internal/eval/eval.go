@@ -420,20 +420,20 @@ func headProjectionPiped(ctx context.Context, opts *shard.Options, q *cq.Query, 
 	if tr := opts.Tracer(); tr != nil {
 		ssp = tr.Op(trace.KindSink, "materialize "+q.Head.Relation)
 	}
-	// MaterializePiped is the drain: all upstream pipeline work happens
+	// MaterializeFlat is the drain: all upstream pipeline work happens
 	// inside this call, so the stage's wall time is the plan's execution.
-	sunk, err := shard.MaterializePiped(ctx, opts, proj, q.Head.Relation, false)
+	out, err := shard.MaterializeFlat(ctx, opts, proj, q.Head.Relation, false)
 	if err != nil {
 		ssp.End()
 		hs.End()
 		return nil, err
 	}
-	setStreamOut(ssp, sunk)
+	setSinkOut(ssp, out, proj.Parts())
 	ssp.End()
-	setStreamOut(hs, sunk)
+	setSinkOut(hs, out, proj.Parts())
 	mk.annotate(hs)
 	hs.End()
-	return sunk.Rel().Rename(q.Head.Relation, headAttrs(q)...)
+	return out.Rename(q.Head.Relation, headAttrs(q)...)
 }
 
 // GenericJoin evaluates q with a worst-case optimal variable-at-a-time

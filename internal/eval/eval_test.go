@@ -14,6 +14,7 @@ import (
 	"cqbound/internal/datagen"
 	"cqbound/internal/relation"
 	"cqbound/internal/shard"
+	"cqbound/internal/trace"
 )
 
 // starDB builds Example 2.1's database: R = {<1,1>,...,<1,n>}.
@@ -141,6 +142,103 @@ func TestRepeatedHeadVariable(t *testing.T) {
 			}
 			if out.Arity() != 3 || !relation.Equal(want, out) {
 				t.Errorf("%s: %s: arity %d with %d tuples, naive has %d", text, st.name, out.Arity(), out.Size(), want.Size())
+			}
+		}
+	}
+}
+
+// TestBooleanHead checks a head with no variables on every executor: the
+// answer is the empty tuple when the body has a match and nothing when it
+// has none. The pipelined executors sink an arity-0 head, whose rows have
+// no column to hold them.
+func TestBooleanHead(t *testing.T) {
+	r := relation.New("R", "A", "B")
+	s := relation.New("S", "A", "B")
+	for i := 0; i < 40; i++ {
+		r.Add(fmt.Sprintf("x%d", i%7), fmt.Sprintf("y%d", i%11))
+		s.Add(fmt.Sprintf("y%d", i%5), fmt.Sprintf("z%d", i))
+	}
+	db := database.New()
+	db.MustAdd(r)
+	db.MustAdd(s)
+	ctx := context.Background()
+	runs := append([]strategy{{"yannakakis", Yannakakis}}, strategies...)
+	for _, o := range []*shard.Options{{Shards: 1}, {Shards: 4}} {
+		tag := fmt.Sprintf("P=%d", o.Shards)
+		runs = append(runs,
+			strategy{"joinproject " + tag, func(q *cq.Query, db *database.Database) (*relation.Relation, Stats, error) {
+				return JoinProjectExec(ctx, q, db, nil, o)
+			}},
+			strategy{"yannakakis " + tag, func(q *cq.Query, db *database.Database) (*relation.Relation, Stats, error) {
+				return YannakakisExec(ctx, q, db, o)
+			}})
+	}
+	for _, c := range []struct {
+		text string
+		want int
+	}{
+		{"Q(X) <- R(X,Y), S(Y,Z).", 1},
+		{"Q(X) <- R(X,Y), S(Z,X).", 0}, // no R value in S's second column
+	} {
+		q := cq.MustParse(c.text)
+		q.Head.Vars = nil
+		for _, st := range runs {
+			out, _, err := st.run(q, db)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", c.text, st.name, err)
+			}
+			if out.Arity() != 0 || out.Size() != c.want {
+				t.Errorf("%s with no head variables: %s: arity %d with %d tuples, want %d",
+					c.text, st.name, out.Arity(), out.Size(), c.want)
+			}
+		}
+	}
+}
+
+// TestSinkSpanReportsParts checks the head sink's span: the answer is
+// one flat relation, and the span still reports how many parts drained
+// into it — P for a partitioned plan, none for a single pipeline — and
+// the answer's rows.
+func TestSinkSpanReportsParts(t *testing.T) {
+	db := datagen.EdgeDB(rand.New(rand.NewSource(3)), []string{"R", "S", "T"}, 300, 40)
+	q := cq.MustParse("Q(A,D) <- R(A,B), S(B,C), T(C,D).")
+	for _, p := range []int{1, 4} {
+		for name, run := range map[string]func(*shard.Options) (*relation.Relation, Stats, error){
+			"joinproject": func(o *shard.Options) (*relation.Relation, Stats, error) {
+				return JoinProjectExec(context.Background(), q, db, nil, o)
+			},
+			"yannakakis": func(o *shard.Options) (*relation.Relation, Stats, error) {
+				return YannakakisExec(context.Background(), q, db, o)
+			},
+		} {
+			tr := trace.NewTracer(q.String())
+			out, _, err := run(&shard.Options{MinRows: 0, Shards: p, Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sinks []*trace.Span
+			var walk func(*trace.Span)
+			walk = func(s *trace.Span) {
+				if s.Name() == "materialize Q" {
+					sinks = append(sinks, s)
+				}
+				for _, c := range s.Children() {
+					walk(c)
+				}
+			}
+			walk(tr.Finish().Root)
+			if len(sinks) != 1 {
+				t.Fatalf("%s P=%d: %d head sink spans, want 1", name, p, len(sinks))
+			}
+			want := p
+			if p == 1 {
+				want = 0
+			}
+			if got := sinks[0].Shards(); got != want {
+				t.Errorf("%s P=%d: sink span reports %d shards, want %d", name, p, got, want)
+			}
+			if got := sinks[0].RowsOut(); got != int64(out.Size()) {
+				t.Errorf("%s P=%d: sink span reports %d rows, the answer has %d", name, p, got, out.Size())
 			}
 		}
 	}

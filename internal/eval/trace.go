@@ -6,6 +6,7 @@ package eval
 // inert (nil spans, zero-cost marks) when tracing is off.
 
 import (
+	"cqbound/internal/relation"
 	"cqbound/internal/shard"
 	"cqbound/internal/spill"
 	"cqbound/internal/trace"
@@ -30,15 +31,15 @@ func scanSpan(opts *shard.Options, name string, rows int) {
 	sp.End()
 }
 
-// setStreamOut annotates a span with a materialized stream's output size
-// and partition fan-out (nil-safe).
-func setStreamOut(sp *trace.Span, st shard.Stream) {
+// setSinkOut annotates a sink span with the flat relation it built and
+// the number of parts that drained into it.
+func setSinkOut(sp *trace.Span, r *relation.Relation, parts int) {
 	if sp == nil {
 		return
 	}
-	sp.AddOut(st.Size())
-	if sh := st.Sharded(); sh != nil {
-		sp.SetShards(sh.P())
+	sp.AddOut(r.Size())
+	if parts > 1 {
+		sp.SetShards(parts)
 	}
 }
 

@@ -126,6 +126,11 @@ func Yannakakis(q *cq.Query, db *database.Database) (*relation.Relation, Stats, 
 	return YannakakisExec(context.Background(), q, db, nil)
 }
 
+// joinForced joins a forced subtree result into its parent atom's
+// pipeline. It is a variable so tests can see the relations that reach the
+// join.
+var joinForced = shard.JoinPipedStream
+
 // YannakakisExec evaluates an α-acyclic q with Yannakakis' algorithm, with
 // cancellation (checked between semijoin and join steps) and an early exit
 // as soon as any binding relation is empty: every atom participates in the
@@ -307,11 +312,9 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 					return err
 				}
 			}
-			sunk, err := shard.MaterializePiped(ctx, opts, pd, "sub", true)
-			if err != nil {
+			if subs[i], err = shard.MaterializeFlat(ctx, opts, pd, "sub", true); err != nil {
 				return err
 			}
-			subs[i] = sunk.Rel()
 			stMu.Lock()
 			if subs[i].Size() > st.MaxIntermediate {
 				st.MaxIntermediate = subs[i].Size()
@@ -329,7 +332,7 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 				jsp.SetEst(estimateJoin(reduced[n.AtomIndex], shard.StreamOf(sub)))
 			}
 			var err error
-			if cur, err = shard.JoinPipedStream(ctx, opts, cur, sub, true); err != nil {
+			if cur, err = joinForced(ctx, opts, cur, sub, true); err != nil {
 				jsp.End()
 				return nil, err
 			}

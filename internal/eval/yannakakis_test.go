@@ -3,12 +3,14 @@ package eval
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"cqbound/internal/batch"
 	"cqbound/internal/cq"
 	"cqbound/internal/database"
 	"cqbound/internal/datagen"
+	"cqbound/internal/metrics"
 	"cqbound/internal/relation"
 	"cqbound/internal/shard"
 	"cqbound/internal/spill"
@@ -295,4 +297,66 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return out
+}
+
+// TestYannakakisForcedSubsAreGoverned checks that, under a memory budget
+// and P = 4, every forced subtree result reaches its parent's join as one
+// relation registered with the governor, and that the evaluation's scope
+// discards it: once the scope closes, the governor tracks as many buffers
+// as before the evaluation (the base relations' memoized partitions).
+func TestYannakakisForcedSubsAreGoverned(t *testing.T) {
+	gov := spill.NewGovernor(256, t.TempDir())
+	defer gov.Close()
+	registered := func() int64 {
+		r := metrics.NewRegistry()
+		gov.Register(r)
+		v, _ := r.Value("spill_registered_buffers")
+		return v
+	}
+	var (
+		mu   sync.Mutex
+		subs []*relation.Relation
+	)
+	defer func(f func(context.Context, *shard.Options, *shard.Piped, *relation.Relation, bool) (*shard.Piped, error)) {
+		joinForced = f
+	}(joinForced)
+	joinForced = func(ctx context.Context, opts *shard.Options, pd *shard.Piped, sub *relation.Relation, transient bool) (*shard.Piped, error) {
+		mu.Lock()
+		subs = append(subs, sub)
+		mu.Unlock()
+		return shard.JoinPipedStream(ctx, opts, pd, sub, transient)
+	}
+	q := cq.MustParse("Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).")
+	db := datagen.EdgeDB(rand.New(rand.NewSource(4)), []string{"R", "S", "T", "U"}, 300, 40)
+	want, _, err := NaiveCtx(context.Background(), q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		scope := spill.NewScope()
+		defer scope.Close()
+		opts := &shard.Options{MinRows: 0, Shards: 4, Spill: gov, Scope: scope}
+		got, _, err := YannakakisExec(context.Background(), q, db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relation.Equal(got, want) {
+			t.Fatalf("|Q(D)| = %d under the budget, naive %d", got.Size(), want.Size())
+		}
+	}
+	run() // memoizes the base relations' partitions, which stay registered
+	before := registered()
+	subs = nil
+	run()
+	if len(subs) == 0 {
+		t.Fatal("no forced subtree result reached a join: the query cannot tell")
+	}
+	for _, sub := range subs {
+		if sub.Size() > 0 && (!sub.Governed() || sub.Buffer() == nil) {
+			t.Errorf("a forced subtree result of %d rows reached its join unregistered with the governor", sub.Size())
+		}
+	}
+	if after := registered(); after != before {
+		t.Errorf("governor tracks %d buffers after the evaluation, %d before: the scope left transients behind", after, before)
+	}
 }

@@ -80,10 +80,13 @@
 // column deduplicates nothing and keeps the key.
 //
 // MaterializePiped drains the parts in parallel into a Stream — one
-// relation per part, assembled without concatenation as a partitioned
-// view, or an unkeyed one when the Piped is unkeyed — which PipedOf opens
-// again part by part, so what had to be built whole (a Yannakakis
-// reduction) re-enters the next pipeline still split.
+// relation per part, each staged in pooled chunks and copied once into an
+// exact slab, assembled without concatenation as a partitioned view, or an
+// unkeyed one when the Piped is unkeyed — which PipedOf opens again part
+// by part, so what had to be built whole (a Yannakakis reduction)
+// re-enters the next pipeline still split. MaterializeFlat is the sink for
+// a result read whole (the answer, a forced Yannakakis subtree): the parts
+// drain in parallel, and their rows are copied once into one relation.
 //
 // # Partition-memoization contract
 //

@@ -408,17 +408,7 @@ func ProjectPiped(ctx context.Context, opts *Options, pd *Piped, idx []int) (*Pi
 // intermediates of the current evaluation; final outputs pass false and
 // stay unmanaged.
 func MaterializePiped(ctx context.Context, opts *Options, pd *Piped, name string, transient bool) (Stream, error) {
-	bm := opts.batchMetrics()
-	var govern func(*relation.Relation)
-	if transient {
-		govern = func(r *relation.Relation) {
-			// A transient output is opened again by PipedOf, which reads
-			// its column ranges: scan them now, while the columns are
-			// resident, rather than reload a parked relation for them.
-			r.ValueRange(0)
-			opts.governTransient(r)
-		}
-	}
+	bm, govern := opts.batchMetrics(), opts.sinkGovern(transient)
 	if len(pd.parts) == 1 {
 		r, err := batch.Materialize(ctx, pd.parts[0], name, govern, bm)
 		if err != nil {
@@ -437,6 +427,32 @@ func MaterializePiped(ctx context.Context, opts *Options, pd *Piped, name string
 		return Stream{}, err
 	}
 	return ShardedStream(FromParts(name, pd.attrs, pd.key, outs)), nil
+}
+
+// MaterializeFlat drains the pipelines into one flat relation
+// (batch.MaterializeParts): the parts drain in parallel, and their rows are
+// copied once into the relation, part 0's first. It is for callers that
+// read the result whole — the head answer, a forced Yannakakis subtree —
+// where a per-part view would only be concatenated. transient registers
+// the relation with the spill governor as an intermediate of the current
+// evaluation, as MaterializePiped does.
+func MaterializeFlat(ctx context.Context, opts *Options, pd *Piped, name string, transient bool) (*relation.Relation, error) {
+	return batch.MaterializeParts(ctx, pd.parts, name, opts.sinkGovern(transient), opts.batchMetrics())
+}
+
+// sinkGovern returns the callback a sink applies to the relation it
+// builds: nil for a final output, otherwise registration as a transient.
+func (o *Options) sinkGovern(transient bool) func(*relation.Relation) {
+	if !transient {
+		return nil
+	}
+	return func(r *relation.Relation) {
+		// A transient output is opened again by PipedOf, which reads its
+		// column ranges: scan them now, while the columns are resident,
+		// rather than reload a parked relation for them.
+		r.ValueRange(0)
+		o.governTransient(r)
+	}
 }
 
 // pipedAligned returns the index into cols of pd's partition key when pd is
