@@ -24,8 +24,9 @@ import (
 // serve windows (their types, gauges, exposition families and clock
 // option) that the registry's serve counters and histograms replaced, the
 // per-request view and access-record copies that obs.Request replaced, the
-// per-family trace deltas that registry-named deltas replaced, and the
-// estimators and helpers no caller used.
+// per-family trace deltas that registry-named deltas replaced, the
+// per-part sink views and their lazy concatenation that one flat sink with
+// part offsets replaced, and the estimators and helpers no caller used.
 var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|ingestbench|tracebench)|BENCH_[a-z_]+\.json|` +
 	`\b(WithDictSpill|WithSkewSplitting|WithBatchSize|WithEpochRetention|WithSlowQueryThreshold|` +
 	`SkewFraction|NewBuffered|batch\.(Grow|Fan)|KindSkew|ExampleWithSharding_skew|` +
@@ -37,6 +38,7 @@ var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|in
 	`NewWindows|obs\.(Windows|Counter|Sampler|Distribution|Clock)|withObsClock|` +
 	`serve_window_[a-z_]+|serve_(requests|shed|latency_p99_ns|queue_wait_p99_ns)_1m|EstimateJoinSize|DistinctCountAttr|` +
 	`RequestView|AccessRecord|FamilyDelta|familyDeltas|CalibrationJSON|SortByString|` +
+	`FromParts|ShardedStream|MaterializeFlat|baseOnce|shard\.Sharded|RMaxAll|` +
 	`(shard|batch)\.(Metrics|Stats)|spill\.(Stats|Events))\b`)
 
 // TestNoDeletedHarnessReferences keeps code, CI and the user-facing docs from

@@ -120,15 +120,21 @@ func newBlock(arity, rows int) block {
 // is pinned only across each individual Next, so a parked relation streams
 // out without being held resident whole.
 func Scan(r *relation.Relation, size int, m *counter.Set) Iterator {
-	return &scanIter{r: r, size: sizeOr(size), m: m}
+	return ScanRange(r, 0, r.Size(), size, m)
+}
+
+// ScanRange is Scan over rows [lo, hi) of r: one part of a relation a
+// multi-part sink built (MaterializeParts' offsets).
+func ScanRange(r *relation.Relation, lo, hi, size int, m *counter.Set) Iterator {
+	return &scanIter{r: r, size: sizeOr(size), pos: lo, end: hi, m: m}
 }
 
 type scanIter struct {
-	r    *relation.Relation
-	size int
-	pos  int
-	m    *counter.Set
-	out  Batch
+	r        *relation.Relation
+	size     int
+	pos, end int
+	m        *counter.Set
+	out      Batch
 }
 
 func (s *scanIter) Attrs() []string { return s.r.Attrs }
@@ -137,7 +143,7 @@ func (s *scanIter) Next(ctx context.Context) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n := s.r.Size() - s.pos
+	n := s.end - s.pos
 	if n <= 0 {
 		return nil, nil
 	}

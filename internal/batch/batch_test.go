@@ -50,6 +50,24 @@ func TestScanRoundTrip(t *testing.T) {
 		if !relation.Equal(got, r) {
 			t.Fatalf("size %d: scan round trip lost rows: %d vs %d", size, got.Size(), r.Size())
 		}
+		// Ranges laid end to end, one of them empty, read r row for row.
+		cuts := []int{0, 900, 900, 1700, r.Size()}
+		its := make([]batch.Iterator, len(cuts)-1)
+		for k := range its {
+			its[k] = batch.ScanRange(r, cuts[k], cuts[k+1], size, nil)
+		}
+		ranged, offs, err := batch.MaterializeParts(context.Background(), its, "out", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(offs, cuts) {
+			t.Fatalf("size %d: ranges %v sank at offsets %v", size, cuts, offs)
+		}
+		for c := range r.Attrs {
+			if !slices.Equal(ranged.Column(c), r.Column(c)) {
+				t.Fatalf("size %d: column %d of the ranges laid end to end differs from the relation's", size, c)
+			}
+		}
 	}
 	if got := mustMaterialize(t, batch.Scan(relation.New("E", "a"), 8, nil), "out"); got.Size() != 0 {
 		t.Fatalf("empty scan produced %d rows", got.Size())
@@ -467,16 +485,17 @@ func TestMaterializeAllocsProportionalToRows(t *testing.T) {
 // p parts, in batches of size rows.
 func scanParts(r *relation.Relation, p, size int) []batch.Iterator {
 	sh := shard.Partition(r, 0, p)
-	its := make([]batch.Iterator, sh.P())
+	its := make([]batch.Iterator, len(sh))
 	for k := range its {
-		its[k] = batch.Scan(sh.Shard(k), size, nil)
+		its[k] = batch.Scan(sh[k], size, nil)
 	}
 	return its
 }
 
 // TestMaterializeParts checks the multi-part sink against the
 // concatenation of each part's Materialize, row for row: part 0's rows
-// first, then part 1's. The parts include empty ones, batch sizes that
+// first, then part 1's, at offsets that are the parts' cumulative sizes.
+// The parts include empty ones, batch sizes that
 // leave chunks part-filled, more rows than one staging chunk holds, and a
 // Boolean (arity-0) head.
 func TestMaterializeParts(t *testing.T) {
@@ -503,12 +522,15 @@ func TestMaterializeParts(t *testing.T) {
 					t.Fatal(err)
 				}
 				m := batch.Counters.NewSet()
-				got, err := batch.MaterializeParts(ctx, build(), "out", nil, m)
+				got, offs, err := batch.MaterializeParts(ctx, build(), "out", nil, m)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.Size() != r.Size() {
 					t.Fatalf("n=%d width=%d size=%d: %d rows, want %d", n, width, size, got.Size(), r.Size())
+				}
+				if want := cumulative(each); !slices.Equal(offs, want) {
+					t.Fatalf("n=%d width=%d size=%d: offsets %v, want the cumulative part sizes %v", n, width, size, offs, want)
 				}
 				for c := range attrs {
 					if !slices.Equal(got.Column(c), want.Column(c)) {
@@ -527,18 +549,32 @@ func TestMaterializeParts(t *testing.T) {
 	for _, c := range []struct {
 		its  []batch.Iterator
 		want int
+		offs []int
 	}{
-		{[]batch.Iterator{batch.Empty(nil), batch.Scan(unit, 0, nil), batch.Empty(nil)}, 1},
-		{[]batch.Iterator{batch.Empty(nil), batch.Empty(nil)}, 0},
+		{[]batch.Iterator{batch.Empty(nil), batch.Scan(unit, 0, nil), batch.Empty(nil)}, 1, []int{0, 0, 1, 1}},
+		{[]batch.Iterator{batch.Empty(nil), batch.Empty(nil)}, 0, []int{0, 0, 0}},
 	} {
-		got, err := batch.MaterializeParts(ctx, c.its, "Q", nil, nil)
+		got, offs, err := batch.MaterializeParts(ctx, c.its, "Q", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Arity() != 0 || got.Size() != c.want {
 			t.Errorf("Boolean sink: arity %d with %d tuples, want arity 0 with %d", got.Arity(), got.Size(), c.want)
 		}
+		if !slices.Equal(offs, c.offs) {
+			t.Errorf("Boolean sink: offsets %v, want %v", offs, c.offs)
+		}
 	}
+}
+
+// cumulative returns the offsets of parts laid end to end: 0, then the
+// running sum of their sizes.
+func cumulative(parts []*relation.Relation) []int {
+	offs := []int{0}
+	for _, p := range parts {
+		offs = append(offs, offs[len(offs)-1]+p.Size())
+	}
+	return offs
 }
 
 // cancelAtEnd passes its source through and cancels the context when the
@@ -569,7 +605,7 @@ func TestMaterializePartsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	its := scanParts(r, 4, 0)
 	its[3] = &cancelAtEnd{Iterator: its[3], cancel: cancel}
-	if _, err := batch.MaterializeParts(ctx, its, "out", nil, nil); err != context.Canceled {
+	if _, _, err := batch.MaterializeParts(ctx, its, "out", nil, nil); err != context.Canceled {
 		t.Fatalf("cancelled sink returned %v, want %v", err, context.Canceled)
 	}
 	if raceEnabled {
@@ -577,7 +613,7 @@ func TestMaterializePartsCancel(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := batch.MaterializeParts(context.Background(), scanParts(r, 4, 0), "out", nil, nil); err != nil {
+	if _, _, err := batch.MaterializeParts(context.Background(), scanParts(r, 4, 0), "out", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -618,9 +654,8 @@ func TestExchangeRepartitions(t *testing.T) {
 		for _, size := range []int{7, 256} {
 			// Feed the exchange from 3 arbitrary slices of the input.
 			srcs := make([]batch.Iterator, 0, 3)
-			parts := shard.Partition(r, 1, 3)
-			for k := 0; k < parts.P(); k++ {
-				srcs = append(srcs, batch.Scan(parts.Shard(k), size, nil))
+			for _, part := range shard.Partition(r, 1, 3) {
+				srcs = append(srcs, batch.Scan(part, size, nil))
 			}
 			var routedRows atomic.Int64
 			ex := batch.NewExchange(srcs, r.Attrs, 0, p, size, nil,
@@ -721,7 +756,7 @@ func BenchmarkMaterialize(b *testing.B) {
 			b.Run(fmt.Sprintf("width=%d/parts=%d", width, p), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if _, err := batch.MaterializeParts(context.Background(), scanParts(r, p, 0), "out", nil, nil); err != nil {
+					if _, _, err := batch.MaterializeParts(context.Background(), scanParts(r, p, 0), "out", nil, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

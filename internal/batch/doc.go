@@ -39,9 +39,8 @@
 // materialized into a relation first.
 //
 // The package starts no goroutine. Pipelines run on the goroutine that
-// pulls them; the parallel drains (MaterializeParts' parts, the shard
-// layer's per-part sinks, ProjectDenseParts' inputs) go through
-// internal/pool.
+// pulls them; the parallel drains (MaterializeParts' parts,
+// ProjectDenseParts' inputs) go through internal/pool.
 //
 // # Governor registration
 //

@@ -132,17 +132,6 @@ func (d *Database) RMax(q *cq.Query) (int, error) {
 	return max, nil
 }
 
-// RMaxAll returns the size of the largest relation in the database.
-func (d *Database) RMaxAll() int {
-	max := 0
-	for _, name := range d.order {
-		if s := d.rels[name].Size(); s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // Universe returns the set of values appearing in any relation, sorted by
 // their interned strings.
 func (d *Database) Universe() []relation.Value {

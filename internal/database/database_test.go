@@ -43,9 +43,6 @@ func TestRMax(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("RMax = %d, want 2 (T is not referenced)", got)
 	}
-	if d.RMaxAll() != 10 {
-		t.Fatalf("RMaxAll = %d", d.RMaxAll())
-	}
 }
 
 func TestRMaxErrors(t *testing.T) {

@@ -34,7 +34,10 @@
 // semijoin chain — keeps every step partition-parallel instead of
 // collapsing to one shard after the first join, and no intermediate is
 // built as a relation except what must be indexed whole (Yannakakis'
-// reductions and projected subtree results). The routing rules (inputs
+// reductions and projected subtree results). Those and the answer come
+// from one sink, shard.MaterializePiped: one flat relation per pipeline,
+// governed and scoped when it is an intermediate, whose part ranges let
+// the next pipeline start partitioned. The routing rules (inputs
 // below Options.MinRows, no shared column) are internal/shard's; nil
 // options mean one part and default batches. Outputs are identical in
 // every configuration, which the 220-pair property matrix

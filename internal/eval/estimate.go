@@ -3,14 +3,14 @@ package eval
 // Per-operator size estimation for the trace layer: the classical
 // System-R independence estimates, computed from the per-column distinct
 // counts the relations maintain — memoized exactly for base relations,
-// sample-estimated (shard.Stream.DistinctEstimate) for large transient
-// intermediates so estimation never rescans what evaluation just built. Traced evaluations
-// record these next to the actual row counts each operator produced —
-// the paper predicts worst-case intermediate sizes from query structure,
-// and these estimates are the per-step refinement a cost-based planner
-// would use, so the trace shows how either relates to reality. Nothing
-// here feeds back into planning (yet); estimation runs only under
-// tracing.
+// sample-estimated (relation.DistinctEstimate) for large transient
+// intermediates so estimation never rescans what evaluation just built.
+// Traced evaluations record these next to the actual row counts each
+// operator produced — the paper predicts worst-case intermediate sizes
+// from query structure, and these estimates are the per-step refinement a
+// cost-based planner would use, so the trace shows how either relates to
+// reality. Nothing here feeds back into planning (yet); estimation runs
+// only under tracing.
 
 import (
 	"math"
@@ -18,7 +18,7 @@ import (
 
 	"cqbound/internal/cq"
 	"cqbound/internal/database"
-	"cqbound/internal/shard"
+	"cqbound/internal/relation"
 )
 
 // EstimateOutput is the whole-query System-R independence estimate of
@@ -73,8 +73,8 @@ func EstimateOutput(q *cq.Query, db *database.Database) float64 {
 // distinct counts: |l|·|r| / Π over shared attributes of max(V(l,a),
 // V(r,a)) — the containment-of-value-sets assumption. With no shared
 // attribute this is the cross-product size.
-func estimateJoin(l, r shard.Stream) float64 {
-	lAttrs, rAttrs := l.Attrs(), r.Attrs()
+func estimateJoin(l, r *relation.Relation) float64 {
+	lAttrs, rAttrs := l.Attrs, r.Attrs
 	est := float64(l.Size()) * float64(r.Size())
 	for i, a := range lAttrs {
 		j := slices.Index(rAttrs, a)
@@ -91,8 +91,8 @@ func estimateJoin(l, r shard.Stream) float64 {
 // estimateSemijoin estimates |l ⋉ r|: l's size scaled per shared
 // attribute by the fraction of l's values assumed to appear in r,
 // min(V(l,a), V(r,a)) / V(l,a).
-func estimateSemijoin(l, r shard.Stream) float64 {
-	lAttrs, rAttrs := l.Attrs(), r.Attrs()
+func estimateSemijoin(l, r *relation.Relation) float64 {
+	lAttrs, rAttrs := l.Attrs, r.Attrs
 	est := float64(l.Size())
 	for i, a := range lAttrs {
 		j := slices.Index(rAttrs, a)
@@ -118,22 +118,22 @@ type estimator struct {
 }
 
 // estimatorOf seeds the chain from a materialized first operand.
-func estimatorOf(st shard.Stream) *estimator {
-	e := &estimator{rows: float64(st.Size()), v: make(map[string]float64, len(st.Attrs()))}
-	for i, a := range st.Attrs() {
-		e.v[a] = math.Max(1, float64(st.DistinctEstimate(i)))
+func estimatorOf(r *relation.Relation) *estimator {
+	e := &estimator{rows: float64(r.Size()), v: make(map[string]float64, len(r.Attrs))}
+	for i, a := range r.Attrs {
+		e.v[a] = math.Max(1, float64(r.DistinctEstimate(i)))
 	}
 	return e
 }
 
 // joinWith returns the estimated output size of joining the running
-// intermediate with st and advances the estimator to that state (shared
+// intermediate with r and advances the estimator to that state (shared
 // attributes keep the smaller distinct count, new attributes join the
 // map, and every count is capped by the new row estimate).
-func (e *estimator) joinWith(st shard.Stream) float64 {
-	est := e.rows * float64(st.Size())
-	for i, a := range st.Attrs() {
-		dr := math.Max(1, float64(st.DistinctEstimate(i)))
+func (e *estimator) joinWith(r *relation.Relation) float64 {
+	est := e.rows * float64(r.Size())
+	for i, a := range r.Attrs {
+		dr := math.Max(1, float64(r.DistinctEstimate(i)))
 		if dl, ok := e.v[a]; ok {
 			if m := math.Max(dl, dr); m >= 1 {
 				est /= m

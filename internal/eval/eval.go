@@ -151,7 +151,7 @@ func JoinProjectExec(ctx context.Context, q *cq.Query, db *database.Database, or
 	// spans under it close as the sink drains their parts.
 	ps := stageSpan(opts, trace.KindStage, "pipeline")
 	if tr != nil {
-		est = estimatorOf(shard.StreamOf(binds[0]))
+		est = estimatorOf(binds[0])
 	}
 	pd := shard.PipedOf(shard.StreamOf(binds[0]), opts)
 	if pd, err = project(pd, 0); err != nil {
@@ -162,7 +162,7 @@ func JoinProjectExec(ctx context.Context, q *cq.Query, db *database.Database, or
 		var jsp *trace.Span
 		if tr != nil {
 			jsp = tr.Op(trace.KindJoin, "⋈ "+binds[i+1].Name)
-			jsp.SetEst(est.joinWith(shard.StreamOf(binds[i+1])))
+			jsp.SetEst(est.joinWith(binds[i+1]))
 		}
 		if pd, err = shard.JoinPipedStream(ctx, opts, pd, binds[i+1], false); err != nil {
 			jsp.End()
@@ -420,14 +420,15 @@ func headProjectionPiped(ctx context.Context, opts *shard.Options, q *cq.Query, 
 	if tr := opts.Tracer(); tr != nil {
 		ssp = tr.Op(trace.KindSink, "materialize "+q.Head.Relation)
 	}
-	// MaterializeFlat is the drain: all upstream pipeline work happens
+	// MaterializePiped is the drain: all upstream pipeline work happens
 	// inside this call, so the stage's wall time is the plan's execution.
-	out, err := shard.MaterializeFlat(ctx, opts, proj, q.Head.Relation, false)
+	sunk, err := shard.MaterializePiped(ctx, opts, proj, q.Head.Relation, false)
 	if err != nil {
 		ssp.End()
 		hs.End()
 		return nil, err
 	}
+	out := sunk.Rel()
 	setSinkOut(ssp, out, proj.Parts())
 	ssp.End()
 	setSinkOut(hs, out, proj.Parts())

@@ -45,7 +45,7 @@ func setSinkOut(sp *trace.Span, r *relation.Relation, parts int) {
 
 // semijoinSpan opens a span for l ⋉ r (nil when tracing is off),
 // pre-annotated with input size and the System-R selectivity estimate.
-func semijoinSpan(opts *shard.Options, tr *trace.Tracer, l, r shard.Stream, lName, rName string) *trace.Span {
+func semijoinSpan(opts *shard.Options, tr *trace.Tracer, l, r *relation.Relation, lName, rName string) *trace.Span {
 	if tr == nil {
 		return nil
 	}

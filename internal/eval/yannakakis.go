@@ -127,9 +127,13 @@ func Yannakakis(q *cq.Query, db *database.Database) (*relation.Relation, Stats, 
 }
 
 // joinForced joins a forced subtree result into its parent atom's
-// pipeline. It is a variable so tests can see the relations that reach the
-// join.
-var joinForced = shard.JoinPipedStream
+// pipeline, and semijoinReducer filters a binding's pipeline against a
+// reducer. They are variables so tests can see the relations that reach
+// them.
+var (
+	joinForced      = shard.JoinPipedStream
+	semijoinReducer = shard.SemijoinPipedStream
+)
 
 // YannakakisExec evaluates an α-acyclic q with Yannakakis' algorithm, with
 // cancellation (checked between semijoin and join steps) and an early exit
@@ -145,7 +149,9 @@ var joinForced = shard.JoinPipedStream
 // The semijoin passes produce a relation per node — a reducer is probed via
 // its index, so it must exist whole — but each reduction itself runs as a
 // pipeline (scan → semijoin stages → sink) routed by internal/shard, and
-// every materialized reduction is a subset of a base binding. Semijoin
+// every materialized reduction is a subset of a base binding. Its sink
+// copies the parts into one relation, governed and scoped like every other
+// transient, and keeps the parts' row ranges (shard.Stream). Semijoin
 // outputs are subsets of their left input, so a binding partitioned once
 // stays partitioned through every later pass over it (misaligned passes
 // probe the reducer whole per part instead of re-exchanging). The join
@@ -171,8 +177,8 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		return nil, st, fmt.Errorf("eval: query is not acyclic; use JoinProject or GenericJoin")
 	}
 	// Each atom's reduction flows between passes as a Stream: a pass that
-	// exchanged the binding leaves it partitioned, and the next pass's
-	// pipeline picks the partitioning up instead of re-exchanging.
+	// exchanged the binding leaves its rows in part ranges, and the next
+	// pass's pipeline picks the partitioning up instead of re-exchanging.
 	tr := opts.Tracer()
 	bs := stageSpan(opts, trace.KindStage, "bindings")
 	reduced := make([]shard.Stream, len(q.Body))
@@ -212,9 +218,9 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 	filter := func(i int, reducers []int) error {
 		pd := shard.PipedOf(reduced[i], opts)
 		for _, ri := range reducers {
-			ssp := semijoinSpan(opts, tr, reduced[i], reduced[ri], q.Body[i].Relation, q.Body[ri].Relation)
+			ssp := semijoinSpan(opts, tr, reduced[i].Rel(), reduced[ri].Rel(), q.Body[i].Relation, q.Body[ri].Relation)
 			var err error
-			if pd, err = shard.SemijoinPipedStream(ctx, opts, pd, reduced[ri].Rel(), filtered[ri]); err != nil {
+			if pd, err = semijoinReducer(ctx, opts, pd, reduced[ri].Rel(), filtered[ri]); err != nil {
 				ssp.End()
 				return err
 			}
@@ -312,9 +318,11 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 					return err
 				}
 			}
-			if subs[i], err = shard.MaterializeFlat(ctx, opts, pd, "sub", true); err != nil {
+			sunk, err := shard.MaterializePiped(ctx, opts, pd, "sub", true)
+			if err != nil {
 				return err
 			}
+			subs[i] = sunk.Rel()
 			stMu.Lock()
 			if subs[i].Size() > st.MaxIntermediate {
 				st.MaxIntermediate = subs[i].Size()
@@ -329,7 +337,7 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 			var jsp *trace.Span
 			if tr != nil {
 				jsp = tr.Op(trace.KindJoin, "⋈ under "+q.Body[n.AtomIndex].Relation)
-				jsp.SetEst(estimateJoin(reduced[n.AtomIndex], shard.StreamOf(sub)))
+				jsp.SetEst(estimateJoin(reduced[n.AtomIndex].Rel(), sub))
 			}
 			var err error
 			if cur, err = joinForced(ctx, opts, cur, sub, true); err != nil {

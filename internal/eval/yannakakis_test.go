@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -300,10 +301,11 @@ func itoa(i int) string {
 }
 
 // TestYannakakisForcedSubsAreGoverned checks that, under a memory budget
-// and P = 4, every forced subtree result reaches its parent's join as one
-// relation registered with the governor, and that the evaluation's scope
-// discards it: once the scope closes, the governor tracks as many buffers
-// as before the evaluation (the base relations' memoized partitions).
+// and P = 4, every forced subtree result reaches its parent's join, and
+// every reduced binding reaches the semijoin it filters, as one relation
+// registered with the governor, and that the evaluation's scope discards
+// them: once the scope closes, the governor tracks as many buffers as
+// before the evaluation (the base relations' memoized partitions).
 func TestYannakakisForcedSubsAreGoverned(t *testing.T) {
 	gov := spill.NewGovernor(256, t.TempDir())
 	defer gov.Close()
@@ -314,17 +316,26 @@ func TestYannakakisForcedSubsAreGoverned(t *testing.T) {
 		return v
 	}
 	var (
-		mu   sync.Mutex
-		subs []*relation.Relation
+		mu             sync.Mutex
+		subs, reducers []*relation.Relation
 	)
-	defer func(f func(context.Context, *shard.Options, *shard.Piped, *relation.Relation, bool) (*shard.Piped, error)) {
-		joinForced = f
-	}(joinForced)
+	defer func(join, semijoin func(context.Context, *shard.Options, *shard.Piped, *relation.Relation, bool) (*shard.Piped, error)) {
+		joinForced, semijoinReducer = join, semijoin
+	}(joinForced, semijoinReducer)
 	joinForced = func(ctx context.Context, opts *shard.Options, pd *shard.Piped, sub *relation.Relation, transient bool) (*shard.Piped, error) {
 		mu.Lock()
 		subs = append(subs, sub)
 		mu.Unlock()
 		return shard.JoinPipedStream(ctx, opts, pd, sub, transient)
+	}
+	// A transient reducer is a reduction; a base binding is not.
+	semijoinReducer = func(ctx context.Context, opts *shard.Options, pd *shard.Piped, reducer *relation.Relation, transient bool) (*shard.Piped, error) {
+		if transient {
+			mu.Lock()
+			reducers = append(reducers, reducer)
+			mu.Unlock()
+		}
+		return shard.SemijoinPipedStream(ctx, opts, pd, reducer, transient)
 	}
 	q := cq.MustParse("Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).")
 	db := datagen.EdgeDB(rand.New(rand.NewSource(4)), []string{"R", "S", "T", "U"}, 300, 40)
@@ -346,17 +357,56 @@ func TestYannakakisForcedSubsAreGoverned(t *testing.T) {
 	}
 	run() // memoizes the base relations' partitions, which stay registered
 	before := registered()
-	subs = nil
+	subs, reducers = nil, nil
 	run()
-	if len(subs) == 0 {
-		t.Fatal("no forced subtree result reached a join: the query cannot tell")
+	if len(subs) == 0 || len(reducers) == 0 {
+		t.Fatalf("%d forced subtree results and %d reductions reached an operator: the query cannot tell", len(subs), len(reducers))
 	}
 	for _, sub := range subs {
 		if sub.Size() > 0 && (!sub.Governed() || sub.Buffer() == nil) {
 			t.Errorf("a forced subtree result of %d rows reached its join unregistered with the governor", sub.Size())
 		}
 	}
+	for _, r := range reducers {
+		if r.Size() > 0 && (!r.Governed() || r.Buffer() == nil) {
+			t.Errorf("a reduction of %d rows reached its semijoin unregistered with the governor", r.Size())
+		}
+	}
 	if after := registered(); after != before {
 		t.Errorf("governor tracks %d buffers after the evaluation, %d before: the scope left transients behind", after, before)
+	}
+}
+
+// BenchmarkYannakakis runs Yannakakis' algorithm on a full-head star-3
+// (2 000 edges over 130 nodes) and a path-4 projected to its endpoints
+// (four relations of 6 000 edges over 1 200 nodes), each in one part and
+// in four with MinRows 1024, with the indexes and partitions warm.
+func BenchmarkYannakakis(b *testing.B) {
+	cases := []struct {
+		name string
+		q    string
+		db   *database.Database
+	}{
+		{"star-3", "Q(X,A,B,C) <- E(X,A), E(X,B), E(X,C).", uniformEdgeDB(12, 2000, 130)},
+		{"path-4", "Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).",
+			datagen.EdgeDB(rand.New(rand.NewSource(4)), []string{"R", "S", "T", "U"}, 6000, 1200)},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		q := cq.MustParse(c.q)
+		for _, p := range []int{1, 4} {
+			opts := &shard.Options{MinRows: 1024, Shards: p}
+			b.Run(fmt.Sprintf("%s/P=%d", c.name, p), func(b *testing.B) {
+				if _, _, err := YannakakisExec(ctx, q, c.db, opts); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, _, err := YannakakisExec(ctx, q, c.db, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

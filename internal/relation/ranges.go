@@ -36,18 +36,6 @@ func (g Range) Intersect(h Range) Range {
 	return out
 }
 
-// Union returns the smallest range containing both: the range of a
-// relation assembled from parts.
-func (g Range) Union(h Range) Range {
-	switch {
-	case g.Empty():
-		return h
-	case h.Empty():
-		return g
-	}
-	return Range{Lo: min(g.Lo, h.Lo), Hi: max(g.Hi, h.Hi)}
-}
-
 // columnRanges is the memoized value behind ValueRange: one Range per
 // column.
 type columnRanges []Range

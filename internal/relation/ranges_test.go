@@ -52,12 +52,6 @@ func TestRangeAlgebra(t *testing.T) {
 	if got := a.Intersect(Range{Lo: 9, Hi: 12}); !got.Empty() {
 		t.Fatalf("disjoint intersect %v, want empty", got)
 	}
-	if got := a.Union(b); got != (Range{Lo: 2, Hi: 12}) {
-		t.Fatalf("union %v", got)
-	}
-	if a.Union(EmptyRange) != a || EmptyRange.Union(a) != a {
-		t.Fatal("union with the empty range changed the range")
-	}
 }
 
 // TestValueRangeDelegatesToParent pins that Clone and Rename views share

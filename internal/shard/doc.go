@@ -79,14 +79,13 @@
 // projected tuple meet in one part's set. A projection that keeps every
 // column deduplicates nothing and keeps the key.
 //
-// MaterializePiped drains the parts in parallel into a Stream — one
-// relation per part, each staged in pooled chunks and copied once into an
-// exact slab, assembled without concatenation as a partitioned view, or an
-// unkeyed one when the Piped is unkeyed — which PipedOf opens again part
-// by part, so what had to be built whole (a Yannakakis reduction)
-// re-enters the next pipeline still split. MaterializeFlat is the sink for
-// a result read whole (the answer, a forced Yannakakis subtree): the parts
-// drain in parallel, and their rows are copied once into one relation.
+// MaterializePiped is the one sink, for the answer and for every
+// intermediate alike: the parts drain in parallel into pooled chunks, and
+// their rows are copied once into one relation, part after part
+// (batch.MaterializeParts). The Stream it returns keeps each part's row
+// range and the Piped's key (-1 when unkeyed), and PipedOf opens those
+// ranges again as parts, so what had to be built whole (a Yannakakis
+// reduction) re-enters the next pipeline still split.
 //
 // # Partition-memoization contract
 //
@@ -102,9 +101,6 @@
 //     they were built at, so the next Partition after growth rebuilds.
 //   - Shards are read-only. They may be served concurrently to many
 //     evaluations; nothing may insert into a shard.
-//
-// Views assembled from pipeline sinks (FromParts) are NOT memoized: they
-// partition operator outputs that live only inside one evaluation.
 //
 // Large builds run block-parallel (bucket counts per block, a prefix over
 // the block×shard count matrix, then a race-free scatter into disjoint

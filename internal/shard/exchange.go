@@ -1,8 +1,8 @@
 package shard
 
 // What the piped operators share: the routing counters (Counters), the
-// Stream carrier that couples a relation with the hash partitioning it
-// already has — so a pipeline opened over it starts partitioned.
+// Stream carrier that couples a sunk relation with the parts it was built
+// from — so a pipeline opened over it starts partitioned.
 
 import (
 	"cqbound/internal/metrics/counter"
@@ -30,82 +30,24 @@ var (
 		"projections that deduplicated in a dense bitmap rather than hash tables")
 )
 
-// Stream is a relation together with its current hash partitioning, when
-// it has one: what the executors hold between pipelines. MaterializePiped
-// returns the per-part relations of a multi-part pipeline as a partitioned
-// Stream, and PipedOf opens one scan per shard over it, so a reduced
-// binding that was exchanged once stays partitioned for the next pass; the
-// flat relation is built only when something needs it whole (a probe side
-// is indexed). A zero Stream is empty; build one with StreamOf or
-// ShardedStream.
+// Stream is a relation together with the parts of the pipeline that
+// built it: what the executors hold between pipelines. MaterializePiped
+// copies a multi-part pipeline's rows into one flat relation and keeps
+// each part's row range and the pipeline's key (-1 when unkeyed); PipedOf
+// opens one scan per part over those ranges, so a reduced binding that was
+// exchanged once stays partitioned for the next pass. StreamOf wraps a
+// relation no pipeline built.
 type Stream struct {
-	rel *relation.Relation
-	sh  *Sharded
+	rel  *relation.Relation
+	key  int
+	offs []int // part k holds rows [offs[k], offs[k+1])
 }
 
-// StreamOf wraps a flat relation with no current partitioning.
-func StreamOf(r *relation.Relation) Stream { return Stream{rel: r} }
+// StreamOf wraps a relation that has no parts.
+func StreamOf(r *relation.Relation) Stream { return Stream{rel: r, key: -1} }
 
-// ShardedStream wraps a partitioned view.
-func ShardedStream(sh *Sharded) Stream { return Stream{sh: sh} }
-
-// Rel returns the stream's flat relation, materializing it from the shards
-// on first call when the stream only holds a partitioned view.
-func (st Stream) Rel() *relation.Relation {
-	if st.rel != nil {
-		return st.rel
-	}
-	if st.sh != nil {
-		return st.sh.Rel()
-	}
-	return nil
-}
-
-// Sharded returns the stream's current partitioned view, or nil.
-func (st Stream) Sharded() *Sharded { return st.sh }
-
-// Size returns the row count without materializing a flat relation.
-func (st Stream) Size() int {
-	if st.rel != nil {
-		return st.rel.Size()
-	}
-	if st.sh != nil {
-		return st.sh.Size()
-	}
-	return 0
-}
-
-// Attrs returns the stream's attribute names without materializing.
-func (st Stream) Attrs() []string {
-	if st.rel != nil {
-		return st.rel.Attrs
-	}
-	if st.sh != nil {
-		return st.sh.Attrs()
-	}
-	return nil
-}
-
-// DistinctEstimate estimates the number of distinct values in column col,
-// feeding the executors' per-join size estimator (the System-R chain the
-// trace layer renders next to actual row counts). Memoized counts are
-// served exactly; large unmemoized intermediates are sampled
-// (relation.DistinctEstimate) instead of scanned, keeping traced
-// evaluation within a few percent of untraced. A partitioned view sums its
-// shards' counts: exact on the partition key, an overestimate elsewhere.
-func (st Stream) DistinctEstimate(col int) int {
-	if st.rel != nil {
-		return st.rel.DistinctEstimate(col)
-	}
-	if st.sh == nil {
-		return 0
-	}
-	n := 0
-	for _, sh := range st.sh.sh {
-		n += sh.DistinctEstimate(col)
-	}
-	return n
-}
+// Rel returns the stream's relation.
+func (st Stream) Rel() *relation.Relation { return st.rel }
 
 // indexOfKept returns the output position of input column c under the
 // projection keep, or -1 when the projection dropped it.

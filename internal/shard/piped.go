@@ -17,7 +17,6 @@ import (
 
 	"cqbound/internal/batch"
 	"cqbound/internal/metrics/counter"
-	"cqbound/internal/pool"
 	"cqbound/internal/relation"
 )
 
@@ -53,43 +52,26 @@ func (pd *Piped) Attrs() []string { return pd.attrs }
 // Parts returns the number of per-shard pipelines.
 func (pd *Piped) Parts() int { return len(pd.parts) }
 
-// PipedOf opens a stream as pipelines: one scan per shard when the stream
-// carries a partitioned view at the options' count (keeping its key), one
-// flat scan otherwise. Scans are zero-copy and pin governed storage only
-// across individual batch reads. The column ranges are the stream's
+// PipedOf opens a stream as pipelines: one scan per part when the stream
+// holds the parts of a pipeline at the options' count (keeping its key),
+// one flat scan otherwise. Scans are zero-copy and pin governed storage
+// only across individual batch reads. The column ranges are the relation's
 // memoized ValueRanges.
 func PipedOf(st Stream, opts *Options) *Piped {
 	size, bm := opts.batchSize(), opts.batchMetrics()
-	ranges := streamRanges(st)
-	if sh := st.Sharded(); sh != nil && sh.P() == opts.Count() && sh.P() > 1 {
-		parts := make([]batch.Iterator, sh.P())
-		for k := range parts {
-			parts[k] = batch.Scan(sh.Shard(k), size, bm)
-		}
-		return &Piped{attrs: sh.Attrs(), key: sh.Key(), parts: parts, ranges: ranges}
-	}
-	return &Piped{attrs: st.Attrs(), key: -1, parts: []batch.Iterator{batch.Scan(st.Rel(), size, bm)}, ranges: ranges}
-}
-
-// streamRanges returns the value range of every column of st: the flat
-// relation's when it has one at hand, else the union of its shards'.
-func streamRanges(st Stream) []relation.Range {
-	ranges := make([]relation.Range, len(st.Attrs()))
-	sh := st.Sharded()
-	if sh == nil || sh.eager != nil {
-		r := st.Rel()
-		for c := range ranges {
-			ranges[c] = r.ValueRange(c)
-		}
-		return ranges
-	}
+	r := st.rel
+	ranges := make([]relation.Range, r.Arity())
 	for c := range ranges {
-		ranges[c] = relation.EmptyRange
-		for k := 0; k < sh.P(); k++ {
-			ranges[c] = ranges[c].Union(sh.Shard(k).ValueRange(c))
-		}
+		ranges[c] = r.ValueRange(c)
 	}
-	return ranges
+	if p := len(st.offs) - 1; p > 1 && p == opts.Count() {
+		parts := make([]batch.Iterator, p)
+		for k := range parts {
+			parts[k] = batch.ScanRange(r, st.offs[k], st.offs[k+1], size, bm)
+		}
+		return &Piped{attrs: r.Attrs, key: st.key, parts: parts, ranges: ranges}
+	}
+	return &Piped{attrs: r.Attrs, key: -1, parts: []batch.Iterator{batch.Scan(r, size, bm)}, ranges: ranges}
 }
 
 // joinRanges returns the column ranges of a raw join probe's output — pd's
@@ -146,11 +128,11 @@ func (t *tapIter) Next(ctx context.Context) (*batch.Batch, error) {
 // is discarded with the intermediate when the query finishes, while a base
 // relation's memoized shards persist for reuse across evaluations.
 // (Double-tracking a memoized shard is safe: buffer discard is idempotent.)
-func partitionSide(r *relation.Relation, key, p int, transient bool, opts *Options) *Sharded {
+func partitionSide(r *relation.Relation, key, p int, transient bool, opts *Options) []*relation.Relation {
 	sh := partition(r, key, p, opts.spill())
 	if transient && opts != nil && opts.Scope != nil && opts.spill() != nil {
-		for k := 0; k < sh.P(); k++ {
-			if b := sh.Shard(k).Buffer(); b != nil {
+		for _, s := range sh {
+			if b := s.Buffer(); b != nil {
 				opts.Scope.Track(b)
 			}
 		}
@@ -206,7 +188,7 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 		parts := make([]batch.Iterator, p)
 		for k := range parts {
 			src := batch.Iterator(&tapIter{src: pd.parts[k], f: adder(m, reusedRows)})
-			parts[k] = chain(src, rSh.Shard(k))
+			parts[k] = chain(src, rSh[k])
 		}
 		m.Add(shardedOps, 1)
 		// Left columns keep their positions through the join projection.
@@ -247,7 +229,7 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 	ex := batch.NewExchange(pd.parts, pd.attrs, lCols[pick], p, size, opts.governTransient, exchangeCount(opts, pd.attrs[lCols[pick]], p), bm)
 	parts := make([]batch.Iterator, p)
 	for k := range parts {
-		parts[k] = chain(ex.Part(k), rSh.Shard(k))
+		parts[k] = chain(ex.Part(k), rSh[k])
 	}
 	m.Add(shardedOps, 1)
 	return &Piped{attrs: attrs, key: lCols[pick], parts: parts, ranges: ranges}, nil
@@ -292,7 +274,7 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 		parts := make([]batch.Iterator, p)
 		for k := range parts {
 			src := batch.Iterator(&tapIter{src: pd.parts[k], f: adder(m, reusedRows)})
-			parts[k] = batch.Semijoin(src, rSh.Shard(k), lCols, rCols, bm)
+			parts[k] = batch.Semijoin(src, rSh[k], lCols, rCols, bm)
 		}
 		m.Add(shardedOps, 1)
 		return &Piped{attrs: pd.attrs, key: pd.key, parts: parts, ranges: ranges}, nil
@@ -323,7 +305,7 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 	ex := batch.NewExchange(pd.parts, pd.attrs, lCols[pick], p, size, opts.governTransient, exchangeCount(opts, pd.attrs[lCols[pick]], p), bm)
 	parts := make([]batch.Iterator, p)
 	for k := range parts {
-		parts[k] = batch.Semijoin(ex.Part(k), rSh.Shard(k), lCols, rCols, bm)
+		parts[k] = batch.Semijoin(ex.Part(k), rSh[k], lCols, rCols, bm)
 	}
 	m.Add(shardedOps, 1)
 	return &Piped{attrs: pd.attrs, key: lCols[pick], parts: parts, ranges: ranges}, nil
@@ -400,44 +382,18 @@ func ProjectPiped(ctx context.Context, opts *Options, pd *Piped, idx []int) (*Pi
 	return out, nil
 }
 
-// MaterializePiped drains the pipelines into a Stream: a single-part piped
-// becomes a flat relation, a multi-part piped one relation per part (built
-// in parallel) assembled as a view on the piped's key — partitioned when
-// the piped is keyed, unkeyed otherwise — which PipedOf picks up again.
-// transient registers the built relations with the spill governor as
-// intermediates of the current evaluation; final outputs pass false and
-// stay unmanaged.
+// MaterializePiped drains the pipelines into a Stream: the parts drain in
+// parallel and their rows are copied once into one relation, part 0's
+// first (batch.MaterializeParts); the stream keeps the parts' row ranges
+// and the piped's key, which PipedOf picks up again. transient registers
+// the relation with the spill governor as an intermediate of the current
+// evaluation; final outputs pass false and stay unmanaged.
 func MaterializePiped(ctx context.Context, opts *Options, pd *Piped, name string, transient bool) (Stream, error) {
-	bm, govern := opts.batchMetrics(), opts.sinkGovern(transient)
-	if len(pd.parts) == 1 {
-		r, err := batch.Materialize(ctx, pd.parts[0], name, govern, bm)
-		if err != nil {
-			return Stream{}, err
-		}
-		return StreamOf(r), nil
-	}
-	outs := make([]*relation.Relation, len(pd.parts))
-	if err := pool.Run(ctx, 0, len(pd.parts), func(k int) error {
-		r, err := batch.Materialize(ctx, pd.parts[k], name, govern, bm)
-		if err == nil {
-			outs[k] = r
-		}
-		return err
-	}); err != nil {
+	r, offs, err := batch.MaterializeParts(ctx, pd.parts, name, opts.sinkGovern(transient), opts.batchMetrics())
+	if err != nil {
 		return Stream{}, err
 	}
-	return ShardedStream(FromParts(name, pd.attrs, pd.key, outs)), nil
-}
-
-// MaterializeFlat drains the pipelines into one flat relation
-// (batch.MaterializeParts): the parts drain in parallel, and their rows are
-// copied once into the relation, part 0's first. It is for callers that
-// read the result whole — the head answer, a forced Yannakakis subtree —
-// where a per-part view would only be concatenated. transient registers
-// the relation with the spill governor as an intermediate of the current
-// evaluation, as MaterializePiped does.
-func MaterializeFlat(ctx context.Context, opts *Options, pd *Piped, name string, transient bool) (*relation.Relation, error) {
-	return batch.MaterializeParts(ctx, pd.parts, name, opts.sinkGovern(transient), opts.batchMetrics())
+	return Stream{rel: r, key: pd.key, offs: offs}, nil
 }
 
 // sinkGovern returns the callback a sink applies to the relation it

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"testing"
 
+	"cqbound/internal/batch"
 	"cqbound/internal/metrics/counter"
 	"cqbound/internal/relation"
 	"cqbound/internal/spill"
@@ -37,9 +38,19 @@ func zipfRel(rng *rand.Rand, name string, attrs []string, n int, hotFrac float64
 	return r
 }
 
-// on opens r as pipelines partitioned on column key at the options' count.
+// on opens r as pipelines partitioned on column key at the options' count:
+// one scan per shard of r's memoized partition.
 func on(r *relation.Relation, key int, opts *Options) *Piped {
-	return PipedOf(ShardedStream(Partition(r, key, opts.Count())), opts)
+	pd := flat(r, opts)
+	shards := Partition(r, key, opts.Count())
+	if len(shards) < 2 {
+		return pd
+	}
+	pd.key, pd.parts = key, make([]batch.Iterator, len(shards))
+	for k, s := range shards {
+		pd.parts[k] = batch.Scan(s, opts.batchSize(), opts.batchMetrics())
+	}
+	return pd
 }
 
 // flat opens r as one unpartitioned pipeline.
@@ -104,22 +115,24 @@ func mustProjectRel(t *testing.T, r *relation.Relation, idx ...int) *relation.Re
 	return out
 }
 
-// checkKeyed asserts the drained stream is a view of wantParts shards
-// partitioned on wantKey whose every row sits in the shard its key value
-// hashes to — the contract the next pipeline's aligned reuse relies on.
+// checkKeyed asserts the sunk stream holds wantParts parts keyed on
+// wantKey: its offsets ascend from 0 to the relation's size, and every row
+// in part k's range has a key value that hashes to k — the contract the
+// next pipeline's aligned reuse relies on.
 func checkKeyed(t *testing.T, st Stream, wantKey, wantParts int) {
 	t.Helper()
-	sh := st.Sharded()
-	if sh == nil {
-		t.Fatalf("output is flat, want %d parts keyed on column %d", wantParts, wantKey)
+	if st.key != wantKey || len(st.offs)-1 != wantParts {
+		t.Fatalf("output keyed on %d with %d parts, want key %d with %d parts", st.key, len(st.offs)-1, wantKey, wantParts)
 	}
-	if sh.Key() != wantKey || sh.P() != wantParts {
-		t.Fatalf("output keyed on %d with %d parts, want key %d with %d parts", sh.Key(), sh.P(), wantKey, wantParts)
+	if st.offs[0] != 0 || st.offs[wantParts] != st.rel.Size() {
+		t.Fatalf("offsets %v do not cover the %d rows", st.offs, st.rel.Size())
 	}
-	for k := 0; k < sh.P(); k++ {
-		s := sh.Shard(k)
-		for i := 0; i < s.Size(); i++ {
-			if ShardOf(s.At(i, sh.Key()), sh.P()) != k {
+	for k := 0; k < wantParts; k++ {
+		if st.offs[k+1] < st.offs[k] {
+			t.Fatalf("offsets %v descend at part %d", st.offs, k)
+		}
+		for i := st.offs[k]; i < st.offs[k+1]; i++ {
+			if ShardOf(st.rel.At(i, wantKey), wantParts) != k {
 				t.Fatalf("row %d of part %d violates the declared key", i, k)
 			}
 		}
@@ -276,8 +289,8 @@ func TestPipedRouting(t *testing.T) {
 				if m.FallbackOps != 0 || m.ShardedOps != 2 {
 					t.Fatalf("fallback=%d sharded=%d, want 0/2", m.FallbackOps, m.ShardedOps)
 				}
-				if out.Sharded() == nil {
-					t.Fatal("chained joins came back flat")
+				if len(out.offs)-1 != p {
+					t.Fatalf("chained joins came back in %d parts, want %d", len(out.offs)-1, p)
 				}
 			},
 		},
@@ -387,12 +400,11 @@ func TestPipedRouting(t *testing.T) {
 				if m.ExchangedRows != 0 || m.DenseProjections != 1 {
 					t.Fatalf("exchanged=%d dense=%d, want 0/1", m.ExchangedRows, m.DenseProjections)
 				}
-				sh := out.Sharded()
-				if sh == nil || sh.Key() != -1 || sh.P() != p {
-					t.Fatalf("output %v, want an unkeyed view of %d parts", sh, p)
+				if out.key != -1 || len(out.offs)-1 != p {
+					t.Fatalf("output keyed on %d with %d parts, want %d unkeyed parts", out.key, len(out.offs)-1, p)
 				}
 				// Every row came out of exactly one part.
-				if rows := sh.Size(); rows != mustProjectRel(t, wide, 2, 0).Size() {
+				if rows := out.offs[p]; rows != mustProjectRel(t, wide, 2, 0).Size() {
 					t.Fatalf("parts hold %d rows, ProjectIdx %d", rows, mustProjectRel(t, wide, 2, 0).Size())
 				}
 			},
@@ -425,8 +437,8 @@ func TestPipedRouting(t *testing.T) {
 				return mustProject(t, opts, on(wide, 0, opts), 0, 0, 1), mustProjectRel(t, wide, 0, 0, 1)
 			},
 			check: func(t *testing.T, m routeCounts, out Stream) {
-				if want := []string{"a", "a_1", "b"}; !slices.Equal(out.Attrs(), want) {
-					t.Fatalf("attrs %v, want %v", out.Attrs(), want)
+				if want := []string{"a", "a_1", "b"}; !slices.Equal(out.Rel().Attrs, want) {
+					t.Fatalf("attrs %v, want %v", out.Rel().Attrs, want)
 				}
 			},
 		},
@@ -436,8 +448,8 @@ func TestPipedRouting(t *testing.T) {
 				return mustProject(t, opts, flat(wide, opts), 1, 1), mustProjectRel(t, wide, 1, 1)
 			},
 			check: func(t *testing.T, m routeCounts, out Stream) {
-				if want := []string{"b", "b_1"}; !slices.Equal(out.Attrs(), want) {
-					t.Fatalf("attrs %v, want %v", out.Attrs(), want)
+				if want := []string{"b", "b_1"}; !slices.Equal(out.Rel().Attrs, want) {
+					t.Fatalf("attrs %v, want %v", out.Rel().Attrs, want)
 				}
 			},
 		},
@@ -451,7 +463,7 @@ func TestPipedRouting(t *testing.T) {
 				checkKeyed(t, out, 1, 16)
 				empty := 0
 				for k := 0; k < 16; k++ {
-					if out.Sharded().Shard(k).Size() == 0 {
+					if out.offs[k+1] == out.offs[k] {
 						empty++
 					}
 				}
@@ -468,8 +480,8 @@ func TestPipedRouting(t *testing.T) {
 				return pd, mustProjectRel(t, mustSemijoinRel(t, mustNaturalJoin(t, r, s), u), 0, 2)
 			},
 			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.FallbackOps != 3 || m.ShardedOps != 0 || out.Sharded() != nil {
-					t.Fatalf("fallback=%d sharded=%d sharded-output=%v, want 3/0/false", m.FallbackOps, m.ShardedOps, out.Sharded() != nil)
+				if m.FallbackOps != 3 || m.ShardedOps != 0 || len(out.offs) != 2 {
+					t.Fatalf("fallback=%d sharded=%d output-parts=%d, want 3/0/1", m.FallbackOps, m.ShardedOps, len(out.offs)-1)
 				}
 			},
 		},
@@ -480,8 +492,8 @@ func TestPipedRouting(t *testing.T) {
 				return mustJoin(t, opts, flat(r, opts), s), mustNaturalJoin(t, r, s)
 			},
 			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.FallbackOps != 1 || out.Sharded() != nil {
-					t.Fatalf("fallback=%d sharded-output=%v, want 1/false", m.FallbackOps, out.Sharded() != nil)
+				if m.FallbackOps != 1 || len(out.offs) != 2 {
+					t.Fatalf("fallback=%d output-parts=%d, want 1/1", m.FallbackOps, len(out.offs)-1)
 				}
 			},
 		},
@@ -489,9 +501,14 @@ func TestPipedRouting(t *testing.T) {
 			name: "a view partitioned at another count is scanned flat",
 			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
-				pd := PipedOf(ShardedStream(Partition(r, 1, 3)), opts)
-				if pd.Parts() != 1 {
-					t.Fatalf("3-shard view opened as %d parts under P=%d", pd.Parts(), p)
+				three := &Options{Shards: 3}
+				sunk, err := MaterializePiped(context.Background(), three, on(r, 1, three), "R", false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pd := PipedOf(sunk, opts)
+				if pd.Parts() != 1 || len(sunk.offs) != 4 {
+					t.Fatalf("3-part sink opened as %d parts under P=%d", pd.Parts(), p)
 				}
 				return mustJoin(t, opts, pd, s), mustNaturalJoin(t, r, s)
 			},
@@ -537,8 +554,8 @@ func TestPipedNilOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mustProjectRel(t, mustSemijoinRel(t, mustNaturalJoin(t, r, s), s), 0, 2)
-	if out.Sharded() != nil || !relation.Equal(want, out.Rel()) {
-		t.Fatalf("nil-options pipeline: %d rows (sharded=%v), want %d flat", out.Size(), out.Sharded() != nil, want.Size())
+	if len(out.offs) != 2 || !relation.Equal(want, out.Rel()) {
+		t.Fatalf("nil-options pipeline: %d rows in %d parts, want %d in one", out.Rel().Size(), len(out.offs)-1, want.Size())
 	}
 }
 
@@ -560,7 +577,10 @@ func TestPipedUnderGovernor(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := mustNaturalJoin(t, r, s); !relation.Equal(want, out.Rel()) {
-		t.Fatalf("governed join has %d rows, want %d", out.Size(), want.Size())
+		t.Fatalf("governed join has %d rows, want %d", out.Rel().Size(), want.Size())
+	}
+	if !out.Rel().Governed() {
+		t.Fatal("transient sink is not registered with the governor")
 	}
 	if spillGauge(g, "evictions") == 0 {
 		t.Fatal("one-byte governor never evicted a pipeline buffer")

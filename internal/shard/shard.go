@@ -1,15 +1,13 @@
 package shard
 
-// Options, partitioned views and their construction. Package documentation
-// lives in doc.go; the operators that route pipelines over these views are
-// in piped.go.
+// Options and memoized partitions. Package documentation lives in doc.go;
+// the operators that route pipelines over partitions are in piped.go.
 
 import (
 	"context"
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 
 	"cqbound/internal/metrics/counter"
 	"cqbound/internal/pool"
@@ -153,107 +151,22 @@ func ShardOf(v relation.Value, p int) int {
 	return int((h >> 16) % uint64(p))
 }
 
-// Sharded is a hash-partitioned view of a relation: shard k holds exactly
-// the rows whose key-column value hashes to k. Shards are plain relations
-// carrying the view's schema. Views come from two constructors: Partition
-// splits an existing flat relation (memoized on the relation per (key, P)),
-// and FromParts assembles a view from per-shard operator outputs that are
-// partitioned by construction — the latter never materializes a flat
-// relation unless Rel is called.
-type Sharded struct {
-	name  string
-	attrs []string
-	key   int
-	sh    []*relation.Relation
-
-	// eager is the flat form when the view was built by Partition: the
-	// relation that was split. Immutable after construction, so it may be
-	// read without synchronization.
-	eager *relation.Relation
-	// lazy is the flat form of an assembled (FromParts) view, built on
-	// first Rel call; it is only written inside baseOnce.Do and only read
-	// after the Do returns, which is the sync.Once happens-before edge.
-	baseOnce sync.Once
-	lazy     *relation.Relation
-}
-
-// Key returns the partition column (a position into Attrs()), or -1 for
-// an unkeyed view.
-func (s *Sharded) Key() int { return s.key }
-
-// P returns the partition count.
-func (s *Sharded) P() int { return len(s.sh) }
-
-// Attrs returns the view's attribute names. The slice is the view's
-// storage: treat it as read-only.
-func (s *Sharded) Attrs() []string { return s.attrs }
-
-// Shard returns shard k. The relation is the view's storage: treat it as
-// read-only (it may be memoized and shared with concurrent evaluations).
-func (s *Sharded) Shard(k int) *relation.Relation { return s.sh[k] }
-
-// Size returns the total row count across shards without materializing the
-// flat relation. It never touches the lazily-built flat form, so it is
-// safe to call concurrently with Rel (parallel passes share Streams).
-func (s *Sharded) Size() int {
-	if s.eager != nil {
-		return s.eager.Size()
-	}
-	n := 0
-	for _, sh := range s.sh {
-		n += sh.Size()
-	}
-	return n
-}
-
-// Rel returns the flat relation the view partitions. For a view built by
-// Partition it is the original relation; for a view assembled from operator
-// outputs it is materialized on first call by concatenating the shards
-// (shards are disjoint, so no dedup pass). Safe for concurrent callers.
-func (s *Sharded) Rel() *relation.Relation {
-	if s.eager != nil {
-		return s.eager
-	}
-	s.baseOnce.Do(func() {
-		flat, err := relation.Concat(s.name, s.attrs, s.sh...)
-		if err != nil {
-			panic(fmt.Sprintf("shard: materializing %s: %v", s.name, err))
-		}
-		s.lazy = flat
-	})
-	return s.lazy
-}
-
-// FromParts assembles a Sharded view from per-shard relations that are
-// already partitioned on column key: part k must hold only rows whose key
-// value hashes to shard k of len(parts). This is how a multi-part
-// pipeline's sink stays sharded — part k's rows carry a key value that
-// hashes to k, so the relation it builds IS shard k of the result —
-// without paying a concatenation the next pipeline may never need. Key -1
-// assembles an unkeyed view of disjoint parts (a dense projection's sink):
-// it is scanned part by part like a keyed one, but no operator treats it
-// as aligned.
-func FromParts(name string, attrs []string, key int, parts []*relation.Relation) *Sharded {
-	if key < -1 || key >= len(attrs) {
-		panic(fmt.Sprintf("shard: FromParts key %d out of range for %v", key, attrs))
-	}
-	return &Sharded{name: name, attrs: attrs, key: key, sh: parts}
-}
-
 // parallelPartitionMinRows is the size at which the partition build fans
 // its bucket and scatter passes out over the worker pool; below it the
 // sequential two-pass build wins on setup cost.
 const parallelPartitionMinRows = 1 << 14
 
-// Partition hash-partitions r by column key into p shards. p < 2 (or an
-// empty relation under p == 1) returns a single-shard view of r itself with
-// no copying. The partition is built once per (key, p) and memoized in r's
+// Partition hash-partitions r by column key into p shards: shard k holds
+// exactly the rows whose key value hashes to k (ShardOf), as a plain
+// relation carrying r's schema. The slice and its shards are shared: treat
+// them as read-only. p < 2 returns r itself as the one shard, with no
+// copying. The partition is built once per (key, p) and memoized in r's
 // size-keyed memo table — shared with renamed and cloned views, rebuilt
 // after inserts — so only the first evaluation over a base relation pays
 // the build. Large relations bucket, scatter and gather block-parallel over
 // internal/pool; the build itself is not cancelable (it is bounded by two
 // O(n) passes), callers cancel between operator steps.
-func Partition(r *relation.Relation, key, p int) *Sharded {
+func Partition(r *relation.Relation, key, p int) []*relation.Relation {
 	return partition(r, key, p, nil)
 }
 
@@ -266,12 +179,12 @@ func Partition(r *relation.Relation, key, p int) *Sharded {
 // canonical empty relation instead of allocating per-shard columns, so
 // sparse partitionings (P far above the key's distinct values) don't pay
 // per-shard overhead.
-func partition(r *relation.Relation, key, p int, g *spill.Governor) *Sharded {
+func partition(r *relation.Relation, key, p int, g *spill.Governor) []*relation.Relation {
 	if key < 0 || key >= r.Arity() {
 		panic(fmt.Sprintf("shard: partition column %d out of range for %s", key, r.Name))
 	}
 	if p < 2 {
-		return &Sharded{name: r.Name, attrs: r.Attrs, key: key, eager: r, sh: []*relation.Relation{r}}
+		return []*relation.Relation{r}
 	}
 	memoKey := fmt.Sprintf("shard:%d:%d", key, p)
 	shards := r.Memo(memoKey, func() any {
@@ -305,7 +218,7 @@ func partition(r *relation.Relation, key, p int, g *spill.Governor) *Sharded {
 		}
 		shards = renamed
 	}
-	return &Sharded{name: r.Name, attrs: r.Attrs, key: key, eager: r, sh: shards}
+	return shards
 }
 
 // partitionRows buckets row indices of a key column into p shards. Small

@@ -28,16 +28,15 @@ func TestPartitionInvariants(t *testing.T) {
 	r := randomRel(rng, "R", []string{"a", "b"}, 500, 40)
 	for _, p := range []int{1, 2, 3, 7, 16} {
 		sh := Partition(r, 0, p)
-		if sh.P() != p && !(p == 1 && sh.P() == 1) {
-			t.Fatalf("P() = %d, want %d", sh.P(), p)
+		if len(sh) != p {
+			t.Fatalf("%d shards, want %d", len(sh), p)
 		}
 		total := 0
 		union := relation.New("U", "a", "b")
-		for k := 0; k < sh.P(); k++ {
-			s := sh.Shard(k)
+		for k, s := range sh {
 			total += s.Size()
 			for i := 0; i < s.Size(); i++ {
-				if got := ShardOf(s.At(i, 0), sh.P()); got != k {
+				if got := ShardOf(s.At(i, 0), len(sh)); got != k {
 					t.Fatalf("p=%d: row with key %v in shard %d, ShardOf says %d", p, s.At(i, 0), k, got)
 				}
 				if _, err := union.Insert(s.Row(i)); err != nil {
@@ -57,7 +56,7 @@ func TestPartitionInvariants(t *testing.T) {
 func TestPartitionSingleShardIsBase(t *testing.T) {
 	r := randomRel(rand.New(rand.NewSource(2)), "R", []string{"a", "b"}, 50, 10)
 	sh := Partition(r, 1, 1)
-	if sh.P() != 1 || sh.Shard(0) != r {
+	if len(sh) != 1 || sh[0] != r {
 		t.Fatal("p=1 partition should be the base relation itself, uncopied")
 	}
 }
@@ -67,12 +66,12 @@ func TestPartitionMemoized(t *testing.T) {
 	s1 := Partition(r, 0, 4)
 	s2 := Partition(r, 0, 4)
 	for k := 0; k < 4; k++ {
-		if s1.Shard(k) != s2.Shard(k) {
+		if s1[k] != s2[k] {
 			t.Fatal("second partition rebuilt shards instead of reusing the memo")
 		}
 	}
 	// A different key or P is a different partition.
-	if s3 := Partition(r, 1, 4); s3.Shard(0) == s1.Shard(0) {
+	if s3 := Partition(r, 1, 4); s3[0] == s1[0] {
 		t.Fatal("partitions on different keys shared a shard")
 	}
 }
@@ -85,16 +84,15 @@ func TestPartitionRenamedViewGetsOwnAttrs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := Partition(view, 0, 3)
-	for k := 0; k < sh.P(); k++ {
-		s := sh.Shard(k)
+	for k, s := range sh {
 		if s.Attrs[0] != "x" || s.Attrs[1] != "y" {
 			t.Fatalf("shard %d attrs = %v, want the view's [x y]", k, s.Attrs)
 		}
 	}
 	// Rows must still be the memoized ones (shared storage, not a rebuild).
 	base := Partition(r, 0, 3)
-	for k := 0; k < sh.P(); k++ {
-		if !relation.Equal(sh.Shard(k), base.Shard(k)) {
+	for k := 0; k < len(sh); k++ {
+		if !relation.Equal(sh[k], base[k]) {
 			t.Fatalf("renamed view's shard %d differs from base shard", k)
 		}
 	}
@@ -104,8 +102,8 @@ func TestPartitionEdgeCases(t *testing.T) {
 	// Empty relation: every shard empty.
 	empty := relation.New("E", "a", "b")
 	sh := Partition(empty, 0, 4)
-	for k := 0; k < sh.P(); k++ {
-		if sh.Shard(k).Size() != 0 {
+	for k := 0; k < len(sh); k++ {
+		if sh[k].Size() != 0 {
 			t.Fatal("shard of empty relation not empty")
 		}
 	}
@@ -118,11 +116,11 @@ func TestPartitionEdgeCases(t *testing.T) {
 	}
 	sh = Partition(skew, 0, 4)
 	nonEmpty := 0
-	for k := 0; k < sh.P(); k++ {
-		if sh.Shard(k).Size() > 0 {
+	for k := 0; k < len(sh); k++ {
+		if sh[k].Size() > 0 {
 			nonEmpty++
-			if sh.Shard(k).Size() != 64 {
-				t.Fatalf("skewed shard has %d rows, want 64", sh.Shard(k).Size())
+			if sh[k].Size() != 64 {
+				t.Fatalf("skewed shard has %d rows, want 64", sh[k].Size())
 			}
 		}
 	}
@@ -135,8 +133,8 @@ func TestPartitionEdgeCases(t *testing.T) {
 	small := randomRel(rand.New(rand.NewSource(5)), "T", []string{"a", "b"}, 30, 3)
 	sh = Partition(small, 0, 16)
 	total := 0
-	for k := 0; k < sh.P(); k++ {
-		total += sh.Shard(k).Size()
+	for k := 0; k < len(sh); k++ {
+		total += sh[k].Size()
 	}
 	if total != small.Size() {
 		t.Fatalf("p>distinct: shards hold %d rows, want %d", total, small.Size())
