@@ -2,7 +2,6 @@ package cqbound
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -12,6 +11,7 @@ import (
 	"cqbound/internal/eval"
 	"cqbound/internal/lru"
 	"cqbound/internal/metrics/counter"
+	"cqbound/internal/obs"
 	"cqbound/internal/plan"
 	"cqbound/internal/pool"
 	"cqbound/internal/relation"
@@ -44,9 +44,10 @@ const (
 	StrategyGenericJoin = plan.StrategyGenericJoin
 )
 
-// Engine plans and evaluates conjunctive queries, caching per-query
-// analysis so repeated evaluation of the same query — the hot path of any
-// serving system — pays for the chase, colorings, and LPs only once.
+// Engine plans and evaluates conjunctive queries, caching one structural
+// plan and one analysis per query text, so repeated evaluation of the same
+// query — the hot path of any serving system — pays for the chase,
+// colorings, and LPs only once, whatever database or epoch it reads.
 //
 // The zero-cost way to use the library for evaluation:
 //
@@ -57,8 +58,7 @@ const (
 // An Engine is safe for concurrent use by multiple goroutines.
 type Engine struct {
 	mu       sync.Mutex
-	analyses *lru.Cache[*analysisEntry]
-	plans    *lru.Cache[*planEntry]
+	queries  *lru.Cache[*queryEntry]
 	sharding *shard.Options
 	spill    *spill.Governor
 
@@ -160,12 +160,12 @@ func (e *Engine) Close() error {
 	return e.spill.Close()
 }
 
-// cacheCounters is the family of analysis- and plan-cache lookups
-// (registry names cache_*).
+// cacheCounters is the family of query-cache lookups, one per plan or
+// analysis asked for (registry names cache_*).
 var (
 	cacheCounters = counter.NewFamily("cache")
-	cacheHits     = cacheCounters.Counter("hits", "analysis- and plan-cache lookups that hit")
-	cacheMisses   = cacheCounters.Counter("misses", "analysis- and plan-cache lookups that missed")
+	cacheHits     = cacheCounters.Counter("hits", "query-cache lookups that hit")
+	cacheMisses   = cacheCounters.Counter("misses", "query-cache lookups that missed")
 )
 
 // countLookup counts one cache lookup into m.
@@ -177,33 +177,62 @@ func countLookup(m *counter.Set, hit bool) {
 	}
 }
 
-// maxCacheEntries bounds each engine cache so long-lived servers seeing
+// maxCacheEntries bounds the query cache so long-lived servers seeing
 // unbounded ad-hoc query text (user constants, generated variable names)
 // cannot grow memory monotonically. At the cap the least recently used
-// entry is evicted; re-analysis after eviction is always correct, just
+// entry is evicted; re-planning after eviction is always correct, just
 // slower once.
 const maxCacheEntries = 4096
 
-type analysisEntry struct {
-	a   *Analysis
-	err error
+// queryEntry is the cached state of one query text: its structural plan
+// (Explain) and its analysis (Analyze), each computed once, on its first
+// lookup. Both depend on the query alone; the data enters a plan only
+// through the project-early atom order, which planFor derives per call.
+// A half is computed outside the engine lock, so LP-heavy planning never
+// serializes unrelated queries; racing lookups of a fresh half wait for
+// the one computing it.
+type queryEntry struct {
+	planOnce, analysisOnce sync.Once
+	plan                   *plan.Plan
+	analysis               *Analysis
+	planErr, analysisErr   error
 }
 
-type planEntry struct {
-	p   *plan.Plan
-	err error
+// entry returns q's query-cache entry, adding an empty one on first sight.
+func (e *Engine) entry(q *Query) *queryEntry {
+	key := q.String()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent, ok := e.queries.Get(key)
+	if !ok {
+		ent = new(queryEntry)
+		e.queries.Put(key, ent)
+	}
+	return ent
 }
 
-// NewEngine returns an engine with empty caches, configured by opts.
+// structural returns q's cached structural plan, counting the lookup into
+// m and reporting whether it hit.
+func (e *Engine) structural(q *Query, m *counter.Set) (*Plan, bool, error) {
+	ent, hit := e.entry(q), true
+	ent.planOnce.Do(func() {
+		hit = false
+		ent.plan, ent.planErr = plan.Choose(q)
+	})
+	countLookup(m, hit)
+	return ent.plan, hit, ent.planErr
+}
+
+// NewEngine returns an engine with an empty query cache, configured by
+// opts.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
-		analyses: lru.New[*analysisEntry](maxCacheEntries),
-		plans:    lru.New[*planEntry](maxCacheEntries),
-		dedup:    make(map[string]*relation.KeyTable),
-		cache:    cacheCounters.NewSet(),
-		epoch:    epochCounters.NewSet(),
-		shard:    shard.Counters.NewSet(),
-		stream:   batch.Counters.NewSet(),
+		queries: lru.New[*queryEntry](maxCacheEntries),
+		dedup:   make(map[string]*relation.KeyTable),
+		cache:   cacheCounters.NewSet(),
+		epoch:   epochCounters.NewSet(),
+		shard:   shard.Counters.NewSet(),
+		stream:  batch.Counters.NewSet(),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -251,40 +280,25 @@ func (e *Engine) ResetStats() {
 	e.Metrics().Reset()
 }
 
-// CacheSize reports how many distinct queries the engine currently holds an
-// analysis or plan for.
+// CacheSize reports how many distinct query texts the engine currently
+// holds a plan or an analysis for.
 func (e *Engine) CacheSize() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := e.plans.Len()
-	for _, k := range e.analyses.Keys() {
-		if _, dup := e.plans.Peek(k); !dup {
-			n++
-		}
-	}
-	return n
+	return e.queries.Len()
 }
 
 // Analyze returns the full paper analysis of q, cached by the query's
 // canonical text (so structurally identical Query values share one entry).
 // The returned analysis is shared across callers; it must not be modified.
 func (e *Engine) Analyze(q *Query) (*Analysis, error) {
-	key := q.String()
-	e.mu.Lock()
-	ent, ok := e.analyses.Get(key)
-	e.mu.Unlock()
-	countLookup(e.cache, ok)
-	if ok {
-		return ent.a, ent.err
-	}
-	// Computed outside the lock: analyses can be LP-heavy and must not
-	// serialize unrelated queries. Two goroutines racing on the same fresh
-	// query both compute; the second store wins harmlessly.
-	a, err := core.Analyze(q)
-	e.mu.Lock()
-	e.analyses.Put(key, &analysisEntry{a: a, err: err})
-	e.mu.Unlock()
-	return a, err
+	ent, hit := e.entry(q), true
+	ent.analysisOnce.Do(func() {
+		hit = false
+		ent.analysis, ent.analysisErr = core.Analyze(q)
+	})
+	countLookup(e.cache, hit)
+	return ent.analysis, ent.analysisErr
 }
 
 // Explain returns the evaluation plan for q: the strategy the bound-driven
@@ -293,112 +307,112 @@ func (e *Engine) Analyze(q *Query) (*Analysis, error) {
 // cached like Analyze. The returned plan is shared; callers must not
 // modify it.
 func (e *Engine) Explain(q *Query) (*Plan, error) {
-	key := q.String()
-	e.mu.Lock()
-	ent, ok := e.plans.Get(key)
-	e.mu.Unlock()
-	countLookup(e.cache, ok)
-	if ok {
-		return ent.p, ent.err
-	}
-	p, err := plan.Choose(q)
-	e.mu.Lock()
-	e.plans.Put(key, &planEntry{p: p, err: err})
-	e.mu.Unlock()
+	p, _, err := e.structural(q, e.cache)
 	return p, err
 }
 
-// Evaluate computes Q(D) under the planned strategy. For the project-early
-// strategy over a free-standing database the atom order is re-derived from
-// db's cardinality statistics on every call (the structural plan stays
-// cached; the order is data-dependent and cheap); for an epoch snapshot the
-// full data-dependent plan is cached per (query, epoch) — a snapshot's
-// statistics never change, and a committed batch that inverts a skew gets a
-// fresh plan under the new epoch's key instead of a stale one. When db is
-// an epoch snapshot of this engine, the epoch is pinned for the duration:
-// the retirement sweep will not reclaim its buffers mid-evaluation. When
-// the engine was built WithSharding, joins and projections over relations
-// above the row threshold run partition-parallel. Cancellation of ctx
-// aborts evaluation mid-join.
+// Evaluate computes Q(D) under the planned strategy: the structural plan
+// cached for q's text (see Explain) plus, for the project-early strategy,
+// an atom order derived on every call from db's cardinality statistics.
+// A database memoizes its statistics, so the order costs little, and it
+// always fits the data: a commit that inverts a size skew reorders the
+// atoms on the new epoch while a reader pinned to an older epoch keeps
+// that epoch's order. When db is an epoch snapshot of this engine, the
+// epoch is pinned for the duration: the retirement sweep will not reclaim
+// its buffers mid-evaluation. When the engine was built WithSharding,
+// joins and projections over relations above the row threshold run
+// partition-parallel. Cancellation of ctx aborts evaluation mid-join.
 func (e *Engine) Evaluate(ctx context.Context, q *Query, db *Database) (*Relation, EvalStats, error) {
-	if e.tracingOn {
-		out, st, _, err := e.EvaluateTraced(ctx, q, db)
-		return out, st, err
-	}
+	out, st, _, _, err := e.evaluate(ctx, q, db, nil, e.tracingOn)
+	return out, st, err
+}
+
+// evaluate is the one path from query to answer behind Evaluate,
+// EvaluateStrategy, EvaluateTraced and ExplainAnalyze: pin db's epoch,
+// plan, execute under the run's options, and finish the run. A non-nil
+// forced plan replaces the cache lookup (and is atom-ordered like a
+// cached one). A traced run adds the plan span, the counter deltas, the
+// histograms and the sinks. It returns the plan it ran.
+func (e *Engine) evaluate(ctx context.Context, q *Query, db *Database, forced *Plan, traced bool) (*Relation, EvalStats, *Plan, *Trace, error) {
 	if st := e.pinEpoch(db); st != nil {
 		defer e.unpinEpoch(st)
 	}
-	p, err := e.planFor(q, db)
-	if err != nil {
-		return nil, EvalStats{}, err
+	var tr *trace.Tracer
+	if traced {
+		tr = trace.NewTracer(q.String())
+		tr.SetRequestID(obs.RequestID(ctx))
 	}
-	r := e.evalOptions(nil)
-	defer r.finish(e)
-	return plan.ExecuteOpts(ctx, p, q, db, r.opts)
-}
-
-// planFor returns the evaluation plan for q over db. Epoch snapshots cache
-// the complete cardinality-aware plan under (query text, epoch) — the
-// snapshot is immutable, so the data-dependent atom order is as cacheable
-// as the structural facts, and retiring the epoch prunes its entries.
-// Free-standing databases keep the pre-epoch behavior: structural plan from
-// the text-keyed cache, atom order re-derived per call.
-func (e *Engine) planFor(q *Query, db *Database) (*plan.Plan, error) {
-	p, _, err := e.planForHit(q, db, e.cache)
-	return p, err
-}
-
-// planForHit is planFor, counting its one plan-cache lookup into m and
-// also reporting whether it hit — the exact per-query cache delta a traced
-// evaluation records (the Evaluate path makes exactly one plan-cache
-// lookup and none against the analysis cache).
-func (e *Engine) planForHit(q *Query, db *Database, m *counter.Set) (*plan.Plan, bool, error) {
-	if db == nil || db.Epoch() == 0 {
-		key := q.String()
-		e.mu.Lock()
-		ent, hit := e.plans.Get(key)
-		e.mu.Unlock()
-		countLookup(m, hit)
-		var p *plan.Plan
-		var err error
+	r := e.evalOptions(tr)
+	var p *Plan
+	var err error
+	if forced != nil {
+		p = ordered(forced, q, db)
+	} else {
+		ps := tr.Stage(trace.KindPlan, "plan")
+		var hit bool
+		p, hit, err = e.planFor(q, db, r.cache)
 		if hit {
-			p, err = ent.p, ent.err
+			ps.SetNote("plan cache hit")
 		} else {
-			p, err = plan.Choose(q)
-			e.mu.Lock()
-			e.plans.Put(key, &planEntry{p: p, err: err})
-			e.mu.Unlock()
+			ps.SetNote("plan cache miss")
 		}
-		if err != nil {
-			return nil, hit, err
-		}
-		if p.Strategy == StrategyProjectEarly {
-			ordered := *p
-			ordered.AtomOrder = plan.OrderAtoms(q, db)
-			p = &ordered
-		}
-		return p, hit, nil
+		ps.End()
 	}
-	key := q.String() + epochKeySuffix(db.Epoch())
-	e.mu.Lock()
-	ent, ok := e.plans.Get(key)
-	e.mu.Unlock()
-	countLookup(m, ok)
-	if ok {
-		return ent.p, true, ent.err
+	if err != nil {
+		r.finish(e)
+		return nil, EvalStats{}, nil, nil, err
 	}
-	p, err := plan.ChooseForDB(q, db)
-	e.mu.Lock()
-	e.plans.Put(key, &planEntry{p: p, err: err})
-	e.mu.Unlock()
-	return p, false, err
+	var epBefore *counter.Set
+	if tr != nil {
+		epBefore = e.epoch.Clone()
+	}
+	out, st, err := plan.ExecuteOpts(ctx, p, q, db, r.opts)
+	r.finish(e)
+	if tr == nil {
+		return out, st, p, nil, err
+	}
+	t := tr.Finish()
+	spilled := r.opts.Scope.Counters()
+	t.Deltas = counterDeltas(r.cache, r.shard, r.stream, spilled, e.epoch.Since(epBefore))
+	if err != nil {
+		return nil, st, p, t, err
+	}
+	e.observeTrace(t, spilled)
+	for _, s := range e.sinks {
+		s.Emit(t)
+	}
+	return out, st, p, t, nil
 }
 
-// ExplainDB returns the plan Evaluate would use for q over db, including
-// the cardinality-dependent atom order — for an epoch snapshot, the cached
-// per-(query, epoch) plan. The returned plan is shared; do not modify it.
+// planFor returns the plan Evaluate runs for q over db — the cached
+// structural plan, atom-ordered against db — counting its one cache lookup
+// into m and reporting whether it hit.
+func (e *Engine) planFor(q *Query, db *Database, m *counter.Set) (*Plan, bool, error) {
+	p, hit, err := e.structural(q, m)
+	if err != nil {
+		return nil, hit, err
+	}
+	return ordered(p, q, db), hit, nil
+}
+
+// ordered returns p, or for the project-early strategy a copy of p with
+// the atom order plan.OrderAtoms derives from db's memoized statistics:
+// the one part of a plan that depends on the data.
+func ordered(p *Plan, q *Query, db *Database) *Plan {
+	if p.Strategy != StrategyProjectEarly {
+		return p
+	}
+	o := *p
+	o.AtomOrder = plan.OrderAtoms(q, db)
+	return &o
+}
+
+// ExplainDB returns the plan Evaluate would use for q over db: the cached
+// structural plan plus, for project-early, the atom order derived from
+// db's statistics. The returned plan may be shared; do not modify it.
 func (e *Engine) ExplainDB(q *Query, db *Database) (*Plan, error) {
-	return e.planFor(q, db)
+	p, _, err := e.planFor(q, db, e.cache)
+	return p, err
 }
 
 // BoundRows returns the paper's pre-execution worst-case row bound for
@@ -411,7 +425,7 @@ func (e *Engine) ExplainDB(q *Query, db *Database) (*Plan, error) {
 // unpriced exponent, a relation absent from db) it falls back to the total
 // input rows; planning errors propagate.
 func (e *Engine) BoundRows(q *Query, db *Database) (float64, error) {
-	p, err := e.planFor(q, db)
+	p, err := e.Explain(q)
 	if err != nil {
 		return 0, err
 	}
@@ -441,27 +455,21 @@ func boundOrInputRows(p *Plan, q *Query, db *Database) float64 {
 // bound-calibration telemetry the server aggregates per strategy and
 // query shape.
 func (e *Engine) PlanInfo(q *Query, db *Database) (strategy string, bound, estimate float64, err error) {
-	p, err := e.planFor(q, db)
+	p, err := e.Explain(q)
 	if err != nil {
 		return "", 0, 0, err
 	}
 	return p.Strategy.String(), boundOrInputRows(p, q, db), eval.EstimateOutput(q, db), nil
 }
 
-// epochKeySuffix is appended to a query's text to form its per-epoch plan
-// cache key. NUL cannot appear in canonical query text, so suffixed keys
-// never collide with the structural (text-only) entries of Explain.
-func epochKeySuffix(epoch uint64) string {
-	return "\x00@" + strconv.FormatUint(epoch, 10)
-}
-
-// evalRun is one evaluation's options. An untraced run counts straight
-// into the engine's sets; a traced one counts into the private sets held
-// here, so that its trace deltas stay exact under concurrency, and finish
-// merges them into the engine's.
+// evalRun is one evaluation's options and the set its cache lookup counts
+// into. An untraced run counts straight into the engine's sets; a traced
+// one counts into the private sets held here, so that its trace deltas
+// stay exact under concurrency, and finish merges them into the engine's.
 type evalRun struct {
-	opts                 *shard.Options
-	cache, shard, stream *counter.Set // traced runs only
+	opts          *shard.Options
+	cache         *counter.Set
+	shard, stream *counter.Set // traced runs only
 }
 
 // evalOptions returns the run of one evaluation, traced when tr is
@@ -471,7 +479,7 @@ type evalRun struct {
 // long-lived engine's resident bytes, registry and spilled segments
 // plateau at the memoized base partitions instead of growing per query.
 func (e *Engine) evalOptions(tr *trace.Tracer) evalRun {
-	r := evalRun{opts: e.sharding}
+	r := evalRun{opts: e.sharding, cache: e.cache}
 	if e.spill == nil && tr == nil {
 		return r
 	}
@@ -543,16 +551,8 @@ func (e *Engine) EvaluateBatch(ctx context.Context, queries []*Query, db *Databa
 // EvaluateStrategy forces a specific strategy, bypassing plan selection —
 // the benchmarking and cross-checking hook. StrategyYannakakis fails on
 // cyclic queries. The engine's sharding configuration applies as in
-// Evaluate.
+// Evaluate; the run is never traced.
 func (e *Engine) EvaluateStrategy(ctx context.Context, s Strategy, q *Query, db *Database) (*Relation, EvalStats, error) {
-	if st := e.pinEpoch(db); st != nil {
-		defer e.unpinEpoch(st)
-	}
-	forced := &plan.Plan{Strategy: s}
-	if s == StrategyProjectEarly {
-		forced.AtomOrder = plan.OrderAtoms(q, db)
-	}
-	r := e.evalOptions(nil)
-	defer r.finish(e)
-	return plan.ExecuteOpts(ctx, forced, q, db, r.opts)
+	out, st, _, _, err := e.evaluate(ctx, q, db, &plan.Plan{Strategy: s}, false)
+	return out, st, err
 }

@@ -26,7 +26,9 @@ import (
 // per-request view and access-record copies that obs.Request replaced, the
 // per-family trace deltas that registry-named deltas replaced, the
 // per-part sink views and their lazy concatenation that one flat sink with
-// part offsets replaced, and the estimators and helpers no caller used.
+// part offsets replaced, the per-epoch plan entries (their key suffix,
+// pruning and cache walks) that one query cache keyed by query text
+// replaced, and the estimators, set operations and helpers no caller used.
 var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|ingestbench|tracebench)|BENCH_[a-z_]+\.json|` +
 	`\b(WithDictSpill|WithSkewSplitting|WithBatchSize|WithEpochRetention|WithSlowQueryThreshold|` +
 	`SkewFraction|NewBuffered|batch\.(Grow|Fan)|KindSkew|ExampleWithSharding_skew|` +
@@ -39,7 +41,8 @@ var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|in
 	`serve_window_[a-z_]+|serve_(requests|shed|latency_p99_ns|queue_wait_p99_ns)_1m|EstimateJoinSize|DistinctCountAttr|` +
 	`RequestView|AccessRecord|FamilyDelta|familyDeltas|CalibrationJSON|SortByString|` +
 	`FromParts|ShardedStream|MaterializeFlat|baseOnce|shard\.Sharded|RMaxAll|` +
-	`(shard|batch)\.(Metrics|Stats)|spill\.(Stats|Events))\b`)
+	`(shard|batch)\.(Metrics|Stats)|spill\.(Stats|Events)|` +
+	`epochKeySuffix|prunePlans|planForHit|relation\.Union|(queries|plans|analyses)\.(Keys|Peek))\b`)
 
 // TestNoDeletedHarnessReferences keeps code, CI and the user-facing docs from
 // pointing at a cqbench timing mode, a BENCH_*.json record or a deleted

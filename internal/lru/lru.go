@@ -1,9 +1,9 @@
 // Package lru is a fixed-capacity string-keyed least-recently-used cache —
-// the eviction policy behind the Engine's per-query analysis and plan
-// caches. It is intentionally minimal: no TTLs, no weights, no locking
-// (callers hold their own mutex; the Engine already serializes cache
-// access), just the recency list that replaces the seed's
-// evict-an-arbitrary-entry behavior.
+// the eviction policy behind the Engine's query cache, the server's result
+// cache and the spill governor's residency list. It is intentionally
+// minimal: no TTLs, no weights, no locking (callers hold their own mutex),
+// just the recency list that replaces the seed's evict-an-arbitrary-entry
+// behavior.
 package lru
 
 import "container/list"
@@ -45,15 +45,6 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
-// Peek returns the value under key without touching recency.
-func (c *Cache[V]) Peek(key string) (V, bool) {
-	if el, ok := c.items[key]; ok {
-		return el.Value.(*entry[V]).v, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Put stores the value under key, marking it most recently used. At
 // capacity, the least recently used entry is evicted.
 func (c *Cache[V]) Put(key string, v V) {
@@ -85,15 +76,6 @@ func (c *Cache[V]) Remove(key string) bool {
 
 // Len returns the number of cached entries.
 func (c *Cache[V]) Len() int { return c.ll.Len() }
-
-// Keys returns the cached keys, most recently used first.
-func (c *Cache[V]) Keys() []string {
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry[V]).key)
-	}
-	return out
-}
 
 // Backward walks entries least recently used first, stopping when f
 // returns false. It does not touch recency — the eviction-scan hook: the

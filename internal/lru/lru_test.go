@@ -1,6 +1,19 @@
 package lru
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
+
+// has reports whether key is cached, without touching recency.
+func has(c *Cache[int], key string) bool {
+	found := false
+	c.Backward(func(k string, _ int) bool {
+		found = k == key
+		return !found
+	})
+	return found
+}
 
 func TestPutGet(t *testing.T) {
 	c := New[int](4)
@@ -29,11 +42,11 @@ func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	// Touch a, making b the least recently used.
 	c.Get("a")
 	c.Put("d", 4)
-	if _, ok := c.Peek("b"); ok {
+	if has(c, "b") {
 		t.Fatal("b should have been evicted (least recently used)")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Peek(k); !ok {
+		if !has(c, k) {
 			t.Fatalf("%s missing after eviction", k)
 		}
 	}
@@ -48,40 +61,34 @@ func TestPutRefreshesRecency(t *testing.T) {
 	c.Put("b", 2)
 	c.Put("a", 3) // re-Put promotes a; b becomes LRU
 	c.Put("c", 4)
-	if _, ok := c.Peek("b"); ok {
+	if has(c, "b") {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.Peek("a"); !ok {
+	if !has(c, "a") {
 		t.Fatal("a should have survived (refreshed by Put)")
 	}
 }
 
-func TestPeekDoesNotPromoteOrCount(t *testing.T) {
-	c := New[int](2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Peek("a") // no promotion: a stays LRU
-	c.Put("c", 3)
-	if _, ok := c.Peek("a"); ok {
-		t.Fatal("a should have been evicted despite the Peek")
-	}
-}
-
-func TestKeysMostRecentFirst(t *testing.T) {
+// TestBackwardWalksLeastRecentFirst pins the eviction-scan order and that
+// the walk promotes nothing: the entry it visits first is still the one
+// the next Put evicts.
+func TestBackwardWalksLeastRecentFirst(t *testing.T) {
 	c := New[int](3)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("c", 3)
 	c.Get("a")
-	keys := c.Keys()
-	want := []string{"a", "c", "b"}
-	if len(keys) != len(want) {
-		t.Fatalf("Keys = %v, want %v", keys, want)
+	var keys []string
+	c.Backward(func(k string, _ int) bool {
+		keys = append(keys, k)
+		return true
+	})
+	if want := []string{"b", "c", "a"}; !slices.Equal(keys, want) {
+		t.Fatalf("Backward visited %v, want %v", keys, want)
 	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("Keys = %v, want %v", keys, want)
-		}
+	c.Put("d", 4)
+	if has(c, "b") {
+		t.Fatal("b should have been evicted despite the walk")
 	}
 }
 
@@ -104,7 +111,7 @@ func TestRemove(t *testing.T) {
 	if c.Remove("a") {
 		t.Fatal("second Remove(a) reported present")
 	}
-	if _, ok := c.Peek("a"); ok {
+	if has(c, "a") {
 		t.Fatal("a survives Remove")
 	}
 	if c.Len() != 1 {
@@ -113,7 +120,7 @@ func TestRemove(t *testing.T) {
 	// The freed slot is usable again without evicting b.
 	c.Put("c", 3)
 	c.Put("d", 4)
-	if _, ok := c.Peek("b"); !ok {
+	if !has(c, "b") {
 		t.Fatal("b evicted although Remove freed a slot")
 	}
 }

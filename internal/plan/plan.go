@@ -141,7 +141,9 @@ func rhoText(rho *big.Rat) string {
 }
 
 // ChooseForDB is Choose followed by cardinality-aware atom ordering against
-// db (a no-op for strategies that order their own work).
+// db (a no-op for strategies that order their own work): the plan an
+// Engine evaluates, which caches the Choose half once per query text and
+// derives the order per call.
 func ChooseForDB(q *cq.Query, db *database.Database) (*Plan, error) {
 	p, err := Choose(q)
 	if err != nil {

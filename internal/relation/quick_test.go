@@ -69,31 +69,6 @@ func TestQuickJoinBounds(t *testing.T) {
 	}
 }
 
-// TestQuickUnionBounds: max(|R|,|S|) ≤ |R ∪ S| ≤ |R| + |S| and union is
-// idempotent.
-func TestQuickUnionBounds(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := randomRelation(rng, "R", []string{"a", "b"}, rng.Intn(20), 3)
-		s := randomRelation(rng, "S", []string{"c", "d"}, rng.Intn(20), 3)
-		u, err := Union(r, s)
-		if err != nil {
-			return false
-		}
-		if u.Size() > r.Size()+s.Size() || u.Size() < r.Size() || u.Size() < s.Size() {
-			return false
-		}
-		uu, err := Union(u, u)
-		if err != nil {
-			return false
-		}
-		return Equal(u, uu)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickTupleKeyInjective: distinct tuples have distinct keys.
 func TestQuickTupleKeyInjective(t *testing.T) {
 	f := func(a1, a2, b1, b2 string) bool {

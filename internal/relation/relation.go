@@ -655,27 +655,6 @@ func (r *Relation) ProjectView(name string, attrs []string, idx ...int) (*Relati
 	return out, nil
 }
 
-// Union returns r ∪ s; schemas must have equal arity (attribute names are
-// taken from r).
-func Union(r, s *Relation) (*Relation, error) {
-	if r.Arity() != s.Arity() {
-		return nil, fmt.Errorf("relation: union arity mismatch %d vs %d", r.Arity(), s.Arity())
-	}
-	out := New(r.Name+"_u_"+s.Name, r.Attrs...)
-	out.dict = r.dict
-	var err error
-	add := func(t Tuple) bool {
-		_, err = out.Insert(t)
-		return err == nil
-	}
-	r.Each(add)
-	s.Each(add)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Product returns the cartesian product r × s. Attribute names of s are
 // prefixed with its name when they clash.
 func Product(r, s *Relation) *Relation {

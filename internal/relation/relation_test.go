@@ -159,25 +159,15 @@ func TestNaturalJoinNoSharedAttrsIsProduct(t *testing.T) {
 	}
 }
 
-func TestUnionAndProduct(t *testing.T) {
+func TestProduct(t *testing.T) {
 	r := New("R", "a")
 	r.Add("1")
 	s := New("S", "a")
 	s.Add("1")
 	s.Add("2")
-	u, err := Union(r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Size() != 2 {
-		t.Fatalf("union size = %d", u.Size())
-	}
 	p := Product(r, s)
 	if p.Size() != 2 || p.Arity() != 2 {
 		t.Fatalf("product = %s", p)
-	}
-	if _, err := Union(r, p); err == nil {
-		t.Fatal("union accepted arity mismatch")
 	}
 }
 

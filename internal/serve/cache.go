@@ -38,8 +38,7 @@ func NewCache[V any](capacity int) *Cache[V] {
 	return &Cache[V]{lru: lru.New[V](capacity), counts: cacheCounters.NewSet()}
 }
 
-// cacheKey mirrors the engine's per-epoch plan-cache scheme: the query text
-// plus a suffix no parsable query can contain ("\x00" is not in the
+// cacheKey is the query text plus a suffix no parsable query can contain ("\x00" is not in the
 // grammar), so distinct epochs never collide with each other or with a
 // query that happens to end in digits.
 func cacheKey(query string, epoch uint64) string {

@@ -24,12 +24,12 @@
 // # The result cache
 //
 // Query results are immutable for a fixed database version, so the cache
-// key is (query text, epoch) — the same suffix scheme as the engine's
-// per-epoch plan cache. A Commit that advances the live epoch invalidates
-// nothing explicitly; new requests simply miss under the new epoch, and a
-// periodic sweep drops entries whose epoch is no longer live or pinned by a
-// held snapshot. A reader holding an old Snapshot keeps hitting its own
-// epoch's entries, which is exactly the isolation Commit promises.
+// key is (query text, epoch). A Commit that advances the live epoch
+// invalidates nothing explicitly; new requests simply miss under the new
+// epoch, and a periodic sweep drops entries whose epoch is no longer live
+// or pinned by a held snapshot. A reader holding an old Snapshot keeps
+// hitting its own epoch's entries, which is exactly the isolation Commit
+// promises.
 //
 // An entry is the encoded answer, not its rows: cqserve writes the JSON of
 // "rows", "attrs" and "tuples" once, straight from the result relation's

@@ -12,8 +12,6 @@ import (
 
 	"cqbound/internal/metrics"
 	"cqbound/internal/metrics/counter"
-	"cqbound/internal/obs"
-	"cqbound/internal/plan"
 	"cqbound/internal/spill"
 	"cqbound/internal/trace"
 )
@@ -84,51 +82,18 @@ func WithTraceSink(s TraceSink) Option {
 // engine's sinks and feeds the metric histograms. On evaluation error the
 // partial trace is still returned alongside the error.
 func (e *Engine) EvaluateTraced(ctx context.Context, q *Query, db *Database) (*Relation, EvalStats, *Trace, error) {
-	if st := e.pinEpoch(db); st != nil {
-		defer e.unpinEpoch(st)
-	}
-	tr := trace.NewTracer(q.String())
-	tr.SetRequestID(obs.RequestID(ctx))
-	r := e.evalOptions(tr)
-	ps := tr.Stage(trace.KindPlan, "plan")
-	p, hit, err := e.planForHit(q, db, r.cache)
-	if hit {
-		ps.SetNote("plan cache hit")
-	} else {
-		ps.SetNote("plan cache miss")
-	}
-	ps.End()
-	if err != nil {
-		r.finish(e)
-		return nil, EvalStats{}, nil, err
-	}
-	epBefore := e.epoch.Clone()
-	out, st, err := plan.ExecuteOpts(ctx, p, q, db, r.opts)
-	r.finish(e)
-	t := tr.Finish()
-	spilled := r.opts.Scope.Counters()
-	t.Deltas = counterDeltas(r.cache, r.shard, r.stream, spilled, e.epoch.Since(epBefore))
-	if err != nil {
-		return nil, st, t, err
-	}
-	e.observeTrace(t, spilled)
-	for _, s := range e.sinks {
-		s.Emit(t)
-	}
-	return out, st, t, nil
+	out, st, _, t, err := e.evaluate(ctx, q, db, nil, true)
+	return out, st, t, err
 }
 
 // ExplainAnalyze evaluates q and renders the annotated plan: the strategy
 // header, the span tree with the paper's worst-case bound and the
 // per-operator estimates next to the actual row counts, the stats deltas,
-// and the planner's rationale. The first output line is deterministic
-// ("strategy: <name>"); row counts and wall times vary run to run.
+// and the rationale of the plan the run used. The first output line is
+// deterministic ("strategy: <name>"); row counts and wall times vary run
+// to run.
 func (e *Engine) ExplainAnalyze(ctx context.Context, q *Query, db *Database) (string, error) {
-	_, _, t, err := e.EvaluateTraced(ctx, q, db)
-	if err != nil {
-		return "", err
-	}
-	p, err := e.planFor(q, db)
+	_, _, p, t, err := e.evaluate(ctx, q, db, nil, true)
 	if err != nil {
 		return "", err
 	}

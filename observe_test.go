@@ -100,6 +100,30 @@ func TestExplainAnalyzeTriangle(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeMakesOneCacheLookup holds ExplainAnalyze to the one
+// plan the traced run used: each call moves cache_hits + cache_misses by
+// exactly one, cold or warm, and renders that plan's rationale.
+func TestExplainAnalyzeMakesOneCacheLookup(t *testing.T) {
+	eng := NewEngine()
+	q := MustParse("Q(X,Y,Z) <- E(X,Y), E(Y,Z), E(X,Z).")
+	db := triangleDB(30, 5)
+	for run := 0; run < 2; run++ {
+		h0, m0 := cacheStats(t, eng)
+		out, err := eng.ExplainAnalyze(context.Background(), q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h1, m1 := cacheStats(t, eng)
+		if n := h1 + m1 - h0 - m0; n != 1 {
+			t.Fatalf("run %d: ExplainAnalyze made %d cache lookups, want 1", run, n)
+		}
+		p, _ := eng.Explain(q)
+		if !strings.HasSuffix(out, "rationale: "+p.Rationale+"\n") {
+			t.Fatalf("run %d: output does not end with the plan's rationale:\n%s", run, out)
+		}
+	}
+}
+
 // TestTracedDeltaIsolation runs two traced evaluations concurrently and
 // checks each trace's deltas match a solo baseline: the private-counter
 // snapshot/diff must keep concurrent queries from contaminating each

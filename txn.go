@@ -14,7 +14,9 @@ package cqbound
 // When a commit supersedes an epoch and its last reader unpins, the
 // retirement sweep reclaims everything only that epoch could reach:
 // governed memo shards leave the spill governor's registry (and their
-// segments leave the disk), and per-epoch plan cache entries are pruned.
+// segments leave the disk). The engine caches nothing per epoch: a query's
+// plan is one entry per query text, and the project-early atom order is
+// re-derived per evaluation from the snapshot's memoized statistics.
 // Dict compaction (Engine.Compact) is the analogous reclamation for the
 // string table: it rewrites surviving IDs against a fresh dictionary and
 // publishes the result as a new epoch.
@@ -393,14 +395,13 @@ func (e *Engine) publish(epoch uint64, db *database.Database) {
 }
 
 // sweep reclaims every retired epoch with no pinned readers: its database
-// leaves the lookup table, its per-epoch plan cache entries are pruned,
-// and every governed buffer reachable ONLY from swept epochs — orphaned
-// memo shards included, stale ones especially — is discarded from the
-// spill governor, freeing its spilled segment if parked. Buffers shared
-// with a surviving epoch — a relation a commit left unchanged is the same
-// relation in both, partition memos included — are left alone. Sweeps run
-// at publish time and when a reader's last pin drains; both entry points
-// are cheap when nothing retired.
+// leaves the lookup table, and every governed buffer reachable ONLY from
+// swept epochs — orphaned memo shards included, stale ones especially — is
+// discarded from the spill governor, freeing its spilled segment if
+// parked. Buffers shared with a surviving epoch — a relation a commit left
+// unchanged is the same relation in both, partition memos included — are
+// left alone. Sweeps run at publish time and when a reader's last pin
+// drains; both entry points are cheap when nothing retired.
 func (e *Engine) sweep() {
 	e.epochMu.Lock()
 	var swept []*epochState
@@ -441,7 +442,6 @@ func (e *Engine) sweep() {
 			b.Discard()
 		}
 		e.epoch.Add(retiredEpochs, 1)
-		e.prunePlans(st.epoch)
 	}
 }
 
@@ -470,19 +470,6 @@ func collectBuffers(db *database.Database, into map[relation.ColumnBuffer]bool) 
 			}
 			return true
 		})
-	}
-}
-
-// prunePlans drops the retired epoch's (query, epoch) plan cache entries.
-// The NUL in the suffix keeps "@7" from matching epoch 17's entries.
-func (e *Engine) prunePlans(epoch uint64) {
-	suffix := epochKeySuffix(epoch)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, k := range e.plans.Keys() {
-		if len(k) >= len(suffix) && k[len(k)-len(suffix):] == suffix {
-			e.plans.Remove(k)
-		}
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"cqbound/internal/eval"
 )
 
 // ingestChain commits a fresh relation R(A,B) holding the chain rows
@@ -325,13 +327,10 @@ func TestAppendCommitAllocsIndependentOfBase(t *testing.T) {
 	}
 }
 
-// TestPlanCacheKeyedOnEpoch is the regression test for stale plans: the
-// data-dependent plan is cached per (query, epoch), so an ingest that
-// inverts the size skew flips the join order under the new epoch's key
-// while the pinned old epoch keeps its old (still-correct) plan.
-func TestPlanCacheKeyedOnEpoch(t *testing.T) {
-	eng := NewEngine()
-	q := MustParse("Q(X,Y,Z) <- R1(X,Y), R2(X,Z), R3(Y,Z).")
+// skewedTriangle commits R1(A,B) with 4 rows and R2(A,B), R3(A,B) with 50
+// each, so the triangle over them leads with the small R1 (atom 0).
+func skewedTriangle(t *testing.T, eng *Engine) {
+	t.Helper()
 	txn := eng.Begin()
 	txn.Create("R1", "A", "B")
 	txn.Create("R2", "A", "B")
@@ -346,6 +345,28 @@ func TestPlanCacheKeyedOnEpoch(t *testing.T) {
 	if _, err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// growR1 commits n more R1 rows (a_j, b_j) from j = from on.
+func growR1(t *testing.T, eng *Engine, from, n int) {
+	t.Helper()
+	txn := eng.Begin()
+	for j := from; j < from+n; j++ {
+		txn.Add("R1", fmt.Sprintf("a%d", j), fmt.Sprintf("b%d", j))
+	}
+	if _, err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAtomOrderFollowsEpoch is the regression test for stale plans: the
+// project-early atom order is derived from each snapshot's own statistics,
+// so an ingest that inverts the size skew flips the join order on the new
+// epoch while the pinned old epoch keeps its old (still-correct) order.
+func TestAtomOrderFollowsEpoch(t *testing.T) {
+	eng := NewEngine()
+	q := MustParse("Q(X,Y,Z) <- R1(X,Y), R2(X,Z), R3(Y,Z).")
+	skewedTriangle(t, eng)
 
 	oldSnap := eng.Snapshot()
 	defer oldSnap.Close()
@@ -361,13 +382,7 @@ func TestPlanCacheKeyedOnEpoch(t *testing.T) {
 	}
 
 	// Invert the skew: R1 becomes the largest relation by far.
-	txn = eng.Begin()
-	for i := 0; i < 400; i++ {
-		txn.Add("R1", fmt.Sprintf("xa%d", i), fmt.Sprintf("xb%d", i))
-	}
-	if _, err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	growR1(t, eng, 1000, 400)
 	liveSnap := eng.Snapshot()
 	defer liveSnap.Close()
 	p2, err := eng.ExplainDB(q, liveSnap.DB())
@@ -378,17 +393,88 @@ func TestPlanCacheKeyedOnEpoch(t *testing.T) {
 		t.Fatal("stale plan: the new epoch still leads with the formerly-small R1")
 	}
 
-	// The pinned old epoch keeps its plan — same answer, same cached value.
+	// The pinned old epoch keeps its plan: same strategy, same order.
 	p1again, err := eng.ExplainDB(q, oldSnap.DB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1again != p1 {
-		t.Fatal("old epoch's plan was re-derived instead of served from cache")
+	if p1again.Strategy != p1.Strategy || !slices.Equal(p1again.AtomOrder, p1.AtomOrder) {
+		t.Fatalf("old epoch's plan changed under a pinned reader: %v %v, was %v %v",
+			p1again.Strategy, p1again.AtomOrder, p1.Strategy, p1.AtomOrder)
 	}
-	if p1again.AtomOrder[0] != 0 {
-		t.Fatal("old epoch's plan changed under a pinned reader")
+}
+
+// TestOnePlanPerQueryTextAcrossEpochs holds the cache rule: the engine
+// plans a query text once, whatever epoch it is evaluated on. A
+// project-early triangle and a Yannakakis two-hop run on the live snapshot
+// after each of 5 commits and one Compact; every answer matches the naive
+// reference on its own snapshot, the cache misses once per query text and
+// holds two entries, and a snapshot pinned before the commits keeps its
+// own atom order.
+func TestOnePlanPerQueryTextAcrossEpochs(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine()
+	tri := MustParse("Q(X,Y,Z) <- R1(X,Y), R2(X,Z), R3(Y,Z).")
+	hop := MustParse("Q(X,Z) <- R1(X,Y), R3(Y,Z).")
+	skewedTriangle(t, eng)
+	old := eng.Snapshot()
+	defer old.Close()
+
+	check := func(db *Database) {
+		t.Helper()
+		for _, q := range []*Query{tri, hop} {
+			got, _, err := eng.Evaluate(ctx, q, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := eval.NaiveCtx(ctx, q, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !RelationsEqual(got, want) {
+				t.Fatalf("epoch %d: %s returned %d rows, the naive reference %d", db.Epoch(), q, got.Size(), want.Size())
+			}
+		}
 	}
+	check(old.DB())
+	for k := 0; k < 6; k++ {
+		if k < 5 {
+			growR1(t, eng, 4+20*k, 20)
+		} else if _, err := eng.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		snap := eng.Snapshot()
+		check(snap.DB())
+		snap.Close()
+	}
+	if s, _ := eng.Explain(hop); s.Strategy != StrategyYannakakis {
+		t.Fatalf("two-hop planned as %v, want Yannakakis", s.Strategy)
+	}
+
+	if m := metric(t, eng, "cache_misses"); m != 2 {
+		t.Fatalf("cache_misses = %d after 7 epochs, want 2 (one per query text)", m)
+	}
+	if n := eng.CacheSize(); n != 2 {
+		t.Fatalf("CacheSize = %d, want 2 (one entry per query text)", n)
+	}
+
+	live := eng.Snapshot()
+	defer live.Close()
+	pOld, err := eng.ExplainDB(tri, old.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pLive, err := eng.ExplainDB(tri, live.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pOld.Strategy != StrategyProjectEarly || pOld.AtomOrder[0] != 0 {
+		t.Fatalf("pinned snapshot's triangle is %v with order %v, want project-early led by the 4-row R1", pOld.Strategy, pOld.AtomOrder)
+	}
+	if pLive.AtomOrder[0] == 0 {
+		t.Fatalf("live triangle still leads with R1 (%d rows), order %v", live.DB().Relation("R1").Size(), pLive.AtomOrder)
+	}
+	check(old.DB())
 }
 
 // TestEnginesHavePrivateDicts is the regression test for dictionary
