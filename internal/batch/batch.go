@@ -169,22 +169,47 @@ func (s *scanIter) Next(ctx context.Context) (*Batch, error) {
 
 // JoinProbe streams the hash join of a left pipeline against a relation:
 // each left batch probes right's memoized index on the given column pairs
-// (left position, right position) and matching row pairs are emitted in the
-// raw all-left-columns-then-all-right-columns layout — the caller projects
-// with Keep. Empty pairs means a cross product. The right side is the
-// buffered operand: it must be a relation because every left row may match
-// anywhere in it.
-func JoinProbe(left Iterator, right *relation.Relation, pairs [][2]int, size int, m *counter.Set) Iterator {
-	attrs := make([]string, 0, len(left.Attrs())+right.Arity())
-	attrs = append(attrs, left.Attrs()...)
-	attrs = append(attrs, right.Attrs...)
-	return &joinIter{left: left, right: right, pairs: pairs, attrs: attrs, size: sizeOr(size), m: m}
+// (left position, right position). keep names the output columns by their
+// position in the joined pair of rows — left's columns, then right's — and
+// none keeps every column; relation.NaturalJoinSchema's keep, which drops
+// right's copies of the join columns, makes it the natural join. Empty
+// pairs means a cross product. The right side is the buffered operand: it
+// must be a relation because every left row may match anywhere in it.
+//
+// A batch is built a column at a time: the probe collects up to selRows
+// matches' left and right rows into two selection vectors, a posting
+// list's run of matches in one copy, then gathers each kept column of
+// them in one loop. A column keep drops is never written.
+func JoinProbe(left Iterator, right *relation.Relation, pairs [][2]int, size int, m *counter.Set, keep ...int) Iterator {
+	lattrs := left.Attrs()
+	if len(keep) == 0 {
+		keep = make([]int, len(lattrs)+right.Arity())
+		for c := range keep {
+			keep[c] = c
+		}
+	}
+	attrs := make([]string, len(keep))
+	for i, c := range keep {
+		if c < len(lattrs) {
+			attrs[i] = lattrs[c]
+		} else {
+			attrs[i] = right.Attrs[c-len(lattrs)]
+		}
+	}
+	return &joinIter{left: left, right: right, pairs: pairs, keep: keep, lar: len(lattrs), attrs: attrs, size: sizeOr(size), m: m}
 }
+
+// selRows is the length of the selection vectors a stage gathers rows
+// through: long enough that a column loop amortizes its set-up, short
+// enough that the vectors cost a few KiB per stage whatever the batch size.
+const selRows = 256
 
 type joinIter struct {
 	left  Iterator
 	right *relation.Relation
 	pairs [][2]int
+	keep  []int
+	lar   int // left's arity: keep positions from it on are right's columns
 	attrs []string
 	size  int
 	m     *counter.Set
@@ -198,18 +223,21 @@ type joinIter struct {
 
 	cur     *Batch  // current left batch
 	row     int     // next left row to probe
-	matches []int32 // right rows matching cur[row-1] not yet emitted
+	matches []int32 // right rows matching cur[row-1] not yet selected
 	mpos    int
 
-	dst [][]relation.Value // output columns at full batch size
-	out Batch
+	// The i-th selected row joins cur's row lsel[i] with right's row
+	// rsel[i].
+	lsel, rsel []int32
+	dst        [][]relation.Value // output columns at full batch size
+	out        Batch
 }
 
 func (j *joinIter) Attrs() []string { return j.attrs }
 
 // start builds the probe state on first pull: the memoized index over the
 // right side's join columns (or, for a cross product, the one match list
-// every left row shares) and a column snapshot to copy matches from.
+// every left row shares) and a column snapshot to gather matches from.
 func (j *joinIter) start() {
 	j.started = true
 	if j.right.Size() == 0 {
@@ -232,8 +260,11 @@ func (j *joinIter) start() {
 		j.rcols[c] = j.right.Column(c)
 	}
 	j.right.Unpin()
-	j.dst = columns(len(j.attrs), j.size)
-	j.out.Cols = make([][]relation.Value, len(j.attrs))
+	h := min(j.size, selRows)
+	sel := make([]int32, 2*h)
+	j.lsel, j.rsel = sel[:h:h], sel[h:]
+	j.dst = columns(len(j.keep), j.size)
+	j.out.Cols = make([][]relation.Value, len(j.keep))
 }
 
 func (j *joinIter) Next(ctx context.Context) (*Batch, error) {
@@ -246,29 +277,32 @@ func (j *joinIter) Next(ctx context.Context) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	lar := len(j.attrs) - len(j.rcols)
-	dst := j.dst
-	n := 0
+	// n rows are in the batch; the last s of them are selected but not
+	// yet gathered.
+	n, s := 0, 0
 	for n < j.size {
-		// Drain pending matches of the current left row.
-		for j.mpos < len(j.matches) && n < j.size {
-			ri := int(j.matches[j.mpos])
-			j.mpos++
-			lrow := j.row - 1
-			for c := 0; c < lar; c++ {
-				dst[c][n] = j.cur.Cols[c][lrow]
-			}
-			for c, col := range j.rcols {
-				dst[lar+c][n] = col[ri]
-			}
-			n++
+		if s == len(j.lsel) {
+			j.gather(n-s, s)
+			s = 0
 		}
-		if n == j.size {
-			break
+		// Select the current left row's pending matches, a run at a time.
+		if k := min(len(j.matches)-j.mpos, j.size-n, len(j.lsel)-s); k > 0 {
+			copy(j.rsel[s:s+k], j.matches[j.mpos:])
+			lsel, lrow := j.lsel[s:s+k], int32(j.row-1)
+			for i := range lsel {
+				lsel[i] = lrow
+			}
+			j.mpos += k
+			n += k
+			s += k
+			continue
 		}
 		// Advance to the next left row, pulling a fresh batch when the
-		// current one is exhausted.
+		// current one is exhausted — after gathering the rows selected
+		// from it, which the pull may overwrite.
 		if j.cur == nil || j.row >= j.cur.N {
+			j.gather(n-s, s)
+			s = 0
 			b, err := j.left.Next(ctx)
 			if err != nil {
 				return nil, err
@@ -280,25 +314,59 @@ func (j *joinIter) Next(ctx context.Context) (*Batch, error) {
 			j.cur, j.row = b, 0
 		}
 		if j.ix == nil {
-			// Cross product: every right row matches.
-			j.matches = j.all
-			j.mpos = 0
+			j.matches, j.mpos = j.all, 0 // cross product: every right row matches
 			j.row++
 			continue
 		}
-		j.matches = j.ix.Rows(j.cur.Cols, j.lpos, j.row)
-		j.mpos = 0
-		j.row++
+		// Probe left rows until one has several matches, selecting a single
+		// match (a key lookup's) in place.
+		for j.row < j.cur.N && n < j.size && s < len(j.lsel) {
+			ms := j.ix.Rows(j.cur.Cols, j.lpos, j.row)
+			j.row++
+			if len(ms) > 1 {
+				j.matches, j.mpos = ms, 0
+				break
+			}
+			if len(ms) == 1 {
+				j.lsel[s], j.rsel[s] = int32(j.row-1), ms[0]
+				n++
+				s++
+			}
+		}
 	}
+	j.gather(n-s, s)
 	if n == 0 {
 		return nil, nil
 	}
-	for c := range dst {
-		j.out.Cols[c] = dst[c][:n]
+	for c := range j.dst {
+		j.out.Cols[c] = j.dst[c][:n]
 	}
 	j.out.N = n
-	emitted(j.m, n, len(j.attrs))
+	emitted(j.m, n, len(j.keep))
 	return &j.out, nil
+}
+
+// gather writes the first s selected rows into every kept column, as
+// output rows [at, at+s), from the current left batch and from right.
+func (j *joinIter) gather(at, s int) {
+	if s == 0 {
+		return
+	}
+	lsel, rsel := j.lsel[:s], j.rsel[:s]
+	for k, c := range j.keep {
+		dst := j.dst[k][at : at+s][:len(lsel)]
+		if c < j.lar {
+			src := j.cur.Cols[c]
+			for i, r := range lsel {
+				dst[i] = src[r]
+			}
+		} else {
+			src := j.rcols[c-j.lar]
+			for i, r := range rsel {
+				dst[i] = src[r]
+			}
+		}
+	}
 }
 
 // allRows returns [0..n) as probe-match indices (cross products).
@@ -393,20 +461,15 @@ func (s *semiIter) Next(ctx context.Context) (*Batch, error) {
 	}
 }
 
-// Keep is the stateless column projection: each output batch reslices the
-// input batch's columns at the kept positions (repeats allowed), renamed to
-// attrs. Zero copy and duplicate-preserving — the natural-join schema step
-// after a raw JoinProbe, and what Project becomes when it keeps every input
-// column.
-func Keep(in Iterator, keep []int, attrs []string) Iterator {
-	return &keepIter{in: in, keep: keep, attrs: attrs}
-}
-
+// keepIter is the stateless column projection Project runs when it keeps
+// every input column: each output batch reslices the input batch's columns
+// at the kept positions (repeats allowed), renamed to attrs. Zero copy and
+// duplicate-preserving.
 type keepIter struct {
 	in    Iterator
 	keep  []int
 	attrs []string
-	m     *counter.Set // set only when the Keep stands in for Project
+	m     *counter.Set
 	out   Batch
 }
 
@@ -432,8 +495,8 @@ func (k *keepIter) Next(ctx context.Context) (*Batch, error) {
 // (repeats allowed): the first occurrence of each projected row passes,
 // later duplicates are dropped. A projection that keeps every input column
 // cannot create duplicates — pipeline rows are distinct, and such a
-// projection is injective — so it is the stateless Keep, still counted in
-// m as a stage. Otherwise the dedup set, a relation.KeyTable, grows with
+// projection is injective — so it is a stateless reslice of the input's
+// columns, still counted in m as a stage. Otherwise the dedup set, a relation.KeyTable, grows with
 // the number of distinct output rows — the one stateful stage of a
 // pipeline, which is why the routing layer partitions before projecting;
 // within one shard it holds exactly the rows relation.ProjectIdx would.
@@ -479,8 +542,13 @@ type projIter struct {
 	done  bool
 	cur   *Batch // partially consumed input batch
 	row   int
-	dst   [][]relation.Value // output columns at full batch size
-	out   Batch
+	// The dense set's bit indexes of cur's rows from bitLo on, valid when
+	// inRange: no value among those rows lies outside the set's ranges.
+	bit     []uint32
+	bitLo   int
+	inRange bool
+	dst     [][]relation.Value // output columns at full batch size
+	out     Batch
 }
 
 func (p *projIter) Attrs() []string { return p.attrs }
@@ -511,17 +579,25 @@ func (p *projIter) Next(ctx context.Context) (*Batch, error) {
 				p.done = true
 				break
 			}
-			p.cur, p.row = b, 0
+			p.cur, p.row, p.bitLo, p.bit = b, 0, 0, nil
 		}
 		for ; p.row < p.cur.N && n < p.size; p.row++ {
 			var added bool
-			if p.dense != nil {
-				var err error
-				if added, err = p.dense.insert(p.cur.Cols, p.row); err != nil {
-					return nil, err
-				}
-			} else {
+			if p.dense == nil {
 				_, added = p.seen.Insert(p.cur.Cols, p.idx, p.row)
+			} else {
+				if p.row == p.bitLo+len(p.bit) {
+					p.bitLo = p.row
+					p.bit, p.inRange = p.dense.indexes(p.cur.Cols, p.row, min(p.row+selRows, p.cur.N))
+				}
+				if p.inRange {
+					added = p.dense.set(p.bit[p.row-p.bitLo])
+				} else {
+					var err error
+					if added, err = p.dense.insert(p.cur.Cols, p.row); err != nil {
+						return nil, err
+					}
+				}
 			}
 			if !added {
 				continue

@@ -89,10 +89,65 @@ func TestJoinProbeMatchesNaturalJoin(t *testing.T) {
 	}
 	attrs, keep := relation.NaturalJoinSchema(l.Attrs, r.Attrs, rCols)
 	for _, size := range testSizes {
-		it := batch.Keep(batch.JoinProbe(batch.Scan(l, size, nil), r, pairs, size, nil), keep, attrs)
+		it := batch.JoinProbe(batch.Scan(l, size, nil), r, pairs, size, nil, keep...)
+		if !slices.Equal(it.Attrs(), attrs) {
+			t.Fatalf("probe attrs %v, natural join schema %v", it.Attrs(), attrs)
+		}
 		got := mustMaterialize(t, it, "out")
 		if !relation.Equal(got, want) {
 			t.Fatalf("size %d: streamed join %d rows, natural join %d", size, got.Size(), want.Size())
+		}
+	}
+}
+
+// TestJoinProbeResumesAcrossBatches compares the probe with
+// relation.NaturalJoin where its output batches cut across its inputs: a
+// posting list longer than the output batch, so a batch ends inside one
+// left row's matches; left batches shorter than the output batch, so an
+// output batch gathers from several; a two-column key whose right side
+// keeps no column; a cross product; and an empty right side. Left batches
+// of 1, 3 and the output size are tried at every output size.
+func TestJoinProbeResumesAcrossBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	hot := relation.New("R", "b", "c")
+	for i := 0; i < 1500; i++ {
+		hot.Add("k0", fmt.Sprintf("c%d", i))
+	}
+	for i := 0; i < 40; i++ {
+		hot.Add(fmt.Sprintf("k%d", 1+i%3), fmt.Sprintf("c%d", i))
+	}
+	keys := relation.New("L", "a", "b")
+	for i := 0; i < 12; i++ {
+		keys.Add(fmt.Sprintf("a%d", i), fmt.Sprintf("k%d", i%5))
+	}
+	cases := []struct {
+		name string
+		l, r *relation.Relation
+	}{
+		{"fan-out past the batch", keys, hot},
+		{"sparse matches", randomRel(rng, "L", []string{"a", "b"}, 600, 40), randomRel(rng, "R", []string{"b", "c"}, 300, 40)},
+		{"two-column key", randomRel(rng, "L", []string{"a", "b", "c"}, 500, 6), randomRel(rng, "R", []string{"c", "a"}, 30, 6)},
+		{"cross product", randomRel(rng, "L", []string{"a"}, 40, 50), randomRel(rng, "R", []string{"b", "c"}, 70, 50)},
+		{"empty right", randomRel(rng, "L", []string{"a", "b"}, 40, 10), relation.New("R", "b", "c")},
+	}
+	for _, tc := range cases {
+		want, err := relation.NaturalJoin(tc.l, tc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lCols, rCols := relation.SharedColsNames(tc.l.Attrs, tc.r.Attrs)
+		pairs := make([][2]int, len(lCols))
+		for i := range lCols {
+			pairs[i] = [2]int{lCols[i], rCols[i]}
+		}
+		_, keep := relation.NaturalJoinSchema(tc.l.Attrs, tc.r.Attrs, rCols)
+		for _, size := range testSizes {
+			for _, lsize := range []int{1, 3, size} {
+				got := mustMaterialize(t, batch.JoinProbe(batch.Scan(tc.l, lsize, nil), tc.r, pairs, size, nil, keep...), "out")
+				if got.Size() != want.Size() || !relation.Equal(got, want) {
+					t.Fatalf("%s, size %d, left batches of %d: %d rows, natural join %d", tc.name, size, lsize, got.Size(), want.Size())
+				}
+			}
 		}
 	}
 }
@@ -428,6 +483,59 @@ func BenchmarkProject(b *testing.B) {
 				drain(b, batch.ProjectDense(batch.Scan(sr, 0, nil), idx, attrs, set, 0, nil))
 			}
 		})
+		// Four parts partitioned on the column the projection drops, so
+		// duplicates cross parts: each part marks a private bitmap.
+		shards := shard.Partition(sr, 2, 4)
+		b.Run(fmt.Sprintf("domain=1200/width=%d/dense/parts=4", len(idx)), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				ins := make([]batch.Iterator, len(shards))
+				for k := range ins {
+					ins[k] = batch.Scan(shards[k], 0, nil)
+				}
+				for _, out := range batch.ProjectDenseParts(ins, idx, attrs, batch.NewDenseSet(ranges, idx), 0, nil) {
+					drain(b, out)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkJoinProbe drains the natural join of 64 Ki left rows with a
+// relation matching each of them fan-out times (1, 5 and 20) on one
+// column, keeping 2, 3 and 4 columns: the join column, up to two more of
+// the left's, and one of the right's. The right's index is warm.
+func BenchmarkJoinProbe(b *testing.B) {
+	const rows, keys = 1 << 16, 4096
+	for _, fanout := range []int{1, 5, 20} {
+		rcols := [][]relation.Value{make([]relation.Value, keys*fanout), make([]relation.Value, keys*fanout)}
+		for i := range rcols[0] {
+			rcols[0][i], rcols[1][i] = relation.Value(i/fanout), relation.Value(i)
+		}
+		right := relation.NewFromColumns("S", []string{"k", "r"}, rcols)
+		right.Index(0)
+		for _, kept := range []int{2, 3, 4} {
+			lattrs := []string{"k", "l1", "l2"}[:kept-1]
+			lcols := make([][]relation.Value, len(lattrs))
+			for c := range lcols {
+				lcols[c] = make([]relation.Value, rows)
+				for i := range lcols[c] {
+					lcols[c][i] = relation.Value(i)
+				}
+			}
+			for i := range lcols[0] {
+				lcols[0][i] = relation.Value(i % keys)
+			}
+			left := relation.NewFromColumns("R", lattrs, lcols)
+			_, keep := relation.NaturalJoinSchema(left.Attrs, right.Attrs, []int{0})
+			pairs := [][2]int{{0, 0}}
+			b.Run(fmt.Sprintf("fanout=%d/kept=%d", fanout, kept), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					drain(b, batch.JoinProbe(batch.Scan(left, 0, nil), right, pairs, 0, nil, keep...))
+				}
+			})
+		}
 	}
 }
 

@@ -34,6 +34,7 @@ type DenseSet struct {
 	stride []uint64
 	words  []uint64
 	bits   uint64
+	index  []uint32 // scratch for indexes, selRows long
 }
 
 // NewDenseSet returns the dense dedup set for projecting rows onto idx,
@@ -74,6 +75,7 @@ func (s *DenseSet) Bits() uint64 { return s.bits }
 func (s *DenseSet) empty() *DenseSet {
 	c := *s
 	c.words = make([]uint64, len(s.words))
+	c.index = nil
 	return &c
 }
 
@@ -92,12 +94,42 @@ func (s *DenseSet) insert(cols [][]relation.Value, row int) (bool, error) {
 		}
 		bit += d * s.stride[i]
 	}
+	return s.set(uint32(bit)), nil
+}
+
+// set sets bit and reports whether it was clear.
+func (s *DenseSet) set(bit uint32) bool {
 	w, mask := &s.words[bit>>6], uint64(1)<<(bit&63)
 	if *w&mask != 0 {
-		return false, nil
+		return false
 	}
 	*w |= mask
-	return true, nil
+	return true
+}
+
+// indexes returns the bit index of rows [lo, hi) of cols, at most selRows
+// of them, computed a kept column at a time into storage the set reuses —
+// or false when some value lies outside its column's range; insert then
+// names the value. An index fits 32 bits: the set has at most denseMaxBits.
+func (s *DenseSet) indexes(cols [][]relation.Value, lo, hi int) ([]uint32, bool) {
+	if s.index == nil {
+		s.index = make([]uint32, selRows)
+	}
+	bit := s.index[:hi-lo]
+	clear(bit)
+	inRange := true
+	for i, c := range s.pos {
+		col := cols[c][lo:hi][:len(bit)]
+		base, width, stride := s.lo[i], uint32(s.width[i]), uint32(s.stride[i])
+		for r, v := range col {
+			d := uint32(v - base) // unsigned: below base wraps past any width
+			if d >= width {
+				inRange = false
+			}
+			bit[r] += d * stride
+		}
+	}
+	return bit, inRange
 }
 
 // mark drains in into the set.
@@ -107,9 +139,19 @@ func (s *DenseSet) mark(ctx context.Context, in Iterator) error {
 		if err != nil || b == nil {
 			return err
 		}
-		for row := 0; row < b.N; row++ {
-			if _, err := s.insert(b.Cols, row); err != nil {
-				return err
+		for lo := 0; lo < b.N; lo += selRows {
+			hi := min(lo+selRows, b.N)
+			bit, ok := s.indexes(b.Cols, lo, hi)
+			if !ok {
+				for row := lo; row < hi; row++ {
+					if _, err := s.insert(b.Cols, row); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+			for _, x := range bit {
+				s.words[x>>6] |= 1 << (x & 63)
 			}
 		}
 	}

@@ -213,3 +213,34 @@ func TestDenseProjectRejectsValueOutsideRange(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseMarkRejectsValueInLaterBatch pins the batch-at-a-time bit
+// computation to the same error as a row-at-a-time one: the one bad value
+// sits in the second kept column, in a batch after the first, of one of
+// the parts ProjectDenseParts marks, and in the single pipeline
+// ProjectDense reads.
+func TestDenseMarkRejectsValueInLaterBatch(t *testing.T) {
+	const rows = 3000
+	cols := [][]relation.Value{make([]relation.Value, rows), make([]relation.Value, rows), make([]relation.Value, rows)}
+	for i := 0; i < rows; i++ {
+		cols[0][i], cols[1][i], cols[2][i] = relation.Value(100+i%50), relation.Value(5+i%2), relation.Value(i)
+	}
+	good := relation.NewFromColumns("R", []string{"a", "b", "c"}, cols)
+	cols[1] = slices.Clone(cols[1])
+	cols[1][2500] = 7
+	bad := relation.NewFromColumns("R", []string{"a", "b", "c"}, cols)
+	ranges := []relation.Range{{Lo: 100, Hi: 149}, {Lo: 5, Hi: 6}, {Lo: 0, Hi: rows - 1}}
+	idx, attrs := []int{0, 1}, []string{"a", "b"}
+	for _, size := range testSizes {
+		ins := []batch.Iterator{batch.Scan(good, size, nil), batch.Scan(bad, size, nil)}
+		for k, it := range batch.ProjectDenseParts(ins, idx, attrs, batch.NewDenseSet(ranges, idx), size, nil) {
+			if _, err := batch.Materialize(context.Background(), it, "out", nil, nil); err == nil || !strings.Contains(err.Error(), "value 7 in column 1 is outside its range") {
+				t.Fatalf("size %d, part %d: err %v, want value 7 in column 1 out of range", size, k, err)
+			}
+		}
+		it := batch.ProjectDense(batch.Scan(bad, size, nil), idx, attrs, batch.NewDenseSet(ranges, idx), size, nil)
+		if _, err := batch.Materialize(context.Background(), it, "out", nil, nil); err == nil || !strings.Contains(err.Error(), "value 7 in column 1 is outside its range") {
+			t.Fatalf("size %d, one pipeline: err %v, want value 7 in column 1 out of range", size, err)
+		}
+	}
+}

@@ -16,25 +16,29 @@
 // are plain slices, so a copy is one line per column). Holding a partially
 // consumed input batch between an operator's own Next calls is legal — the
 // input is only pulled again once the hold is spent — which is how Project
-// and JoinProbe resume mid-batch when their output fills.
+// and JoinProbe resume mid-batch when their output fills. JoinProbe writes
+// its output a column at a time from selection vectors of (left row, right
+// row) pairs, so before it pulls the next left batch it gathers the rows it
+// selected from the one it holds.
 //
 // Every stage preserves set semantics: a pipeline over distinct rows emits
 // distinct rows. Project is the one stage that keeps state across batches,
 // a dedup set of the rows it has emitted, and only when it drops a column;
 // a projection that keeps every column (reordered or repeated) is
-// injective, so it runs as Keep. The set is a relation.KeyTable, which
-// stores every row inline in one arena whatever its width — or, for
-// ProjectDense, a DenseSet: a bitmap with one bit per combination of the
-// kept columns' values, fixed in size before the first row.
+// injective, so it only reslices the columns. The set is a
+// relation.KeyTable, which stores every row inline in one arena whatever
+// its width — or, for ProjectDense, a DenseSet: a bitmap with one bit per
+// combination of the kept columns' values, fixed in size before the first
+// row, whose bit indexes are computed a kept column at a time.
 // ProjectDenseParts deduplicates several parts against each other without
 // an exchange: each marks a private bitmap, and the merged bitmap is
 // decoded into the output parts.
 //
 // Batches are views: columns may alias a relation's storage (Scan, a
-// sealed exchange chunk) or an upstream batch (Keep, Semijoin
-// pass-through). N may be short; only Cols[c][:N] is meaningful. Iterators
-// are single-consumer unless documented otherwise — Exchange parts are the
-// concurrent-safe exception. A pipeline is pulled once: an input needed
+// sealed exchange chunk) or an upstream batch (a covering Project, a
+// Semijoin with no shared column). N may be short; only Cols[c][:N] is
+// meaningful. Iterators are single-consumer unless documented otherwise —
+// Exchange parts are the concurrent-safe exception. A pipeline is pulled once: an input needed
 // again (a probe side, a semijoin filter, a down-pass parent) is
 // materialized into a relation first.
 //

@@ -209,11 +209,15 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		stMu.Unlock()
 	}
 	// filter pipelines binding i through semijoins against the given
-	// reducer atoms and forces the (strictly smaller) result back into a
-	// relation, transient under the spill governor. A reducer that has been
-	// through a filter of its own is itself transient — its partitionings
-	// must die with the evaluation — while an unreduced base binding's
-	// partitions persist for reuse.
+	// reducer atoms and forces the result back into a relation, transient
+	// under the spill governor. A reducer that has been through a filter of
+	// its own is itself transient — its partitionings must die with the
+	// evaluation — while an unreduced base binding's partitions persist for
+	// reuse. A pass that removes no row keeps its input, unless its sink
+	// partitioned the rows and the input was not: the sunk copy is the same
+	// rows, and the input's memoized indexes and partitions (a base
+	// binding's, built once across evaluations) serve the later passes
+	// instead of being rebuilt on the copy.
 	filtered := make([]bool, len(q.Body))
 	filter := func(i int, reducers []int) error {
 		pd := shard.PipedOf(reduced[i], opts)
@@ -230,6 +234,9 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		sunk, err := shard.MaterializePiped(ctx, opts, pd, q.Body[i].Relation+"_sj", true)
 		if err != nil {
 			return err
+		}
+		if sunk.Rel().Size() == reduced[i].Rel().Size() && sunk.Key() == reduced[i].Key() {
+			return nil
 		}
 		reduced[i] = sunk
 		filtered[i] = true

@@ -377,6 +377,46 @@ func TestYannakakisForcedSubsAreGoverned(t *testing.T) {
 	}
 }
 
+// TestYannakakisNonReducingPassKeepsInput checks that a semijoin pass that
+// removes no row leaves its binding as it was: on a star-3 over one edge
+// relation no pass removes a row, so every reducer reaching a semijoin,
+// unsharded and with four shards below the sharding threshold, is the
+// unreduced binding, sharing the base relation's storage, and not a copy
+// of it. (A pass that exchanges keeps its partitioned copy, whose parts
+// the next pass reuses: ExampleEngine_MetricsSnapshot.)
+func TestYannakakisNonReducingPassKeepsInput(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		reducers []*relation.Relation
+	)
+	defer func(semijoin func(context.Context, *shard.Options, *shard.Piped, *relation.Relation, bool) (*shard.Piped, error)) {
+		semijoinReducer = semijoin
+	}(semijoinReducer)
+	semijoinReducer = func(ctx context.Context, opts *shard.Options, pd *shard.Piped, reducer *relation.Relation, transient bool) (*shard.Piped, error) {
+		mu.Lock()
+		reducers = append(reducers, reducer)
+		mu.Unlock()
+		return shard.SemijoinPipedStream(ctx, opts, pd, reducer, transient)
+	}
+	q := cq.MustParse("Q(X,A,B,C) <- E(X,A), E(X,B), E(X,C).")
+	db := uniformEdgeDB(12, 2000, 130)
+	base := db.Relation("E").Column(0)
+	for _, opts := range []*shard.Options{{Shards: 1}, {Shards: 4, MinRows: 1 << 20}} {
+		reducers = nil
+		if _, _, err := YannakakisExec(context.Background(), q, db, opts); err != nil {
+			t.Fatal(err)
+		}
+		if len(reducers) == 0 {
+			t.Fatalf("P=%d: no reducer reached a semijoin", opts.Shards)
+		}
+		for _, r := range reducers {
+			if col := r.Column(0); len(col) != len(base) || &col[0] != &base[0] {
+				t.Errorf("P=%d: a reducer of %d rows is a copy of the %d-row binding no pass reduced", opts.Shards, r.Size(), len(base))
+			}
+		}
+	}
+}
+
 // BenchmarkYannakakis runs Yannakakis' algorithm on a full-head star-3
 // (2 000 edges over 130 nodes) and a path-4 projected to its endpoints
 // (four relations of 6 000 edges over 1 200 nodes), each in one part and

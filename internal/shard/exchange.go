@@ -49,6 +49,10 @@ func StreamOf(r *relation.Relation) Stream { return Stream{rel: r, key: -1} }
 // Rel returns the stream's relation.
 func (st Stream) Rel() *relation.Relation { return st.rel }
 
+// Key returns the column the stream's parts are partitioned on, or -1 when
+// they have no known partitioning.
+func (st Stream) Key() int { return st.key }
+
 // indexOfKept returns the output position of input column c under the
 // projection keep, or -1 when the projection dropped it.
 func indexOfKept(keep []int, c int) int {

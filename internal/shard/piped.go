@@ -74,9 +74,9 @@ func PipedOf(st Stream, opts *Options) *Piped {
 	return &Piped{attrs: r.Attrs, key: -1, parts: []batch.Iterator{batch.Scan(r, size, bm)}, ranges: ranges}
 }
 
-// joinRanges returns the column ranges of a raw join probe's output — pd's
-// columns then next's — with each joined pair narrowed to the values both
-// sides hold, kept at the positions keep names (nil keeps all).
+// joinRanges returns the column ranges of a join probe's output: pd's
+// columns then next's, each joined pair narrowed to the values both sides
+// hold, kept at the positions keep names (nil keeps all).
 func joinRanges(pd *Piped, next *relation.Relation, pairs [][2]int, keep []int) []relation.Range {
 	raw := make([]relation.Range, 0, len(pd.ranges)+next.Arity())
 	raw = append(raw, pd.ranges...)
@@ -158,9 +158,8 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 	size, bm := opts.batchSize(), opts.batchMetrics()
 	lCols, rCols := relation.SharedColsNames(pd.attrs, next.Attrs)
 	if len(lCols) == 0 {
-		// Cross product: every part joins the whole of next; the raw
-		// all-left-then-all-right layout IS the output schema (nothing is
-		// dropped), and pd's key survives at its position.
+		// Cross product: every part joins the whole of next, keeping every
+		// column of both sides, and pd's key survives at its position.
 		attrs := append(append(make([]string, 0, len(pd.attrs)+next.Arity()), pd.attrs...), next.Attrs...)
 		parts := make([]batch.Iterator, len(pd.parts))
 		for k := range parts {
@@ -178,7 +177,7 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 	p := opts.Count()
 
 	chain := func(src batch.Iterator, rShard *relation.Relation) batch.Iterator {
-		return batch.Keep(batch.JoinProbe(src, rShard, pairs, size, bm), keep, attrs)
+		return batch.JoinProbe(src, rShard, pairs, size, bm, keep...)
 	}
 
 	// Aligned: pd is already partitioned on a join column at count p, so
@@ -218,13 +217,7 @@ func JoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *relati
 	// distinct values (the balanced choice; the pipeline side has no
 	// statistics before it runs). Output shards seal into governed chunks
 	// as they fill.
-	pick := 0
-	bestScore := -1
-	for i := range rCols {
-		if d := next.DistinctCount(rCols[i]); d > bestScore {
-			pick, bestScore = i, d
-		}
-	}
+	pick := mostDistinct(next, rCols)
 	rSh := partitionSide(next, rCols[pick], p, transient, opts)
 	ex := batch.NewExchange(pd.parts, pd.attrs, lCols[pick], p, size, opts.governTransient, exchangeCount(opts, pd.attrs[lCols[pick]], p), bm)
 	parts := make([]batch.Iterator, p)
@@ -294,13 +287,7 @@ func SemijoinPipedStream(ctx context.Context, opts *Options, pd *Piped, next *re
 	// Flat pipeline, sharding on: exchange onto the shared column where
 	// next has the most distinct values, then filter shard against shard —
 	// the result stays partitioned for the stages downstream.
-	pick := 0
-	bestScore := -1
-	for i := range rCols {
-		if d := next.DistinctCount(rCols[i]); d > bestScore {
-			pick, bestScore = i, d
-		}
-	}
+	pick := mostDistinct(next, rCols)
 	rSh := partitionSide(next, rCols[pick], p, transient, opts)
 	ex := batch.NewExchange(pd.parts, pd.attrs, lCols[pick], p, size, opts.governTransient, exchangeCount(opts, pd.attrs[lCols[pick]], p), bm)
 	parts := make([]batch.Iterator, p)
@@ -409,6 +396,23 @@ func (o *Options) sinkGovern(transient bool) func(*relation.Relation) {
 		r.ValueRange(0)
 		o.governTransient(r)
 	}
+}
+
+// mostDistinct returns the index into cols of the column of r with the
+// most distinct values, the first on a tie. A single column is the only
+// choice, and r's statistics, a full scan of every column, are not built
+// for it.
+func mostDistinct(r *relation.Relation, cols []int) int {
+	if len(cols) == 1 {
+		return 0
+	}
+	pick, best := 0, -1
+	for i, c := range cols {
+		if d := r.DistinctCount(c); d > best {
+			pick, best = i, d
+		}
+	}
+	return pick
 }
 
 // pipedAligned returns the index into cols of pd's partition key when pd is

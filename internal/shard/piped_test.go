@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -617,5 +618,44 @@ func TestProjectPipedRejectsOutOfRangeColumn(t *testing.T) {
 	r := randomRel(rand.New(rand.NewSource(15)), "R", []string{"a", "b"}, 20, 5)
 	if _, err := ProjectPiped(context.Background(), nil, flat(r, nil), []int{0, 2}); err == nil {
 		t.Fatal("projection onto column 2 of a binary pipeline did not error")
+	}
+}
+
+// TestOneColumnExchangeBuildsNoStatistics pins that exchanging a flat
+// pipeline onto the one column it shares with next reads none of next's
+// statistics: there is nothing to choose, and the statistics scan every
+// column of next. A fresh 10 000-row next must still have them unbuilt
+// after the join and after the semijoin, which shows as the allocations of
+// a first DistinctCount.
+func TestOneColumnExchangeBuildsNoStatistics(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	r := randomRel(rng, "R", []string{"a", "b"}, 3000, 5000)
+	for _, op := range []string{"join", "semijoin"} {
+		next := randomRel(rng, "S", []string{"b", "c"}, 10000, 5000)
+		opts := &Options{Shards: 4, Metrics: Counters.NewSet()}
+		var pd *Piped
+		var want *relation.Relation
+		if op == "join" {
+			pd, want = mustJoin(t, opts, flat(r, opts), next), mustNaturalJoin(t, r, next)
+		} else {
+			pd, want = mustSemijoin(t, opts, flat(r, opts), next), mustSemijoinRel(t, r, next)
+		}
+		out, err := MaterializePiped(context.Background(), opts, pd, "out", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relation.Equal(out.Rel(), want) {
+			t.Fatalf("%s: %d rows, want %d", op, out.Rel().Size(), want.Size())
+		}
+		if readCounts(opts.Metrics).ExchangedRows == 0 {
+			t.Fatalf("%s: the pipeline was not exchanged", op)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		next.DistinctCount(0)
+		runtime.ReadMemStats(&after)
+		if after.Mallocs == before.Mallocs {
+			t.Errorf("%s: routing on next's one shared column built next's statistics", op)
+		}
 	}
 }
