@@ -28,7 +28,9 @@ import (
 // per-part sink views and their lazy concatenation that one flat sink with
 // part offsets replaced, the per-epoch plan entries (their key suffix,
 // pruning and cache walks) that one query cache keyed by query text
-// replaced, and the estimators, set operations and helpers no caller used.
+// replaced, the sort-merge join and the name-matching semijoin that
+// HashJoin and SemijoinOn cover, and the estimators, set operations and
+// helpers no caller used.
 var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|ingestbench|tracebench)|BENCH_[a-z_]+\.json|` +
 	`\b(WithDictSpill|WithSkewSplitting|WithBatchSize|WithEpochRetention|WithSlowQueryThreshold|` +
 	`SkewFraction|NewBuffered|batch\.(Grow|Fan)|KindSkew|ExampleWithSharding_skew|` +
@@ -42,7 +44,8 @@ var deletedHarnessRef = regexp.MustCompile(`-(planbench|shardbench|spillbench|in
 	`RequestView|AccessRecord|FamilyDelta|familyDeltas|CalibrationJSON|SortByString|` +
 	`FromParts|ShardedStream|MaterializeFlat|baseOnce|shard\.Sharded|RMaxAll|` +
 	`(shard|batch)\.(Metrics|Stats)|spill\.(Stats|Events)|` +
-	`epochKeySuffix|prunePlans|planForHit|relation\.Union|(queries|plans|analyses)\.(Keys|Peek))\b`)
+	`epochKeySuffix|prunePlans|planForHit|relation\.Union|(queries|plans|analyses)\.(Keys|Peek)|` +
+	`EquiJoinSortMerge|allRowIDs|errJoinRange|joinRangeError|relation\.Semijoin)\b`)
 
 // TestNoDeletedHarnessReferences keeps code, CI and the user-facing docs from
 // pointing at a cqbench timing mode, a BENCH_*.json record or a deleted

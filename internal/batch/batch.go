@@ -381,7 +381,7 @@ func allRows(n int) []int32 {
 // Semijoin streams left ⋉ right: left rows with at least one match in
 // right on the given column pairs (left position, right position) pass
 // through; the rest are dropped. With no pairs the stage degrades like
-// relation.Semijoin: everything passes unless right is empty, in which
+// relation.SemijoinOn: everything passes unless right is empty, in which
 // case the left pipeline is never pulled. Right is the buffered operand
 // (a surviving row may match anywhere in it).
 func Semijoin(left Iterator, right *relation.Relation, lCols, rCols []int, m *counter.Set) Iterator {

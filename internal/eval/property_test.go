@@ -1,22 +1,26 @@
-// Property-based cross-strategy harness: random conjunctive queries
-// (varying arity, repeated variables, projections, cyclicity, functional
-// dependencies) meet random databases, and every evaluation strategy —
-// Naive, JoinProject, GenericJoin, Yannakakis when acyclic, and the
-// Engine's planned execution — must produce the same Q(D). A failing case
-// is shrunk testing/quick-style (atoms, dependencies, then tuples are
-// removed while the disagreement persists) and reported as a minimal query
-// in cq syntax together with the database instance.
+// The property sweep: random conjunctive queries (varying arity, repeated
+// variables, projections, cyclicity, functional dependencies) meet random
+// databases, and every evaluation — join-project, generic join,
+// Yannakakis when acyclic and the Engine, called bare, committed through
+// transactions or served over HTTP, traced or not — must answer what
+// Naive answers. One generator makes the pairs; propertyMatrix says in
+// which configurations each pair runs. A failing pair is shrunk
+// testing/quick-style (atoms, dependencies, then tuples are removed while
+// the disagreement persists) and reported as a minimal query in cq syntax
+// with its database, its seed and its cell.
 //
-// The external test package lets the harness drive the public Engine, whose
-// package depends on eval.
+// The external test package lets the sweep drive the public Engine and
+// Server, whose package depends on eval.
 package eval_test
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	cqbound "cqbound"
 	"cqbound/internal/cq"
@@ -27,142 +31,284 @@ import (
 )
 
 // propertyIterations is the number of random query/database pairs checked
-// (the CI acceptance floor is 200).
+// (the CI acceptance floor is 200); -short checks 60.
 const propertyIterations = 220
 
 const propertyBaseSeed = 20260729
 
-func TestPropertyStrategiesAgree(t *testing.T) {
-	iters := propertyIterations
-	if testing.Short() {
-		iters = 60
-	}
-	// Cycle through generation profiles so the harness covers acyclic
-	// chains, dense cyclic bodies, repeated variables and FDs.
-	profiles := []datagen.QueryParams{
+// The generator: pair i draws its query from queryProfiles[i mod 4] and
+// its database from dbProfiles[i mod 5], so the profiles cover acyclic
+// chains, dense cyclic bodies, repeated variables, FDs and skewed data.
+var (
+	queryProfiles = []datagen.QueryParams{
 		{MaxVars: 5, MaxAtoms: 4, MaxArity: 3, HeadFraction: 0.7, RepeatRelationProb: 0.3, SimpleFDProb: 0.15},
 		{MaxVars: 3, MaxAtoms: 5, MaxArity: 2, HeadFraction: 0.5, RepeatRelationProb: 0.6},
 		{MaxVars: 6, MaxAtoms: 3, MaxArity: 4, HeadFraction: 0.9, RepeatRelationProb: 0.2, CompoundFDProb: 0.3},
 		{MaxVars: 2, MaxAtoms: 3, MaxArity: 3, HeadFraction: 0.6, RepeatRelationProb: 0.5, SimpleFDProb: 0.3},
 	}
-	dbProfiles := []datagen.DBParams{
+	dbProfiles = []datagen.DBParams{
 		{Tuples: 12, Universe: 6},
 		{Tuples: 25, Universe: 4},
 		{Tuples: 6, Universe: 12},
+		// Zipf-skewed: one value dominates every column, hashing most rows
+		// into one shard, whose part then carries most of the probe work.
+		{Tuples: 30, Universe: 8, ZipfS: 1.7},
+		{Tuples: 20, Universe: 15, ZipfS: 2.5},
 	}
-	eng := cqbound.NewEngine()
-	for i := 0; i < iters; i++ {
-		rng := rand.New(rand.NewSource(propertyBaseSeed + int64(i)))
-		q := datagen.RandomQuery(rng, profiles[i%len(profiles)])
-		db := datagen.RandomDatabase(rng, q, dbProfiles[i%len(dbProfiles)])
-		if msg := disagreement(eng, q, db); msg != "" {
-			check := func(q *cq.Query, db *database.Database) string { return disagreement(eng, q, db) }
-			q, db, msg = shrink(check, q, db, msg)
-			t.Fatalf("iteration %d (seed %d): strategies disagree after shrinking: %s\n"+
-				"minimal query:\n%s\nminimal database:\n%s",
-				i, propertyBaseSeed+int64(i), msg, q, dumpDB(db))
+)
+
+// propertyPair returns pair i and the seed it was drawn from.
+func propertyPair(i int) (int64, *cq.Query, *database.Database) {
+	seed := propertyBaseSeed + int64(i)
+	rng := rand.New(rand.NewSource(seed))
+	q := datagen.RandomQuery(rng, queryProfiles[i%len(queryProfiles)])
+	return seed, q, datagen.RandomDatabase(rng, q, dbProfiles[i%len(dbProfiles)])
+}
+
+// The load paths by which a cell's database reaches the evaluators.
+const (
+	loadStatic = iota // handed to the executors and the Engine as built
+	loadTxn           // committed through Engine transactions
+	loadHTTP          // committed and read through a Server over HTTP
+)
+
+var loadNames = map[int]string{loadStatic: "static", loadTxn: "txn", loadHTTP: "http"}
+
+// nilOptions is the shards value of the cell that runs the bare executors
+// with nil options and a default Engine.
+const nilOptions = 0
+
+// shardCounts are the partition counts the sweep cycles through: P=1 (the
+// degenerate single-shard view), tiny P, P larger than many of the random
+// databases' distinct values (forcing empty shards).
+var shardCounts = []int{1, 2, 3, 5, 16}
+
+// spillBudgetBytes is deliberately tiny against the sweep's databases
+// (tens of tuples × up to 4 columns × 4 bytes each): most pairs hold at
+// most one or two shards resident, so eviction fires inside plans, not
+// just between them.
+const spillBudgetBytes = 256
+
+// propertyAxis is one row of the matrix: every pair runs each of its
+// every values, and pair i also runs cycled[i mod len(cycled)].
+type propertyAxis struct {
+	name   string
+	every  []int
+	cycled []int
+	names  map[int]string // how a value prints, when not as its number
+}
+
+// propertyMatrix is the sweep's configuration space. The cycled lengths
+// are pairwise coprime, so every combination of them recurs; cellsFor
+// crosses the rest and keeps the cells that runs admits. A new axis is one
+// row here plus its use where the cell is run.
+var propertyMatrix = []propertyAxis{
+	// The txn and http paths share one scenario (load_property_test.go).
+	{name: "load", every: []int{loadStatic, loadTxn, loadHTTP}, names: loadNames},
+	// A traced static cell runs every executor with a tracer in its
+	// options and the Engine through EvaluateTraced.
+	{name: "traced", every: []int{0, 1}},
+	// 0 is unlimited.
+	{name: "budget", every: []int{0, spillBudgetBytes}},
+	// Threshold zero makes every join, semijoin and projection take the
+	// partitioned path whatever its size, so empty shards, P=1, aligned
+	// reuse, broadcast and exchange all occur as the data produces them.
+	{name: "shards", every: []int{nilOptions}, cycled: shardCounts, names: map[int]string{nilOptions: "nil"}},
+	// The bare executors' batch size (the Engine runs at the default): 1
+	// hands single-row batches across every stage boundary, 7 never
+	// divides the relations evenly, 1024 is the production default.
+	{name: "batch", cycled: []int{1, 7, 1024}},
+	// 1 keeps the generated values, whose small domains put most
+	// projections on the dense bitmap; spreadStride rebuilds every
+	// relation with its values that far apart, so every projection that
+	// keeps two distinct values in a column deduplicates by hash. Static
+	// cells only: the other paths intern strings into the engine's own
+	// dictionary.
+	{name: "stride", cycled: []int{1, spreadStride}},
+}
+
+// propertyCell is one configuration: a value per axis of propertyMatrix.
+type propertyCell map[string]int
+
+func (c propertyCell) String() string {
+	parts := make([]string, len(propertyMatrix))
+	for i, ax := range propertyMatrix {
+		v := fmt.Sprint(c[ax.name])
+		if name, ok := ax.names[c[ax.name]]; ok {
+			v = name
 		}
+		parts[i] = ax.name + "=" + v
+	}
+	return strings.Join(parts, " ")
+}
+
+// runs reports whether the sweep runs c. Nil options carry no budget and
+// no tracer, and only the static path takes them; the txn and http paths
+// run one scenario at the forcing budget whose readers alternate traced
+// and untraced, so their cell reads traced=1.
+func (c propertyCell) runs() bool {
+	switch {
+	case c["shards"] == nilOptions:
+		return c["load"] == loadStatic && c["budget"] == 0 && c["traced"] == 0
+	case c["load"] != loadStatic:
+		return c["budget"] == spillBudgetBytes && c["traced"] == 1
+	}
+	return true
+}
+
+// cellsFor expands the matrix for pair i.
+func cellsFor(i int) []propertyCell {
+	cells := []propertyCell{{}}
+	for _, ax := range propertyMatrix {
+		values := ax.every
+		if len(ax.cycled) > 0 {
+			values = append(values[:len(values):len(values)], ax.cycled[i%len(ax.cycled)])
+		}
+		var next []propertyCell
+		for _, c := range cells {
+			for _, v := range values {
+				nc := propertyCell{ax.name: v}
+				for k, old := range c {
+					nc[k] = old
+				}
+				next = append(next, nc)
+			}
+		}
+		cells = next
+	}
+	var run []propertyCell
+	for _, c := range cells {
+		if c.runs() {
+			run = append(run, c)
+		}
+	}
+	return run
+}
+
+// TestPropertyExecutorsAgree sweeps the matrix over the pairs. After the
+// sweep the counters must show it exercised what it exists for: every
+// load path evaluated every pair, the routing ladder's every rung fired,
+// batches streamed through the bare executors and every Engine, the
+// governors — the bare executors' own, traced ones included, and some
+// budgeted Engine's — evicted and reloaded, and the HTTP servers left no
+// goroutine behind. It logs the default Engine's plans per strategy and
+// the pairs whose answer outgrew Engine.BoundRows.
+func TestPropertyExecutorsAgree(t *testing.T) {
+	iters := propertyIterations
+	if testing.Short() {
+		iters = 60
+	}
+	goroutines := runtime.NumGoroutine()
+	rig := newPropertyRig(t) // its spill files live under t.TempDir
+	var pairs [loadHTTP + 1]int
+	plans, overBound := map[cqbound.Strategy]int{}, 0
+	for i := 0; i < iters; i++ {
+		seed, q, db := propertyPair(i)
+		ran := [loadHTTP + 1]bool{}
+		for _, c := range cellsFor(i) {
+			ran[c["load"]] = true
+			if msg := rig.disagreement(c, seed, q, db); msg != "" {
+				check := func(q *cq.Query, db *database.Database) string { return rig.disagreement(c, seed, q, db) }
+				q, db, msg = shrink(check, q, db, msg)
+				t.Fatalf("iteration %d (seed %d, %s): execution disagrees with naive after shrinking: %s\n"+
+					"minimal query:\n%s\nminimal database:\n%s", i, seed, c, msg, q, dumpDB(db))
+			}
+		}
+		for load, ok := range ran {
+			if ok {
+				pairs[load]++
+			}
+		}
+		eng := rig.cellEngine(propertyCell{"shards": nilOptions})
+		p, err := eng.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[p.Strategy]++
+		bound, err := eng.BoundRows(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref, _, _ := eval.NaiveCtx(context.Background(), q, db); float64(ref.Size()) > bound {
+			overBound++
+		}
+	}
+	t.Logf("default Engine plans over %d pairs: %d yannakakis, %d project-early, %d generic-join; %d pairs answered more rows than Engine.BoundRows",
+		iters, plans[cqbound.StrategyYannakakis], plans[cqbound.StrategyProjectEarly], plans[cqbound.StrategyGenericJoin], overBound)
+	for load, n := range pairs {
+		if n < iters {
+			t.Fatalf("load path %s evaluated %d of %d pairs", loadNames[load], n, iters)
+		}
+	}
+	rig.checkExercised()
+	rig.close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("goroutine leak: %d goroutines after the sweep, %d before\n%s", n, goroutines, buf[:runtime.Stack(buf, true)])
 	}
 }
 
-// disagreement evaluates q under every strategy and returns a description
-// of the first inconsistency ("" when all agree). Naive is the reference.
-func disagreement(eng *cqbound.Engine, q *cq.Query, db *database.Database) string {
-	ctx := context.Background()
-	ref, _, err := eval.NaiveCtx(ctx, q, db)
-	if err != nil {
-		return fmt.Sprintf("naive: %v", err)
+// disagreement runs cell c on the pair and describes its first
+// inconsistency with Naive ("" when every evaluation agrees).
+func (r *propertyRig) disagreement(c propertyCell, seed int64, q *cq.Query, db *database.Database) string {
+	if c["load"] == loadStatic {
+		return r.staticDisagreement(c, q, db)
 	}
-	if ref.Arity() != len(q.Head.Vars) {
-		return fmt.Sprintf("naive: output arity %d, head has %d positions", ref.Arity(), len(q.Head.Vars))
-	}
-	check := func(name string, out *relation.Relation, err error) string {
-		if err != nil {
-			return fmt.Sprintf("%s: %v", name, err)
-		}
-		if !relation.Equal(ref, out) {
-			return fmt.Sprintf("%s: %d tuples, naive has %d", name, out.Size(), ref.Size())
-		}
-		return ""
-	}
-	out, _, err := eval.JoinProject(q, db)
-	if msg := check("join-project", out, err); msg != "" {
-		return msg
-	}
-	out, _, err = eval.GenericJoin(q, db)
-	if msg := check("generic-join", out, err); msg != "" {
-		return msg
-	}
-	if eval.IsAcyclic(q) {
-		out, _, err = eval.Yannakakis(q, db)
-		if msg := check("yannakakis", out, err); msg != "" {
-			return msg
-		}
-	}
-	out, _, err = eng.Evaluate(ctx, q, db)
-	if msg := check("engine", out, err); msg != "" {
-		return msg
-	}
-	return ""
+	return r.loadDisagreement(c, seed, q, db)
 }
 
 // shrink greedily minimizes a failing (query, database) pair under the
-// given check: it repeatedly tries dropping one body atom, one functional
-// dependency, or one tuple, keeping any variant that still disagrees, until
-// no single removal does (or the attempt budget runs out). It returns the
-// smallest failing pair and its disagreement.
+// given check: it keeps the first variant one removal away — a body atom,
+// a functional dependency or a tuple fewer — that still disagrees, until
+// none does (or the attempt budget runs out). It returns the smallest
+// failing pair and its disagreement.
 func shrink(check func(*cq.Query, *database.Database) string, q *cq.Query, db *database.Database, msg string) (*cq.Query, *database.Database, string) {
-	budget := 3000
-	for budget > 0 {
-		improved := false
-		// Drop a body atom (re-anchoring the head to surviving variables).
-		for i := 0; i < len(q.Body) && budget > 0; i++ {
-			cand := dropAtom(q, i)
-			if cand == nil {
-				continue
-			}
-			budget--
-			if m := check(cand, db); m != "" {
-				q, msg, improved = cand, m, true
+	for budget, improved := 3000, true; improved && budget > 0; {
+		improved = false
+		for _, v := range variants(q, db) {
+			if budget--; budget < 0 {
 				break
 			}
-		}
-		if improved {
-			continue
-		}
-		// Drop a functional dependency.
-		for i := 0; i < len(q.FDs) && budget > 0; i++ {
-			cand := q.Clone()
-			cand.FDs = append(cand.FDs[:i], cand.FDs[i+1:]...)
-			budget--
-			if m := check(cand, db); m != "" {
-				q, msg, improved = cand, m, true
+			if m := check(v.q, v.db); m != "" {
+				q, db, msg, improved = v.q, v.db, m, true
 				break
 			}
-		}
-		if improved {
-			continue
-		}
-		// Drop a tuple.
-		for _, name := range db.Names() {
-			r := db.Relation(name)
-			for row := 0; row < r.Size() && budget > 0; row++ {
-				cand := dropTuple(db, name, row)
-				budget--
-				if m := check(q, cand); m != "" {
-					db, msg, improved = cand, m, true
-					break
-				}
-			}
-			if improved {
-				break
-			}
-		}
-		if !improved {
-			break
 		}
 	}
 	return q, db, msg
+}
+
+// variant is a candidate pair of the shrinker.
+type variant struct {
+	q  *cq.Query
+	db *database.Database
+}
+
+// variants lists the pairs one removal away from (q, db), atoms first
+// (re-anchoring the head to surviving variables), then dependencies,
+// then tuples.
+func variants(q *cq.Query, db *database.Database) []variant {
+	var out []variant
+	for i := range q.Body {
+		if cand := dropAtom(q, i); cand != nil {
+			out = append(out, variant{cand, db})
+		}
+	}
+	for i := range q.FDs {
+		cand := q.Clone()
+		cand.FDs = append(cand.FDs[:i], cand.FDs[i+1:]...)
+		out = append(out, variant{cand, db})
+	}
+	for _, name := range db.Names() {
+		for row := 0; row < db.Relation(name).Size(); row++ {
+			out = append(out, variant{q, dropTuple(db, name, row)})
+		}
+	}
+	return out
 }
 
 // dropAtom removes body atom i, restricting the head to variables that

@@ -144,7 +144,7 @@ var (
 // bottom-up and top-down semijoin sweeps and the final join recurse over a
 // node's children in parallel on a bounded worker pool; only the fold into
 // the parent is sequential. Semijoins probe the child's memoized hash index
-// (relation.Semijoin) instead of rescanning it per pass.
+// (relation.SemijoinOn) instead of rescanning it per pass.
 //
 // The semijoin passes produce a relation per node — a reducer is probed via
 // its index, so it must exist whole — but each reduction itself runs as a

@@ -264,25 +264,17 @@ func HashJoin(r, s *Relation, pairs [][2]int) (*Relation, error) {
 	return out, nil
 }
 
-// EquiJoin is HashJoin — the name the seed used; kept as the generic
-// equi-join entry point (the sort-merge variant lives in sortmerge.go).
+// EquiJoin is HashJoin under the generic equi-join name.
 func EquiJoin(r, s *Relation, pairs [][2]int) (*Relation, error) {
 	return HashJoin(r, s, pairs)
 }
 
-// Semijoin returns r ⋉ s: the tuples of r that join with at least one tuple
-// of s on their shared attribute names. With no shared attributes every
-// tuple of r joins (unless s is empty), so r itself is returned.
-func Semijoin(r, s *Relation) (*Relation, error) {
-	rCols, sCols := SharedCols(r, s)
-	return SemijoinOn(r, s, rCols, sCols)
-}
-
-// SemijoinOn is Semijoin on explicit column pairs: rCols[k] of r joins
-// sCols[k] of s. It is the position-pure form the sharded operators use —
-// partition shards may carry memoized attribute names from a sibling view,
-// so name matching happens once at the routing layer. Empty column lists
-// degrade like Semijoin's no-shared-attribute case.
+// SemijoinOn returns r ⋉ s on explicit column pairs: the tuples of r
+// whose column rCols[k] equals column sCols[k] of some tuple of s, for
+// every k. It is position-pure — partition shards may carry memoized
+// attribute names from a sibling view, so name matching (SharedCols)
+// happens once at the routing layer. With empty column lists every tuple
+// of r joins unless s is empty, so r itself is returned.
 func SemijoinOn(r, s *Relation, rCols, sCols []int) (*Relation, error) {
 	if len(rCols) != len(sCols) {
 		return nil, fmt.Errorf("relation: semijoin on %d vs %d columns", len(rCols), len(sCols))

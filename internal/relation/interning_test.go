@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -228,7 +229,8 @@ func TestSemijoin(t *testing.T) {
 	s := New("S", "b", "c")
 	s.Add("x", "q")
 	s.Add("y", "q")
-	out, err := Semijoin(r, s)
+	rCols, sCols := SharedCols(r, s)
+	out, err := SemijoinOn(r, s, rCols, sCols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestSemijoinNoSharedAttrs(t *testing.T) {
 	r := New("R", "a")
 	r.Add("1")
 	s := New("S", "b")
-	out, err := Semijoin(r, s) // s empty: nothing joins
+	out, err := SemijoinOn(r, s, nil, nil) // s empty: nothing joins
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +254,7 @@ func TestSemijoinNoSharedAttrs(t *testing.T) {
 		t.Fatalf("semijoin with empty s = %d tuples", out.Size())
 	}
 	s.Add("x")
-	out, err = Semijoin(r, s) // s non-empty: everything joins
+	out, err = SemijoinOn(r, s, nil, nil) // s non-empty: everything joins
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,26 +263,66 @@ func TestSemijoinNoSharedAttrs(t *testing.T) {
 	}
 }
 
-// TestHashJoinMatchesSortMerge cross-checks the two equi-join
-// implementations on a skewed instance.
-func TestHashJoinMatchesSortMerge(t *testing.T) {
+// nestedLoopJoin is HashJoin's reference: every row pair of r × s that
+// agrees on all pairs, concatenated.
+func nestedLoopJoin(r, s *Relation, pairs [][2]int) *Relation {
+	out := New("want", concatAttrs(r, s)...)
+	r.Each(func(a Tuple) bool {
+		s.Each(func(b Tuple) bool {
+			for _, p := range pairs {
+				if a[p[0]] != b[p[1]] {
+					return true
+				}
+			}
+			out.MustInsert(append(a.Clone(), b...)...)
+			return true
+		})
+		return true
+	})
+	return out
+}
+
+// TestHashJoinMatchesNestedLoop checks HashJoin against the nested loop
+// on a skewed instance, on random relations (either side may be empty or
+// the smaller), and on a two-column key; the output resolves through its
+// inputs' dictionary, and out-of-range positions are rejected.
+func TestHashJoinMatchesNestedLoop(t *testing.T) {
+	check := func(r, s *Relation, pairs [][2]int) {
+		t.Helper()
+		h, err := HashJoin(r, s, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := nestedLoopJoin(r, s, pairs); !Equal(h, want) {
+			t.Fatalf("%v: hash join %d tuples, nested loop %d", pairs, h.Size(), want.Size())
+		}
+		if h.Dict() != r.Dict() {
+			t.Fatal("hash join output does not resolve through its inputs' dictionary")
+		}
+	}
 	r := New("R", "a", "b")
 	s := New("S", "c", "d")
 	for i := 0; i < 200; i++ {
 		r.Add(fmt.Sprintf("r%d", i), fmt.Sprintf("k%d", i%7))
 		s.Add(fmt.Sprintf("k%d", i%11), fmt.Sprintf("s%d", i))
 	}
-	pairs := [][2]int{{1, 0}}
-	h, err := HashJoin(r, s, pairs)
-	if err != nil {
-		t.Fatal(err)
+	check(r, s, [][2]int{{1, 0}})
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 200; i++ {
+		r := randomRelation(rng, "R", []string{"a", "b"}, rng.Intn(30), 4)
+		s := randomRelation(rng, "S", []string{"c", "d"}, rng.Intn(30), 4)
+		check(r, s, [][2]int{{1, 0}})
+		check(r, s, [][2]int{{0, 0}, {1, 1}})
 	}
-	m, err := EquiJoinSortMerge(r, s, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(h, m) {
-		t.Fatalf("hash join (%d tuples) != sort-merge join (%d tuples)", h.Size(), m.Size())
+	d := NewDict()
+	d.Intern("padding") // so d's ids differ from the default dictionary's
+	r = NewIn("R", d, "a", "b")
+	r.Add("x", "k")
+	s = NewIn("S", d, "c", "d")
+	s.Add("k", "y")
+	check(r, s, [][2]int{{1, 0}})
+	if _, err := HashJoin(r, s, [][2]int{{3, 0}}); err == nil {
+		t.Fatal("accepted an out-of-range position")
 	}
 }
 

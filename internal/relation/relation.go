@@ -692,7 +692,7 @@ func concatAttrs(r, s *Relation) []string {
 
 // SharedCols lists the column pairs of r and s holding the same attribute
 // name — the natural-join (and semijoin) columns. Every name-matching
-// operator (NaturalJoin, Semijoin, the sharded routing layer) pairs
+// operator (NaturalJoin, the sharded routing layer) pairs
 // columns through this one helper so they cannot desynchronize.
 func SharedCols(r, s *Relation) (rCols, sCols []int) {
 	return SharedColsNames(r.Attrs, s.Attrs)

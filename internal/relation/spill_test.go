@@ -105,7 +105,8 @@ func TestGovernedOperatorsMatchPlain(t *testing.T) {
 	if !Equal(gJoin, pJoin) {
 		t.Fatal("join through governed storage differs from plain")
 	}
-	sj, err := Semijoin(rc, bridge)
+	rCols, bCols := SharedCols(rc, bridge)
+	sj, err := SemijoinOn(rc, bridge, rCols, bCols)
 	if err != nil {
 		t.Fatal(err)
 	}

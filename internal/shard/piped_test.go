@@ -100,7 +100,8 @@ func mustNaturalJoin(t *testing.T, rels ...*relation.Relation) *relation.Relatio
 
 func mustSemijoinRel(t *testing.T, l, r *relation.Relation) *relation.Relation {
 	t.Helper()
-	out, err := relation.Semijoin(l, r)
+	lCols, rCols := relation.SharedCols(l, r)
+	out, err := relation.SemijoinOn(l, r, lCols, rCols)
 	if err != nil {
 		t.Fatal(err)
 	}
