@@ -40,8 +40,8 @@
 // the next pipeline start partitioned. The routing rules (inputs
 // below Options.MinRows, no shared column) are internal/shard's; nil
 // options mean one part and default batches. Outputs are identical in
-// every configuration, which the 220-pair property matrix
-// (TestPropertyExecutorsAgree) proves against Naive across shard counts,
+// every configuration, which the 220-pair property matrix (the
+// TestProperty* sweep slices) proves against Naive across shard counts,
 // batch sizes and a forced-spill budget, Zipf-skewed data included.
 //
 // Stats.MaxIntermediate is the largest relation an evaluation actually

@@ -185,28 +185,29 @@ func cellsFor(i int) []propertyCell {
 	return run
 }
 
-// TestPropertyExecutorsAgree sweeps the matrix over the pairs. After the
-// sweep the counters must show it exercised what it exists for: every
-// load path evaluated every pair, the routing ladder's every rung fired,
-// batches streamed through the bare executors and every Engine, the
-// governors — the bare executors' own, traced ones included, and some
-// budgeted Engine's — evicted and reloaded, and the HTTP servers left no
-// goroutine behind. It logs the default Engine's plans per strategy and
-// the pairs whose answer outgrew Engine.BoundRows.
-func TestPropertyExecutorsAgree(t *testing.T) {
+// sweep runs every pair through the cells of propertyMatrix that slice
+// admits. The first disagreement fails the test, shrunk and reported with
+// its seed and cell; so does a pair for which slice admits no cell, as
+// every slice must evaluate every pair. It returns the rig, whose
+// counters the caller checks for what its slice exists for, and the
+// number of pairs; the rig closes when the test ends. The tests below
+// split the matrix into five disjoint slices, which together run each
+// cell once.
+func sweep(t *testing.T, slice func(propertyCell) bool) (*propertyRig, int) {
 	iters := propertyIterations
 	if testing.Short() {
 		iters = 60
 	}
-	goroutines := runtime.NumGoroutine()
 	rig := newPropertyRig(t) // its spill files live under t.TempDir
-	var pairs [loadHTTP + 1]int
-	plans, overBound := map[cqbound.Strategy]int{}, 0
+	t.Cleanup(rig.close)
 	for i := 0; i < iters; i++ {
 		seed, q, db := propertyPair(i)
-		ran := [loadHTTP + 1]bool{}
+		ran := false
 		for _, c := range cellsFor(i) {
-			ran[c["load"]] = true
+			if !slice(c) {
+				continue
+			}
+			ran = true
 			if msg := rig.disagreement(c, seed, q, db); msg != "" {
 				check := func(q *cq.Query, db *database.Database) string { return rig.disagreement(c, seed, q, db) }
 				q, db, msg = shrink(check, q, db, msg)
@@ -214,12 +215,24 @@ func TestPropertyExecutorsAgree(t *testing.T) {
 					"minimal query:\n%s\nminimal database:\n%s", i, seed, c, msg, q, dumpDB(db))
 			}
 		}
-		for load, ok := range ran {
-			if ok {
-				pairs[load]++
-			}
+		if !ran {
+			t.Fatalf("iteration %d (seed %d): no cell of this slice ran", i, seed)
 		}
-		eng := rig.cellEngine(propertyCell{"shards": nilOptions})
+	}
+	return rig, iters
+}
+
+// TestPropertyStrategiesAgree runs the nil-options cell: join-project,
+// generic join and Yannakakis called with nil options, and a default
+// Engine. Every Engine must stream. It logs the default Engine's plans
+// per strategy and the pairs whose answer outgrew Engine.BoundRows.
+func TestPropertyStrategiesAgree(t *testing.T) {
+	rig, iters := sweep(t, func(c propertyCell) bool { return c["shards"] == nilOptions })
+	rig.checkEnginesStreamed()
+	eng := rig.cellEngine(propertyCell{"shards": nilOptions})
+	plans, overBound := map[cqbound.Strategy]int{}, 0
+	for i := 0; i < iters; i++ {
+		_, q, db := propertyPair(i)
 		p, err := eng.Explain(q)
 		if err != nil {
 			t.Fatal(err)
@@ -235,13 +248,42 @@ func TestPropertyExecutorsAgree(t *testing.T) {
 	}
 	t.Logf("default Engine plans over %d pairs: %d yannakakis, %d project-early, %d generic-join; %d pairs answered more rows than Engine.BoundRows",
 		iters, plans[cqbound.StrategyYannakakis], plans[cqbound.StrategyProjectEarly], plans[cqbound.StrategyGenericJoin], overBound)
-	for load, n := range pairs {
-		if n < iters {
-			t.Fatalf("load path %s evaluated %d of %d pairs", loadNames[load], n, iters)
-		}
-	}
+}
+
+// TestPropertyExecutorsAgree runs the untraced static cells at a
+// partition count: shards × batch × budget × stride, every executor and
+// the cell's Engine. Every rung of the routing ladder must fire, and the
+// governors must spill (checkExercised).
+func TestPropertyExecutorsAgree(t *testing.T) {
+	rig, _ := sweep(t, func(c propertyCell) bool {
+		return c["load"] == loadStatic && c["shards"] != nilOptions && c["traced"] == 0
+	})
 	rig.checkExercised()
-	rig.close()
+}
+
+// TestPropertyTracedAgrees runs the traced static cells: the same
+// configurations with a tracer in every executor's options and the
+// Engine through EvaluateTraced. Every traced run must leave a span tree,
+// and the traced governors must spill, so tracing is checked observing
+// eviction and reload.
+func TestPropertyTracedAgrees(t *testing.T) {
+	rig, _ := sweep(t, func(c propertyCell) bool { return c["load"] == loadStatic && c["traced"] == 1 })
+	rig.checkExercised()
+}
+
+// TestPropertyIngestSnapshotsAgree runs the txn cells: each pair's
+// database committed through Engine transactions beside a concurrent
+// writer, read live and pinned, traced and untraced, at the forcing
+// budget.
+func TestPropertyIngestSnapshotsAgree(t *testing.T) {
+	sweep(t, func(c propertyCell) bool { return c["load"] == loadTxn })
+}
+
+// TestPropertyServeSnapshotsAgree runs the txn scenario through a Server
+// over HTTP: the http cells. The servers must leave no goroutine behind.
+func TestPropertyServeSnapshotsAgree(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	sweep(t, func(c propertyCell) bool { return c["load"] == loadHTTP })
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

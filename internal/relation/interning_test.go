@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 )
@@ -260,69 +259,6 @@ func TestSemijoinNoSharedAttrs(t *testing.T) {
 	}
 	if out.Size() != 1 {
 		t.Fatalf("semijoin with non-empty s = %d tuples", out.Size())
-	}
-}
-
-// nestedLoopJoin is HashJoin's reference: every row pair of r × s that
-// agrees on all pairs, concatenated.
-func nestedLoopJoin(r, s *Relation, pairs [][2]int) *Relation {
-	out := New("want", concatAttrs(r, s)...)
-	r.Each(func(a Tuple) bool {
-		s.Each(func(b Tuple) bool {
-			for _, p := range pairs {
-				if a[p[0]] != b[p[1]] {
-					return true
-				}
-			}
-			out.MustInsert(append(a.Clone(), b...)...)
-			return true
-		})
-		return true
-	})
-	return out
-}
-
-// TestHashJoinMatchesNestedLoop checks HashJoin against the nested loop
-// on a skewed instance, on random relations (either side may be empty or
-// the smaller), and on a two-column key; the output resolves through its
-// inputs' dictionary, and out-of-range positions are rejected.
-func TestHashJoinMatchesNestedLoop(t *testing.T) {
-	check := func(r, s *Relation, pairs [][2]int) {
-		t.Helper()
-		h, err := HashJoin(r, s, pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := nestedLoopJoin(r, s, pairs); !Equal(h, want) {
-			t.Fatalf("%v: hash join %d tuples, nested loop %d", pairs, h.Size(), want.Size())
-		}
-		if h.Dict() != r.Dict() {
-			t.Fatal("hash join output does not resolve through its inputs' dictionary")
-		}
-	}
-	r := New("R", "a", "b")
-	s := New("S", "c", "d")
-	for i := 0; i < 200; i++ {
-		r.Add(fmt.Sprintf("r%d", i), fmt.Sprintf("k%d", i%7))
-		s.Add(fmt.Sprintf("k%d", i%11), fmt.Sprintf("s%d", i))
-	}
-	check(r, s, [][2]int{{1, 0}})
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 200; i++ {
-		r := randomRelation(rng, "R", []string{"a", "b"}, rng.Intn(30), 4)
-		s := randomRelation(rng, "S", []string{"c", "d"}, rng.Intn(30), 4)
-		check(r, s, [][2]int{{1, 0}})
-		check(r, s, [][2]int{{0, 0}, {1, 1}})
-	}
-	d := NewDict()
-	d.Intern("padding") // so d's ids differ from the default dictionary's
-	r = NewIn("R", d, "a", "b")
-	r.Add("x", "k")
-	s = NewIn("S", d, "c", "d")
-	s.Add("k", "y")
-	check(r, s, [][2]int{{1, 0}})
-	if _, err := HashJoin(r, s, [][2]int{{3, 0}}); err == nil {
-		t.Fatal("accepted an out-of-range position")
 	}
 }
 
