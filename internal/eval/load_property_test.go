@@ -20,6 +20,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,11 +43,12 @@ type commitOp struct {
 	Rows  [][]string `json:"rows,omitempty"`
 }
 
-// reply is one read's answer at the string boundary, the epoch it read
-// and its trace's span count (0 untraced).
+// reply is one read's answer at the string boundary, one sorted string
+// per tuple, the epoch it read and, when traced, its span count.
 type reply struct {
 	epoch  uint64
-	tuples [][]string
+	tuples []string
+	traced bool
 	spans  int
 }
 
@@ -65,11 +67,11 @@ type loadTransport interface {
 // cell's shard count and budget, through the cell's load path, and
 // describes the first violation ("" when every reply held).
 func (r *propertyRig) loadDisagreement(c propertyCell, seed int64, q *cq.Query, db *database.Database) string {
-	eng := cqbound.NewEngine(cqbound.WithSharding(0, c["shards"]),
-		cqbound.WithMemoryBudget(int64(c["budget"])), cqbound.WithSpillDir(r.dir))
+	eng := cqbound.NewEngine(cqbound.WithSharding(0, c.shards),
+		cqbound.WithMemoryBudget(int64(c.budget)), cqbound.WithSpillDir(r.dir))
 	defer eng.Close()
 	var tp loadTransport = &engineLoad{eng: eng, pins: map[uint64][]*cqbound.Snapshot{}}
-	if c["load"] == loadHTTP {
+	if c.load == loadHTTP {
 		h := newHTTPLoad(eng)
 		defer h.close()
 		tp = h
@@ -106,59 +108,23 @@ func loadScenario(tp loadTransport, seed int64, q *cq.Query, db *database.Databa
 	}
 
 	// committed maps every epoch the writer published to the ops applied
-	// by then. A reader may see an epoch before the writer records it, so
-	// rowsAt waits until the epoch is recorded or the writer is done.
+	// by then; the replies are checked against it once every goroutine is
+	// done.
 	var (
+		wg        sync.WaitGroup
 		mu        sync.Mutex
-		recorded  = sync.NewCond(&mu)
 		committed = map[uint64][]commitOp{last: batches[0]}
-		written   bool
+		replies   []reply
+		errs      []string
 	)
-	opsAt := func(epoch uint64) ([]commitOp, bool) {
+	fail := func(format string, args ...any) {
 		mu.Lock()
 		defer mu.Unlock()
-		for {
-			if ops, ok := committed[epoch]; ok || written {
-				return ops, ok
-			}
-			recorded.Wait()
-		}
-	}
-	// check compares a reply to q with Naive on the rows of its epoch.
-	check := func(rep reply, traced bool) string {
-		ops, ok := opsAt(rep.epoch)
-		if !ok {
-			return fmt.Sprintf("reply reports epoch %d, which no commit published", rep.epoch)
-		}
-		want, err := naiveStrings(q, opsDB(db, ops))
-		switch {
-		case err != nil:
-			return fmt.Sprintf("naive on epoch %d: %v", rep.epoch, err)
-		case !sameTuples(rep.tuples, want):
-			return fmt.Sprintf("epoch %d (traced=%v): %d tuples, naive on its rows %d", rep.epoch, traced, len(rep.tuples), len(want))
-		case traced && rep.spans < 2:
-			return fmt.Sprintf("epoch %d: traced read produced %d spans, want a tree", rep.epoch, rep.spans)
-		}
-		return ""
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan string, 1)
-	report := func(format string, args ...any) {
-		select {
-		case errs <- fmt.Sprintf(format, args...):
-		default:
-		}
+		errs = append(errs, fmt.Sprintf(format, args...))
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer func() {
-			mu.Lock()
-			written = true
-			recorded.Broadcast()
-			mu.Unlock()
-		}()
 		have := batches[0]
 		for _, batch := range batches[1:] {
 			if len(batch) == 0 {
@@ -166,13 +132,12 @@ func loadScenario(tp loadTransport, seed int64, q *cq.Query, db *database.Databa
 			}
 			epoch, err := tp.commit(batch)
 			if err != nil {
-				report("delta commit: %v", err)
+				fail("delta commit: %v", err)
 				return
 			}
 			have = append(have[:len(have):len(have)], batch...)
 			mu.Lock()
 			committed[epoch], last = have, epoch
-			recorded.Broadcast()
 			mu.Unlock()
 		}
 	}()
@@ -188,37 +153,47 @@ func loadScenario(tp loadTransport, seed int64, q *cq.Query, db *database.Databa
 				if reader%2 == 1 {
 					var err error
 					if pinned, err = tp.pin(); err != nil {
-						report("pin: %v", err)
+						fail("pin: %v", err)
 						return
 					}
 				}
 				rep, err := tp.read(q, pinned, traced)
 				if err != nil {
-					report("read (epoch %d): %v", pinned, err)
+					fail("reader %d: read (epoch %d): %v", reader, pinned, err)
 					return
 				}
 				if pinned != 0 {
 					if rep.epoch != pinned {
-						report("read of pinned epoch %d reports epoch %d", pinned, rep.epoch)
+						fail("reader %d: read of pinned epoch %d reports epoch %d", reader, pinned, rep.epoch)
 						return
 					}
 					if err := tp.release(pinned); err != nil {
-						report("release %d: %v", pinned, err)
+						fail("release %d: %v", pinned, err)
 						return
 					}
 				}
-				if msg := check(rep, traced); msg != "" {
-					report("reader %d: %s", reader, msg)
-					return
-				}
+				rep.traced = traced
+				mu.Lock()
+				replies = append(replies, rep)
+				mu.Unlock()
 			}
 		}(reader)
 	}
 	wg.Wait()
-	select {
-	case msg := <-errs:
-		return msg
-	default:
+	if len(errs) > 0 {
+		return errs[0]
+	}
+	for _, rep := range replies {
+		ops, ok := committed[rep.epoch]
+		if !ok {
+			return fmt.Sprintf("a reply reports epoch %d, which no commit published", rep.epoch)
+		}
+		if msg := naiveDiff(q, opsDB(db, ops), rep.tuples); msg != "" {
+			return fmt.Sprintf("epoch %d (traced=%v): %s on its rows", rep.epoch, rep.traced, msg)
+		}
+		if rep.traced && rep.spans < 2 {
+			return fmt.Sprintf("epoch %d: traced read produced %d spans, want a tree", rep.epoch, rep.spans)
+		}
 	}
 
 	// End state: the live epoch is the writer's last, and q and every
@@ -232,14 +207,11 @@ func loadScenario(tp loadTransport, seed int64, q *cq.Query, db *database.Databa
 		if err != nil {
 			return fmt.Sprintf("end state %s: %v", eq, err)
 		}
-		want, err := naiveStrings(eq, db)
-		switch {
-		case err != nil:
-			return fmt.Sprintf("end state %s: naive: %v", eq, err)
-		case rep.epoch != last:
+		if rep.epoch != last {
 			return fmt.Sprintf("end state: live epoch %d, the last commit published %d", rep.epoch, last)
-		case !sameTuples(rep.tuples, want):
-			return fmt.Sprintf("end state %s: %d tuples, naive on the original %d", eq, len(rep.tuples), len(want))
+		}
+		if msg := naiveDiff(eq, db, rep.tuples); msg != "" {
+			return fmt.Sprintf("end state %s: %s on the original", eq, msg)
 		}
 	}
 	return ""
@@ -270,40 +242,28 @@ func opsDB(schema *database.Database, ops []commitOp) *database.Database {
 	return db
 }
 
-// naiveStrings is Naive's answer at the string boundary.
-func naiveStrings(q *cq.Query, db *database.Database) ([][]string, error) {
+// naiveDiff describes how tuples, as a reply holds them, differ from
+// Naive's answer to q on db ("" when they are equal).
+func naiveDiff(q *cq.Query, db *database.Database, tuples []string) string {
 	ref, _, err := eval.NaiveCtx(context.Background(), q, db)
 	if err != nil {
-		return nil, err
+		return fmt.Sprintf("naive: %v", err)
 	}
-	return tupleStrings(ref, ref.Dict()), nil
+	if want := tupleKeys(ref, ref.Dict()); !slices.Equal(tuples, want) {
+		return fmt.Sprintf("%d tuples, naive %d", len(tuples), len(want))
+	}
+	return ""
 }
 
-// tupleStrings is r's tuples resolved through d.
-func tupleStrings(r *relation.Relation, d *relation.Dict) [][]string {
-	var out [][]string
+// tupleKeys is r's tuples resolved through d, one sorted string each.
+func tupleKeys(r *relation.Relation, d *relation.Dict) []string {
+	var out []string
 	r.Each(func(tp relation.Tuple) bool {
-		out = append(out, tp.StringsIn(d))
+		out = append(out, strings.Join(tp.StringsIn(d), "\x00"))
 		return true
 	})
+	slices.Sort(out)
 	return out
-}
-
-// sameTuples reports whether a and b hold the same tuples, b being a set.
-func sameTuples(a, b [][]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := make(map[string]bool, len(a))
-	for _, tp := range a {
-		set[strings.Join(tp, "\x00")] = true
-	}
-	for _, tp := range b {
-		if !set[strings.Join(tp, "\x00")] {
-			return false
-		}
-	}
-	return true
 }
 
 // engineLoad drives an Engine in process.
@@ -381,7 +341,7 @@ func (l *engineLoad) read(q *cq.Query, epoch uint64, traced bool) (reply, error)
 	if err != nil {
 		return reply{}, err
 	}
-	return reply{epoch: snap.Epoch(), tuples: tupleStrings(out, snap.DB().Dict()), spans: tr.SpanCount()}, nil
+	return reply{epoch: snap.Epoch(), tuples: tupleKeys(out, snap.DB().Dict()), spans: tr.SpanCount()}, nil
 }
 
 // httpLoad drives a Server over loopback HTTP.
@@ -427,25 +387,20 @@ func (l *httpLoad) do(method, path string, body, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// epochReply is the body of /commit and /snapshot replies.
-type epochReply struct {
-	Epoch uint64 `json:"epoch"`
-}
-
 func (l *httpLoad) commit(ops []commitOp) (uint64, error) {
-	var out epochReply
+	var out struct{ Epoch uint64 }
 	err := l.do(http.MethodPost, "/commit", map[string]any{"ops": ops}, &out)
 	return out.Epoch, err
 }
 
 func (l *httpLoad) pin() (uint64, error) {
-	var out epochReply
+	var out struct{ Epoch uint64 }
 	err := l.do(http.MethodPost, "/snapshot", nil, &out)
 	return out.Epoch, err
 }
 
 func (l *httpLoad) release(epoch uint64) error {
-	return l.do(http.MethodDelete, "/snapshot?epoch="+strconv.FormatUint(epoch, 10), nil, &epochReply{})
+	return l.do(http.MethodDelete, "/snapshot?epoch="+strconv.FormatUint(epoch, 10), nil, &struct{}{})
 }
 
 // traceSpans reads the span count off a rendered trace's summary line.
@@ -460,14 +415,18 @@ func (l *httpLoad) read(q *cq.Query, epoch uint64, traced bool) (reply, error) {
 		v.Set("trace", "1")
 	}
 	var out struct {
-		Epoch  uint64     `json:"epoch"`
-		Tuples [][]string `json:"tuples"`
-		Trace  string     `json:"trace"`
+		Epoch  uint64
+		Tuples [][]string
+		Trace  string
 	}
 	if err := l.do(http.MethodGet, "/query?"+v.Encode(), nil, &out); err != nil {
 		return reply{}, err
 	}
-	rep := reply{epoch: out.Epoch, tuples: out.Tuples}
+	rep := reply{epoch: out.Epoch}
+	for _, tp := range out.Tuples {
+		rep.tuples = append(rep.tuples, strings.Join(tp, "\x00"))
+	}
+	slices.Sort(rep.tuples)
 	if m := traceSpans.FindStringSubmatch(out.Trace); m != nil {
 		rep.spans, _ = strconv.Atoi(m[1])
 	}

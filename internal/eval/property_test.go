@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	cqbound "cqbound"
 	"cqbound/internal/cq"
 	"cqbound/internal/database"
 	"cqbound/internal/datagen"
@@ -65,19 +64,6 @@ func propertyPair(i int) (int64, *cq.Query, *database.Database) {
 	return seed, q, datagen.RandomDatabase(rng, q, dbProfiles[i%len(dbProfiles)])
 }
 
-// The load paths by which a cell's database reaches the evaluators.
-const (
-	loadStatic = iota // handed to the executors and the Engine as built
-	loadTxn           // committed through Engine transactions
-	loadHTTP          // committed and read through a Server over HTTP
-)
-
-var loadNames = map[int]string{loadStatic: "static", loadTxn: "txn", loadHTTP: "http"}
-
-// nilOptions is the shards value of the cell that runs the bare executors
-// with nil options and a default Engine.
-const nilOptions = 0
-
 // shardCounts are the partition counts the sweep cycles through: P=1 (the
 // degenerate single-shard view), tiny P, P larger than many of the random
 // databases' distinct values (forcing empty shards).
@@ -89,111 +75,74 @@ var shardCounts = []int{1, 2, 3, 5, 16}
 // just between them.
 const spillBudgetBytes = 256
 
-// propertyAxis is one row of the matrix: every pair runs each of its
-// every values, and pair i also runs cycled[i mod len(cycled)].
-type propertyAxis struct {
-	name   string
-	every  []int
-	cycled []int
-	names  map[int]string // how a value prints, when not as its number
-}
+// The load paths by which a cell's database reaches the evaluators.
+const (
+	loadStatic = "static" // handed to the executors and the Engine as built
+	loadTxn    = "txn"    // committed through Engine transactions
+	loadHTTP   = "http"   // committed and read through a Server over HTTP
+)
 
-// propertyMatrix is the sweep's configuration space. The cycled lengths
-// are pairwise coprime, so every combination of them recurs; cellsFor
-// crosses the rest and keeps the cells that runs admits. A new axis is one
-// row here plus its use where the cell is run.
-var propertyMatrix = []propertyAxis{
-	// The txn and http paths share one scenario (load_property_test.go).
-	{name: "load", every: []int{loadStatic, loadTxn, loadHTTP}, names: loadNames},
-	// A traced static cell runs every executor with a tracer in its
-	// options and the Engine through EvaluateTraced.
-	{name: "traced", every: []int{0, 1}},
-	// 0 is unlimited.
-	{name: "budget", every: []int{0, spillBudgetBytes}},
-	// Threshold zero makes every join, semijoin and projection take the
-	// partitioned path whatever its size, so empty shards, P=1, aligned
-	// reuse, broadcast and exchange all occur as the data produces them.
-	{name: "shards", every: []int{nilOptions}, cycled: shardCounts, names: map[int]string{nilOptions: "nil"}},
-	// The bare executors' batch size (the Engine runs at the default): 1
-	// hands single-row batches across every stage boundary, 7 never
-	// divides the relations evenly, 1024 is the production default.
-	{name: "batch", cycled: []int{1, 7, 1024}},
-	// 1 keeps the generated values, whose small domains put most
-	// projections on the dense bitmap; spreadStride rebuilds every
-	// relation with its values that far apart, so every projection that
-	// keeps two distinct values in a column deduplicates by hash. Static
-	// cells only: the other paths intern strings into the engine's own
-	// dictionary.
-	{name: "stride", cycled: []int{1, spreadStride}},
-}
+// nilOptions is the shards value of the cell that runs the bare executors
+// with nil options and a default Engine.
+const nilOptions = 0
 
-// propertyCell is one configuration: a value per axis of propertyMatrix.
-type propertyCell map[string]int
+// propertyCell is one configuration a pair runs in.
+type propertyCell struct {
+	load   string
+	traced bool // static: a tracer in every executor's options, the Engine through EvaluateTraced
+	budget int  // memory budget in bytes, 0 unlimited
+	shards int  // partition count, or nilOptions
+	batch  int  // the bare executors' batch size (the Engine runs at the default)
+	stride int  // static: 1 keeps the generated values, spreadStride spreads them
+}
 
 func (c propertyCell) String() string {
-	parts := make([]string, len(propertyMatrix))
-	for i, ax := range propertyMatrix {
-		v := fmt.Sprint(c[ax.name])
-		if name, ok := ax.names[c[ax.name]]; ok {
-			v = name
-		}
-		parts[i] = ax.name + "=" + v
-	}
-	return strings.Join(parts, " ")
+	return fmt.Sprintf("load=%s traced=%v budget=%d shards=%d batch=%d stride=%d",
+		c.load, c.traced, c.budget, c.shards, c.batch, c.stride)
 }
 
-// runs reports whether the sweep runs c. Nil options carry no budget and
-// no tracer, and only the static path takes them; the txn and http paths
-// run one scenario at the forcing budget whose readers alternate traced
-// and untraced, so their cell reads traced=1.
-func (c propertyCell) runs() bool {
-	switch {
-	case c["shards"] == nilOptions:
-		return c["load"] == loadStatic && c["budget"] == 0 && c["traced"] == 0
-	case c["load"] != loadStatic:
-		return c["budget"] == spillBudgetBytes && c["traced"] == 1
+// propertyMatrix returns the cells pair i runs in one slice of the sweep.
+// Pair i takes shardCounts[i mod 5], batch size {1, 7, 1024}[i mod 3] and
+// stride {1, spreadStride}[i mod 2]; the lengths are pairwise coprime, so
+// every combination of them recurs. Threshold zero makes every join,
+// semijoin and projection take the partitioned path whatever its size, so
+// empty shards, P=1, aligned reuse, broadcast and exchange all occur as
+// the data produces them; batch size 1 hands single-row batches across
+// every stage boundary, 7 never divides the relations evenly, 1024 is the
+// default; the generated values' small domains put most projections on
+// the dense bitmap, spread ones dedup by hash. A new axis is one field of
+// propertyCell, its values here and its use where a cell runs.
+func propertyMatrix(slice string, i int) []propertyCell {
+	c := propertyCell{load: loadStatic, shards: shardCounts[i%len(shardCounts)],
+		batch: []int{1, 7, 1024}[i%3], stride: []int{1, spreadStride}[i%2]}
+	switch slice {
+	case "nil-options":
+		return []propertyCell{{load: loadStatic, shards: nilOptions, stride: 1}}
+	case "executors": // unlimited and at the forcing budget
+		forced := c
+		forced.budget = spillBudgetBytes
+		return []propertyCell{c, forced}
+	case "traced":
+		c.traced, c.budget, c.stride = true, spillBudgetBytes, 1
+	case loadTxn, loadHTTP:
+		// One scenario at the forcing budget, whose readers alternate
+		// traced and untraced; the other paths intern strings into the
+		// engine's own dictionary, so they take no stride, and the Engine
+		// sets the batch size.
+		c = propertyCell{load: slice, traced: true, budget: spillBudgetBytes, shards: c.shards}
+	default:
+		panic("unknown slice " + slice)
 	}
-	return true
+	return []propertyCell{c}
 }
 
-// cellsFor expands the matrix for pair i.
-func cellsFor(i int) []propertyCell {
-	cells := []propertyCell{{}}
-	for _, ax := range propertyMatrix {
-		values := ax.every
-		if len(ax.cycled) > 0 {
-			values = append(values[:len(values):len(values)], ax.cycled[i%len(ax.cycled)])
-		}
-		var next []propertyCell
-		for _, c := range cells {
-			for _, v := range values {
-				nc := propertyCell{ax.name: v}
-				for k, old := range c {
-					nc[k] = old
-				}
-				next = append(next, nc)
-			}
-		}
-		cells = next
-	}
-	var run []propertyCell
-	for _, c := range cells {
-		if c.runs() {
-			run = append(run, c)
-		}
-	}
-	return run
-}
-
-// sweep runs every pair through the cells of propertyMatrix that slice
-// admits. The first disagreement fails the test, shrunk and reported with
-// its seed and cell; so does a pair for which slice admits no cell, as
-// every slice must evaluate every pair. It returns the rig, whose
-// counters the caller checks for what its slice exists for, and the
-// number of pairs; the rig closes when the test ends. The tests below
-// split the matrix into five disjoint slices, which together run each
-// cell once.
-func sweep(t *testing.T, slice func(propertyCell) bool) (*propertyRig, int) {
+// sweep runs every pair through the cells of one slice of propertyMatrix,
+// so every slice evaluates every pair. The first disagreement fails the
+// test, shrunk and reported with its seed and cell. It returns the rig,
+// whose counters the caller checks for what its slice exists for, and the
+// number of pairs; the rig closes when the test ends. The five tests below
+// run the five slices.
+func sweep(t *testing.T, slice string) (*propertyRig, int) {
 	iters := propertyIterations
 	if testing.Short() {
 		iters = 60
@@ -202,21 +151,13 @@ func sweep(t *testing.T, slice func(propertyCell) bool) (*propertyRig, int) {
 	t.Cleanup(rig.close)
 	for i := 0; i < iters; i++ {
 		seed, q, db := propertyPair(i)
-		ran := false
-		for _, c := range cellsFor(i) {
-			if !slice(c) {
-				continue
-			}
-			ran = true
+		for _, c := range propertyMatrix(slice, i) {
 			if msg := rig.disagreement(c, seed, q, db); msg != "" {
 				check := func(q *cq.Query, db *database.Database) string { return rig.disagreement(c, seed, q, db) }
 				q, db, msg = shrink(check, q, db, msg)
 				t.Fatalf("iteration %d (seed %d, %s): execution disagrees with naive after shrinking: %s\n"+
 					"minimal query:\n%s\nminimal database:\n%s", i, seed, c, msg, q, dumpDB(db))
 			}
-		}
-		if !ran {
-			t.Fatalf("iteration %d (seed %d): no cell of this slice ran", i, seed)
 		}
 	}
 	return rig, iters
@@ -227,27 +168,23 @@ func sweep(t *testing.T, slice func(propertyCell) bool) (*propertyRig, int) {
 // Engine. Every Engine must stream. It logs the default Engine's plans
 // per strategy and the pairs whose answer outgrew Engine.BoundRows.
 func TestPropertyStrategiesAgree(t *testing.T) {
-	rig, iters := sweep(t, func(c propertyCell) bool { return c["shards"] == nilOptions })
+	rig, iters := sweep(t, "nil-options")
 	rig.checkEnginesStreamed()
-	eng := rig.cellEngine(propertyCell{"shards": nilOptions})
-	plans, overBound := map[cqbound.Strategy]int{}, 0
+	eng := rig.cellEngine(propertyCell{shards: nilOptions})
+	plans, overBound := map[string]int{}, 0
 	for i := 0; i < iters; i++ {
 		_, q, db := propertyPair(i)
-		p, err := eng.Explain(q)
+		strategy, bound, _, err := eng.PlanInfo(q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans[p.Strategy]++
-		bound, err := eng.BoundRows(q, db)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plans[strategy]++
 		if ref, _, _ := eval.NaiveCtx(context.Background(), q, db); float64(ref.Size()) > bound {
 			overBound++
 		}
 	}
 	t.Logf("default Engine plans over %d pairs: %d yannakakis, %d project-early, %d generic-join; %d pairs answered more rows than Engine.BoundRows",
-		iters, plans[cqbound.StrategyYannakakis], plans[cqbound.StrategyProjectEarly], plans[cqbound.StrategyGenericJoin], overBound)
+		iters, plans["yannakakis"], plans["project-early"], plans["generic-join"], overBound)
 }
 
 // TestPropertyExecutorsAgree runs the untraced static cells at a
@@ -255,19 +192,17 @@ func TestPropertyStrategiesAgree(t *testing.T) {
 // the cell's Engine. Every rung of the routing ladder must fire, and the
 // governors must spill (checkExercised).
 func TestPropertyExecutorsAgree(t *testing.T) {
-	rig, _ := sweep(t, func(c propertyCell) bool {
-		return c["load"] == loadStatic && c["shards"] != nilOptions && c["traced"] == 0
-	})
+	rig, _ := sweep(t, "executors")
 	rig.checkExercised()
 }
 
-// TestPropertyTracedAgrees runs the traced static cells: the same
-// configurations with a tracer in every executor's options and the
-// Engine through EvaluateTraced. Every traced run must leave a span tree,
-// and the traced governors must spill, so tracing is checked observing
-// eviction and reload.
+// TestPropertyTracedAgrees runs the traced static cells: a tracer in
+// every executor's options and the Engine through EvaluateTraced, at the
+// forcing budget. Every traced run must leave a span tree, and the traced
+// governors must spill, so tracing is checked observing eviction and
+// reload.
 func TestPropertyTracedAgrees(t *testing.T) {
-	rig, _ := sweep(t, func(c propertyCell) bool { return c["load"] == loadStatic && c["traced"] == 1 })
+	rig, _ := sweep(t, "traced")
 	rig.checkExercised()
 }
 
@@ -276,14 +211,22 @@ func TestPropertyTracedAgrees(t *testing.T) {
 // writer, read live and pinned, traced and untraced, at the forcing
 // budget.
 func TestPropertyIngestSnapshotsAgree(t *testing.T) {
-	sweep(t, func(c propertyCell) bool { return c["load"] == loadTxn })
+	sweep(t, loadTxn)
 }
 
 // TestPropertyServeSnapshotsAgree runs the txn scenario through a Server
 // over HTTP: the http cells. The servers must leave no goroutine behind.
+// The baseline is the count once it has not fallen for 100 ms, as the
+// goroutines of earlier tests' Engines may still be draining.
 func TestPropertyServeSnapshotsAgree(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
-	sweep(t, func(c propertyCell) bool { return c["load"] == loadHTTP })
+	for quiet := 0; quiet < 10; quiet++ {
+		time.Sleep(10 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n < goroutines {
+			goroutines, quiet = n, -1
+		}
+	}
+	sweep(t, loadHTTP)
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -297,7 +240,7 @@ func TestPropertyServeSnapshotsAgree(t *testing.T) {
 // disagreement runs cell c on the pair and describes its first
 // inconsistency with Naive ("" when every evaluation agrees).
 func (r *propertyRig) disagreement(c propertyCell, seed int64, q *cq.Query, db *database.Database) string {
-	if c["load"] == loadStatic {
+	if c.load == loadStatic {
 		return r.staticDisagreement(c, q, db)
 	}
 	return r.loadDisagreement(c, seed, q, db)

@@ -19,7 +19,6 @@ import (
 	"cqbound/internal/database"
 	"cqbound/internal/datagen"
 	"cqbound/internal/eval"
-	"cqbound/internal/metrics"
 	"cqbound/internal/metrics/counter"
 	"cqbound/internal/relation"
 	"cqbound/internal/shard"
@@ -61,29 +60,28 @@ func spreadDB(db *database.Database, stride int) *database.Database {
 	return out
 }
 
-// propertyRig holds what outlives one pair: the spill directory, the
-// counters the bare executors share, one governor per budget and tracing,
-// and one Engine per shard count and budget.
+// propertyRig holds what outlives one pair of a slice: the spill
+// directory, the counters the bare executors share, their governor (built
+// at the first budgeted cell's budget) and one Engine per shard count and
+// budget.
 type propertyRig struct {
 	t       *testing.T
 	dir     string
 	shardM  *counter.Set
 	batchM  *counter.Set
-	govs    map[[2]int]*spill.Governor
+	gov     *spill.Governor
 	engines map[string]*cqbound.Engine
 }
 
 func newPropertyRig(t *testing.T) *propertyRig {
 	return &propertyRig{t: t, dir: t.TempDir(), shardM: shard.Counters.NewSet(), batchM: batch.Counters.NewSet(),
-		govs: map[[2]int]*spill.Governor{}, engines: map[string]*cqbound.Engine{}}
+		engines: map[string]*cqbound.Engine{}}
 }
 
-// close releases the governors' and Engines' spill state; the rig stays
+// close releases the governor's and Engines' spill state; the rig stays
 // readable.
 func (r *propertyRig) close() {
-	for _, gov := range r.govs {
-		gov.Close()
-	}
+	r.gov.Close()
 	for _, eng := range r.engines {
 		eng.Close()
 	}
@@ -99,14 +97,6 @@ func count(m *counter.Set, name string) (v int64) {
 	return v
 }
 
-// spillCount reads the governor's registry entry spill_<name>.
-func spillCount(g *spill.Governor, name string) int64 {
-	r := metrics.NewRegistry()
-	g.Register(r)
-	v, _ := r.Value("spill_" + name)
-	return v
-}
-
 // engineCount reads an engine's registry entry.
 func engineCount(e *cqbound.Engine, name string) int64 {
 	v, _ := e.MetricsSnapshot()[name].(int64)
@@ -117,21 +107,18 @@ func engineCount(e *cqbound.Engine, name string) int64 {
 // nil-options cell. One scope per pair, like Engine.Evaluate, so the
 // pairs' intermediate shards don't accumulate in the shared governor.
 func (r *propertyRig) cellOptions(c propertyCell, scope *spill.Scope, tr *trace.Tracer) *shard.Options {
-	if c["shards"] == nilOptions {
+	if c.shards == nilOptions {
 		return nil
 	}
 	opts := &shard.Options{
-		MinRows: 0, Shards: c["shards"], BatchSize: c["batch"],
+		MinRows: 0, Shards: c.shards, BatchSize: c.batch,
 		Metrics: r.shardM, Batch: r.batchM, Trace: tr,
 	}
-	if budget := c["budget"]; budget > 0 {
-		key := [2]int{budget, c["traced"]}
-		gov, ok := r.govs[key]
-		if !ok {
-			gov = spill.NewGovernor(int64(budget), r.dir)
-			r.govs[key] = gov
+	if c.budget > 0 {
+		if r.gov == nil {
+			r.gov = spill.NewGovernor(int64(c.budget), r.dir)
 		}
-		opts.Spill, opts.Scope = gov, scope
+		opts.Spill, opts.Scope = r.gov, scope
 	}
 	return opts
 }
@@ -139,16 +126,16 @@ func (r *propertyRig) cellOptions(c propertyCell, scope *spill.Scope, tr *trace.
 // cellEngine returns the Engine for the cell's shard and budget values,
 // built on first use; the nil-options cell gets a default Engine.
 func (r *propertyRig) cellEngine(c propertyCell) *cqbound.Engine {
-	key := fmt.Sprintf("shards=%d budget=%d", c["shards"], c["budget"])
+	key := fmt.Sprintf("shards=%d budget=%d", c.shards, c.budget)
 	if eng, ok := r.engines[key]; ok {
 		return eng
 	}
 	var opts []cqbound.Option
-	if c["shards"] != nilOptions {
-		opts = append(opts, cqbound.WithSharding(0, c["shards"]))
+	if c.shards != nilOptions {
+		opts = append(opts, cqbound.WithSharding(0, c.shards))
 	}
-	if budget := c["budget"]; budget > 0 {
-		opts = append(opts, cqbound.WithMemoryBudget(int64(budget)), cqbound.WithSpillDir(r.dir))
+	if c.budget > 0 {
+		opts = append(opts, cqbound.WithMemoryBudget(int64(c.budget)), cqbound.WithSpillDir(r.dir))
 	}
 	eng := cqbound.NewEngine(opts...)
 	r.engines[key] = eng
@@ -161,9 +148,9 @@ func (r *propertyRig) cellEngine(c propertyCell) *cqbound.Engine {
 // tree.
 func (r *propertyRig) staticDisagreement(c propertyCell, q *cq.Query, db *database.Database) string {
 	ctx := context.Background()
-	if stride := c["stride"]; stride > 1 {
-		if db = spreadDB(db, stride); db == nil {
-			return fmt.Sprintf("stride %d: the database has too many values to spread in 32 bits", stride)
+	if c.stride > 1 {
+		if db = spreadDB(db, c.stride); db == nil {
+			return fmt.Sprintf("stride %d: the database has too many values to spread in 32 bits", c.stride)
 		}
 	}
 	ref, _, err := eval.NaiveCtx(ctx, q, db)
@@ -173,14 +160,13 @@ func (r *propertyRig) staticDisagreement(c propertyCell, q *cq.Query, db *databa
 	if ref.Arity() != len(q.Head.Vars) {
 		return fmt.Sprintf("naive: output arity %d, head has %d positions", ref.Arity(), len(q.Head.Vars))
 	}
-	traced := c["traced"] == 1
 	check := func(name string, out *relation.Relation, tc *trace.Trace, err error) string {
 		switch {
 		case err != nil:
 			return fmt.Sprintf("%s: %v", name, err)
 		case !relation.Equal(ref, out):
 			return fmt.Sprintf("%s: %d tuples, naive has %d", name, out.Size(), ref.Size())
-		case traced && tc.SpanCount() < 2:
+		case c.traced && tc.SpanCount() < 2:
 			return fmt.Sprintf("%s: traced run produced %d spans, want a tree", name, tc.SpanCount())
 		}
 		return ""
@@ -204,7 +190,7 @@ func (r *propertyRig) staticDisagreement(c propertyCell, q *cq.Query, db *databa
 	}
 	for _, ex := range execs {
 		var tr *trace.Tracer
-		if traced {
+		if c.traced {
 			tr = trace.NewTracer(q.String())
 		}
 		scope := spill.NewScope()
@@ -215,7 +201,7 @@ func (r *propertyRig) staticDisagreement(c propertyCell, q *cq.Query, db *databa
 		}
 	}
 	eng := r.cellEngine(c)
-	if traced {
+	if c.traced {
 		out, _, tc, err := eng.EvaluateTraced(ctx, q, db)
 		return check("engine", out, tc, err)
 	}
@@ -226,7 +212,7 @@ func (r *propertyRig) staticDisagreement(c propertyCell, q *cq.Query, db *databa
 // checkExercised fails the test unless the static cells at a partition
 // count exercised what they exist for: every rung of the routing ladder
 // fired (a dense-bitmap projection among them), the bare executors and
-// every Engine streamed, and every bare governor and some budgeted Engine
+// every Engine streamed, and the bare governor and some budgeted Engine
 // evicted and reloaded.
 func (r *propertyRig) checkExercised() {
 	t := r.t
@@ -239,13 +225,11 @@ func (r *propertyRig) checkExercised() {
 	if count(r.batchM, "stream_batches") == 0 || count(r.batchM, "stream_rows") == 0 {
 		t.Fatal("the bare executors never streamed")
 	}
-	if len(r.govs) == 0 {
+	if r.gov == nil {
 		t.Fatal("no cell ran under the forcing budget")
 	}
-	for key, gov := range r.govs {
-		if ev, re := spillCount(gov, "evictions"), spillCount(gov, "reloaded_shards"); ev == 0 || re == 0 {
-			t.Fatalf("the forcing budget never spilled (traced=%d, evictions=%d reloads=%d): the sweep is not testing eviction", key[1], ev, re)
-		}
+	if ev, re := r.gov.EventCounts(); ev == 0 || re == 0 {
+		t.Fatalf("the forcing budget never spilled (evictions=%d reloads=%d): the sweep is not testing eviction", ev, re)
 	}
 	r.checkEnginesStreamed()
 	for _, eng := range r.engines {
@@ -308,18 +292,17 @@ func TestCoveringHeadProjections(t *testing.T) {
 		"Q(X,X,Y) <- R(X,Y).",
 		"Q(Y,X) <- R(X,Y).",
 	} {
-		q := cq.MustParse(text)
-		for _, shards := range []int{nilOptions, 1, 4} {
+		cells := []propertyCell{{shards: nilOptions}}
+		for _, shards := range []int{1, 4} {
 			for _, bs := range []int{1, 1024} {
 				for _, budget := range []int{0, spillBudgetBytes} {
-					c := propertyCell{"shards": shards, "batch": bs, "budget": budget}
-					if !c.runs() {
-						continue
-					}
-					if msg := rig.staticDisagreement(c, q, db); msg != "" {
-						t.Fatalf("%s (%s): %s", text, c, msg)
-					}
+					cells = append(cells, propertyCell{shards: shards, batch: bs, budget: budget})
 				}
+			}
+		}
+		for _, c := range cells {
+			if msg := rig.staticDisagreement(c, cq.MustParse(text), db); msg != "" {
+				t.Fatalf("%s (%s): %s", text, c, msg)
 			}
 		}
 	}
@@ -347,10 +330,11 @@ func TestSpillMidPlanEviction(t *testing.T) {
 	if !relation.Equal(ref, out) {
 		t.Fatalf("spilled output has %d tuples, naive %d", out.Size(), ref.Size())
 	}
-	if spillCount(gov, "evictions") == 0 {
+	ev, re := gov.EventCounts()
+	if ev == 0 {
 		t.Fatal("512-byte budget over ~400-row relations never evicted")
 	}
-	if spillCount(gov, "reloaded_shards") == 0 {
+	if re == 0 {
 		t.Fatal("no shard was reloaded mid-plan")
 	}
 }

@@ -3,7 +3,9 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 )
 
 func tup(vals ...string) Tuple {
@@ -121,6 +123,135 @@ func TestEquiJoinSwapSides(t *testing.T) {
 		if !j2.Has(tu) {
 			t.Fatalf("tuple %v missing after side swap", tu)
 		}
+	}
+}
+
+// nestedLoopJoin is HashJoin's reference, sharing none of its hashing:
+// every pair of rows equal on the key columns, concatenated.
+func nestedLoopJoin(r, s *Relation, pairs [][2]int) *Relation {
+	out := New("want", concatAttrs(r, s)...)
+	r.Each(func(a Tuple) bool {
+		s.Each(func(b Tuple) bool {
+			for _, p := range pairs {
+				if a[p[0]] != b[p[1]] {
+					return true
+				}
+			}
+			out.MustInsert(append(a.Clone(), b...)...)
+			return true
+		})
+		return true
+	})
+	return out
+}
+
+// hashJoinCheck joins r and s with HashJoin and fails t unless the result
+// equals the nested-loop reference and resolves through its inputs'
+// dictionary.
+func hashJoinCheck(t *testing.T, r, s *Relation, pairs [][2]int) *Relation {
+	t.Helper()
+	h, err := HashJoin(r, s, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := nestedLoopJoin(r, s, pairs); !Equal(h, want) {
+		t.Fatalf("%v: hash join %d tuples, nested loop %d", pairs, h.Size(), want.Size())
+	}
+	if h.Dict() != r.Dict() {
+		t.Fatal("hash join output does not resolve through its inputs' dictionary")
+	}
+	return h
+}
+
+// TestHashJoinMatchesSortMerge cross-checks HashJoin with the nested-loop
+// reference on a skewed instance.
+func TestHashJoinMatchesSortMerge(t *testing.T) {
+	r := New("R", "a", "b")
+	s := New("S", "c", "d")
+	for i := 0; i < 200; i++ {
+		r.Add(fmt.Sprintf("r%d", i), fmt.Sprintf("k%d", i%7))
+		s.Add(fmt.Sprintf("k%d", i%11), fmt.Sprintf("s%d", i))
+	}
+	hashJoinCheck(t, r, s, [][2]int{{1, 0}})
+}
+
+// TestSortMergeMatchesHashJoin runs HashJoin's cross-check (through
+// EquiJoin) on random relations, either side empty or the smaller, on one
+// and two key columns.
+func TestSortMergeMatchesHashJoin(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := randomRelation(rng, "R", []string{"a", "b"}, rng.Intn(30), 4)
+		s := randomRelation(rng, "S", []string{"c", "d"}, rng.Intn(30), 4)
+		for _, pairs := range [][][2]int{{{1, 0}}, {{0, 0}, {1, 1}}} {
+			h, err := EquiJoin(r, s, pairs)
+			if err != nil || !Equal(h, nestedLoopJoin(r, s, pairs)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSortMergeMultiColumn pins HashJoin on a two-column key: a row must
+// match on both columns.
+func TestSortMergeMultiColumn(t *testing.T) {
+	r := New("R", "a", "b")
+	r.Add("1", "2")
+	r.Add("1", "3")
+	s := New("S", "c", "d")
+	s.Add("1", "2")
+	s.Add("1", "9")
+	if j := hashJoinCheck(t, r, s, [][2]int{{0, 0}, {1, 1}}); j.Size() != 1 {
+		t.Fatalf("size = %d, want 1 (only (1,2) matches both columns)", j.Size())
+	}
+}
+
+// TestSortMergeRangeError: HashJoin rejects a key position past either
+// side's arity instead of reading it.
+func TestSortMergeRangeError(t *testing.T) {
+	r := New("R", "a")
+	s := New("S", "b")
+	for _, pairs := range [][][2]int{{{3, 0}}, {{0, 3}}, {{-1, 0}}} {
+		if _, err := HashJoin(r, s, pairs); err == nil {
+			t.Fatalf("accepted out-of-range positions %v", pairs)
+		}
+	}
+}
+
+// TestSortMergeEmptyInputs: in HashJoin an empty side joins to nothing.
+func TestSortMergeEmptyInputs(t *testing.T) {
+	r := New("R", "a")
+	s := New("S", "b")
+	s.Add("x")
+	if j := hashJoinCheck(t, r, s, [][2]int{{0, 0}}); j.Size() != 0 {
+		t.Fatalf("empty left: size = %d", j.Size())
+	}
+	if j := hashJoinCheck(t, s, r, [][2]int{{0, 0}}); j.Size() != 0 {
+		t.Fatalf("empty right: size = %d", j.Size())
+	}
+}
+
+// TestSortMergeKeepsDict: over a private dictionary HashJoin's rows
+// resolve to their inputs' strings.
+func TestSortMergeKeepsDict(t *testing.T) {
+	d := NewDict()
+	d.Intern("padding") // so d's ids differ from the default dictionary's
+	r := NewIn("R", d, "a", "b")
+	r.Add("x", "k")
+	s := NewIn("S", d, "c", "d")
+	s.Add("k", "y")
+	j := hashJoinCheck(t, r, s, [][2]int{{1, 0}})
+	var got []string
+	j.Each(func(tp Tuple) bool {
+		got = tp.StringsIn(j.Dict())
+		return true
+	})
+	if want := []string{"x", "k", "k", "y"}; !slices.Equal(got, want) {
+		t.Fatalf("joined row = %v, want %v", got, want)
 	}
 }
 
