@@ -94,7 +94,7 @@ func main() {
 	concurrency := flag.String("concurrency", "1,8,64", "comma-separated concurrency levels")
 	edges := flag.Int("edges", 2000, "edges per base relation")
 	universe := flag.Int("universe", 200, "node universe size")
-	shards := flag.Int("shards", 0, "partition count for the in-process engine (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "row-range parts per pipeline for the in-process engine (0 = GOMAXPROCS)")
 	membudget := flag.Int64("membudget", 64<<20, "in-process engine memory budget in bytes")
 	admission := flag.Int64("admission", 8<<20, "admission budget in bytes")
 	queue := flag.Int("queue", 16, "admission queue depth")

@@ -40,8 +40,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	shards := flag.Int("shards", 0, "partition count for sharded execution (0 = GOMAXPROCS)")
-	shardThreshold := flag.Int("shard-threshold", 1024, "row threshold below which operators stay single-shard")
+	shards := flag.Int("shards", 0, "row-range parts per pipeline (0 = GOMAXPROCS)")
+	shardThreshold := flag.Int("shard-threshold", 1024, "row threshold below which a scan stays in one part")
 	membudget := flag.Int64("membudget", 0, "spill governor budget in bytes (0 = unlimited)")
 	spilldir := flag.String("spilldir", "", "spill directory (default: system temp)")
 	admission := flag.Int64("admission", 0, "admission budget in bytes (0 = inherit membudget, or 64MiB)")

@@ -98,19 +98,18 @@ type Engine struct {
 // Option configures an Engine at construction.
 type Option func(*Engine)
 
-// WithSharding runs evaluation partition-parallel through the routing of
-// internal/shard: any join, semijoin, or duplicate-eliminating projection
-// whose probe-side input has at least threshold rows is hash-partitioned
-// into the given number of shards (shards <= 0 means GOMAXPROCS) and runs
-// as one pipeline per shard on the worker pool. Intermediate results stay
-// partitioned between steps: a join whose key matches the partitioning the
-// previous step left reuses it outright, and a mismatched key either
-// probes a small side whole in every part (broadcast) or scatters the
-// pipeline's batches onto the new key (exchange). Steps below the
-// threshold — and joins with no shared column to partition on — run
-// single-shard exactly as without the option. Outputs are identical either
-// way; only wall-clock and memory locality change. The shard_* counters
-// of Metrics report what the routing actually did.
+// WithSharding runs evaluation in parallel parts through internal/shard:
+// a pipeline that scans a relation of at least threshold rows splits it
+// into the given number of contiguous row ranges (shards <= 0 means
+// GOMAXPROCS), and each range runs as one pipeline on the worker pool,
+// through every join, semijoin and projection after the scan. Every part
+// probes the same memoized index of each join's other side, built once
+// and shared read-only; no operator repartitions rows, except a hash
+// projection that drops the parts' key, which exchanges onto its first
+// kept column so duplicates meet in one part. Scans below the threshold
+// run in one part exactly as without the option. Outputs are identical
+// either way; only wall-clock changes. The shard_* counters of Metrics
+// report what the operators did.
 func WithSharding(threshold, shards int) Option {
 	return func(e *Engine) {
 		e.shardingOn = true
@@ -119,19 +118,18 @@ func WithSharding(threshold, shards int) Option {
 	}
 }
 
-// WithMemoryBudget caps the resident bytes of shard storage built during
-// evaluation: every partition shard and partitioned intermediate registers
+// WithMemoryBudget caps the resident bytes of the intermediates an
+// evaluation builds: every transient relation — a Yannakakis reduction, a
+// forced subtree result, a chunk of a projection's exchange — registers
 // with a memory governor (internal/spill), and when the total exceeds
-// `bytes` the coldest unpinned shards are parked in file-backed segments
+// `bytes` the coldest unpinned ones are parked in file-backed segments
 // under the spill directory (WithSpillDir, or the OS temp dir) and loaded
-// back transparently on next use. Hot shards, hash indexes, and shards an
-// operator is scanning stay resident — the budget is a target the governor
-// evicts toward, never a hard cap that could wedge a query against its own
+// back transparently on next use. Indexes and relations an operator is
+// scanning stay resident — the budget is a target the governor evicts
+// toward, never a hard cap that could wedge a query against its own
 // working set — and outputs are identical with or without a budget.
-// bytes <= 0 means unlimited. Spilling's unit is the shard: the governor
-// sees base-relation partitions and pipeline sinks even on a single-shard
-// engine, and WithSharding raises the granularity (more, smaller victims)
-// — pair the two when the budget must track intermediates closely.
+// bytes <= 0 means unlimited. Base relations and answers are never
+// governed, and every transient is discarded when its evaluation returns.
 // The spill_* entries of Metrics report what the governor did, and Close
 // releases the spill files.
 func WithMemoryBudget(bytes int64) Option {
@@ -259,10 +257,10 @@ func NewEngine(opts ...Option) *Engine {
 		}
 	}
 	// The executors' configuration rides on shard.Options (the pipelines
-	// are per-shard), so an engine without WithSharding gets a single-shard
+	// are per-part), so an engine without WithSharding gets a one-part
 	// options block carrying the governor and counters. Batch size stays
 	// at the executors' default (batch.DefaultSize rows). Such an engine
-	// counts no routing decisions: its shard_* counters stay zero.
+	// counts no operators: its shard_* counters stay zero.
 	if e.sharding == nil {
 		e.sharding = &shard.Options{Shards: 1, Spill: e.spill}
 	}
@@ -319,9 +317,9 @@ func (e *Engine) Explain(q *Query) (*Plan, error) {
 // atoms on the new epoch while a reader pinned to an older epoch keeps
 // that epoch's order. When db is an epoch snapshot of this engine, the
 // epoch is pinned for the duration: the retirement sweep will not reclaim
-// its buffers mid-evaluation. When the engine was built WithSharding,
-// joins and projections over relations above the row threshold run
-// partition-parallel. Cancellation of ctx aborts evaluation mid-join.
+// its relations mid-evaluation. When the engine was built WithSharding,
+// pipelines that scan relations at or above the row threshold run in
+// parallel row ranges. Cancellation of ctx aborts evaluation mid-join.
 func (e *Engine) Evaluate(ctx context.Context, q *Query, db *Database) (*Relation, EvalStats, error) {
 	out, st, _, _, err := e.evaluate(ctx, q, db, nil, e.tracingOn)
 	return out, st, err
@@ -474,10 +472,9 @@ type evalRun struct {
 
 // evalOptions returns the run of one evaluation, traced when tr is
 // non-nil. Under a memory budget each evaluation gets its own spill scope:
-// the governor buffers of intermediate shards — garbage once the
-// evaluation's output is materialized — are discarded by finish, so a
-// long-lived engine's resident bytes, registry and spilled segments
-// plateau at the memoized base partitions instead of growing per query.
+// the governor buffers of its intermediates — garbage once the
+// evaluation's output is materialized — are discarded by finish, so once
+// an evaluation returns the governor holds what it held before it.
 func (e *Engine) evalOptions(tr *trace.Tracer) evalRun {
 	r := evalRun{opts: e.sharding, cache: e.cache}
 	if e.spill == nil && tr == nil {
@@ -527,8 +524,8 @@ type BatchResult struct {
 // answering many queries over one database. Per-query failures land in the
 // corresponding BatchResult; canceling ctx stops unstarted queries, whose
 // results report the context error. Cached analyses and plans — and the
-// statistics, hash indexes and shard partitions memoized on db's
-// relations — are shared across the batch.
+// statistics and indexes memoized on db's relations — are shared across
+// the batch.
 func (e *Engine) EvaluateBatch(ctx context.Context, queries []*Query, db *Database) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	started := make([]bool, len(queries))

@@ -12,8 +12,9 @@ import (
 	"cqbound/internal/relation"
 )
 
-// spillTestQuery and spillTestDB build a workload big enough that a small
-// budget forces eviction: a two-join path over 300-edge relations.
+// spillTestWorkload builds a workload big enough that a small budget forces
+// eviction: a two-join path over 300-edge relations, which the Engine runs
+// as Yannakakis, whose reductions and forced subtree results are governed.
 func spillTestWorkload() (*Query, *Database) {
 	q := MustParse("Q(A,D) <- R(A,B), S(B,C), T(C,D).")
 	db := datagen.EdgeDB(rand.New(rand.NewSource(9)), []string{"R", "S", "T"}, 300, 50)
@@ -43,13 +44,66 @@ func TestEngineMemoryBudgetSpillsAndAgrees(t *testing.T) {
 	if metric(t, budgeted, "spill_peak_resident_bytes") == 0 {
 		t.Fatal("peak resident gauge missing")
 	}
-	// A second evaluation re-reads memoized (now parked) partitions.
+	// A second evaluation parks and reloads transients of its own.
 	before := metric(t, budgeted, "spill_reloaded_shards")
 	if _, _, err := budgeted.Evaluate(ctx, q, db); err != nil {
 		t.Fatal(err)
 	}
 	if metric(t, budgeted, "spill_reloaded_shards") <= before {
-		t.Fatal("re-evaluation never reloaded a parked shard")
+		t.Fatal("re-evaluation never reloaded a parked transient")
+	}
+}
+
+// TestEvaluateLeavesGovernorAtBaseline pins the governor's lifecycle: what
+// an evaluation registers — Yannakakis reductions, forced subtree results,
+// a hash projection's exchange chunks — is discarded by the time Evaluate
+// or EvaluateTraced returns, so the registered buffers, resident bytes and
+// bytes on disk are back at what they were before it, whatever the plan.
+func TestEvaluateLeavesGovernorAtBaseline(t *testing.T) {
+	_, db := spillTestWorkload()
+	// W's values lie far apart, so projecting it onto (A, B) deduplicates
+	// by hash, exchanging the four row ranges onto A in sealed chunks.
+	const n = 8000
+	cols := [][]relation.Value{make([]relation.Value, n), make([]relation.Value, n), make([]relation.Value, n)}
+	for i := range cols[0] {
+		cols[0][i], cols[1][i], cols[2][i] = relation.Value(i%3000*1000), relation.Value(i%7*1000), relation.Value(i)
+	}
+	db.MustAdd(relation.NewFromColumns("W", []string{"a", "b", "c"}, cols))
+	eng := NewEngine(WithSharding(0, 4), WithMemoryBudget(512), WithSpillDir(t.TempDir()))
+	defer eng.Close()
+	gauges := []string{"spill_registered_buffers", "spill_resident_bytes", "spill_bytes_on_disk"}
+	baseline := make(map[string]int64)
+	for _, name := range gauges {
+		baseline[name] = metric(t, eng, name)
+	}
+	ctx := context.Background()
+	for _, text := range []string{
+		"Q(A,D) <- R(A,B), S(B,C), T(C,D).",
+		"Q(A,C) <- R(A,B), S(B,C).",
+		"Q(X,Y,Z) <- R(X,Y), S(Y,Z), T(X,Z).",
+		"Q(X) <- R(X,Y), S(Y,Z), T(X,Z).",
+		"Q(A,B) <- W(A,B,C).",
+	} {
+		q := MustParse(text)
+		for _, traced := range []bool{false, true} {
+			var err error
+			if traced {
+				_, _, _, err = eng.EvaluateTraced(ctx, q, db)
+			} else {
+				_, _, err = eng.Evaluate(ctx, q, db)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range gauges {
+				if v := metric(t, eng, name); v != baseline[name] {
+					t.Fatalf("%s (traced %v): %s = %d once it returned, %d before", text, traced, name, v, baseline[name])
+				}
+			}
+		}
+	}
+	if metric(t, eng, "spill_evictions") == 0 || metric(t, eng, "shard_exchanged_rows") == 0 {
+		t.Fatal("the 512-byte budget never evicted, or no projection exchanged: the baseline check proved less than it says")
 	}
 }
 
@@ -104,9 +158,16 @@ func TestEngineCloseRemovesSpillFilesKeepsData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "cqspill-*", "*.seg"))
-	if len(segs) == 0 {
-		t.Fatal("no segments on disk before Close")
+	// The evaluation spilled into the engine's private directory, and its
+	// spill file went with its last segment when the evaluation returned.
+	if metric(t, eng, "spill_evictions") == 0 {
+		t.Fatal("the 1 KiB budget never evicted")
+	}
+	if dirs, _ := filepath.Glob(filepath.Join(dir, "cqspill-*")); len(dirs) != 1 {
+		t.Fatalf("%d spill directories before Close, want the engine's one", len(dirs))
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "cqspill-*", "*.seg")); len(segs) != 0 {
+		t.Fatalf("spill files outlived the evaluation: %v", segs)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -114,8 +175,7 @@ func TestEngineCloseRemovesSpillFilesKeepsData(t *testing.T) {
 	if left, _ := filepath.Glob(filepath.Join(dir, "cqspill-*")); len(left) != 0 {
 		t.Fatalf("Close left spill state behind: %v", left)
 	}
-	// The database (and its memoized, formerly-governed partitions) must
-	// remain fully usable after Close.
+	// The database must remain fully usable after Close.
 	got, _, err := NewEngine().Evaluate(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +206,8 @@ func TestEngineResetStats(t *testing.T) {
 			t.Fatalf("%s = %d survives reset", name, v)
 		}
 	}
-	// Gauges describe present state and must survive.
-	if metric(t, eng, "spill_bytes_on_disk") == 0 && metric(t, eng, "spill_resident_bytes") == 0 {
+	// Gauges describe state, not a window, and must survive.
+	if metric(t, eng, "spill_peak_resident_bytes") == 0 {
 		t.Fatal("spill gauges were zeroed by reset")
 	}
 	// Counters accumulate again after the reset — the per-query window.
@@ -176,8 +236,8 @@ func TestEngineResetStatsNoSpillNoSharding(t *testing.T) {
 
 // TestEngineSpillScopeReleasesIntermediates pins the per-evaluation
 // lifecycle: a long-lived engine's governor must plateau — registered
-// buffers, resident bytes, disk — at the memoized base partitions instead
-// of accumulating every query's intermediate shards forever.
+// buffers, resident bytes, disk — instead of accumulating every query's
+// intermediates forever.
 func TestEngineSpillScopeReleasesIntermediates(t *testing.T) {
 	q, db := spillTestWorkload()
 	eng := NewEngine(WithSharding(0, 8), WithMemoryBudget(1<<20), WithSpillDir(t.TempDir()))

@@ -82,12 +82,10 @@ func ExampleSizeIncreasePossible() {
 	// true false
 }
 
-// ExampleWithSharding builds a sharding engine: joins, semijoins and
-// projections over relations with at least `threshold` rows run
-// partition-parallel at the given shard count, with intermediate results
-// staying partitioned between steps (the exchange repartitions or
-// broadcasts when a join needs a different key). Outputs are identical to
-// an unsharded engine's.
+// ExampleWithSharding builds an engine that runs in parts: a pipeline
+// that scans a relation of at least `threshold` rows splits it into the
+// given number of row ranges, and every part probes the same index of
+// each join's other side. Outputs are identical to a one-part engine's.
 func ExampleWithSharding() {
 	q := cqbound.MustParse("Q(X,Z) <- R(X,Y), S(Y,Z).")
 	db := cqbound.NewDatabase()
@@ -100,7 +98,7 @@ func ExampleWithSharding() {
 	db.MustAdd(r)
 	db.MustAdd(s)
 
-	sharded := cqbound.NewEngine(cqbound.WithSharding(0, 4)) // threshold 0: shard everything, P=4
+	sharded := cqbound.NewEngine(cqbound.WithSharding(0, 4)) // threshold 0: every scan in 4 row ranges
 	plain := cqbound.NewEngine()
 	ctx := context.Background()
 	a, _, err := sharded.Evaluate(ctx, q, db)
@@ -118,9 +116,8 @@ func ExampleWithSharding() {
 
 // ExampleEngine_MetricsSnapshot reads counters from the registry, the one
 // place every counter lives: the plan cache misses on a query text's first
-// evaluation and hits on repeats, and the exchange-routing counters show
-// operators running partition-parallel with rows reused in place rather
-// than repartitioned.
+// evaluation and hits on repeats, and the shard counters show operators
+// running in several parts without a row crossing between them.
 func ExampleEngine_MetricsSnapshot() {
 	q := cqbound.MustParse("Q(A,D) <- R(A,B), S(B,C), T(C,D).")
 	db := cqbound.NewDatabase()
@@ -140,17 +137,17 @@ func ExampleEngine_MetricsSnapshot() {
 	snap := eng.MetricsSnapshot()
 	fmt.Println("cache hits:", snap["cache_hits"], "misses:", snap["cache_misses"])
 	fmt.Println("ran sharded:", snap["shard_sharded_ops"].(int64) > 0 && snap["shard_fallback_ops"] == int64(0))
-	fmt.Println("rows reused without repartitioning:", snap["shard_reused_rows"].(int64) > 0)
+	fmt.Println("rows exchanged:", snap["shard_exchanged_rows"])
 	// Output:
 	// cache hits: 2 misses: 1
 	// ran sharded: true
-	// rows reused without repartitioning: true
+	// rows exchanged: 0
 }
 
-// ExampleWithMemoryBudget builds an engine whose resident shard bytes are
-// capped: when partition shards and partitioned intermediates exceed the
-// budget, the coldest unpinned shards are parked as segments in a file
-// under the spill directory and reloaded transparently on next use.
+// ExampleWithMemoryBudget builds an engine whose resident intermediates are
+// capped: when the path's Yannakakis reductions and forced subtree results
+// exceed the budget, the coldest unpinned ones are parked as segments in a
+// file under the spill directory and reloaded transparently on next use.
 // Outputs are identical to an unbudgeted engine's; the spill_* counters
 // show the governor at work, and Close removes the spill file.
 func ExampleWithMemoryBudget() {
@@ -159,14 +156,14 @@ func ExampleWithMemoryBudget() {
 	for _, name := range []string{"R", "S", "T"} {
 		rel := cqbound.NewRelation(name, "a", "b")
 		for i := 0; i < 300; i++ {
-			rel.Add(fmt.Sprintf("u%d", (i*7)%50), fmt.Sprintf("u%d", (i*13)%50))
+			rel.Add(fmt.Sprintf("u%d", (i*7)%50), fmt.Sprintf("u%d", (i*13)%80))
 		}
 		db.MustAdd(rel)
 	}
 
 	budgeted := cqbound.NewEngine(
-		cqbound.WithSharding(0, 8),         // spilling's unit is the shard
-		cqbound.WithMemoryBudget(1<<10),    // 1 KiB: far below the working set
+		cqbound.WithSharding(0, 8),         // eight parts: more, smaller transients
+		cqbound.WithMemoryBudget(512),      // far below the working set
 		cqbound.WithSpillDir(os.TempDir()), // default; private subdir per engine
 	)
 	defer budgeted.Close()
@@ -189,7 +186,7 @@ func ExampleWithMemoryBudget() {
 }
 
 // ExampleEngine_ResetStats scopes the engine's counters to a window: reset
-// before a query, snapshot after it — per-query routing and spill numbers
+// before a query, snapshot after it — per-query shard and spill numbers
 // instead of run-long sums.
 func ExampleEngine_ResetStats() {
 	q := cqbound.MustParse("Q(X,Z) <- R(X,Y), S(Y,Z).")

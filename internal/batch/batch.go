@@ -496,10 +496,11 @@ func (k *keepIter) Next(ctx context.Context) (*Batch, error) {
 // later duplicates are dropped. A projection that keeps every input column
 // cannot create duplicates — pipeline rows are distinct, and such a
 // projection is injective — so it is a stateless reslice of the input's
-// columns, still counted in m as a stage. Otherwise the dedup set, a relation.KeyTable, grows with
-// the number of distinct output rows — the one stateful stage of a
-// pipeline, which is why the routing layer partitions before projecting;
-// within one shard it holds exactly the rows relation.ProjectIdx would.
+// columns, still counted in m as a stage. Otherwise the dedup set, a
+// relation.KeyTable, grows with the number of distinct output rows — the
+// one stateful stage of a pipeline, which is why internal/shard exchanges
+// unkeyed parts onto a kept column before a hash projection; over its
+// input it holds exactly the rows relation.ProjectIdx would.
 func Project(in Iterator, idx []int, attrs []string, size int, m *counter.Set) Iterator {
 	if Covers(idx, len(in.Attrs())) {
 		return &keepIter{in: in, keep: idx, attrs: attrs, m: m}

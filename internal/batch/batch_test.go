@@ -56,12 +56,9 @@ func TestScanRoundTrip(t *testing.T) {
 		for k := range its {
 			its[k] = batch.ScanRange(r, cuts[k], cuts[k+1], size, nil)
 		}
-		ranged, offs, err := batch.MaterializeParts(context.Background(), its, "out", nil, nil)
+		ranged, err := batch.MaterializeParts(context.Background(), its, "out", nil, nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !slices.Equal(offs, cuts) {
-			t.Fatalf("size %d: ranges %v sank at offsets %v", size, cuts, offs)
 		}
 		for c := range r.Attrs {
 			if !slices.Equal(ranged.Column(c), r.Column(c)) {
@@ -589,21 +586,19 @@ func TestMaterializeAllocsProportionalToRows(t *testing.T) {
 	}
 }
 
-// scanParts returns one scan per shard of r partitioned on column 0 into
-// p parts, in batches of size rows.
+// scanParts returns p scans of r's contiguous row ranges, the parts a
+// pipeline over r has, in batches of size rows.
 func scanParts(r *relation.Relation, p, size int) []batch.Iterator {
-	sh := shard.Partition(r, 0, p)
-	its := make([]batch.Iterator, len(sh))
+	its := make([]batch.Iterator, p)
 	for k := range its {
-		its[k] = batch.Scan(sh[k], size, nil)
+		its[k] = batch.ScanRange(r, k*r.Size()/p, (k+1)*r.Size()/p, size, nil)
 	}
 	return its
 }
 
 // TestMaterializeParts checks the multi-part sink against the
 // concatenation of each part's Materialize, row for row: part 0's rows
-// first, then part 1's, at offsets that are the parts' cumulative sizes.
-// The parts include empty ones, batch sizes that
+// first, then part 1's. The parts include empty ones, batch sizes that
 // leave chunks part-filled, more rows than one staging chunk holds, and a
 // Boolean (arity-0) head.
 func TestMaterializeParts(t *testing.T) {
@@ -630,15 +625,12 @@ func TestMaterializeParts(t *testing.T) {
 					t.Fatal(err)
 				}
 				m := batch.Counters.NewSet()
-				got, offs, err := batch.MaterializeParts(ctx, build(), "out", nil, m)
+				got, err := batch.MaterializeParts(ctx, build(), "out", nil, m)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.Size() != r.Size() {
 					t.Fatalf("n=%d width=%d size=%d: %d rows, want %d", n, width, size, got.Size(), r.Size())
-				}
-				if want := cumulative(each); !slices.Equal(offs, want) {
-					t.Fatalf("n=%d width=%d size=%d: offsets %v, want the cumulative part sizes %v", n, width, size, offs, want)
 				}
 				for c := range attrs {
 					if !slices.Equal(got.Column(c), want.Column(c)) {
@@ -657,32 +649,18 @@ func TestMaterializeParts(t *testing.T) {
 	for _, c := range []struct {
 		its  []batch.Iterator
 		want int
-		offs []int
 	}{
-		{[]batch.Iterator{batch.Empty(nil), batch.Scan(unit, 0, nil), batch.Empty(nil)}, 1, []int{0, 0, 1, 1}},
-		{[]batch.Iterator{batch.Empty(nil), batch.Empty(nil)}, 0, []int{0, 0, 0}},
+		{[]batch.Iterator{batch.Empty(nil), batch.Scan(unit, 0, nil), batch.Empty(nil)}, 1},
+		{[]batch.Iterator{batch.Empty(nil), batch.Empty(nil)}, 0},
 	} {
-		got, offs, err := batch.MaterializeParts(ctx, c.its, "Q", nil, nil)
+		got, err := batch.MaterializeParts(ctx, c.its, "Q", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Arity() != 0 || got.Size() != c.want {
 			t.Errorf("Boolean sink: arity %d with %d tuples, want arity 0 with %d", got.Arity(), got.Size(), c.want)
 		}
-		if !slices.Equal(offs, c.offs) {
-			t.Errorf("Boolean sink: offsets %v, want %v", offs, c.offs)
-		}
 	}
-}
-
-// cumulative returns the offsets of parts laid end to end: 0, then the
-// running sum of their sizes.
-func cumulative(parts []*relation.Relation) []int {
-	offs := []int{0}
-	for _, p := range parts {
-		offs = append(offs, offs[len(offs)-1]+p.Size())
-	}
-	return offs
 }
 
 // cancelAtEnd passes its source through and cancels the context when the
@@ -713,7 +691,7 @@ func TestMaterializePartsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	its := scanParts(r, 4, 0)
 	its[3] = &cancelAtEnd{Iterator: its[3], cancel: cancel}
-	if _, _, err := batch.MaterializeParts(ctx, its, "out", nil, nil); err != context.Canceled {
+	if _, err := batch.MaterializeParts(ctx, its, "out", nil, nil); err != context.Canceled {
 		t.Fatalf("cancelled sink returned %v, want %v", err, context.Canceled)
 	}
 	if raceEnabled {
@@ -721,7 +699,7 @@ func TestMaterializePartsCancel(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, _, err := batch.MaterializeParts(context.Background(), scanParts(r, 4, 0), "out", nil, nil); err != nil {
+	if _, err := batch.MaterializeParts(context.Background(), scanParts(r, 4, 0), "out", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -864,7 +842,7 @@ func BenchmarkMaterialize(b *testing.B) {
 			b.Run(fmt.Sprintf("width=%d/parts=%d", width, p), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if _, _, err := batch.MaterializeParts(context.Background(), scanParts(r, p, 0), "out", nil, nil); err != nil {
+					if _, err := batch.MaterializeParts(context.Background(), scanParts(r, p, 0), "out", nil, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -3,7 +3,8 @@
 // relation.Values, so an operator chain holds one batch per stage and
 // never a whole intermediate relation. It is what every join-project and
 // Yannakakis evaluation runs on; internal/shard decides how many pipelines
-// run side by side and where rows cross between them.
+// run side by side, each over a row range of its scan, and a hash
+// projection's Exchange is the one stage that moves rows between them.
 //
 // # Iterator contract
 //
@@ -49,7 +50,7 @@
 // # Governor registration
 //
 // Pipelines create relations at two points: sealed chunks of an
-// Exchange's output shards, and Materialize/MaterializeParts sinks. Each
+// Exchange's output parts, and Materialize/MaterializeParts sinks. Each
 // allocates its rows once: a chunk is one slab of chunk rows × arity
 // written by index, sealed without a copy, and a sink stages rows in
 // chunks lent by a process-wide sync.Pool, then copies them once into one

@@ -26,7 +26,7 @@ import (
 //
 // Part iterators are safe for concurrent use by the downstream per-shard
 // pipelines. onRows, when non-nil, observes every scattered batch's row
-// count (the routing layer's exchanged-rows counter).
+// count (internal/shard's exchanged-rows counter).
 type Exchange struct {
 	attrs  []string
 	key    int
@@ -240,10 +240,9 @@ func chunkRows(size int) int {
 	return max(size, 1024)
 }
 
-// shardOf mirrors shard.ShardOf: the assignment must match the hash
-// shard.Partition uses, so an exchanged pipeline part and the partitioned
-// probe-side shard it meets hold the same values. Kept local to avoid an import cycle (the shard
-// package composes batch pipelines).
+// shardOf is shard.ShardOf, kept local to avoid an import cycle (the
+// shard package composes batch pipelines): Fibonacci hashing, so
+// consecutive interned IDs do not land in consecutive parts.
 func shardOf(v relation.Value, p int) int {
 	h := uint64(uint32(v)) * 0x9E3779B1
 	return int((h >> 16) % uint64(p))

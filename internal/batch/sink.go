@@ -105,27 +105,24 @@ func (st *staging) release() {
 // Materialize drains a pipeline into a relation named name: the one-part
 // case of MaterializeParts.
 func Materialize(ctx context.Context, it Iterator, name string, govern func(*relation.Relation), m *counter.Set) (*relation.Relation, error) {
-	r, _, err := MaterializeParts(ctx, []Iterator{it}, name, govern, m)
-	return r, err
+	return MaterializeParts(ctx, []Iterator{it}, name, govern, m)
 }
 
 // MaterializeParts drains pipelines over one schema into a single relation
-// named name: part 0's rows first, then part 1's, and so on. It also
-// returns the part offsets: part k's rows are [offs[k], offs[k+1]), so
-// offs has len(its)+1 entries, ascends from 0 and ends at the relation's
-// size. its must not be empty. The parts must together produce distinct
-// rows (every stage in this package preserves set semantics, and the parts
-// of a partitioned pipeline are disjoint), so the sink copies rows without
-// a dedup pass. govern, when non-nil, is applied to the built relation
-// before it is returned — registration with a spill governor and
+// named name: part 0's rows first, then part 1's, and so on. its must not
+// be empty. The parts must together produce distinct rows (every stage in
+// this package preserves set semantics, and the parts of a pipeline scan
+// disjoint rows or, after an exchange, disjoint keys), so the sink copies
+// rows without a dedup pass. govern, when non-nil, is applied to the built
+// relation before it is returned — registration with a spill governor and
 // evaluation scope.
 //
 // The parts drain in parallel on internal/pool into staging chunks lent
 // by a process-wide pool. Then the relation's columns are allocated once,
-// at their exact size, and each part's chunks are copied in at the part's
-// offset. Every row is written twice but allocated once: what a sink
-// allocates beyond its output is what the pool cannot lend.
-func MaterializeParts(ctx context.Context, its []Iterator, name string, govern func(*relation.Relation), m *counter.Set) (*relation.Relation, []int, error) {
+// at their exact size, and each part's chunks are copied in after the
+// parts before it. Every row is written twice but allocated once: what a
+// sink allocates beyond its output is what the pool cannot lend.
+func MaterializeParts(ctx context.Context, its []Iterator, name string, govern func(*relation.Relation), m *counter.Set) (*relation.Relation, error) {
 	attrs := its[0].Attrs()
 	parts := make([]staging, len(its))
 	for k := range parts {
@@ -139,15 +136,14 @@ func MaterializeParts(ctx context.Context, its []Iterator, name string, govern f
 		}
 	}()
 	if err := pool.Run(ctx, 0, len(its), func(k int) error { return parts[k].drain(ctx, its[k]) }); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	offs := make([]int, len(its)+1)
-	for k, st := range parts {
-		offs[k+1] = offs[k] + st.rows
+	rows := 0
+	for _, st := range parts {
+		rows += st.rows
 	}
-	rows := offs[len(its)]
 	if rows == 0 {
-		return relation.New(name, attrs...), offs, nil
+		return relation.New(name, attrs...), nil
 	}
 	var out *relation.Relation
 	if len(attrs) == 0 {
@@ -155,8 +151,10 @@ func MaterializeParts(ctx context.Context, its []Iterator, name string, govern f
 		out.MustInsert()
 	} else {
 		cols := columns(len(attrs), rows)
-		for k, st := range parts {
-			st.copyTo(cols, offs[k])
+		at := 0
+		for _, st := range parts {
+			st.copyTo(cols, at)
+			at += st.rows
 		}
 		out = relation.NewFromColumns(name, attrs, cols)
 	}
@@ -164,5 +162,5 @@ func MaterializeParts(ctx context.Context, its []Iterator, name string, govern f
 	if govern != nil {
 		govern(out)
 	}
-	return out, offs, nil
+	return out, nil
 }

@@ -20,28 +20,24 @@
 // intermediate result is empty; the plain forms are conveniences with a
 // background context, nil options and the body's own atom order.
 //
-// # Pipelined, sharded execution
+// # Pipelined execution in parts
 //
 // JoinProjectExec and YannakakisExec are the only implementations of their
-// strategies (the plain forms call them with nil options). Each
-// builds pull-based column-batch pipelines (internal/batch) and routes
-// every binary join, semijoin and duplicate-eliminating projection through
-// internal/shard: the running intermediate is a shard.Piped — one pipeline
-// per shard plus the key they are partitioned on — so a step whose join key
-// matches the partitioning the previous step left reuses it outright, and
-// a mismatched key broadcasts a small side or exchanges the pipeline
-// mid-stream. A multi-join plan — a triangle, a cycle, a Yannakakis
-// semijoin chain — keeps every step partition-parallel instead of
-// collapsing to one shard after the first join, and no intermediate is
-// built as a relation except what must be indexed whole (Yannakakis'
-// reductions and projected subtree results). Those and the answer come
-// from one sink, shard.MaterializePiped: one flat relation per pipeline,
-// governed and scoped when it is an intermediate, whose part ranges let
-// the next pipeline start partitioned. The routing rules (inputs
-// below Options.MinRows, no shared column) are internal/shard's; nil
+// strategies (the plain forms call them with nil options). Each builds
+// pull-based column-batch pipelines (internal/batch) over internal/shard's
+// parts: the running intermediate is a shard.Piped, whose scan splits a
+// relation of at least Options.MinRows rows into P row ranges, and every
+// binary join and semijoin extends each part with a probe of the other
+// side's one shared index. A multi-join plan — a triangle, a cycle, a
+// Yannakakis semijoin chain — keeps every step in parts from its scan to
+// its sink, and no intermediate is built as a relation except what must be
+// indexed whole (Yannakakis' reductions and projected subtree results).
+// Those and the answer come from one sink, shard.MaterializePiped: one
+// flat relation per pipeline, governed and scoped when it is an
+// intermediate, which the next pipeline scans in row ranges again. nil
 // options mean one part and default batches. Outputs are identical in
 // every configuration, which the 220-pair property matrix (the
-// TestProperty* sweep slices) proves against Naive across shard counts,
+// TestProperty* sweep slices) proves against Naive across part counts,
 // batch sizes and a forced-spill budget, Zipf-skewed data included.
 //
 // Stats.MaxIntermediate is the largest relation an evaluation actually
@@ -52,7 +48,7 @@
 // Per-stage row counts come from EvaluateTraced.
 //
 // GenericJoin extends one variable at a time and has no binary join to
-// partition, so it takes the options only for their tracer (see the
+// split into parts, so it takes the options only for their tracer (see the
 // ROADMAP's sharded generic join item). Its trace holds an "index R" scan
 // span per atom and an "extend X" span per variable, counting the partial
 // assignments that survived X. Below the deepest head variable the search
@@ -61,15 +57,15 @@
 // when the head variables lead the order — not every full assignment.
 //
 // When Options.Spill carries a memory governor, pipeline stages pin the
-// storage they read one batch at a time and exchanges seal their output
-// into governed chunks as they fill, so the governor never parks a shard
-// mid-read while anything cold may spill between reads and reloads
+// storage they read one batch at a time and a projection's exchange seals
+// its output into governed chunks as they fill, so the governor never
+// parks a relation mid-read while anything cold may spill between reads and reloads
 // transparently on its next use. The property matrix proves outputs
 // identical to Naive under a budget that forces eviction mid-plan.
 //
 // Binding relations (bindingRelation) are the bridge from atoms to
 // relations: for atoms without repeated variables they are O(arity)
 // copy-on-write renames of the stored relation, so memoized statistics,
-// indexes (joins and generic join read the same ones) and shard partitions
-// of the base relation serve every query that touches it.
+// value ranges and indexes (joins and generic join read the same ones) of
+// the base relation serve every query that touches it.
 package eval

@@ -84,11 +84,11 @@ func JoinProject(q *cq.Query, db *database.Database) (*relation.Relation, Stats,
 // atoms first keeps intermediates small; an empty binding ends evaluation
 // immediately, since it empties the output regardless of position. The
 // join-project fold runs as pull-based column-batch pipelines
-// (internal/batch) routed by internal/shard — scan, probe and projection
-// stages chain within each shard, every join reuses the partitioning the
-// previous stage left when it aligns with a join column and broadcasts or
-// exchanges otherwise, and rows first become a relation again at the head
-// projection's sink, so no intermediate is ever materialized. nil opts
+// (internal/batch) over internal/shard's parts — the first binding is
+// scanned in row ranges, scan, probe and projection stages chain within
+// each part, every join probes the next binding's one shared index, and
+// rows first become a relation again at the head projection's sink, so no
+// intermediate is ever materialized. nil opts
 // means one pipeline per stage and default batches.
 func JoinProjectExec(ctx context.Context, q *cq.Query, db *database.Database, order []int, opts *shard.Options) (*relation.Relation, Stats, error) {
 	var st Stats
@@ -153,7 +153,7 @@ func JoinProjectExec(ctx context.Context, q *cq.Query, db *database.Database, or
 	if tr != nil {
 		est = estimatorOf(binds[0])
 	}
-	pd := shard.PipedOf(shard.StreamOf(binds[0]), opts)
+	pd := shard.PipedOf(binds[0], opts)
 	if pd, err = project(pd, 0); err != nil {
 		ps.End()
 		return nil, st, err
@@ -164,7 +164,7 @@ func JoinProjectExec(ctx context.Context, q *cq.Query, db *database.Database, or
 			jsp = tr.Op(trace.KindJoin, "⋈ "+binds[i+1].Name)
 			jsp.SetEst(est.joinWith(binds[i+1]))
 		}
-		if pd, err = shard.JoinPipedStream(ctx, opts, pd, binds[i+1], false); err != nil {
+		if pd, err = shard.JoinPipedStream(ctx, opts, pd, binds[i+1]); err != nil {
 			jsp.End()
 			ps.End()
 			return nil, st, err
@@ -422,13 +422,12 @@ func headProjectionPiped(ctx context.Context, opts *shard.Options, q *cq.Query, 
 	}
 	// MaterializePiped is the drain: all upstream pipeline work happens
 	// inside this call, so the stage's wall time is the plan's execution.
-	sunk, err := shard.MaterializePiped(ctx, opts, proj, q.Head.Relation, false)
+	out, err := shard.MaterializePiped(ctx, opts, proj, q.Head.Relation, false)
 	if err != nil {
 		ssp.End()
 		hs.End()
 		return nil, err
 	}
-	out := sunk.Rel()
 	setSinkOut(ssp, out, proj.Parts())
 	ssp.End()
 	setSinkOut(hs, out, proj.Parts())

@@ -49,8 +49,9 @@ var (
 		{Tuples: 12, Universe: 6},
 		{Tuples: 25, Universe: 4},
 		{Tuples: 6, Universe: 12},
-		// Zipf-skewed: one value dominates every column, hashing most rows
-		// into one shard, whose part then carries most of the probe work.
+		// Zipf-skewed: one value dominates every column. Row ranges split
+		// its rows evenly, but a hash projection's exchange routes most of
+		// them into one part.
 		{Tuples: 30, Universe: 8, ZipfS: 1.7},
 		{Tuples: 20, Universe: 15, ZipfS: 2.5},
 	}
@@ -64,9 +65,10 @@ func propertyPair(i int) (int64, *cq.Query, *database.Database) {
 	return seed, q, datagen.RandomDatabase(rng, q, dbProfiles[i%len(dbProfiles)])
 }
 
-// shardCounts are the partition counts the sweep cycles through: P=1 (the
-// degenerate single-shard view), tiny P, P larger than many of the random
-// databases' distinct values (forcing empty shards).
+// shardCounts are the part counts the sweep cycles through: P=1 (the
+// degenerate single-part view), tiny P, P larger than many of the random
+// databases' relations (forcing empty row ranges and empty exchange
+// parts).
 var shardCounts = []int{1, 2, 3, 5, 16}
 
 // spillBudgetBytes is deliberately tiny against the sweep's databases
@@ -104,14 +106,14 @@ func (c propertyCell) String() string {
 // propertyMatrix returns the cells pair i runs in one slice of the sweep.
 // Pair i takes shardCounts[i mod 5], batch size {1, 7, 1024}[i mod 3] and
 // stride {1, spreadStride}[i mod 2]; the lengths are pairwise coprime, so
-// every combination of them recurs. Threshold zero makes every join,
-// semijoin and projection take the partitioned path whatever its size, so
-// empty shards, P=1, aligned reuse, broadcast and exchange all occur as
-// the data produces them; batch size 1 hands single-row batches across
-// every stage boundary, 7 never divides the relations evenly, 1024 is the
-// default; the generated values' small domains put most projections on
-// the dense bitmap, spread ones dedup by hash. A new axis is one field of
-// propertyCell, its values here and its use where a cell runs.
+// every combination of them recurs. Threshold zero splits every scan into
+// row ranges whatever its size, so empty parts and P=1 occur as the data
+// produces them; batch size 1 hands single-row batches across every stage
+// boundary, 7 never divides the relations evenly, 1024 is the default;
+// the generated values' small domains put most projections on the dense
+// bitmap, spread ones dedup by hash, exchanging when they drop the parts'
+// key. A new axis is one field of propertyCell, its values here and its
+// use where a cell runs.
 func propertyMatrix(slice string, i int) []propertyCell {
 	c := propertyCell{load: loadStatic, shards: shardCounts[i%len(shardCounts)],
 		batch: []int{1, 7, 1024}[i%3], stride: []int{1, spreadStride}[i%2]}
@@ -123,7 +125,14 @@ func propertyMatrix(slice string, i int) []propertyCell {
 		forced.budget = spillBudgetBytes
 		return []propertyCell{c, forced}
 	case "traced":
-		c.traced, c.budget, c.stride = true, spillBudgetBytes, 1
+		// Every pair runs traced as built; odd pairs run spread as well,
+		// so that a hash projection's exchange runs under tracing too.
+		c.traced, c.budget = true, spillBudgetBytes
+		if c.stride > 1 {
+			asBuilt := c
+			asBuilt.stride = 1
+			return []propertyCell{asBuilt, c}
+		}
 	case loadTxn, loadHTTP:
 		// One scenario at the forcing budget, whose readers alternate
 		// traced and untraced; the other paths intern strings into the
@@ -188,9 +197,9 @@ func TestPropertyStrategiesAgree(t *testing.T) {
 }
 
 // TestPropertyExecutorsAgree runs the untraced static cells at a
-// partition count: shards × batch × budget × stride, every executor and
-// the cell's Engine. Every rung of the routing ladder must fire, and the
-// governors must spill (checkExercised).
+// part count: shards × batch × budget × stride, every executor and the
+// cell's Engine. Every way an operator runs must fire, and the governors
+// must spill (checkExercised).
 func TestPropertyExecutorsAgree(t *testing.T) {
 	rig, _ := sweep(t, "executors")
 	rig.checkExercised()
@@ -198,9 +207,10 @@ func TestPropertyExecutorsAgree(t *testing.T) {
 
 // TestPropertyTracedAgrees runs the traced static cells: a tracer in
 // every executor's options and the Engine through EvaluateTraced, at the
-// forcing budget. Every traced run must leave a span tree, and the traced
-// governors must spill, so tracing is checked observing eviction and
-// reload.
+// forcing budget, every pair as built and odd pairs spread too. Every
+// traced run must leave a span tree, every way an operator runs must fire
+// under tracing, and the traced governors must spill, so tracing is
+// checked observing eviction and reload.
 func TestPropertyTracedAgrees(t *testing.T) {
 	rig, _ := sweep(t, "traced")
 	rig.checkExercised()

@@ -210,18 +210,24 @@ func (r *propertyRig) staticDisagreement(c propertyCell, q *cq.Query, db *databa
 }
 
 // checkExercised fails the test unless the static cells at a partition
-// count exercised what they exist for: every rung of the routing ladder
-// fired (a dense-bitmap projection among them), the bare executors and
-// every Engine streamed, and the bare governor and some budgeted Engine
-// evicted and reloaded.
+// count exercised what they exist for: every way an operator runs fired
+// (one part, row ranges probing one shared index, a hash projection's
+// exchange, a dense-bitmap projection), the bare executors and every
+// Engine streamed, and the bare governor and some budgeted Engine evicted
+// and reloaded.
 func (r *propertyRig) checkExercised() {
 	t := r.t
-	r.shardM.Each(func(name string, v int64) {
-		// skew_splits stays registered for its readers but no rung splits.
-		if v == 0 && name != "shard_skew_splits" {
-			t.Fatalf("a rung of the routing ladder never fired: %s = 0", name)
+	for _, rung := range []struct{ what, counter string }{
+		{"one part", "shard_fallback_ops"},
+		{"row ranges", "shard_sharded_ops"},
+		{"a shared index probed from several parts", "shard_broadcast_ops"},
+		{"a projection's exchange", "shard_exchanged_rows"},
+		{"a dense projection", "shard_dense_projections"},
+	} {
+		if count(r.shardM, rung.counter) == 0 {
+			t.Fatalf("%s never ran: %s = 0", rung.what, rung.counter)
 		}
-	})
+	}
 	if count(r.batchM, "stream_batches") == 0 || count(r.batchM, "stream_rows") == 0 {
 		t.Fatal("the bare executors never streamed")
 	}
@@ -309,10 +315,10 @@ func TestCoveringHeadProjections(t *testing.T) {
 }
 
 // TestSpillMidPlanEviction pins the mechanism on one deterministic case: a
-// three-join path over relations big enough for several shards, a budget
-// far below one relation, and a check that the governor evicted while the
-// plan was still running (reloads can only happen mid-plan — after the
-// plan, nothing reads).
+// three-atom path whose Yannakakis reductions and forced subtree results
+// are governed transients, a budget far below one relation, and a check
+// that the governor evicted while the plan was still running (reloads can
+// only happen mid-plan — after the plan, nothing reads).
 func TestSpillMidPlanEviction(t *testing.T) {
 	gov := spill.NewGovernor(512, t.TempDir())
 	defer gov.Close()
@@ -323,7 +329,7 @@ func TestSpillMidPlanEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := &shard.Options{MinRows: 0, Shards: 8, Spill: gov}
-	out, _, err := eval.JoinProjectExec(context.Background(), q, db, nil, opts)
+	out, _, err := eval.YannakakisExec(context.Background(), q, db, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

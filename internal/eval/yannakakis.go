@@ -148,13 +148,10 @@ var (
 //
 // The semijoin passes produce a relation per node — a reducer is probed via
 // its index, so it must exist whole — but each reduction itself runs as a
-// pipeline (scan → semijoin stages → sink) routed by internal/shard, and
+// pipeline (scan → semijoin stages → sink) over internal/shard's parts, and
 // every materialized reduction is a subset of a base binding. Its sink
 // copies the parts into one relation, governed and scoped like every other
-// transient, and keeps the parts' row ranges (shard.Stream). Semijoin
-// outputs are subsets of their left input, so a binding partitioned once
-// stays partitioned through every later pass over it (misaligned passes
-// probe the reducer whole per part instead of re-exchanging). The join
+// transient, which the next pass scans in row ranges again. The join
 // pass builds one pipeline per node (scan of the reduced binding → probes
 // of the forced child subtree results); each child's result is projected
 // onto the variables the node's atom shares with it plus the head before it
@@ -176,12 +173,11 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 	if !ok {
 		return nil, st, fmt.Errorf("eval: query is not acyclic; use JoinProject or GenericJoin")
 	}
-	// Each atom's reduction flows between passes as a Stream: a pass that
-	// exchanged the binding leaves its rows in part ranges, and the next
-	// pass's pipeline picks the partitioning up instead of re-exchanging.
+	// Each atom's binding, replaced by its reduction once a pass removes a
+	// row from it.
 	tr := opts.Tracer()
 	bs := stageSpan(opts, trace.KindStage, "bindings")
-	reduced := make([]shard.Stream, len(q.Body))
+	reduced := make([]*relation.Relation, len(q.Body))
 	for i, a := range q.Body {
 		b, err := bindingRelation(a, db)
 		if err != nil {
@@ -196,7 +192,7 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		if tr != nil {
 			scanSpan(opts, b.Name, b.Size())
 		}
-		reduced[i] = shard.StreamOf(b)
+		reduced[i] = b
 	}
 	bs.End()
 	var stMu sync.Mutex
@@ -210,21 +206,16 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 	}
 	// filter pipelines binding i through semijoins against the given
 	// reducer atoms and forces the result back into a relation, transient
-	// under the spill governor. A reducer that has been through a filter of
-	// its own is itself transient — its partitionings must die with the
-	// evaluation — while an unreduced base binding's partitions persist for
-	// reuse. A pass that removes no row keeps its input, unless its sink
-	// partitioned the rows and the input was not: the sunk copy is the same
-	// rows, and the input's memoized indexes and partitions (a base
-	// binding's, built once across evaluations) serve the later passes
-	// instead of being rebuilt on the copy.
-	filtered := make([]bool, len(q.Body))
+	// under the spill governor. A pass that removes no row keeps its input:
+	// the sunk copy is the same rows, and the input's memoized indexes (a
+	// base binding's, built once across evaluations) serve the later
+	// passes instead of being rebuilt on the copy.
 	filter := func(i int, reducers []int) error {
 		pd := shard.PipedOf(reduced[i], opts)
 		for _, ri := range reducers {
-			ssp := semijoinSpan(opts, tr, reduced[i].Rel(), reduced[ri].Rel(), q.Body[i].Relation, q.Body[ri].Relation)
+			ssp := semijoinSpan(opts, tr, reduced[i], reduced[ri], q.Body[i].Relation, q.Body[ri].Relation)
 			var err error
-			if pd, err = semijoinReducer(ctx, opts, pd, reduced[ri].Rel(), filtered[ri]); err != nil {
+			if pd, err = semijoinReducer(ctx, opts, pd, reduced[ri]); err != nil {
 				ssp.End()
 				return err
 			}
@@ -235,11 +226,9 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 		if err != nil {
 			return err
 		}
-		if sunk.Rel().Size() == reduced[i].Rel().Size() && sunk.Key() == reduced[i].Key() {
-			return nil
+		if sunk.Size() < reduced[i].Size() {
+			reduced[i] = sunk
 		}
-		reduced[i] = sunk
-		filtered[i] = true
 		return nil
 	}
 	// Bottom-up semijoin: parent ⋉ every child, one pipeline per node.
@@ -329,7 +318,7 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 			if err != nil {
 				return err
 			}
-			subs[i] = sunk.Rel()
+			subs[i] = sunk
 			stMu.Lock()
 			if subs[i].Size() > st.MaxIntermediate {
 				st.MaxIntermediate = subs[i].Size()
@@ -344,10 +333,10 @@ func YannakakisExec(ctx context.Context, q *cq.Query, db *database.Database, opt
 			var jsp *trace.Span
 			if tr != nil {
 				jsp = tr.Op(trace.KindJoin, "⋈ under "+q.Body[n.AtomIndex].Relation)
-				jsp.SetEst(estimateJoin(reduced[n.AtomIndex].Rel(), sub))
+				jsp.SetEst(estimateJoin(reduced[n.AtomIndex], sub))
 			}
 			var err error
-			if cur, err = joinForced(ctx, opts, cur, sub, true); err != nil {
+			if cur, err = joinForced(ctx, opts, cur, sub); err != nil {
 				jsp.End()
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -155,7 +156,7 @@ func TestYannakakisDisconnectedQuery(t *testing.T) {
 }
 
 // yannakakisOptions are the executor configurations the deterministic
-// Yannakakis tests run under: nil, partition-parallel at P=4 on any input,
+// Yannakakis tests run under: nil, four row ranges on any input,
 // single-row batches, and a 256-byte spill budget.
 func yannakakisOptions(t *testing.T) map[string]*shard.Options {
 	gov := spill.NewGovernor(256, t.TempDir())
@@ -304,8 +305,8 @@ func itoa(i int) string {
 // and P = 4, every forced subtree result reaches its parent's join, and
 // every reduced binding reaches the semijoin it filters, as one relation
 // registered with the governor, and that the evaluation's scope discards
-// them: once the scope closes, the governor tracks as many buffers as
-// before the evaluation (the base relations' memoized partitions).
+// them: the governor tracks no buffer before the evaluation and none once
+// the scope closes.
 func TestYannakakisForcedSubsAreGoverned(t *testing.T) {
 	gov := spill.NewGovernor(256, t.TempDir())
 	defer gov.Close()
@@ -319,46 +320,40 @@ func TestYannakakisForcedSubsAreGoverned(t *testing.T) {
 		mu             sync.Mutex
 		subs, reducers []*relation.Relation
 	)
-	defer func(join, semijoin func(context.Context, *shard.Options, *shard.Piped, *relation.Relation, bool) (*shard.Piped, error)) {
+	defer func(join, semijoin func(context.Context, *shard.Options, *shard.Piped, *relation.Relation) (*shard.Piped, error)) {
 		joinForced, semijoinReducer = join, semijoin
 	}(joinForced, semijoinReducer)
-	joinForced = func(ctx context.Context, opts *shard.Options, pd *shard.Piped, sub *relation.Relation, transient bool) (*shard.Piped, error) {
+	joinForced = func(ctx context.Context, opts *shard.Options, pd *shard.Piped, sub *relation.Relation) (*shard.Piped, error) {
 		mu.Lock()
 		subs = append(subs, sub)
 		mu.Unlock()
-		return shard.JoinPipedStream(ctx, opts, pd, sub, transient)
+		return shard.JoinPipedStream(ctx, opts, pd, sub)
 	}
-	// A transient reducer is a reduction; a base binding is not.
-	semijoinReducer = func(ctx context.Context, opts *shard.Options, pd *shard.Piped, reducer *relation.Relation, transient bool) (*shard.Piped, error) {
-		if transient {
+	// A reduction is named after its atom's relation with a "_sj" suffix;
+	// a base binding is not.
+	semijoinReducer = func(ctx context.Context, opts *shard.Options, pd *shard.Piped, reducer *relation.Relation) (*shard.Piped, error) {
+		if strings.HasSuffix(reducer.Name, "_sj") {
 			mu.Lock()
 			reducers = append(reducers, reducer)
 			mu.Unlock()
 		}
-		return shard.SemijoinPipedStream(ctx, opts, pd, reducer, transient)
+		return shard.SemijoinPipedStream(ctx, opts, pd, reducer)
 	}
 	q := cq.MustParse("Q(A,E) <- R(A,B), S(B,C), T(C,D), U(D,E).")
-	db := datagen.EdgeDB(rand.New(rand.NewSource(4)), []string{"R", "S", "T", "U"}, 300, 40)
+	db := datagen.EdgeDB(rand.New(rand.NewSource(4)), []string{"R", "S", "T", "U"}, 300, 200)
 	want, _, err := NaiveCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() {
-		scope := spill.NewScope()
-		defer scope.Close()
-		opts := &shard.Options{MinRows: 0, Shards: 4, Spill: gov, Scope: scope}
-		got, _, err := YannakakisExec(context.Background(), q, db, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !relation.Equal(got, want) {
-			t.Fatalf("|Q(D)| = %d under the budget, naive %d", got.Size(), want.Size())
-		}
+	scope := spill.NewScope()
+	opts := &shard.Options{MinRows: 0, Shards: 4, Spill: gov, Scope: scope}
+	got, _, err := YannakakisExec(context.Background(), q, db, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run() // memoizes the base relations' partitions, which stay registered
-	before := registered()
-	subs, reducers = nil, nil
-	run()
+	if !relation.Equal(got, want) {
+		t.Fatalf("|Q(D)| = %d under the budget, naive %d", got.Size(), want.Size())
+	}
 	if len(subs) == 0 || len(reducers) == 0 {
 		t.Fatalf("%d forced subtree results and %d reductions reached an operator: the query cannot tell", len(subs), len(reducers))
 	}
@@ -372,36 +367,38 @@ func TestYannakakisForcedSubsAreGoverned(t *testing.T) {
 			t.Errorf("a reduction of %d rows reached its semijoin unregistered with the governor", r.Size())
 		}
 	}
-	if after := registered(); after != before {
-		t.Errorf("governor tracks %d buffers after the evaluation, %d before: the scope left transients behind", after, before)
+	if registered() == 0 {
+		t.Fatal("no transient is registered while the scope is open")
+	}
+	scope.Close()
+	if after := registered(); after != 0 {
+		t.Errorf("governor tracks %d buffers once the scope closed: it left transients behind", after)
 	}
 }
 
 // TestYannakakisNonReducingPassKeepsInput checks that a semijoin pass that
 // removes no row leaves its binding as it was: on a star-3 over one edge
-// relation no pass removes a row, so every reducer reaching a semijoin,
-// unsharded and with four shards below the sharding threshold, is the
-// unreduced binding, sharing the base relation's storage, and not a copy
-// of it. (A pass that exchanges keeps its partitioned copy, whose parts
-// the next pass reuses: ExampleEngine_MetricsSnapshot.)
+// relation no pass removes a row, so every reducer reaching a semijoin, in
+// one part and in four row ranges, is the unreduced binding, sharing the
+// base relation's storage, and not a copy of it.
 func TestYannakakisNonReducingPassKeepsInput(t *testing.T) {
 	var (
 		mu       sync.Mutex
 		reducers []*relation.Relation
 	)
-	defer func(semijoin func(context.Context, *shard.Options, *shard.Piped, *relation.Relation, bool) (*shard.Piped, error)) {
+	defer func(semijoin func(context.Context, *shard.Options, *shard.Piped, *relation.Relation) (*shard.Piped, error)) {
 		semijoinReducer = semijoin
 	}(semijoinReducer)
-	semijoinReducer = func(ctx context.Context, opts *shard.Options, pd *shard.Piped, reducer *relation.Relation, transient bool) (*shard.Piped, error) {
+	semijoinReducer = func(ctx context.Context, opts *shard.Options, pd *shard.Piped, reducer *relation.Relation) (*shard.Piped, error) {
 		mu.Lock()
 		reducers = append(reducers, reducer)
 		mu.Unlock()
-		return shard.SemijoinPipedStream(ctx, opts, pd, reducer, transient)
+		return shard.SemijoinPipedStream(ctx, opts, pd, reducer)
 	}
 	q := cq.MustParse("Q(X,A,B,C) <- E(X,A), E(X,B), E(X,C).")
 	db := uniformEdgeDB(12, 2000, 130)
 	base := db.Relation("E").Column(0)
-	for _, opts := range []*shard.Options{{Shards: 1}, {Shards: 4, MinRows: 1 << 20}} {
+	for _, opts := range []*shard.Options{{Shards: 1}, {Shards: 4, MinRows: 1 << 20}, {Shards: 4}} {
 		reducers = nil
 		if _, _, err := YannakakisExec(context.Background(), q, db, opts); err != nil {
 			t.Fatal(err)
@@ -420,7 +417,7 @@ func TestYannakakisNonReducingPassKeepsInput(t *testing.T) {
 // BenchmarkYannakakis runs Yannakakis' algorithm on a full-head star-3
 // (2 000 edges over 130 nodes) and a path-4 projected to its endpoints
 // (four relations of 6 000 edges over 1 200 nodes), each in one part and
-// in four with MinRows 1024, with the indexes and partitions warm.
+// in four with MinRows 1024, with the indexes warm.
 func BenchmarkYannakakis(b *testing.B) {
 	cases := []struct {
 		name string

@@ -6,7 +6,7 @@
 //
 //	var (
 //		Counters   = counter.NewFamily("shard")
-//		shardedOps = Counters.Counter("sharded_ops", "operators that ran partition-parallel")
+//		shardedOps = Counters.Counter("sharded_ops", "operators that ran in more than one part")
 //	)
 //
 // A counter.Set of the family holds one atomic cell per counter, and code

@@ -23,13 +23,11 @@
 // # Execution
 //
 // Execute runs a chosen plan; ExecuteOpts additionally threads a
-// *shard.Options into the strategies that expose binary joins. Under
-// sharding, the planner's atom order decides which relations meet at each
-// join, and internal/shard's exchange router decides per join whether to
-// reuse the partitioning the previous step left, repartition one side,
-// broadcast a small side, or fall back to single-shard execution — see the
-// internal/shard package documentation for the exact ladder. The plan
-// itself is unchanged by sharding: strategy selection is structural, and
-// sharded execution is output-identical by construction, so a cached plan
-// serves both sharded and unsharded engines.
+// *shard.Options into the strategies that expose binary joins. In parts,
+// the planner's atom order decides which relations meet at each join and
+// which relation's scan is split into row ranges; internal/shard decides
+// only whether it splits — see its package documentation. The plan itself
+// is unchanged by parts: strategy selection is structural, and execution
+// in parts is output-identical by construction, so a cached plan serves
+// engines with and without WithSharding.
 package plan

@@ -58,12 +58,10 @@ func (r *Relation) Extend(delta []Tuple) (*Relation, error) {
 }
 
 // EachMemo calls f for every memoized entry of r — including STALE ones,
-// whose build size no longer matches the relation (valid reports which).
-// Stale entries are exactly what the epoch-retirement sweep must see: a
-// partition memoized before an insert used to be orphaned invisibly,
-// keeping its governed shards registered (and their spill segments on
-// disk) until Engine.Close. Iteration stops when f returns false; the
-// entries are snapshotted first, so f may call back into r.
+// whose build size no longer matches the relation (valid reports which),
+// so a caller can see what an insert orphaned. Iteration stops when f
+// returns false; the entries are snapshotted first, so f may call back
+// into r.
 func (r *Relation) EachMemo(f func(key string, v any, valid bool) bool) {
 	type entry struct {
 		key   string

@@ -257,7 +257,7 @@ func TestEachMemoReportsStaleEntries(t *testing.T) {
 		return true
 	})
 	if !sawStale {
-		t.Fatal("EachMemo hid the stale index entry — the sweep would leak it")
+		t.Fatal("EachMemo hid the stale index entry")
 	}
 }
 

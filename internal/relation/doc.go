@@ -12,31 +12,30 @@
 // (keytable.go), a flat open-addressing table of fixed-width rows of IDs
 // that probes read straight from columns: the distinct keys of a hash
 // index, and the set-semantics dedup — the row table keyed on every
-// column, in which row i has id i. Renaming and cloning share column
+// column, in which row i has id i. A one-column index over a narrow value
+// range needs no hashing at all: it is direct-addressed, its posting
+// offsets indexed by value minus the column's minimum (index.go). Renaming and cloning share column
 // storage copy-on-write, so deriving a differently-named view of a base
 // relation (the hot path of query evaluation) is O(arity), not O(n·arity).
 //
 // # The memo table
 //
 // Every derived structure a relation serves — per-column distinct counts
-// (stats.go), per-column value ranges (ranges.go), hash indexes
-// (index.go) — which joins and the generic join's prefix search share —
-// and internal/shard's partitions — lives in one mutex-guarded, size-keyed
-// memo table (Relation.Memo):
+// (stats.go), per-column value ranges (ranges.go), indexes (index.go),
+// which joins and the generic join's prefix search share, and
+// internal/eval's repeated-variable bindings — lives in one
+// mutex-guarded, size-keyed memo table (Relation.Memo):
 //
 //   - Entries record the relation size they were built at, so an insert
 //     invalidates implicitly: the next reader rebuilds.
 //   - Clone/Rename views delegate memo calls to the relation whose storage
 //     they share (until they diverge by insertion), so one stored row set
-//     has one set of memos no matter how many named views serve it. This
-//     is why internal/shard memoizes partitions per (key, P) "on the
-//     relation memo table" and every binding view of a base relation sees
-//     them.
+//     has one set of memos no matter how many named views serve it, and
+//     every binding view of a base relation sees them.
 //   - Builders run outside the lock but are single-flight per key:
-//     concurrent readers of a missing entry share one build. (Partition
-//     builds register spill-governed shards, so a duplicate build would
-//     leak governor registrations — duplicates are prevented, not
-//     tolerated.)
+//     concurrent readers of a missing entry share one build, so the parts
+//     of a pipeline that all probe one index on their first pull build it
+//     once.
 //
 // Views produced by ProjectView share storage without a memo parent —
 // their column positions differ from the base, so delegation would serve
@@ -57,8 +56,7 @@
 // A commit extends rows; each epoch builds its memos lazily on first
 // read. A successor starts with an empty memo table, and the base's memos
 // are never written, so readers of the old epoch keep probing them.
-// EachMemo exposes every entry — stale ones included — so the epoch sweep
-// can reclaim governed buffers that invalidation orphaned. The commit
+// EachMemo exposes every entry, stale ones included. The commit
 // writer keeps a RowTable per version chain, which keeps set semantics
 // O(delta) per committed batch.
 //

@@ -1,9 +1,10 @@
 package relation
 
-// Hash indexes and the memo table that caches them (together with column
-// statistics and caller-provided structures such as internal/shard's
-// partitions) per relation. Everything here is keyed by the relation's
-// size, so an insert implicitly invalidates and the next reader rebuilds.
+// Indexes and the memo table that caches them (together with column
+// statistics, value ranges and caller-provided structures such as
+// internal/eval's repeated-variable bindings) per relation. Everything
+// here is keyed by the relation's size, so an insert implicitly
+// invalidates and the next reader rebuilds.
 
 import (
 	"encoding/binary"
@@ -30,10 +31,8 @@ func (r *Relation) delegate() *Relation {
 // missing or the relation has grown since it was cached. Builds are
 // single-flight per key: concurrent callers of a missing entry run build
 // exactly once and share its result (waiters block until the builder
-// stores). Duplicate builds used to be tolerated as harmless races, but a
-// build may now carry side effects — partition builds register governed
-// shards with a spill governor, and a losing duplicate would stay
-// registered (accounted and on disk) with no owner. build runs outside
+// stores), so a structure many concurrent readers ask for at once — the
+// index every part of a pipeline probes — is built once. build runs outside
 // the lock and may use the relation's read API, but must not Memo the
 // same key recursively.
 func (r *Relation) Memo(key string, build func() any) any {
@@ -99,44 +98,81 @@ func (r *Relation) peekMemo(key string) (any, bool) {
 	return nil, false
 }
 
-// Index is a hash index over a column list: a KeyTable of the distinct
+// Index is an index over a column list: a KeyTable of the distinct
 // keys the rows hold in those columns, and every key's posting list — the
 // ascending row ids holding it — as one segment of a single row-id array.
+//
+// A one-column index over a narrow value range is direct-addressed
+// instead: it has no KeyTable, and value v's posting list is the segment
+// at start[v−lo], so a probe is one subtraction and two loads, with no
+// hashing and no equality check. An index is direct when its column's
+// memoized ValueRange is at most 4·rows + 64 values wide. The offset table
+// then costs at most 16 bytes per row, no more than the hash build's slots
+// and key arena (15–29 bytes per row at the build's hint, before fit), and
+// the +64 lets a small relation over a short range go direct too.
 type Index struct {
 	cols  []int
-	keys  *KeyTable
-	start []int32 // key id k's rows are rows[start[k]:start[k+1]]
+	keys  *KeyTable // nil when direct-addressed
+	lo    Value     // direct: start[v-lo] is value v's posting offset
+	n     int       // direct: the distinct values held
+	start []int32   // key k's rows are rows[start[k]:start[k+1]]
 	rows  []int32
+}
+
+// directWidth reports whether a one-column index over rows rows whose
+// values span g is direct-addressed (see Index).
+func directWidth(g Range, rows int) bool {
+	return g.Width() <= 4*uint64(rows)+64
 }
 
 // Cols returns the indexed column positions.
 func (ix *Index) Cols() []int { return ix.cols }
 
 // Len returns the number of distinct keys.
-func (ix *Index) Len() int { return ix.keys.Len() }
+func (ix *Index) Len() int {
+	if ix.keys == nil {
+		return ix.n
+	}
+	return ix.keys.Len()
+}
+
+// find returns the posting-list slot of the key at (cols, pos, row), or
+// -1 when no row holds it.
+func (ix *Index) find(cols [][]Value, pos []int, row int) int32 {
+	if ix.keys != nil {
+		return ix.keys.Find(cols, pos, row)
+	}
+	// A value below lo wraps around to a slot past the table.
+	k := uint64(cols[pos[0]][row] - ix.lo)
+	if k >= uint64(len(ix.start)-1) || ix.start[k] == ix.start[k+1] {
+		return -1
+	}
+	return int32(k)
+}
 
 // Rows returns the rows whose indexed columns hold the key at (cols, pos,
 // row) — the probe row's values in its columns pos, one per indexed
 // column. The slice is the index's storage; treat it as read-only.
 func (ix *Index) Rows(cols [][]Value, pos []int, row int) []int32 {
-	k := ix.keys.Find(cols, pos, row)
+	k := ix.find(cols, pos, row)
 	if k < 0 {
 		return nil
 	}
 	return ix.postings(k)
 }
 
-// postings returns key id k's posting list.
+// postings returns posting list k: key id k's rows, or value lo+k's when
+// the index is direct-addressed (empty for a value no row holds).
 func (ix *Index) postings(k int32) []int32 {
 	return ix.rows[ix.start[k]:ix.start[k+1]]
 }
 
 // Has reports whether any row matches the key at (cols, pos, row).
 func (ix *Index) Has(cols [][]Value, pos []int, row int) bool {
-	return ix.keys.Find(cols, pos, row) >= 0
+	return ix.find(cols, pos, row) >= 0
 }
 
-// Index returns the hash index over the given columns, built lazily and
+// Index returns the index over the given columns, built lazily and
 // memoized alongside the relation's statistics (rebuilt after inserts,
 // shared with renames and clones).
 func (r *Relation) Index(cols ...int) *Index {
@@ -152,7 +188,14 @@ func (r *Relation) Index(cols ...int) *Index {
 		// not race the spill governor parking the columns row by row.
 		r.Pin()
 		defer r.Unpin()
-		ix := &Index{cols: cs, keys: NewKeyTable(len(cs), r.n)}
+		ix := &Index{cols: cs}
+		if len(cs) == 1 {
+			if g := r.ValueRange(cs[0]); directWidth(g, r.n) {
+				ix.addRowsDirect(r.Column(cs[0]), g)
+				return ix
+			}
+		}
+		ix.keys = NewKeyTable(len(cs), r.n)
 		ix.addRows(r)
 		return ix
 	}).(*Index)
@@ -187,6 +230,31 @@ func (ix *Index) addRows(r *Relation) {
 	}
 	copy(ix.start, ix.start[1:])
 	ix.start[len(ix.start)-1] = int32(len(keyOf))
+}
+
+// addRowsDirect lays out the posting lists of a direct-addressed index
+// over col, whose values lie in g: addRows' counting sort with v−lo as
+// the key id, one slot per value of the range.
+func (ix *Index) addRowsDirect(col []Value, g Range) {
+	ix.lo = g.Lo
+	ix.start = make([]int32, g.Width()+1)
+	for _, v := range col {
+		ix.start[v-g.Lo+1]++
+	}
+	for k := 1; k < len(ix.start); k++ {
+		if ix.start[k] > 0 {
+			ix.n++
+		}
+		ix.start[k] += ix.start[k-1]
+	}
+	ix.rows = make([]int32, len(col))
+	for i := len(col) - 1; i >= 0; i-- {
+		k := col[i] - g.Lo + 1
+		ix.start[k]--
+		ix.rows[ix.start[k]] = int32(i)
+	}
+	copy(ix.start, ix.start[1:])
+	ix.start[len(ix.start)-1] = int32(len(col))
 }
 
 // appendColsKey appends a packing of column positions to buf (memo keys).
@@ -271,9 +339,8 @@ func EquiJoin(r, s *Relation, pairs [][2]int) (*Relation, error) {
 
 // SemijoinOn returns r ⋉ s on explicit column pairs: the tuples of r
 // whose column rCols[k] equals column sCols[k] of some tuple of s, for
-// every k. It is position-pure — partition shards may carry memoized
-// attribute names from a sibling view, so name matching (SharedCols)
-// happens once at the routing layer. With empty column lists every tuple
+// every k. It is position-pure: name matching (SharedCols) is the
+// caller's. With empty column lists every tuple
 // of r joins unless s is empty, so r itself is returned.
 func SemijoinOn(r, s *Relation, rCols, sCols []int) (*Relation, error) {
 	if len(rCols) != len(sCols) {

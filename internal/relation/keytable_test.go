@@ -150,6 +150,97 @@ func TestIndexMatchesScan(t *testing.T) {
 	}
 }
 
+// hashIndex builds the hash index over column c of r, whatever its range:
+// the reference a direct-addressed index must answer like.
+func hashIndex(r *Relation, c int) *Index {
+	ix := &Index{cols: []int{c}, keys: NewKeyTable(1, r.Size())}
+	ix.addRows(r)
+	return ix
+}
+
+// fdByScan reports whether column from determines column to in r, by a
+// map over every row.
+func fdByScan(r *Relation, from, to int) bool {
+	seen := make(map[Value]Value)
+	for i := 0; i < r.Size(); i++ {
+		v, w := r.At(i, from), r.At(i, to)
+		if u, ok := seen[v]; ok && u != w {
+			return false
+		}
+		seen[v] = w
+	}
+	return true
+}
+
+// TestDirectIndexMatchesHashIndex checks the rule that picks a
+// direct-addressed index (a one-column range at most 4·rows + 64 wide)
+// and that such an index answers Rows, Has, Len and CheckFD as the hash
+// index does: on random columns, an empty relation, one value, a range at
+// the rule and one just past it, probed on every value of the range, two
+// values on either side of it, and the extremes of Value.
+func TestDirectIndexMatchesHashIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	random := func(n int, lo, width Value) []Value {
+		col := make([]Value, n)
+		for i := range col {
+			col[i] = lo + Value(rng.Intn(int(width)))
+		}
+		return col
+	}
+	// spanning returns n values whose range is exactly width wide.
+	spanning := func(n int, lo Value, width int) []Value {
+		col := random(n, lo, Value(width))
+		col[0], col[n-1] = lo, lo+Value(width-1)
+		return col
+	}
+	cases := []struct {
+		name   string
+		col    []Value
+		direct bool
+	}{
+		{"empty", nil, true},
+		{"one value", []Value{7}, true},
+		{"random narrow", random(500, 100, 300), true},
+		{"random from zero", random(500, 0, 40), true},
+		{"at the rule", spanning(100, 1000, 4*100+64), true},
+		{"just past the rule", spanning(100, 1000, 4*100+65), false},
+	}
+	for _, c := range cases {
+		n := len(c.col)
+		cols := [][]Value{c.col, make([]Value, n), make([]Value, n)}
+		for i, v := range c.col {
+			cols[1][i] = Value(i) // distinct rows
+			cols[2][i] = v % 7    // a function of column 0
+		}
+		r := NewFromColumns("R", []string{"a", "b", "c"}, cols)
+		ix, ref := r.Index(0), hashIndex(r, 0)
+		if direct := ix.keys == nil; direct != c.direct {
+			t.Fatalf("%s: direct-addressed %v, want %v", c.name, direct, c.direct)
+		}
+		if ix.Len() != ref.Len() {
+			t.Fatalf("%s: %d keys, the hash index %d", c.name, ix.Len(), ref.Len())
+		}
+		g := r.ValueRange(0)
+		probes := []Value{0, 1, math.MaxUint32 - 1, math.MaxUint32}
+		for v := g.Lo - 2; v != g.Hi+3; v++ {
+			probes = append(probes, v)
+		}
+		for _, v := range probes {
+			if got, want := ix.Rows(probeKey(v)), ref.Rows(probeKey(v)); !slices.Equal(got, want) {
+				t.Fatalf("%s: value %d lists rows %v, the hash index %v", c.name, v, got, want)
+			}
+			if got, want := ix.Has(probeKey(v)), ref.Has(probeKey(v)); got != want {
+				t.Fatalf("%s: Has(%d) = %v, the hash index %v", c.name, v, got, want)
+			}
+		}
+		for _, fd := range [][2]int{{0, 2}, {0, 1}, {2, 0}} {
+			if got, want := r.CheckFD([]int{fd[0]}, fd[1]), fdByScan(r, fd[0], fd[1]); got != want {
+				t.Fatalf("%s: CheckFD(%d -> %d) = %v, the scan says %v", c.name, fd[0], fd[1], got, want)
+			}
+		}
+	}
+}
+
 func TestIndexBuildAllocsIndependentOfRows(t *testing.T) {
 	allocs := func(rows int) float64 {
 		cols := [][]Value{make([]Value, rows), make([]Value, rows)}
@@ -172,34 +263,40 @@ var benchSink int
 
 // BenchmarkIndex builds an index over 64 Ki rows, every key on two rows,
 // and probes it with 64 Ki rows of which half match, at key widths 1, 2
-// and 4.
+// and 4. At width 1 the keys are consecutive, which makes the index
+// direct-addressed, and again spread 16 apart, past the direct rule, which
+// makes it a hash index over the same keys.
 func BenchmarkIndex(b *testing.B) {
 	const rows = 1 << 16
-	for _, width := range []int{1, 2, 4} {
+	for _, c := range []struct {
+		name          string
+		width, spread int
+	}{{"width=1/direct", 1, 1}, {"width=1/hash", 1, 16}, {"width=2", 2, 1}, {"width=4", 4, 1}} {
 		// The indexed relation has one unkeyed column more, which keeps
 		// the two rows of each key distinct.
+		width := c.width
 		attrs := make([]string, width+1)
 		build := make([][]Value, width+1)
 		probe := make([][]Value, width)
 		pos := make([]int, width)
-		for c := range build {
-			attrs[c] = fmt.Sprintf("c%d", c)
-			build[c] = make([]Value, rows)
-			for i := range build[c] {
-				build[c][i] = Value(i/2 + c)
-				if c == width {
-					build[c][i] = Value(i)
+		for k := range build {
+			attrs[k] = fmt.Sprintf("c%d", k)
+			build[k] = make([]Value, rows)
+			for i := range build[k] {
+				build[k][i] = Value(i/2*c.spread + k)
+				if k == width {
+					build[k][i] = Value(i)
 				}
 			}
 		}
-		for c := range probe {
-			pos[c] = c
-			probe[c] = make([]Value, rows)
-			for i := range probe[c] {
-				probe[c][i] = Value(i + c)
+		for k := range probe {
+			pos[k] = k
+			probe[k] = make([]Value, rows)
+			for i := range probe[k] {
+				probe[k][i] = Value(i*c.spread + k)
 			}
 		}
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				ix := NewFromColumns("R", attrs, build).Index(pos...)

@@ -569,7 +569,7 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 // name (columnar copy, no dedup pass). The rows must be valid indices and,
 // because r has set semantics, distinct indices yield distinct tuples — so
 // the result is duplicate-free by construction. Gather is the assembly
-// primitive of partition shards and semijoin outputs.
+// primitive of semijoin outputs and hash partitions.
 func (r *Relation) Gather(name string, rows []int32) *Relation {
 	out := New(name, r.Attrs...)
 	out.dict = r.dict
@@ -590,9 +590,8 @@ func (r *Relation) Gather(name string, rows []int32) *Relation {
 
 // Concat concatenates parts of equal arity into one owned relation without a
 // dedup pass: callers guarantee the parts' tuple sets are pairwise disjoint
-// (partition shards are — tuples in different shards differ on the partition
-// column's hash). Attribute names are the caller's: parts may carry stale
-// names when they were memoized under a differently-named view.
+// (hash partitions are — tuples in different shards differ on the partition
+// column's hash). Attribute names are the caller's.
 func Concat(name string, attrs []string, parts ...*Relation) (*Relation, error) {
 	out := New(name, attrs...)
 	total := 0
@@ -692,14 +691,14 @@ func concatAttrs(r, s *Relation) []string {
 
 // SharedCols lists the column pairs of r and s holding the same attribute
 // name — the natural-join (and semijoin) columns. Every name-matching
-// operator (NaturalJoin, the sharded routing layer) pairs
+// operator (NaturalJoin, internal/shard's operators) pairs
 // columns through this one helper so they cannot desynchronize.
 func SharedCols(r, s *Relation) (rCols, sCols []int) {
 	return SharedColsNames(r.Attrs, s.Attrs)
 }
 
-// SharedColsNames is SharedCols over bare attribute slices — the form the
-// sharded exchange router uses, since a partitioned stream knows its schema
+// SharedColsNames is SharedCols over bare attribute slices — the form
+// internal/shard's operators use, since a pipeline knows its schema
 // without materializing a flat relation.
 func SharedColsNames(rAttrs, sAttrs []string) (rCols, sCols []int) {
 	for j, a := range sAttrs {
@@ -739,9 +738,7 @@ func NaturalJoin(r, s *Relation) (*Relation, error) {
 // positions), with clean attribute names. Dropping s's copy of the join
 // columns cannot create duplicates — those columns equal kept columns of r
 // in every output row — so the result is an O(arity) ProjectView instead
-// of a dedup pass over the whole output. Exported for internal/shard,
-// whose co-partitioned HashJoin concatenates per-shard raw joins of the
-// same shape.
+// of a dedup pass over the whole output.
 func NaturalJoinView(joined, r, s *Relation, sCols []int) (*Relation, error) {
 	attrs, keep := NaturalJoinSchema(r.Attrs, s.Attrs, sCols)
 	return joined.ProjectView(r.Name+"_nj_"+s.Name, attrs, keep...)
@@ -751,10 +748,9 @@ func NaturalJoinView(joined, r, s *Relation, sCols []int) (*Relation, error) {
 // equi-join layout (all of r's columns, then all of s's): the attribute
 // names of the result — r's attributes plus s's non-join attributes — and
 // the raw-join positions to keep. sCols are s's join positions. It is the
-// schema-only core of NaturalJoinView, exported so internal/shard can
-// project per-shard raw joins without materializing either input: partition
-// shards and exchange parts know their attributes without holding a flat
-// relation.
+// schema-only core of NaturalJoinView, exported so internal/shard's join
+// probe can project its raw join without materializing either input: a
+// pipeline knows its attributes without holding a flat relation.
 func NaturalJoinSchema(rAttrs, sAttrs []string, sCols []int) (attrs []string, keep []int) {
 	dropS := make([]bool, len(sAttrs))
 	for _, j := range sCols {
@@ -782,9 +778,9 @@ func (r *Relation) CheckFD(from []int, to int) bool {
 	r.Pin()
 	defer r.Unpin()
 	toCol := r.data()[to]
-	for k := int32(0); k < int32(ix.Len()); k++ {
+	for k := int32(0); k < int32(len(ix.start)-1); k++ {
 		rows := ix.postings(k)
-		for _, i := range rows[1:] {
+		for _, i := range rows {
 			if toCol[i] != toCol[rows[0]] {
 				return false
 			}

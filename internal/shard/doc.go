@@ -1,62 +1,42 @@
-// Package shard is the horizontal-scaling layer over the interned columnar
-// store: relations are hash-partitioned by a key column into P shards —
-// each a normal *relation.Relation, so the memoized statistics and hash
-// indexes of the relation package keep working unchanged per shard — and the package's operators run joins, semijoins and
-// duplicate-eliminating projections as one column-batch pipeline
-// (internal/batch) per shard, drained over internal/pool with context
-// cancellation.
+// Package shard runs the executors' column-batch pipelines (internal/batch)
+// in parts: a pipeline that scans a large relation is split into P
+// contiguous row ranges, each range flows through the same join, semijoin
+// and projection stages as one pipeline, and the parts drain side by side
+// over internal/pool with context cancellation.
 //
 // The paper's bounds govern how large outputs and intermediates can get
-// (AGM/ρ*, Corollary 4.8, Yannakakis for acyclic queries); partitioning is
-// the orthogonal lever that decides how fast each bounded-size pass runs.
-// Because a value's shard depends only on (value, P) — see ShardOf — two
-// relations partitioned on a shared join column with the same P are
-// co-partitioned: shard k of one side joins only shard k of the other,
-// making every binary join and semijoin embarrassingly parallel across
-// shards and, even on a single core, splitting one large hash map into P
-// cache-sized ones.
+// (AGM/ρ*, Corollary 4.8, Yannakakis for acyclic queries); parts are the
+// orthogonal lever that decides how fast each bounded-size pass runs. The
+// design is morsel-driven in the sense of Leis et al. (SIGMOD 2014):
+// workers take row ranges of the probe side, and every worker probes one
+// read-only index of the build side, shared by all of them. No relation
+// is partitioned and no row crosses between parts on its way to a join.
 //
-// # When does a join run sharded?
+// # When does a pipeline run in parts?
 //
-// The running intermediate of an evaluation is a Piped: per-shard
-// pipelines plus the key they are partitioned on. Every operator
-// (JoinPipedStream, SemijoinPipedStream, ProjectPiped) extends the
-// pipelines by one stage and decides per call where that stage's probes
-// happen, in this order:
+// The running intermediate of an evaluation is a Piped: per-part
+// pipelines, the column they are partitioned on (-1 when none), and a value
+// range per column. PipedOf opens a relation in one of two ways:
 //
-//  1. Aligned reuse. If the pipeline is partitioned on one of the join
-//     columns at the options' P, the other side is partitioned to match
-//     (through its memo) and each part probes only its co-shard. This is
-//     the zero-cost case end-to-end sharding exists for: a co-partitioned
-//     join's part-k output carries its key value, so it IS part k of the
-//     result, and the rows that flow are counted as reused.
-//  2. One part. If opts is nil, P < 2, or a flat (single-part) pipeline
-//     meets a probe side below Options.MinRows, the other side is probed
-//     whole in the single part and the fallback is counted in
-//     Options.Metrics. Callers thread one code path regardless of
-//     configuration, and outputs are identical either way.
-//  3. Broadcast. If the pipeline is partitioned on a non-join column
-//     (misaligned) and the other side is small (streamBroadcastRows, or
-//     below MinRows), the pipeline keeps its partitioning and every part
-//     probes the other side whole. Semijoins broadcast whenever the
-//     pipeline is misaligned — a filter's output is a subset of its
-//     input, so any existing partitioning survives and an exchange is
-//     never needed.
-//  4. Exchange. Otherwise the pipeline's batches are scattered mid-stream
-//     (batch.Exchange) onto the shared column where the other side has the
-//     most distinct values (balanced hash partitions), and the other side
-//     is partitioned on it through the per-(key, P) memo.
+//  1. One part. If opts is nil, P < 2, or the relation has fewer than
+//     Options.MinRows rows, the scan is one pipeline, and so is every
+//     stage built on it.
+//  2. Row ranges. Otherwise part k scans rows [k·n/P, (k+1)·n/P).
 //
-// Whichever rung applies, each part is one probe chain over its pipeline
-// and its shard (or the whole other side). A dominant key value (a Zipf
-// hub) hashes every matching row into one part, whose probe then runs on
-// one worker; nothing splits a part. Joins with no shared column probe the
-// whole other side from every part (a product).
+// JoinPipedStream and SemijoinPipedStream extend every part with a probe
+// of the right operand's memoized index (relation.Index), built once on
+// the first pull and then shared read-only; a join with no shared column
+// joins every part with the whole right operand (a product). Neither
+// changes the part count or the partitioning column, so a plan that
+// starts in parts stays in parts to its sink. Each operator counts itself
+// in Options.Metrics as run in parts or in one.
 //
-// Partitioning is statistics-light by design (janus-datalog's "greedy
-// beats optimal" production lesson): the partition key is the shared join
-// column with the most distinct values, P defaults to GOMAXPROCS, and
-// there is no cost model beyond the ladder above.
+// Row ranges balance rows, not keys: a dominant key value (a Zipf hub)
+// spreads over every part, whose probes of its posting list run side by
+// side. The part count is the options' P (GOMAXPROCS by default); there
+// is no cost model. A variant in which workers claim small morsels from a
+// shared atomic cursor measured slower than static ranges, which are also
+// deterministic.
 //
 // # Projections
 //
@@ -67,61 +47,43 @@
 // columns it adds, and a semijoin narrows its join columns. When the kept
 // columns' ranges multiply to at most the batch package's dense limit
 // (2^24 bits), rows dedup in batch.DenseSet bitmaps and nothing is
-// exchanged, whether or not the key column is kept. A projection that
-// keeps the key dedups part by part, each part in a bitmap of its own;
-// one that drops it marks a private bitmap per part, merges them once
-// every part is drained and decodes a slice of the merged bitmap per
-// output part (batch.ProjectDenseParts), leaving an unkeyed multi-part
-// Piped (key -1): parts still run side by side, but no operator treats
-// them as aligned. Wider domains deduplicate in per-part hash sets: the
-// projection keeps the pipeline's key when the key column is kept and
-// exchanges onto its first kept column otherwise, so all duplicates of a
-// projected tuple meet in one part's set. A projection that keeps every
-// column deduplicates nothing and keeps the key.
+// exchanged. A projection over one part, or one that keeps the
+// partitioning column, dedups part by part, each part in a bitmap of its
+// own; otherwise every part marks a private bitmap, the bitmaps are merged
+// once every part is drained and each output part decodes a slice of the
+// merged bitmap (batch.ProjectDenseParts), leaving unkeyed parts. Wider
+// domains deduplicate in per-part hash sets: a projection that keeps the
+// partitioning column projects part by part, and one over several unkeyed
+// parts exchanges them onto its first kept column (batch.Exchange), so all
+// duplicates of a projected tuple meet in one part's set. That exchange is
+// the one place rows move between parts, and its output parts are keyed
+// on that column. A projection that keeps every column deduplicates
+// nothing.
 //
 // MaterializePiped is the one sink, for the answer and for every
 // intermediate alike: the parts drain in parallel into pooled chunks, and
 // their rows are copied once into one relation, part after part
-// (batch.MaterializeParts). The Stream it returns keeps each part's row
-// range and the Piped's key (-1 when unkeyed), and PipedOf opens those
-// ranges again as parts, so what had to be built whole (a Yannakakis
-// reduction) re-enters the next pipeline still split.
+// (batch.MaterializeParts). A relation built whole (a Yannakakis
+// reduction) re-enters the next pipeline through PipedOf, in row ranges
+// again.
 //
-// # Partition-memoization contract
+// # Partition
 //
-// Partition(r, key, p) stores the shard list in r's size-keyed memo table
-// under "shard:key:p". The contract:
-//
-//   - One build per (key, P) per stored row set. Renamed and cloned views
-//     delegate memo lookups to the relation whose storage they share, so
-//     all views of one base relation share one partition; Partition
-//     re-serves a memoized partition under the caller's attribute names
-//     through O(arity) copy-on-write renames.
-//   - Inserts invalidate implicitly: memo entries record the relation size
-//     they were built at, so the next Partition after growth rebuilds.
-//   - Shards are read-only. They may be served concurrently to many
-//     evaluations; nothing may insert into a shard.
-//
-// Large builds run block-parallel (bucket counts per block, a prefix over
-// the block×shard count matrix, then a race-free scatter into disjoint
-// ranges), preserving the sequential build's row order exactly.
-//
-// # Empty shards
-//
-// Sparse partitionings (P far above a key's distinct values) leave many
-// shards empty, and empty shards pay nothing: Partition points empty
-// buckets at one canonical empty relation instead of allocating columns,
-// and a scan of an empty shard ends its part's pipeline at the first pull.
+// Partition(r, key, p) hash-partitions r by one column into p shards (each
+// a plain relation; ShardOf names a value's shard) with a block-parallel
+// bucket, scatter and gather. No operator calls it: it is the kernel the
+// benchmark's shard probe times, and tests use it to build pipelines
+// partitioned on a column, as a projection's exchange leaves them.
 //
 // # Spill
 //
 // Options.Spill threads a memory governor (internal/spill) through every
-// path that builds shards: memoized base partitions, the sealed chunks of
-// a mid-stream exchange, and transient sinks all register their column
-// bytes, and the governor parks the coldest unpinned ones in file-backed
-// segments when its budget is exceeded.
-// Pipeline stages pin what they read one batch at a time, so a parked
-// shard reloads when its scan reaches it and an exchange never needs the
-// whole repartitioned intermediate resident. Reads of parked shards
-// reload transparently; outputs are identical with or without a budget.
+// transient relation the operators build: a projection's exchange seals
+// its output into governed chunks as they fill, and transient sinks (a
+// Yannakakis reduction, a forced subtree result) register their column
+// bytes. The governor parks the coldest unpinned ones in file-backed
+// segments when its budget is exceeded. Pipeline stages pin what they read
+// one batch at a time, so a parked relation reloads when its scan reaches
+// it. Reads of parked relations reload transparently; outputs are
+// identical with or without a budget.
 package shard

@@ -1,16 +1,15 @@
 package shard
 
-// Tests for the piped operators' routing ladder — aligned reuse,
-// broadcast, exchange, fallback — one table row per decision.
-// Every row drains its pipelines and compares against the single-shard
-// relation operators, which are the semantics of record.
+// Tests for the piped operators: row-range parts, the one shared probe
+// of the right operand, and the projection's dedup sets, one table row
+// per case. Every row drains its parts and compares against the
+// single-part relation operators, which are the semantics of record.
 
 import (
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -39,14 +38,12 @@ func zipfRel(rng *rand.Rand, name string, attrs []string, n int, hotFrac float64
 	return r
 }
 
-// on opens r as pipelines partitioned on column key at the options' count:
-// one scan per shard of r's memoized partition.
+// on opens r as pipelines partitioned on column key at the options'
+// count, one scan per shard of Partition: the parts a hash projection's
+// exchange leaves behind.
 func on(r *relation.Relation, key int, opts *Options) *Piped {
-	pd := flat(r, opts)
+	pd := PipedOf(r, opts)
 	shards := Partition(r, key, opts.Count())
-	if len(shards) < 2 {
-		return pd
-	}
 	pd.key, pd.parts = key, make([]batch.Iterator, len(shards))
 	for k, s := range shards {
 		pd.parts[k] = batch.Scan(s, opts.batchSize(), opts.batchMetrics())
@@ -54,14 +51,9 @@ func on(r *relation.Relation, key int, opts *Options) *Piped {
 	return pd
 }
 
-// flat opens r as one unpartitioned pipeline.
-func flat(r *relation.Relation, opts *Options) *Piped {
-	return PipedOf(StreamOf(r), opts)
-}
-
 func mustJoin(t *testing.T, opts *Options, pd *Piped, next *relation.Relation) *Piped {
 	t.Helper()
-	out, err := JoinPipedStream(context.Background(), opts, pd, next, false)
+	out, err := JoinPipedStream(context.Background(), opts, pd, next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +62,7 @@ func mustJoin(t *testing.T, opts *Options, pd *Piped, next *relation.Relation) *
 
 func mustSemijoin(t *testing.T, opts *Options, pd *Piped, next *relation.Relation) *Piped {
 	t.Helper()
-	out, err := SemijoinPipedStream(context.Background(), opts, pd, next, false)
+	out, err := SemijoinPipedStream(context.Background(), opts, pd, next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,25 +109,27 @@ func mustProjectRel(t *testing.T, r *relation.Relation, idx ...int) *relation.Re
 	return out
 }
 
-// checkKeyed asserts the sunk stream holds wantParts parts keyed on
-// wantKey: its offsets ascend from 0 to the relation's size, and every row
-// in part k's range has a key value that hashes to k — the contract the
-// next pipeline's aligned reuse relies on.
-func checkKeyed(t *testing.T, st Stream, wantKey, wantParts int) {
+// drainParts materializes every part of pd on its own, in order.
+func drainParts(t *testing.T, pd *Piped) []*relation.Relation {
 	t.Helper()
-	if st.key != wantKey || len(st.offs)-1 != wantParts {
-		t.Fatalf("output keyed on %d with %d parts, want key %d with %d parts", st.key, len(st.offs)-1, wantKey, wantParts)
-	}
-	if st.offs[0] != 0 || st.offs[wantParts] != st.rel.Size() {
-		t.Fatalf("offsets %v do not cover the %d rows", st.offs, st.rel.Size())
-	}
-	for k := 0; k < wantParts; k++ {
-		if st.offs[k+1] < st.offs[k] {
-			t.Fatalf("offsets %v descend at part %d", st.offs, k)
+	out := make([]*relation.Relation, len(pd.parts))
+	for k, part := range pd.parts {
+		var err error
+		if out[k], err = batch.Materialize(context.Background(), part, "part", nil, nil); err != nil {
+			t.Fatal(err)
 		}
-		for i := st.offs[k]; i < st.offs[k+1]; i++ {
-			if ShardOf(st.rel.At(i, wantKey), wantParts) != k {
-				t.Fatalf("row %d of part %d violates the declared key", i, k)
+	}
+	return out
+}
+
+// checkKeyed asserts that every row of part k has a key value that hashes
+// to k: the parts are partitioned on column key.
+func checkKeyed(t *testing.T, parts []*relation.Relation, key int) {
+	t.Helper()
+	for k, part := range parts {
+		for i := 0; i < part.Size(); i++ {
+			if ShardOf(part.At(i, key), len(parts)) != k {
+				t.Fatalf("row %d of part %d violates the key %d", i, k, key)
 			}
 		}
 	}
@@ -157,9 +151,9 @@ func spread(t *testing.T, r *relation.Relation, stride relation.Value) *relation
 	return relation.NewFromColumns(r.Name, r.Attrs, cols)
 }
 
-// routeCounts is one run's routing counters, read from its Set.
+// routeCounts is one run's counters, read from its Set.
 type routeCounts struct {
-	ShardedOps, FallbackOps, ReusedRows, ExchangedRows, BroadcastOps, DenseProjections int64
+	ShardedOps, FallbackOps, ExchangedRows, BroadcastOps, DenseProjections int64
 }
 
 // spillGauge reads the governor's registry entry spill_<name>.
@@ -182,8 +176,42 @@ func (r registrar) Counters(s *counter.Set) {
 func (r registrar) Gauge(name, _ string, fn func() int64) { r[name] = fn }
 
 func readCounts(m *counter.Set) routeCounts {
-	return routeCounts{m.Load(shardedOps), m.Load(fallbackOps), m.Load(reusedRows), m.Load(exchangedRows),
+	return routeCounts{m.Load(shardedOps), m.Load(fallbackOps), m.Load(exchangedRows),
 		m.Load(broadcastOps), m.Load(denseProjections)}
+}
+
+// TestPipedOfSplitsIntoRowRanges pins how a scan opens: at or above
+// MinRows with P = 4, four unkeyed parts whose row ranges tile [0, n)
+// once, in order, each within a row of n/4; below MinRows, at P = 1 or
+// with nil options, one part.
+func TestPipedOfSplitsIntoRowRanges(t *testing.T) {
+	r := randomRel(rand.New(rand.NewSource(19)), "R", []string{"a", "b"}, 1003, 1000)
+	n := r.Size()
+	pd := PipedOf(r, &Options{Shards: 4, MinRows: n})
+	if pd.Parts() != 4 || pd.key != -1 {
+		t.Fatalf("a %d-row scan at MinRows %d opened %d parts keyed %d, want 4 unkeyed", n, n, pd.Parts(), pd.key)
+	}
+	parts := drainParts(t, pd)
+	at := 0
+	for k, part := range parts {
+		if part.Size() < n/4 || part.Size() > n/4+1 {
+			t.Fatalf("part %d holds %d rows of %d", k, part.Size(), n)
+		}
+		for c := range r.Attrs {
+			if !slices.Equal(part.Column(c), r.Column(c)[at:at+part.Size()]) {
+				t.Fatalf("part %d, column %d is not rows [%d, %d) of the relation", k, c, at, at+part.Size())
+			}
+		}
+		at += part.Size()
+	}
+	if at != n {
+		t.Fatalf("parts tile %d rows of %d", at, n)
+	}
+	for _, opts := range []*Options{{Shards: 4, MinRows: n + 1}, {Shards: 1}, nil} {
+		if pd := PipedOf(r, opts); pd.Parts() != 1 {
+			t.Fatalf("options %+v opened %d parts, want 1", opts, pd.Parts())
+		}
+	}
 }
 
 func TestPipedRouting(t *testing.T) {
@@ -195,77 +223,76 @@ func TestPipedRouting(t *testing.T) {
 	ub := randomRel(rng, "U", []string{"b", "d"}, 300, 25)
 	small := randomRel(rng, "T", []string{"b", "c"}, 30, 25)
 	big := randomRel(rng, "B", []string{"b", "c"}, 6000, 200)
-	if big.Size() <= streamBroadcastRows {
-		t.Fatalf("big side has %d rows, need more than the broadcast bound %d", big.Size(), streamBroadcastRows)
-	}
 	wide := randomRel(rng, "W", []string{"a", "b", "c"}, 500, 8)
 	other := randomRel(rng, "O", []string{"c", "d"}, 20, 5)
 	hotL := zipfRel(rng, "L", []string{"k", "x"}, 600, 0.5, 10)
 	hotR := zipfRel(rng, "H", []string{"k", "y"}, 200, 0.3, 10)
-	hub, spokes := relation.New("R", "a", "b"), relation.New("S", "b", "c")
-	for i := 0; i < 40; i++ {
-		hub.Add(fmt.Sprintf("x%d", i), "hub")
-		spokes.Add("hub", fmt.Sprintf("z%d", i%4))
+	hot := relation.V("hot")
+	// Forty rows whose column b holds one value, spread far apart in a so
+	// that a projection onto (b, a) deduplicates by hash.
+	hubCols := [][]relation.Value{make([]relation.Value, 40), make([]relation.Value, 40), make([]relation.Value, 40)}
+	for i := range hubCols[0] {
+		hubCols[0][i], hubCols[1][i], hubCols[2][i] = relation.Value(i*1_000_000), 7, relation.Value(i)
 	}
+	hub := relation.NewFromColumns("H", []string{"a", "b", "c"}, hubCols)
 
 	cases := []struct {
 		name string
 		opts Options // Metrics is filled in per run
 		// build assembles the pipelines under test and the expected rows.
 		build func(t *testing.T, opts *Options) (*Piped, *relation.Relation)
-		// check sees the routing counters and the drained output.
-		check func(t *testing.T, m routeCounts, out Stream)
+		// check sees the counters, the piped and its drained parts.
+		check func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation)
 	}{
+		{
+			name: "flat pipeline at MinRows splits into row ranges",
+			opts: Options{Shards: p, MinRows: r.Size()},
+			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
+				return mustJoin(t, opts, PipedOf(r, opts), s), mustNaturalJoin(t, r, s)
+			},
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if len(parts) != p || pd.key != -1 || m.ExchangedRows != 0 || m.ShardedOps != 1 || m.BroadcastOps != 1 || m.FallbackOps != 0 {
+					t.Fatalf("%d parts keyed %d, %+v: want %d unkeyed parts, one sharded broadcast, nothing exchanged", len(parts), pd.key, m, p)
+				}
+			},
+		},
 		{
 			name: "join on the aligned key reuses the partitioning",
 			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, on(r, 1, opts), s), mustNaturalJoin(t, r, s)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.ReusedRows != int64(r.Size()) || m.ExchangedRows != 0 || m.ShardedOps != 1 {
-					t.Fatalf("reused=%d exchanged=%d sharded=%d, want %d/0/1", m.ReusedRows, m.ExchangedRows, m.ShardedOps, r.Size())
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if pd.key != 1 || m.ExchangedRows != 0 || m.ShardedOps != 1 {
+					t.Fatalf("keyed %d, exchanged=%d sharded=%d, want key 1 and 0/1", pd.key, m.ExchangedRows, m.ShardedOps)
 				}
-				checkKeyed(t, out, 1, p)
+				checkKeyed(t, parts, 1)
 			},
 		},
 		{
 			name: "second join on the same key reuses the first join's output",
 			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
-				return mustJoin(t, opts, mustJoin(t, opts, flat(r, opts), s), ub), mustNaturalJoin(t, r, s, ub)
+				return mustJoin(t, opts, mustJoin(t, opts, on(r, 1, opts), s), ub), mustNaturalJoin(t, r, s, ub)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				first := mustNaturalJoin(t, r, s).Size()
-				if m.ReusedRows != int64(first) || m.ExchangedRows != int64(r.Size()) {
-					t.Fatalf("reused=%d exchanged=%d, want %d (|R⋈S|) and %d (|R|)", m.ReusedRows, m.ExchangedRows, first, r.Size())
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if pd.key != 1 || m.ExchangedRows != 0 || m.ShardedOps != 2 {
+					t.Fatalf("keyed %d, exchanged=%d sharded=%d, want key 1 and 0/2", pd.key, m.ExchangedRows, m.ShardedOps)
 				}
+				checkKeyed(t, parts, 1)
 			},
 		},
 		{
-			name: "flat pipeline is exchanged onto the join key",
-			opts: Options{Shards: p},
-			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
-				return mustJoin(t, opts, flat(r, opts), s), mustNaturalJoin(t, r, s)
-			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.ExchangedRows != int64(r.Size()) || m.ReusedRows != 0 || m.FallbackOps != 0 {
-					t.Fatalf("exchanged=%d reused=%d fallback=%d, want %d/0/0", m.ExchangedRows, m.ReusedRows, m.FallbackOps, r.Size())
-				}
-				checkKeyed(t, out, 1, p)
-			},
-		},
-		{
-			name: "misaligned key with a big probe side exchanges",
+			name: "a big probe side is probed whole from every part",
 			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, on(r, 0, opts), big), mustNaturalJoin(t, r, big)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.ExchangedRows != int64(r.Size()) || m.BroadcastOps != 0 {
-					t.Fatalf("exchanged=%d broadcasts=%d, want %d/0", m.ExchangedRows, m.BroadcastOps, r.Size())
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if m.ExchangedRows != 0 || m.BroadcastOps != 1 {
+					t.Fatalf("exchanged=%d broadcasts=%d, want 0/1", m.ExchangedRows, m.BroadcastOps)
 				}
-				checkKeyed(t, out, 1, p)
+				checkKeyed(t, parts, 0)
 			},
 		},
 		{
@@ -274,25 +301,25 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, on(r, 0, opts), small), mustNaturalJoin(t, r, small)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.BroadcastOps != 1 || m.ExchangedRows != 0 || m.ReusedRows != int64(r.Size()) {
-					t.Fatalf("broadcasts=%d exchanged=%d reused=%d, want 1/0/%d", m.BroadcastOps, m.ExchangedRows, m.ReusedRows, r.Size())
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if m.BroadcastOps != 1 || m.ExchangedRows != 0 {
+					t.Fatalf("broadcasts=%d exchanged=%d, want 1/0", m.BroadcastOps, m.ExchangedRows)
 				}
-				checkKeyed(t, out, 0, p)
+				checkKeyed(t, parts, 0)
 			},
 		},
 		{
 			name: "three-way chain on changing keys never collapses to one part",
 			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
-				return mustJoin(t, opts, mustJoin(t, opts, flat(r, opts), s), u), mustNaturalJoin(t, r, s, u)
+				return mustJoin(t, opts, mustJoin(t, opts, PipedOf(r, opts), s), u), mustNaturalJoin(t, r, s, u)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.FallbackOps != 0 || m.ShardedOps != 2 {
-					t.Fatalf("fallback=%d sharded=%d, want 0/2", m.FallbackOps, m.ShardedOps)
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if m.FallbackOps != 0 || m.ShardedOps != 2 || m.ExchangedRows != 0 {
+					t.Fatalf("fallback=%d sharded=%d exchanged=%d, want 0/2/0", m.FallbackOps, m.ShardedOps, m.ExchangedRows)
 				}
-				if len(out.offs)-1 != p {
-					t.Fatalf("chained joins came back in %d parts, want %d", len(out.offs)-1, p)
+				if len(parts) != p {
+					t.Fatalf("chained joins came back in %d parts, want %d", len(parts), p)
 				}
 			},
 		},
@@ -302,45 +329,58 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustJoin(t, opts, on(r, 0, opts), other), mustNaturalJoin(t, r, other)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) { checkKeyed(t, out, 0, p) },
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				checkKeyed(t, parts, 0)
+			},
 		},
 		{
-			name: "hot probe-side shard joins in one chain per part",
+			name: "hot key spreads over every row range",
 			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
-				return mustJoin(t, opts, flat(hotL, opts), hotR), mustNaturalJoin(t, hotL, hotR)
+				return mustJoin(t, opts, PipedOf(hotL, opts), hotR), mustNaturalJoin(t, hotL, hotR)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.ExchangedRows != int64(hotL.Size()) || m.ShardedOps != 1 {
-					t.Fatalf("exchanged=%d sharded=%d, want %d/1", m.ExchangedRows, m.ShardedOps, hotL.Size())
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if m.ExchangedRows != 0 || m.ShardedOps != 1 {
+					t.Fatalf("exchanged=%d sharded=%d, want 0/1", m.ExchangedRows, m.ShardedOps)
 				}
-				checkKeyed(t, out, 0, p)
+				for k, part := range parts {
+					if !slices.Contains(part.Column(0), hot) {
+						t.Fatalf("part %d of %d joined no row of the hot key", k, len(parts))
+					}
+				}
 			},
 		},
 		{
-			name: "semijoin over skewed keys keeps the exchanged partitioning",
+			name: "semijoin over skewed keys keeps its row ranges",
 			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
-				return mustSemijoin(t, opts, flat(hotL, opts), hotR), mustSemijoinRel(t, hotL, hotR)
+				return mustSemijoin(t, opts, PipedOf(hotL, opts), hotR), mustSemijoinRel(t, hotL, hotR)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.ExchangedRows != int64(hotL.Size()) {
-					t.Fatalf("exchanged=%d, want %d", m.ExchangedRows, hotL.Size())
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if m.ExchangedRows != 0 || len(parts) != p {
+					t.Fatalf("exchanged=%d in %d parts, want 0 in %d", m.ExchangedRows, len(parts), p)
 				}
-				checkKeyed(t, out, 0, p)
+				// Part k keeps the surviving rows of row range k, in order.
+				n := hotL.Size()
+				for k, part := range parts {
+					rng := hotL.Gather("L", rowRange(k*n/p, (k+1)*n/p))
+					if want := mustSemijoinRel(t, rng, hotR); !slices.Equal(part.Column(1), want.Column(1)) {
+						t.Fatalf("part %d is not the semijoin of row range %d", k, k)
+					}
+				}
 			},
 		},
 		{
-			name: "semijoin on the aligned key probes shard against shard",
+			name: "semijoin on the key column keeps the key",
 			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustSemijoin(t, opts, on(r, 1, opts), s), mustSemijoinRel(t, r, s)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.ReusedRows != int64(r.Size()) || m.ExchangedRows != 0 || m.BroadcastOps != 0 {
-					t.Fatalf("reused=%d exchanged=%d broadcasts=%d, want %d/0/0", m.ReusedRows, m.ExchangedRows, m.BroadcastOps, r.Size())
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if m.BroadcastOps != 1 || m.ExchangedRows != 0 {
+					t.Fatalf("broadcasts=%d exchanged=%d, want 1/0", m.BroadcastOps, m.ExchangedRows)
 				}
-				checkKeyed(t, out, 1, p)
+				checkKeyed(t, parts, 1)
 			},
 		},
 		{
@@ -349,11 +389,11 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustSemijoin(t, opts, on(r, 0, opts), s), mustSemijoinRel(t, r, s)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
 				if m.BroadcastOps != 1 || m.ExchangedRows != 0 {
 					t.Fatalf("broadcasts=%d exchanged=%d, want 1/0", m.BroadcastOps, m.ExchangedRows)
 				}
-				checkKeyed(t, out, 0, p)
+				checkKeyed(t, parts, 0)
 			},
 		},
 		{
@@ -369,11 +409,11 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustProject(t, opts, on(wide, 1, opts), 1, 2), mustProjectRel(t, wide, 1, 2)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
 				if m.ExchangedRows != 0 {
 					t.Fatal("projection exchanged although its key was kept")
 				}
-				checkKeyed(t, out, 0, p)
+				checkKeyed(t, parts, 0)
 			},
 		},
 		{
@@ -385,11 +425,11 @@ func TestPipedRouting(t *testing.T) {
 				w := spread(t, wide, 1<<16)
 				return mustProject(t, opts, on(w, 1, opts), 2, 0), mustProjectRel(t, w, 2, 0)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
 				if m.ExchangedRows != int64(wide.Size()) || m.DenseProjections != 0 {
 					t.Fatalf("exchanged=%d dense=%d, want %d/0", m.ExchangedRows, m.DenseProjections, wide.Size())
 				}
-				checkKeyed(t, out, 0, p)
+				checkKeyed(t, parts, 0)
 			},
 		},
 		{
@@ -398,16 +438,12 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustProject(t, opts, on(wide, 1, opts), 2, 0), mustProjectRel(t, wide, 2, 0)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
 				if m.ExchangedRows != 0 || m.DenseProjections != 1 {
 					t.Fatalf("exchanged=%d dense=%d, want 0/1", m.ExchangedRows, m.DenseProjections)
 				}
-				if out.key != -1 || len(out.offs)-1 != p {
-					t.Fatalf("output keyed on %d with %d parts, want %d unkeyed parts", out.key, len(out.offs)-1, p)
-				}
-				// Every row came out of exactly one part.
-				if rows := out.offs[p]; rows != mustProjectRel(t, wide, 2, 0).Size() {
-					t.Fatalf("parts hold %d rows, ProjectIdx %d", rows, mustProjectRel(t, wide, 2, 0).Size())
+				if pd.key != -1 || len(parts) != p {
+					t.Fatalf("output keyed on %d with %d parts, want %d unkeyed parts", pd.key, len(parts), p)
 				}
 			},
 		},
@@ -426,7 +462,7 @@ func TestPipedRouting(t *testing.T) {
 				}
 				return mustJoin(t, opts, reopened, u), mustNaturalJoin(t, mustProjectRel(t, wide, 2, 0), u)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
 				if m.BroadcastOps != 1 || m.ExchangedRows != 0 {
 					t.Fatalf("broadcasts=%d exchanged=%d, want 1/0", m.BroadcastOps, m.ExchangedRows)
 				}
@@ -438,20 +474,20 @@ func TestPipedRouting(t *testing.T) {
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				return mustProject(t, opts, on(wide, 0, opts), 0, 0, 1), mustProjectRel(t, wide, 0, 0, 1)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if want := []string{"a", "a_1", "b"}; !slices.Equal(out.Rel().Attrs, want) {
-					t.Fatalf("attrs %v, want %v", out.Rel().Attrs, want)
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if want := []string{"a", "a_1", "b"}; !slices.Equal(pd.Attrs(), want) {
+					t.Fatalf("attrs %v, want %v", pd.Attrs(), want)
 				}
 			},
 		},
 		{
 			name: "flat projection onto a repeated position renames the repeat",
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
-				return mustProject(t, opts, flat(wide, opts), 1, 1), mustProjectRel(t, wide, 1, 1)
+				return mustProject(t, opts, PipedOf(wide, opts), 1, 1), mustProjectRel(t, wide, 1, 1)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if want := []string{"b", "b_1"}; !slices.Equal(out.Rel().Attrs, want) {
-					t.Fatalf("attrs %v, want %v", out.Rel().Attrs, want)
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if want := []string{"b", "b_1"}; !slices.Equal(pd.Attrs(), want) {
+					t.Fatalf("attrs %v, want %v", pd.Attrs(), want)
 				}
 			},
 		},
@@ -459,13 +495,16 @@ func TestPipedRouting(t *testing.T) {
 			name: "one-valued key at P=16 leaves fifteen parts empty",
 			opts: Options{Shards: 16},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
-				return mustJoin(t, opts, flat(hub, opts), spokes), mustNaturalJoin(t, hub, spokes)
+				return mustProject(t, opts, PipedOf(hub, opts), 1, 0), mustProjectRel(t, hub, 1, 0)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				checkKeyed(t, out, 1, 16)
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if m.ExchangedRows != int64(hub.Size()) || len(parts) != 16 {
+					t.Fatalf("exchanged=%d in %d parts, want %d in 16", m.ExchangedRows, len(parts), hub.Size())
+				}
+				checkKeyed(t, parts, 0)
 				empty := 0
-				for k := 0; k < 16; k++ {
-					if out.offs[k+1] == out.offs[k] {
+				for _, part := range parts {
+					if part.Size() == 0 {
 						empty++
 					}
 				}
@@ -478,12 +517,12 @@ func TestPipedRouting(t *testing.T) {
 			name: "inputs below MinRows stay in one part",
 			opts: Options{Shards: p, MinRows: 10_000},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
-				pd := mustProject(t, opts, mustSemijoin(t, opts, mustJoin(t, opts, flat(r, opts), s), u), 0, 2)
+				pd := mustProject(t, opts, mustSemijoin(t, opts, mustJoin(t, opts, PipedOf(r, opts), s), u), 0, 2)
 				return pd, mustProjectRel(t, mustSemijoinRel(t, mustNaturalJoin(t, r, s), u), 0, 2)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.FallbackOps != 3 || m.ShardedOps != 0 || len(out.offs) != 2 {
-					t.Fatalf("fallback=%d sharded=%d output-parts=%d, want 3/0/1", m.FallbackOps, m.ShardedOps, len(out.offs)-1)
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if m.FallbackOps != 3 || m.ShardedOps != 0 || len(parts) != 1 {
+					t.Fatalf("fallback=%d sharded=%d output-parts=%d, want 3/0/1", m.FallbackOps, m.ShardedOps, len(parts))
 				}
 			},
 		},
@@ -491,26 +530,26 @@ func TestPipedRouting(t *testing.T) {
 			name: "Shards=1 stays in one part",
 			opts: Options{Shards: 1},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
-				return mustJoin(t, opts, flat(r, opts), s), mustNaturalJoin(t, r, s)
+				return mustJoin(t, opts, PipedOf(r, opts), s), mustNaturalJoin(t, r, s)
 			},
-			check: func(t *testing.T, m routeCounts, out Stream) {
-				if m.FallbackOps != 1 || len(out.offs) != 2 {
-					t.Fatalf("fallback=%d output-parts=%d, want 1/1", m.FallbackOps, len(out.offs)-1)
+			check: func(t *testing.T, m routeCounts, pd *Piped, parts []*relation.Relation) {
+				if m.FallbackOps != 1 || len(parts) != 1 {
+					t.Fatalf("fallback=%d output-parts=%d, want 1/1", m.FallbackOps, len(parts))
 				}
 			},
 		},
 		{
-			name: "a view partitioned at another count is scanned flat",
+			name: "a sink reopens as row ranges at the options' count",
 			opts: Options{Shards: p},
 			build: func(t *testing.T, opts *Options) (*Piped, *relation.Relation) {
 				three := &Options{Shards: 3}
-				sunk, err := MaterializePiped(context.Background(), three, on(r, 1, three), "R", false)
+				sunk, err := MaterializePiped(context.Background(), three, PipedOf(r, three), "R", false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				pd := PipedOf(sunk, opts)
-				if pd.Parts() != 1 || len(sunk.offs) != 4 {
-					t.Fatalf("3-part sink opened as %d parts under P=%d", pd.Parts(), p)
+				if pd.Parts() != p {
+					t.Fatalf("a sink of 3 parts opened as %d parts under P=%d", pd.Parts(), p)
 				}
 				return mustJoin(t, opts, pd, s), mustNaturalJoin(t, r, s)
 			},
@@ -521,18 +560,32 @@ func TestPipedRouting(t *testing.T) {
 			opts := c.opts
 			opts.Metrics = Counters.NewSet()
 			pd, want := c.build(t, &opts)
-			out, err := MaterializePiped(context.Background(), &opts, pd, "out", false)
+			parts := drainParts(t, pd)
+			got, err := relation.Concat("out", pd.Attrs(), parts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := out.Rel(); !relation.Equal(want, got) {
-				t.Fatalf("piped result has %d rows, the relation operators give %d", got.Size(), want.Size())
+			rows := 0
+			for _, part := range parts {
+				rows += part.Size()
+			}
+			if !relation.Equal(want, got) || rows != want.Size() {
+				t.Fatalf("parts hold %d rows (%d distinct), the relation operators give %d", rows, got.Size(), want.Size())
 			}
 			if c.check != nil {
-				c.check(t, readCounts(opts.Metrics), out)
+				c.check(t, readCounts(opts.Metrics), pd, parts)
 			}
 		})
 	}
+}
+
+// rowRange returns the row ids [lo, hi).
+func rowRange(lo, hi int) []int32 {
+	rows := make([]int32, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		rows = append(rows, int32(i))
+	}
+	return rows
 }
 
 // TestPipedNilOptions pins what nil options mean: one part per pipeline,
@@ -541,13 +594,13 @@ func TestPipedNilOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	r := randomRel(rng, "R", []string{"a", "b"}, 100, 10)
 	s := randomRel(rng, "S", []string{"b", "c"}, 100, 10)
-	if (*Options)(nil).Count() != 1 || (*Options)(nil).active(1_000_000) {
-		t.Fatal("nil options reported a partition count above 1")
+	if (*Options)(nil).Count() != 1 {
+		t.Fatal("nil options reported a part count above 1")
 	}
 	if (&Options{Shards: 4}).Count() != 4 {
 		t.Fatal("Count ignored the explicit shard count")
 	}
-	pd := mustProject(t, nil, mustSemijoin(t, nil, mustJoin(t, nil, flat(r, nil), s), s), 0, 2)
+	pd := mustProject(t, nil, mustSemijoin(t, nil, mustJoin(t, nil, PipedOf(r, nil), s), s), 0, 2)
 	if pd.Parts() != 1 {
 		t.Fatalf("nil options built %d parts", pd.Parts())
 	}
@@ -556,33 +609,37 @@ func TestPipedNilOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mustProjectRel(t, mustSemijoinRel(t, mustNaturalJoin(t, r, s), s), 0, 2)
-	if len(out.offs) != 2 || !relation.Equal(want, out.Rel()) {
-		t.Fatalf("nil-options pipeline: %d rows in %d parts, want %d in one", out.Rel().Size(), len(out.offs)-1, want.Size())
+	if !relation.Equal(want, out) {
+		t.Fatalf("nil-options pipeline: %d rows, want %d", out.Size(), want.Size())
 	}
 }
 
-// TestPipedUnderGovernor runs an exchanged, partition-parallel join under a
-// one-byte budget: exchange chunks, the probe side's partitions and the
-// transient sink all register with the governor, everything cold parks, and
-// the rows still come out right.
+// TestPipedUnderGovernor runs a four-part join and a hash projection that
+// drops the parts' key under a one-byte budget: the projection's exchange
+// chunks and the transient sink register with the governor, everything
+// cold parks, and the rows still come out right.
 func TestPipedUnderGovernor(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	r := randomRel(rng, "R", []string{"a", "b"}, 600, 40)
-	s := randomRel(rng, "S", []string{"b", "c"}, 600, 40)
+	r := spread(t, randomRel(rng, "R", []string{"a", "b"}, 600, 40), 1<<16)
+	s := spread(t, randomRel(rng, "S", []string{"b", "c"}, 600, 40), 1<<16)
 	g := spill.NewGovernor(1, t.TempDir())
 	defer g.Close()
 	scope := spill.NewScope()
 	defer scope.Close()
 	opts := &Options{Shards: 4, BatchSize: 16, Spill: g, Scope: scope, Metrics: Counters.NewSet()}
-	out, err := MaterializePiped(context.Background(), opts, mustJoin(t, opts, flat(r, opts), s), "out", true)
+	pd := mustProject(t, opts, mustJoin(t, opts, PipedOf(r, opts), s), 2, 0)
+	out, err := MaterializePiped(context.Background(), opts, pd, "out", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := mustNaturalJoin(t, r, s); !relation.Equal(want, out.Rel()) {
-		t.Fatalf("governed join has %d rows, want %d", out.Rel().Size(), want.Size())
+	if want := mustProjectRel(t, mustNaturalJoin(t, r, s), 2, 0); !relation.Equal(want, out) {
+		t.Fatalf("governed join has %d rows, want %d", out.Size(), want.Size())
 	}
-	if !out.Rel().Governed() {
+	if !out.Governed() {
 		t.Fatal("transient sink is not registered with the governor")
+	}
+	if readCounts(opts.Metrics).ExchangedRows == 0 {
+		t.Fatal("the projection did not exchange: no chunk was governed")
 	}
 	if spillGauge(g, "evictions") == 0 {
 		t.Fatal("one-byte governor never evicted a pipeline buffer")
@@ -596,7 +653,7 @@ func TestPipedContextCancellation(t *testing.T) {
 	opts := &Options{Shards: 4}
 	ctx, cancel := context.WithCancel(context.Background())
 	// Built while ctx is live, drained after it is canceled.
-	pd, err := JoinPipedStream(ctx, opts, flat(r, opts), s, false)
+	pd, err := JoinPipedStream(ctx, opts, PipedOf(r, opts), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,59 +661,20 @@ func TestPipedContextCancellation(t *testing.T) {
 	if _, err := MaterializePiped(ctx, opts, pd, "out", false); err == nil {
 		t.Fatal("canceled context did not abort the drain")
 	}
-	if _, err := JoinPipedStream(ctx, opts, flat(r, opts), s, false); err == nil {
+	if _, err := JoinPipedStream(ctx, opts, PipedOf(r, opts), s); err == nil {
 		t.Fatal("canceled context did not abort the join")
 	}
-	if _, err := SemijoinPipedStream(ctx, opts, flat(r, opts), s, false); err == nil {
+	if _, err := SemijoinPipedStream(ctx, opts, PipedOf(r, opts), s); err == nil {
 		t.Fatal("canceled context did not abort the semijoin")
 	}
-	if _, err := ProjectPiped(ctx, opts, flat(r, opts), []int{0}); err == nil {
+	if _, err := ProjectPiped(ctx, opts, PipedOf(r, opts), []int{0}); err == nil {
 		t.Fatal("canceled context did not abort the projection")
 	}
 }
 
 func TestProjectPipedRejectsOutOfRangeColumn(t *testing.T) {
 	r := randomRel(rand.New(rand.NewSource(15)), "R", []string{"a", "b"}, 20, 5)
-	if _, err := ProjectPiped(context.Background(), nil, flat(r, nil), []int{0, 2}); err == nil {
+	if _, err := ProjectPiped(context.Background(), nil, PipedOf(r, nil), []int{0, 2}); err == nil {
 		t.Fatal("projection onto column 2 of a binary pipeline did not error")
-	}
-}
-
-// TestOneColumnExchangeBuildsNoStatistics pins that exchanging a flat
-// pipeline onto the one column it shares with next reads none of next's
-// statistics: there is nothing to choose, and the statistics scan every
-// column of next. A fresh 10 000-row next must still have them unbuilt
-// after the join and after the semijoin, which shows as the allocations of
-// a first DistinctCount.
-func TestOneColumnExchangeBuildsNoStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	r := randomRel(rng, "R", []string{"a", "b"}, 3000, 5000)
-	for _, op := range []string{"join", "semijoin"} {
-		next := randomRel(rng, "S", []string{"b", "c"}, 10000, 5000)
-		opts := &Options{Shards: 4, Metrics: Counters.NewSet()}
-		var pd *Piped
-		var want *relation.Relation
-		if op == "join" {
-			pd, want = mustJoin(t, opts, flat(r, opts), next), mustNaturalJoin(t, r, next)
-		} else {
-			pd, want = mustSemijoin(t, opts, flat(r, opts), next), mustSemijoinRel(t, r, next)
-		}
-		out, err := MaterializePiped(context.Background(), opts, pd, "out", false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !relation.Equal(out.Rel(), want) {
-			t.Fatalf("%s: %d rows, want %d", op, out.Rel().Size(), want.Size())
-		}
-		if readCounts(opts.Metrics).ExchangedRows == 0 {
-			t.Fatalf("%s: the pipeline was not exchanged", op)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		next.DistinctCount(0)
-		runtime.ReadMemStats(&after)
-		if after.Mallocs == before.Mallocs {
-			t.Errorf("%s: routing on next's one shared column built next's statistics", op)
-		}
 	}
 }

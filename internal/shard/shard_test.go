@@ -61,24 +61,8 @@ func TestPartitionSingleShardIsBase(t *testing.T) {
 	}
 }
 
-func TestPartitionMemoized(t *testing.T) {
-	r := randomRel(rand.New(rand.NewSource(3)), "R", []string{"a", "b"}, 200, 20)
-	s1 := Partition(r, 0, 4)
-	s2 := Partition(r, 0, 4)
-	for k := 0; k < 4; k++ {
-		if s1[k] != s2[k] {
-			t.Fatal("second partition rebuilt shards instead of reusing the memo")
-		}
-	}
-	// A different key or P is a different partition.
-	if s3 := Partition(r, 1, 4); s3[0] == s1[0] {
-		t.Fatal("partitions on different keys shared a shard")
-	}
-}
-
 func TestPartitionRenamedViewGetsOwnAttrs(t *testing.T) {
 	r := randomRel(rand.New(rand.NewSource(4)), "R", []string{"a", "b"}, 100, 10)
-	Partition(r, 0, 3) // memoize under r's names
 	view, err := r.Rename("V", "x", "y")
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +73,7 @@ func TestPartitionRenamedViewGetsOwnAttrs(t *testing.T) {
 			t.Fatalf("shard %d attrs = %v, want the view's [x y]", k, s.Attrs)
 		}
 	}
-	// Rows must still be the memoized ones (shared storage, not a rebuild).
+	// The rows are the base's, shard for shard.
 	base := Partition(r, 0, 3)
 	for k := 0; k < len(sh); k++ {
 		if !relation.Equal(sh[k], base[k]) {

@@ -5,8 +5,8 @@ package shard
 // operator spans can't be timed by the constructor. Instead the executor
 // attaches a span to the Piped it gets back (TracePiped): every part is
 // wrapped in a counting tap, the span is armed with the part count, and it
-// closes when the last part reports end-of-stream. Mid-stream exchanges
-// likewise feed a span through the scatter's row callback.
+// closes when the last part reports end-of-stream. A projection's
+// exchange likewise feeds a span through the scatter's row callback.
 
 import (
 	"context"
@@ -58,16 +58,16 @@ func (t *traceTap) Next(ctx context.Context) (*batch.Batch, error) {
 	return b, err
 }
 
-// exchangeCount returns the row callback a mid-stream batch exchange
-// feeds: always the shared exchanged_rows counter and, under tracing, an
-// exchange span as well. The span has no natural close of its own — the
-// scatter is as lazy as the pipeline around it — so Finish closes it with
-// the evaluation.
+// exchangeCount returns the row callback a projection's exchange feeds:
+// always the shared exchanged_rows counter and, under tracing, an exchange
+// span as well. The span has no natural close of its own — the scatter is
+// as lazy as the pipeline around it — so Finish closes it with the
+// evaluation.
 func exchangeCount(opts *Options, col string, p int) func(int) {
 	m := opts.metrics()
 	tr := opts.Tracer()
 	if tr == nil {
-		return adder(m, exchangedRows)
+		return func(n int) { m.Add(exchangedRows, int64(n)) }
 	}
 	sp := tr.Op(trace.KindExchange, "exchange pipeline on "+col)
 	sp.SetShards(p)

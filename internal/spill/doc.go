@@ -5,8 +5,8 @@
 // # The unit of spilling
 //
 // The spillable unit is one Buffer — in practice the columns of one
-// partition shard (internal/shard registers every shard it builds when the
-// engine has a budget). Columns are flat uint32 arrays, so a segment is
+// transient relation an evaluation builds (internal/shard registers its
+// sinks and a projection's exchange chunks when the engine has a budget). Columns are flat uint32 arrays, so a segment is
 // simply each column's values in order, fixed-width little-endian: the
 // storage format is the file format, and a reload is one read plus a
 // widening loop, no decoding. A governor keeps every segment in one spill
@@ -26,7 +26,7 @@
 // governor will not evict the buffer. Operators pin their inputs for their
 // duration (relation.Gather/Index/HashJoin/SemijoinOn pin the relations
 // they scan; internal/batch stages pin what they read one batch at a time)
-// so a shard is never written out and read back mid-read.
+// so a relation is never written out and read back mid-read.
 // Pins nest and are cheap (one atomic add); they are a thrash guard and an
 // LRU recency signal, not a correctness requirement.
 //
@@ -49,22 +49,16 @@
 //
 // # Buffer lifecycle
 //
-// Memoized base partitions register once and live until their relation is
-// mutated (Release restores plain storage) or the governor is Closed. A
-// query's intermediate shards would otherwise accumulate forever, so they
-// are tracked in a per-evaluation Scope and bulk-Discarded — slot freed,
+// A registered buffer lives until its relation is mutated (Release
+// restores plain storage), it is Discarded, or the governor is Closed. A
+// query's intermediates would otherwise accumulate forever, so they are
+// tracked in a per-evaluation Scope and bulk-Discarded — slot freed,
 // accounting dropped, no reload — once the evaluation's output has been
-// materialized; a long-lived engine's registry, resident bytes and spill
-// file therefore plateau at the base partitions
-// (the spill_registered_buffers gauge makes this observable).
-//
-// Under the engine's epoch store, base partitions retire with their
-// epoch: each epoch builds its own partitions on first read (a relation a
-// commit left unchanged keeps its registered ones), and the retirement
-// sweep Discards every buffer reachable only from reclaimed epochs,
-// stale partition memos included. Registered buffers and bytes on disk
-// thus return to the live snapshot's footprint after each epoch drains,
-// which the regression tests assert.
+// materialized. Nothing else registers, so once an evaluation returns a
+// long-lived engine's registry, resident bytes and spill file are back
+// where they were before it (the spill_registered_buffers gauge makes
+// this observable, and a test asserts it), and no epoch of the engine's
+// epoch store holds a governed buffer.
 //
 // # Budget reservations
 //
@@ -83,8 +77,8 @@
 // Only registered column buffers spill. Hash indexes, row tables and
 // column statistics (the relation memo table and its KeyTables), in-flight
 // exchange streams mid-operator, and the flat relations callers hold
-// directly are never parked; a shard's derived structures are rebuilt from
-// the reloaded columns if needed. Spill directories are private per
+// directly are never parked; a relation's derived structures are rebuilt
+// from the reloaded columns if needed. Spill directories are private per
 // governor (a fresh MkdirTemp under the configured dir), so stale files
 // left by a crashed process are never read and a fresh Engine ignores
 // them.

@@ -74,7 +74,7 @@ func WithTraceSink(s TraceSink) Option {
 
 // EvaluateTraced is Evaluate plus a full execution trace: the span tree
 // of the planned strategy (per-operator rows in/out, the paper-derived
-// and System-R size estimates next to the actuals, shard fan-out, batch
+// and System-R size estimates next to the actuals, part fan-out, batch
 // and spill activity, wall times) and the exact per-query deltas of the
 // engine's counter families (cache, shard, stream, spill, epoch; counter
 // names as in the registry), isolated from concurrent evaluations by

@@ -22,9 +22,10 @@ var counterFamilies = []string{"cache_", "shard_", "stream_", "spill_", "epoch_"
 	"serve_", "serve_admission_", "serve_cache_", "serve_access_", "calibration_"}
 
 // busyServer builds a sharded, budgeted engine behind a Server and drives
-// every counter family: traced evaluations (cache, shard, stream, spill),
-// a commit (epoch), and a miss and a hit through the HTTP front-end
-// (serve, admission, result cache, access log, calibration).
+// every counter family: traced evaluations (cache, shard, stream, and
+// spill, which governs the reductions of the path's Yannakakis plan), a
+// commit (epoch), and a miss and a hit through the HTTP front-end (serve,
+// admission, result cache, access log, calibration).
 func busyServer(t *testing.T) (*Engine, *Server) {
 	t.Helper()
 	eng := NewEngine(WithSharding(1, 4), WithMemoryBudget(512))
@@ -33,7 +34,7 @@ func busyServer(t *testing.T) (*Engine, *Server) {
 	srv := NewServer(eng, WithAccessLog(&access, 1))
 	t.Cleanup(srv.Close)
 	ctx := context.Background()
-	q := MustParse("Q(X,Y,Z) <- E(X,Y), E(Y,Z), E(X,Z).")
+	q := MustParse("Q(X,W) <- E(X,Y), E(Y,Z), E(Z,W).")
 	db := triangleDB(40, 6)
 	for i := 0; i < 3; i++ {
 		if _, _, _, err := eng.EvaluateTraced(ctx, q, db); err != nil {

@@ -9,12 +9,11 @@ package cqbound
 // but never block readers: a commit extends rows — each appended relation
 // becomes a frozen successor version (internal/relation.Extend) whose
 // columns reuse the base's backing arrays — and each epoch builds its
-// memos (hash indexes, statistics, shard partitions) lazily on first read.
+// memos (indexes, statistics, value ranges) lazily on first read.
 //
 // When a commit supersedes an epoch and its last reader unpins, the
-// retirement sweep reclaims everything only that epoch could reach:
-// governed memo shards leave the spill governor's registry (and their
-// segments leave the disk). The engine caches nothing per epoch: a query's
+// retirement sweep drops it from the engine's lookup table, and what only
+// it could reach becomes garbage. The engine caches nothing per epoch: a query's
 // plan is one entry per query text, and the project-early atom order is
 // re-derived per evaluation from the snapshot's memoized statistics.
 // Dict compaction (Engine.Compact) is the analogous reclamation for the
@@ -23,6 +22,7 @@ package cqbound
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -395,87 +395,31 @@ func (e *Engine) publish(epoch uint64, db *database.Database) {
 }
 
 // sweep reclaims every retired epoch with no pinned readers: its database
-// leaves the lookup table, and every governed buffer reachable ONLY from
-// swept epochs — orphaned memo shards included, stale ones especially — is
-// discarded from the spill governor, freeing its spilled segment if
-// parked. Buffers shared with a surviving epoch — a relation a commit left
-// unchanged is the same relation in both, partition memos included — are
-// left alone. Sweeps run at publish time and when a reader's last pin
-// drains; both entry points are cheap when nothing retired.
+// leaves the lookup table and the epoch counts as retired. No epoch holds
+// a governed buffer — the governor only ever tracks an evaluation's
+// transients, which its scope discards — so nothing else is freed here.
+// Sweeps run at publish time and when a reader's last pin drains; both
+// entry points are cheap when nothing retired.
 func (e *Engine) sweep() {
+	reclaim := func(st *epochState) bool { return st.retired && st.pins.Load() == 0 }
 	e.epochMu.Lock()
-	var swept []*epochState
-	for _, st := range e.epochs {
-		if st.retired && st.pins.Load() == 0 {
-			swept = append(swept, st)
-		}
-	}
-	if swept == nil {
-		e.epochMu.Unlock()
+	defer e.epochMu.Unlock()
+	if !slices.ContainsFunc(e.epochs, reclaim) {
 		return
 	}
-	keep := make([]*epochState, 0, len(e.epochs)-len(swept))
-	for _, st := range e.epochs {
-		if st.retired && st.pins.Load() == 0 {
-			delete(e.byDB, st.db)
-		} else {
-			keep = append(keep, st)
+	e.epochs = slices.DeleteFunc(slices.Clone(e.epochs), func(st *epochState) bool {
+		if !reclaim(st) {
+			return false
 		}
-	}
-	e.epochs = keep
-	survivors := append([]*epochState(nil), keep...)
-	e.epochMu.Unlock()
-
-	reachable := make(map[relation.ColumnBuffer]bool)
-	for _, st := range survivors {
-		collectBuffers(st.db, reachable)
-	}
-	for _, st := range swept {
-		candidates := make(map[relation.ColumnBuffer]bool)
-		collectBuffers(st.db, candidates)
-		for b := range candidates {
-			if reachable[b] {
-				continue
-			}
-			e.epoch.Add(sweptBuffers, 1)
-			e.epoch.Add(sweptBytes, b.Bytes())
-			b.Discard()
-		}
+		delete(e.byDB, st.db)
 		e.epoch.Add(retiredEpochs, 1)
-	}
-}
-
-// collectBuffers adds every governed column buffer reachable from db to
-// the set: the relations' own buffers plus every relation held in a memo
-// entry — partition shards, valid AND stale. Stale partition memos are
-// the buffers the pre-epoch engine leaked: invalidated by an insert,
-// invisible to every reader, but still registered with the governor.
-func collectBuffers(db *database.Database, into map[relation.ColumnBuffer]bool) {
-	add := func(r *relation.Relation) {
-		if b := r.Buffer(); b != nil {
-			into[b] = true
-		}
-	}
-	for _, name := range db.Names() {
-		r := db.Relation(name)
-		add(r)
-		r.EachMemo(func(_ string, v any, _ bool) bool {
-			switch val := v.(type) {
-			case []*relation.Relation:
-				for _, sh := range val {
-					add(sh)
-				}
-			case *relation.Relation:
-				add(val)
-			}
-			return true
-		})
-	}
+		return true
+	})
 }
 
 // Compact rewrites the live epoch against a fresh dictionary holding only
 // the strings its relations still reference, publishing the result as a
-// new epoch: the string-table counterpart of the buffer sweep, for
+// new epoch: the string-table counterpart of the epoch sweep, for
 // long-lived servers whose ingest-and-retract traffic would otherwise
 // grow the dictionary monotonically. Older epochs keep resolving through
 // the previous dictionary, so pinned readers stay printable; the old
@@ -537,8 +481,8 @@ var (
 	epochCounters    = counter.NewFamily("epoch")
 	commits          = epochCounters.Counter("commits", "published batches, Compact included")
 	retiredEpochs    = epochCounters.Counter("retired", "epochs fully reclaimed by the retirement sweep")
-	sweptBuffers     = epochCounters.Counter("swept_buffers", "governed buffers the retirement sweep discarded")
-	sweptBytes       = epochCounters.Counter("swept_bytes", "bytes of the buffers the retirement sweep discarded")
+	_                = epochCounters.Counter("swept_buffers", "governed buffers the retirement sweep discarded (no epoch holds one; always zero)")
+	_                = epochCounters.Counter("swept_bytes", "bytes of the buffers the retirement sweep discarded (always zero)")
 	_                = epochCounters.Counter("incremental_memos", "memos carried over from a base version (each epoch builds its memos on first read; always zero)")
 	rebuiltRelations = epochCounters.Counter("rebuilt_relations", "retraction-path chain rebuilds")
 	compactions      = epochCounters.Counter("compactions", "dictionary compactions")

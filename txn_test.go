@@ -210,85 +210,6 @@ func TestTxnValidationIsAtomic(t *testing.T) {
 	}
 }
 
-// TestEpochSweepReclaimsGovernorBuffers is the regression test for the
-// memo-shard leak: governed partition memos orphaned by a new version used
-// to stay registered with the spill governor (and parked on disk) forever.
-// With epochs, the retirement sweep must return the governor to the live
-// snapshot's footprint after every mutation, and to zero once the data is
-// retracted.
-func TestEpochSweepReclaimsGovernorBuffers(t *testing.T) {
-	eng := NewEngine(
-		WithMemoryBudget(256), // force parking so on-disk bytes are exercised
-		WithSpillDir(t.TempDir()),
-		WithSharding(1, 4),
-	)
-	defer eng.Close()
-	ingestChain(t, eng, 64)
-	q := MustParse("Q(X,Z) <- R(X,Y), R(Y,Z).")
-
-	// Build the governed partition memos for the live epoch.
-	snap := eng.Snapshot()
-	if got := evalSize(t, eng, q, snap.DB()); got != 63 {
-		t.Fatalf("chain of 64 edges has %d length-2 paths, want 63", got)
-	}
-	snap.Close()
-	registered1 := metric(t, eng, "spill_registered_buffers")
-	if registered1 == 0 {
-		t.Fatal("no governed partition memos after a sharded evaluation")
-	}
-	if metric(t, eng, "spill_bytes_on_disk") == 0 {
-		t.Fatal("a 256-byte budget parked nothing — the disk path is untested")
-	}
-
-	// An appending commit replaces the touched shards; the sweep must
-	// discard the replaced ones so the registry returns to baseline
-	// instead of accumulating one orphaned set per batch.
-	for round := 0; round < 3; round++ {
-		txn := eng.Begin()
-		for i := 64 + 16*round; i < 64+16*(round+1); i++ {
-			txn.Add("R", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
-		}
-		if _, err := txn.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		snap := eng.Snapshot()
-		evalSize(t, eng, q, snap.DB())
-		snap.Close()
-	}
-	if registered2 := metric(t, eng, "spill_registered_buffers"); registered2 != registered1 {
-		t.Fatalf("registry grew across commits: %d buffers, baseline %d — orphaned memo shards leaked",
-			registered2, registered1)
-	}
-	if metric(t, eng, "epoch_swept_buffers") == 0 {
-		t.Fatal("sweep discarded nothing despite replaced shards")
-	}
-
-	// Retract everything: after the old epochs retire, the governor must
-	// hold nothing and the spill directory must be empty.
-	snap = eng.Snapshot()
-	r := snap.DB().Relation("R")
-	txn := eng.Begin()
-	r.Each(func(tp Tuple) bool {
-		txn.Retract("R", tp)
-		return true
-	})
-	snap.Close()
-	if _, err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	snap = eng.Snapshot()
-	if got := evalSize(t, eng, q, snap.DB()); got != 0 {
-		t.Fatalf("retract-all left %d result rows", got)
-	}
-	snap.Close()
-	if n := metric(t, eng, "spill_registered_buffers"); n != 0 {
-		t.Fatalf("%d buffers still registered after retract-all", n)
-	}
-	if n := metric(t, eng, "spill_bytes_on_disk"); n != 0 {
-		t.Fatalf("%d bytes still on disk after retract-all", n)
-	}
-}
-
 // TestAppendCommitAllocsIndependentOfBase pins that an appending commit
 // costs O(delta): it extends rows and leaves the new epoch's memos to be
 // built on first read, so its allocations do not grow with the base even
